@@ -328,13 +328,13 @@ impl<S: Sampler, L: RecordSink> Observer for Instrumenter<S, L> {
                 self.frames_mut(tid).pop();
             }
             Event::LoopIter { tid, head, .. } => {
-                let policy = self.cfg.loop_policy.clone();
-                if let LoopPolicy::AdaptiveLoops(schedule) = policy {
-                    if let Some(frame) = self.frames_mut(tid).last_mut() {
+                if let LoopPolicy::AdaptiveLoops(schedule) = &self.cfg.loop_policy {
+                    let frame = self.frames.get_mut(tid.index()).and_then(|f| f.last_mut());
+                    if let Some(frame) = frame {
                         if frame.instrumented {
                             let loops = frame.loops.get_or_insert_with(HashMap::new);
                             let st = loops.entry(head.0).or_insert_with(BurstState::new);
-                            frame.iter_sampled = st.step(&schedule);
+                            frame.iter_sampled = st.step(schedule);
                         }
                     }
                 }

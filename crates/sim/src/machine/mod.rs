@@ -19,7 +19,7 @@ use crate::addr::{Addr, GLOBAL_BASE, WORD_BYTES};
 use crate::cost::CostModel;
 use crate::error::{SimError, SimResult};
 use crate::event::{Event, Observer, SyncOpKind};
-use crate::ids::{Pc, SyncId, SyncVar, ThreadId};
+use crate::ids::{FuncId, Pc, SyncId, SyncVar, ThreadId};
 use crate::lower::{CompiledProgram, Instr};
 use crate::op::{AddrExpr, Rvalue, SyncRef};
 use crate::program::SyncKind;
@@ -79,6 +79,12 @@ pub struct Machine<'p> {
     syncs: Vec<SyncState>,
     heap: Heap,
     summary: RunSummary,
+    /// Ids of the `Runnable` threads, ascending. Kept across steps and
+    /// rebuilt only when `runnable_stale` is set.
+    runnable: Vec<ThreadId>,
+    /// Set by [`set_status`](Machine::set_status), the only writer of a
+    /// thread's status, so no transition can leave `runnable` out of date.
+    runnable_stale: bool,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -116,6 +122,8 @@ impl<'p> Machine<'p> {
             syncs,
             heap: Heap::new(),
             summary,
+            runnable: Vec::new(),
+            runnable_stale: true,
         }
     }
 
@@ -128,6 +136,65 @@ impl<'p> Machine<'p> {
     /// when limits are hit, and [`SimError::Fault`] /
     /// [`SimError::UnlockNotHeld`] on runtime misuse.
     pub fn run<S: Scheduler, O: Observer>(
+        &mut self,
+        sched: &mut S,
+        obs: &mut O,
+    ) -> SimResult<RunSummary> {
+        loop {
+            if self.runnable_stale {
+                self.runnable.clear();
+                self.runnable.extend(
+                    self.threads
+                        .iter()
+                        .filter(|t| t.is_runnable())
+                        .map(|t| t.tid),
+                );
+                self.runnable_stale = false;
+            }
+            if self.runnable.is_empty() {
+                return self.finish();
+            }
+            if self.summary.steps >= self.cfg.step_limit {
+                return Err(SimError::StepLimitExceeded {
+                    limit: self.cfg.step_limit,
+                });
+            }
+            let tid = self.runnable[sched.pick(&self.runnable)];
+            self.summary.steps += 1;
+            self.step(tid, obs)?;
+        }
+    }
+
+    /// Ends a run that has no runnable thread: the summary if every thread
+    /// has exited, otherwise a deadlock naming the blocked threads.
+    fn finish(&mut self) -> SimResult<RunSummary> {
+        let blocked: Vec<_> = self
+            .threads
+            .iter()
+            .filter_map(|t| match t.status {
+                ThreadStatus::Blocked(reason) => Some((t.tid, reason.describe())),
+                _ => None,
+            })
+            .collect();
+        if blocked.is_empty() {
+            Ok(std::mem::take(&mut self.summary))
+        } else {
+            Err(SimError::Deadlock { blocked })
+        }
+    }
+
+    /// The one place a thread's status changes. Marks the runnable set
+    /// stale, so `run` rebuilds it before the next pick.
+    fn set_status(&mut self, tid: ThreadId, status: ThreadStatus) {
+        self.threads[tid.index()].status = status;
+        self.runnable_stale = true;
+    }
+
+    /// The scheduling loop before the runnable set was kept across steps:
+    /// it rescans every thread before every pick. Tests compare
+    /// [`run`](Machine::run) against it.
+    #[cfg(test)]
+    fn run_rescanning<S: Scheduler, O: Observer>(
         &mut self,
         sched: &mut S,
         obs: &mut O,
@@ -174,25 +241,12 @@ impl<'p> Machine<'p> {
     /// Executes one instruction of thread `tid`, which must be runnable.
     fn step<O: Observer>(&mut self, tid: ThreadId, obs: &mut O) -> SimResult<()> {
         let ti = tid.index();
-        if !self.meta[ti].started {
-            self.meta[ti].started = true;
-            let func = self.threads[ti].frame().func;
-            obs.on_event(&Event::ThreadStart {
-                tid,
-                parent: self.meta[ti].parent,
-                func,
-            });
-            if self.meta[ti].parent.is_some() {
-                self.emit_sync(obs, tid, Pc::new(func, 0), SyncOpKind::ThreadStart, thread_var(tid));
-            }
-            self.summary.func_entries += 1;
-            self.summary.per_func_entries[func.index()] += 1;
-            obs.on_event(&Event::FunctionEntry { tid, func });
-        }
-
         let frame = self.threads[ti].frame();
         let func = frame.func;
         let pc_idx = frame.pc;
+        if !self.meta[ti].started {
+            self.start_thread(tid, func, obs);
+        }
         let instr = self.prog.function(func).code[pc_idx];
         let pc = Pc::new(func, pc_idx);
 
@@ -240,8 +294,7 @@ impl<'p> Machine<'p> {
                     }
                     Some(_) => {
                         st.waiters.push(tid);
-                        self.threads[ti].status =
-                            ThreadStatus::Blocked(BlockReason::Mutex(sid));
+                        self.set_status(tid, ThreadStatus::Blocked(BlockReason::Mutex(sid)));
                     }
                 }
             }
@@ -268,7 +321,7 @@ impl<'p> Machine<'p> {
                     self.advance(tid);
                 } else {
                     st.waiters.push(tid);
-                    self.threads[ti].status = ThreadStatus::Blocked(BlockReason::Event(sid));
+                    self.set_status(tid, ThreadStatus::Blocked(BlockReason::Event(sid)));
                 }
             }
             Instr::Notify(s) => {
@@ -299,8 +352,7 @@ impl<'p> Machine<'p> {
                     self.advance(tid);
                 } else {
                     st.waiters.push(tid);
-                    self.threads[ti].status =
-                        ThreadStatus::Blocked(BlockReason::Semaphore(sid));
+                    self.set_status(tid, ThreadStatus::Blocked(BlockReason::Semaphore(sid)));
                 }
             }
             Instr::SemRelease(s) => {
@@ -353,8 +405,7 @@ impl<'p> Machine<'p> {
                         self.advance(tid);
                     } else {
                         st.waiters.push(tid);
-                        self.threads[ti].status =
-                            ThreadStatus::Blocked(BlockReason::Barrier(sid));
+                        self.set_status(tid, ThreadStatus::Blocked(BlockReason::Barrier(sid)));
                     }
                 }
             }
@@ -394,6 +445,8 @@ impl<'p> Machine<'p> {
                 let arg = self.eval(tid, arg);
                 let locals = self.prog.function(func).locals;
                 self.threads.push(ThreadState::new(child, func, locals, arg));
+                // The child joins the runnable set.
+                self.set_status(child, ThreadStatus::Runnable);
                 self.meta.push(ThreadMeta {
                     parent: Some(tid),
                     started: false,
@@ -419,8 +472,7 @@ impl<'p> Machine<'p> {
                     self.emit_sync(obs, tid, pc, SyncOpKind::Join, thread_var(target_tid));
                     self.advance(tid);
                 } else {
-                    self.threads[ti].status =
-                        ThreadStatus::Blocked(BlockReason::Join(target_tid));
+                    self.set_status(tid, ThreadStatus::Blocked(BlockReason::Join(target_tid)));
                 }
             }
             Instr::Call { func, arg } => {
@@ -485,11 +537,10 @@ impl<'p> Machine<'p> {
             }
             Instr::Return => {
                 self.charge(tid, self.cfg.cost.scalar);
-                let func = self.threads[ti].frame().func;
                 obs.on_event(&Event::FunctionExit { tid, func });
                 self.threads[ti].frames.pop();
                 if self.threads[ti].frames.is_empty() {
-                    self.threads[ti].status = ThreadStatus::Exited;
+                    self.set_status(tid, ThreadStatus::Exited);
                     self.emit_sync(
                         obs,
                         tid,
@@ -525,8 +576,30 @@ impl<'p> Machine<'p> {
 
     fn wake(&mut self, tids: &[ThreadId]) {
         for &t in tids {
-            self.threads[t.index()].status = ThreadStatus::Runnable;
+            self.set_status(t, ThreadStatus::Runnable);
         }
+    }
+
+    /// Emits a thread's start events ahead of its first instruction, whose
+    /// frame runs `func`.
+    #[cold]
+    fn start_thread<O: Observer>(&mut self, tid: ThreadId, func: FuncId, obs: &mut O) {
+        let meta = &mut self.meta[tid.index()];
+        meta.started = true;
+        let parent = meta.parent;
+        obs.on_event(&Event::ThreadStart { tid, parent, func });
+        if parent.is_some() {
+            self.emit_sync(
+                obs,
+                tid,
+                Pc::new(func, 0),
+                SyncOpKind::ThreadStart,
+                thread_var(tid),
+            );
+        }
+        self.summary.func_entries += 1;
+        self.summary.per_func_entries[func.index()] += 1;
+        obs.on_event(&Event::FunctionEntry { tid, func });
     }
 
     fn count_access_class(&mut self, addr: Addr) {
@@ -624,4 +697,283 @@ pub fn pages_of(base: Addr, words: u64) -> std::ops::RangeInclusive<u64> {
     let first = base.page();
     let last = Addr(base.raw() + words * WORD_BYTES - 1).page();
     first..=last
+}
+
+#[cfg(test)]
+mod tests {
+    //! `Machine::run` keeps its runnable set across steps; these tests hold
+    //! it to the rescan-every-step loop it replaced, over every scheduler.
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::builder::{FunctionBuilder, GlobalVar, ProgramBuilder};
+    use crate::event::RecordingObserver;
+    use crate::lower::lower;
+    use crate::sched::{
+        ChunkedRandomScheduler, PctScheduler, RandomScheduler, RoundRobinScheduler,
+    };
+
+    /// Runs `prog` under both loops from identical scheduler states and
+    /// requires the same events, summary or error. Returns the outcome.
+    fn assert_same_as_oracle<S: Scheduler + Clone>(
+        prog: &CompiledProgram,
+        cfg: MachineConfig,
+        sched: S,
+    ) -> SimResult<RunSummary> {
+        let mut fast_events = RecordingObserver::default();
+        let fast = Machine::new(prog, cfg).run(&mut sched.clone(), &mut fast_events);
+        let mut oracle_events = RecordingObserver::default();
+        let oracle = Machine::new(prog, cfg).run_rescanning(&mut sched.clone(), &mut oracle_events);
+        assert_eq!(fast, oracle);
+        assert_eq!(fast_events.events, oracle_events.events);
+        fast
+    }
+
+    /// Every scheduler, each from a state derived from `seed` and `quantum`.
+    fn assert_all_schedulers(
+        prog: &CompiledProgram,
+        cfg: MachineConfig,
+        seed: u64,
+        quantum: u32,
+    ) -> [SimResult<RunSummary>; 4] {
+        [
+            assert_same_as_oracle(prog, cfg, RandomScheduler::seeded(seed)),
+            assert_same_as_oracle(prog, cfg, RoundRobinScheduler::new(quantum)),
+            assert_same_as_oracle(prog, cfg, ChunkedRandomScheduler::seeded(seed, quantum)),
+            assert_same_as_oracle(prog, cfg, PctScheduler::seeded(seed, 1 + quantum % 4, 300)),
+        ]
+    }
+
+    #[derive(Debug, Clone)]
+    enum GenOp {
+        Access { write: bool, word: u64 },
+        Locked(usize, Vec<GenOp>),
+        Notify,
+        Wait,
+        Reset,
+        SemAcquire,
+        SemRelease,
+        Barrier,
+        Atomic,
+        Compute(u32),
+        Loop(u32, Vec<GenOp>),
+    }
+
+    #[derive(Debug, Clone)]
+    struct GenProgram {
+        workers: Vec<Vec<GenOp>>,
+        main: Vec<GenOp>,
+        /// `(worker, joined)` per spawn from `main`.
+        spawns: Vec<(usize, bool)>,
+        /// `(semaphore initial count, barrier parties)`.
+        sync_shape: (u32, u32),
+        step_limit: u64,
+        max_threads: usize,
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    struct Objects {
+        g: GlobalVar,
+        mutexes: [SyncId; 2],
+        event: SyncId,
+        sem: SyncId,
+        barrier: SyncId,
+    }
+
+    fn arb_ops(depth: u32) -> BoxedStrategy<Vec<GenOp>> {
+        let leaf = prop_oneof![
+            4 => (any::<bool>(), 0u64..4).prop_map(|(write, word)| GenOp::Access { write, word }),
+            1 => Just(GenOp::Notify),
+            1 => Just(GenOp::Wait),
+            1 => Just(GenOp::Reset),
+            1 => Just(GenOp::SemAcquire),
+            2 => Just(GenOp::SemRelease),
+            1 => Just(GenOp::Barrier),
+            1 => Just(GenOp::Atomic),
+            1 => (1u32..20).prop_map(GenOp::Compute),
+        ];
+        if depth == 0 {
+            return prop::collection::vec(leaf, 0..5).boxed();
+        }
+        prop::collection::vec(
+            prop_oneof![
+                5 => leaf,
+                3 => (0usize..2, arb_ops(depth - 1)).prop_map(|(m, body)| GenOp::Locked(m, body)),
+                1 => (0u32..4, arb_ops(depth - 1)).prop_map(|(n, body)| GenOp::Loop(n, body)),
+            ],
+            0..6,
+        )
+        .boxed()
+    }
+
+    fn arb_program() -> impl Strategy<Value = GenProgram> {
+        (
+            prop::collection::vec(arb_ops(2), 1..4),
+            arb_ops(1),
+            prop::collection::vec((0usize..3, any::<bool>()), 0..7),
+            (0u32..3, 1u32..4),
+            prop_oneof![3 => Just(1_000_000u64), 1 => 1u64..400],
+            prop_oneof![3 => Just(64usize), 1 => 1usize..6],
+        )
+            .prop_map(
+                |(workers, main, spawns, sync_shape, step_limit, max_threads)| GenProgram {
+                    workers,
+                    main,
+                    spawns,
+                    sync_shape,
+                    step_limit,
+                    max_threads,
+                },
+            )
+    }
+
+    fn emit(f: &mut FunctionBuilder, ops: &[GenOp], o: Objects) {
+        for op in ops {
+            match op {
+                GenOp::Access { write: true, word } => {
+                    f.write(o.g.at(*word));
+                }
+                GenOp::Access { write: false, word } => {
+                    f.read(o.g.at(*word));
+                }
+                GenOp::Locked(m, body) => {
+                    f.lock(o.mutexes[*m]);
+                    emit(f, body, o);
+                    f.unlock(o.mutexes[*m]);
+                }
+                GenOp::Notify => {
+                    f.notify(o.event);
+                }
+                GenOp::Wait => {
+                    f.wait(o.event);
+                }
+                GenOp::Reset => {
+                    f.reset(o.event);
+                }
+                GenOp::SemAcquire => {
+                    f.sem_acquire(o.sem);
+                }
+                GenOp::SemRelease => {
+                    f.sem_release(o.sem);
+                }
+                GenOp::Barrier => {
+                    f.barrier_wait(o.barrier);
+                }
+                GenOp::Atomic => {
+                    f.atomic_rmw(o.g.at(0));
+                }
+                GenOp::Compute(c) => {
+                    f.compute(*c);
+                }
+                GenOp::Loop(n, body) => {
+                    f.loop_(*n, |f| emit(f, body, o));
+                }
+            }
+        }
+    }
+
+    fn compile(p: &GenProgram) -> CompiledProgram {
+        let mut b = ProgramBuilder::new();
+        let o = Objects {
+            g: b.global_array("g", 4),
+            mutexes: [b.mutex("m0"), b.mutex("m1")],
+            event: b.event("e"),
+            sem: b.semaphore("s", p.sync_shape.0),
+            barrier: b.barrier("bar", p.sync_shape.1),
+        };
+        let workers: Vec<FuncId> = p
+            .workers
+            .iter()
+            .enumerate()
+            .map(|(i, ops)| b.function(&format!("w{i}"), 0, |f| emit(f, ops, o)))
+            .collect();
+        b.entry_fn("main", |f| {
+            let handles: Vec<_> = p
+                .spawns
+                .iter()
+                .map(|&(w, joined)| {
+                    let worker = workers[w % workers.len()];
+                    (f.spawn(worker, Rvalue::Const(0)), joined)
+                })
+                .collect();
+            emit(f, &p.main, o);
+            for (h, joined) in handles {
+                if joined {
+                    f.join(h);
+                }
+            }
+        });
+        lower(&b.build().expect("generated programs validate"))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Contended mutexes, events, semaphores, barriers, spawn/join and
+        /// exits, under tight step and thread limits: the cached runnable
+        /// set schedules exactly as the per-step rescan did.
+        #[test]
+        fn cached_runnable_set_matches_rescanning_oracle(
+            p in arb_program(),
+            seed: u64,
+            quantum in 1u32..10,
+        ) {
+            let cfg = MachineConfig {
+                max_threads: p.max_threads,
+                step_limit: p.step_limit,
+                ..MachineConfig::default()
+            };
+            let _outcomes = assert_all_schedulers(&compile(&p), cfg, seed, quantum);
+        }
+    }
+
+    /// Each terminal outcome is reached, identically, by both loops.
+    #[test]
+    fn oracle_agrees_on_every_terminal_outcome() {
+        let ops = |write| vec![GenOp::Locked(0, vec![GenOp::Access { write, word: 1 }])];
+        let base = GenProgram {
+            workers: vec![ops(true), ops(false)],
+            main: ops(true),
+            spawns: vec![(0, true), (1, true), (0, false)],
+            sync_shape: (0, 2),
+            step_limit: 1_000_000,
+            max_threads: 64,
+        };
+        let deadlock = GenProgram {
+            workers: vec![vec![GenOp::Wait], vec![GenOp::SemAcquire]],
+            ..base.clone()
+        };
+        let step_limit = GenProgram {
+            step_limit: 10,
+            ..base.clone()
+        };
+        let thread_limit = GenProgram {
+            max_threads: 3,
+            ..base.clone()
+        };
+        type Expected = fn(&SimResult<RunSummary>) -> bool;
+        let cases: [(&GenProgram, Expected); 4] = [
+            (&base, |r| r.is_ok()),
+            (&deadlock, |r| matches!(r, Err(SimError::Deadlock { .. }))),
+            (&step_limit, |r| {
+                matches!(r, Err(SimError::StepLimitExceeded { .. }))
+            }),
+            (&thread_limit, |r| {
+                matches!(r, Err(SimError::ThreadLimitExceeded { .. }))
+            }),
+        ];
+        for (p, expected) in cases {
+            let cfg = MachineConfig {
+                max_threads: p.max_threads,
+                step_limit: p.step_limit,
+                ..MachineConfig::default()
+            };
+            for seed in 0..8 {
+                for outcome in assert_all_schedulers(&compile(p), cfg, seed, 1 + seed as u32) {
+                    assert!(expected(&outcome), "{p:?} seed {seed}: {outcome:?}");
+                }
+            }
+        }
+    }
 }

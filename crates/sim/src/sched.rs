@@ -72,17 +72,15 @@ impl Scheduler for RoundRobinScheduler {
     fn pick(&mut self, runnable: &[ThreadId]) -> usize {
         if let Some(last) = self.last {
             if self.remaining > 0 {
-                if let Some(idx) = runnable.iter().position(|&t| t == last) {
+                if let Ok(idx) = runnable.binary_search(&last) {
                     self.remaining -= 1;
                     return idx;
                 }
             }
             // Quantum expired or thread no longer runnable: next thread id
             // after `last`, wrapping.
-            let idx = runnable
-                .iter()
-                .position(|&t| t > last)
-                .unwrap_or(0);
+            let idx = runnable.partition_point(|&t| t <= last);
+            let idx = if idx == runnable.len() { 0 } else { idx };
             self.last = Some(runnable[idx]);
             self.remaining = self.quantum - 1;
             return idx;
@@ -129,7 +127,7 @@ impl Scheduler for ChunkedRandomScheduler {
     fn pick(&mut self, runnable: &[ThreadId]) -> usize {
         if self.remaining > 0 {
             if let Some(cur) = self.current {
-                if let Some(idx) = runnable.iter().position(|&t| t == cur) {
+                if let Ok(idx) = runnable.binary_search(&cur) {
                     self.remaining -= 1;
                     return idx;
                 }

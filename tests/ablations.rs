@@ -136,6 +136,39 @@ fn loop_granularity_sampling_reduces_esr_on_loopy_code() {
     }
 }
 
+/// The `ablations` binary's loop-policy table, pinned at both scales: the
+/// instrumenter borrows the adaptive-loop schedule on every `LoopIter`
+/// event instead of cloning the policy, and must log exactly what it did.
+#[test]
+fn loop_policy_ablation_output_is_pinned() {
+    // (scale, adaptive loops?, logged accesses, total accesses, static races)
+    let expected = [
+        (Scale::Smoke, false, 22_500, 22_500, 3),
+        (Scale::Smoke, true, 180, 22_500, 3),
+        (Scale::Paper, false, 360_000, 360_000, 3),
+        (Scale::Paper, true, 480, 360_000, 3),
+    ];
+    for (scale, adaptive, logged, total, races) in expected {
+        let program = literace::workloads::synthetic::parsec_kernel(scale.hot(60_000));
+        let mut cfg = RunConfig::seeded(2);
+        cfg.instrument = InstrumentConfig {
+            loop_policy: if adaptive {
+                LoopPolicy::AdaptiveLoops(BackoffSchedule::literace())
+            } else {
+                LoopPolicy::FunctionGranularity
+            },
+            ..InstrumentConfig::default()
+        };
+        let out = run_literace(&program, SamplerKind::TlAdaptive, &cfg).unwrap();
+        let stats = &out.instrumented.stats;
+        assert_eq!(
+            (stats.logged_mem, stats.total_mem, out.report.static_count()),
+            (logged, total, races),
+            "{scale:?}, adaptive loops: {adaptive}"
+        );
+    }
+}
+
 /// The burst is load-bearing: a non-bursty variant of TL-Ad (burst of one)
 /// cannot be expressed directly, but the random samplers serve as the
 /// non-bursty control — and the paper's Figure 5 expectation holds: bursty
