@@ -1,8 +1,8 @@
 //! Criterion benches for the happens-before core: throughput of detection
-//! over logs of varying sync density, plus FastTrack vs full vector clocks.
+//! over logs of varying sync density, against the lockset baseline.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use literace::detector::{detect, detect_fasttrack, detect_lockset};
+use literace::detector::{detect, detect_lockset};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::EventLog;
 use literace::samplers::SamplerKind;
@@ -28,11 +28,6 @@ fn bench_detectors(c: &mut Criterion) {
             BenchmarkId::new("happens-before", id.name()),
             &log,
             |b, log| b.iter(|| detect(log, non_stack)),
-        );
-        group.bench_with_input(
-            BenchmarkId::new("fasttrack", id.name()),
-            &log,
-            |b, log| b.iter(|| detect_fasttrack(log, non_stack)),
         );
         group.bench_with_input(
             BenchmarkId::new("lockset", id.name()),

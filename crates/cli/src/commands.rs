@@ -3,7 +3,7 @@
 use std::fs::File;
 use std::process::ExitCode;
 
-use literace::detector::{detect_fasttrack, detect_lockset, detect_stream};
+use literace::detector::{detect_lockset, detect_stream};
 use literace::eval::{evaluate_program, EvalConfig};
 use literace::instrument::{V1Sink, V2Sink};
 use literace::log::{
@@ -40,8 +40,9 @@ USAGE:
       given name patterns. With --streaming and --log, records stream to
       disk as the program runs (the log is never materialized in memory)
       and detection streams the file back through the decode pool
-      (--decode-threads / --stream-depth as under `detect`); --streaming
-      alone feeds the in-memory log to the detector block by block.
+      (--decode-threads / --stream-depth as under `detect`); without
+      --log, --streaming changes nothing. --threads N shards detection
+      across N workers as under `detect`.
       --encode-threads selects the pipelined write path: the run's hot
       path only appends raw records, sealed blocks encode on N background
       workers (v2 only, needs --log), and --block-records sets the
@@ -67,7 +68,7 @@ USAGE:
   literace overhead --workload <name> [--seed 1] [--scale smoke|paper]
       Print the workload's Table 5 row and Figure 6 decomposition.
 
-  literace detect --log <file> [--detector hb|fasttrack|lockset]
+  literace detect --log <file> [--detector hb|lockset]
                   [--non-stack <count>] [--threads N] [--no-streaming]
                   [--decode-threads N|auto] [--stream-depth N]
                   [--salvage] [--resume-from <state.lrcp>]
@@ -76,14 +77,15 @@ USAGE:
                   [--progress]
       Run offline detection over a previously written event log (v1 or
       v2; the format is auto-detected). With --threads N ≥ 2, the hb
-      detector shards accesses across N workers (byte-identical output).
-      The hb detector streams by default: decoded blocks flow straight
-      from the decode pool into the workers and the log is never
-      materialized (--no-streaming opts out; other detectors always
-      materialize). --decode-threads sizes the block-decode pool (auto:
-      one worker per core; ≥ 2 decodes v2 blocks out of order and
-      reassembles in sequence, byte-identical output) and --stream-depth
-      overrides the auto-sized decoder→detector channel depth.
+      detector shards accesses across N workers (byte-identical output;
+      N above 64 runs 64 shards). The hb detector streams by default:
+      decoded blocks flow straight from the decode pool into the workers
+      and the log is never materialized (--no-streaming decodes the whole
+      log first; other detectors always do). --decode-threads sizes the
+      block-decode pool (auto: one worker per core; ≥ 2 decodes v2
+      blocks out of order and reassembles in sequence, byte-identical
+      output) and --stream-depth overrides the auto-sized
+      decoder→detector channel depth.
       With --salvage, a torn or corrupted log is decoded best-effort:
       corrupt blocks are skipped where provably safe (no sync records
       lost), the rest is dropped, and the damage tally is printed — a
@@ -438,68 +440,54 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
         None
     };
 
-    let (summary, stats, overhead, report, log_note) = if streaming {
-        if let Some(path) = flags.get("log") {
-            // Zero-materialization: records stream to disk in encoded
-            // blocks as the program runs, then the file streams back
-            // through the detector. The decoded log never sits in memory,
-            // and the file only appears at `path` after a clean finish.
-            let file = AtomicFile::create(path).map_err(CliError::io("cannot create", path))?;
-            let (summary, stats, overhead, written) = match format {
-                LogFormat::V2 if encode_opts.is_some() => {
-                    // Pipelined write path: the run's hot path is a raw
-                    // append; sealed blocks encode on background workers
-                    // and an in-order committer seals the file.
-                    let opts = encode_opts.unwrap_or_default();
-                    let sink = PipelinedSink::with_opts(file, opts)
-                        .map_err(|e| format!("write {path}: {e}"))?;
-                    let (summary, out) =
-                        run_literace_with_sink(&w.program, sampler, &cfg, sink)
-                            .map_err(|e| e.to_string())?;
-                    let written = out.log.records_written();
-                    let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
-                    file.commit().map_err(CliError::io("cannot finalize", path))?;
-                    (summary, out.stats, out.overhead, written)
-                }
-                LogFormat::V2 => {
-                    let (summary, out) =
-                        run_literace_with_sink(&w.program, sampler, &cfg, V2Sink::new(file))
-                            .map_err(|e| e.to_string())?;
-                    let written = out.log.records_written();
-                    let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
-                    file.commit().map_err(CliError::io("cannot finalize", path))?;
-                    (summary, out.stats, out.overhead, written)
-                }
-                LogFormat::V1 => {
-                    let (summary, out) =
-                        run_literace_with_sink(&w.program, sampler, &cfg, V1Sink::new(file))
-                            .map_err(|e| e.to_string())?;
-                    let written = out.log.records_written();
-                    let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
-                    file.commit().map_err(CliError::io("cannot finalize", path))?;
-                    (summary, out.stats, out.overhead, written)
-                }
-            };
-            let blocks = spawn_log_stream(path, decode_opts)?;
-            let report = detect_stream(blocks, summary.non_stack_accesses, &cfg.detect_config())
-                .map_err(|e| format!("read {path}: {e}"))?;
-            let note = format!("wrote {written} records to {path} ({format} format, streamed)");
-            let non_stack = summary.non_stack_accesses;
-            (summary, stats, overhead, report, Some((note, non_stack, path)))
-        } else {
-            // No file: stream the in-memory log to the detector block by
-            // block instead of handing it over whole.
-            cfg.streaming_detect = true;
-            let outcome =
-                run_literace(&w.program, sampler, &cfg).map_err(|e| e.to_string())?;
-            (
-                outcome.summary,
-                outcome.instrumented.stats,
-                outcome.instrumented.overhead,
-                outcome.report,
-                None,
-            )
-        }
+    let streamed_log = flags.get("log").filter(|_| streaming);
+    let (summary, stats, overhead, report, log_note) = if let Some(path) = streamed_log {
+        // Zero-materialization: records stream to disk in encoded
+        // blocks as the program runs, then the file streams back
+        // through the detector. The decoded log never sits in memory,
+        // and the file only appears at `path` after a clean finish.
+        let file = AtomicFile::create(path).map_err(CliError::io("cannot create", path))?;
+        let (summary, stats, overhead, written) = match format {
+            LogFormat::V2 if encode_opts.is_some() => {
+                // Pipelined write path: the run's hot path is a raw
+                // append; sealed blocks encode on background workers
+                // and an in-order committer seals the file.
+                let opts = encode_opts.unwrap_or_default();
+                let sink = PipelinedSink::with_opts(file, opts)
+                    .map_err(|e| format!("write {path}: {e}"))?;
+                let (summary, out) =
+                    run_literace_with_sink(&w.program, sampler, &cfg, sink)
+                        .map_err(|e| e.to_string())?;
+                let written = out.log.records_written();
+                let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
+                file.commit().map_err(CliError::io("cannot finalize", path))?;
+                (summary, out.stats, out.overhead, written)
+            }
+            LogFormat::V2 => {
+                let (summary, out) =
+                    run_literace_with_sink(&w.program, sampler, &cfg, V2Sink::new(file))
+                        .map_err(|e| e.to_string())?;
+                let written = out.log.records_written();
+                let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
+                file.commit().map_err(CliError::io("cannot finalize", path))?;
+                (summary, out.stats, out.overhead, written)
+            }
+            LogFormat::V1 => {
+                let (summary, out) =
+                    run_literace_with_sink(&w.program, sampler, &cfg, V1Sink::new(file))
+                        .map_err(|e| e.to_string())?;
+                let written = out.log.records_written();
+                let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
+                file.commit().map_err(CliError::io("cannot finalize", path))?;
+                (summary, out.stats, out.overhead, written)
+            }
+        };
+        let blocks = spawn_log_stream(path, decode_opts)?;
+        let report = detect_stream(blocks, summary.non_stack_accesses, &cfg.detect_config())
+            .map_err(|e| format!("read {path}: {e}"))?;
+        let note = format!("wrote {written} records to {path} ({format} format, streamed)");
+        let non_stack = summary.non_stack_accesses;
+        (summary, stats, overhead, report, Some((note, non_stack, path)))
     } else {
         let outcome = run_literace(&w.program, sampler, &cfg).map_err(|e| e.to_string())?;
         let note = match flags.get("log") {
@@ -681,8 +669,7 @@ pub fn detect(args: &[String]) -> ExitCode {
 
 fn detect_inner(args: &[String]) -> Result<(), CliError> {
     use literace::detector::{
-        detect_sharded, detect_sharded_resume, detect_stream_checkpointed,
-        detect_stream_resume, Checkpoint, DetectConfig,
+        detect_stream_checkpointed, detect_stream_from, Checkpoint, DetectConfig,
     };
 
     let flags = crate::args::Flags::parse_with_switches(
@@ -755,22 +742,19 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
     // --threads the same way on the clean and the salvage path.
     let detect_materialized = |log: &EventLog| -> Result<_, CliError> {
         Ok(match flags.get("detector") {
-            None | Some("hb") => match resume_cp.as_ref() {
-                Some(cp) => detect_sharded_resume(
-                    log,
-                    non_stack,
-                    &DetectConfig::with_threads(threads),
-                    cp,
-                ),
-                None => detect_sharded(log, non_stack, &DetectConfig::with_threads(threads)),
-            },
+            None | Some("hb") => detect_stream_from(
+                [Ok(log.records())],
+                non_stack,
+                &DetectConfig::with_threads(threads),
+                resume_cp.as_ref(),
+            )
+            .map_err(|e| format!("{path}: {e}"))?,
             Some(other) if threads > 1 => {
                 return Err(format!(
                     "--threads only applies to the hb detector, not `{other}`"
                 )
                 .into())
             }
-            Some("fasttrack") => detect_fasttrack(log, non_stack),
             Some("lockset") => detect_lockset(log, non_stack),
             Some(other) => return Err(format!("unknown detector `{other}`").into()),
         })
@@ -837,11 +821,8 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
                     .map_err(|e| format!("read {path}: {e}"))?;
             let format = blocks.format();
             let cfg = DetectConfig::with_threads(threads);
-            let report = match resume_cp.as_ref() {
-                Some(cp) => detect_stream_resume(blocks, non_stack, &cfg, cp),
-                None => detect_stream(blocks, non_stack, &cfg),
-            }
-            .map_err(|e| format!("read {path}: {e}"))?;
+            let report = detect_stream_from(blocks, non_stack, &cfg, resume_cp.as_ref())
+                .map_err(|e| format!("read {path}: {e}"))?;
             (
                 report,
                 format!("{format} log (streamed, salvaged)"),
@@ -852,11 +833,8 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
             let blocks = spawn_log_stream(path, decode_opts)?;
             let format = blocks.format();
             let cfg = DetectConfig::with_threads(threads);
-            let report = match resume_cp.as_ref() {
-                Some(cp) => detect_stream_resume(blocks, non_stack, &cfg, cp),
-                None => detect_stream(blocks, non_stack, &cfg),
-            }
-            .map_err(|e| format!("read {path}: {e}"))?;
+            let report = detect_stream_from(blocks, non_stack, &cfg, resume_cp.as_ref())
+                .map_err(|e| format!("read {path}: {e}"))?;
             (report, format!("{format} log (streamed)"), None)
         }
     } else if salvage {

@@ -288,3 +288,44 @@ fn suppressions_reduce_the_report() {
     assert!(with.contains("static data races"));
     assert!(without.contains("no data races detected"), "{without}");
 }
+
+#[test]
+fn detect_clamps_a_huge_thread_count_instead_of_aborting() {
+    let dir = std::env::temp_dir().join(format!("literace_cli_threads_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("smoke.lrlog");
+    let log = log.to_str().unwrap();
+    stdout_of({
+        let mut c = literace();
+        c.args(["run", "--workload", "lflist", "--scale", "smoke", "--log", log]);
+        c
+    });
+    // Race lines plus the heading's counts; the heading's source part
+    // ("v2 log (streamed)" vs "N records") differs by design.
+    let races = |text: &str| -> Vec<String> {
+        text.lines()
+            .filter_map(|l| match l.split_once(", ") {
+                _ if l.starts_with("  race ") => Some(l.to_string()),
+                Some((_, counts)) if counts.contains("static races") => Some(counts.to_string()),
+                _ => None,
+            })
+            .collect()
+    };
+    let sequential = stdout_of({
+        let mut c = literace();
+        c.args(["detect", "--log", log]);
+        c
+    });
+    assert!(sequential.contains("static races"), "{sequential}");
+    // One OS thread per shard: 70000 shards would exhaust the process,
+    // so the engine runs at most 64 and the report is unchanged.
+    for extra in [&[][..], &["--no-streaming"][..]] {
+        let sharded = stdout_of({
+            let mut c = literace();
+            c.args(["detect", "--log", log, "--threads", "70000"]).args(extra);
+            c
+        });
+        assert_eq!(races(&sharded), races(&sequential), "{extra:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

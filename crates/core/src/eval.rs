@@ -34,10 +34,6 @@ pub struct EvalConfig {
     /// Worker threads for each offline detection pass (1 = sequential;
     /// sharded detection is byte-identical, so results don't change).
     pub detect_threads: usize,
-    /// Use the streaming detection path for each pass (byte-identical to
-    /// the materialized path; see
-    /// [`detect_stream`](literace_detector::detect_stream)).
-    pub streaming_detect: bool,
 }
 
 impl Default for EvalConfig {
@@ -49,7 +45,6 @@ impl Default for EvalConfig {
             machine: MachineConfig::default(),
             instrument: InstrumentConfig::default(),
             detect_threads: 1,
-            streaming_detect: false,
         }
     }
 }
@@ -236,7 +231,6 @@ fn detect_log(log: &literace_log::EventLog, non_stack: u64, cfg: &EvalConfig) ->
         log,
         non_stack,
         &DetectConfig::with_threads(cfg.detect_threads),
-        cfg.streaming_detect,
     )
 }
 

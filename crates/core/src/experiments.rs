@@ -171,30 +171,11 @@ pub fn run_sampler_study_parallel_threads(
     workloads: &[WorkloadId],
     detect_threads: usize,
 ) -> Result<SamplerStudy, SimError> {
-    run_sampler_study_parallel_opts(scale, seeds, workloads, detect_threads, false)
-}
-
-/// Like [`run_sampler_study_parallel_threads`], additionally choosing the
-/// streaming detection path ([`literace_detector::detect_stream`]) for
-/// every offline pass. Streaming detection is byte-identical to the
-/// materialized path, so results still match [`run_sampler_study_on`].
-///
-/// # Errors
-///
-/// Propagates the first simulator error from any workload.
-pub fn run_sampler_study_parallel_opts(
-    scale: Scale,
-    seeds: &[u64],
-    workloads: &[WorkloadId],
-    detect_threads: usize,
-    streaming_detect: bool,
-) -> Result<SamplerStudy, SimError> {
     let samplers = SamplerKind::study_set().to_vec();
     let cfg = EvalConfig {
         seeds: seeds.to_vec(),
         samplers: samplers.clone(),
         detect_threads,
-        streaming_detect,
         ..EvalConfig::default()
     };
     // Slot per workload, filled from worker threads; parking_lot's mutex is
@@ -674,11 +655,6 @@ mod tests {
         let sharded = run_sampler_study_parallel_threads(Scale::Smoke, &[1], &ids, 4).unwrap();
         assert_eq!(seq.table4().to_string(), sharded.table4().to_string());
         assert_eq!(seq.fig4().to_string(), sharded.fig4().to_string());
-        // As does routing every pass through streaming detection.
-        let streamed =
-            run_sampler_study_parallel_opts(Scale::Smoke, &[1], &ids, 4, true).unwrap();
-        assert_eq!(seq.table4().to_string(), streamed.table4().to_string());
-        assert_eq!(seq.fig4().to_string(), streamed.fig4().to_string());
     }
 
     #[test]

@@ -11,7 +11,8 @@
 //! ever reported. This crate ties together the whole reproduction:
 //!
 //! * [`pipeline`] — instrument a program, execute it, collect the event
-//!   log, detect races offline;
+//!   log, detect races offline (sequentially, or on the sharded engine
+//!   with `detect_threads` ≥ 2);
 //! * [`eval`] — the paper's §5.3 methodology: evaluate many samplers
 //!   against one identical interleaving via a marked full-logging run;
 //! * [`overhead`] — the Table 5 / Figure 6 cost model;
@@ -70,7 +71,7 @@ pub use literace_samplers as samplers;
 /// The instrumentation pass (dispatch checks, timestamps, logging).
 pub use literace_instrument as instrument;
 
-/// Happens-before, FastTrack, lockset and online detectors.
+/// Happens-before, lockset and online detectors.
 pub use literace_detector as detector;
 
 /// The paper's benchmark workloads.

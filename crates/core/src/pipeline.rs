@@ -1,6 +1,6 @@
 //! The end-to-end LiteRace pipeline: instrument → execute → log → detect.
 
-use literace_detector::{detect_sharded, detect_stream, DetectConfig, HbConfig, RaceReport};
+use literace_detector::{detect_sharded, DetectConfig, HbConfig, RaceReport};
 use literace_instrument::{InstrumentConfig, InstrumentOutput, Instrumenter, RecordSink};
 use literace_log::EventLog;
 use literace_samplers::SamplerKind;
@@ -25,11 +25,6 @@ pub struct RunConfig {
     /// Offline detection worker threads (1 = sequential; N ≥ 2 shards
     /// accesses across N workers with byte-identical output).
     pub detect_threads: usize,
-    /// Use the streaming detection path
-    /// ([`detect_stream`](literace_detector::detect_stream)): the log is
-    /// fed to the sharded workers block-by-block, overlapping routing and
-    /// replay. Output is byte-identical either way.
-    pub streaming_detect: bool,
 }
 
 impl Default for RunConfig {
@@ -41,7 +36,6 @@ impl Default for RunConfig {
             instrument: InstrumentConfig::default(),
             detector: HbConfig::default(),
             detect_threads: 1,
-            streaming_detect: false,
         }
     }
 }
@@ -115,7 +109,6 @@ pub fn run_literace(
         &instrumented.log,
         summary.non_stack_accesses,
         &cfg.detect_config(),
-        cfg.streaming_detect,
     );
     Ok(RunOutcome {
         summary,
@@ -142,23 +135,15 @@ fn instrument_config_for(
     cfg
 }
 
-/// Detects over an in-memory log via either the materialized sharded path
-/// or the streaming path (byte-identical results).
+/// Detects over an in-memory log, timed as the pipeline's detect phase.
 pub(crate) fn detect_event_log(
     log: &EventLog,
     non_stack_accesses: u64,
     cfg: &DetectConfig,
-    streaming: bool,
 ) -> RaceReport {
     let _span = literace_telemetry::metrics().phase_detect.span();
     literace_telemetry::trace_begin("phase.detect");
-    let report = if streaming {
-        let blocks = log.records().chunks(4096).map(|c| Ok(c.to_vec()));
-        detect_stream(blocks, non_stack_accesses, cfg)
-            .expect("in-memory blocks cannot fail to decode")
-    } else {
-        detect_sharded(log, non_stack_accesses, cfg)
-    };
+    let report = detect_sharded(log, non_stack_accesses, cfg);
     literace_telemetry::trace_end("phase.detect");
     report
 }
@@ -272,7 +257,6 @@ mod tests {
         for threads in [1, 2, 4] {
             let mut cfg = RunConfig::seeded(5);
             cfg.detect_threads = threads;
-            cfg.streaming_detect = true;
             let streamed =
                 run_literace(&racy_program(), SamplerKind::Always, &cfg).unwrap();
             assert_eq!(streamed.report, base.report, "threads={threads}");

@@ -72,9 +72,8 @@ const SEC_SUPPRESS: u32 = 7;
 /// A sealed, self-validating snapshot of full detector state.
 ///
 /// Produced by [`HbDetector::save_checkpoint`]; consumed by
-/// [`HbDetector::resume`] and the resuming variants of the sharded and
-/// streaming drivers ([`detect_sharded_resume`](crate::detect_sharded_resume),
-/// [`detect_stream_resume`](crate::detect_stream_resume)).
+/// [`HbDetector::resume`] and, at any shard count, by
+/// [`detect_stream_from`](crate::detect_stream_from).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     pub(crate) cfg: HbConfig,
@@ -117,7 +116,7 @@ impl HbDetector {
             literace_telemetry::metrics().detector_checkpoint_resumes.add(1);
         }
         HbDetector {
-            core: HbCore::from_snapshot(cp.cfg, cp.core.clone()),
+            core: HbCore::from_snapshot(cp.cfg, &cp.core),
             records_since_compact: cp.records_since_compact,
             records_processed: cp.records_processed,
             last_ts: cp.last_ts.iter().copied().collect(),
@@ -519,19 +518,6 @@ impl Checkpoint {
     }
 }
 
-/// One-shot resume convenience: continue detection over `log` (the records
-/// *after* the checkpointed position) and finish with the given final
-/// rarity denominator.
-pub fn detect_resume(
-    log: &literace_log::EventLog,
-    cp: &Checkpoint,
-    non_stack_accesses: u64,
-) -> crate::RaceReport {
-    let mut d = HbDetector::resume(cp);
-    d.process_log(log);
-    d.finish(non_stack_accesses)
-}
-
 fn corrupt_err(e: impl std::fmt::Display) -> LogError {
     LogError::Corrupt {
         reason: e.to_string(),
@@ -610,36 +596,10 @@ fn access_chain(body: &mut &[u8]) -> LogResult<Vec<Access>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect;
-    use literace_log::{EventLog, Record, SamplerMask};
-    use literace_sim::{FuncId, SyncOpKind};
-
-    fn t(i: usize) -> ThreadId {
-        ThreadId::from_index(i)
-    }
-    fn pc(i: usize) -> Pc {
-        Pc::new(FuncId::from_index(0), i)
-    }
-
-    fn mem(tid: ThreadId, pcv: usize, addr: u64, w: bool) -> Record {
-        Record::Mem {
-            tid,
-            pc: pc(pcv),
-            addr: Addr::global(addr),
-            is_write: w,
-            mask: SamplerMask::FULL,
-        }
-    }
-
-    fn sync(tid: ThreadId, kind: SyncOpKind, var: u64, ts: u64) -> Record {
-        Record::Sync {
-            tid,
-            pc: pc(99),
-            kind,
-            var: SyncVar(var),
-            timestamp: ts,
-        }
-    }
+    use crate::testkit::{mem, sync, t};
+    use crate::{detect, detect_stream_from, DetectConfig, RaceReport};
+    use literace_log::{EventLog, Record};
+    use literace_sim::SyncOpKind;
 
     /// A log exercising locks, retirement, escalated and inline frontier
     /// state, and several racy pairs.
@@ -665,6 +625,11 @@ mod tests {
 
     fn log_of(records: &[Record]) -> EventLog {
         records.iter().copied().collect()
+    }
+
+    /// Sequential resume over `records`, the suffix after `cp`.
+    fn resume_over(records: &[Record], cp: &Checkpoint, non_stack: u64) -> RaceReport {
+        detect_stream_from([Ok(records)], non_stack, &DetectConfig::default(), Some(cp)).unwrap()
     }
 
     #[test]
@@ -695,7 +660,7 @@ mod tests {
                 first.process(r);
             }
             let cp = first.save_checkpoint(5000);
-            let resumed = detect_resume(&log_of(&records[split..]), &cp, 5000);
+            let resumed = resume_over(&records[split..], &cp, 5000);
             assert_eq!(resumed, full, "split at {split}");
         }
     }
@@ -738,7 +703,7 @@ mod tests {
         let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
         assert_eq!(cp, back);
         assert_eq!(back.thread_count(), 0);
-        let report = detect_resume(&EventLog::new(), &back, 0);
+        let report = resume_over(&[], &back, 0);
         assert_eq!(report, detect(&EventLog::new(), 0));
     }
 

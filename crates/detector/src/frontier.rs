@@ -491,14 +491,7 @@ fn cap(v: &mut Vec<Access>, max: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use literace_sim::FuncId;
-
-    fn t(i: usize) -> ThreadId {
-        ThreadId::from_index(i)
-    }
-    fn pc(i: usize) -> Pc {
-        Pc::new(FuncId::from_index(0), i)
-    }
+    use crate::testkit::{pc, t};
 
     /// A clock where thread `i` holds `values[i]`.
     fn clock(values: &[u64]) -> VectorClock {

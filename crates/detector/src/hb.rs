@@ -22,7 +22,7 @@ use std::collections::HashMap;
 use literace_log::{EventLog, Record};
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 
-use crate::epoch::check_thread_index;
+use crate::clocks::ClockState;
 use crate::fast_hash::{FastMap, FastSet};
 use crate::frontier::{Access, Frontier};
 use crate::provenance::{AccessEvidence, ProvenanceReport, ProvenanceState, SyncEdge};
@@ -71,16 +71,10 @@ struct PairAgg {
 #[derive(Debug)]
 pub struct HbCore {
     cfg: HbConfig,
-    threads: Vec<VectorClock>,
-    /// Per-thread clock generation: bumped whenever the thread's clock
-    /// value may change, so the frontier's same-epoch memo (see
-    /// [`epoch`](crate::epoch)) can key on `(thread, generation)` instead
-    /// of comparing whole clocks. Over-bumping is safe (it only costs memo
-    /// hits); missing a bump would not be.
-    clock_gen: Vec<u64>,
-    /// Threads known to have exited (excluded from the compaction bound).
-    retired: Vec<bool>,
-    syncvars: FastMap<SyncVar, VectorClock>,
+    /// Thread and sync-variable clocks. Their per-thread generations let
+    /// the frontier's same-epoch memo (see [`epoch`](crate::epoch)) key on
+    /// `(thread, generation)` instead of comparing whole clocks.
+    clocks: ClockState,
     /// Per-address frontier state.
     frontier: Frontier,
     /// Per-static-pair aggregates, maintained online.
@@ -101,10 +95,7 @@ impl HbCore {
     pub fn new(cfg: HbConfig) -> HbCore {
         HbCore {
             cfg,
-            threads: Vec::new(),
-            clock_gen: Vec::new(),
-            retired: Vec::new(),
-            syncvars: FastMap::default(),
+            clocks: ClockState::default(),
             frontier: Frontier::new(cfg.max_history_per_location),
             pairs: FastMap::default(),
             scan_hist: literace_telemetry::ScanSampler::new(),
@@ -123,76 +114,19 @@ impl HbCore {
         }
     }
 
-    /// Makes sure `tid`'s clock (and those of all lower thread ids) is
-    /// materialized, and returns its index into `threads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics with [`TidCeilingExceeded`](crate::TidCeilingExceeded)'s
-    /// message when the index exceeds
-    /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX): beyond it the memo
-    /// keys' access-kind bit packing would silently corrupt race
-    /// classification (see `crate::epoch`), and materializing billions of
-    /// backfilled clocks would exhaust memory long before that. Only a
-    /// corrupt or hostile log can reach this.
-    fn ensure_thread(&mut self, tid: ThreadId) -> usize {
-        let i = tid.index();
-        if i >= self.threads.len() {
-            if let Err(e) = check_thread_index(i) {
-                panic!("{e}");
-            }
-            for j in self.threads.len()..=i {
-                let mut c = VectorClock::new();
-                c.set(ThreadId::from_index(j), 1);
-                self.threads.push(c);
-                self.clock_gen.push(0);
-            }
-        }
-        i
-    }
-
     /// Processes one synchronization operation.
     #[inline]
     pub fn sync(&mut self, tid: ThreadId, kind: SyncOpKind, var: SyncVar) {
-        if kind == SyncOpKind::Fork {
-            // Materialize the child's clock immediately: until the child
-            // starts, its (empty) clock must pin the compaction bound —
-            // the child will begin from the parent's *fork-time* snapshot,
-            // which may be older than every live thread's current clock.
-            let child = ThreadId::from_index(var.0 as usize);
-            self.ensure_thread(child);
-        }
-        // Materialize up front so the paths below can borrow `threads`
-        // directly alongside `syncvars` (disjoint fields) without cloning.
-        let i = self.ensure_thread(tid);
-        // Any sync op may change this thread's clock; a blanket bump keeps
-        // the memo sound (equal generation ⟹ equal clock value).
-        self.clock_gen[i] += 1;
-        let acquire = kind.is_acquire();
-        let release = kind.is_release();
-        if acquire {
-            if let Some(l) = self.syncvars.get(&var) {
-                self.threads[i].join(l);
-            }
-        }
-        if release {
-            if let Some(p) = self.provenance.as_deref_mut() {
-                // The epoch *before* the increment: an acquire of `var`
-                // imports clock values up to and including this one.
-                p.record_release(
-                    i,
-                    SyncEdge {
-                        var,
-                        kind,
-                        release_epoch: self.threads[i].get(tid),
-                    },
-                );
-            }
-            self.syncvars
-                .entry(var)
-                .or_default()
-                .join(&self.threads[i]);
-            self.threads[i].increment(tid);
+        let released = self.clocks.sync(tid, kind, var);
+        if let (Some(p), Some(release_epoch)) = (self.provenance.as_deref_mut(), released) {
+            p.record_release(
+                tid.index(),
+                SyncEdge {
+                    var,
+                    kind,
+                    release_epoch,
+                },
+            );
         }
     }
 
@@ -202,26 +136,24 @@ impl HbCore {
     /// Inlining it (and [`Frontier::access`] inside it) into each driver
     /// loop keeps the location state in registers across records — worth
     /// over 10% end-to-end on full logs, and LLVM won't do it unaided
-    /// because the function has many call sites (sequential, sharded,
-    /// streaming, online).
+    /// because the function has many call sites (every offline driver
+    /// loop, and the online detector).
     #[inline(always)]
     pub fn access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool) {
-        let i = self.ensure_thread(tid);
+        let i = self.clocks.ensure_thread(tid);
         // The access doesn't modify the clock, so a shared borrow suffices
-        // — no per-access clone (`threads`, `frontier` and `pairs` are
+        // — no per-access clone (`clocks`, `frontier` and `pairs` are
         // disjoint fields).
         let HbCore {
             cfg,
-            threads,
-            clock_gen,
+            clocks,
             frontier,
             pairs,
             scan_hist,
             provenance,
-            ..
         } = self;
-        let clock = &threads[i];
-        let generation = clock_gen[i];
+        let clock = clocks.clock(i);
+        let generation = clocks.generation(i);
         let max_pair = cfg.max_dynamic_per_pair as u64;
         let mut provenance = provenance.as_deref_mut();
         let scanned = frontier.access(
@@ -288,11 +220,7 @@ impl HbCore {
     /// Marks a thread as exited: it will make no further accesses, so it no
     /// longer constrains [`compact`](HbCore::compact)'s reclamation bound.
     pub fn retire_thread(&mut self, tid: ThreadId) {
-        let i = tid.index();
-        if i >= self.retired.len() {
-            self.retired.resize(i + 1, false);
-        }
-        self.retired[i] = true;
+        self.clocks.retire(tid);
     }
 
     /// Reclaims per-location state that can never race again: an access is
@@ -306,13 +234,8 @@ impl HbCore {
     pub fn compact(&mut self) -> usize {
         // Pointwise minimum over live threads' clocks. With no live thread,
         // nothing further can happen: everything is reclaimable.
-        let live: Vec<&VectorClock> = self
-            .threads
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.retired.get(*i).copied().unwrap_or(false))
-            .map(|(_, c)| c)
-            .collect();
+        let live: Vec<&VectorClock> =
+            self.clocks.live().map(|i| self.clocks.clock(i)).collect();
         let tracked_before = self.frontier.tracked_locations();
         let dropped = self.frontier.compact(&live);
         if literace_telemetry::enabled() {
@@ -400,19 +323,7 @@ impl HbCore {
     /// the frontier memos reset on restore, which is output-neutral (a
     /// memo only ever short-circuits a provably conflict-free repeat).
     pub(crate) fn snapshot_state(&self) -> CoreSnapshot {
-        let threads = (0..self.threads.len())
-            .map(|i| ThreadState {
-                components: self.threads[i].components().to_vec(),
-                clock_gen: self.clock_gen[i],
-                retired: self.retired.get(i).copied().unwrap_or(false),
-            })
-            .collect();
-        let mut syncvars: Vec<(SyncVar, Vec<u64>)> = self
-            .syncvars
-            .iter()
-            .map(|(&var, clock)| (var, clock.components().to_vec()))
-            .collect();
-        syncvars.sort_unstable_by_key(|&(var, _)| var);
+        let (threads, syncvars) = self.clocks.snapshot();
         let mut pairs: Vec<((Pc, Pc), PairSnapshot)> = self
             .pairs
             .iter()
@@ -442,42 +353,29 @@ impl HbCore {
     /// Rebuilds a core from a [`snapshot_state`](HbCore::snapshot_state)
     /// capture. The restored core processes any suffix of records exactly
     /// as the snapshotted one would have.
-    pub(crate) fn from_snapshot(cfg: HbConfig, snap: CoreSnapshot) -> HbCore {
-        let mut threads = Vec::with_capacity(snap.threads.len());
-        let mut clock_gen = Vec::with_capacity(snap.threads.len());
-        let mut retired = Vec::with_capacity(snap.threads.len());
-        for t in snap.threads {
-            threads.push(VectorClock::from_components(t.components));
-            clock_gen.push(t.clock_gen);
-            retired.push(t.retired);
-        }
-        let syncvars: FastMap<SyncVar, VectorClock> = snap
-            .syncvars
-            .into_iter()
-            .map(|(var, c)| (var, VectorClock::from_components(c)))
-            .collect();
+    pub(crate) fn from_snapshot(cfg: HbConfig, snap: &CoreSnapshot) -> HbCore {
         let pairs: FastMap<(Pc, Pc), PairAgg> = snap
             .pairs
-            .into_iter()
+            .iter()
             .map(|(pcs, p)| {
                 (
-                    pcs,
+                    *pcs,
                     PairAgg {
                         stored: p.stored,
                         overflow: p.overflow,
                         example_addr: p.example_addr,
-                        addrs: p.addrs.into_iter().collect(),
+                        addrs: p.addrs.iter().copied().collect(),
                     },
                 )
             })
             .collect();
         HbCore {
             cfg,
-            threads,
-            clock_gen,
-            retired,
-            syncvars,
-            frontier: Frontier::restore(cfg.max_history_per_location, snap.locations),
+            clocks: ClockState::restore(snap),
+            frontier: Frontier::restore(
+                cfg.max_history_per_location,
+                snap.locations.iter().cloned(),
+            ),
             pairs,
             scan_hist: literace_telemetry::ScanSampler::new(),
             provenance: None,
@@ -526,9 +424,10 @@ pub(crate) struct CoreSnapshot {
     pub pairs: Vec<((Pc, Pc), PairSnapshot)>,
 }
 
-/// Records between automatic frontier compactions in [`HbDetector`] (and
-/// in each shard of the sharded detector, which counts *all* records —
-/// owned or not — so compaction triggers at the same stream positions).
+/// Records (or, online, events) between automatic frontier compactions
+/// in [`HbDetector`], in the sharded engine's router — which counts every
+/// record, so compaction points fall at the same stream positions — and
+/// in the [`OnlineDetector`](crate::OnlineDetector).
 pub(crate) const COMPACT_INTERVAL: u64 = 1 << 18;
 
 /// Offline happens-before detector over an event log (§4.4: the paper's
@@ -683,15 +582,9 @@ pub fn detect(log: &EventLog, non_stack_accesses: u64) -> RaceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{pc, t};
     use literace_log::SamplerMask;
-    use literace_sim::FuncId;
 
-    fn t(i: usize) -> ThreadId {
-        ThreadId::from_index(i)
-    }
-    fn pc(i: usize) -> Pc {
-        Pc::new(FuncId::from_index(0), i)
-    }
     fn a(i: u64) -> Addr {
         Addr::global(i)
     }

@@ -6,21 +6,18 @@
 //!   event logs (vector clocks; no false positives by construction);
 //! * [`OnlineDetector`] — the §4.4 "spare core" variant, running the same
 //!   core live against the simulator's event stream;
-//! * [`FastTrackDetector`] — the epoch-optimized happens-before entry point
-//!   (the contemporaneous FastTrack design); since the adaptive epoch
-//!   representation became the production frontier it delegates to
-//!   [`HbDetector`] and reports byte-identically;
 //! * [`LocksetDetector`] — an Eraser-style baseline that demonstrates the
 //!   false positives the paper's design avoids;
-//! * [`detect_sharded`] — address-sharded parallel offline detection,
-//!   byte-identical to [`detect`] (see [`sharded`]);
-//! * [`detect_stream`] — the same sharded detection fed block-by-block
-//!   from a decoding log stream, overlapping decode, routing, and replay
-//!   without materializing the log;
+//! * [`detect_stream_from`] — the sharded engine: address-sharded parallel
+//!   offline detection over record blocks, byte-identical to [`detect`]
+//!   at any shard count, optionally resuming from a [`Checkpoint`] (see
+//!   [`sharded`]). [`detect_stream`] feeds it from a
+//!   decoding log stream, [`detect_sharded`] from an in-memory log, and
+//!   [`detect_stream_checkpointed`] seals checkpoints on the sequential
+//!   core as it goes;
 //! * [`Checkpoint`] — a sealed, self-validating snapshot of full detector
-//!   state; resuming from one (on any path: [`detect_resume`],
-//!   [`detect_sharded_resume`], [`detect_stream_resume`]) yields reports
-//!   byte-identical to one-shot detection;
+//!   state; resuming from one yields reports byte-identical to one-shot
+//!   detection;
 //! * [`merge`] utilities reconstructing a global order from per-thread logs
 //!   using the §4.2 logical timestamps.
 //!
@@ -50,9 +47,9 @@
 
 mod arena;
 mod checkpoint;
+mod clocks;
 mod epoch;
 pub mod fast_hash;
-mod fasttrack;
 mod frontier;
 mod hb;
 mod lockset;
@@ -63,17 +60,18 @@ mod report;
 pub mod sharded;
 mod streaming;
 mod suppress;
+#[cfg(test)]
+mod testkit;
 mod vector_clock;
 
-pub use checkpoint::{detect_resume, Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
+pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use epoch::{check_thread_index, TidCeilingExceeded, MAX_THREAD_INDEX};
-pub use fasttrack::{detect_fasttrack, FastTrackDetector};
 pub use hb::{detect, HbConfig, HbCore, HbDetector};
 pub use lockset::{detect_lockset, LocksetDetector};
 pub use online::OnlineDetector;
 pub use provenance::{AccessEvidence, ProvenanceReport, RaceEvidence, SyncEdge};
-pub use sharded::{detect_sharded, detect_sharded_resume, DetectConfig};
-pub use streaming::{detect_stream, detect_stream_checkpointed, detect_stream_resume};
+pub use sharded::{detect_sharded, DetectConfig};
+pub use streaming::{detect_stream, detect_stream_checkpointed, detect_stream_from};
 pub use report::{DynamicRace, RaceReport, StaticRace};
 pub use suppress::Suppressions;
 pub use vector_clock::VectorClock;

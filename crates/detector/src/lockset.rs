@@ -221,15 +221,9 @@ pub fn detect_lockset(log: &EventLog, non_stack_accesses: u64) -> RaceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{pc, t};
     use literace_log::SamplerMask;
-    use literace_sim::FuncId;
 
-    fn t(i: usize) -> ThreadId {
-        ThreadId::from_index(i)
-    }
-    fn pc(i: usize) -> Pc {
-        Pc::new(FuncId::from_index(0), i)
-    }
     fn a(i: u64) -> Addr {
         Addr::global(i)
     }

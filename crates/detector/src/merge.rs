@@ -111,15 +111,9 @@ pub fn merge_thread_logs(logs: &[(ThreadId, EventLog)]) -> Result<EventLog, Merg
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{pc, t};
     use literace_log::SamplerMask;
-    use literace_sim::{Addr, FuncId, Pc, SyncOpKind};
-
-    fn t(i: usize) -> ThreadId {
-        ThreadId::from_index(i)
-    }
-    fn pc(i: usize) -> Pc {
-        Pc::new(FuncId::from_index(0), i)
-    }
+    use literace_sim::{Addr, SyncOpKind};
 
     fn mem(tid: ThreadId, i: usize) -> Record {
         Record::Mem {

@@ -13,7 +13,7 @@
 
 use literace_sim::{alloc_page_var, pages_of, Event, Observer, SyncOpKind};
 
-use crate::hb::{HbConfig, HbCore};
+use crate::hb::{HbConfig, HbCore, COMPACT_INTERVAL};
 use crate::report::RaceReport;
 
 /// An [`Observer`] that performs full happens-before detection during the
@@ -98,7 +98,7 @@ impl Observer for OnlineDetector {
             | Event::LoopIter { .. } => {}
         }
         self.events_since_compact += 1;
-        if self.events_since_compact >= 1 << 18 {
+        if self.events_since_compact >= COMPACT_INTERVAL {
             self.events_since_compact = 0;
             self.core.compact();
         }

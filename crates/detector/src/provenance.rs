@@ -197,15 +197,7 @@ impl ProvenanceState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use literace_sim::FuncId;
-
-    fn pc(i: usize) -> Pc {
-        Pc::new(FuncId::from_index(0), i)
-    }
-
-    fn t(i: usize) -> ThreadId {
-        ThreadId::from_index(i)
-    }
+    use crate::testkit::{pc, t};
 
     fn evidence(failed_edge: Option<SyncEdge>) -> RaceEvidence {
         RaceEvidence {

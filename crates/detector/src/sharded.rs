@@ -1,32 +1,20 @@
-//! Address-sharded parallel offline detection.
+//! Address sharding: how the sharded engine partitions accesses and
+//! merges what its shards find.
 //!
 //! LiteRace logs are asymmetric: synchronization records are a tiny
 //! fraction of the stream (the paper's whole premise — sync is never
 //! sampled away, data accesses are), while memory-access records dominate.
-//! This module exploits that split with a two-phase plan:
-//!
-//! * **Sync timeline (sequential pre-pass)** — synchronization records are
-//!   replayed exactly once, producing a [`Timeline`]: for every thread, the
-//!   sequence of generation-stamped vector-clock snapshots it held over the
-//!   run. Thread clocks are mutated *only* by sync operations, so a new
-//!   snapshot is pushed only when a sync op changes a clock; each
-//!   memory-access record is stamped with the generation its thread held at
-//!   that point and routed by address hash to exactly one shard's event
-//!   stream. The snapshots are immutable once pushed — workers share them
-//!   by reference, which is what eliminates the per-access
-//!   `VectorClock::clone()` of the naive parallelization (each worker
-//!   rebuilding clock state for itself).
-//! * **Access sharding (parallel phase)** — each worker owns the private
-//!   per-address frontier for its addresses and replays only its own
-//!   pre-partitioned stream of accesses, resolving each access's clock by
-//!   generation lookup. Since all accesses to a given address land in one
-//!   shard with the very clock values the sequential pass would see, that
-//!   shard's frontier for the address is bit-for-bit the sequential
-//!   frontier, and every dynamic race is detected in exactly one shard.
-//!   Compaction points (with the live-clock set at each) are precomputed in
-//!   the pre-pass and broadcast into every stream, so frontier reclamation
-//!   — which interacts with the history cap — also happens at identical
-//!   stream positions with identical clock bounds.
+//! The sharded engine ([`detect_stream_from`]) exploits that split. One
+//! router replays the sync records, and `shard_of` routes each memory
+//! access by address hash to exactly one of N shard workers, stamped with
+//! the clock its thread held at that point. Since all accesses to a given address
+//! land in one shard with the very clock values the sequential pass would
+//! see, that shard's frontier for the address is bit-for-bit the
+//! sequential frontier, and every dynamic race is detected in exactly one
+//! shard. Compaction points, with the live-clock set at each, are
+//! broadcast to every shard, so frontier reclamation — which interacts
+//! with the history cap — happens at identical stream positions with
+//! identical clock bounds.
 //!
 //! **Byte-identical merge.** Workers record every conflict uncapped, tagged
 //! with the global record index at which it manifested. The merge sorts
@@ -38,23 +26,32 @@
 //! [`detect`](crate::detect) output on every input, which also means the
 //! no-false-positive invariant carries over unchanged (property-tested in
 //! `tests/sharded_equivalence.rs`).
+//!
+//! [`detect_sharded`] runs the engine over an in-memory [`EventLog`],
+//! handed over as one borrowed block.
 
-use literace_log::{EventLog, Record};
-use literace_sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
+use literace_log::EventLog;
+use literace_sim::{Addr, Pc};
 
 use crate::checkpoint::Checkpoint;
-use crate::epoch::check_thread_index;
 use crate::fast_hash::{FastMap, FastSet};
 use crate::frontier::Frontier;
-use crate::hb::{HbConfig, HbDetector, PairSnapshot, COMPACT_INTERVAL};
+use crate::hb::{HbConfig, PairSnapshot};
 use crate::report::{RaceReport, StaticRace};
-use crate::vector_clock::VectorClock;
+use crate::streaming::detect_stream_from;
+
+/// Most shards the engine runs. Each shard is one OS thread holding up to
+/// six 4096-event batches in flight (about 1 MB), so a larger
+/// [`DetectConfig::threads`] is clamped to this. Reports do not depend on
+/// the shard count, so the clamp is unobservable in the output.
+pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Configuration for offline detection, sequential or sharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectConfig {
     /// Worker threads. `0` and `1` both mean the sequential detector;
-    /// `N ≥ 2` shards accesses across N workers.
+    /// `N ≥ 2` shards accesses across N workers, at most 64: each shard is
+    /// an OS thread, so larger values run 64 shards (`MAX_SHARDS`).
     pub threads: usize,
     /// Happens-before core tuning, applied identically to every shard.
     pub hb: HbConfig,
@@ -77,6 +74,12 @@ impl DetectConfig {
             ..DetectConfig::default()
         }
     }
+
+    /// The number of shards the engine runs: `threads` clamped to
+    /// `1..=MAX_SHARDS`.
+    pub(crate) fn shards(&self) -> usize {
+        self.threads.clamp(1, MAX_SHARDS)
+    }
 }
 
 /// Routes an address to its owning shard. Multiplicative hash so that
@@ -91,251 +94,6 @@ pub(crate) fn shard_of(addr: Addr, shards: usize) -> usize {
     ((h * shards as u64) >> 32) as usize
 }
 
-/// The copy-on-write clock history produced by the sync pre-pass: every
-/// clock value any thread ever held, immutable and shared read-only by all
-/// workers. A `(thread, generation)` pair names one snapshot.
-#[derive(Debug, Default)]
-struct Timeline {
-    /// `versions[t][g]` = thread `t`'s clock at generation `g`. Generation
-    /// 0 is the initial `{t: 1}` clock; a new generation is pushed each
-    /// time a sync operation changes the clock.
-    versions: Vec<Vec<VectorClock>>,
-    /// For each compaction point, the live-clock set at that moment as
-    /// `(thread index, generation)` pairs — threads materialized by then
-    /// and not yet retired, exactly the sequential compaction bound.
-    compact_live: Vec<Vec<(usize, u32)>>,
-}
-
-/// One entry in a shard's pre-partitioned event stream. Self-contained
-/// (32 bytes) so workers stream their own partition sequentially instead
-/// of chasing record indices back into the shared log — the access fields
-/// are copied out once, in the pre-pass, which reads the log linearly
-/// anyway.
-#[derive(Debug, Clone, Copy)]
-struct ShardEvent {
-    /// Global record index of an owned access, or [`COMPACT`].
-    pos: u32,
-    /// For an access: the accessing thread's clock generation at that
-    /// point. For a compaction: the index into [`Timeline::compact_live`].
-    generation: u32,
-    tid: ThreadId,
-    is_write: bool,
-    pc: Pc,
-    addr: Addr,
-}
-
-/// Sentinel `pos` marking a frontier-compaction event. Broadcast to every
-/// shard so reclamation happens at the same stream positions as in the
-/// sequential detector. Logs long enough to collide with the sentinel
-/// fall back to sequential detection (see [`detect_sharded`]).
-const COMPACT: u32 = u32::MAX;
-
-/// Clock state during the pre-pass: per thread, the frozen generations so
-/// far plus a mutable working clock. The working clock is generation
-/// `frozen.len()`; it is cloned into `frozen` **only** when it has been
-/// referenced (stamped onto an access, or pinned by a compaction snapshot)
-/// and is about to be mutated — true copy-on-write, so sync bursts with no
-/// intervening accesses by the same thread cost zero clones.
-#[derive(Debug, Default)]
-struct ClockState {
-    frozen: Vec<Vec<VectorClock>>,
-    current: Vec<VectorClock>,
-    /// Whether `current[t]`'s value has been referenced at its generation.
-    referenced: Vec<bool>,
-}
-
-impl ClockState {
-    /// Materializes `tid`'s clock (and those of all lower thread ids), as
-    /// `HbCore::ensure_thread` does, and returns its index.
-    ///
-    /// # Panics
-    ///
-    /// Panics, like `HbCore::ensure_thread`, when the index exceeds
-    /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX) — the parallel paths
-    /// enforce the same registration-time tid ceiling as the sequential
-    /// core (see `crate::epoch`).
-    fn ensure_thread(&mut self, tid: ThreadId) -> usize {
-        let i = tid.index();
-        if i >= self.current.len() {
-            if let Err(e) = check_thread_index(i) {
-                panic!("{e}");
-            }
-        }
-        while self.current.len() <= i {
-            let mut c = VectorClock::new();
-            c.set(ThreadId::from_index(self.current.len()), 1);
-            self.current.push(c);
-            self.frozen.push(Vec::new());
-            self.referenced.push(false);
-        }
-        i
-    }
-
-    /// Snapshots thread `i`'s working clock if its current generation has
-    /// been referenced. Must run before any mutation of `current[i]`.
-    fn freeze_if_referenced(&mut self, i: usize) {
-        if self.referenced[i] {
-            self.frozen[i].push(self.current[i].clone());
-            self.referenced[i] = false;
-        }
-    }
-
-    /// The generation naming `current[i]`'s present value.
-    fn generation(&self, i: usize) -> u32 {
-        self.frozen[i].len() as u32
-    }
-}
-
-/// Sequential pre-pass: replay sync records once, building the clock
-/// timeline and each shard's event stream. Mirrors [`HbCore`]'s clock
-/// algebra (including thread materialization order) and
-/// [`HbDetector`]'s compaction cadence exactly.
-///
-/// With `seed`, the pre-pass starts from a checkpoint's clock state
-/// instead of a fresh one: per-thread clocks, sync-variable clocks,
-/// retirement flags, and the compaction phase are all restored, so the
-/// records (which must be the suffix after the checkpointed position)
-/// replay under exactly the clocks the sequential resumed detector would
-/// hold. Each seeded clock becomes that thread's generation 0.
-///
-/// [`HbCore`]: crate::HbCore
-fn build_plan(
-    records: &[Record],
-    shards: usize,
-    seed: Option<&Checkpoint>,
-) -> (Timeline, Vec<Vec<ShardEvent>>) {
-    let mut clocks = ClockState::default();
-    let mut compact_live: Vec<Vec<(usize, u32)>> = Vec::new();
-    let mut streams: Vec<Vec<ShardEvent>> = (0..shards)
-        .map(|_| Vec::with_capacity(records.len() / shards + 16))
-        .collect();
-    let mut syncvars: FastMap<SyncVar, VectorClock> = FastMap::default();
-    let mut retired: Vec<bool> = Vec::new();
-    let mut since_compact = 0u64;
-    if let Some(cp) = seed {
-        for t in &cp.core.threads {
-            clocks
-                .current
-                .push(VectorClock::from_components(t.components.clone()));
-            clocks.frozen.push(Vec::new());
-            clocks.referenced.push(false);
-            retired.push(t.retired);
-        }
-        syncvars = cp
-            .core
-            .syncvars
-            .iter()
-            .map(|(var, c)| (*var, VectorClock::from_components(c.clone())))
-            .collect();
-        since_compact = cp.records_since_compact;
-    }
-
-    fn emit_compact(
-        clocks: &mut ClockState,
-        compact_live: &mut Vec<Vec<(usize, u32)>>,
-        streams: &mut [Vec<ShardEvent>],
-        retired: &[bool],
-    ) {
-        let snapshot: Vec<(usize, u32)> = (0..clocks.current.len())
-            .filter(|i| !retired.get(*i).copied().unwrap_or(false))
-            .map(|i| {
-                // The snapshot pins the working clock's present value, so
-                // a later mutation must freeze it first.
-                clocks.referenced[i] = true;
-                (i, clocks.generation(i))
-            })
-            .collect();
-        let idx = compact_live.len() as u32;
-        compact_live.push(snapshot);
-        for stream in streams.iter_mut() {
-            stream.push(ShardEvent {
-                pos: COMPACT,
-                generation: idx,
-                tid: ThreadId::from_index(0),
-                is_write: false,
-                pc: Pc::new(FuncId::from_index(0), 0),
-                addr: Addr(0),
-            });
-        }
-    }
-
-    for (pos, record) in records.iter().enumerate() {
-        match *record {
-            Record::Sync { tid, kind, var, .. } => {
-                if kind == SyncOpKind::Fork {
-                    // The child's (empty) clock must pin the compaction
-                    // bound from the fork on, as in `HbCore::sync`.
-                    clocks.ensure_thread(ThreadId::from_index(var.0 as usize));
-                }
-                let i = clocks.ensure_thread(tid);
-                let joins = kind.is_acquire() && syncvars.contains_key(&var);
-                if joins || kind.is_release() {
-                    clocks.freeze_if_referenced(i);
-                }
-                if joins {
-                    clocks.current[i].join(&syncvars[&var]);
-                }
-                if kind.is_release() {
-                    syncvars.entry(var).or_default().join(&clocks.current[i]);
-                    clocks.current[i].increment(tid);
-                }
-            }
-            Record::Mem {
-                tid,
-                pc,
-                addr,
-                is_write,
-                ..
-            } => {
-                let i = clocks.ensure_thread(tid);
-                clocks.referenced[i] = true;
-                streams[shard_of(addr, shards)].push(ShardEvent {
-                    pos: pos as u32,
-                    generation: clocks.generation(i),
-                    tid,
-                    is_write,
-                    pc,
-                    addr,
-                });
-            }
-            Record::ThreadBegin { .. } => {}
-            Record::ThreadEnd { tid } => {
-                let i = tid.index();
-                if i >= retired.len() {
-                    retired.resize(i + 1, false);
-                }
-                retired[i] = true;
-                since_compact = 0;
-                emit_compact(&mut clocks, &mut compact_live, &mut streams, &retired);
-            }
-        }
-        since_compact += 1;
-        if since_compact >= COMPACT_INTERVAL {
-            since_compact = 0;
-            emit_compact(&mut clocks, &mut compact_live, &mut streams, &retired);
-        }
-    }
-
-    // Seal the timeline: every thread's working clock becomes its final
-    // frozen generation, so every stamped generation resolves.
-    let versions = clocks
-        .frozen
-        .into_iter()
-        .zip(clocks.current)
-        .map(|(mut f, c)| {
-            f.push(c);
-            f
-        })
-        .collect();
-    (
-        Timeline {
-            versions,
-            compact_live,
-        },
-        streams,
-    )
-}
-
 /// Per-static-pair conflict occurrences found by one shard, each tagged
 /// with the global record index and the racing address. Within one pair
 /// the vector is position-sorted by construction (the shard replays its
@@ -348,9 +106,8 @@ pub(crate) type ShardPairs = FastMap<(Pc, Pc), Vec<(u64, Addr)>>;
 /// cap/overflow accounting (stored occurrences are the first `cap`, the
 /// example address is the first stored one, distinct addresses count
 /// stored occurrences only). A pair with nothing stored (cap 0) is
-/// omitted, matching `HbCore::finish`. Shared by [`detect_sharded`] and
-/// [`detect_stream`](crate::detect_stream), which is what makes the two
-/// byte-identical to each other and to the sequential detector.
+/// omitted, matching `HbCore::finish`, which is what makes the engine
+/// byte-identical to the sequential detector.
 ///
 /// With a non-empty `prefix` — a checkpoint's per-pair aggregates — the
 /// accounting *continues* from the prefix instead of starting fresh:
@@ -431,133 +188,6 @@ pub(crate) fn merge_pairs_seeded(
     }
 }
 
-/// One worker: replays its own pre-partitioned access stream against the
-/// shared clock timeline. Pure frontier work — no sync replay, no clock
-/// mutation, no cloning. The caller owns the frontier so a resumed run
-/// can seed it from a checkpoint (fresh runs pass `Frontier::new`).
-fn run_shard(
-    events: &[ShardEvent],
-    timeline: &Timeline,
-    frontier: &mut Frontier,
-    trace: &mut literace_telemetry::TraceBuf,
-) -> ShardPairs {
-    let _span = literace_telemetry::metrics().phase_shard_replay.span();
-    trace.begin("shard.replay");
-    let mut scan_hist = literace_telemetry::ScanSampler::new();
-    let mut pairs = ShardPairs::default();
-    let mut live: Vec<&VectorClock> = Vec::new();
-    for ev in events {
-        if ev.pos == COMPACT {
-            live.clear();
-            live.extend(
-                timeline.compact_live[ev.generation as usize]
-                    .iter()
-                    .map(|&(t, g)| &timeline.versions[t][g as usize]),
-            );
-            frontier.compact(&live);
-            continue;
-        }
-        let ShardEvent {
-            pos,
-            generation,
-            tid,
-            is_write,
-            pc,
-            addr,
-        } = *ev;
-        let clock = &timeline.versions[tid.index()][generation as usize];
-        // The timeline generation is exactly a per-thread clock version, so
-        // it doubles as the frontier memo token.
-        let scanned = frontier.access(
-            tid,
-            pc,
-            addr.raw(),
-            is_write,
-            clock,
-            u64::from(generation),
-            |prior, _| {
-                let key = if prior.pc <= pc {
-                    (prior.pc, pc)
-                } else {
-                    (pc, prior.pc)
-                };
-                pairs.entry(key).or_default().push((u64::from(pos), addr));
-            },
-        );
-        scan_hist.record(scanned as u64);
-    }
-    frontier.flush_telemetry();
-    if literace_telemetry::enabled() {
-        scan_hist.flush_into(&literace_telemetry::metrics().detector_frontier_scan);
-    }
-    trace.end("shard.replay");
-    pairs
-}
-
-/// Runs every shard stream, spreading the shards over `workers` scoped OS
-/// threads (the calling thread works the first chunk itself). Shards are
-/// fully independent, so any worker/shard assignment produces the same
-/// per-shard outputs; results are returned in shard order regardless.
-/// Each worker gets an explicitly named trace track (`literace-replay-N`)
-/// because the scoped threads themselves are unnamed.
-fn run_shards(
-    streams: &[Vec<ShardEvent>],
-    frontiers: &mut [Frontier],
-    timeline: &Timeline,
-    workers: usize,
-) -> Vec<ShardPairs> {
-    debug_assert_eq!(streams.len(), frontiers.len());
-    let each = |events: &Vec<ShardEvent>,
-                frontier: &mut Frontier,
-                trace: &mut literace_telemetry::TraceBuf| {
-        run_shard(events, timeline, frontier, trace)
-    };
-    if workers <= 1 {
-        let mut trace = literace_telemetry::TraceBuf::new("literace-replay-0");
-        return streams
-            .iter()
-            .zip(frontiers)
-            .map(|(ev, f)| each(ev, f, &mut trace))
-            .collect();
-    }
-    let chunk = streams.len().div_ceil(workers);
-    let (first_frontiers, rest_frontiers) = frontiers.split_at_mut(chunk.min(streams.len()));
-    crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = streams
-            .chunks(chunk)
-            .skip(1)
-            .zip(rest_frontiers.chunks_mut(chunk))
-            .enumerate()
-            .map(|(i, (group, group_frontiers))| {
-                s.spawn(move |_| {
-                    let mut trace =
-                        literace_telemetry::TraceBuf::new(format!("literace-replay-{}", i + 1));
-                    group
-                        .iter()
-                        .zip(group_frontiers)
-                        .map(|(ev, f)| each(ev, f, &mut trace))
-                        .collect::<Vec<ShardPairs>>()
-                })
-            })
-            .collect();
-        let mut trace = literace_telemetry::TraceBuf::new("literace-replay-0");
-        let mut all: Vec<ShardPairs> = streams
-            .chunks(chunk)
-            .next()
-            .unwrap_or(&[])
-            .iter()
-            .zip(first_frontiers)
-            .map(|(ev, f)| each(ev, f, &mut trace))
-            .collect();
-        drop(trace);
-        for h in handles {
-            all.extend(h.join().expect("shard worker panicked"));
-        }
-        all
-    })
-    .expect("detection scope panicked")
-}
-
 /// Detects races with the configured number of worker threads, producing
 /// a report byte-identical to the sequential [`detect`](crate::detect).
 ///
@@ -573,82 +203,8 @@ fn run_shards(
 /// assert_eq!(seq, par);
 /// ```
 pub fn detect_sharded(log: &EventLog, non_stack_accesses: u64, cfg: &DetectConfig) -> RaceReport {
-    let shards = cfg.threads.max(1);
-    // Stream entries pack record indices into u32; logs anywhere near that
-    // bound don't fit in memory here anyway, but stay correct regardless.
-    if shards == 1 || log.len() >= COMPACT as usize {
-        let mut d = HbDetector::with_config(cfg.hb);
-        d.process_log(log);
-        return d.finish(non_stack_accesses);
-    }
-    detect_sharded_inner(log, non_stack_accesses, shards, cfg.hb, None)
-}
-
-/// [`detect_sharded`] resuming from a [`Checkpoint`]: `log` must be the
-/// records *after* the checkpointed position. The pre-pass starts from
-/// the checkpoint's clock state, each shard's frontier is seeded with the
-/// checkpoint locations it owns, and the merge continues the checkpoint's
-/// per-pair accounting — the report is byte-identical to one-shot
-/// detection over the whole stream, for any shard count.
-///
-/// The happens-before tuning comes from the checkpoint (it is part of the
-/// detector state); `cfg` contributes only the worker count.
-pub fn detect_sharded_resume(
-    log: &EventLog,
-    non_stack_accesses: u64,
-    cfg: &DetectConfig,
-    cp: &Checkpoint,
-) -> RaceReport {
-    let shards = cfg.threads.max(1);
-    if shards == 1 || log.len() >= COMPACT as usize {
-        let mut d = HbDetector::resume(cp);
-        d.process_log(log);
-        return d.finish(non_stack_accesses);
-    }
-    if literace_telemetry::enabled() {
-        literace_telemetry::metrics().detector_checkpoint_resumes.add(1);
-    }
-    detect_sharded_inner(log, non_stack_accesses, shards, cp.cfg, Some(cp))
-}
-
-/// Shared pre-pass → replay → merge pipeline behind [`detect_sharded`]
-/// and [`detect_sharded_resume`].
-fn detect_sharded_inner(
-    log: &EventLog,
-    non_stack_accesses: u64,
-    shards: usize,
-    hb: HbConfig,
-    seed: Option<&Checkpoint>,
-) -> RaceReport {
-    let (timeline, streams) = {
-        let _span = literace_telemetry::metrics().phase_sync_prepass.span();
-        literace_telemetry::trace_begin("sync.prepass");
-        let plan = build_plan(log.records(), shards, seed);
-        literace_telemetry::trace_end("sync.prepass");
-        plan
-    };
-    if literace_telemetry::enabled() {
-        let m = literace_telemetry::metrics();
-        // Every stream carries one broadcast sentinel per compaction point;
-        // the rest are routed accesses.
-        let compacts = timeline.compact_live.len() as u64;
-        for (shard, stream) in streams.iter().enumerate() {
-            let routed = stream.len() as u64 - compacts;
-            m.detector_shard_events.add(shard, routed);
-            m.detector_records_routed.add(routed);
-        }
-    }
-    let mut frontiers = shard_frontiers(shards, hb.max_history_per_location, seed);
-    // Shard count is a logical partition; OS threads are capped by the
-    // hardware so narrow machines don't pay scheduling overhead for
-    // parallelism they can't realize.
-    let workers = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .min(shards);
-    let shard_pairs = run_shards(&streams, &mut frontiers, &timeline, workers);
-    let prefix = seed.map_or(&[][..], |cp| &cp.core.pairs);
-    merge_pairs_seeded(prefix, shard_pairs, hb.max_dynamic_per_pair, non_stack_accesses)
+    detect_stream_from([Ok(log.records())], non_stack_accesses, cfg, None)
+        .expect("an in-memory block cannot fail to decode")
 }
 
 /// One frontier per shard: fresh for a clean run, or seeded with the
@@ -679,36 +235,9 @@ pub(crate) fn shard_frontiers(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::detect;
-    use literace_log::SamplerMask;
-    use literace_sim::{FuncId, SyncOpKind, SyncVar, ThreadId};
-
-    fn t(i: usize) -> ThreadId {
-        ThreadId::from_index(i)
-    }
-    fn pc(i: usize) -> Pc {
-        Pc::new(FuncId::from_index(0), i)
-    }
-
-    fn mem(tid: ThreadId, pcv: usize, addr: u64, w: bool) -> Record {
-        Record::Mem {
-            tid,
-            pc: pc(pcv),
-            addr: Addr::global(addr),
-            is_write: w,
-            mask: SamplerMask::FULL,
-        }
-    }
-
-    fn sync(tid: ThreadId, kind: SyncOpKind, var: u64, ts: u64) -> Record {
-        Record::Sync {
-            tid,
-            pc: pc(99),
-            kind,
-            var: SyncVar(var),
-            timestamp: ts,
-        }
-    }
+    use crate::testkit::{mem, sync, t};
+    use crate::{detect, HbDetector};
+    use literace_sim::SyncOpKind;
 
     /// A log exercising races on many addresses plus lock edges, so races
     /// land in several shards and some pairs are HB-ordered.
@@ -746,7 +275,8 @@ mod tests {
         let log = mixed_log();
         let seq = detect(&log, 1000);
         assert!(seq.static_count() > 0, "log should race");
-        for threads in [2, 3, 4, 8] {
+        // 70 000 exceeds MAX_SHARDS: clamped, not one OS thread each.
+        for threads in [2, 3, 4, 8, 70_000] {
             let cfg = DetectConfig::with_threads(threads);
             assert_eq!(detect_sharded(&log, 1000, &cfg), seq, "threads={threads}");
         }
@@ -786,64 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn timeline_freezes_lazily_on_reference() {
-        // t0: release, access, release, access. The first release mutates
-        // an unreferenced clock (no snapshot); the second must freeze the
-        // accessed generation before mutating. Two generations total — not
-        // one per sync op.
-        let records: Vec<Record> = vec![
-            sync(t(0), SyncOpKind::LockRelease, 7, 1),
-            mem(t(0), 1, 0, true),
-            sync(t(0), SyncOpKind::LockRelease, 7, 2),
-            mem(t(0), 2, 0, true),
-        ];
-        let (timeline, streams) = build_plan(&records, 1, None);
-        assert_eq!(timeline.versions[0].len(), 2);
-        let gens: Vec<u32> = streams[0]
-            .iter()
-            .filter(|ev| ev.pos != COMPACT)
-            .map(|ev| ev.generation)
-            .collect();
-        assert_eq!(gens, vec![0, 1]);
-        assert!(timeline.versions[0][0].get(t(0)) < timeline.versions[0][1].get(t(0)));
-    }
-
-    #[test]
-    fn sync_bursts_without_accesses_cost_no_snapshots() {
-        // 100 release operations with a single access at the end: only the
-        // sealed working clock exists — zero copy-on-write freezes.
-        let mut records: Vec<Record> = (0..100)
-            .map(|ts| sync(t(0), SyncOpKind::LockRelease, 7, ts + 1))
-            .collect();
-        records.push(mem(t(0), 1, 0, true));
-        let (timeline, _) = build_plan(&records, 2, None);
-        assert_eq!(timeline.versions[0].len(), 1);
-        assert_eq!(timeline.versions[0][0].get(t(0)), 101);
-    }
-
-    #[test]
-    fn worker_pool_matches_single_threaded_shard_runs() {
-        // Force the scoped-thread pool (narrow CI hosts would otherwise
-        // cap workers at 1): per-shard outputs must not depend on how
-        // shards are spread over OS threads.
-        let log = mixed_log();
-        let (timeline, streams) = build_plan(log.records(), 4, None);
-        let mut frontiers = shard_frontiers(4, 128, None);
-        let base = run_shards(&streams, &mut frontiers, &timeline, 1);
-        for workers in [2, 3, 4, 8] {
-            let mut frontiers = shard_frontiers(4, 128, None);
-            let pooled = run_shards(&streams, &mut frontiers, &timeline, workers);
-            assert_eq!(pooled.len(), base.len());
-            for (a, b) in pooled.iter().zip(&base) {
-                assert_eq!(a.len(), b.len(), "workers={workers}");
-                for (key, races) in a {
-                    assert_eq!(races, &b[key], "workers={workers}");
-                }
-            }
-        }
-    }
-
-    #[test]
     fn resumed_sharded_detection_matches_one_shot() {
         let log = mixed_log();
         let seq = detect(&log, 1000);
@@ -855,11 +327,11 @@ mod tests {
                 first.process(r);
             }
             let cp = first.save_checkpoint(1000);
-            let suffix: EventLog = records[split..].iter().copied().collect();
             for threads in [1, 2, 4, 8] {
                 let cfg = DetectConfig::with_threads(threads);
+                let suffix = [Ok(&records[split..])];
                 assert_eq!(
-                    detect_sharded_resume(&suffix, 1000, &cfg, &cp),
+                    detect_stream_from(suffix, 1000, &cfg, Some(&cp)).unwrap(),
                     seq,
                     "split={split} threads={threads}"
                 );

@@ -1,60 +1,52 @@
-//! Streaming sharded detection: decode, sync pre-pass, and shard replay
-//! overlapped in time.
+//! The sharded detection engine: routing, shard replay and merge,
+//! overlapped with whatever produces the records.
 //!
-//! [`detect_sharded`](crate::detect_sharded) needs the whole decoded
-//! [`EventLog`](literace_log::EventLog) up front: its pre-pass builds the
-//! complete clock timeline and every shard's full event stream before any
-//! worker starts. [`detect_stream`] removes both the materialization and
-//! the barrier. It consumes *blocks* of records — typically from a
-//! [`RecordStream`](literace_log::RecordStream) whose decoder thread is
-//! still running — routes each block's accesses to per-shard bounded
-//! channels as it goes, and lets shard workers replay concurrently with
-//! the routing and the decode. Peak memory is bounded by the channel
-//! depths, not the log size.
+//! [`detect_stream_from`] consumes *blocks* of records — decoded blocks
+//! from a [`RecordStream`](literace_log::RecordStream) whose decoder is
+//! still running, or borrowed chunks of an in-memory
+//! [`EventLog`](literace_log::EventLog) — and never materializes more than
+//! it is handed. A router on the calling thread replays the sync records
+//! through the shared [`ClockState`], routes each access to its shard's
+//! bounded channel (see [`sharded`](crate::sharded) for the partition and
+//! the merge), and the shard workers replay concurrently with the routing
+//! and the decode. Peak memory is bounded by the channel depths, not the
+//! log size, and the shard count by [`MAX_SHARDS`](crate::sharded::MAX_SHARDS).
 //!
-//! **Eager clock freezing.** The materialized pre-pass freezes a thread's
-//! working clock lazily — only when a referenced generation is about to be
-//! mutated — because workers resolve `(thread, generation)` stamps against
-//! the finished timeline. Workers here start before the timeline is
-//! finished, so the router instead freezes *eagerly*: the first time a
-//! thread's clock is referenced at its current generation (an access stamp
-//! or a compaction pin), the value is cloned once into an
-//! `Arc<VectorClock>` and that `Arc` is shared until the next sync
-//! mutation invalidates it. Clocks change only at sync operations, so the
-//! value captured at first reference is exactly the value the lazy freeze
-//! would later snapshot — same clocks, same per-shard streams, same
-//! compaction bounds, and therefore (through the shared
-//! [`merge_pairs_seeded`](crate::sharded::merge_pairs_seeded) accounting) output
-//! byte-identical to both `detect_sharded` and the sequential detector.
-//! Per access this costs one atomic refcount bump instead of the clock
-//! clone the sharded design was built to avoid.
+//! **Eager clock freezing.** Workers start before the log is fully read,
+//! so an access carries its clock with it: the first time a thread's
+//! clock is referenced at its current generation (an access stamp or a
+//! compaction pin), the value is cloned once into an `Arc<VectorClock>`,
+//! and that `Arc` is shared until the generation moves. Clocks change only
+//! at sync operations, and every change bumps the generation (see
+//! [`clocks`](crate::clocks)), so each access sees exactly the clock the
+//! sequential detector would. Per access this costs one atomic refcount
+//! bump instead of a clock clone.
 //!
-//! Positions are carried as `u64` and compaction is its own message
-//! variant, so — unlike `detect_sharded`'s packed `u32`-with-sentinel
-//! stream entries — the streaming path has no log-length ceiling.
+//! Positions are carried as `u64` and a compaction point is its own
+//! stream item, so the engine has no log-length ceiling.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
 
 use literace_log::{LogResult, Record};
-use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
+use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
-use crate::epoch::check_thread_index;
-use crate::fast_hash::FastMap;
+use crate::clocks::ClockState;
 use crate::frontier::Frontier;
 use crate::hb::{HbDetector, COMPACT_INTERVAL};
 use crate::report::RaceReport;
 use crate::sharded::{merge_pairs_seeded, shard_frontiers, shard_of, DetectConfig, ShardPairs};
 use crate::vector_clock::VectorClock;
 
-/// Accesses buffered per shard before a batch is sent. Large enough to
-/// amortize channel synchronization, small enough that in-flight batches
-/// stay a rounding error next to the frontier state.
+/// Stream items buffered per shard before a batch is sent. Large enough
+/// to amortize channel synchronization, small enough that in-flight
+/// batches stay a rounding error next to the frontier state.
 const BATCH_RECORDS: usize = 4096;
 
-/// Bound (in messages) of each shard channel. With `BATCH_RECORDS`-sized
-/// batches this caps per-shard in-flight memory at a few hundred KiB.
+/// Bound (in messages) of each shard channel. With the batch the router is
+/// filling and the one the worker is replaying, a shard holds at most six
+/// `BATCH_RECORDS`-sized batches: about 1 MB of 48-byte events.
 const CHANNEL_DEPTH: usize = 4;
 
 /// One routed access, self-contained: the clock is resolved at routing
@@ -67,133 +59,84 @@ struct StreamEvent {
     pc: Pc,
     addr: Addr,
     clock: Arc<VectorClock>,
-    /// The thread's clock generation at routing time (the frontier memo
-    /// token; see [`StreamClocks::generation`]).
+    /// The thread's clock generation at routing time: the frontier memo
+    /// token (see [`clocks`](crate::clocks)). The `Arc`'s address would
+    /// be unsound there, as a recycled allocation could alias a dead
+    /// generation.
     generation: u64,
 }
 
-/// What flows to a shard worker.
-enum ShardMsg {
-    /// A batch of owned accesses, in global order.
-    Batch(Vec<StreamEvent>),
+/// One entry of a shard's stream, which flows to the worker in batches.
+enum ShardItem {
+    /// An owned access.
+    Access(StreamEvent),
     /// A frontier-compaction point with the live-clock set at that moment.
-    /// Broadcast to every shard after all earlier accesses have been
-    /// flushed, so reclamation happens at the sequential stream positions.
+    /// Broadcast into every shard's stream in order with the accesses, so
+    /// reclamation happens at the sequential stream positions. Carried
+    /// in-band, so a thread exit costs no channel message of its own.
     Compact(Arc<[Arc<VectorClock>]>),
 }
 
-/// Per-thread clock state with eager copy-on-reference freezing.
+/// The shared snapshots behind eager freezing: per thread, the
+/// generation a snapshot was taken at and the snapshot itself.
 #[derive(Default)]
-struct StreamClocks {
-    current: Vec<VectorClock>,
-    /// `cached[t]` is the shared snapshot of `current[t]`'s present value,
-    /// populated at first reference, cleared by the next mutation.
-    cached: Vec<Option<Arc<VectorClock>>>,
-    /// `generation[t]` counts invalidations of thread `t`'s clock: equal
-    /// generation ⟹ equal clock value, which is what the frontier's
-    /// same-epoch memo keys on (an `Arc` pointer would be unsound here —
-    /// a recycled allocation could alias a dead generation).
-    generation: Vec<u64>,
-}
+struct Pinned(Vec<Option<(u64, Arc<VectorClock>)>>);
 
-impl StreamClocks {
-    /// Materializes `tid`'s clock (and those of all lower thread ids), as
-    /// `HbCore::ensure_thread` does, and returns its index.
-    ///
-    /// # Panics
-    ///
-    /// Panics, like `HbCore::ensure_thread`, when the index exceeds
-    /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX) — the parallel paths
-    /// enforce the same registration-time tid ceiling as the sequential
-    /// core (see `crate::epoch`).
-    fn ensure_thread(&mut self, tid: ThreadId) -> usize {
-        let i = tid.index();
-        if i >= self.current.len() {
-            if let Err(e) = check_thread_index(i) {
-                panic!("{e}");
+impl Pinned {
+    /// Thread `i`'s present clock as a shared snapshot, with its
+    /// generation. Clones the clock at most once per generation.
+    fn pin(&mut self, clocks: &ClockState, i: usize) -> (Arc<VectorClock>, u64) {
+        let generation = clocks.generation(i);
+        if self.0.len() <= i {
+            self.0.resize(i + 1, None);
+        }
+        match &self.0[i] {
+            Some((g, clock)) if *g == generation => (clock.clone(), generation),
+            _ => {
+                let clock = Arc::new(clocks.clock(i).clone());
+                self.0[i] = Some((generation, clock.clone()));
+                (clock, generation)
             }
         }
-        while self.current.len() <= i {
-            let mut c = VectorClock::new();
-            c.set(ThreadId::from_index(self.current.len()), 1);
-            self.current.push(c);
-            self.cached.push(None);
-            self.generation.push(0);
-        }
-        i
-    }
-
-    /// Returns a shared snapshot of thread `i`'s present clock value,
-    /// cloning it at most once per generation.
-    fn pin(&mut self, i: usize) -> Arc<VectorClock> {
-        self.cached[i]
-            .get_or_insert_with(|| Arc::new(self.current[i].clone()))
-            .clone()
-    }
-
-    /// Forgets the snapshot before a mutation of `current[i]`; the next
-    /// reference re-clones the post-mutation value.
-    fn invalidate(&mut self, i: usize) {
-        self.cached[i] = None;
-        self.generation[i] += 1;
     }
 }
 
-/// The routing half of the streaming pipeline: replays sync records,
-/// stamps and batches accesses, and broadcasts compaction points. Owns
-/// the shard senders; dropping it closes every channel.
+/// The routing half of the engine: replays sync records, stamps and
+/// batches accesses, and broadcasts compaction points. Owns the shard
+/// senders; dropping it closes every channel.
 struct Router {
     shards: usize,
-    clocks: StreamClocks,
-    syncvars: FastMap<SyncVar, VectorClock>,
-    retired: Vec<bool>,
+    clocks: ClockState,
+    pinned: Pinned,
     since_compact: u64,
     pos: u64,
-    buffers: Vec<Vec<StreamEvent>>,
-    senders: Vec<SyncSender<ShardMsg>>,
+    buffers: Vec<Vec<ShardItem>>,
+    senders: Vec<SyncSender<Vec<ShardItem>>>,
 }
 
 impl Router {
     /// A router over fresh clock state, or — with `seed` — over a
-    /// checkpoint's: per-thread clocks (each becoming its thread's first
-    /// streaming generation), sync-variable clocks, retirement flags, the
+    /// checkpoint's: clocks, generations, retirement flags, the
     /// compaction phase, and the global position all resume where the
     /// checkpointed detector stopped.
-    fn new(senders: Vec<SyncSender<ShardMsg>>, seed: Option<&Checkpoint>) -> Router {
-        let mut clocks = StreamClocks::default();
-        let mut syncvars = FastMap::default();
-        let mut retired = Vec::new();
-        let mut since_compact = 0;
-        let mut pos = 0;
-        if let Some(cp) = seed {
-            for t in &cp.core.threads {
-                clocks
-                    .current
-                    .push(VectorClock::from_components(t.components.clone()));
-                clocks.cached.push(None);
-                clocks.generation.push(t.clock_gen);
-                retired.push(t.retired);
-            }
-            syncvars = cp
-                .core
-                .syncvars
-                .iter()
-                .map(|(var, c)| (*var, VectorClock::from_components(c.clone())))
-                .collect();
-            since_compact = cp.records_since_compact;
-            pos = cp.records_processed;
-        }
+    fn new(senders: Vec<SyncSender<Vec<ShardItem>>>, seed: Option<&Checkpoint>) -> Router {
         Router {
             shards: senders.len(),
-            clocks,
-            syncvars,
-            retired,
-            since_compact,
-            pos,
+            clocks: seed.map_or_else(ClockState::default, |cp| ClockState::restore(&cp.core)),
+            pinned: Pinned::default(),
+            since_compact: seed.map_or(0, |cp| cp.records_since_compact),
+            pos: seed.map_or(0, |cp| cp.records_processed),
             buffers: (0..senders.len())
                 .map(|_| Vec::with_capacity(BATCH_RECORDS))
                 .collect(),
             senders,
+        }
+    }
+
+    fn push(&mut self, shard: usize, item: ShardItem) {
+        self.buffers[shard].push(item);
+        if self.buffers[shard].len() >= BATCH_RECORDS {
+            self.flush(shard);
         }
     }
 
@@ -207,52 +150,36 @@ impl Router {
         );
         if literace_telemetry::enabled() {
             let m = literace_telemetry::metrics();
-            m.detector_shard_events.add(shard, batch.len() as u64);
-            m.detector_records_routed.add(batch.len() as u64);
+            let routed = batch
+                .iter()
+                .filter(|item| matches!(item, ShardItem::Access(_)))
+                .count() as u64;
+            m.detector_shard_events.add(shard, routed);
+            m.detector_records_routed.add(routed);
         }
-        send_msg(&self.senders[shard], shard, ShardMsg::Batch(batch));
+        send_batch(&self.senders[shard], shard, batch);
     }
 
-    /// Flushes every buffer, then broadcasts a compaction point pinning
-    /// the live-clock set — the same bound, at the same stream position,
-    /// as the sequential detector's compaction.
+    /// Appends a compaction point pinning the live-clock set to every
+    /// shard's stream — the same bound, at the same stream position, as
+    /// the sequential detector's compaction.
     fn emit_compact(&mut self) {
-        for shard in 0..self.shards {
-            self.flush(shard);
-        }
-        let live: Arc<[Arc<VectorClock>]> = (0..self.clocks.current.len())
-            .filter(|i| !self.retired.get(*i).copied().unwrap_or(false))
-            .map(|i| self.clocks.pin(i))
+        let live: Arc<[Arc<VectorClock>]> = self
+            .clocks
+            .live()
+            .map(|i| self.pinned.pin(&self.clocks, i).0)
             .collect();
-        for (shard, sender) in self.senders.iter().enumerate() {
-            send_msg(sender, shard, ShardMsg::Compact(live.clone()));
+        for shard in 0..self.shards {
+            self.push(shard, ShardItem::Compact(live.clone()));
         }
     }
 
-    /// Processes one record; mirrors the sharded pre-pass record loop.
+    /// Processes one record, with [`HbDetector::process`]'s clock algebra
+    /// and compaction cadence.
     fn route(&mut self, record: &Record) {
         match *record {
             Record::Sync { tid, kind, var, .. } => {
-                if kind == SyncOpKind::Fork {
-                    // The child's (empty) clock must pin the compaction
-                    // bound from the fork on, as in `HbCore::sync`.
-                    self.clocks.ensure_thread(ThreadId::from_index(var.0 as usize));
-                }
-                let i = self.clocks.ensure_thread(tid);
-                let joins = kind.is_acquire() && self.syncvars.contains_key(&var);
-                if joins || kind.is_release() {
-                    self.clocks.invalidate(i);
-                }
-                if joins {
-                    self.clocks.current[i].join(&self.syncvars[&var]);
-                }
-                if kind.is_release() {
-                    self.syncvars
-                        .entry(var)
-                        .or_default()
-                        .join(&self.clocks.current[i]);
-                    self.clocks.current[i].increment(tid);
-                }
+                self.clocks.sync(tid, kind, var);
             }
             Record::Mem {
                 tid,
@@ -262,10 +189,8 @@ impl Router {
                 ..
             } => {
                 let i = self.clocks.ensure_thread(tid);
-                let clock = self.clocks.pin(i);
-                let generation = self.clocks.generation[i];
-                let shard = shard_of(addr, self.shards);
-                self.buffers[shard].push(StreamEvent {
+                let (clock, generation) = self.pinned.pin(&self.clocks, i);
+                let event = StreamEvent {
                     pos: self.pos,
                     tid,
                     is_write,
@@ -273,18 +198,12 @@ impl Router {
                     addr,
                     clock,
                     generation,
-                });
-                if self.buffers[shard].len() >= BATCH_RECORDS {
-                    self.flush(shard);
-                }
+                };
+                self.push(shard_of(addr, self.shards), ShardItem::Access(event));
             }
             Record::ThreadBegin { .. } => {}
             Record::ThreadEnd { tid } => {
-                let i = tid.index();
-                if i >= self.retired.len() {
-                    self.retired.resize(i + 1, false);
-                }
-                self.retired[i] = true;
+                self.clocks.retire(tid);
                 self.since_compact = 0;
                 self.emit_compact();
             }
@@ -306,43 +225,46 @@ impl Router {
     }
 }
 
-/// Sends one message to a shard channel, accounting backpressure: a full
-/// channel counts as a stall before the blocking send, and delivered
-/// batches raise the shard's queue-occupancy gauge (the matching decrement
+/// Sends one batch to a shard channel, accounting backpressure: a full
+/// channel counts as a stall before the blocking send, and a delivered
+/// batch raises the shard's queue-occupancy gauge (the matching decrement
 /// is in [`run_stream_shard`]). A send fails only if the worker panicked;
-/// the panic resurfaces at join, so losing the message is moot.
-fn send_msg(sender: &SyncSender<ShardMsg>, shard: usize, msg: ShardMsg) {
+/// the panic resurfaces at join, so losing the batch is moot.
+fn send_batch(sender: &SyncSender<Vec<ShardItem>>, shard: usize, batch: Vec<ShardItem>) {
     if !literace_telemetry::enabled() {
-        let _ = sender.send(msg);
+        let _ = sender.send(batch);
         return;
     }
     let m = literace_telemetry::metrics();
-    let is_batch = matches!(msg, ShardMsg::Batch(_));
-    let delivered = match sender.try_send(msg) {
+    let delivered = match sender.try_send(batch) {
         Ok(()) => true,
         Err(std::sync::mpsc::TrySendError::Disconnected(_)) => false,
-        Err(std::sync::mpsc::TrySendError::Full(msg)) => {
+        Err(std::sync::mpsc::TrySendError::Full(batch)) => {
             m.detector_stream_stalls.add(1);
             literace_telemetry::trace_instant("shard.send.stall");
-            sender.send(msg).is_ok()
+            sender.send(batch).is_ok()
         }
     };
-    if delivered && is_batch {
+    if delivered {
         m.detector_shard_queue.inc(shard);
     }
 }
 
 /// One shard worker: drains its channel, replaying batches against its
-/// private frontier. Pure frontier work, same as the materialized shard
-/// loop — only the clock arrives via `Arc` instead of a timeline lookup.
-fn run_stream_shard(shard: usize, rx: Receiver<ShardMsg>, mut frontier: Frontier) -> ShardPairs {
+/// private frontier. Pure frontier work — no sync replay, no clock
+/// mutation, no cloning.
+fn run_stream_shard(
+    shard: usize,
+    rx: Receiver<Vec<ShardItem>>,
+    mut frontier: Frontier,
+) -> ShardPairs {
     let _span = literace_telemetry::metrics().phase_shard_replay.span();
     let mut scan_hist = literace_telemetry::ScanSampler::new();
     let mut pairs = ShardPairs::default();
     loop {
         let idle = literace_telemetry::enabled().then(std::time::Instant::now);
-        let msg = match rx.recv() {
-            Ok(msg) => msg,
+        let batch = match rx.recv() {
+            Ok(batch) => batch,
             Err(_) => break,
         };
         let busy = idle.map(|idle| {
@@ -352,39 +274,39 @@ fn run_stream_shard(shard: usize, rx: Receiver<ShardMsg>, mut frontier: Frontier
                 .add((now - idle).as_nanos() as u64);
             now
         });
-        match msg {
-            ShardMsg::Compact(clocks) => {
-                literace_telemetry::trace_instant("shard.compact");
-                let live: Vec<&VectorClock> = clocks.iter().map(Arc::as_ref).collect();
-                frontier.compact(&live);
-            }
-            ShardMsg::Batch(events) => {
-                if literace_telemetry::enabled() {
-                    literace_telemetry::metrics().detector_shard_queue.dec(shard);
-                }
-                literace_telemetry::trace_begin("shard.batch");
-                for ev in &events {
-                    let scanned = frontier.access(
-                        ev.tid,
-                        ev.pc,
-                        ev.addr.raw(),
-                        ev.is_write,
-                        &ev.clock,
-                        ev.generation,
-                        |prior, _| {
-                            let key = if prior.pc <= ev.pc {
-                                (prior.pc, ev.pc)
-                            } else {
-                                (ev.pc, prior.pc)
-                            };
-                            pairs.entry(key).or_default().push((ev.pos, ev.addr));
-                        },
-                    );
-                    scan_hist.record(scanned as u64);
-                }
-                literace_telemetry::trace_end("shard.batch");
-            }
+        if literace_telemetry::enabled() {
+            literace_telemetry::metrics().detector_shard_queue.dec(shard);
         }
+        literace_telemetry::trace_begin("shard.batch");
+        for item in &batch {
+            let ev = match item {
+                ShardItem::Access(ev) => ev,
+                ShardItem::Compact(clocks) => {
+                    literace_telemetry::trace_instant("shard.compact");
+                    let live: Vec<&VectorClock> = clocks.iter().map(Arc::as_ref).collect();
+                    frontier.compact(&live);
+                    continue;
+                }
+            };
+            let scanned = frontier.access(
+                ev.tid,
+                ev.pc,
+                ev.addr.raw(),
+                ev.is_write,
+                &ev.clock,
+                ev.generation,
+                |prior, _| {
+                    let key = if prior.pc <= ev.pc {
+                        (prior.pc, ev.pc)
+                    } else {
+                        (ev.pc, prior.pc)
+                    };
+                    pairs.entry(key).or_default().push((ev.pos, ev.addr));
+                },
+            );
+            scan_hist.record(scanned as u64);
+        }
+        literace_telemetry::trace_end("shard.batch");
         if let Some(busy) = busy {
             literace_telemetry::metrics()
                 .detector_worker_busy_ns
@@ -400,14 +322,7 @@ fn run_stream_shard(shard: usize, rx: Receiver<ShardMsg>, mut frontier: Frontier
 
 /// Detects races from a stream of record blocks without materializing an
 /// event log, producing a report byte-identical to the sequential
-/// [`detect`](crate::detect) (and hence to
-/// [`detect_sharded`](crate::detect_sharded)).
-///
-/// `blocks` is any iterator of decoded record blocks — most usefully a
-/// [`RecordStream`](literace_log::RecordStream), in which case decoding,
-/// routing, and shard replay all overlap. With `cfg.threads <= 1` the
-/// records are fed straight through the sequential detector, still
-/// block-at-a-time.
+/// [`detect`](crate::detect): [`detect_stream_from`] without a checkpoint.
 ///
 /// # Errors
 ///
@@ -436,67 +351,64 @@ pub fn detect_stream<I>(
 where
     I: IntoIterator<Item = LogResult<Vec<Record>>>,
 {
-    detect_stream_inner(blocks, non_stack_accesses, cfg, None)
+    detect_stream_from(blocks, non_stack_accesses, cfg, None)
 }
 
-/// [`detect_stream`] resuming from a [`Checkpoint`]: `blocks` must carry
-/// the records *after* the checkpointed position. Works at any shard
-/// count — the router starts from the checkpoint's clock state, shard
-/// frontiers are seeded with the locations they own, and the merge
-/// continues the checkpoint's per-pair accounting — and the report is
-/// byte-identical to one-shot detection over the whole stream.
+/// The detection engine: detects races over `blocks`, optionally resuming
+/// from a [`Checkpoint`], with a report byte-identical to one-shot
+/// sequential [`detect`](crate::detect) over the whole stream.
 ///
-/// The happens-before tuning comes from the checkpoint; `cfg` contributes
-/// only the worker count.
+/// `blocks` is any iterator of record blocks — most usefully a
+/// [`RecordStream`](literace_log::RecordStream), in which case decoding,
+/// routing, and shard replay all overlap, or borrowed slices of an
+/// in-memory log. With `cfg.threads <= 1` the records are fed straight
+/// through the sequential detector; otherwise `cfg.threads` shard workers
+/// (at most 64, `MAX_SHARDS`) replay the accesses they own.
+///
+/// With `resume`, `blocks` must carry the records *after* the
+/// checkpointed position. The router starts from the checkpoint's clock
+/// state, each shard's frontier is seeded with the checkpoint locations
+/// it owns, and the merge continues the checkpoint's per-pair accounting,
+/// at any shard count. The happens-before tuning then comes from the
+/// checkpoint; `cfg` contributes only the worker count.
 ///
 /// # Errors
 ///
 /// As [`detect_stream`]: the first decode/I-O error the stream yields.
-pub fn detect_stream_resume<I>(
+pub fn detect_stream_from<I, B>(
     blocks: I,
     non_stack_accesses: u64,
     cfg: &DetectConfig,
-    cp: &Checkpoint,
+    resume: Option<&Checkpoint>,
 ) -> LogResult<RaceReport>
 where
-    I: IntoIterator<Item = LogResult<Vec<Record>>>,
+    I: IntoIterator<Item = LogResult<B>>,
+    B: AsRef<[Record]>,
 {
-    detect_stream_inner(blocks, non_stack_accesses, cfg, Some(cp))
-}
-
-fn detect_stream_inner<I>(
-    blocks: I,
-    non_stack_accesses: u64,
-    cfg: &DetectConfig,
-    seed: Option<&Checkpoint>,
-) -> LogResult<RaceReport>
-where
-    I: IntoIterator<Item = LogResult<Vec<Record>>>,
-{
-    let shards = cfg.threads.max(1);
-    let hb = seed.map_or(cfg.hb, |cp| cp.cfg);
+    let shards = cfg.shards();
     if shards == 1 {
-        let mut detector = match seed {
+        let mut detector = match resume {
             Some(cp) => HbDetector::resume(cp),
-            None => HbDetector::with_config(hb),
+            None => HbDetector::with_config(cfg.hb),
         };
         for block in blocks {
-            for record in &block? {
+            for record in block?.as_ref() {
                 detector.process(record);
             }
         }
         return Ok(detector.finish(non_stack_accesses));
     }
-    if seed.is_some() && literace_telemetry::enabled() {
+    if resume.is_some() && literace_telemetry::enabled() {
         literace_telemetry::metrics().detector_checkpoint_resumes.add(1);
     }
+    let hb = resume.map_or(cfg.hb, |cp| cp.cfg);
 
     std::thread::scope(|s| {
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
-        let frontiers = shard_frontiers(shards, hb.max_history_per_location, seed);
+        let frontiers = shard_frontiers(shards, hb.max_history_per_location, resume);
         for (shard, frontier) in frontiers.into_iter().enumerate() {
-            let (tx, rx) = sync_channel::<ShardMsg>(CHANNEL_DEPTH);
+            let (tx, rx) = sync_channel::<Vec<ShardItem>>(CHANNEL_DEPTH);
             senders.push(tx);
             handles.push(
                 std::thread::Builder::new()
@@ -506,12 +418,12 @@ where
             );
         }
 
-        let mut router = Router::new(senders, seed);
+        let mut router = Router::new(senders, resume);
         let mut stream_err = None;
         for block in blocks {
             match block {
                 Ok(records) => {
-                    for record in &records {
+                    for record in records.as_ref() {
                         router.route(record);
                     }
                 }
@@ -530,7 +442,7 @@ where
         match stream_err {
             Some(e) => Err(e),
             None => Ok(merge_pairs_seeded(
-                seed.map_or(&[][..], |cp| &cp.core.pairs),
+                resume.map_or(&[][..], |cp| &cp.core.pairs),
                 shard_pairs,
                 hb.max_dynamic_per_pair,
                 non_stack_accesses,
@@ -554,9 +466,7 @@ where
 /// parallel snapshot would have to drain and re-synchronize every shard —
 /// so this driver always runs single-threaded and ignores `cfg.threads`.
 /// *Resuming* has no such restriction: a checkpoint saved here can be
-/// resumed at any shard count via
-/// [`detect_sharded_resume`](crate::detect_sharded_resume) or
-/// [`detect_stream_resume`].
+/// resumed at any shard count via [`detect_stream_from`].
 ///
 /// # Errors
 ///
@@ -601,36 +511,10 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::{mem, sync, t};
     use crate::{detect, detect_sharded};
-    use literace_log::{encode_v2, EventLog, RecordStream, SamplerMask};
-    use literace_sim::FuncId;
-
-    fn t(i: usize) -> ThreadId {
-        ThreadId::from_index(i)
-    }
-    fn pc(i: usize) -> Pc {
-        Pc::new(FuncId::from_index(0), i)
-    }
-
-    fn mem(tid: ThreadId, pcv: usize, addr: u64, w: bool) -> Record {
-        Record::Mem {
-            tid,
-            pc: pc(pcv),
-            addr: Addr::global(addr),
-            is_write: w,
-            mask: SamplerMask::FULL,
-        }
-    }
-
-    fn sync(tid: ThreadId, kind: SyncOpKind, var: u64, ts: u64) -> Record {
-        Record::Sync {
-            tid,
-            pc: pc(99),
-            kind,
-            var: SyncVar(var),
-            timestamp: ts,
-        }
-    }
+    use literace_log::{encode_v2, EventLog, RecordStream};
+    use literace_sim::{SyncOpKind, SyncVar};
 
     /// Races on many addresses plus lock edges and a thread retirement,
     /// so shards, HB edges, and compaction all get exercised.
@@ -674,7 +558,8 @@ mod tests {
         let log = mixed_log();
         let seq = detect(&log, 1000);
         assert!(seq.static_count() > 0, "log should race");
-        for threads in [1, 2, 3, 4, 8] {
+        // 70 000 exceeds MAX_SHARDS: clamped, not one OS thread each.
+        for threads in [1, 2, 3, 4, 8, 70_000] {
             for block in [1, 7, 4096] {
                 let cfg = DetectConfig::with_threads(threads);
                 let report = detect_stream(blocks_of(&log, block), 1000, &cfg).unwrap();
@@ -735,7 +620,7 @@ mod tests {
                     .chunks(64)
                     .map(|c| Ok(c.to_vec()))
                     .collect();
-                let report = detect_stream_resume(suffix, 1000, &cfg, &cp).unwrap();
+                let report = detect_stream_from(suffix, 1000, &cfg, Some(&cp)).unwrap();
                 assert_eq!(report, seq, "split={split} threads={threads}");
             }
         }
@@ -761,27 +646,23 @@ mod tests {
         assert_eq!(report, seq, "checkpointing must not perturb detection");
         assert!(!saved.is_empty(), "every-2-blocks must have fired");
         // Every emitted checkpoint resumes to the one-shot report, on the
-        // sequential, sharded, and streaming paths alike.
+        // sequential core and at 2 and 4 shards alike, from one whole
+        // block or from 64-record blocks.
         for (processed, cp) in &saved {
             let rest = &log.records()[*processed as usize..];
-            let suffix: EventLog = rest.iter().copied().collect();
-            assert_eq!(crate::checkpoint::detect_resume(&suffix, cp, 1000), seq);
-            assert_eq!(
-                crate::detect_sharded_resume(&suffix, 1000, &DetectConfig::with_threads(4), cp),
-                seq
-            );
-            let blocks: Vec<LogResult<Vec<Record>>> =
-                rest.chunks(64).map(|c| Ok(c.to_vec())).collect();
-            assert_eq!(
-                detect_stream_resume(blocks, 1000, &DetectConfig::with_threads(2), cp).unwrap(),
-                seq
-            );
+            for threads in [1, 2, 4] {
+                let cfg = DetectConfig::with_threads(threads);
+                assert_eq!(detect_stream_from([Ok(rest)], 1000, &cfg, Some(cp)).unwrap(), seq);
+                let blocks = rest.chunks(64).map(Ok);
+                assert_eq!(detect_stream_from(blocks, 1000, &cfg, Some(cp)).unwrap(), seq);
+            }
         }
         // A round-trip through bytes resumes identically (the CLI path).
         let (processed, cp) = &saved[saved.len() / 2];
         let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
-        let suffix: EventLog = log.records()[*processed as usize..].iter().copied().collect();
-        assert_eq!(crate::checkpoint::detect_resume(&suffix, &back, 1000), seq);
+        let rest = &log.records()[*processed as usize..];
+        let cfg = DetectConfig::default();
+        assert_eq!(detect_stream_from([Ok(rest)], 1000, &cfg, Some(&back)).unwrap(), seq);
     }
 
     #[test]
@@ -801,15 +682,17 @@ mod tests {
 
     #[test]
     fn eager_freeze_shares_one_arc_per_generation() {
-        let mut clocks = StreamClocks::default();
+        let mut clocks = ClockState::default();
+        let mut pinned = Pinned::default();
         let i = clocks.ensure_thread(t(0));
-        let a = clocks.pin(i);
-        let b = clocks.pin(i);
+        let (a, gen_a) = pinned.pin(&clocks, i);
+        let (b, gen_b) = pinned.pin(&clocks, i);
         assert!(Arc::ptr_eq(&a, &b), "same generation must share one Arc");
-        clocks.invalidate(i);
-        clocks.current[i].increment(t(0));
-        let c = clocks.pin(i);
+        assert_eq!(gen_a, gen_b);
+        clocks.sync(t(0), SyncOpKind::LockRelease, SyncVar(7));
+        let (c, gen_c) = pinned.pin(&clocks, i);
         assert!(!Arc::ptr_eq(&a, &c));
+        assert_ne!(gen_a, gen_c);
         assert!(c.get(t(0)) > a.get(t(0)));
     }
 }

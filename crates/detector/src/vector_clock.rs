@@ -53,20 +53,26 @@ impl VectorClock {
     }
 
     /// Pointwise maximum: afterwards `self` knows everything `other` knew.
-    pub fn join(&mut self, other: &VectorClock) {
+    /// Returns whether any component of `self` grew.
+    pub fn join(&mut self, other: &VectorClock) -> bool {
         let overlap = self.components.len().min(other.components.len());
+        let mut grew = false;
         for (s, &o) in self.components[..overlap]
             .iter_mut()
             .zip(&other.components[..overlap])
         {
+            grew |= o > *s;
             *s = (*s).max(o);
         }
         // Joining into the larger clock (the common case on the detector
         // hot path) ends here; otherwise adopt other's tail outright — the
         // max against our implicit zeros is just a copy.
         if other.components.len() > overlap {
-            self.components.extend_from_slice(&other.components[overlap..]);
+            let tail = &other.components[overlap..];
+            grew |= tail.iter().any(|&c| c > 0);
+            self.components.extend_from_slice(tail);
         }
+        grew
     }
 
     /// Whether `self ≤ other` pointwise (self happens-before-or-equals).
@@ -171,6 +177,16 @@ mod tests {
         let mut a = VectorClock::new();
         a.join(&vc(&[4, 0, 7]));
         assert_eq!(a, vc(&[4, 0, 7]));
+    }
+
+    #[test]
+    fn join_reports_whether_anything_grew() {
+        let mut a = vc(&[3, 5]);
+        assert!(!a.join(&vc(&[3, 2])));
+        assert!(!a.join(&vc(&[1, 0, 0])), "zero tail adds nothing");
+        assert!(a.join(&vc(&[0, 0, 0, 1])));
+        assert!(a.join(&vc(&[4])));
+        assert_eq!(a, vc(&[4, 5, 0, 1]));
     }
 
     #[test]

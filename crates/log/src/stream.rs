@@ -10,7 +10,7 @@
 //!   blocks, v2 blocks come straight from the wire);
 //! * [`RecordStream`], the same blocks pulled through a **bounded
 //!   channel** from a decoder thread, so decoding overlaps whatever the
-//!   consumer does with the blocks (sync pre-pass, shard routing, shard
+//!   consumer does with the blocks (sync replay, shard routing, shard
 //!   replay — see `literace_detector::detect_stream`).
 //!
 //! [`V2_MAGIC`]: crate::v2::V2_MAGIC

@@ -189,8 +189,6 @@ pub struct Metrics {
     pub phase_execute: PhaseStats,
     /// Whole offline detection, any path.
     pub phase_detect: PhaseStats,
-    /// Sequential synchronization pre-pass of the sharded detector.
-    pub phase_sync_prepass: PhaseStats,
     /// Per-shard frontier replay (one span per worker).
     pub phase_shard_replay: PhaseStats,
     /// Merge of per-shard race pairs into the final report.
@@ -274,7 +272,6 @@ impl Metrics {
             detector_races_suppressed: Counter::new(),
             phase_execute: PhaseStats::new(),
             phase_detect: PhaseStats::new(),
-            phase_sync_prepass: PhaseStats::new(),
             phase_shard_replay: PhaseStats::new(),
             phase_merge: PhaseStats::new(),
         }
@@ -465,11 +462,10 @@ impl Metrics {
     }
 
     /// Name↔field table for phases.
-    pub(crate) fn phases(&self) -> [(&'static str, &PhaseStats); 5] {
+    pub(crate) fn phases(&self) -> [(&'static str, &PhaseStats); 4] {
         [
             ("phase.execute", &self.phase_execute),
             ("phase.detect", &self.phase_detect),
-            ("phase.sync_prepass", &self.phase_sync_prepass),
             ("phase.shard_replay", &self.phase_shard_replay),
             ("phase.merge", &self.phase_merge),
         ]

@@ -1,7 +1,7 @@
 //! Phase spans: scoped wall-clock timers with thread attribution.
 //!
-//! A [`PhaseStats`] is one named pipeline phase (sync pre-pass, shard
-//! replay, merge, …). Calling [`span`](PhaseStats::span) returns a drop
+//! A [`PhaseStats`] is one named pipeline phase (execution, detection,
+//! shard replay, merge, …). Calling [`span`](PhaseStats::span) returns a drop
 //! guard; when the guard drops, the elapsed nanoseconds are folded into the
 //! phase's totals, its maximum, and a per-thread-slot attribution row.
 //! When telemetry is disabled the guard is inert and records nothing.

@@ -12,7 +12,7 @@
 //! recovery story is "resume from the previous sealed checkpoint", which
 //! these tests pin end to end.
 
-use literace::detector::{detect, detect_resume, Checkpoint, HbDetector};
+use literace::detector::{detect, detect_stream_from, Checkpoint, DetectConfig, HbDetector};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::EventLog;
 use literace::prelude::*;
@@ -154,9 +154,10 @@ fn resume_from_the_prior_sealed_checkpoint_after_a_torn_save() {
             older_at as u64,
             "{what}: fallback must pick the prior generation, not the torn one"
         );
-        let suffix: EventLog = log.records()[older_at..].iter().copied().collect();
+        let suffix = [Ok(&log.records()[older_at..])];
+        let cfg = DetectConfig::default();
         assert_eq!(
-            detect_resume(&suffix, &loaded, non_stack),
+            detect_stream_from(suffix, non_stack, &cfg, Some(&loaded)).unwrap(),
             expected,
             "{what}: fallback resume fabricated or dropped a race"
         );
@@ -214,7 +215,8 @@ proptest! {
 
         // The sealed generation still resumes to the one-shot report.
         let cp = Checkpoint::from_bytes(&sealed).expect("sealed checkpoint loads");
-        let suffix: EventLog = log.records()[split..].iter().copied().collect();
-        prop_assert_eq!(detect_resume(&suffix, &cp, non_stack), expected);
+        let suffix = [Ok(&log.records()[split..])];
+        let cfg = DetectConfig::default();
+        prop_assert_eq!(detect_stream_from(suffix, non_stack, &cfg, Some(&cp)).unwrap(), expected);
     }
 }

@@ -18,8 +18,8 @@
 //! snapshot.
 
 use literace::detector::{
-    detect, detect_resume, detect_sharded_resume, detect_stream_checkpointed,
-    detect_stream_resume, Checkpoint, DetectConfig, HbDetector,
+    detect, detect_stream_checkpointed, detect_stream_from, Checkpoint, DetectConfig,
+    HbDetector, RaceReport,
 };
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{EventLog, LogResult, Record};
@@ -60,31 +60,33 @@ fn sealed_checkpoint_at(records: &[Record], split: usize, non_stack: u64) -> Che
     back
 }
 
+/// Resumes `cp` over `suffix`, handed over as one in-memory block, on
+/// `threads` shards (1 = the sequential core).
+fn resume(suffix: &[Record], cp: &Checkpoint, non_stack: u64, threads: usize) -> RaceReport {
+    detect_stream_from([Ok(suffix)], non_stack, &DetectConfig::with_threads(threads), Some(cp))
+        .expect("in-memory blocks decode")
+}
+
 /// Resumes the suffix after `split` on every detection path and requires
 /// each report to equal `expected` (the one-shot report) byte for byte.
 fn assert_resume_matches(
     records: &[Record],
     split: usize,
-    expected: &literace::detector::RaceReport,
+    expected: &RaceReport,
     non_stack: u64,
     context: &str,
 ) {
     let cp = sealed_checkpoint_at(records, split, non_stack);
     assert_eq!(cp.records_processed(), split as u64, "{context}");
-    let suffix: EventLog = records[split..].iter().copied().collect();
+    let suffix = &records[split..];
 
-    let sequential = detect_resume(&suffix, &cp, non_stack);
+    let sequential = resume(suffix, &cp, non_stack, 1);
     assert_eq!(
         expected, &sequential,
         "{context}: sequential resume at {split} diverged"
     );
     for threads in [2usize, 4, 8] {
-        let sharded = detect_sharded_resume(
-            &suffix,
-            non_stack,
-            &DetectConfig::with_threads(threads),
-            &cp,
-        );
+        let sharded = resume(suffix, &cp, non_stack, threads);
         assert_eq!(
             expected, &sharded,
             "{context}: sharded×{threads} resume at {split} diverged"
@@ -94,7 +96,7 @@ fn assert_resume_matches(
         .chunks(BLOCK_RECORDS)
         .map(|c| Ok(c.to_vec()))
         .collect();
-    let streamed = detect_stream_resume(blocks, non_stack, &DetectConfig::with_threads(4), &cp)
+    let streamed = detect_stream_from(blocks, non_stack, &DetectConfig::with_threads(4), Some(&cp))
         .expect("in-memory blocks decode");
     assert_eq!(
         expected, &streamed,
@@ -156,12 +158,9 @@ fn every_periodically_emitted_checkpoint_resumes_to_the_one_shot_report() {
     assert!(saved.len() >= 2, "every-3-blocks must fire repeatedly");
     for cp in &saved {
         let done = cp.records_processed() as usize;
-        let suffix: EventLog = log.records()[done..].iter().copied().collect();
-        assert_eq!(expected, detect_resume(&suffix, cp, non_stack));
-        assert_eq!(
-            expected,
-            detect_sharded_resume(&suffix, non_stack, &DetectConfig::with_threads(4), cp)
-        );
+        let suffix = &log.records()[done..];
+        assert_eq!(expected, resume(suffix, cp, non_stack, 1));
+        assert_eq!(expected, resume(suffix, cp, non_stack, 4));
     }
     // Handoff chain: the *resumed* detector's state re-checkpoints into a
     // second hop that still lands on the one-shot report — worker A's
@@ -174,8 +173,7 @@ fn every_periodically_emitted_checkpoint_resumes_to_the_one_shot_report() {
     }
     let second = Checkpoint::from_bytes(&hop.save_checkpoint(non_stack).to_bytes())
         .expect("second-hop checkpoint seals");
-    let suffix: EventLog = log.records()[mid..].iter().copied().collect();
-    assert_eq!(expected, detect_resume(&suffix, &second, non_stack));
+    assert_eq!(expected, resume(&log.records()[mid..], &second, non_stack, 1));
 }
 
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {

@@ -1,12 +1,10 @@
-//! Cross-detector equivalence: the online detector, the per-thread-log
-//! merge path, and the FastTrack optimization must all agree with the
-//! offline vector-clock detector about *which* races exist.
+//! Cross-detector equivalence: the online detector and the per-thread-log
+//! merge path must agree with the offline vector-clock detector about
+//! *which* races exist.
 
 use std::collections::HashSet;
 
-use literace::detector::{
-    detect, detect_fasttrack, merge, HbDetector, OnlineDetector,
-};
+use literace::detector::{detect, merge, HbDetector, OnlineDetector};
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, ObserverPair};
 use literace::workloads::synthetic::{racy, SyntheticConfig};
@@ -76,17 +74,6 @@ proptest! {
         prop_assert_eq!(orig_addrs, merged_addrs);
     }
 
-    /// FastTrack is the full detector now: the adaptive epoch frontier is
-    /// lossless, so the reports must be byte-identical — not merely agree
-    /// on racy addresses as the retired lossy prototype did.
-    #[test]
-    fn fasttrack_report_is_byte_identical(cfg in arb_config()) {
-        let (program, _) = racy(cfg);
-        let out = run_literace(&program, SamplerKind::Always, &RunConfig::seeded(cfg.seed))
-            .unwrap();
-        let fast = detect_fasttrack(&out.instrumented.log, out.summary.non_stack_accesses);
-        prop_assert_eq!(&out.report, &fast);
-    }
 }
 
 /// Equivalence also holds on the structured benchmark workloads.

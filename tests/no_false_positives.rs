@@ -2,7 +2,7 @@
 //! data race.** Property-based tests over randomly generated race-free
 //! programs, for every detector and sampler combination.
 
-use literace::detector::{detect_fasttrack, OnlineDetector};
+use literace::detector::OnlineDetector;
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig};
 use literace::workloads::synthetic::{race_free, SyntheticConfig};
@@ -45,16 +45,6 @@ proptest! {
         let kind = SamplerKind::paper_set()[sampler_idx];
         let out = run_literace(&program, kind, &RunConfig::seeded(cfg.seed)).unwrap();
         prop_assert_eq!(out.report.static_count(), 0);
-    }
-
-    /// The FastTrack-style detector is equally clean.
-    #[test]
-    fn fasttrack_has_no_false_positives(cfg in arb_config()) {
-        let program = race_free(cfg);
-        let out = run_literace(&program, SamplerKind::Always, &RunConfig::seeded(cfg.seed))
-            .unwrap();
-        let report = detect_fasttrack(&out.instrumented.log, out.summary.non_stack_accesses);
-        prop_assert_eq!(report.static_count(), 0);
     }
 
     /// The online detector (no log at all) is equally clean.

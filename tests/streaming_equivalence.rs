@@ -6,9 +6,9 @@
 //! `RecordStream`.
 //!
 //! This is the contract that makes `--streaming` safe to default on: the
-//! router freezes each thread's clock eagerly at first use per sync
-//! generation, which is value-identical to the materialized path's lazy
-//! freeze because clocks only change at sync operations.
+//! router freezes each thread's clock at first use per clock generation,
+//! and a generation moves whenever the clock changes, so every access
+//! carries exactly the clock the sequential detector holds.
 
 use literace::detector::{detect, detect_stream, DetectConfig, RaceReport};
 use literace::instrument::{InstrumentConfig, Instrumenter};

@@ -171,38 +171,35 @@ fn full_pipeline_is_neutral_including_streaming_detect() {
     let _guard = serialized();
     let w = build(WorkloadId::LfList, Scale::Smoke);
     for threads in [1usize, 2, 4, 8] {
-        for streaming in [false, true] {
-            let mut cfg = RunConfig::seeded(3);
-            cfg.detect_threads = threads;
-            cfg.streaming_detect = streaming;
-            let run = |on| {
-                with_flag(on, || {
-                    run_literace(&w.program, SamplerKind::TlAdaptive, &cfg)
-                        .expect("pipeline runs")
-                })
-            };
-            let off = run(false);
-            let on = run(true);
-            let ctx = format!("threads={threads} streaming={streaming}");
-            assert_eq!(off.report, on.report, "{ctx}: report changed");
-            assert_eq!(
-                off.instrumented.log, on.instrumented.log,
-                "{ctx}: log changed"
-            );
-            assert_eq!(
-                (
-                    off.instrumented.stats.total_mem,
-                    off.instrumented.stats.logged_mem,
-                    off.instrumented.stats.sync_records,
-                ),
-                (
-                    on.instrumented.stats.total_mem,
-                    on.instrumented.stats.logged_mem,
-                    on.instrumented.stats.sync_records,
-                ),
-                "{ctx}: instrumentation counters changed"
-            );
-        }
+        let mut cfg = RunConfig::seeded(3);
+        cfg.detect_threads = threads;
+        let run = |on| {
+            with_flag(on, || {
+                run_literace(&w.program, SamplerKind::TlAdaptive, &cfg)
+                    .expect("pipeline runs")
+            })
+        };
+        let off = run(false);
+        let on = run(true);
+        let ctx = format!("threads={threads}");
+        assert_eq!(off.report, on.report, "{ctx}: report changed");
+        assert_eq!(
+            off.instrumented.log, on.instrumented.log,
+            "{ctx}: log changed"
+        );
+        assert_eq!(
+            (
+                off.instrumented.stats.total_mem,
+                off.instrumented.stats.logged_mem,
+                off.instrumented.stats.sync_records,
+            ),
+            (
+                on.instrumented.stats.total_mem,
+                on.instrumented.stats.logged_mem,
+                on.instrumented.stats.sync_records,
+            ),
+            "{ctx}: instrumentation counters changed"
+        );
     }
 }
 
