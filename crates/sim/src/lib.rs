@@ -76,9 +76,8 @@ pub use event::{
 pub use ids::{FuncId, LocalSlot, Pc, SyncId, SyncVar, ThreadId};
 pub use lower::{lower, CompiledFunction, CompiledProgram, Instr};
 pub use machine::{
-    alloc_page_var, pages_of, sync_obj_addr, sync_obj_var, thread_var, BlockReason, Frame, Heap,
-    Machine, MachineConfig, ThreadState, ThreadStatus, FRAME_WORDS, SYNC_OBJ_BASE,
-    SYNC_OBJ_STRIDE,
+    alloc_page_var, pages_of, sync_obj_addr, sync_obj_var, thread_var, Heap, Machine,
+    MachineConfig, FRAME_WORDS, SYNC_OBJ_BASE, SYNC_OBJ_STRIDE,
 };
 pub use op::{AddrExpr, Op, Rvalue, SyncRef};
 pub use prefilter::{PrefilterStats, PrefilterTable};

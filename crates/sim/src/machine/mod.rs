@@ -11,7 +11,8 @@ mod thread;
 
 pub use memory::Heap;
 pub use sync::{sync_obj_addr, sync_obj_var, SYNC_OBJ_BASE, SYNC_OBJ_STRIDE};
-pub use thread::{BlockReason, Frame, ThreadState, ThreadStatus, FRAME_WORDS};
+pub use thread::FRAME_WORDS;
+pub(crate) use thread::MAX_FRAMES;
 
 use serde::{Deserialize, Serialize};
 
@@ -27,6 +28,7 @@ use crate::sched::Scheduler;
 use crate::summary::RunSummary;
 
 use self::sync::SyncState;
+use self::thread::{BlockReason, ThreadState, ThreadStatus};
 
 /// Limits and cost calibration for a run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -80,7 +82,7 @@ pub struct Machine<'p> {
     heap: Heap,
     summary: RunSummary,
     /// Ids of the `Runnable` threads, ascending. Kept across steps and
-    /// rebuilt only when `runnable_stale` is set.
+    /// rebuilt only when `runnable_stale` is set and a pick needs it.
     runnable: Vec<ThreadId>,
     /// Set by [`set_status`](Machine::set_status), the only writer of a
     /// thread's status, so no transition can leave `runnable` out of date.
@@ -140,18 +142,12 @@ impl<'p> Machine<'p> {
         sched: &mut S,
         obs: &mut O,
     ) -> SimResult<RunSummary> {
+        // The thread that stepped last. While it stays runnable, the
+        // scheduler is asked to continue its slice before any pick.
+        let mut current: Option<ThreadId> = None;
         loop {
-            if self.runnable_stale {
-                self.runnable.clear();
-                self.runnable.extend(
-                    self.threads
-                        .iter()
-                        .filter(|t| t.is_runnable())
-                        .map(|t| t.tid),
-                );
-                self.runnable_stale = false;
-            }
-            if self.runnable.is_empty() {
+            let running = current.filter(|t| self.threads[t.index()].is_runnable());
+            if running.is_none() && self.runnable_threads().is_empty() {
                 return self.finish();
             }
             if self.summary.steps >= self.cfg.step_limit {
@@ -159,10 +155,33 @@ impl<'p> Machine<'p> {
                     limit: self.cfg.step_limit,
                 });
             }
-            let tid = self.runnable[sched.pick(&self.runnable)];
+            let tid = match running {
+                Some(tid) if sched.keep_current() => tid,
+                _ => {
+                    let runnable = self.runnable_threads();
+                    runnable[sched.pick(runnable)]
+                }
+            };
+            current = Some(tid);
             self.summary.steps += 1;
             self.step(tid, obs)?;
         }
+    }
+
+    /// The runnable threads, ascending by id, rebuilt first if a status
+    /// changed since the last rebuild.
+    fn runnable_threads(&mut self) -> &[ThreadId] {
+        if self.runnable_stale {
+            self.runnable.clear();
+            self.runnable.extend(
+                self.threads
+                    .iter()
+                    .filter(|t| t.is_runnable())
+                    .map(|t| t.tid),
+            );
+            self.runnable_stale = false;
+        }
+        &self.runnable
     }
 
     /// Ends a run that has no runnable thread: the summary if every thread
@@ -190,9 +209,10 @@ impl<'p> Machine<'p> {
         self.runnable_stale = true;
     }
 
-    /// The scheduling loop before the runnable set was kept across steps:
-    /// it rescans every thread before every pick. Tests compare
-    /// [`run`](Machine::run) against it.
+    /// The scheduling loop before the runnable set was kept across steps
+    /// and slices ran without a pick: it rescans every thread and calls
+    /// `pick` before every step. Tests compare [`run`](Machine::run)
+    /// against it.
     #[cfg(test)]
     fn run_rescanning<S: Scheduler, O: Observer>(
         &mut self,
@@ -305,8 +325,7 @@ impl<'p> Machine<'p> {
                     return Err(SimError::UnlockNotHeld { thread: tid, sync: sid });
                 }
                 st.owner = None;
-                let waiters = st.take_waiters();
-                self.wake(&waiters);
+                self.wake_waiters(sid);
                 self.charge(tid, self.cfg.cost.unlock);
                 self.emit_sync(obs, tid, pc, SyncOpKind::LockRelease, sync_obj_var(sid));
                 self.advance(tid);
@@ -328,8 +347,7 @@ impl<'p> Machine<'p> {
                 let sid = self.resolve_sync(tid, &s)?;
                 let st = &mut self.syncs[sid.index()];
                 st.signaled = true;
-                let waiters = st.take_waiters();
-                self.wake(&waiters);
+                self.wake_waiters(sid);
                 self.charge(tid, self.cfg.cost.notify);
                 self.emit_sync(obs, tid, pc, SyncOpKind::Notify, sync_obj_var(sid));
                 self.advance(tid);
@@ -359,8 +377,7 @@ impl<'p> Machine<'p> {
                 let sid = self.resolve_sync(tid, &s)?;
                 let st = &mut self.syncs[sid.index()];
                 st.count += 1;
-                let waiters = st.take_waiters();
-                self.wake(&waiters);
+                self.wake_waiters(sid);
                 self.charge(tid, self.cfg.cost.notify);
                 self.emit_sync(obs, tid, pc, SyncOpKind::SemRelease, sync_obj_var(sid));
                 self.advance(tid);
@@ -388,12 +405,12 @@ impl<'p> Machine<'p> {
                     let st = &mut self.syncs[sid.index()];
                     if st.arrived.len() as u32 == parties {
                         // Last arriver: open the barrier for this generation
-                        // and depart immediately.
-                        let mut departing = std::mem::take(&mut st.arrived);
-                        departing.retain(|&t| t != tid);
-                        let woken = st.take_waiters();
-                        st.departing = departing;
-                        self.wake(&woken);
+                        // and depart immediately. The other arrivals become
+                        // the departing set; both lists keep their buffers.
+                        std::mem::swap(&mut st.arrived, &mut st.departing);
+                        st.arrived.clear();
+                        st.departing.retain(|&t| t != tid);
+                        self.wake_waiters(sid);
                         self.charge(tid, self.cfg.cost.wait);
                         self.emit_sync(
                             obs,
@@ -411,7 +428,7 @@ impl<'p> Machine<'p> {
             }
             Instr::Alloc { words, dst } => {
                 let base = self.heap.alloc(words);
-                self.threads[ti].frame_mut().set_local(dst, base.raw());
+                self.threads[ti].set_local(dst, base.raw());
                 self.charge(tid, self.cfg.cost.alloc);
                 self.summary.allocs += 1;
                 obs.on_event(&Event::Alloc {
@@ -423,7 +440,7 @@ impl<'p> Machine<'p> {
                 self.advance(tid);
             }
             Instr::Free { src } => {
-                let base = Addr(self.threads[ti].frame().local(src));
+                let base = Addr(self.threads[ti].local(src));
                 let words = self.heap.free(tid, base)?;
                 self.charge(tid, self.cfg.cost.free);
                 self.summary.frees += 1;
@@ -454,14 +471,14 @@ impl<'p> Machine<'p> {
                 self.summary.per_thread_cost.push(0);
                 self.summary.threads += 1;
                 if let Some(dst) = dst {
-                    self.threads[ti].frame_mut().set_local(dst, child.index() as u64);
+                    self.threads[ti].set_local(dst, child.index() as u64);
                 }
                 self.charge(tid, self.cfg.cost.spawn);
                 self.emit_sync(obs, tid, pc, SyncOpKind::Fork, thread_var(child));
                 self.advance(tid);
             }
             Instr::Join { src } => {
-                let raw = self.threads[ti].frame().local(src);
+                let raw = self.threads[ti].local(src);
                 let target = raw as usize;
                 if target >= self.threads.len() {
                     return Err(SimError::fault(tid, format!("join of invalid thread {raw}")));
@@ -478,9 +495,10 @@ impl<'p> Machine<'p> {
             Instr::Call { func, arg } => {
                 let arg = self.eval(tid, arg);
                 self.charge(tid, self.cfg.cost.call);
-                self.threads[ti].frame_mut().pc += 1;
                 let locals = self.prog.function(func).locals;
-                self.threads[ti].frames.push(Frame::new(func, locals, arg));
+                let thread = &mut self.threads[ti];
+                thread.frame_mut().pc += 1;
+                thread.push_frame(func, locals, arg);
                 self.summary.func_entries += 1;
                 self.summary.per_func_entries[func.index()] += 1;
                 obs.on_event(&Event::FunctionEntry { tid, func });
@@ -491,26 +509,26 @@ impl<'p> Machine<'p> {
             }
             Instr::SetLocal { dst, val } => {
                 let v = self.eval(tid, val);
-                self.threads[ti].frame_mut().set_local(dst, v);
+                self.threads[ti].set_local(dst, v);
                 self.charge(tid, self.cfg.cost.scalar);
                 self.advance(tid);
             }
             Instr::AddLocal { dst, val } => {
                 let v = self.eval(tid, val);
-                let frame = self.threads[ti].frame_mut();
-                let cur = frame.local(dst);
-                frame.set_local(dst, cur.wrapping_add(v));
+                let thread = &mut self.threads[ti];
+                let cur = thread.local(dst);
+                thread.set_local(dst, cur.wrapping_add(v));
                 self.charge(tid, self.cfg.cost.scalar);
                 self.advance(tid);
             }
             Instr::LoopHead { trips, exit } => {
                 self.charge(tid, self.cfg.cost.scalar);
-                let frame = self.threads[ti].frame_mut();
+                let thread = &mut self.threads[ti];
                 if trips == 0 {
-                    frame.pc = exit;
+                    thread.frame_mut().pc = exit;
                 } else {
-                    frame.loop_stack.push(trips);
-                    frame.pc += 1;
+                    thread.push_loop(trips);
+                    thread.frame_mut().pc += 1;
                     obs.on_event(&Event::LoopIter {
                         tid,
                         func,
@@ -520,26 +538,19 @@ impl<'p> Machine<'p> {
             }
             Instr::LoopBack { body } => {
                 self.charge(tid, self.cfg.cost.scalar);
-                let frame = self.threads[ti].frame_mut();
-                let top = frame
-                    .loop_stack
-                    .last_mut()
-                    .expect("LoopBack without live loop counter");
-                *top -= 1;
-                if *top > 0 {
-                    frame.pc = body;
+                let thread = &mut self.threads[ti];
+                if thread.loop_back() {
+                    thread.frame_mut().pc = body;
                     let head = Pc::new(func, body - 1);
                     obs.on_event(&Event::LoopIter { tid, func, head });
                 } else {
-                    frame.loop_stack.pop();
-                    frame.pc += 1;
+                    thread.frame_mut().pc += 1;
                 }
             }
             Instr::Return => {
                 self.charge(tid, self.cfg.cost.scalar);
                 obs.on_event(&Event::FunctionExit { tid, func });
-                self.threads[ti].frames.pop();
-                if self.threads[ti].frames.is_empty() {
+                if !self.threads[ti].pop_frame() {
                     self.set_status(tid, ThreadStatus::Exited);
                     self.emit_sync(
                         obs,
@@ -549,16 +560,12 @@ impl<'p> Machine<'p> {
                         thread_var(tid),
                     );
                     obs.on_event(&Event::ThreadExit { tid });
-                    // Wake joiners.
-                    let joiners: Vec<ThreadId> = self
-                        .threads
-                        .iter()
-                        .filter(|t| {
-                            t.status == ThreadStatus::Blocked(BlockReason::Join(tid))
-                        })
-                        .map(|t| t.tid)
-                        .collect();
-                    self.wake(&joiners);
+                    let joining = ThreadStatus::Blocked(BlockReason::Join(tid));
+                    for i in 0..self.threads.len() {
+                        if self.threads[i].status == joining {
+                            self.set_status(ThreadId::from_index(i), ThreadStatus::Runnable);
+                        }
+                    }
                 }
             }
         }
@@ -574,10 +581,15 @@ impl<'p> Machine<'p> {
         self.summary.per_thread_cost[tid.index()] += cost;
     }
 
-    fn wake(&mut self, tids: &[ThreadId]) {
-        for &t in tids {
+    /// Makes every thread blocked on `sid` runnable; each retries the
+    /// instruction it blocked on. The waiter list is cleared in place, so
+    /// its buffer serves the next blockers.
+    fn wake_waiters(&mut self, sid: SyncId) {
+        for i in 0..self.syncs[sid.index()].waiters.len() {
+            let t = self.syncs[sid.index()].waiters[i];
             self.set_status(t, ThreadStatus::Runnable);
         }
+        self.syncs[sid.index()].waiters.clear();
     }
 
     /// Emits a thread's start events ahead of its first instruction, whose
@@ -623,11 +635,11 @@ impl<'p> Machine<'p> {
     }
 
     fn eval(&self, tid: ThreadId, val: Rvalue) -> u64 {
-        let frame = self.threads[tid.index()].frame();
+        let thread = &self.threads[tid.index()];
         match val {
             Rvalue::Const(c) => c,
-            Rvalue::Local(s) => frame.local(s),
-            Rvalue::LocalPlus(s, k) => frame.local(s).wrapping_add(k),
+            Rvalue::Local(s) => thread.local(s),
+            Rvalue::LocalPlus(s, k) => thread.local(s).wrapping_add(k),
         }
     }
 
@@ -637,7 +649,7 @@ impl<'p> Machine<'p> {
             AddrExpr::Global { offset } => Ok(Addr::global(offset)),
             AddrExpr::Stack { offset } => Ok(t.stack_addr(offset)),
             AddrExpr::Indirect { base, offset } => {
-                let p = t.frame().local(base);
+                let p = t.local(base);
                 if p < GLOBAL_BASE {
                     return Err(SimError::fault(
                         tid,
@@ -651,14 +663,14 @@ impl<'p> Machine<'p> {
                 index,
                 modulus,
             } => {
-                let p = t.frame().local(base);
+                let p = t.local(base);
                 if p < GLOBAL_BASE {
                     return Err(SimError::fault(
                         tid,
                         format!("indexed access through bad pointer {p:#x}"),
                     ));
                 }
-                let i = t.frame().local(index) % modulus;
+                let i = t.local(index) % modulus;
                 Ok(Addr(p + i * WORD_BYTES))
             }
         }
@@ -668,7 +680,7 @@ impl<'p> Machine<'p> {
         match *s {
             SyncRef::Static(id) => Ok(id),
             SyncRef::Striped { base, index, count } => {
-                let i = self.threads[tid.index()].frame().local(index) % count as u64;
+                let i = self.threads[tid.index()].local(index) % count as u64;
                 let id = SyncId::from_index(base.index() + i as usize);
                 if id.index() >= self.syncs.len() {
                     return Err(SimError::fault(tid, format!("stripe {id} out of range")));
@@ -701,14 +713,17 @@ pub fn pages_of(base: Addr, words: u64) -> std::ops::RangeInclusive<u64> {
 
 #[cfg(test)]
 mod tests {
-    //! `Machine::run` keeps its runnable set across steps; these tests hold
-    //! it to the rescan-every-step loop it replaced, over every scheduler.
+    //! `Machine::run` keeps its runnable set across steps and runs each
+    //! scheduler slice without a pick; these tests hold it to the loop it
+    //! replaced, which rescans every thread and picks before every step,
+    //! over every scheduler.
 
     use proptest::prelude::*;
 
     use super::*;
     use crate::builder::{FunctionBuilder, GlobalVar, ProgramBuilder};
-    use crate::event::RecordingObserver;
+    use crate::event::{NullObserver, RecordingObserver};
+    use crate::ids::LocalSlot;
     use crate::lower::lower;
     use crate::sched::{
         ChunkedRandomScheduler, PctScheduler, RandomScheduler, RoundRobinScheduler,
@@ -758,14 +773,33 @@ mod tests {
         Atomic,
         Compute(u32),
         Loop(u32, Vec<GenOp>),
+        /// Calls the next helper down with `x + k`; a no-op in the deepest.
+        Call(u64),
+        /// `x = arg + k`.
+        SetLocal(u64),
+        /// `x += arg`, or `x += k`.
+        AddLocal(Option<u64>),
+        /// A read or write of this frame's stack word.
+        Stack { write: bool, offset: u64 },
+        /// Allocates `words`, accesses the block at a fixed offset
+        /// (`Some`) or at `x mod words` (`None`), then frees it.
+        Heap {
+            words: u64,
+            accesses: Vec<(bool, Option<u64>)>,
+        },
     }
 
     #[derive(Debug, Clone)]
     struct GenProgram {
         workers: Vec<Vec<GenOp>>,
+        /// Bodies of the helpers `h0 → h1 → h2`: `Call` in a worker or
+        /// `main` enters `h0`, and in `hi` enters `hi+1`.
+        helpers: [Vec<GenOp>; 3],
         main: Vec<GenOp>,
-        /// `(worker, joined)` per spawn from `main`.
-        spawns: Vec<(usize, bool)>,
+        /// `(worker, argument, joined)` per spawn from `main`.
+        spawns: Vec<(usize, u64, bool)>,
+        /// `(worker, position)` of a read through a non-pointer, a fault.
+        fault_at: Option<(usize, usize)>,
         /// `(semaphore initial count, barrier parties)`.
         sync_shape: (u32, u32),
         step_limit: u64,
@@ -781,6 +815,15 @@ mod tests {
         barrier: SyncId,
     }
 
+    /// What a generated body refers to in its own function.
+    #[derive(Debug, Clone, Copy)]
+    struct Scope {
+        /// The scratch local: `arg + 1` on entry.
+        x: LocalSlot,
+        /// The helper `Call` enters, if any.
+        callee: Option<FuncId>,
+    }
+
     fn arb_ops(depth: u32) -> BoxedStrategy<Vec<GenOp>> {
         let leaf = prop_oneof![
             4 => (any::<bool>(), 0u64..4).prop_map(|(write, word)| GenOp::Access { write, word }),
@@ -792,6 +835,18 @@ mod tests {
             1 => Just(GenOp::Barrier),
             1 => Just(GenOp::Atomic),
             1 => (1u32..20).prop_map(GenOp::Compute),
+            2 => (0u64..8).prop_map(GenOp::Call),
+            1 => (0u64..8).prop_map(GenOp::SetLocal),
+            1 => prop_oneof![Just(None), (0u64..8).prop_map(Some)].prop_map(GenOp::AddLocal),
+            2 => (any::<bool>(), 0u64..80).prop_map(|(write, offset)| GenOp::Stack { write, offset }),
+            1 => (
+                1u64..5,
+                prop::collection::vec(
+                    (any::<bool>(), prop_oneof![Just(None), (0u64..5).prop_map(Some)]),
+                    1..4,
+                ),
+            )
+                .prop_map(|(words, accesses)| GenOp::Heap { words, accesses }),
         ];
         if depth == 0 {
             return prop::collection::vec(leaf, 0..5).boxed();
@@ -808,27 +863,35 @@ mod tests {
     }
 
     fn arb_program() -> impl Strategy<Value = GenProgram> {
-        (
+        let code = (
             prop::collection::vec(arb_ops(2), 1..4),
+            (arb_ops(1), arb_ops(1), arb_ops(1)),
             arb_ops(1),
-            prop::collection::vec((0usize..3, any::<bool>()), 0..7),
+            prop::collection::vec((0usize..3, 1u64..16, any::<bool>()), 0..7),
+        );
+        let shape = (
+            prop_oneof![7 => Just(None), 1 => (0usize..3, 0usize..6).prop_map(Some)],
             (0u32..3, 1u32..4),
-            prop_oneof![3 => Just(1_000_000u64), 1 => 1u64..400],
+            prop_oneof![3 => Just(1_000_000u64), 1 => 1u64..100],
             prop_oneof![3 => Just(64usize), 1 => 1usize..6],
-        )
-            .prop_map(
-                |(workers, main, spawns, sync_shape, step_limit, max_threads)| GenProgram {
+        );
+        (code, shape).prop_map(
+            |((workers, helpers, main, spawns), (fault_at, sync_shape, step_limit, max_threads))| {
+                GenProgram {
                     workers,
+                    helpers: [helpers.0, helpers.1, helpers.2],
                     main,
                     spawns,
+                    fault_at,
                     sync_shape,
                     step_limit,
                     max_threads,
-                },
-            )
+                }
+            },
+        )
     }
 
-    fn emit(f: &mut FunctionBuilder, ops: &[GenOp], o: Objects) {
+    fn emit(f: &mut FunctionBuilder, ops: &[GenOp], o: Objects, sc: Scope) {
         for op in ops {
             match op {
                 GenOp::Access { write: true, word } => {
@@ -839,7 +902,7 @@ mod tests {
                 }
                 GenOp::Locked(m, body) => {
                     f.lock(o.mutexes[*m]);
-                    emit(f, body, o);
+                    emit(f, body, o, sc);
                     f.unlock(o.mutexes[*m]);
                 }
                 GenOp::Notify => {
@@ -867,10 +930,75 @@ mod tests {
                     f.compute(*c);
                 }
                 GenOp::Loop(n, body) => {
-                    f.loop_(*n, |f| emit(f, body, o));
+                    f.loop_(*n, |f| emit(f, body, o, sc));
+                }
+                GenOp::Call(k) => {
+                    if let Some(callee) = sc.callee {
+                        f.call_with(callee, Rvalue::LocalPlus(sc.x, *k));
+                    }
+                }
+                GenOp::SetLocal(k) => {
+                    let arg = f.arg();
+                    f.set_local(sc.x, Rvalue::LocalPlus(arg, *k));
+                }
+                GenOp::AddLocal(k) => {
+                    let val = k.map_or(Rvalue::Local(f.arg()), Rvalue::Const);
+                    f.add_local(sc.x, val);
+                }
+                GenOp::Stack { write: true, offset } => {
+                    f.write_stack(*offset);
+                }
+                GenOp::Stack { write: false, offset } => {
+                    f.read_stack(*offset);
+                }
+                GenOp::Heap { words, accesses } => {
+                    let p = f.alloc(*words);
+                    for &(write, at) in accesses {
+                        let addr = match at {
+                            Some(k) => AddrExpr::Indirect {
+                                base: p,
+                                offset: k % words,
+                            },
+                            None => AddrExpr::IndirectIndexed {
+                                base: p,
+                                index: sc.x,
+                                modulus: *words,
+                            },
+                        };
+                        if write {
+                            f.write(addr);
+                        } else {
+                            f.read(addr);
+                        }
+                    }
+                    f.free(p);
                 }
             }
         }
+    }
+
+    /// Defines a generated function: `x = arg + 1`, then `ops`, with a read
+    /// through `x` as a pointer inserted at `fault_at`.
+    fn define(
+        b: &mut ProgramBuilder,
+        id: FuncId,
+        ops: &[GenOp],
+        o: Objects,
+        callee: Option<FuncId>,
+        fault_at: Option<usize>,
+    ) {
+        b.define_function(id, 1, |f| {
+            let x = f.local();
+            let arg = f.arg();
+            f.set_local(x, Rvalue::LocalPlus(arg, 1));
+            let sc = Scope { x, callee };
+            let at = fault_at.map_or(ops.len(), |i| i.min(ops.len()));
+            emit(f, &ops[..at], o, sc);
+            if fault_at.is_some() {
+                f.read(AddrExpr::Indirect { base: x, offset: 0 });
+            }
+            emit(f, &ops[at..], o, sc);
+        });
     }
 
     fn compile(p: &GenProgram) -> CompiledProgram {
@@ -882,42 +1010,63 @@ mod tests {
             sem: b.semaphore("s", p.sync_shape.0),
             barrier: b.barrier("bar", p.sync_shape.1),
         };
+        let helpers: Vec<FuncId> = (0..p.helpers.len())
+            .map(|i| b.declare_function(&format!("h{i}")))
+            .collect();
+        for (i, ops) in p.helpers.iter().enumerate() {
+            define(&mut b, helpers[i], ops, o, helpers.get(i + 1).copied(), None);
+        }
         let workers: Vec<FuncId> = p
             .workers
             .iter()
             .enumerate()
-            .map(|(i, ops)| b.function(&format!("w{i}"), 0, |f| emit(f, ops, o)))
+            .map(|(i, ops)| {
+                let id = b.declare_function(&format!("w{i}"));
+                let fault_at = p.fault_at.filter(|&(w, _)| w == i).map(|(_, at)| at);
+                define(&mut b, id, ops, o, Some(helpers[0]), fault_at);
+                id
+            })
             .collect();
-        b.entry_fn("main", |f| {
+        let main = b.declare_function("main");
+        b.define_function(main, 1, |f| {
+            let x = f.local();
             let handles: Vec<_> = p
                 .spawns
                 .iter()
-                .map(|&(w, joined)| {
+                .map(|&(w, arg, joined)| {
                     let worker = workers[w % workers.len()];
-                    (f.spawn(worker, Rvalue::Const(0)), joined)
+                    (f.spawn(worker, Rvalue::Const(arg)), joined)
                 })
                 .collect();
-            emit(f, &p.main, o);
+            let sc = Scope {
+                x,
+                callee: Some(helpers[0]),
+            };
+            emit(f, &p.main, o, sc);
             for (h, joined) in handles {
                 if joined {
                     f.join(h);
                 }
             }
         });
+        b.set_entry(main);
         lower(&b.build().expect("generated programs validate"))
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// Contended mutexes, events, semaphores, barriers, spawn/join and
-        /// exits, under tight step and thread limits: the cached runnable
-        /// set schedules exactly as the per-step rescan did.
+        /// Contended mutexes, events, semaphores, barriers, spawn/join,
+        /// exits, calls three deep with locals and loops in every frame,
+        /// stack accesses at every depth, heap blocks and faults, under
+        /// quanta up to the pipeline's 64 and tight step and thread limits:
+        /// running each slice without a pick, on the cached runnable set,
+        /// schedules exactly as picking before every step on a fresh rescan.
         #[test]
         fn cached_runnable_set_matches_rescanning_oracle(
             p in arb_program(),
             seed: u64,
-            quantum in 1u32..10,
+            quantum in 1u32..=64,
         ) {
             let cfg = MachineConfig {
                 max_threads: p.max_threads,
@@ -931,11 +1080,25 @@ mod tests {
     /// Each terminal outcome is reached, identically, by both loops.
     #[test]
     fn oracle_agrees_on_every_terminal_outcome() {
-        let ops = |write| vec![GenOp::Locked(0, vec![GenOp::Access { write, word: 1 }])];
+        let ops = |write| {
+            vec![
+                GenOp::Locked(0, vec![GenOp::Access { write, word: 1 }]),
+                GenOp::Call(2),
+            ]
+        };
         let base = GenProgram {
             workers: vec![ops(true), ops(false)],
+            helpers: [
+                vec![GenOp::Loop(2, vec![GenOp::Stack { write: true, offset: 0 }, GenOp::Call(1)])],
+                vec![GenOp::Heap {
+                    words: 3,
+                    accesses: vec![(true, None), (false, Some(2))],
+                }],
+                vec![GenOp::AddLocal(None), GenOp::Stack { write: false, offset: 0 }],
+            ],
             main: ops(true),
-            spawns: vec![(0, true), (1, true), (0, false)],
+            spawns: vec![(0, 1, true), (1, 2, true), (0, 3, false)],
+            fault_at: None,
             sync_shape: (0, 2),
             step_limit: 1_000_000,
             max_threads: 64,
@@ -952,8 +1115,12 @@ mod tests {
             max_threads: 3,
             ..base.clone()
         };
+        let fault = GenProgram {
+            fault_at: Some((1, 1)),
+            ..base.clone()
+        };
         type Expected = fn(&SimResult<RunSummary>) -> bool;
-        let cases: [(&GenProgram, Expected); 4] = [
+        let cases: [(&GenProgram, Expected); 5] = [
             (&base, |r| r.is_ok()),
             (&deadlock, |r| matches!(r, Err(SimError::Deadlock { .. }))),
             (&step_limit, |r| {
@@ -962,6 +1129,7 @@ mod tests {
             (&thread_limit, |r| {
                 matches!(r, Err(SimError::ThreadLimitExceeded { .. }))
             }),
+            (&fault, |r| matches!(r, Err(SimError::Fault { .. }))),
         ];
         for (p, expected) in cases {
             let cfg = MachineConfig {
@@ -970,10 +1138,39 @@ mod tests {
                 ..MachineConfig::default()
             };
             for seed in 0..8 {
-                for outcome in assert_all_schedulers(&compile(p), cfg, seed, 1 + seed as u32) {
-                    assert!(expected(&outcome), "{p:?} seed {seed}: {outcome:?}");
+                for quantum in [1 + seed as u32, 64] {
+                    for outcome in assert_all_schedulers(&compile(p), cfg, seed, quantum) {
+                        assert!(expected(&outcome), "{p:?} seed {seed}: {outcome:?}");
+                    }
                 }
             }
         }
+    }
+
+    /// A wake makes the waiters runnable and empties their list in place:
+    /// the buffer stays with the object for the next blockers.
+    #[test]
+    fn wakes_drain_waiters_in_place() {
+        let p = GenProgram {
+            workers: vec![vec![GenOp::Loop(
+                20,
+                vec![GenOp::Locked(0, vec![GenOp::Compute(1), GenOp::Compute(1)])],
+            )]],
+            helpers: [vec![], vec![], vec![]],
+            main: vec![],
+            spawns: vec![(0, 1, true), (0, 2, true), (0, 3, true)],
+            fault_at: None,
+            sync_shape: (0, 1),
+            step_limit: 1_000_000,
+            max_threads: 64,
+        };
+        let prog = compile(&p);
+        let mut machine = Machine::new(&prog, MachineConfig::default());
+        machine
+            .run(&mut RoundRobinScheduler::new(2), &mut NullObserver)
+            .expect("the workers finish");
+        let mutex = &machine.syncs[0];
+        assert!(mutex.waiters.is_empty());
+        assert!(mutex.waiters.capacity() > 0, "no thread ever waited");
     }
 }

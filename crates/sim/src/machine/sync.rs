@@ -38,7 +38,8 @@ pub struct SyncState {
     /// For barriers: threads released from the rendezvous but which have not
     /// yet re-executed the barrier instruction to depart.
     pub departing: Vec<ThreadId>,
-    /// Threads blocked on this object, in arrival order.
+    /// Threads blocked on this object, in arrival order. Waking them
+    /// clears the list in place, so its buffer serves the next blockers.
     pub waiters: Vec<ThreadId>,
 }
 
@@ -59,11 +60,6 @@ impl SyncState {
             waiters: Vec::new(),
         }
     }
-
-    /// Removes and returns all waiters (they become runnable and retry).
-    pub fn take_waiters(&mut self) -> Vec<ThreadId> {
-        std::mem::take(&mut self.waiters)
-    }
 }
 
 #[cfg(test)]
@@ -77,14 +73,5 @@ mod tests {
         let b = sync_obj_addr(SyncId::from_index(1));
         assert_ne!(a, b);
         assert_eq!(a.class(), AddrClass::Global);
-    }
-
-    #[test]
-    fn take_waiters_drains() {
-        let mut s = SyncState::new(SyncKind::Mutex);
-        s.waiters.push(ThreadId::MAIN);
-        let w = s.take_waiters();
-        assert_eq!(w, vec![ThreadId::MAIN]);
-        assert!(s.waiters.is_empty());
     }
 }

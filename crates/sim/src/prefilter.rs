@@ -63,10 +63,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use serde::{Deserialize, Serialize};
 
-use crate::addr::{HEAP_BASE, STACK_BASE, STACK_BYTES_PER_THREAD, WORD_BYTES};
+use crate::addr::{HEAP_BASE, STACK_BASE, WORD_BYTES};
 use crate::ids::{FuncId, Pc};
 use crate::lower::{CompiledProgram, Instr};
-use crate::machine::FRAME_WORDS;
+use crate::machine::MAX_FRAMES;
 use crate::op::{AddrExpr, SyncRef};
 
 /// A set of statically declared mutexes, by sync-object index.
@@ -390,7 +390,6 @@ impl<'a> Analysis<'a> {
     /// Depth guard for the stack class: the longest call chain must fit in
     /// one thread's stack region. Recursion (a call-graph cycle) fails.
     fn depth_guard(&self) -> bool {
-        let max_frames = STACK_BYTES_PER_THREAD / WORD_BYTES / FRAME_WORDS;
         let mut depth: Vec<Option<u64>> = vec![None; self.n];
         let mut on_stack = vec![false; self.n];
         for f in 0..self.n {
@@ -400,7 +399,7 @@ impl<'a> Analysis<'a> {
         }
         depth
             .iter()
-            .all(|d| d.expect("computed for every function") <= max_frames)
+            .all(|d| d.expect("computed for every function") <= MAX_FRAMES)
     }
 
     fn mark_stack_sites(&mut self) {

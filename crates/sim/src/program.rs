@@ -6,6 +6,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{SimError, SimResult};
 use crate::ids::{FuncId, LocalSlot, SyncId};
+use crate::machine::MAX_FRAMES;
 use crate::op::{AddrExpr, Op, Rvalue, SyncRef};
 
 /// The kind of a declared synchronization object.
@@ -100,7 +101,12 @@ impl Program {
 
     /// Validates internal consistency: every referenced function, sync
     /// object, local slot and global offset exists, stripes stay in range,
-    /// and the call graph is acyclic (the simulator has no recursion).
+    /// the call graph is acyclic (the simulator has no recursion), and no
+    /// call chain is deeper than one thread's stack region holds:
+    /// [`STACK_BYTES_PER_THREAD`](crate::STACK_BYTES_PER_THREAD) /
+    /// [`WORD_BYTES`](crate::WORD_BYTES) /
+    /// [`FRAME_WORDS`](crate::FRAME_WORDS) = 2048 frames, so frames never
+    /// alias another thread's stack.
     ///
     /// # Errors
     ///
@@ -113,7 +119,7 @@ impl Program {
             let id = FuncId::from_index(idx);
             self.validate_block(id, f, &f.body)?;
         }
-        self.check_acyclic_calls()?;
+        self.check_call_chains()?;
         Ok(())
     }
 
@@ -258,8 +264,9 @@ impl Program {
         Ok(())
     }
 
-    /// Rejects call cycles; the machine does not model recursion.
-    fn check_acyclic_calls(&self) -> SimResult<()> {
+    /// Rejects call cycles, which the machine does not model, and call
+    /// chains of more than [`MAX_FRAMES`] frames.
+    fn check_call_chains(&self) -> SimResult<()> {
         #[derive(Clone, Copy, PartialEq)]
         enum Mark {
             White,
@@ -276,6 +283,8 @@ impl Program {
             }
         }
         let mut marks = vec![Mark::White; self.functions.len()];
+        // Frames in the longest chain starting at each finished function.
+        let mut frames = vec![0u64; self.functions.len()];
         // Iterative DFS with an explicit stack to avoid recursion limits.
         for start in 0..self.functions.len() {
             if marks[start] != Mark::White {
@@ -288,6 +297,16 @@ impl Program {
             stack.push((start, cs, 0));
             while let Some((node, cs, next)) = stack.last_mut() {
                 if *next >= cs.len() {
+                    // Every callee has finished, so its chain is known.
+                    let deepest = cs.iter().map(|c| frames[c.index()]).max();
+                    frames[*node] = 1 + deepest.unwrap_or(0);
+                    if frames[*node] > MAX_FRAMES {
+                        return Err(SimError::invalid_program(format!(
+                            "call chain of {} frames from function `{}` exceeds the \
+                             {MAX_FRAMES} frames of a thread's stack",
+                            frames[*node], self.functions[*node].name
+                        )));
+                    }
                     marks[*node] = Mark::Black;
                     stack.pop();
                     continue;
@@ -356,6 +375,30 @@ mod tests {
         });
         let err = b.build().unwrap_err();
         assert!(err.to_string().contains("recursive"), "{err}");
+    }
+
+    /// A chain of `frames` nested calls, the innermost writing the stack.
+    fn call_chain(frames: u64) -> SimResult<Program> {
+        let mut b = ProgramBuilder::new();
+        let mut head = b.function("innermost", 0, |f| {
+            f.write_stack(0);
+        });
+        for _ in 1..frames {
+            let callee = head;
+            head = b.function("link", 0, move |f| {
+                f.call(callee);
+            });
+        }
+        b.set_entry(head);
+        b.build()
+    }
+
+    #[test]
+    fn call_chains_are_bounded_by_the_stack_region() {
+        assert_eq!(MAX_FRAMES, 2048);
+        call_chain(MAX_FRAMES).expect("the deepest chain that fits");
+        let err = call_chain(MAX_FRAMES + 1).unwrap_err();
+        assert!(err.to_string().contains("call chain of 2049 frames"), "{err}");
     }
 
     #[test]

@@ -12,11 +12,29 @@ use rand::{Rng, SeedableRng};
 use crate::ids::ThreadId;
 
 /// Chooses the next thread to step.
+///
+/// [`Machine::run`](crate::Machine::run) runs the picked thread for its
+/// whole slice: while the thread that just stepped is still runnable it
+/// calls [`keep_current`](Scheduler::keep_current) instead of `pick`, and
+/// picks only once that returns `false` or the thread blocks or exits.
 pub trait Scheduler {
     /// Returns the index (into `runnable`) of the thread to run next.
     ///
     /// `runnable` is never empty and is sorted by thread id.
     fn pick(&mut self, runnable: &[ThreadId]) -> usize;
+
+    /// Continues the current slice. Called instead of `pick` when the
+    /// thread returned by the last `pick` or `keep_current` has just
+    /// stepped and is still runnable.
+    ///
+    /// Returns `true` only if `pick` would return that thread again,
+    /// whatever else is runnable, and then updates the scheduler's state
+    /// exactly as that `pick` would. Returning `false` makes the machine
+    /// call `pick`, so the default is correct for every scheduler, and a
+    /// wrapper that forwards only `pick` still schedules identically.
+    fn keep_current(&mut self) -> bool {
+        false
+    }
 }
 
 /// Uniform random scheduling from a fixed seed.
@@ -45,6 +63,9 @@ impl Scheduler for RandomScheduler {
 
 /// Round-robin with a fixed quantum: each thread runs `quantum` consecutive
 /// steps before yielding.
+///
+/// [`keep_current`](Scheduler::keep_current) answers from the steps left
+/// in the quantum.
 #[derive(Debug, Clone)]
 pub struct RoundRobinScheduler {
     quantum: u32,
@@ -89,6 +110,15 @@ impl Scheduler for RoundRobinScheduler {
         self.remaining = self.quantum - 1;
         0
     }
+
+    fn keep_current(&mut self) -> bool {
+        // `pick`'s first branch, which the still-runnable `last` passes.
+        if self.remaining > 0 {
+            self.remaining -= 1;
+            return true;
+        }
+        false
+    }
 }
 
 /// A scheduler that preempts only at synchronization-ish boundaries would be
@@ -97,7 +127,9 @@ impl Scheduler for RoundRobinScheduler {
 ///
 /// `ChunkedRandomScheduler` runs a randomly chosen thread for a random
 /// quantum in `1..=max_quantum`, mimicking timeslice scheduling on a few
-/// cores (the paper's testbed had four).
+/// cores (the paper's testbed had four). The random draws happen only when
+/// a slice starts, so [`keep_current`](Scheduler::keep_current) answers
+/// from the steps left in the slice.
 #[derive(Debug, Clone)]
 pub struct ChunkedRandomScheduler {
     rng: StdRng,
@@ -137,6 +169,15 @@ impl Scheduler for ChunkedRandomScheduler {
         self.current = Some(runnable[idx]);
         self.remaining = self.rng.gen_range(1..=self.max_quantum) - 1;
         idx
+    }
+
+    fn keep_current(&mut self) -> bool {
+        // `pick`'s first branch, which the still-runnable `current` passes.
+        if self.remaining > 0 {
+            self.remaining -= 1;
+            return true;
+        }
+        false
     }
 }
 
@@ -323,6 +364,37 @@ mod tests {
                 .unwrap();
             assert_eq!(summary.mem_writes, 60, "seed {seed}");
         }
+    }
+
+    /// Driven as `Machine::run` drives it, `keep_current` while the last
+    /// thread stays runnable and `pick` otherwise, a scheduler chooses
+    /// exactly what it chooses when asked to `pick` before every step.
+    fn assert_slices_match_picks<S: Scheduler + Clone>(sched: S) {
+        let all = tids(&[0, 1, 2, 3, 4]);
+        let (mut every_step, mut slices) = (sched.clone(), sched);
+        let mut last: Option<ThreadId> = None;
+        for step in 0..500usize {
+            // One thread in seven steps is unrunnable, so slices also end
+            // by blocking, not only by running out.
+            let runnable: Vec<ThreadId> =
+                all.iter().copied().filter(|t| t.index() != step % 7).collect();
+            let want = runnable[every_step.pick(&runnable)];
+            let got = match last {
+                Some(t) if runnable.contains(&t) && slices.keep_current() => t,
+                _ => runnable[slices.pick(&runnable)],
+            };
+            assert_eq!(got, want, "step {step}");
+            last = Some(got);
+        }
+    }
+
+    #[test]
+    fn keep_current_continues_exactly_the_slice_pick_would() {
+        assert_slices_match_picks(RandomScheduler::seeded(3));
+        assert_slices_match_picks(RoundRobinScheduler::new(3));
+        assert_slices_match_picks(ChunkedRandomScheduler::seeded(3, 16));
+        assert_slices_match_picks(ChunkedRandomScheduler::seeded(4, 64));
+        assert_slices_match_picks(PctScheduler::seeded(3, 4, 500));
     }
 
     #[test]

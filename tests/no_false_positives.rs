@@ -133,3 +133,44 @@ fn dropping_sync_records_creates_false_positives() {
          only {manufactured} of {SEEDS} seeds did"
     );
 }
+
+/// Thread 1 descends a chain of `frames` nested calls whose innermost
+/// frame writes its stack word 0; thread 2 writes its own stack word 0.
+/// The two threads share no memory.
+fn deep_call_chain(frames: usize) -> Result<Program, SimError> {
+    let mut b = ProgramBuilder::new();
+    let mut head = b.function("innermost", 0, |f| {
+        f.write_stack(0);
+    });
+    for depth in (0..frames - 1).rev() {
+        let callee = head;
+        head = b.function(&format!("f{depth}"), 0, move |f| {
+            f.call(callee);
+        });
+    }
+    let shallow = b.function("shallow", 0, |f| {
+        f.write_stack(0);
+    });
+    b.entry_fn("main", move |f| {
+        let t1 = f.spawn(head, Rvalue::Const(0));
+        let t2 = f.spawn(shallow, Rvalue::Const(0));
+        f.join(t1);
+        f.join(t2);
+    });
+    b.build()
+}
+
+/// One thread's stack region holds 2048 frames. A chain that fits must not
+/// reach into the next thread's region, so it reports no race; a deeper
+/// chain would alias thread 2's stack, so the program is rejected.
+#[test]
+fn the_deepest_call_chain_stays_in_its_threads_stack() {
+    let program = deep_call_chain(2048).expect("a 2048-frame chain fits");
+    for seed in 0..4 {
+        let out = run_literace(&program, SamplerKind::Always, &RunConfig::seeded(seed)).unwrap();
+        assert_eq!(out.summary.stack_accesses, 2, "seed {seed}");
+        assert_eq!(out.report.static_count(), 0, "seed {seed}: {:?}", out.report.static_races);
+    }
+    let err = deep_call_chain(2049).expect_err("a 2049-frame chain overflows");
+    assert!(matches!(err, SimError::InvalidProgram { .. }), "{err}");
+}

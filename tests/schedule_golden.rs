@@ -1,11 +1,14 @@
 //! Cross-commit pin of the simulator's schedules.
 //!
 //! For every bundled workload at Smoke scale and scheduler seeds 1 and 2,
-//! a run under the pipeline's scheduler (chunked random, default quantum)
-//! must reproduce the committed step count, event count and 64-bit hash of
-//! the event stream. The constants were computed with the simulator that
-//! rescanned every thread before every pick, so a change to how the
-//! machine tracks runnable threads, or to what it emits, fails here rather
+//! and for the six programs the paper-scale benchmark times (`perfbench/`)
+//! at Paper scale and seed 1, a run under the pipeline's scheduler (chunked
+//! random, default quantum) must reproduce the committed step count, event
+//! count and 64-bit hash of the event stream. The Smoke constants were
+//! computed with the simulator that rescanned every thread before every
+//! pick, and the Paper constants with the one that called the scheduler on
+//! every step and allocated each frame's locals, so a change to how the
+//! machine schedules, stores frames, or what it emits fails here rather
 //! than silently shifting a downstream figure.
 
 use literace::pipeline::RunConfig;
@@ -13,8 +16,10 @@ use literace::sim::{lower, ChunkedRandomScheduler, Event, Machine, Observer, Thr
 use literace::workloads::{build, Scale, WorkloadId};
 
 /// `(workload, seed, steps, events, event-stream hash)`.
+type Row = (WorkloadId, u64, u64, u64, u64);
+
 #[rustfmt::skip]
-const GOLDEN: &[(WorkloadId, u64, u64, u64, u64)] = &[
+const GOLDEN: &[Row] = &[
     (WorkloadId::DryadStdlib, 1, 152069, 134908, 0x7ecf59d1d6965f06),
     (WorkloadId::DryadStdlib, 2, 152044, 134908, 0x7a2c863979961b72),
     (WorkloadId::Dryad, 1, 86710, 75121, 0xac610077dbe8a453),
@@ -35,6 +40,18 @@ const GOLDEN: &[(WorkloadId, u64, u64, u64, u64)] = &[
     (WorkloadId::LkrHash, 2, 41271, 37509, 0xf424dac896047375),
     (WorkloadId::LfList, 1, 53654, 48449, 0x7e2c458f86660a3d),
     (WorkloadId::LfList, 2, 53655, 48449, 0x71f6cceb1977740d),
+];
+
+/// Paper-scale rows, seed 1: the benchmark's `sampled-apps`/`full-log`
+/// programs, then its `sync-heavy` ones.
+#[rustfmt::skip]
+const PAPER_GOLDEN: &[Row] = &[
+    (WorkloadId::Apache1, 1, 1129182, 925274, 0x88d5d1efb1f16df6),
+    (WorkloadId::DryadStdlib, 1, 2334769, 2089221, 0xd12d7059f1b6a341),
+    (WorkloadId::FirefoxRender, 1, 2180908, 1898657, 0xdc71cf06e742fe38),
+    (WorkloadId::LkrHash, 1, 661280, 600069, 0xf519469c9fe05431),
+    (WorkloadId::LfList, 1, 861026, 777053, 0x8d0a887306180cbd),
+    (WorkloadId::ConcrtScheduling, 1, 2382746, 1943660, 0x54e2226797fd78e3),
 ];
 
 /// Counts events and folds every field of each into an FNV-1a hash.
@@ -94,8 +111,8 @@ impl Observer for StreamHash {
     }
 }
 
-fn measure(id: WorkloadId, seed: u64) -> (WorkloadId, u64, u64, u64, u64) {
-    let compiled = lower(&build(id, Scale::Smoke).program);
+fn measure(id: WorkloadId, scale: Scale, seed: u64) -> Row {
+    let compiled = lower(&build(id, scale).program);
     let cfg = RunConfig::seeded(seed);
     let mut sched = ChunkedRandomScheduler::seeded(seed, cfg.sched_quantum);
     let mut obs = StreamHash::new();
@@ -105,12 +122,8 @@ fn measure(id: WorkloadId, seed: u64) -> (WorkloadId, u64, u64, u64, u64) {
     (id, seed, summary.steps, obs.events, obs.hash)
 }
 
-#[test]
-fn schedules_match_the_committed_golden_values() {
-    let actual: Vec<_> = WorkloadId::all()
-        .into_iter()
-        .flat_map(|id| [1, 2].map(|seed| measure(id, seed)))
-        .collect();
+/// Fails with the measured table, ready to paste, unless it equals `golden`.
+fn assert_golden(actual: &[Row], golden: &[Row]) {
     let table: String = actual
         .iter()
         .map(|(id, seed, steps, events, hash)| {
@@ -118,7 +131,32 @@ fn schedules_match_the_committed_golden_values() {
         })
         .collect();
     assert!(
-        actual == GOLDEN,
+        actual == golden,
         "schedules drifted from the committed values; measured:\n{table}"
     );
+}
+
+#[test]
+fn schedules_match_the_committed_golden_values() {
+    let actual: Vec<_> = WorkloadId::all()
+        .into_iter()
+        .flat_map(|id| [1, 2].map(|seed| measure(id, Scale::Smoke, seed)))
+        .collect();
+    assert_golden(&actual, GOLDEN);
+}
+
+#[test]
+fn paper_scale_schedules_match_the_committed_golden_values() {
+    let actual: Vec<_> = [
+        WorkloadId::Apache1,
+        WorkloadId::DryadStdlib,
+        WorkloadId::FirefoxRender,
+        WorkloadId::LkrHash,
+        WorkloadId::LfList,
+        WorkloadId::ConcrtScheduling,
+    ]
+    .into_iter()
+    .map(|id| measure(id, Scale::Paper, 1))
+    .collect();
+    assert_golden(&actual, PAPER_GOLDEN);
 }
