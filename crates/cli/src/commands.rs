@@ -8,8 +8,7 @@ use literace::eval::{evaluate_program, EvalConfig};
 use literace::instrument::{V1Sink, V2Sink};
 use literace::log::{
     auto_stream_depth, map_or_read, read_log_auto, read_log_salvage, AtomicFile, DecodeOpts,
-    EncodeOpts, LogFormat, LogStats, LogWriter, LogWriterV2, PipelinedSink, RecordBlocks,
-    RecordStream,
+    EncodeOpts, LogFormat, LogStats, LogWriter, LogWriterV2, PipelinedSink, RecordStream,
 };
 use literace::overhead::measure_overhead;
 use literace::prelude::*;
@@ -213,7 +212,7 @@ fn parse_format(flags: &crate::args::Flags) -> Result<LogFormat, String> {
 /// detect thread counts) into the [`DecodeOpts`] handed to the log
 /// readers. With 2+ decode threads, v2 block payloads decode on a
 /// parallel out-of-order worker pool; delivery order and every report
-/// stay byte-identical to the sequential decoder.
+/// stay byte-identical to one decode thread.
 fn parse_decode_opts(
     flags: &crate::args::Flags,
     detect_threads: usize,
@@ -1172,40 +1171,22 @@ fn log_stats_inner(args: &[String]) -> Result<(), CliError> {
         .len();
     let file = File::open(path).map_err(CliError::io("cannot open", path))?;
     let (format, seal, log, salvage_note) = if flags.is_set("salvage") {
-        if decode_opts.threads > 1 {
-            // Same pool as detect --salvage: the in-order consumer applies
-            // the sequential salvage rules, so the report is identical.
-            let (blocks, handle) =
-                RecordStream::spawn_salvage_with(file, decode_opts)
-                    .map_err(|e| format!("read {path}: {e}"))?;
-            let mut log = EventLog::new();
-            for block in blocks {
-                log.extend(block.map_err(|e| format!("read {path}: {e}"))?);
-            }
-            let sreport = handle.report();
-            let format = sreport
-                .format
-                .map_or_else(|| "unknown".to_owned(), |f| f.to_string());
-            (format, sreport.seal, log, Some(sreport.to_string()))
-        } else {
-            let (log, sreport) = read_log_salvage(file);
-            let format = sreport
-                .format
-                .map_or_else(|| "unknown".to_owned(), |f| f.to_string());
-            (format, sreport.seal, log, Some(sreport.to_string()))
-        }
-    } else if decode_opts.threads > 1 {
-        drop(file);
-        let mut blocks = spawn_log_stream(path, decode_opts)?;
-        let format = blocks.format();
+        // The reader detect --salvage uses: the same report at every
+        // --decode-threads.
+        let (blocks, handle) = RecordStream::spawn_salvage_with(file, decode_opts)
+            .map_err(|e| format!("read {path}: {e}"))?;
         let mut log = EventLog::new();
-        for block in blocks.by_ref() {
+        for block in blocks {
             log.extend(block.map_err(|e| format!("read {path}: {e}"))?);
         }
-        (format.to_string(), blocks.seal_state(), log, None)
+        let sreport = handle.report();
+        let format = sreport
+            .format
+            .map_or_else(|| "unknown".to_owned(), |f| f.to_string());
+        (format, sreport.seal, log, Some(sreport.to_string()))
     } else {
-        let mut blocks =
-            RecordBlocks::open(file).map_err(|e| format!("read {path}: {e}"))?;
+        drop(file);
+        let mut blocks = spawn_log_stream(path, decode_opts)?;
         let format = blocks.format();
         let mut log = EventLog::new();
         for block in blocks.by_ref() {

@@ -329,3 +329,39 @@ fn detect_clamps_a_huge_thread_count_instead_of_aborting() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+#[test]
+fn log_stats_is_identical_at_one_and_two_decode_threads() {
+    let dir = std::env::temp_dir().join(format!("literace_cli_seal_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.lrlog");
+    let torn = dir.join("torn.lrlog");
+    let (clean, torn) = (clean.to_str().unwrap(), torn.to_str().unwrap());
+    stdout_of({
+        let mut c = literace();
+        c.args(["run", "--workload", "lflist", "--scale", "smoke", "--sampler", "Full"])
+            .args(["--log", clean]);
+        c
+    });
+    let bytes = std::fs::read(clean).unwrap();
+    std::fs::write(torn, &bytes[..bytes.len() * 2 / 3]).unwrap();
+    let log_stats = |log: &str, extra: &[&str], threads: &str| {
+        let mut c = literace();
+        c.args(["log-stats", "--log", log, "--decode-threads", threads]).args(extra);
+        c
+    };
+    for (log, extra, seal) in [(clean, &[][..], "sealed"), (torn, &["--salvage"][..], "unsealed")] {
+        let one = stdout_of(log_stats(log, extra, "1"));
+        let two = stdout_of(log_stats(log, extra, "2"));
+        let finalized = one.lines().find(|l| l.contains("finalized"));
+        assert_eq!(finalized, Some(format!("  finalized        : {seal}").as_str()), "{one}");
+        assert_eq!(one, two, "{log} {extra:?}");
+    }
+    // Strict log-stats refuses the torn log with the same message at both.
+    let one = log_stats(torn, &[], "1").output().expect("binary runs");
+    let two = log_stats(torn, &[], "2").output().expect("binary runs");
+    assert!(!one.status.success() && !two.status.success());
+    assert!(!one.stderr.is_empty());
+    assert_eq!(one.stderr, two.stderr);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -334,11 +334,11 @@ fn run_stream_shard(
 ///
 /// ```
 /// use literace_detector::{detect, detect_stream, DetectConfig};
-/// use literace_log::{encode_v2, EventLog, RecordStream};
+/// use literace_log::{encode_v2, DecodeOpts, EventLog, RecordStream};
 ///
 /// let log = EventLog::new();
 /// let bytes = encode_v2(log.records()).to_vec();
-/// let stream = RecordStream::spawn(std::io::Cursor::new(bytes), 8)?;
+/// let stream = RecordStream::spawn_with(std::io::Cursor::new(bytes), DecodeOpts::sequential())?;
 /// let report = detect_stream(stream, 0, &DetectConfig::with_threads(4))?;
 /// assert_eq!(report, detect(&log, 0));
 /// # Ok::<(), literace_log::LogError>(())
@@ -513,7 +513,7 @@ mod tests {
     use super::*;
     use crate::testkit::{mem, sync, t};
     use crate::{detect, detect_sharded};
-    use literace_log::{encode_v2, EventLog, RecordStream};
+    use literace_log::{encode_v2, DecodeOpts, EventLog, RecordStream};
     use literace_sim::{SyncOpKind, SyncVar};
 
     /// Races on many addresses plus lock edges and a thread retirement,
@@ -586,7 +586,9 @@ mod tests {
     fn consumes_a_record_stream_end_to_end() {
         let log = mixed_log();
         let bytes = encode_v2(log.records()).to_vec();
-        let stream = RecordStream::spawn(std::io::Cursor::new(bytes), 8).unwrap();
+        let stream =
+            RecordStream::spawn_with(std::io::Cursor::new(bytes), DecodeOpts::sequential())
+                .unwrap();
         let cfg = DetectConfig::with_threads(4);
         let report = detect_stream(stream, 77, &cfg).unwrap();
         assert_eq!(report, detect(&log, 77));
@@ -597,7 +599,9 @@ mod tests {
         let log = mixed_log();
         let mut bytes = encode_v2(log.records()).to_vec();
         bytes.truncate(bytes.len() / 2); // mid-block truncation
-        let stream = RecordStream::spawn(std::io::Cursor::new(bytes), 8).unwrap();
+        let stream =
+            RecordStream::spawn_with(std::io::Cursor::new(bytes), DecodeOpts::sequential())
+                .unwrap();
         let cfg = DetectConfig::with_threads(4);
         let err = detect_stream(stream, 0, &cfg).unwrap_err();
         assert!(err.to_string().contains("corrupt"), "{err}");

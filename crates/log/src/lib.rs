@@ -66,7 +66,7 @@ pub use mmap::{map_or_read, mmap_supported};
 pub use pipelined::{EncodeOpts, PipelinedSink, DEFAULT_BLOCK_RECORDS};
 pub use record::{EventLog, Record, SamplerMask};
 pub use retry::{RetryPolicy, RetryReader};
-pub use salvage::{open_salvage, read_log_salvage, SalvageBlocks, SalvageHandle, SalvageReport};
+pub use salvage::{read_log_salvage, SalvageHandle, SalvageReport};
 pub use stats::{LogStats, ThreadLogStats};
 pub use stream::{
     auto_stream_depth, read_log_auto, DecodeOpts, LogFormat, RecordBlocks, RecordStream,
@@ -74,8 +74,7 @@ pub use stream::{
 };
 pub use v2::{
     decode_block, encode_block, encode_block_rev, encode_v2, encode_v2_rev, peek_sealed_total,
-    LogWriterV2, SealState, V2Blocks, DEFAULT_BLOCK_BYTES, V2_MAGIC, V2_REV_DELTA, V2_REV_GV,
-    V2_VERSION,
+    LogWriterV2, SealState, DEFAULT_BLOCK_BYTES, V2_MAGIC, V2_REV_DELTA, V2_REV_GV, V2_VERSION,
 };
 pub use varint::{
     get_delta, get_delta_slice, get_varint, get_varint_slice, put_delta, put_varint, unzigzag,

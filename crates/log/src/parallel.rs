@@ -1,34 +1,40 @@
-//! Parallel out-of-order v2 block decode.
+//! The v2 log reader: one frame walk, one decode step and one in-order
+//! consumer, for strict and salvage reads at any worker count.
+//!
+//! ```text
+//! Scanner ──Job──▶ decode_job ──Done──▶ Consumer ──▶ blocks downstream
+//!  frame walk,      payload checksum,    sequence order, file checksum,
+//!  payload read     record decode        footer checks, strict errors,
+//!  only             (out of order on     salvage skip/taint/drop rules
+//!                    N pool workers)
+//!
+//! 0 workers = the same stages inline on one thread (`Inline`)
+//! ```
 //!
 //! v2 blocks are independently decodable by design: each 24-byte frame
 //! carries its own header checksum, record/sync counts and payload
 //! checksum, and the per-thread delta state resets at every block start.
-//! This module exploits that:
 //!
-//! ```text
-//! scanner ──jobs──▶ worker pool ──done──▶ consumer ──▶ RecordStream
-//!  (seq)            (N threads,           (reorders by
-//!  frame scan,       out-of-order         sequence index,
-//!  payload read      payload decode)      owns stream checksum,
-//!  only)                                  footer + salvage rules)
-//! ```
+//! * The [`Scanner`] walks the stream — frame headers are cheap fixed
+//!   24-byte reads — validates each frame, reads the raw payload, and
+//!   yields one [`Job`] per block or the [`Terminal`] event that ended the
+//!   walk.
+//! * [`decode_job`] verifies the payload checksum and decodes the
+//!   records, containing a panic as a typed error.
+//! * The [`Consumer`] takes the results in sequence order and owns every
+//!   policy decision: the running file checksum, the footer checks, the
+//!   strict error texts and — in salvage mode — the skip/taint/drop rules
+//!   of [`crate::salvage`]. It returns what to deliver; the driver
+//!   delivers it.
 //!
-//! * The **scanner** walks the stream sequentially — frame headers are
-//!   cheap fixed 24-byte reads — validates each frame, reads the raw
-//!   payload, and hands `(sequence, frame, payload)` jobs to the pool.
-//! * **Workers** verify the payload checksum and decode records. Blocks
-//!   finish in whatever order the scheduler likes.
-//! * The **consumer** restores sequence order with a reorder buffer and
-//!   replays the *exact* sequential reader semantics over the in-order
-//!   results: the running stream checksum, footer validation, strict
-//!   error ordering, and — in salvage mode — the skip/taint rules of
-//!   [`crate::salvage`], byte for byte. Workers echo the frame and
-//!   payload back precisely so the consumer can do this.
-//!
-//! Delivery downstream is therefore byte-identical to the sequential
-//! decoder; only the payload decode work itself runs out of order. All
-//! threads are joined by the consumer thread, which [`RecordStream`]
-//! already joins on drop — no pool thread outlives the stream.
+//! Two drivers run these stages. [`Inline`] runs them on the caller's
+//! thread (`RecordBlocks`, and `RecordStream` at one decode thread).
+//! [`spawn_pool`] runs the scanner, the workers and the consumer on
+//! threads of their own, with a reorder buffer in front of the consumer:
+//! only the payload decode runs out of order, so delivery is identical at
+//! every worker count. The consumer thread joins every other pool thread,
+//! and [`RecordStream`] joins the consumer thread on drop, so no pool
+//! thread outlives the stream.
 
 use std::collections::BTreeMap;
 use std::io::Read;
@@ -42,7 +48,7 @@ use bytes::Bytes;
 use crate::checksum::Checksum;
 use crate::error::{count_error, LogError, LogResult};
 use crate::record::Record;
-use crate::salvage::{drain_bytes, tally_skip, SalvageHandle, SalvageReport};
+use crate::salvage::{drain_bytes, tally_skip, SalvageReport};
 use crate::stream::{panic_message, push_output, DecodeOpts, LogFormat, RecordStream};
 use crate::v2::{
     decode_block_with, parse_frame, read_exact_or_eof, BlockFrame, BlockState, FooterFrame, Frame,
@@ -78,11 +84,16 @@ pub(crate) trait ScanSource {
     /// at EOF (a torn final block).
     fn read_payload(&mut self, len: usize) -> LogResult<(PayloadBuf, usize)>;
     /// Consumes the rest of the source, counting bytes (errors just end
-    /// the count — matches sequential salvage's drain).
+    /// the count: nothing past them is reachable).
     fn drain(&mut self) -> u64;
     /// Reads at most one byte (the strict footer-trailing probe).
     fn probe_byte(&mut self) -> LogResult<u64>;
 }
+
+/// Most a payload read allocates ahead of the bytes that arrive. A frame's
+/// length is only a claim: a torn or hostile file can claim up to the
+/// 1 GiB cap while holding a few bytes.
+const PAYLOAD_CHUNK: usize = 64 * 1024;
 
 /// [`ScanSource`] over any `Read` — payloads are copied once into owned
 /// buffers that travel through the pool.
@@ -100,10 +111,18 @@ impl<R: Read> ScanSource for ReaderSource<R> {
     }
 
     fn read_payload(&mut self, len: usize) -> LogResult<(PayloadBuf, usize)> {
-        let mut payload = vec![0u8; len];
-        let got = read_exact_or_eof(&mut self.0, &mut payload)?;
-        payload.truncate(got);
-        Ok((PayloadBuf::Owned(payload), got))
+        let mut payload = Vec::new();
+        loop {
+            let start = payload.len();
+            let want = (len - start).min(PAYLOAD_CHUNK);
+            payload.resize(start + want, 0);
+            let got = read_exact_or_eof(&mut self.0, &mut payload[start..])?;
+            payload.truncate(start + got);
+            if got < want || payload.len() == len {
+                let got = payload.len();
+                return Ok((PayloadBuf::Owned(payload), got));
+            }
+        }
     }
 
     fn drain(&mut self) -> u64 {
@@ -163,8 +182,7 @@ impl ScanSource for BytesSource {
     }
 }
 
-/// One scanned block heading into the pool, tagged with its sequence
-/// index in the stream.
+/// One scanned block, tagged with its sequence index in the stream.
 struct Job {
     seq: u64,
     frame: [u8; FRAME_BYTES],
@@ -172,19 +190,15 @@ struct Job {
     payload: PayloadBuf,
 }
 
-/// A worker's result: the decode outcome plus the frame and payload
-/// echoed back so the consumer can maintain the running stream checksum
-/// (and salvage byte accounting) with sequential semantics.
+/// A decoded job: the outcome, with the frame and payload kept so the
+/// consumer can fold them into the running file checksum (and the
+/// salvage byte tally).
 struct Done {
-    seq: u64,
-    frame: [u8; FRAME_BYTES],
-    head: BlockFrame,
-    payload: PayloadBuf,
+    job: Job,
     result: LogResult<Vec<Record>>,
 }
 
-/// How the scanner's sequential walk ended. Sent once, after the last
-/// issued job, with the total number of jobs issued.
+/// How the frame walk ended.
 enum Terminal {
     /// Clean EOF without a footer (an unsealed log).
     Eof,
@@ -203,17 +217,17 @@ enum Terminal {
     TornPayload { head: BlockFrame, got: usize },
     /// The source itself failed.
     Io(LogError),
-    /// The consumer aborted the scan (error delivered or stream dropped);
-    /// `drained` counts bytes salvage consumed past the abort point.
+    /// The consumer wanted no more blocks (error delivered, sync taint or
+    /// downstream gone); `drained` counts bytes salvage consumed past the
+    /// abort point.
     Aborted { drained: u64 },
     /// The scanner (or pool plumbing) panicked.
     Panicked { message: String },
 }
 
 impl Terminal {
-    /// Raw bytes the scanner consumed for this terminal event — what a
-    /// sequential salvage drain would have counted had a sync-tainted
-    /// block already dropped the suffix.
+    /// Raw bytes the scanner consumed for this terminal event — the rest
+    /// of a suffix that a sync-tainted block already dropped.
     fn raw_bytes(&self) -> u64 {
         match self {
             Terminal::Eof | Terminal::Io(_) | Terminal::Panicked { .. } => 0,
@@ -228,61 +242,455 @@ impl Terminal {
     }
 }
 
-/// Sequential frame scan: validates frames, reads payloads, and feeds the
-/// worker pool. Never decodes a payload.
-fn scan<S: ScanSource>(
-    src: &mut S,
-    jobs: &SyncSender<Job>,
-    terminal: &std::sync::mpsc::Sender<(u64, Terminal)>,
-    abort: &AtomicBool,
+/// The frame walk: validates frames and reads payloads, never decoding
+/// one. This is the only place the v2 block stream is framed.
+struct Scanner<S> {
+    src: S,
+    /// Sequence index of the next block.
+    seq: u64,
+    /// Salvage drains and counts what follows a terminal frame.
     salvage: bool,
-    issued: &AtomicU64,
-    inflight: &AtomicU64,
-) {
-    let mut seq = 0u64;
-    let finish = |seq: u64, t: Terminal| {
-        literace_telemetry::trace_end("scan");
-        let _ = terminal.send((seq, t));
-    };
-    literace_telemetry::trace_begin("scan");
-    loop {
-        if abort.load(Ordering::Acquire) {
-            let drained = if salvage { src.drain() } else { 0 };
-            return finish(seq, Terminal::Aborted { drained });
-        }
+}
+
+impl<S: ScanSource> Scanner<S> {
+    /// The next block, or the event that ended the walk. Not called again
+    /// after a terminal.
+    fn next(&mut self) -> Result<Job, Terminal> {
         let mut frame = [0u8; FRAME_BYTES];
-        let got = match src.read_frame(&mut frame) {
-            Ok(n) => n,
-            Err(e) => return finish(seq, Terminal::Io(e)),
-        };
+        let got = self.src.read_frame(&mut frame).map_err(Terminal::Io)?;
         if got == 0 {
-            return finish(seq, Terminal::Eof);
+            return Err(Terminal::Eof);
         }
         if got < FRAME_BYTES {
-            return finish(seq, Terminal::TornHeader { got });
+            return Err(Terminal::TornHeader { got });
         }
         let head = match parse_frame(&frame) {
             Err(error) => {
-                let rest = if salvage { src.drain() } else { 0 };
-                return finish(seq, Terminal::BadFrame { error, rest });
+                let rest = self.drain();
+                return Err(Terminal::BadFrame { error, rest });
             }
             Ok(Frame::Footer(foot)) => {
-                let trailing = if salvage {
-                    Ok(src.drain())
+                let trailing = if self.salvage {
+                    Ok(self.src.drain())
                 } else {
-                    src.probe_byte()
+                    self.src.probe_byte()
                 };
-                return finish(seq, Terminal::Footer { foot, trailing });
+                return Err(Terminal::Footer { foot, trailing });
             }
             Ok(Frame::Block(head)) => head,
         };
-        let (payload, got) = match src.read_payload(head.payload_len as usize) {
-            Ok(p) => p,
-            Err(e) => return finish(seq, Terminal::Io(e)),
-        };
+        let (payload, got) = self
+            .src
+            .read_payload(head.payload_len as usize)
+            .map_err(Terminal::Io)?;
         if got < head.payload_len as usize {
-            return finish(seq, Terminal::TornPayload { head, got });
+            return Err(Terminal::TornPayload { head, got });
         }
+        let seq = self.seq;
+        self.seq += 1;
+        Ok(Job {
+            seq,
+            frame,
+            head,
+            payload,
+        })
+    }
+
+    /// Ends the walk early.
+    fn abort(&mut self) -> Terminal {
+        Terminal::Aborted {
+            drained: self.drain(),
+        }
+    }
+
+    fn drain(&mut self) -> u64 {
+        if self.salvage {
+            self.src.drain()
+        } else {
+            0
+        }
+    }
+}
+
+/// The decode step of every driver: payload checksum, then the records,
+/// with a panic contained as a typed error.
+fn decode_job(state: &mut BlockState, job: Job, rev: u8) -> Done {
+    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+        if crate::checksum::checksum(&job.payload) != job.head.payload_sum {
+            return Err(LogError::corrupt("block payload checksum mismatch"));
+        }
+        decode_block_with(state, &job.payload, job.head.record_count, rev)
+    }))
+    .unwrap_or_else(|payload| {
+        Err(LogError::DecoderPanicked {
+            message: panic_message(payload.as_ref()),
+        })
+    });
+    Done { job, result }
+}
+
+/// Publishes a block decoded in strict mode to the `log.decode.v2.*`
+/// counters (salvage reads do not publish them).
+fn count_decoded(done: &Done, ns: u64) {
+    let m = literace_telemetry::metrics();
+    m.log_decode_v2_blocks.add(1);
+    m.log_decode_v2_bytes
+        .add((FRAME_BYTES as u32 + done.job.head.payload_len) as u64);
+    m.log_decode_v2_records
+        .add(u64::from(done.job.head.record_count));
+    m.log_decode_v2_ns.add(ns);
+}
+
+/// Byte accounting for a sync-tainted suffix drop in flight: everything
+/// after the tainted block is counted, then tallied once at the end.
+struct Taint {
+    records: u64,
+    block_bytes: u64,
+    rest: u64,
+}
+
+/// What a read does at a fault: strict reads stop and deliver the error;
+/// salvage reads record it in the shared report and keep what the rules
+/// of [`crate::salvage`] allow.
+pub(crate) enum Mode {
+    Strict,
+    Salvage(Arc<Mutex<SalvageReport>>),
+}
+
+/// The in-order consumer: every policy decision of the reader.
+struct Consumer {
+    mode: Mode,
+    file_sum: Checksum,
+    records_seen: u64,
+    /// Delivery is over: an error delivered (strict) or downstream gone.
+    stopped: bool,
+    taint: Option<Taint>,
+    /// The footer verdict, shared with the reader handle.
+    seal: Arc<Mutex<SealState>>,
+}
+
+impl Consumer {
+    fn new(mode: Mode) -> Consumer {
+        Consumer {
+            mode,
+            file_sum: Checksum::new(),
+            records_seen: 0,
+            stopped: false,
+            taint: None,
+            seal: Arc::default(),
+        }
+    }
+
+    fn strict(&self) -> bool {
+        matches!(self.mode, Mode::Strict)
+    }
+
+    /// No more blocks are wanted: the driver may stop the walk.
+    fn halted(&self) -> bool {
+        self.stopped || self.taint.is_some()
+    }
+
+    /// Downstream is gone: deliver nothing more.
+    fn stop(&mut self) {
+        self.stopped = true;
+    }
+
+    /// Ends delivery with `e`, the strict read's last item.
+    fn fail(&mut self, e: LogError) -> LogError {
+        count_error(&e);
+        self.stopped = true;
+        e
+    }
+
+    /// Takes the next block in sequence order and returns what to
+    /// deliver downstream, if anything.
+    fn accept(&mut self, done: Done) -> Option<LogResult<Vec<Record>>> {
+        let Done { job, result } = done;
+        if let Some(t) = &mut self.taint {
+            // Suffix already dropped: only the byte count matters.
+            t.rest += FRAME_BYTES as u64 + u64::from(job.head.payload_len);
+            return None;
+        }
+        if self.stopped {
+            return None;
+        }
+        let block = match (result, &self.mode) {
+            (Ok(block), _) => block,
+            (Err(e), Mode::Strict) => return Some(Err(self.fail(e))),
+            (Err(e), Mode::Salvage(report)) => {
+                let dropped = FRAME_BYTES as u64 + job.payload.len() as u64;
+                let records = u64::from(job.head.record_count);
+                let mut r = report.lock().expect("salvage report poisoned");
+                r.blocks_skipped += 1;
+                r.records_dropped_known += records;
+                r.bytes_dropped += dropped;
+                r.note_error(e.to_string());
+                if job.head.sync_count > 0 {
+                    // Sync records lost: a happens-before edge between
+                    // surviving accesses may be gone, so nothing after
+                    // this block can be trusted not to race falsely. The
+                    // tally waits until the dropped byte count is known.
+                    r.sync_tainted = true;
+                    r.suffix_dropped = true;
+                    self.taint = Some(Taint {
+                        records,
+                        block_bytes: dropped,
+                        rest: 0,
+                    });
+                } else {
+                    // Memory-only block: dropping it can only hide races,
+                    // never invent them. Resync at the next frame.
+                    drop(r);
+                    tally_skip(1, records, dropped);
+                }
+                return None;
+            }
+        };
+        self.file_sum.update(&job.frame);
+        self.file_sum.update(&job.payload);
+        self.records_seen += u64::from(job.head.record_count);
+        if let Mode::Salvage(report) = &self.mode {
+            let mut r = report.lock().expect("salvage report poisoned");
+            r.blocks_decoded += 1;
+            r.records_salvaged += block.len() as u64;
+        }
+        Some(Ok(block))
+    }
+
+    /// Ends the read with the event that ended the walk; returns the
+    /// error to deliver, if any (strict mode only).
+    fn finish(mut self, term: Terminal) -> Option<LogError> {
+        let Mode::Salvage(report) = &self.mode else {
+            return self.finish_strict(term);
+        };
+        self.finish_salvage(report, term);
+        None
+    }
+
+    fn set_seal(&self, seal: SealState) {
+        *self.seal.lock().expect("seal state poisoned") = seal;
+    }
+
+    fn finish_strict(&mut self, term: Terminal) -> Option<LogError> {
+        if self.stopped {
+            return None;
+        }
+        let error = match term {
+            Terminal::Aborted { .. } => return None,
+            Terminal::Eof => {
+                self.set_seal(SealState::Unsealed);
+                return None;
+            }
+            Terminal::Footer { foot, trailing } => {
+                if foot.total_records != self.records_seen {
+                    LogError::corrupt(format!(
+                        "footer record count mismatch: footer says {}, decoded {}",
+                        foot.total_records, self.records_seen
+                    ))
+                } else if foot.file_sum != self.file_sum.finish() {
+                    LogError::corrupt("footer stream checksum mismatch")
+                } else {
+                    match trailing {
+                        Err(e) => e,
+                        Ok(0) => {
+                            self.set_seal(SealState::Sealed);
+                            return None;
+                        }
+                        Ok(_) => LogError::corrupt("trailing bytes after footer"),
+                    }
+                }
+            }
+            Terminal::TornHeader { got } => LogError::corrupt(format!(
+                "truncated block header: {got} of {FRAME_BYTES} bytes"
+            )),
+            Terminal::BadFrame { error, .. } => error,
+            Terminal::TornPayload { head, got } => LogError::corrupt(format!(
+                "truncated block: {got} of {} payload bytes",
+                head.payload_len
+            )),
+            Terminal::Io(e) => e,
+            Terminal::Panicked { message } => LogError::DecoderPanicked { message },
+        };
+        Some(self.fail(error))
+    }
+
+    fn finish_salvage(&self, report: &Mutex<SalvageReport>, term: Terminal) {
+        if let Some(t) = &self.taint {
+            // The dropped byte count is now complete; tally it once. The
+            // seal stays unknown: the walk never reached the footer.
+            let rest = t.rest + term.raw_bytes();
+            report.lock().expect("salvage report poisoned").bytes_dropped += rest;
+            tally_skip(1, t.records, t.block_bytes + rest);
+            return;
+        }
+        let mut r = report.lock().expect("salvage report poisoned");
+        match term {
+            // An abandoned read never reaches a verdict.
+            Terminal::Aborted { .. } => {}
+            Terminal::Eof => {
+                // The writer never finalized, but every block was intact.
+                if r.seal == SealState::Unknown {
+                    r.seal = SealState::Unsealed;
+                }
+            }
+            Terminal::Footer { foot, trailing } => {
+                // foot_sum verified in parse_frame: the writer did
+                // finalize this log, whatever happened to its middle.
+                let trailing = trailing.unwrap_or(0);
+                r.seal = SealState::Sealed;
+                if trailing > 0 {
+                    r.bytes_dropped += trailing;
+                    r.note_error(format!("{trailing} trailing bytes after footer"));
+                    tally_skip(0, 0, trailing);
+                }
+                // A mismatch is expected when blocks were skipped; on an
+                // otherwise clean read it means damage the block checks
+                // missed.
+                let totals_match = foot.total_records == self.records_seen
+                    && foot.file_sum == self.file_sum.finish();
+                if !totals_match && r.first_error.is_none() {
+                    r.note_error(format!(
+                        "footer totals mismatch: footer says {} records, decoded {}",
+                        foot.total_records, self.records_seen
+                    ));
+                }
+            }
+            Terminal::TornHeader { got } => {
+                // Fewer than 24 bytes cannot hold a record, so nothing
+                // decodable (and no sync record) is lost.
+                r.bytes_dropped += got as u64;
+                r.note_error(format!(
+                    "truncated block header: {got} of {FRAME_BYTES} bytes"
+                ));
+                r.seal = SealState::Unsealed;
+                tally_skip(0, 0, got as u64);
+            }
+            Terminal::BadFrame { error, rest } => {
+                // Framing lost: the block boundaries after this point
+                // cannot be found, so the whole suffix goes.
+                let dropped = FRAME_BYTES as u64 + rest;
+                r.bytes_dropped += dropped;
+                r.suffix_dropped = true;
+                r.sync_tainted = true;
+                r.note_error(error.to_string());
+                tally_skip(0, 0, dropped);
+            }
+            Terminal::TornPayload { head, got } => {
+                // Torn final block: the trusted header says how many
+                // records went with it, and whether sync edges did.
+                let dropped = (FRAME_BYTES + got) as u64;
+                r.blocks_skipped += 1;
+                r.records_dropped_known += u64::from(head.record_count);
+                r.bytes_dropped += dropped;
+                r.seal = SealState::Unsealed;
+                if head.sync_count > 0 {
+                    r.sync_tainted = true;
+                }
+                r.note_error(format!(
+                    "truncated block: {got} of {} payload bytes",
+                    head.payload_len
+                ));
+                tally_skip(1, u64::from(head.record_count), dropped);
+            }
+            Terminal::Io(e) => {
+                // Whatever follows is unreachable, and it may have held
+                // sync records.
+                r.note_error(e.to_string());
+                r.suffix_dropped = true;
+                r.sync_tainted = true;
+            }
+            Terminal::Panicked { message } => {
+                r.note_error(message);
+                r.suffix_dropped = true;
+                r.sync_tainted = true;
+            }
+        }
+        self.set_seal(r.seal);
+    }
+}
+
+/// The reader stages run inline on the caller's thread: the pool's
+/// degenerate case at zero workers. Yields what the consumer delivers.
+pub(crate) struct Inline<S> {
+    scanner: Scanner<S>,
+    state: BlockState,
+    rev: u8,
+    /// `None` once the walk has ended.
+    consumer: Option<Consumer>,
+}
+
+impl<S: ScanSource> Inline<S> {
+    /// A reader over `src`, positioned at the first block frame, decoding
+    /// payload revision `rev`.
+    pub(crate) fn new(src: S, rev: u8, mode: Mode) -> Inline<S> {
+        Inline {
+            scanner: Scanner {
+                src,
+                seq: 0,
+                salvage: matches!(mode, Mode::Salvage(_)),
+            },
+            state: BlockState::default(),
+            rev,
+            consumer: Some(Consumer::new(mode)),
+        }
+    }
+
+    /// The footer verdict, filled in when the walk ends.
+    pub(crate) fn seal(&self) -> Arc<Mutex<SealState>> {
+        let consumer = self.consumer.as_ref().expect("the reader has not started");
+        consumer.seal.clone()
+    }
+}
+
+impl<S: ScanSource> Iterator for Inline<S> {
+    type Item = LogResult<Vec<Record>>;
+
+    fn next(&mut self) -> Option<LogResult<Vec<Record>>> {
+        loop {
+            let consumer = self.consumer.as_mut()?;
+            let step = if consumer.halted() {
+                // After a sync taint this drains the rest, so the salvage
+                // tally is computed by the same code the pool uses.
+                Err(self.scanner.abort())
+            } else {
+                self.scanner.next()
+            };
+            match step {
+                Ok(job) => {
+                    let start = (consumer.strict() && literace_telemetry::enabled())
+                        .then(std::time::Instant::now);
+                    let done = decode_job(&mut self.state, job, self.rev);
+                    if let (Some(t0), true) = (start, done.result.is_ok()) {
+                        count_decoded(&done, t0.elapsed().as_nanos() as u64);
+                    }
+                    if let Some(item) = consumer.accept(done) {
+                        return Some(item);
+                    }
+                }
+                Err(term) => return self.consumer.take()?.finish(term).map(Err),
+            }
+        }
+    }
+}
+
+/// The pool's scanner thread: walks frames and feeds the workers until
+/// the walk ends or the consumer asks it to stop.
+fn scan<S: ScanSource>(
+    scanner: &mut Scanner<S>,
+    jobs: &SyncSender<Job>,
+    abort: &AtomicBool,
+    issued: &AtomicU64,
+    inflight: &AtomicU64,
+) -> Terminal {
+    literace_telemetry::trace_begin("scan");
+    let term = loop {
+        if abort.load(Ordering::Acquire) {
+            break scanner.abort();
+        }
+        let job = match scanner.next() {
+            Ok(job) => job,
+            Err(term) => break term,
+        };
         let in_flight = inflight.fetch_add(1, Ordering::AcqRel) + 1;
         if literace_telemetry::enabled() {
             literace_telemetry::metrics()
@@ -290,32 +698,22 @@ fn scan<S: ScanSource>(
                 .record(in_flight);
         }
         literace_telemetry::trace_counter("decode.blocks_inflight", in_flight);
-        if jobs
-            .send(Job {
-                seq,
-                frame,
-                head,
-                payload,
-            })
-            .is_err()
-        {
+        let seq = job.seq;
+        if jobs.send(job).is_err() {
             // Every worker is gone (pool panic); the consumer's
             // missing-block check surfaces this.
-            return finish(
-                seq,
-                Terminal::Panicked {
-                    message: "decode worker pool disconnected".to_owned(),
-                },
-            );
+            break Terminal::Panicked {
+                message: "decode worker pool disconnected".to_owned(),
+            };
         }
-        seq += 1;
-        issued.store(seq, Ordering::Release);
-    }
+        issued.store(seq + 1, Ordering::Release);
+    };
+    literace_telemetry::trace_end("scan");
+    term
 }
 
-/// One decode worker: pulls scanned blocks, verifies the payload
-/// checksum, decodes, echoes everything back. Decode panics are contained
-/// per block.
+/// One decode worker: pulls scanned blocks, decodes them and sends them
+/// on. Decode panics are contained per block.
 fn worker(
     jobs: &Mutex<Receiver<Job>>,
     out: &SyncSender<Done>,
@@ -340,366 +738,106 @@ fn worker(
         }
         let busy_start = literace_telemetry::enabled().then(std::time::Instant::now);
         literace_telemetry::trace_begin("decode.block");
-        let result = if abort.load(Ordering::Acquire) {
+        let done = if abort.load(Ordering::Acquire) {
             // The consumer only needs the head for byte accounting now;
             // skip the decode work.
-            Ok(Vec::new())
+            Done {
+                job,
+                result: Ok(Vec::new()),
+            }
         } else {
-            decode_job(&mut state, &job, rev)
+            decode_job(&mut state, job, rev)
         };
         literace_telemetry::trace_end("decode.block");
         if let Some(t0) = busy_start {
-            let m = literace_telemetry::metrics();
             let ns = t0.elapsed().as_nanos() as u64;
-            m.log_decode_worker_busy_ns.add(ns);
-            // The sequential reader's per-block decode counters, strict
-            // mode only (sequential salvage does not publish them).
-            if strict && result.is_ok() {
-                m.log_decode_v2_blocks.add(1);
-                m.log_decode_v2_bytes
-                    .add((FRAME_BYTES as u32 + job.head.payload_len) as u64);
-                m.log_decode_v2_records.add(u64::from(job.head.record_count));
-                m.log_decode_v2_ns.add(ns);
+            literace_telemetry::metrics().log_decode_worker_busy_ns.add(ns);
+            if strict && done.result.is_ok() {
+                count_decoded(&done, ns);
             }
         }
-        let done = Done {
-            seq: job.seq,
-            frame: job.frame,
-            head: job.head,
-            payload: job.payload,
-            result,
-        };
         if out.send(done).is_err() {
             return;
         }
     }
 }
 
-fn decode_job(state: &mut BlockState, job: &Job, rev: u8) -> LogResult<Vec<Record>> {
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        if crate::checksum::checksum(&job.payload) != job.head.payload_sum {
-            return Err(LogError::corrupt("block payload checksum mismatch"));
-        }
-        decode_block_with(state, &job.payload, job.head.record_count, rev)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(LogError::DecoderPanicked {
-            message: panic_message(payload.as_ref()),
-        })
-    })
-}
-
-/// Byte accounting for a sync-tainted suffix drop in flight: everything
-/// after the tainted block is counted, then tallied once at the end with
-/// sequential semantics.
-struct Taint {
-    records: u64,
-    block_bytes: u64,
-    rest: u64,
-}
-
-enum Mode {
-    Strict,
-    Salvage(Arc<Mutex<SalvageReport>>),
-}
-
-/// The in-order consumer: restores sequence order and replays sequential
-/// reader semantics over the results.
-struct Consumer {
+/// The pool's consumer thread: restores sequence order in front of the
+/// [`Consumer`] and delivers what it returns.
+fn consume(
+    mut consumer: Consumer,
+    results: Receiver<Done>,
+    terminal: Receiver<(u64, Terminal)>,
     out: SyncSender<LogResult<Vec<Record>>>,
-    abort: Arc<AtomicBool>,
-    inflight: Arc<AtomicU64>,
-    mode: Mode,
-    file_sum: Checksum,
-    records_seen: u64,
-    /// Output closed: error delivered (strict) or downstream dropped.
-    stopped: bool,
-    taint: Option<Taint>,
-    /// Footer state shared with the [`RecordStream`] handle.
-    seal: Arc<Mutex<SealState>>,
-}
-
-impl Consumer {
-    fn run(
-        mut self,
-        results: Receiver<Done>,
-        terminal: Receiver<(u64, Terminal)>,
-    ) {
-        let mut pending: BTreeMap<u64, Done> = BTreeMap::new();
-        let mut next = 0u64;
-        while let Ok(done) = results.recv() {
-            if done.seq != next {
-                if literace_telemetry::enabled() {
-                    literace_telemetry::metrics()
-                        .log_decode_ooo_reorder_depth
-                        .record(pending.len() as u64 + 1);
-                }
-                literace_telemetry::trace_instant("consume.reorder");
+    abort: &AtomicBool,
+    inflight: &AtomicU64,
+) {
+    let mut pending: BTreeMap<u64, Done> = BTreeMap::new();
+    let mut next = 0u64;
+    while let Ok(done) = results.recv() {
+        if done.job.seq != next {
+            if literace_telemetry::enabled() {
+                literace_telemetry::metrics()
+                    .log_decode_ooo_reorder_depth
+                    .record(pending.len() as u64 + 1);
             }
-            pending.insert(done.seq, done);
-            while let Some(done) = pending.remove(&next) {
-                next += 1;
-                self.inflight.fetch_sub(1, Ordering::AcqRel);
-                literace_telemetry::trace_begin("consume.block");
-                self.handle(done);
-                literace_telemetry::trace_end("consume.block");
+            literace_telemetry::trace_instant("consume.reorder");
+        }
+        pending.insert(done.job.seq, done);
+        while let Some(done) = pending.remove(&next) {
+            next += 1;
+            inflight.fetch_sub(1, Ordering::AcqRel);
+            literace_telemetry::trace_begin("consume.block");
+            if let Some(item) = consumer.accept(done) {
+                if !push_output(&out, item) {
+                    consumer.stop();
+                }
             }
-        }
-        // Workers have all exited, so the scanner is finished too and its
-        // terminal is waiting (or it died before sending one).
-        let (issued, term) = terminal.recv().unwrap_or((
-            next,
-            Terminal::Panicked {
-                message: "decode scanner exited without a terminal event".to_owned(),
-            },
-        ));
-        if next < issued || !pending.is_empty() {
-            // A worker died without echoing its block back.
-            self.handle_terminal(Terminal::Panicked {
-                message: "decode worker dropped a block".to_owned(),
-            });
-            return;
-        }
-        self.handle_terminal(term);
-    }
-
-    fn stop(&mut self) {
-        self.stopped = true;
-        self.abort.store(true, Ordering::Release);
-    }
-
-    /// Delivers a terminal error downstream (strict mode).
-    fn fail(&mut self, e: LogError) {
-        count_error(&e);
-        let _ = push_output(&self.out, Err(e));
-        self.stop();
-    }
-
-    fn handle(&mut self, done: Done) {
-        if let Some(t) = &mut self.taint {
-            // Suffix already dropped: only the byte count matters.
-            t.rest += FRAME_BYTES as u64 + u64::from(done.head.payload_len);
-            return;
-        }
-        if self.stopped {
-            return;
-        }
-        match &self.mode {
-            Mode::Strict => match done.result {
-                Ok(block) => {
-                    self.file_sum.update(&done.frame);
-                    self.file_sum.update(&done.payload);
-                    self.records_seen += u64::from(done.head.record_count);
-                    if !push_output(&self.out, Ok(block)) {
-                        self.stop();
-                    }
-                }
-                Err(e) => self.fail(e),
-            },
-            Mode::Salvage(report) => match done.result {
-                Ok(block) => {
-                    self.file_sum.update(&done.frame);
-                    self.file_sum.update(&done.payload);
-                    self.records_seen += u64::from(done.head.record_count);
-                    {
-                        let mut r = report.lock().expect("salvage report poisoned");
-                        r.blocks_decoded += 1;
-                        r.records_salvaged += block.len() as u64;
-                    }
-                    if !push_output(&self.out, Ok(block)) {
-                        self.stop();
-                    }
-                }
-                Err(e) => {
-                    let dropped = FRAME_BYTES as u64 + done.payload.len() as u64;
-                    let records = u64::from(done.head.record_count);
-                    let mut r = report.lock().expect("salvage report poisoned");
-                    r.blocks_skipped += 1;
-                    r.records_dropped_known += records;
-                    r.bytes_dropped += dropped;
-                    r.note_error(e.to_string());
-                    if done.head.sync_count > 0 {
-                        // Sync records lost: drop the suffix (see
-                        // `crate::salvage`). The tally waits until the
-                        // drained byte count is known.
-                        r.sync_tainted = true;
-                        r.suffix_dropped = true;
-                        drop(r);
-                        self.taint = Some(Taint {
-                            records,
-                            block_bytes: dropped,
-                            rest: 0,
-                        });
-                        self.abort.store(true, Ordering::Release);
-                    } else {
-                        drop(r);
-                        tally_skip(1, records, dropped);
-                    }
-                }
-            },
+            if consumer.halted() {
+                abort.store(true, Ordering::Release);
+            }
+            literace_telemetry::trace_end("consume.block");
         }
     }
-
-    fn handle_terminal(self, term: Terminal) {
-        match self.mode {
-            Mode::Strict => self.finish_strict(term),
-            Mode::Salvage(_) => self.finish_salvage(term),
+    // Workers have all exited, so the scanner is finished too and its
+    // terminal is waiting (or it died before sending one).
+    let (issued, term) = terminal.recv().unwrap_or((
+        next,
+        Terminal::Panicked {
+            message: "decode scanner exited without a terminal event".to_owned(),
+        },
+    ));
+    let term = if next < issued || !pending.is_empty() {
+        // A worker died without sending its block on.
+        Terminal::Panicked {
+            message: "decode worker dropped a block".to_owned(),
         }
-    }
-
-    fn set_seal(&self, seal: SealState) {
-        *self.seal.lock().expect("seal state poisoned") = seal;
-    }
-
-    fn finish_strict(mut self, term: Terminal) {
-        if self.stopped {
-            return;
-        }
-        match term {
-            Terminal::Aborted { .. } => {}
-            Terminal::Eof => self.set_seal(SealState::Unsealed),
-            Terminal::Footer { foot, trailing } => {
-                if foot.total_records != self.records_seen {
-                    return self.fail(LogError::corrupt(format!(
-                        "footer record count mismatch: footer says {}, decoded {}",
-                        foot.total_records, self.records_seen
-                    )));
-                }
-                if foot.file_sum != self.file_sum.finish() {
-                    return self.fail(LogError::corrupt("footer stream checksum mismatch"));
-                }
-                match trailing {
-                    Err(e) => self.fail(e),
-                    Ok(0) => self.set_seal(SealState::Sealed),
-                    Ok(_) => self.fail(LogError::corrupt("trailing bytes after footer")),
-                }
-            }
-            Terminal::TornHeader { got } => self.fail(LogError::corrupt(format!(
-                "truncated block header: {got} of {FRAME_BYTES} bytes"
-            ))),
-            Terminal::BadFrame { error, .. } => self.fail(error),
-            Terminal::TornPayload { head, got } => self.fail(LogError::corrupt(format!(
-                "truncated block: {got} of {} payload bytes",
-                head.payload_len
-            ))),
-            Terminal::Io(e) => self.fail(e),
-            Terminal::Panicked { message } => {
-                self.fail(LogError::DecoderPanicked { message })
-            }
-        }
-    }
-
-    fn finish_salvage(self, term: Terminal) {
-        let Mode::Salvage(report) = &self.mode else {
-            unreachable!("salvage finish in strict mode");
-        };
-        if let Some(t) = &self.taint {
-            // The drained byte count is now complete; tally once, exactly
-            // like the sequential path's post-drain accounting.
-            let rest = t.rest + term.raw_bytes();
-            report
-                .lock()
-                .expect("salvage report poisoned")
-                .bytes_dropped += rest;
-            tally_skip(1, t.records, t.block_bytes + rest);
-            // Seal stays Unknown: the sequential path never reaches the
-            // footer once a tainted block drops the suffix.
-            return;
-        }
-        let mut r = report.lock().expect("salvage report poisoned");
-        match term {
-            // An abandoned stream (consumer dropped) never reaches a
-            // verdict — like a sequential iterator left undriven.
-            Terminal::Aborted { .. } => drop(r),
-            Terminal::Eof => {
-                if r.seal == SealState::Unknown {
-                    r.seal = SealState::Unsealed;
-                }
-                drop(r);
-            }
-            Terminal::Footer { foot, trailing } => {
-                let trailing = trailing.unwrap_or(0);
-                r.seal = SealState::Sealed;
-                if trailing > 0 {
-                    r.bytes_dropped += trailing;
-                    r.note_error(format!("{trailing} trailing bytes after footer"));
-                }
-                let totals_match = foot.total_records == self.records_seen
-                    && foot.file_sum == self.file_sum.finish();
-                if !totals_match && r.first_error.is_none() {
-                    r.note_error(format!(
-                        "footer totals mismatch: footer says {} records, decoded {}",
-                        foot.total_records, self.records_seen
-                    ));
-                }
-                drop(r);
-                if trailing > 0 {
-                    tally_skip(0, 0, trailing);
-                }
-            }
-            Terminal::TornHeader { got } => {
-                r.bytes_dropped += got as u64;
-                r.note_error(format!(
-                    "truncated block header: {got} of {FRAME_BYTES} bytes"
-                ));
-                r.seal = SealState::Unsealed;
-                drop(r);
-                tally_skip(0, 0, got as u64);
-            }
-            Terminal::BadFrame { error, rest } => {
-                let dropped = FRAME_BYTES as u64 + rest;
-                r.bytes_dropped += dropped;
-                r.suffix_dropped = true;
-                r.sync_tainted = true;
-                r.note_error(error.to_string());
-                drop(r);
-                tally_skip(0, 0, dropped);
-            }
-            Terminal::TornPayload { head, got } => {
-                let dropped = (FRAME_BYTES + got) as u64;
-                r.blocks_skipped += 1;
-                r.records_dropped_known += u64::from(head.record_count);
-                r.bytes_dropped += dropped;
-                r.seal = SealState::Unsealed;
-                if head.sync_count > 0 {
-                    r.sync_tainted = true;
-                }
-                r.note_error(format!(
-                    "truncated block: {got} of {} payload bytes",
-                    head.payload_len
-                ));
-                drop(r);
-                tally_skip(1, u64::from(head.record_count), dropped);
-            }
-            Terminal::Io(e) => {
-                r.note_error(e.to_string());
-                r.suffix_dropped = true;
-                r.sync_tainted = true;
-                drop(r);
-            }
-            Terminal::Panicked { message } => {
-                r.note_error(message);
-                r.suffix_dropped = true;
-                r.sync_tainted = true;
-                drop(r);
-            }
-        }
-        let seal = report.lock().expect("salvage report poisoned").seal;
-        self.set_seal(seal);
+    } else {
+        term
+    };
+    if let Some(e) = consumer.finish(term) {
+        let _ = push_output(&out, Err(e));
     }
 }
 
-/// Spawns the full pool over a v2 source (header already consumed) and
-/// returns the stream fed by its in-order consumer.
-fn spawn_pool<S: ScanSource + Send + 'static>(
-    mut src: S,
-    rev: u8,
+/// Runs an unstarted reader's stages on threads: the scanner,
+/// `opts.threads` decode workers and the in-order consumer. Returns the
+/// stream the consumer feeds.
+pub(crate) fn spawn_pool<S: ScanSource + Send + 'static>(
+    reader: Inline<S>,
     opts: DecodeOpts,
-    mode: Mode,
 ) -> LogResult<RecordStream> {
-    let threads = opts.threads.max(2);
+    let Inline {
+        mut scanner,
+        rev,
+        consumer,
+        ..
+    } = reader;
+    let consumer = consumer.expect("the pool takes an unstarted reader");
+    let strict = consumer.strict();
+    let seal = consumer.seal.clone();
+    let threads = opts.threads;
     let depth = opts.depth.max(1);
-    let salvage = matches!(mode, Mode::Salvage(_));
 
     let (out_tx, out_rx) = sync_channel(depth);
     let (job_tx, job_rx) = sync_channel::<Job>(depth);
@@ -708,28 +846,21 @@ fn spawn_pool<S: ScanSource + Send + 'static>(
     let (term_tx, term_rx) = std::sync::mpsc::channel::<(u64, Terminal)>();
     let abort = Arc::new(AtomicBool::new(false));
     let inflight = Arc::new(AtomicU64::new(0));
-    let issued = Arc::new(AtomicU64::new(0));
 
     let scanner = {
         let abort = abort.clone();
         let inflight = inflight.clone();
-        let issued = issued.clone();
         std::thread::Builder::new()
             .name("literace-decode-scan".to_owned())
             .spawn(move || {
-                let issued_before_panic = issued.clone();
-                let term_on_panic = term_tx.clone();
-                let outcome = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                    scan(&mut src, &job_tx, &term_tx, &abort, salvage, &issued, &inflight);
-                }));
-                if let Err(payload) = outcome {
-                    let _ = term_on_panic.send((
-                        issued_before_panic.load(Ordering::Acquire),
-                        Terminal::Panicked {
-                            message: panic_message(payload.as_ref()),
-                        },
-                    ));
-                }
+                let issued = AtomicU64::new(0);
+                let term = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    scan(&mut scanner, &job_tx, &abort, &issued, &inflight)
+                }))
+                .unwrap_or_else(|payload| Terminal::Panicked {
+                    message: panic_message(payload.as_ref()),
+                });
+                let _ = term_tx.send((issued.load(Ordering::Acquire), term));
             })
             .map_err(LogError::Io)?
     };
@@ -741,30 +872,19 @@ fn spawn_pool<S: ScanSource + Send + 'static>(
             let abort = abort.clone();
             std::thread::Builder::new()
                 .name(format!("literace-decode-{i}"))
-                .spawn(move || worker(&job_rx, &res_tx, &abort, rev, !salvage))
+                .spawn(move || worker(&job_rx, &res_tx, &abort, rev, strict))
                 .map_err(LogError::Io)
         })
         .collect::<LogResult<_>>()?;
     // The consumer's results loop must end when the workers do.
     drop(res_tx);
 
-    let seal = Arc::new(Mutex::new(SealState::Unknown));
-    let consumer = Consumer {
-        out: out_tx.clone(),
-        abort: abort.clone(),
-        inflight,
-        mode,
-        file_sum: Checksum::new(),
-        records_seen: 0,
-        stopped: false,
-        taint: None,
-        seal: seal.clone(),
-    };
     let handle = std::thread::Builder::new()
         .name("literace-log-decode".to_owned())
         .spawn(move || {
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(move || {
-                consumer.run(res_rx, term_rx);
+            let out = out_tx.clone();
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                consume(consumer, res_rx, term_rx, out, &abort, &inflight);
             }));
             if let Err(payload) = outcome {
                 abort.store(true, Ordering::Release);
@@ -780,67 +900,7 @@ fn spawn_pool<S: ScanSource + Send + 'static>(
             }
         })
         .map_err(LogError::Io)?;
-    Ok(RecordStream::from_parts(
-        out_rx,
-        handle,
-        LogFormat::V2,
-        Some(seal),
-    ))
-}
-
-/// Parallel strict decode: errors surface as stream items exactly where
-/// the sequential reader would put them.
-pub(crate) fn spawn_strict<S: ScanSource + Send + 'static>(
-    src: S,
-    rev: u8,
-    opts: DecodeOpts,
-) -> LogResult<RecordStream> {
-    spawn_pool(src, rev, opts, Mode::Strict)
-}
-
-/// Parallel salvage decode: the stream never yields `Err`; the shared
-/// report fills in with the sequential salvage rules applied in sequence
-/// order.
-pub(crate) fn spawn_salvage<S: ScanSource + Send + 'static>(
-    src: S,
-    rev: u8,
-    opts: DecodeOpts,
-) -> LogResult<(RecordStream, SalvageHandle)> {
-    if literace_telemetry::enabled() {
-        literace_telemetry::metrics().log_salvage_runs.add(1);
-    }
-    let report = Arc::new(Mutex::new(SalvageReport {
-        format: Some(LogFormat::V2),
-        ..SalvageReport::default()
-    }));
-    let handle = SalvageHandle::from_shared(report.clone());
-    let stream = spawn_pool(src, rev, opts, Mode::Salvage(report))?;
-    Ok((stream, handle))
-}
-
-/// Salvage over an unreadable header: an empty stream with the failure
-/// recorded — mirrors `open_salvage`'s dead path.
-pub(crate) fn spawn_salvage_dead(
-    error: LogError,
-    opts: DecodeOpts,
-) -> LogResult<(RecordStream, SalvageHandle)> {
-    if literace_telemetry::enabled() {
-        literace_telemetry::metrics().log_salvage_runs.add(1);
-    }
-    let format = match &error {
-        LogError::UnsupportedVersion { .. } => LogFormat::V2,
-        _ => LogFormat::V1,
-    };
-    let mut report = SalvageReport {
-        format: Some(format),
-        suffix_dropped: true,
-        ..SalvageReport::default()
-    };
-    report.note_error(error.to_string());
-    let report = Arc::new(Mutex::new(report));
-    let handle = SalvageHandle::from_shared(report);
-    let stream = crate::stream::spawn_empty(format, opts.depth)?;
-    Ok((stream, handle))
+    Ok(RecordStream::from_parts(out_rx, handle, LogFormat::V2, seal))
 }
 
 #[cfg(test)]
@@ -1051,16 +1111,18 @@ mod tests {
             (sealed, false, SealState::Sealed),
             (torn, true, SealState::Unknown), // strict error: no verdict
         ] {
-            let mut stream = RecordStream::spawn_with(
-                std::io::Cursor::new(bytes),
-                DecodeOpts::with_threads(4),
-            )
-            .unwrap();
-            assert_eq!(stream.seal_state(), SealState::Unknown);
-            let saw_err = stream.by_ref().any(|b| b.is_err());
-            assert_eq!(saw_err, expect_err);
-            assert!(stream.next().is_none());
-            assert_eq!(stream.seal_state(), expect_seal);
+            for threads in [1, 2, 4] {
+                let mut stream = RecordStream::spawn_with(
+                    std::io::Cursor::new(bytes.clone()),
+                    DecodeOpts::with_threads(threads),
+                )
+                .unwrap();
+                assert_eq!(stream.seal_state(), SealState::Unknown);
+                let saw_err = stream.by_ref().any(|b| b.is_err());
+                assert_eq!(saw_err, expect_err, "{threads} threads");
+                assert!(stream.next().is_none());
+                assert_eq!(stream.seal_state(), expect_seal, "{threads} threads");
+            }
         }
     }
 

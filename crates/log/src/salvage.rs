@@ -25,20 +25,19 @@
 //! at all) salvage degrades to clean-prefix recovery, which is a global
 //! prefix and therefore sound by the same argument.
 //!
-//! Everything dropped is tallied in a [`SalvageReport`], shared through a
-//! [`SalvageHandle`] so streaming consumers can read it after the fact.
+//! These rules are applied in one place, the reader's in-order consumer
+//! (`crate::parallel`), for every entry point and worker count; a naive
+//! reference reader in `tests/reference_reader.rs` restates them and is
+//! checked against every driver. Everything dropped is tallied in a
+//! [`SalvageReport`], shared through a [`SalvageHandle`] so streaming
+//! consumers can read it after the fact.
 
 use std::io::Read;
 use std::sync::{Arc, Mutex};
 
-use crate::checksum::Checksum;
-use crate::error::LogError;
-use crate::io::{LogReader, DEFAULT_CHUNK_BYTES};
-use crate::record::{EventLog, Record};
-use crate::stream::{sniff_format, LogFormat, Replayed, V1_BLOCK_RECORDS};
-use crate::v2::{
-    decode_block_with, parse_frame, read_exact_or_eof, BlockState, Frame, SealState, FRAME_BYTES,
-};
+use crate::record::EventLog;
+use crate::stream::{LogFormat, RecordBlocks};
+use crate::v2::SealState;
 
 /// What salvage decoding recovered and what it had to give up.
 #[derive(Debug, Clone, Default)]
@@ -126,132 +125,16 @@ impl std::fmt::Display for SalvageReport {
     }
 }
 
-/// Shared view of a [`SalvageReport`] being filled in by a
-/// [`SalvageBlocks`] iterator (possibly on a decoder thread). The report
-/// is final once the iterator is exhausted.
+/// Shared view of a [`SalvageReport`] being filled in by a salvage read
+/// (possibly on a decoder thread). The report is final once the read is
+/// exhausted.
 #[derive(Debug, Clone)]
-pub struct SalvageHandle(Arc<Mutex<SalvageReport>>);
+pub struct SalvageHandle(pub(crate) Arc<Mutex<SalvageReport>>);
 
 impl SalvageHandle {
-    /// Wraps an externally shared report (the parallel decode pool fills
-    /// one in from its in-order consumer).
-    pub(crate) fn from_shared(report: Arc<Mutex<SalvageReport>>) -> SalvageHandle {
-        SalvageHandle(report)
-    }
-
     /// A snapshot of the report so far.
     pub fn report(&self) -> SalvageReport {
         self.0.lock().expect("salvage report poisoned").clone()
-    }
-}
-
-struct V2Salvage<R> {
-    source: R,
-    payload: Vec<u8>,
-    state: BlockState,
-    file_sum: Checksum,
-    records_seen: u64,
-    rev: u8,
-    done: bool,
-}
-
-enum Inner<R: Read> {
-    V2(V2Salvage<R>),
-    V1 {
-        records: crate::io::ChunkedRecords<Replayed<R>>,
-        done: bool,
-    },
-    /// Header sniff failed outright; nothing to salvage.
-    Dead,
-}
-
-/// Best-effort block iterator: yields only `Ok` blocks, recording every
-/// skip and drop in the shared [`SalvageReport`]. See the module docs for
-/// the soundness rule.
-///
-/// The item type stays `LogResult<Vec<Record>>` so salvage plugs into the
-/// same consumers as [`RecordBlocks`](crate::RecordBlocks) — but it never
-/// yields `Err`.
-pub struct SalvageBlocks<R: Read> {
-    inner: Inner<R>,
-    format: LogFormat,
-    report: Arc<Mutex<SalvageReport>>,
-}
-
-impl<R: Read> std::fmt::Debug for SalvageBlocks<R> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SalvageBlocks")
-            .field("format", &self.format)
-            .finish_non_exhaustive()
-    }
-}
-
-/// Opens a salvage iterator over `source`, auto-detecting the format.
-/// Infallible: even an unreadable header just produces an empty iterator
-/// with the failure recorded in the report.
-pub fn open_salvage<R: Read>(mut source: R) -> (SalvageBlocks<R>, SalvageHandle) {
-    if literace_telemetry::enabled() {
-        literace_telemetry::metrics().log_salvage_runs.add(1);
-    }
-    let report = Arc::new(Mutex::new(SalvageReport::default()));
-    let (inner, format) = match sniff_format(&mut source) {
-        Ok((LogFormat::V2, _, rev)) => (
-            Inner::V2(V2Salvage {
-                source,
-                payload: Vec::new(),
-                state: BlockState::default(),
-                file_sum: Checksum::new(),
-                records_seen: 0,
-                rev,
-                done: false,
-            }),
-            LogFormat::V2,
-        ),
-        Ok((LogFormat::V1, replay, _)) => (
-            Inner::V1 {
-                records: LogReader::new(std::io::Cursor::new(replay).chain(source))
-                    .records(DEFAULT_CHUNK_BYTES),
-                done: false,
-            },
-            LogFormat::V1,
-        ),
-        Err(e) => {
-            let format = match &e {
-                LogError::UnsupportedVersion { .. } => LogFormat::V2,
-                _ => LogFormat::V1,
-            };
-            let mut r = report.lock().expect("salvage report poisoned");
-            r.note_error(e.to_string());
-            r.suffix_dropped = true;
-            drop(r);
-            (Inner::Dead, format)
-        }
-    };
-    {
-        let mut r = report.lock().expect("salvage report poisoned");
-        r.format = Some(format);
-    }
-    let handle = SalvageHandle(report.clone());
-    (
-        SalvageBlocks {
-            inner,
-            format,
-            report,
-        },
-        handle,
-    )
-}
-
-impl<R: Read> SalvageBlocks<R> {
-    /// The detected on-disk format (best guess when the header was
-    /// unreadable).
-    pub fn format(&self) -> LogFormat {
-        self.format
-    }
-
-    /// A handle to the shared report.
-    pub fn handle(&self) -> SalvageHandle {
-        SalvageHandle(self.report.clone())
     }
 }
 
@@ -279,245 +162,10 @@ pub(crate) fn tally_skip(blocks: u64, records: u64, bytes: u64) {
     }
 }
 
-impl<R: Read> V2Salvage<R> {
-    fn next_block(&mut self, report: &Mutex<SalvageReport>) -> Option<Vec<Record>> {
-        loop {
-            if self.done {
-                return None;
-            }
-            let mut frame = [0u8; FRAME_BYTES];
-            let got = match read_exact_or_eof(&mut self.source, &mut frame) {
-                Ok(n) => n,
-                Err(e) => {
-                    // The source itself failed: whatever follows is
-                    // unreachable, and it may have held sync records.
-                    let mut r = report.lock().expect("salvage report poisoned");
-                    r.note_error(e.to_string());
-                    r.suffix_dropped = true;
-                    r.sync_tainted = true;
-                    self.done = true;
-                    return None;
-                }
-            };
-            if got == 0 {
-                // Clean EOF without a footer: the writer never finalized,
-                // but every decoded block was intact.
-                let mut r = report.lock().expect("salvage report poisoned");
-                if r.seal == SealState::Unknown {
-                    r.seal = SealState::Unsealed;
-                }
-                self.done = true;
-                return None;
-            }
-            if got < FRAME_BYTES {
-                // Torn trailing frame: fewer than FRAME_BYTES bytes at
-                // EOF cannot hold a complete record, so nothing decodable
-                // (and no sync record) is lost.
-                let mut r = report.lock().expect("salvage report poisoned");
-                r.bytes_dropped += got as u64;
-                r.note_error(format!(
-                    "truncated block header: {got} of {FRAME_BYTES} bytes"
-                ));
-                r.seal = SealState::Unsealed;
-                drop(r);
-                tally_skip(0, 0, got as u64);
-                self.done = true;
-                return None;
-            }
-            match parse_frame(&frame) {
-                Err(e) => {
-                    // Framing lost: the block boundaries after this point
-                    // cannot be found, so the whole suffix goes.
-                    let rest = drain_bytes(&mut self.source);
-                    let dropped = FRAME_BYTES as u64 + rest;
-                    let mut r = report.lock().expect("salvage report poisoned");
-                    r.bytes_dropped += dropped;
-                    r.suffix_dropped = true;
-                    r.sync_tainted = true;
-                    r.note_error(e.to_string());
-                    drop(r);
-                    tally_skip(0, 0, dropped);
-                    self.done = true;
-                    return None;
-                }
-                Ok(Frame::Footer(foot)) => {
-                    let trailing = drain_bytes(&mut self.source);
-                    let mut r = report.lock().expect("salvage report poisoned");
-                    // foot_sum verified in parse_frame: the writer did
-                    // finalize this log, whatever happened to its middle.
-                    r.seal = SealState::Sealed;
-                    if trailing > 0 {
-                        r.bytes_dropped += trailing;
-                        r.note_error(format!("{trailing} trailing bytes after footer"));
-                    }
-                    let totals_match = foot.total_records == self.records_seen
-                        && foot.file_sum == self.file_sum.finish();
-                    // A mismatch is expected when blocks were skipped; on
-                    // an otherwise-clean read it means damage the block
-                    // checks missed.
-                    if !totals_match && r.first_error.is_none() {
-                        r.note_error(format!(
-                            "footer totals mismatch: footer says {} records, decoded {}",
-                            foot.total_records, self.records_seen
-                        ));
-                    }
-                    drop(r);
-                    if trailing > 0 {
-                        tally_skip(0, 0, trailing);
-                    }
-                    self.done = true;
-                    return None;
-                }
-                Ok(Frame::Block(head)) => {
-                    self.payload.clear();
-                    self.payload.resize(head.payload_len as usize, 0);
-                    let got = match read_exact_or_eof(&mut self.source, &mut self.payload) {
-                        Ok(n) => n,
-                        Err(e) => {
-                            let mut r = report.lock().expect("salvage report poisoned");
-                            r.note_error(e.to_string());
-                            r.suffix_dropped = true;
-                            r.sync_tainted = true;
-                            self.done = true;
-                            return None;
-                        }
-                    };
-                    if got < self.payload.len() {
-                        // Torn final block (EOF mid-payload). Its records
-                        // are gone; the trusted header says how many, and
-                        // whether sync edges went with them.
-                        let dropped = (FRAME_BYTES + got) as u64;
-                        let mut r = report.lock().expect("salvage report poisoned");
-                        r.blocks_skipped += 1;
-                        r.records_dropped_known += u64::from(head.record_count);
-                        r.bytes_dropped += dropped;
-                        r.seal = SealState::Unsealed;
-                        if head.sync_count > 0 {
-                            r.sync_tainted = true;
-                        }
-                        r.note_error(format!(
-                            "truncated block: {got} of {} payload bytes",
-                            head.payload_len
-                        ));
-                        drop(r);
-                        tally_skip(1, u64::from(head.record_count), dropped);
-                        self.done = true;
-                        return None;
-                    }
-                    let payload_ok =
-                        crate::checksum::checksum(&self.payload) == head.payload_sum;
-                    let decoded = if payload_ok {
-                        decode_block_with(
-                            &mut self.state,
-                            &self.payload,
-                            head.record_count,
-                            self.rev,
-                        )
-                    } else {
-                        Err(LogError::corrupt("block payload checksum mismatch"))
-                    };
-                    match decoded {
-                        Ok(block) => {
-                            self.file_sum.update(&frame);
-                            self.file_sum.update(&self.payload);
-                            self.records_seen += u64::from(head.record_count);
-                            let mut r = report.lock().expect("salvage report poisoned");
-                            r.blocks_decoded += 1;
-                            r.records_salvaged += block.len() as u64;
-                            return Some(block);
-                        }
-                        Err(e) => {
-                            let dropped = (FRAME_BYTES + self.payload.len()) as u64;
-                            let mut r = report.lock().expect("salvage report poisoned");
-                            r.blocks_skipped += 1;
-                            r.records_dropped_known += u64::from(head.record_count);
-                            r.bytes_dropped += dropped;
-                            r.note_error(e.to_string());
-                            if head.sync_count > 0 {
-                                // Sync records lost: a happens-before
-                                // edge between surviving accesses may be
-                                // gone. Nothing after this block can be
-                                // trusted not to race falsely — drop the
-                                // suffix.
-                                r.sync_tainted = true;
-                                r.suffix_dropped = true;
-                                drop(r);
-                                let rest = drain_bytes(&mut self.source);
-                                report
-                                    .lock()
-                                    .expect("salvage report poisoned")
-                                    .bytes_dropped += rest;
-                                tally_skip(1, u64::from(head.record_count), dropped + rest);
-                                self.done = true;
-                                return None;
-                            }
-                            // Memory-only block: dropping it can only
-                            // hide races, never invent them. Resync at
-                            // the next frame.
-                            drop(r);
-                            tally_skip(1, u64::from(head.record_count), dropped);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-impl<R: Read> Iterator for SalvageBlocks<R> {
-    type Item = crate::error::LogResult<Vec<Record>>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.inner {
-            Inner::Dead => None,
-            Inner::V2(v2) => v2.next_block(&self.report).map(Ok),
-            Inner::V1 { records, done } => {
-                if *done {
-                    return None;
-                }
-                let mut block = Vec::with_capacity(V1_BLOCK_RECORDS);
-                loop {
-                    match records.next() {
-                        Some(Ok(r)) => {
-                            block.push(r);
-                            if block.len() >= V1_BLOCK_RECORDS {
-                                break;
-                            }
-                        }
-                        Some(Err(e)) => {
-                            // v1 has no framing to resync on: keep the
-                            // clean prefix (a global prefix is always
-                            // sound), drop the rest.
-                            *done = true;
-                            let mut r = self.report.lock().expect("salvage report poisoned");
-                            r.note_error(e.to_string());
-                            r.suffix_dropped = true;
-                            r.sync_tainted = true;
-                            break;
-                        }
-                        None => {
-                            *done = true;
-                            break;
-                        }
-                    }
-                }
-                if block.is_empty() {
-                    return None;
-                }
-                let mut r = self.report.lock().expect("salvage report poisoned");
-                r.blocks_decoded += 1;
-                r.records_salvaged += block.len() as u64;
-                drop(r);
-                Some(Ok(block))
-            }
-        }
-    }
-}
-
 /// Reads as much of a log as salvage allows into an [`EventLog`], with
 /// the final damage report. Never fails.
 pub fn read_log_salvage(source: impl Read) -> (EventLog, SalvageReport) {
-    let (blocks, handle) = open_salvage(source);
+    let (blocks, handle) = RecordBlocks::open_salvage(source);
     let mut log = EventLog::new();
     for block in blocks.flatten() {
         log.extend(block);
@@ -528,7 +176,10 @@ pub fn read_log_salvage(source: impl Read) -> (EventLog, SalvageReport) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checksum::Checksum;
     use crate::codec::encode_all;
+    use crate::record::Record;
+    use crate::v2::FRAME_BYTES;
     use crate::record::SamplerMask;
     use crate::v2::encode_v2;
     use literace_sim::{Addr, FuncId, Pc, ThreadId};

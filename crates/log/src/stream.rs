@@ -6,22 +6,28 @@
 //! * [`LogFormat`] detection from the first bytes (v1 logs start with a
 //!   record tag in `1..=4`, v2 with the [`V2_MAGIC`] header);
 //! * [`RecordBlocks`], a synchronous iterator of decoded record blocks
-//!   over either format (v1 records are re-batched into fixed-size
-//!   blocks, v2 blocks come straight from the wire);
+//!   over either format, strict or salvage: v2 blocks come from the
+//!   reader stages of [`crate::parallel`] run inline, v1 records are
+//!   re-batched into fixed-size blocks;
 //! * [`RecordStream`], the same blocks pulled through a **bounded
-//!   channel** from a decoder thread, so decoding overlaps whatever the
-//!   consumer does with the blocks (sync replay, shard routing, shard
-//!   replay — see `literace_detector::detect_stream`).
+//!   channel**, so decoding overlaps whatever the consumer does with the
+//!   blocks (sync replay, shard routing, shard replay — see
+//!   `literace_detector::detect_stream`). One decode thread runs
+//!   [`RecordBlocks`]; two or more run the v2 stages as a worker pool.
 //!
 //! [`V2_MAGIC`]: crate::v2::V2_MAGIC
 
 use std::io::Read;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Arc, Mutex};
 
-use crate::error::{LogError, LogResult};
-use crate::io::{LogReader, DEFAULT_CHUNK_BYTES};
+use crate::error::{count_error, LogError, LogResult};
+use crate::io::{ChunkedRecords, LogReader, DEFAULT_CHUNK_BYTES};
+use crate::parallel::{spawn_pool, BytesSource, Inline, Mode, ReaderSource};
 use crate::record::{EventLog, Record};
-use crate::v2::{V2Blocks, V2_MAGIC, V2_VERSION};
+use crate::retry::{RetryPolicy, RetryReader};
+use crate::salvage::{SalvageHandle, SalvageReport};
+use crate::v2::{SealState, V2_MAGIC, V2_VERSION};
 
 /// Number of records per re-batched block when streaming a v1 log.
 pub const V1_BLOCK_RECORDS: usize = 4096;
@@ -51,10 +57,10 @@ pub fn auto_stream_depth(decode_threads: usize, detect_threads: usize) -> usize 
 /// deep the bounded handoff channels are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DecodeOpts {
-    /// Decode worker threads. `1` keeps the single-decoder-thread layout;
-    /// `2+` enables the parallel out-of-order block pool for v2 logs (v1
-    /// logs always decode sequentially — the fixed-width stream has no
-    /// block framing to parallelize over).
+    /// Decode worker threads. `1` runs the reader inline on one decoder
+    /// thread; `2+` runs the v2 reader stages as an out-of-order block
+    /// pool (v1 logs always decode on one thread — the fixed-width stream
+    /// has no block framing to parallelize over).
     pub threads: usize,
     /// Bound, in blocks, of each handoff channel.
     pub depth: usize,
@@ -136,7 +142,7 @@ impl std::fmt::Display for LogFormat {
 /// A source with **zero bytes** is classified as a valid, empty v1 log —
 /// v1 has no header, so "no records" is a legal encoding. Every entry
 /// point built on this sniff ([`read_log_auto`], [`RecordBlocks::open`],
-/// [`RecordStream::spawn`]) therefore treats empty input as an empty log,
+/// [`RecordStream::spawn_with`]) therefore treats empty input as an empty log,
 /// never as an error.
 ///
 /// # Errors
@@ -179,22 +185,83 @@ pub(crate) fn sniff_format(source: &mut impl Read) -> LogResult<(LogFormat, Vec<
 
 /// A `Read` source with a replayed prefix (the bytes consumed by format
 /// sniffing).
-pub(crate) type Replayed<R> = std::io::Chain<std::io::Cursor<Vec<u8>>, R>;
+type Replayed<R> = std::io::Chain<std::io::Cursor<Vec<u8>>, R>;
 
 enum Blocks<R: Read> {
-    V1 {
-        records: crate::io::ChunkedRecords<Replayed<R>>,
-        done: bool,
-    },
-    V2(V2Blocks<R>),
+    V1(V1Blocks<Replayed<R>>),
+    V2(Inline<ReaderSource<R>>),
+    /// A salvage read whose header was unreadable: nothing to read.
+    Dead,
+}
+
+/// v1 records re-batched into blocks of [`V1_BLOCK_RECORDS`]. v1 has no
+/// framing to resync on: a strict read ends at the first error, a salvage
+/// read keeps the clean prefix (a global prefix is always sound) and
+/// drops the rest.
+struct V1Blocks<R> {
+    records: ChunkedRecords<R>,
+    mode: Mode,
+    done: bool,
+}
+
+impl<R: Read> Iterator for V1Blocks<R> {
+    type Item = LogResult<Vec<Record>>;
+
+    fn next(&mut self) -> Option<LogResult<Vec<Record>>> {
+        if self.done {
+            return None;
+        }
+        let start = literace_telemetry::enabled().then(std::time::Instant::now);
+        let mut block = Vec::with_capacity(V1_BLOCK_RECORDS);
+        let mut error = None;
+        while block.len() < V1_BLOCK_RECORDS {
+            match self.records.next() {
+                Some(Ok(r)) => block.push(r),
+                Some(Err(e)) => {
+                    error = Some(e);
+                    break;
+                }
+                None => break,
+            }
+        }
+        self.done = block.len() < V1_BLOCK_RECORDS;
+        match &self.mode {
+            Mode::Strict => {
+                if let Some(start) = start {
+                    let m = literace_telemetry::metrics();
+                    m.log_decode_v1_records.add(block.len() as u64);
+                    m.log_decode_v1_ns.add(start.elapsed().as_nanos() as u64);
+                }
+                if let Some(e) = error {
+                    return Some(Err(e));
+                }
+            }
+            Mode::Salvage(report) => {
+                let mut r = report.lock().expect("salvage report poisoned");
+                if let Some(e) = error {
+                    r.note_error(e.to_string());
+                    r.suffix_dropped = true;
+                    r.sync_tainted = true;
+                }
+                if !block.is_empty() {
+                    r.blocks_decoded += 1;
+                    r.records_salvaged += block.len() as u64;
+                }
+            }
+        }
+        (!block.is_empty()).then_some(Ok(block))
+    }
 }
 
 /// Synchronous block iterator over either log format.
 ///
-/// Yields `LogResult<Vec<Record>>`; fuses after the first error.
+/// Yields `LogResult<Vec<Record>>`; fuses after the first error. A
+/// salvage iterator ([`open_salvage`](RecordBlocks::open_salvage)) never
+/// yields `Err`.
 pub struct RecordBlocks<R: Read> {
     inner: Blocks<R>,
     format: LogFormat,
+    seal: Arc<Mutex<SealState>>,
 }
 
 impl<R: Read> std::fmt::Debug for RecordBlocks<R> {
@@ -212,49 +279,73 @@ impl<R: Read> RecordBlocks<R> {
     ///
     /// Returns [`LogError::UnsupportedVersion`] for an unreadable v2
     /// version and [`LogError::Io`] on read failure.
-    pub fn open(mut source: R) -> LogResult<RecordBlocks<R>> {
-        let (format, replay, rev) =
-            sniff_format(&mut source).inspect_err(crate::error::count_error)?;
+    pub fn open(source: R) -> LogResult<RecordBlocks<R>> {
+        RecordBlocks::with_mode(source, Mode::Strict).inspect_err(count_error)
+    }
+
+    /// Opens a **salvage** iterator over `source`: a best-effort decode
+    /// that never yields an error, skipping corrupt v2 blocks where that
+    /// is provably safe and dropping the suffix where it is not. See
+    /// [`crate::salvage`] for the soundness rule. Infallible: even an
+    /// unreadable header just yields nothing, with the failure recorded
+    /// in the report.
+    pub fn open_salvage(source: R) -> (RecordBlocks<R>, SalvageHandle) {
+        if literace_telemetry::enabled() {
+            literace_telemetry::metrics().log_salvage_runs.add(1);
+        }
+        let report = Arc::new(Mutex::new(SalvageReport::default()));
+        let blocks = RecordBlocks::with_mode(source, Mode::Salvage(report.clone()))
+            .unwrap_or_else(|e| {
+                let mut r = report.lock().expect("salvage report poisoned");
+                r.note_error(e.to_string());
+                r.suffix_dropped = true;
+                RecordBlocks {
+                    inner: Blocks::Dead,
+                    format: match e {
+                        LogError::UnsupportedVersion { .. } => LogFormat::V2,
+                        _ => LogFormat::V1,
+                    },
+                    seal: Arc::default(),
+                }
+            });
+        report.lock().expect("salvage report poisoned").format = Some(blocks.format);
+        (blocks, SalvageHandle(report))
+    }
+
+    fn with_mode(mut source: R, mode: Mode) -> LogResult<RecordBlocks<R>> {
+        let (format, replay, rev) = sniff_format(&mut source)?;
         Ok(match format {
             LogFormat::V1 => RecordBlocks {
-                inner: Blocks::V1 {
-                    records: LogReader::new(
-                        std::io::Cursor::new(replay).chain(source),
-                    )
-                    .records(DEFAULT_CHUNK_BYTES),
+                inner: Blocks::V1(V1Blocks {
+                    records: LogReader::new(std::io::Cursor::new(replay).chain(source))
+                        .records(DEFAULT_CHUNK_BYTES),
+                    mode,
                     done: false,
-                },
+                }),
                 format,
+                seal: Arc::default(),
             },
-            LogFormat::V2 => RecordBlocks {
-                inner: Blocks::V2(V2Blocks::after_header(source, rev)),
-                format,
-            },
+            LogFormat::V2 => {
+                let reader = Inline::new(ReaderSource::new(source), rev, mode);
+                RecordBlocks {
+                    seal: reader.seal(),
+                    inner: Blocks::V2(reader),
+                    format,
+                }
+            }
         })
     }
 
-    /// The detected on-disk format.
+    /// The detected on-disk format (best guess when a salvage read found
+    /// the header unreadable).
     pub fn format(&self) -> LogFormat {
         self.format
     }
 
     /// Footer state of the stream: meaningful once iteration has finished,
     /// [`SealState::Unknown`] for v1 logs (which have no footer).
-    pub fn seal_state(&self) -> crate::v2::SealState {
-        match &self.inner {
-            Blocks::V1 { .. } => crate::v2::SealState::Unknown,
-            Blocks::V2(blocks) => blocks.seal_state(),
-        }
-    }
-
-    /// Opens a **salvage** iterator over `source`: a best-effort decode
-    /// that never yields an error, skipping corrupt v2 blocks where that
-    /// is provably safe and dropping the suffix where it is not. See
-    /// [`crate::salvage`] for the soundness rule.
-    pub fn open_salvage(
-        source: R,
-    ) -> (crate::salvage::SalvageBlocks<R>, crate::salvage::SalvageHandle) {
-        crate::salvage::open_salvage(source)
+    pub fn seal_state(&self) -> SealState {
+        *self.seal.lock().expect("seal state poisoned")
     }
 }
 
@@ -263,49 +354,16 @@ impl<R: Read> Iterator for RecordBlocks<R> {
 
     fn next(&mut self) -> Option<LogResult<Vec<Record>>> {
         match &mut self.inner {
-            Blocks::V1 { records, done } => {
-                if *done {
-                    return None;
-                }
-                let start = literace_telemetry::enabled().then(std::time::Instant::now);
-                let finish_batch = |block: &[Record]| {
-                    if let Some(start) = start {
-                        let m = literace_telemetry::metrics();
-                        m.log_decode_v1_records.add(block.len() as u64);
-                        m.log_decode_v1_ns.add(start.elapsed().as_nanos() as u64);
-                    }
-                };
-                let mut block = Vec::with_capacity(V1_BLOCK_RECORDS);
-                for r in records.by_ref() {
-                    match r {
-                        Ok(r) => {
-                            block.push(r);
-                            if block.len() >= V1_BLOCK_RECORDS {
-                                finish_batch(&block);
-                                return Some(Ok(block));
-                            }
-                        }
-                        Err(e) => {
-                            *done = true;
-                            finish_batch(&block);
-                            return Some(Err(e));
-                        }
-                    }
-                }
-                *done = true;
-                if block.is_empty() {
-                    None
-                } else {
-                    finish_batch(&block);
-                    Some(Ok(block))
-                }
-            }
+            Blocks::V1(blocks) => blocks.next(),
             Blocks::V2(blocks) => blocks.next(),
+            Blocks::Dead => None,
         }
     }
 }
 
-/// Decoded blocks pulled through a bounded channel from a decoder thread.
+/// Decoded blocks pulled through a bounded channel from a decoder thread
+/// (or, at two or more decode threads over a v2 log, from the worker
+/// pool's in-order consumer).
 ///
 /// Dropping the stream early stops the decoder at its next send and
 /// **joins** the thread (no leak, no panic); exhausting it also joins.
@@ -313,25 +371,24 @@ impl<R: Read> Iterator for RecordBlocks<R> {
 /// [`LogError::DecoderPanicked`] stream item instead of a hung channel.
 /// Transient I/O errors (`WouldBlock`, `TimedOut`) on the underlying
 /// source are retried with bounded exponential backoff (see
-/// [`RetryPolicy`](crate::retry::RetryPolicy)).
+/// [`RetryPolicy`]).
 #[derive(Debug)]
 pub struct RecordStream {
     receiver: Option<Receiver<LogResult<Vec<Record>>>>,
     handle: Option<std::thread::JoinHandle<()>>,
     format: LogFormat,
-    /// Footer state shared with the parallel pool's consumer (`None` on
-    /// the single-decoder paths, which report [`SealState::Unknown`]).
-    seal: Option<std::sync::Arc<std::sync::Mutex<crate::v2::SealState>>>,
+    /// Footer state, shared with the thread that runs the consumer.
+    seal: Arc<Mutex<SealState>>,
 }
 
 impl RecordStream {
     /// Assembles a stream from a consuming channel end and the thread that
-    /// feeds it (the parallel decode pool's in-order consumer).
+    /// feeds it.
     pub(crate) fn from_parts(
         receiver: Receiver<LogResult<Vec<Record>>>,
         handle: std::thread::JoinHandle<()>,
         format: LogFormat,
-        seal: Option<std::sync::Arc<std::sync::Mutex<crate::v2::SealState>>>,
+        seal: Arc<Mutex<SealState>>,
     ) -> RecordStream {
         RecordStream {
             receiver: Some(receiver),
@@ -341,102 +398,36 @@ impl RecordStream {
         }
     }
 
-    /// Footer state of a v2 stream decoded by the parallel pool:
-    /// meaningful once the stream is exhausted,
-    /// [`SealState::Unknown`](crate::v2::SealState::Unknown) before that
-    /// and on the single-decoder paths.
-    pub fn seal_state(&self) -> crate::v2::SealState {
-        match &self.seal {
-            Some(seal) => *seal.lock().expect("seal state poisoned"),
-            None => crate::v2::SealState::Unknown,
-        }
+    /// Footer state of a v2 stream: meaningful once the stream is
+    /// exhausted, [`SealState::Unknown`] before that and for v1 logs.
+    pub fn seal_state(&self) -> SealState {
+        *self.seal.lock().expect("seal state poisoned")
     }
 
-    /// Spawns a decoder thread over `source` and returns the consuming
-    /// end. `depth` bounds the channel in blocks
-    /// ([`DEFAULT_STREAM_DEPTH`] is a good default).
+    /// Spawns the decoder over `source` and returns the consuming end:
+    /// one decoder thread at `opts.threads <= 1`, and for v2 logs at
+    /// `threads >= 2` the parallel worker pool (frame scan stays
+    /// sequential, payloads decode out of order, blocks are delivered
+    /// strictly in order). `opts.depth` bounds each channel in blocks.
     ///
     /// # Errors
     ///
     /// Format sniffing happens synchronously, so header errors
     /// ([`LogError::UnsupportedVersion`], I/O) surface here; decode
     /// errors surface as items of the stream.
-    pub fn spawn<R: Read + Send + 'static>(
-        source: R,
-        depth: usize,
-    ) -> LogResult<RecordStream> {
-        let blocks = RecordBlocks::open(crate::retry::RetryReader::new(
-            source,
-            crate::retry::RetryPolicy::default(),
-        ))?;
-        let format = blocks.format();
-        spawn_decoder(blocks, format, depth)
-    }
-
-    /// Spawns a **salvage** decoder thread over `source`: like
-    /// [`spawn`](RecordStream::spawn) but the stream never yields `Err` —
-    /// corrupt regions are skipped or dropped per the soundness rule in
-    /// [`crate::salvage`], and the damage tally is available through the
-    /// returned [`SalvageHandle`](crate::salvage::SalvageHandle) (final
-    /// once the stream is exhausted).
-    ///
-    /// # Errors
-    ///
-    /// Only thread-spawn failure; corrupt headers do not error here.
-    pub fn spawn_salvage<R: Read + Send + 'static>(
-        source: R,
-        depth: usize,
-    ) -> LogResult<(RecordStream, crate::salvage::SalvageHandle)> {
-        let (blocks, salvage) = crate::salvage::open_salvage(crate::retry::RetryReader::new(
-            source,
-            crate::retry::RetryPolicy::default(),
-        ));
-        let format = blocks.format();
-        let stream = spawn_decoder(blocks, format, depth)?;
-        Ok((stream, salvage))
-    }
-
-    /// Like [`spawn`](RecordStream::spawn) with explicit [`DecodeOpts`]:
-    /// `threads >= 2` decodes v2 blocks on a parallel worker pool (frame
-    /// scan stays sequential, payloads decode out of order, blocks are
-    /// delivered strictly in order). v1 logs and `threads <= 1` take the
-    /// single-decoder-thread path.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`spawn`](RecordStream::spawn): header errors surface
-    /// here, decode errors surface as stream items.
     pub fn spawn_with<R: Read + Send + 'static>(
         source: R,
         opts: DecodeOpts,
     ) -> LogResult<RecordStream> {
-        if opts.threads <= 1 {
-            return RecordStream::spawn(source, opts.depth);
-        }
-        let mut retry = crate::retry::RetryReader::new(source, crate::retry::RetryPolicy::default());
-        match sniff_format(&mut retry) {
-            Ok((LogFormat::V2, _, rev)) => crate::parallel::spawn_strict(
-                crate::parallel::ReaderSource::new(retry),
-                rev,
-                opts,
-            ),
-            Ok((LogFormat::V1, replay, _)) => {
-                let blocks = RecordBlocks::open(std::io::Cursor::new(replay).chain(retry))?;
-                let format = blocks.format();
-                spawn_decoder(blocks, format, opts.depth)
-            }
-            Err(e) => {
-                crate::error::count_error(&e);
-                Err(e)
-            }
-        }
+        let blocks = RecordBlocks::open(RetryReader::new(source, RetryPolicy::default()))?;
+        spawn_blocks(blocks, opts)
     }
 
-    /// Like [`spawn_salvage`](RecordStream::spawn_salvage) with explicit
-    /// [`DecodeOpts`]; the parallel pool applies the exact sequential
-    /// salvage rules from its in-order consumer, so the final
-    /// [`SalvageReport`](crate::salvage::SalvageReport) matches the
-    /// sequential path.
+    /// Like [`spawn_with`](RecordStream::spawn_with), but the stream
+    /// never yields `Err`: corrupt regions are skipped or dropped per the
+    /// soundness rule in [`crate::salvage`], and the damage tally is
+    /// available through the returned [`SalvageHandle`] (final once the
+    /// stream is exhausted) — the same at every thread count.
     ///
     /// # Errors
     ///
@@ -444,39 +435,17 @@ impl RecordStream {
     pub fn spawn_salvage_with<R: Read + Send + 'static>(
         source: R,
         opts: DecodeOpts,
-    ) -> LogResult<(RecordStream, crate::salvage::SalvageHandle)> {
-        if opts.threads <= 1 {
-            return RecordStream::spawn_salvage(source, opts.depth);
-        }
-        let mut retry = crate::retry::RetryReader::new(source, crate::retry::RetryPolicy::default());
-        match sniff_format(&mut retry) {
-            Ok((LogFormat::V2, _, rev)) => crate::parallel::spawn_salvage(
-                crate::parallel::ReaderSource::new(retry),
-                rev,
-                opts,
-            ),
-            Ok((LogFormat::V1, replay, _)) => {
-                // v1 salvage is inherently sequential (clean-prefix
-                // recovery); replay the sniffed bytes and reuse it.
-                let (blocks, salvage) = crate::salvage::open_salvage(
-                    std::io::Cursor::new(replay).chain(retry),
-                );
-                let format = blocks.format();
-                let stream = spawn_decoder(blocks, format, opts.depth)?;
-                Ok((stream, salvage))
-            }
-            Err(e) => {
-                // Mirror `open_salvage` on an unreadable header: an empty
-                // stream with the failure recorded, never an error.
-                crate::parallel::spawn_salvage_dead(e, opts)
-            }
-        }
+    ) -> LogResult<(RecordStream, SalvageHandle)> {
+        let (blocks, handle) =
+            RecordBlocks::open_salvage(RetryReader::new(source, RetryPolicy::default()));
+        Ok((spawn_blocks(blocks, opts)?, handle))
     }
 
     /// Streams a fully materialized (possibly memory-mapped) log without
     /// copying payload bytes: v2 block payloads are handed to the decode
     /// pool as zero-copy [`Bytes`](bytes::Bytes) slices of `bytes`. Falls
-    /// back to the reader path for v1 logs or a sequential pool.
+    /// back to [`spawn_with`](RecordStream::spawn_with) for v1 logs, an
+    /// unreadable header or one decode thread.
     ///
     /// # Errors
     ///
@@ -485,21 +454,11 @@ impl RecordStream {
         bytes: bytes::Bytes,
         opts: DecodeOpts,
     ) -> LogResult<RecordStream> {
-        if opts.threads > 1 && bytes.len() >= 5 && bytes[..4] == V2_MAGIC {
-            if !crate::v2::rev_supported(bytes[4]) {
-                let e = LogError::UnsupportedVersion {
-                    found: bytes[4],
-                    supported: V2_VERSION,
-                };
-                crate::error::count_error(&e);
-                return Err(e);
+        if opts.threads > 1 {
+            if let Ok((LogFormat::V2, _, rev)) = sniff_format(&mut &bytes[..]) {
+                let src = BytesSource::new(bytes.slice(5..));
+                return spawn_pool(Inline::new(src, rev, Mode::Strict), opts);
             }
-            let rev = bytes[4];
-            return crate::parallel::spawn_strict(
-                crate::parallel::BytesSource::new(bytes.slice(5..)),
-                rev,
-                opts,
-            );
         }
         RecordStream::spawn_with(std::io::Cursor::new(bytes), opts)
     }
@@ -510,17 +469,19 @@ impl RecordStream {
     }
 }
 
-/// An already-finished stream: yields nothing (the parallel salvage path
-/// uses this when even the header was unreadable).
-pub(crate) fn spawn_empty(format: LogFormat, depth: usize) -> LogResult<RecordStream> {
-    spawn_decoder(std::iter::empty(), format, depth)
-}
-
-fn spawn_decoder<I>(blocks: I, format: LogFormat, depth: usize) -> LogResult<RecordStream>
-where
-    I: Iterator<Item = LogResult<Vec<Record>>> + Send + 'static,
-{
-    let (sender, receiver): (SyncSender<_>, Receiver<_>) = sync_channel(depth.max(1));
+/// Runs `blocks` on one decoder thread, or a v2 reader on the decode pool
+/// when `opts` asks for two or more threads.
+fn spawn_blocks<R: Read + Send + 'static>(
+    blocks: RecordBlocks<R>,
+    opts: DecodeOpts,
+) -> LogResult<RecordStream> {
+    if opts.threads > 1 {
+        if let Blocks::V2(reader) = blocks.inner {
+            return spawn_pool(reader, opts);
+        }
+    }
+    let (format, seal) = (blocks.format, blocks.seal.clone());
+    let (sender, receiver): (SyncSender<_>, Receiver<_>) = sync_channel(opts.depth.max(1));
     let panic_sender = sender.clone();
     let handle = std::thread::Builder::new()
         .name("literace-log-decode".to_owned())
@@ -532,18 +493,13 @@ where
                 let e = LogError::DecoderPanicked {
                     message: panic_message(payload.as_ref()),
                 };
-                crate::error::count_error(&e);
+                count_error(&e);
                 // Best effort: the consumer may already be gone.
                 let _ = panic_sender.send(Err(e));
             }
         })
         .map_err(LogError::Io)?;
-    Ok(RecordStream {
-        receiver: Some(receiver),
-        handle: Some(handle),
-        format,
-        seal: None,
-    })
+    Ok(RecordStream::from_parts(receiver, handle, format, seal))
 }
 
 fn decode_loop<I>(mut blocks: I, sender: SyncSender<LogResult<Vec<Record>>>)
@@ -725,7 +681,7 @@ mod tests {
     #[test]
     fn empty_source_is_an_empty_v1_log_via_record_stream() {
         let mut stream =
-            RecordStream::spawn(std::io::empty(), DEFAULT_STREAM_DEPTH).unwrap();
+            RecordStream::spawn_with(std::io::empty(), DecodeOpts::sequential()).unwrap();
         assert_eq!(stream.format(), LogFormat::V1);
         assert!(stream.next().is_none());
     }
@@ -760,7 +716,7 @@ mod tests {
         for bytes in [encode_all(&records), encode_v2(&records)] {
             let owned: Vec<u8> = bytes.to_vec();
             let stream =
-                RecordStream::spawn(std::io::Cursor::new(owned), DEFAULT_STREAM_DEPTH)
+                RecordStream::spawn_with(std::io::Cursor::new(owned), DecodeOpts::sequential())
                     .unwrap();
             let decoded: Vec<Record> = stream.flat_map(|b| b.unwrap()).collect();
             assert_eq!(decoded, records);
@@ -771,7 +727,9 @@ mod tests {
     fn dropping_stream_midway_does_not_hang() {
         let records = some_records(100_000);
         let bytes: Vec<u8> = encode_v2(&records).to_vec();
-        let mut stream = RecordStream::spawn(std::io::Cursor::new(bytes), 1).unwrap();
+        let mut stream =
+            RecordStream::spawn_with(std::io::Cursor::new(bytes), DecodeOpts::sequential().depth(1))
+                .unwrap();
         let first = stream.next().unwrap().unwrap();
         assert!(!first.is_empty());
         drop(stream); // must not deadlock on the full channel
@@ -807,7 +765,8 @@ mod tests {
             inner: std::io::Cursor::new(bytes),
             dropped: dropped.clone(),
         };
-        let mut stream = RecordStream::spawn(source, 1).unwrap();
+        let mut stream =
+            RecordStream::spawn_with(source, DecodeOpts::sequential().depth(1)).unwrap();
         let first = stream.next().unwrap().unwrap();
         assert!(!first.is_empty());
         drop(stream);
@@ -842,7 +801,7 @@ mod tests {
         let source = PanicAfter {
             prefix: std::io::Cursor::new(bytes[..half].to_vec()),
         };
-        let stream = RecordStream::spawn(source, DEFAULT_STREAM_DEPTH).unwrap();
+        let stream = RecordStream::spawn_with(source, DecodeOpts::sequential()).unwrap();
         let mut saw_panic = false;
         for item in stream {
             if let Err(e) = item {

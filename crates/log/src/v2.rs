@@ -849,8 +849,8 @@ pub fn decode_block(payload: &[u8], count: u32, rev: u8) -> LogResult<Vec<Record
 }
 
 /// [`decode_block`] against caller-owned delta state, so a block-at-a-time
-/// reader ([`V2Blocks`]) reuses the state tables instead of reallocating
-/// them per block. The state is reset on entry.
+/// reader reuses the state tables instead of reallocating them per block.
+/// The state is reset on entry.
 pub(crate) fn decode_block_with(
     state: &mut BlockState,
     payload: &[u8],
@@ -1119,156 +1119,6 @@ impl<W: Write> Drop for LogWriterV2<W> {
     }
 }
 
-/// Iterator over the blocks of a v2 stream **after** the 5-byte header has
-/// been consumed (the auto-detecting opener in [`crate::stream`] does
-/// that). Yields decoded blocks; fuses after the first error.
-#[derive(Debug)]
-pub struct V2Blocks<R> {
-    source: R,
-    /// Payload revision from the version byte.
-    rev: u8,
-    done: bool,
-    /// Reusable payload buffer: one allocation amortized over the stream
-    /// instead of one `vec![0; payload_len]` per block.
-    payload: Vec<u8>,
-    /// Reusable per-block delta state (reset, not reallocated, per block).
-    state: BlockState,
-    /// Running checksum over every consumed frame + payload byte, checked
-    /// against the footer.
-    file_sum: Checksum,
-    /// Records decoded so far, checked against the footer's total.
-    records_seen: u64,
-    seal: SealState,
-}
-
-impl<R: std::io::Read> V2Blocks<R> {
-    /// Creates a block iterator over a source positioned at the first
-    /// block (header already consumed), decoding payload revision `rev`.
-    pub fn after_header(source: R, rev: u8) -> V2Blocks<R> {
-        V2Blocks {
-            source,
-            rev,
-            done: false,
-            payload: Vec::new(),
-            state: BlockState::default(),
-            file_sum: Checksum::new(),
-            records_seen: 0,
-            seal: SealState::Unknown,
-        }
-    }
-
-    /// The payload revision this iterator decodes.
-    pub fn revision(&self) -> u8 {
-        self.rev
-    }
-
-    /// Whether the stream carried a verified finalization footer. Remains
-    /// [`SealState::Unknown`] until the iterator has been driven to its
-    /// end (or to an error).
-    pub fn seal_state(&self) -> SealState {
-        self.seal
-    }
-
-    /// Opens a stream that must be a v2 log: reads and validates the
-    /// 5-byte header before yielding blocks. Use
-    /// [`RecordBlocks`](crate::RecordBlocks) to auto-detect the format
-    /// instead (it falls back to v1 on a missing magic).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::BadMagic`] when the stream does not start with
-    /// [`V2_MAGIC`], [`LogError::UnsupportedVersion`] for an unknown
-    /// version byte, and [`LogError::Io`] on read failure.
-    pub fn open(mut source: R) -> LogResult<V2Blocks<R>> {
-        Self::open_inner(&mut source)
-            .map(|rev| V2Blocks::after_header(source, rev))
-            .inspect_err(crate::error::count_error)
-    }
-
-    fn open_inner(source: &mut R) -> LogResult<u8> {
-        let mut header = [0u8; 5];
-        let got = read_exact_or_eof(source, &mut header)?;
-        if got < 4 || header[..4] != V2_MAGIC {
-            return Err(LogError::BadMagic {
-                found: header[..got.min(4)].to_vec(),
-            });
-        }
-        if got < 5 {
-            return Err(LogError::corrupt("v2 header truncated before version byte"));
-        }
-        if !rev_supported(header[4]) {
-            return Err(LogError::UnsupportedVersion {
-                found: header[4],
-                supported: V2_VERSION,
-            });
-        }
-        Ok(header[4])
-    }
-
-    fn read_block(&mut self) -> LogResult<Option<Vec<Record>>> {
-        let start = literace_telemetry::enabled().then(std::time::Instant::now);
-        let mut frame = [0u8; FRAME_BYTES];
-        match read_exact_or_eof(&mut self.source, &mut frame)? {
-            0 => {
-                self.seal = SealState::Unsealed;
-                return Ok(None);
-            }
-            FRAME_BYTES => {}
-            n => {
-                return Err(LogError::corrupt(format!(
-                    "truncated block header: {n} of {FRAME_BYTES} bytes"
-                )))
-            }
-        }
-        let head = match parse_frame(&frame)? {
-            Frame::Footer(foot) => {
-                if foot.total_records != self.records_seen {
-                    return Err(LogError::corrupt(format!(
-                        "footer record count mismatch: footer says {}, decoded {}",
-                        foot.total_records, self.records_seen
-                    )));
-                }
-                if foot.file_sum != self.file_sum.finish() {
-                    return Err(LogError::corrupt("footer stream checksum mismatch"));
-                }
-                let mut trailing = [0u8; 1];
-                if read_exact_or_eof(&mut self.source, &mut trailing)? != 0 {
-                    return Err(LogError::corrupt("trailing bytes after footer"));
-                }
-                self.seal = SealState::Sealed;
-                return Ok(None);
-            }
-            Frame::Block(head) => head,
-        };
-        self.payload.clear();
-        self.payload.resize(head.payload_len as usize, 0);
-        let got = read_exact_or_eof(&mut self.source, &mut self.payload)?;
-        if got != self.payload.len() {
-            return Err(LogError::corrupt(format!(
-                "truncated block: {got} of {} payload bytes",
-                head.payload_len
-            )));
-        }
-        if crate::checksum::checksum(&self.payload) != head.payload_sum {
-            return Err(LogError::corrupt("block payload checksum mismatch"));
-        }
-        let block =
-            decode_block_with(&mut self.state, &self.payload, head.record_count, self.rev)?;
-        self.file_sum.update(&frame);
-        self.file_sum.update(&self.payload);
-        self.records_seen += u64::from(head.record_count);
-        if let Some(start) = start {
-            let m = literace_telemetry::metrics();
-            m.log_decode_v2_blocks.add(1);
-            m.log_decode_v2_bytes
-                .add((FRAME_BYTES as u32 + head.payload_len) as u64);
-            m.log_decode_v2_records.add(u64::from(head.record_count));
-            m.log_decode_v2_ns.add(start.elapsed().as_nanos() as u64);
-        }
-        Ok(Some(block))
-    }
-}
-
 /// Fills `buf` as far as the source allows; returns bytes read (short only
 /// at EOF). Retries on `Interrupted`.
 pub(crate) fn read_exact_or_eof(
@@ -1285,28 +1135,6 @@ pub(crate) fn read_exact_or_eof(
         }
     }
     Ok(filled)
-}
-
-impl<R: std::io::Read> Iterator for V2Blocks<R> {
-    type Item = LogResult<Vec<Record>>;
-
-    fn next(&mut self) -> Option<LogResult<Vec<Record>>> {
-        if self.done {
-            return None;
-        }
-        match self.read_block() {
-            Ok(Some(block)) => Some(Ok(block)),
-            Ok(None) => {
-                self.done = true;
-                None
-            }
-            Err(e) => {
-                self.done = true;
-                crate::error::count_error(&e);
-                Some(Err(e))
-            }
-        }
-    }
 }
 
 /// Serializes records as a complete, finalized v2 byte stream
@@ -1329,6 +1157,7 @@ pub fn encode_v2_rev<'a>(records: impl IntoIterator<Item = &'a Record>, rev: u8)
 mod tests {
     use super::*;
     use crate::codec::encoded_len;
+    use crate::RecordBlocks;
     use literace_sim::FuncId;
 
     fn sample_records() -> Vec<Record> {
@@ -1364,7 +1193,7 @@ mod tests {
         assert_eq!(&bytes[..4], &V2_MAGIC);
         assert!(rev_supported(bytes[4]), "version byte {}", bytes[4]);
         let mut out = Vec::new();
-        for block in V2Blocks::after_header(&bytes[5..], bytes[4]) {
+        for block in RecordBlocks::open(bytes)? {
             out.extend(block?);
         }
         Ok(out)
@@ -1442,7 +1271,7 @@ mod tests {
     #[test]
     fn finished_log_reads_back_sealed() {
         let bytes = encode_v2(&sample_records());
-        let mut blocks = V2Blocks::after_header(&bytes[5..], bytes[4]);
+        let mut blocks = RecordBlocks::open(&bytes[..]).unwrap();
         assert_eq!(blocks.seal_state(), SealState::Unknown);
         for b in blocks.by_ref() {
             b.unwrap();
@@ -1460,7 +1289,7 @@ mod tests {
                 w.write_record(r).unwrap();
             }
         }
-        let mut blocks = V2Blocks::after_header(&sink[5..], sink[4]);
+        let mut blocks = RecordBlocks::open(&sink[..]).unwrap();
         let mut decoded = Vec::new();
         for b in blocks.by_ref() {
             decoded.extend(b.unwrap());
@@ -1475,7 +1304,7 @@ mod tests {
         // Flip a byte inside the footer's total_records field.
         let foot = bytes.len() - FRAME_BYTES;
         bytes[foot + 5] ^= 0x40;
-        let mut blocks = V2Blocks::after_header(&bytes[5..], bytes[4]);
+        let mut blocks = RecordBlocks::open(&bytes[..]).unwrap();
         let last = blocks.by_ref().last().unwrap();
         let err = last.unwrap_err();
         assert!(err.to_string().contains("footer"), "{err}");

@@ -14,7 +14,8 @@
 
 use literace_log::{
     encode_v2, peek_sealed_total, read_log_auto, salvage::SalvageReport, DecodeOpts, FaultPlan,
-    FaultyReader, FaultySink, LogWriterV2, Record, RecordStream, SamplerMask, SealState,
+    FaultyReader, FaultySink, LogWriterV2, Record, RecordBlocks, RecordStream, SamplerMask,
+    SealState,
 };
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 use proptest::prelude::*;
@@ -82,7 +83,7 @@ fn check_soundness(original: &[Record], salvaged: &[Record], report: &SalvageRep
 }
 
 fn drain_salvage(source: impl std::io::Read) -> (Vec<Record>, SalvageReport) {
-    let (blocks, handle) = literace_log::open_salvage(source);
+    let (blocks, handle) = RecordBlocks::open_salvage(source);
     let mut out = Vec::new();
     for block in blocks {
         out.extend(block.expect("salvage streams never yield Err"));
@@ -187,7 +188,8 @@ fn transient_errors_are_absorbed_by_the_retrying_stream() {
         ..FaultPlan::default()
     };
     let reader = FaultyReader::new(std::io::Cursor::new(bytes.clone()), plan.clone(), 17);
-    let stream = RecordStream::spawn(reader, 4).unwrap();
+    let stream =
+        RecordStream::spawn_with(reader, DecodeOpts::sequential().depth(4)).unwrap();
     let mut out = Vec::new();
     for block in stream {
         out.extend(block.expect("bounded retry must absorb budgeted transients"));
@@ -339,10 +341,10 @@ proptest! {
         prop_assert_eq!(report.records_salvaged as usize, salvaged.len());
     }
 
-    /// The worker pool replicates sequential salvage under chaos: for any
+    /// The worker pool replicates inline salvage under chaos: for any
     /// deterministic fault schedule (truncation + bit flips + short
     /// reads), parallel decode yields the same records, the same summary
-    /// line, and the same soundness guarantees as the sequential decoder.
+    /// line, and the same soundness guarantees as the inline reader.
     #[test]
     fn pooled_salvage_matches_sequential_under_faults(
         n in 1usize..160,

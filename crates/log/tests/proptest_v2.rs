@@ -3,7 +3,7 @@
 //! never panics (it decodes a clean prefix or errors).
 
 use literace_log::{
-    encode_v2, read_log_auto, LogWriterV2, Record, RecordBlocks, SamplerMask, V2Blocks,
+    encode_v2, read_log_auto, LogWriterV2, Record, RecordBlocks, SamplerMask,
 };
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 use proptest::prelude::*;
@@ -90,7 +90,7 @@ proptest! {
     fn decoding_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
         let mut stream = encode_v2([]).to_vec(); // header only
         stream.extend_from_slice(&bytes);
-        for block in V2Blocks::open(&stream[..]).unwrap() {
+        for block in RecordBlocks::open(&stream[..]).unwrap() {
             if block.is_err() {
                 break;
             }

@@ -4,8 +4,8 @@
 //! records.
 
 use literace_log::{
-    encode_v2, read_log_auto, LogError, Record, RecordBlocks, SamplerMask, V2Blocks,
-    V2_MAGIC, V2_VERSION,
+    encode_v2, read_log_auto, LogError, Record, RecordBlocks, SamplerMask, V2_MAGIC,
+    V2_VERSION,
 };
 use literace_sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
 
@@ -40,27 +40,10 @@ fn collect(blocks: impl Iterator<Item = literace_log::LogResult<Vec<Record>>>)
 }
 
 #[test]
-fn bad_magic_is_typed() {
-    let err = V2Blocks::open(&b"not a log at all"[..]).unwrap_err();
-    assert!(
-        matches!(&err, LogError::BadMagic { found } if found == b"not "),
-        "{err}"
-    );
-    // Short streams report the bytes that were there.
-    let err = V2Blocks::open(&b"LR"[..]).unwrap_err();
-    assert!(matches!(err, LogError::BadMagic { .. }), "{err}");
-    let err = V2Blocks::open(std::io::empty()).unwrap_err();
-    assert!(
-        matches!(&err, LogError::BadMagic { found } if found.is_empty()),
-        "{err}"
-    );
-}
-
-#[test]
 fn version_mismatch_is_typed_everywhere() {
     let mut bytes = encode_v2(&sample_records(10)).to_vec();
     bytes[4] = 9;
-    let err = V2Blocks::open(&bytes[..]).unwrap_err();
+    let err = RecordBlocks::open(&bytes[..]).unwrap_err();
     assert!(
         matches!(
             err,
@@ -71,16 +54,13 @@ fn version_mismatch_is_typed_everywhere() {
         ),
         "{err}"
     );
-    // The auto-detecting readers agree.
-    let err = RecordBlocks::open(&bytes[..]).unwrap_err();
-    assert!(matches!(err, LogError::UnsupportedVersion { found: 9, .. }), "{err}");
     let err = read_log_auto(&bytes[..]).unwrap_err();
     assert!(matches!(err, LogError::UnsupportedVersion { found: 9, .. }), "{err}");
 }
 
 #[test]
 fn magic_alone_with_no_version_byte_is_corrupt() {
-    let err = V2Blocks::open(&V2_MAGIC[..]).unwrap_err();
+    let err = RecordBlocks::open(&V2_MAGIC[..]).unwrap_err();
     assert!(matches!(err, LogError::Corrupt { .. }), "{err}");
     let err = read_log_auto(&V2_MAGIC[..]).unwrap_err();
     assert!(matches!(err, LogError::Corrupt { .. }), "{err}");
@@ -101,7 +81,7 @@ fn truncated_block_header_is_corrupt() {
     let bytes = encode_v2(&sample_records(100));
     // Cut inside the first block's 24-byte frame.
     let cut = &bytes[..5 + 3];
-    let err = collect(V2Blocks::open(cut).unwrap()).unwrap_err();
+    let err = collect(RecordBlocks::open(cut).unwrap()).unwrap_err();
     assert!(matches!(err, LogError::Corrupt { .. }), "{err}");
     assert!(err.to_string().contains("header"), "{err}");
 }
@@ -113,7 +93,7 @@ fn truncated_block_payload_is_corrupt() {
     // frame and half the payload.
     let payload_len = bytes.len() - 5 - 2 * FRAME;
     let cut = &bytes[..5 + FRAME + payload_len / 2];
-    let err = collect(V2Blocks::open(cut).unwrap()).unwrap_err();
+    let err = collect(RecordBlocks::open(cut).unwrap()).unwrap_err();
     assert!(matches!(err, LogError::Corrupt { .. }), "{err}");
 }
 
@@ -128,7 +108,7 @@ fn corrupted_varint_is_corrupt_not_panic() {
     for b in bytes.iter_mut().skip(payload_start + 1).take(12) {
         *b = 0xFF;
     }
-    let err = collect(V2Blocks::open(&bytes[..]).unwrap()).unwrap_err();
+    let err = collect(RecordBlocks::open(&bytes[..]).unwrap()).unwrap_err();
     assert!(matches!(err, LogError::Corrupt { .. }), "{err}");
 }
 
@@ -149,7 +129,7 @@ fn corrupted_varint_behind_a_valid_checksum_is_corrupt_not_panic() {
     }
     let sum = literace_log::checksum(&bytes[payload_start..payload_end]);
     bytes[5 + 16..5 + 24].copy_from_slice(&sum.to_le_bytes());
-    let err = collect(V2Blocks::open(&bytes[..]).unwrap()).unwrap_err();
+    let err = collect(RecordBlocks::open(&bytes[..]).unwrap()).unwrap_err();
     assert!(matches!(err, LogError::Corrupt { .. }), "{err}");
     assert!(!err.to_string().contains("checksum"), "{err}");
 }
@@ -166,7 +146,7 @@ fn oversized_declared_payload_is_rejected_without_allocating() {
     frame[4..8].copy_from_slice(&1u32.to_le_bytes());
     bytes.extend_from_slice(&frame);
     fix_head_sum(&mut bytes, 5);
-    let err = collect(V2Blocks::open(&bytes[..]).unwrap()).unwrap_err();
+    let err = collect(RecordBlocks::open(&bytes[..]).unwrap()).unwrap_err();
     assert!(matches!(err, LogError::Corrupt { .. }), "{err}");
     assert!(err.to_string().contains("cap"), "{err}");
 }
@@ -182,7 +162,7 @@ fn record_count_mismatches_are_corrupt() {
     let mut more = bytes.clone();
     more[9..13].copy_from_slice(&(count + 1).to_le_bytes());
     fix_head_sum(&mut more, 5);
-    let err = collect(V2Blocks::open(&more[..]).unwrap()).unwrap_err();
+    let err = collect(RecordBlocks::open(&more[..]).unwrap()).unwrap_err();
     assert!(matches!(err, LogError::Corrupt { .. }), "{err}");
     // Deflate it: leftover bytes after the declared records. Revision 3
     // reports them as trailing payload; revision 4 sees the tag region
@@ -190,7 +170,7 @@ fn record_count_mismatches_are_corrupt() {
     let mut fewer = bytes;
     fewer[9..13].copy_from_slice(&(count - 1).to_le_bytes());
     fix_head_sum(&mut fewer, 5);
-    let err = collect(V2Blocks::open(&fewer[..]).unwrap()).unwrap_err();
+    let err = collect(RecordBlocks::open(&fewer[..]).unwrap()).unwrap_err();
     let msg = err.to_string();
     assert!(
         msg.contains("trailing") || msg.contains("tag bytes"),
@@ -205,7 +185,7 @@ fn tampered_header_fields_fail_the_head_checksum() {
     // Mutate the count *without* fixing the checksum: the frame check
     // itself must catch it.
     bytes[9] ^= 1;
-    let err = collect(V2Blocks::open(&bytes[..]).unwrap()).unwrap_err();
+    let err = collect(RecordBlocks::open(&bytes[..]).unwrap()).unwrap_err();
     assert!(err.to_string().contains("header checksum"), "{err}");
 }
 
@@ -225,7 +205,7 @@ fn corruption_is_confined_to_one_block() {
     bytes[last] = 0xFF;
     let mut decoded = Vec::new();
     let mut error = None;
-    for block in V2Blocks::open(&bytes[..]).unwrap() {
+    for block in RecordBlocks::open(&bytes[..]).unwrap() {
         match block {
             Ok(b) => decoded.extend(b),
             Err(e) => {

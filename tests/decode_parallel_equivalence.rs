@@ -1,14 +1,15 @@
 //! Parallel-decode equivalence: reading a v2 log through the out-of-order
-//! worker pool must be *byte-identical* to the sequential decoder — the
-//! same records in the same order, the same race reports on every
-//! detection path, the same strict errors and the same salvage tallies —
-//! for every decode-thread count and both v2 payload revisions.
+//! worker pool must be *byte-identical* to the same reader stages run
+//! inline on one thread — the same records in the same order, the same
+//! race reports on every detection path, the same strict errors and the
+//! same salvage tallies — for every decode-thread count and both v2
+//! payload revisions.
 //!
 //! This is the contract that lets `--decode-threads auto` default on:
 //! workers decode blocks in whatever order the scheduler runs them, but
-//! the in-order consumer reassembles the exact sequential stream, owns
-//! the running file checksum, and applies the sequential error and
-//! salvage rules verbatim.
+//! the in-order consumer reassembles the exact in-order stream, owns the
+//! running file checksum, and applies the strict error and salvage rules
+//! verbatim.
 
 use literace::detector::{detect, detect_sharded, detect_stream, DetectConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter};
@@ -130,7 +131,7 @@ fn old_revision_logs_decode_through_the_pool() {
 }
 
 /// Strict decode failures surface identically: same error message from
-/// the pool as from the sequential decoder, wherever the log is torn.
+/// the pool as from the inline reader, wherever the log is torn.
 #[test]
 fn pool_strict_errors_match_sequential() {
     let w = build(WorkloadId::LfList, Scale::Smoke);

@@ -13,8 +13,8 @@
 use literace::detector::{detect, detect_stream, DetectConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{
-    read_log_salvage, EventLog, FaultPlan, FaultyReader, LogWriterV2, RecordStream,
-    SealState, DEFAULT_STREAM_DEPTH,
+    read_log_salvage, DecodeOpts, EventLog, FaultPlan, FaultyReader, LogWriterV2, RecordStream,
+    SealState,
 };
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
@@ -99,7 +99,7 @@ proptest! {
         // The streaming salvage path sees the identical faulted byte
         // stream (same plan, same seed) and must agree exactly.
         let reader = FaultyReader::new(std::io::Cursor::new(bytes), plan, seed);
-        let (stream, handle) = RecordStream::spawn_salvage(reader, DEFAULT_STREAM_DEPTH)
+        let (stream, handle) = RecordStream::spawn_salvage_with(reader, DecodeOpts::sequential())
             .expect("decoder thread spawns");
         let streamed = detect_stream(stream, non_stack, &DetectConfig::with_threads(4))
             .expect("salvage streams never yield Err");

@@ -13,7 +13,7 @@
 use literace::detector::{detect, detect_stream, DetectConfig, RaceReport};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{
-    encode_v2, log_to_bytes, EventLog, RecordBlocks, RecordStream, DEFAULT_STREAM_DEPTH,
+    encode_v2, log_to_bytes, DecodeOpts, EventLog, RecordBlocks, RecordStream,
 };
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
@@ -66,9 +66,9 @@ fn assert_stream_identical(log: &EventLog, non_stack: u64, context: &str) {
             );
         }
         // Decoder thread feeding the routing thread feeding the workers.
-        let stream = RecordStream::spawn(
+        let stream = RecordStream::spawn_with(
             std::io::Cursor::new(v2.to_vec()),
-            DEFAULT_STREAM_DEPTH,
+            DecodeOpts::sequential(),
         )
         .expect("stream opens");
         let report = detect_stream(stream, non_stack, &cfg).expect("stream decodes");
