@@ -7,19 +7,19 @@
 //!   fixed-width format vs the v2 blocked varint-delta format, and the
 //!   resulting compression ratio;
 //! * **decode throughput** — MB/s and records/s materializing an
-//!   [`EventLog`] from each encoding: v1 fixed-width, v2 rev-3
-//!   delta-varint (the pre-group-varint baseline), v2 rev-4 group-varint
-//!   single-threaded, and rev-4 through the out-of-order decode pool at
-//!   `--decode-threads` workers;
+//!   [`EventLog`] from each encoding: v1 fixed-width, v2 single-threaded,
+//!   and v2 through the out-of-order decode pool at `--decode-threads`
+//!   workers;
 //! * **encode throughput** — records/s and MB/s pushing the same log
-//!   through the inline `LogWriterV2` (encode on the caller's thread)
-//!   vs the pipelined write path (`PipelinedSink`: raw block builders →
-//!   background encode pool → in-order committer) at each
-//!   `--encode-threads` worker count;
+//!   through `LogWriterV2` at 0 encode workers (encode and commit on the
+//!   caller's thread) vs the same writer at each `--encode-threads`
+//!   worker count (raw block builders → background encode pool →
+//!   in-order committer), both sealing every `--block-records` records;
 //! * **run overhead** — wall-clock delta of a fully-logged run
 //!   (`run_literace_with_sink`, always-on sampling) over the unlogged
-//!   baseline (`run_baseline`), for the inline sink and the pipelined
-//!   sink — the number the write pipeline exists to shrink;
+//!   baseline (`run_baseline`), for the default `V2Sink` (0 workers) and
+//!   the writer at the largest `--encode-threads` count — the number the
+//!   encode pool exists to shrink;
 //! * **end-to-end detection** — events/s for materialize-then-detect
 //!   (`read_log_auto` + `detect_sharded`) vs streaming ingest (the decode
 //!   pool + `detect_stream`, decode overlapping shard routing and
@@ -36,9 +36,9 @@
 //! record throughput means ~3× fewer bytes read per record).
 //!
 //! With `--check-encode-vs-inline` the run exits nonzero unless the
-//! pipelined sink at one encode worker sustains at least 0.9× the
-//! inline writer's record throughput on every measured workload (the
-//! handoff tax must stay under 10%). The gate compares back-to-back
+//! writer at one encode worker sustains at least 0.9× its own 0-worker
+//! record throughput on every measured workload (the handoff tax must
+//! stay under 10%). The gate compares back-to-back
 //! sample pairs and takes the best pair, so shared-runner noise hits
 //! both sides of the ratio; scaling at the remaining worker counts is
 //! reported but not gated — on a shared 1-CPU CI host the extra workers
@@ -54,8 +54,8 @@ use std::time::Instant;
 use literace::detector::{detect_sharded, detect_stream, DetectConfig, RaceReport};
 use literace::instrument::{InstrumentConfig, Instrumenter, V2Sink};
 use literace::log::{
-    encode_v2, encode_v2_rev, log_to_bytes, read_log_auto, DecodeOpts, EncodeOpts,
-    LogWriterV2, PipelinedSink, RecordStream, DEFAULT_BLOCK_RECORDS, V2_REV_DELTA,
+    encode_v2, log_to_bytes, read_log_auto, DecodeOpts, EncodeOpts, LogWriterV2, RecordStream,
+    DEFAULT_BLOCK_RECORDS,
 };
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig};
@@ -105,7 +105,6 @@ struct Row {
     v2_bytes: usize,
     v1_decode_mb_s: f64,
     v1_decode_rps: f64,
-    v2_delta_decode_mb_s: f64,
     v2_gv_decode_mb_s: f64,
     v2_gv_decode_rps: f64,
     v2_pool_decode_mb_s: f64,
@@ -263,7 +262,6 @@ fn main() {
         let records = log.len();
         let v1: Vec<u8> = log_to_bytes(&log).to_vec();
         let v2: Vec<u8> = encode_v2(&log).to_vec();
-        let v2_delta: Vec<u8> = encode_v2_rev(&log, V2_REV_DELTA).to_vec();
 
         eprintln!(
             "[bench_pipeline] {id}: {records} records, v1 {} B, v2 {} B…",
@@ -273,10 +271,6 @@ fn main() {
 
         let v1_secs = time_best(repeats, || {
             let decoded = read_log_auto(&v1[..]).expect("v1 decodes");
-            assert_eq!(decoded.len(), records);
-        });
-        let v2_delta_secs = time_best(repeats, || {
-            let decoded = read_log_auto(&v2_delta[..]).expect("rev-3 decodes");
             assert_eq!(decoded.len(), records);
         });
         let v2_secs = time_best(repeats, || {
@@ -324,10 +318,10 @@ fn main() {
             "{id}: streaming must be byte-identical to materialize-then-detect"
         );
 
-        // Encode rows: the same record stream through the inline writer
-        // (encode on the caller's thread, payload-byte sealed blocks) vs
-        // the pipelined sink (record-count sealed raw blocks handed to a
-        // background encode pool, committed in order). Smoke-scale logs
+        // Encode rows: the same record stream through the writer at 0
+        // workers (encode and commit on the caller's thread) vs N workers
+        // (raw blocks handed to a background encode pool, committed in
+        // order); both seal every block_records records. Smoke-scale logs
         // encode in single-digit milliseconds — too short to time
         // reliably on a shared host — so the encode rows cycle the log
         // up to a 1M-record floor.
@@ -352,7 +346,9 @@ fn main() {
         // ratio, and interleaving makes host-wide slowdowns (shared CI
         // runners) hit both sides instead of whichever phase ran second.
         let time_inline_once = || {
-            let mut w = LogWriterV2::new(Vec::with_capacity(encode_bytes));
+            let opts = EncodeOpts::default().block_records(block_records);
+            let mut w = LogWriterV2::with_opts(Vec::with_capacity(encode_bytes), opts)
+                .expect("inline writer");
             let t0 = Instant::now();
             for r in &encode_log {
                 w.write_record(r).expect("vec write");
@@ -364,18 +360,17 @@ fn main() {
         };
         let time_pipelined_once = |t: usize| {
             let opts = EncodeOpts::with_threads(t).block_records(block_records);
-            let mut sink =
-                PipelinedSink::with_opts(Vec::with_capacity(encode_bytes), opts)
-                    .expect("pool spawns");
+            let mut sink = LogWriterV2::with_opts(Vec::with_capacity(encode_bytes), opts)
+                .expect("pool spawns");
             let t0 = Instant::now();
             for r in &encode_log {
-                sink.push(*r);
+                sink.write_record(r).expect("vec write");
             }
             let out = sink.finish().expect("vec sink");
             let secs = t0.elapsed().as_secs_f64();
             assert!(
                 out.len() >= encode_bytes / 2,
-                "pipelined sink produced a runt log"
+                "pooled writer produced a runt log"
             );
             secs
         };
@@ -429,7 +424,7 @@ fn main() {
             out.log.finish().expect("vec sink");
         });
         let pipelined_run_secs = time_best(repeats, || {
-            let sink = PipelinedSink::with_opts(
+            let sink = LogWriterV2::with_opts(
                 Vec::new(),
                 EncodeOpts::with_threads(*encode_threads.last().unwrap())
                     .block_records(block_records),
@@ -459,7 +454,6 @@ fn main() {
             v2_bytes: v2.len(),
             v1_decode_mb_s: per_sec(v1.len() as f64 / 1e6, v1_secs),
             v1_decode_rps: per_sec(records as f64, v1_secs),
-            v2_delta_decode_mb_s: per_sec(v2_delta.len() as f64 / 1e6, v2_delta_secs),
             v2_gv_decode_mb_s: per_sec(v2.len() as f64 / 1e6, v2_secs),
             v2_gv_decode_rps: per_sec(records as f64, v2_secs),
             v2_pool_decode_mb_s: per_sec(v2.len() as f64 / 1e6, pool_secs),
@@ -500,17 +494,18 @@ fn main() {
     json.push_str(
         "  \"notes\": \"identical full logs per workload; best of N runs. \
          Codec rows compare the fixed-width v1 encoding against blocked v2 \
-         (rev 3 delta-varint is the pre-group-varint baseline, rev 4 \
-         group-varint is what the writer emits). Decode rows materialize \
-         an EventLog: v1/delta/gv via the sequential auto reader, pool via \
+         (group-varint payloads). Decode rows materialize \
+         an EventLog: v1/gv via the sequential auto reader, pool via \
          the out-of-order worker pool at v2_decode_threads. End-to-end \
          rows feed the v2 encoding to the hb detector: 'materialized' \
          decodes the whole log then runs detect_sharded; 'streaming' \
          overlaps the decode pool, shard routing and replay via \
          detect_stream (byte-identical reports, asserted during the run). \
-         Encode rows push the identical record stream through the inline \
-         LogWriterV2 vs the pipelined sink (block builders, background \
-         encode pool, in-order committer) at each encode_threads count. \
+         Encode rows push the identical record stream through LogWriterV2 \
+         at 0 encode workers vs the same writer (block builders, background \
+         encode pool, in-order committer) at each encode_threads count; \
+         both seal every encode_block_records records, so both emit the \
+         same bytes. \
          Run-overhead rows compare a fully-logged always-sampled run \
          against the unlogged baseline over the same schedule. On a 1-CPU \
          host neither the pools nor streaming is expected to beat the \
@@ -542,10 +537,6 @@ fn main() {
         json.push_str(&format!(
             "      \"v1_decode_records_per_sec\": {},\n",
             json_f64(row.v1_decode_rps)
-        ));
-        json.push_str(&format!(
-            "      \"v2_delta_decode_mb_per_sec\": {},\n",
-            json_f64(row.v2_delta_decode_mb_s)
         ));
         json.push_str(&format!(
             "      \"v2_gv_decode_mb_per_sec\": {},\n",
@@ -619,13 +610,12 @@ fn main() {
     eprintln!("[bench_pipeline] wrote {out_path}");
     for row in &rows {
         println!(
-            "{:<16} v1 {:>9} B  v2 {:>9} B ({:.2}x)   decode v1 {:>7.1} MB/s  delta {:>6.1}  gv {:>6.1}  pool×{decode_threads} {:>6.1} MB/s   e2e mat {:>11.0} ev/s  stream {:>11.0} ev/s ({:.2}x)",
+            "{:<16} v1 {:>9} B  v2 {:>9} B ({:.2}x)   decode v1 {:>7.1} MB/s  gv {:>6.1}  pool×{decode_threads} {:>6.1} MB/s   e2e mat {:>11.0} ev/s  stream {:>11.0} ev/s ({:.2}x)",
             row.name,
             row.v1_bytes,
             row.v2_bytes,
             row.compression(),
             row.v1_decode_mb_s,
-            row.v2_delta_decode_mb_s,
             row.v2_gv_decode_mb_s,
             row.v2_pool_decode_mb_s,
             row.materialized_eps,
@@ -671,8 +661,8 @@ fn main() {
     }
 
     if check_encode {
-        // CI gate: the pipelined sink at ONE encode worker must sustain
-        // ≥ 0.9× the inline writer's record throughput — the block
+        // CI gate: the writer at ONE encode worker must sustain ≥ 0.9×
+        // its own 0-worker record throughput — the block
         // handoff, channel and committer tax must stay under 10%. The
         // gate is self-relative (same host, same log, same run) so it is
         // stable on slow shared runners. Scaling at >1 workers is
@@ -698,8 +688,8 @@ fn main() {
         if failed {
             eprintln!(
                 "[bench_pipeline] --check-encode-vs-inline FAILED: the \
-                 pipelined sink at 1 worker fell below 0.9x inline record \
-                 throughput"
+                 writer at 1 encode worker fell below 0.9x its 0-worker \
+                 record throughput"
             );
             std::process::exit(1);
         }

@@ -5,10 +5,10 @@ use std::process::ExitCode;
 
 use literace::detector::{detect_lockset, detect_stream};
 use literace::eval::{evaluate_program, EvalConfig};
-use literace::instrument::{V1Sink, V2Sink};
+use literace::instrument::V1Sink;
 use literace::log::{
     auto_stream_depth, map_or_read, read_log_auto, read_log_salvage, AtomicFile, DecodeOpts,
-    EncodeOpts, LogFormat, LogStats, LogWriter, LogWriterV2, PipelinedSink, RecordStream,
+    EncodeOpts, LogFormat, LogStats, LogWriter, LogWriterV2, RecordStream,
 };
 use literace::overhead::measure_overhead;
 use literace::prelude::*;
@@ -42,10 +42,11 @@ USAGE:
       (--decode-threads / --stream-depth as under `detect`); without
       --log, --streaming changes nothing. --threads N shards detection
       across N workers as under `detect`.
-      --encode-threads selects the pipelined write path: the run's hot
-      path only appends raw records, sealed blocks encode on N background
-      workers (v2 only, needs --log), and --block-records sets the
-      records-per-block seal point. A stale <file>.partial left by a
+      --encode-threads N moves v2 encoding off the run's hot path: the
+      run only appends raw records and N background workers encode the
+      blocks. --block-records sets the records per block (default 4096).
+      Both need --log and v2; the file's bytes depend on --block-records
+      only, never on --encode-threads. A stale <file>.partial left by a
       crashed run is swept before writing. --metrics-out writes a JSON
       telemetry snapshot; --trace-out records pipeline event tracing and
       writes a Chrome trace-event JSON file loadable in Perfetto
@@ -245,17 +246,12 @@ fn parse_decode_opts(
 }
 
 /// Parses `--encode-threads` (N or `auto`) and `--block-records` into
-/// the [`EncodeOpts`] selecting the pipelined write path. `None` when
-/// neither flag is given: the default inline sink encodes on the
-/// producing thread.
-fn parse_encode_opts(flags: &crate::args::Flags) -> Result<Option<EncodeOpts>, String> {
-    let threads = flags.get("encode-threads");
-    let block_records = flags.get("block-records");
-    if threads.is_none() && block_records.is_none() {
-        return Ok(None);
-    }
-    let opts = match threads {
-        None | Some("auto") => EncodeOpts::auto(),
+/// the v2 writer's [`EncodeOpts`]. Without `--encode-threads` the writer
+/// encodes on the producing thread (0 workers).
+fn parse_encode_opts(flags: &crate::args::Flags) -> Result<EncodeOpts, String> {
+    let opts = match flags.get("encode-threads") {
+        None => EncodeOpts::default(),
+        Some("auto") => EncodeOpts::auto(),
         Some(v) => {
             let threads: usize = v
                 .parse()
@@ -266,8 +262,8 @@ fn parse_encode_opts(flags: &crate::args::Flags) -> Result<Option<EncodeOpts>, S
             EncodeOpts::with_threads(threads)
         }
     };
-    match block_records {
-        None => Ok(Some(opts)),
+    match flags.get("block-records") {
+        None => Ok(opts),
         Some(v) => {
             let n: usize = v
                 .parse()
@@ -275,7 +271,7 @@ fn parse_encode_opts(flags: &crate::args::Flags) -> Result<Option<EncodeOpts>, S
             if n == 0 {
                 return Err("--block-records must be at least 1".into());
             }
-            Ok(Some(opts.block_records(n)))
+            Ok(opts.block_records(n))
         }
     }
 }
@@ -298,26 +294,15 @@ fn spawn_log_stream(path: &str, opts: DecodeOpts) -> Result<RecordStream, String
 /// Writes a materialized log to `path` in the requested format, returning
 /// the record count. The log is written to `<path>.partial` and renamed
 /// into place only after a clean finish, so a crash mid-write never
-/// leaves a half-written file at `path`. With `encode` options the v2
-/// bytes are produced by the pipelined encode pool instead of inline.
+/// leaves a half-written file at `path`. `encode` places the v2 writer's
+/// stages and sizes its blocks.
 fn write_log(
     path: &str,
     format: LogFormat,
-    encode: Option<EncodeOpts>,
+    encode: EncodeOpts,
     log: &EventLog,
 ) -> Result<u64, CliError> {
     let file = AtomicFile::create(path).map_err(CliError::io("cannot create", path))?;
-    if let Some(opts) = encode {
-        let mut sink =
-            PipelinedSink::with_opts(file, opts).map_err(|e| format!("write {path}: {e}"))?;
-        for record in log {
-            sink.push(*record);
-        }
-        let written = sink.records_written();
-        let file = sink.finish().map_err(|e| format!("write {path}: {e}"))?;
-        file.commit().map_err(CliError::io("cannot finalize", path))?;
-        return Ok(written);
-    }
     let (written, file) = match format {
         LogFormat::V1 => {
             let mut writer = LogWriter::new(file);
@@ -330,7 +315,8 @@ fn write_log(
             (n, writer.finish().map_err(|e| format!("flush {path}: {e}"))?)
         }
         LogFormat::V2 => {
-            let mut writer = LogWriterV2::new(file);
+            let mut writer =
+                LogWriterV2::with_opts(file, encode).map_err(|e| format!("write {path}: {e}"))?;
             for record in log {
                 writer
                     .write_record(record)
@@ -400,13 +386,13 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
     let decode_opts = parse_decode_opts(&flags, threads)?;
     let format = parse_format(&flags)?;
     let encode_opts = parse_encode_opts(&flags)?;
-    if encode_opts.is_some() {
+    if flags.get("encode-threads").is_some() || flags.get("block-records").is_some() {
         if flags.get("log").is_none() {
             return Err("--encode-threads/--block-records require --log".into());
         }
         if matches!(format, LogFormat::V1) {
             return Err(
-                "the pipelined encoder writes v2 logs only (drop --format v1)".into(),
+                "--encode-threads/--block-records shape v2 logs only (drop --format v1)".into(),
             );
         }
     }
@@ -447,25 +433,11 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
         // and the file only appears at `path` after a clean finish.
         let file = AtomicFile::create(path).map_err(CliError::io("cannot create", path))?;
         let (summary, stats, overhead, written) = match format {
-            LogFormat::V2 if encode_opts.is_some() => {
-                // Pipelined write path: the run's hot path is a raw
-                // append; sealed blocks encode on background workers
-                // and an in-order committer seals the file.
-                let opts = encode_opts.unwrap_or_default();
-                let sink = PipelinedSink::with_opts(file, opts)
-                    .map_err(|e| format!("write {path}: {e}"))?;
-                let (summary, out) =
-                    run_literace_with_sink(&w.program, sampler, &cfg, sink)
-                        .map_err(|e| e.to_string())?;
-                let written = out.log.records_written();
-                let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
-                file.commit().map_err(CliError::io("cannot finalize", path))?;
-                (summary, out.stats, out.overhead, written)
-            }
             LogFormat::V2 => {
-                let (summary, out) =
-                    run_literace_with_sink(&w.program, sampler, &cfg, V2Sink::new(file))
-                        .map_err(|e| e.to_string())?;
+                let sink = LogWriterV2::with_opts(file, encode_opts)
+                    .map_err(|e| format!("write {path}: {e}"))?;
+                let (summary, out) = run_literace_with_sink(&w.program, sampler, &cfg, sink)
+                    .map_err(|e| e.to_string())?;
                 let written = out.log.records_written();
                 let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
                 file.commit().map_err(CliError::io("cannot finalize", path))?;
@@ -1373,15 +1345,15 @@ mod tests {
     #[test]
     fn encode_opts_parse_and_validate() {
         let f = Flags::parse(&[]).unwrap();
-        assert_eq!(parse_encode_opts(&f).unwrap(), None);
+        assert_eq!(parse_encode_opts(&f).unwrap(), EncodeOpts::default());
         let f = Flags::parse(&["--encode-threads".into(), "3".into()]).unwrap();
-        let opts = parse_encode_opts(&f).unwrap().unwrap();
+        let opts = parse_encode_opts(&f).unwrap();
         assert_eq!(opts.threads, 3);
         let f = Flags::parse(&["--encode-threads".into(), "auto".into()]).unwrap();
-        assert!(parse_encode_opts(&f).unwrap().unwrap().threads >= 1);
+        assert!(parse_encode_opts(&f).unwrap().threads >= 1);
         let f = Flags::parse(&["--block-records".into(), "512".into()]).unwrap();
-        let opts = parse_encode_opts(&f).unwrap().unwrap();
-        assert_eq!(opts.block_records, 512);
+        let opts = parse_encode_opts(&f).unwrap();
+        assert_eq!((opts.threads, opts.block_records), (0, 512));
         let f = Flags::parse(&["--encode-threads".into(), "0".into()]).unwrap();
         assert!(parse_encode_opts(&f).is_err());
         let f = Flags::parse(&["--block-records".into(), "x".into()]).unwrap();

@@ -57,9 +57,10 @@ pub struct InstrumentOutput<L = EventLog> {
     pub contention_units_per_stamp: f64,
 }
 
-/// Records buffered between batch resolutions. 4096 matches the
-/// streaming detector's chunk and the pipelined sink's default block, so
-/// one resolution feeds roughly one sealed block.
+/// Records buffered between batch resolutions; the same size as the v2
+/// writer's default block (`DEFAULT_BLOCK_RECORDS`). A resolution only
+/// stamps the batch's sync records in order and hands the batch to the
+/// sink, which seals blocks on its own record count.
 const DEFER_BATCH: usize = 4096;
 
 /// A buffered record awaiting batch resolution. Sync operations are

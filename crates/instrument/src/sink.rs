@@ -5,11 +5,11 @@
 //! so a simulation can emit compact v2 log blocks straight to a file (or
 //! any `Write`) while it runs, never materializing the log. Write errors
 //! cannot interrupt the simulator's observer callbacks, so the file sinks
-//! stash the first error and surface it from [`finish`](V2Sink::finish).
+//! keep the first error and surface it from `finish`.
 
 use std::io::Write;
 
-use literace_log::{EventLog, LogError, LogResult, LogWriter, LogWriterV2, PipelinedSink, Record};
+use literace_log::{EventLog, LogError, LogResult, LogWriter, LogWriterV2, Record};
 
 /// A destination for instrumentation records.
 pub trait RecordSink {
@@ -23,54 +23,19 @@ impl RecordSink for EventLog {
     }
 }
 
-/// Streams records into a v2 log writer as they are produced, so the
-/// simulation emits encoded blocks directly from the writer's per-thread
-/// delta state instead of a materialized [`EventLog`].
-#[derive(Debug)]
-pub struct V2Sink<W: Write> {
-    writer: Option<LogWriterV2<W>>,
-    error: Option<LogError>,
-    records: u64,
-}
+/// Streams records into a v2 log as they are produced, so the simulation
+/// emits encoded blocks instead of a materialized [`EventLog`]. This is
+/// the log writer itself: [`LogWriterV2::new`] encodes on the producing
+/// thread, [`LogWriterV2::with_opts`] can move encoding to a worker pool,
+/// and the bytes are the same either way.
+pub type V2Sink<W> = LogWriterV2<W>;
 
-impl<W: Write> V2Sink<W> {
-    /// Creates a sink writing a v2 log to `sink`.
-    pub fn new(sink: W) -> V2Sink<W> {
-        V2Sink {
-            writer: Some(LogWriterV2::new(sink)),
-            error: None,
-            records: 0,
-        }
-    }
-
-    /// Flushes and returns the underlying writer's sink.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces the first error stashed by [`push`](RecordSink::push), or
-    /// any error from the final flush.
-    pub fn finish(mut self) -> LogResult<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.writer.take().ok_or(LogError::WriterFinished)?.finish()
-    }
-
-    /// Records pushed so far (including any dropped after an error).
-    pub fn records_written(&self) -> u64 {
-        self.records
-    }
-}
-
-impl<W: Write> RecordSink for V2Sink<W> {
+/// The v2 writer is a sink as-is: `write_record` never interrupts the
+/// producer (its committer keeps the first sink error for
+/// [`finish`](LogWriterV2::finish)).
+impl<W: Write> RecordSink for LogWriterV2<W> {
     fn push(&mut self, record: Record) {
-        self.records += 1;
-        if let Some(writer) = self.writer.as_mut() {
-            if let Err(e) = writer.write_record(&record) {
-                self.error = Some(e);
-                self.writer = None;
-            }
-        }
+        let _ = self.write_record(&record);
     }
 }
 
@@ -121,16 +86,6 @@ impl<W: Write> RecordSink for V1Sink<W> {
                 self.writer = None;
             }
         }
-    }
-}
-
-/// The pipelined write path is a sink as-is: `push` is already the
-/// infallible raw append (errors stash inside and surface from
-/// [`finish`](PipelinedSink::finish)), so the observer's hot path does no
-/// encoding, checksumming or I/O at all.
-impl<W: Write + Send + 'static> RecordSink for PipelinedSink<W> {
-    fn push(&mut self, record: Record) {
-        PipelinedSink::push(self, record);
     }
 }
 

@@ -1,12 +1,12 @@
 //! Group varint ("GV") integer coding for the v2 revision-4 block payload.
 //!
-//! LEB128 varints (revision 3) spend a branch per byte: every decoded
-//! field re-tests a continuation bit. Group varint hoists all the length
-//! information into one control byte per **four** values — two bits per
-//! lane selecting a stored width of 1, 2, 4 or 8 bytes — so the decoder's
-//! per-value work collapses to a table lookup, one unaligned
-//! `u64::from_le_bytes` wide load, and a mask. No continuation-bit
-//! branches, no shifts that depend on data bytes.
+//! LEB128 varints (the retired revision 3) spend a branch per byte:
+//! every decoded field re-tests a continuation bit. Group varint hoists
+//! all the length information into one control byte per **four** values
+//! — two bits per lane selecting a stored width of 1, 2, 4 or 8 bytes —
+//! so the decoder's per-value work collapses to a table lookup, one
+//! unaligned `u64::from_le_bytes` wide load, and a mask. No
+//! continuation-bit branches, no shifts that depend on data bytes.
 //!
 //! ## Wire grammar
 //!
@@ -58,7 +58,6 @@ pub struct GvEncoder {
     buf: BytesMut,
     pending: [u64; 4],
     n: usize,
-    values: u64,
 }
 
 impl GvEncoder {
@@ -72,7 +71,6 @@ impl GvEncoder {
     pub fn put(&mut self, v: u64) {
         self.pending[self.n] = v;
         self.n += 1;
-        self.values += 1;
         if self.n == 4 {
             self.flush_group();
         }
@@ -95,43 +93,23 @@ impl GvEncoder {
         self.n = 0;
     }
 
-    /// Bytes the stream will occupy if finished now (padding included).
-    pub fn encoded_len(&self) -> usize {
-        if self.n == 0 {
-            self.buf.len()
-        } else {
-            // A partial group seals as ctrl + real lanes + 1-byte pads.
-            let lanes: usize = self.pending[..self.n]
-                .iter()
-                .map(|&v| WIDTHS[selector(v) as usize])
-                .sum();
-            self.buf.len() + 1 + lanes + (4 - self.n)
-        }
-    }
-
-    /// Values appended so far.
-    pub fn values(&self) -> u64 {
-        self.values
-    }
-
-    /// Seals the stream (padding the final group) and returns the encoded
-    /// bytes. The encoder is left empty and reusable.
-    pub fn finish(&mut self) -> BytesMut {
+    /// Seals the stream (padding the final group) and borrows the encoded
+    /// bytes; the buffer keeps its capacity. [`clear`](GvEncoder::clear)
+    /// before reuse.
+    pub fn seal(&mut self) -> &[u8] {
         if self.n > 0 {
             for i in self.n..4 {
                 self.pending[i] = 0;
             }
             self.flush_group();
         }
-        self.values = 0;
-        std::mem::take(&mut self.buf)
+        &self.buf
     }
 
     /// Discards buffered state without emitting anything.
     pub fn clear(&mut self) {
         self.buf.clear();
         self.n = 0;
-        self.values = 0;
     }
 }
 
@@ -245,16 +223,8 @@ mod tests {
         for &v in values {
             enc.put(v);
         }
-        assert_eq!(enc.values(), values.len() as u64);
-        assert_eq!(enc.encoded_len(), {
-            let mut probe = GvEncoder::new();
-            for &v in values {
-                probe.put(v);
-            }
-            probe.finish().len()
-        });
-        let bytes = enc.finish();
-        let mut cur = GvCursor::new(&bytes);
+        let bytes = enc.seal();
+        let mut cur = GvCursor::new(bytes);
         for &v in values {
             assert_eq!(cur.next().unwrap(), v);
         }
@@ -310,7 +280,7 @@ mod tests {
         for v in [1u64, 2, 3, 4, 5, 6, 7, 8] {
             enc.put(v);
         }
-        let bytes = enc.finish();
+        let bytes = enc.seal();
         for cut in 0..bytes.len() {
             let mut cur = GvCursor::new(&bytes[..cut]);
             let mut result = Ok(());
@@ -331,9 +301,9 @@ mod tests {
     #[test]
     fn empty_stream_is_exhausted_immediately() {
         let mut enc = GvEncoder::new();
-        let bytes = enc.finish();
+        let bytes = enc.seal();
         assert!(bytes.is_empty());
-        let mut cur = GvCursor::new(&bytes);
+        let mut cur = GvCursor::new(bytes);
         assert!(cur.exhausted_except_padding());
         assert!(cur.next().is_err());
     }
@@ -342,11 +312,10 @@ mod tests {
     fn encoder_reuse_after_finish_starts_clean() {
         let mut enc = GvEncoder::new();
         enc.put(7);
-        let first = enc.finish();
-        assert!(!first.is_empty());
+        assert!(!enc.seal().is_empty());
+        enc.clear();
         enc.put(9);
-        let second = enc.finish();
-        let mut cur = GvCursor::new(&second);
+        let mut cur = GvCursor::new(enc.seal());
         assert_eq!(cur.next().unwrap(), 9);
     }
 }

@@ -39,7 +39,6 @@ pub mod gv;
 mod io;
 pub mod mmap;
 mod parallel;
-mod pipelined;
 mod record;
 pub mod retry;
 pub mod salvage;
@@ -47,6 +46,7 @@ mod stats;
 mod stream;
 mod v2;
 mod varint;
+mod writer;
 
 pub use atomic::AtomicFile;
 pub use checksum::{checksum, checksum32, Checksum};
@@ -63,7 +63,6 @@ pub use io::{
 };
 pub use bytes::Bytes;
 pub use mmap::{map_or_read, mmap_supported};
-pub use pipelined::{EncodeOpts, PipelinedSink, DEFAULT_BLOCK_RECORDS};
 pub use record::{EventLog, Record, SamplerMask};
 pub use retry::{RetryPolicy, RetryReader};
 pub use salvage::{read_log_salvage, SalvageHandle, SalvageReport};
@@ -72,11 +71,9 @@ pub use stream::{
     auto_stream_depth, read_log_auto, DecodeOpts, LogFormat, RecordBlocks, RecordStream,
     DEFAULT_STREAM_DEPTH, MAX_STREAM_DEPTH, V1_BLOCK_RECORDS,
 };
-pub use v2::{
-    decode_block, encode_block, encode_block_rev, encode_v2, encode_v2_rev, peek_sealed_total,
-    LogWriterV2, SealState, DEFAULT_BLOCK_BYTES, V2_MAGIC, V2_REV_DELTA, V2_REV_GV, V2_VERSION,
-};
+pub use v2::{decode_block, peek_sealed_total, SealState, V2_MAGIC, V2_VERSION};
 pub use varint::{
     get_delta, get_delta_slice, get_varint, get_varint_slice, put_delta, put_varint, unzigzag,
     zigzag, MAX_VARINT_BYTES,
 };
+pub use writer::{encode_v2, EncodeOpts, LogWriterV2, DEFAULT_BLOCK_RECORDS};

@@ -150,7 +150,7 @@ mod sys {
 mod tests {
     use super::*;
     use crate::record::{Record, SamplerMask};
-    use crate::v2::encode_v2;
+    use crate::writer::encode_v2;
     use literace_sim::{Addr, FuncId, Pc, ThreadId};
 
     fn scratch(name: &str, bytes: &[u8]) -> std::path::PathBuf {

@@ -314,12 +314,12 @@ impl<S: ScanSource> Scanner<S> {
 
 /// The decode step of every driver: payload checksum, then the records,
 /// with a panic contained as a typed error.
-fn decode_job(state: &mut BlockState, job: Job, rev: u8) -> Done {
+fn decode_job(state: &mut BlockState, job: Job) -> Done {
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if crate::checksum::checksum(&job.payload) != job.head.payload_sum {
             return Err(LogError::corrupt("block payload checksum mismatch"));
         }
-        decode_block_with(state, &job.payload, job.head.record_count, rev)
+        decode_block_with(state, &job.payload, job.head.record_count)
     }))
     .unwrap_or_else(|payload| {
         Err(LogError::DecoderPanicked {
@@ -614,15 +614,13 @@ impl Consumer {
 pub(crate) struct Inline<S> {
     scanner: Scanner<S>,
     state: BlockState,
-    rev: u8,
     /// `None` once the walk has ended.
     consumer: Option<Consumer>,
 }
 
 impl<S: ScanSource> Inline<S> {
-    /// A reader over `src`, positioned at the first block frame, decoding
-    /// payload revision `rev`.
-    pub(crate) fn new(src: S, rev: u8, mode: Mode) -> Inline<S> {
+    /// A reader over `src`, positioned at the first block frame.
+    pub(crate) fn new(src: S, mode: Mode) -> Inline<S> {
         Inline {
             scanner: Scanner {
                 src,
@@ -630,7 +628,6 @@ impl<S: ScanSource> Inline<S> {
                 salvage: matches!(mode, Mode::Salvage(_)),
             },
             state: BlockState::default(),
-            rev,
             consumer: Some(Consumer::new(mode)),
         }
     }
@@ -659,7 +656,7 @@ impl<S: ScanSource> Iterator for Inline<S> {
                 Ok(job) => {
                     let start = (consumer.strict() && literace_telemetry::enabled())
                         .then(std::time::Instant::now);
-                    let done = decode_job(&mut self.state, job, self.rev);
+                    let done = decode_job(&mut self.state, job);
                     if let (Some(t0), true) = (start, done.result.is_ok()) {
                         count_decoded(&done, t0.elapsed().as_nanos() as u64);
                     }
@@ -714,13 +711,7 @@ fn scan<S: ScanSource>(
 
 /// One decode worker: pulls scanned blocks, decodes them and sends them
 /// on. Decode panics are contained per block.
-fn worker(
-    jobs: &Mutex<Receiver<Job>>,
-    out: &SyncSender<Done>,
-    abort: &AtomicBool,
-    rev: u8,
-    strict: bool,
-) {
+fn worker(jobs: &Mutex<Receiver<Job>>, out: &SyncSender<Done>, abort: &AtomicBool, strict: bool) {
     let mut state = BlockState::default();
     loop {
         let idle_start = literace_telemetry::enabled().then(std::time::Instant::now);
@@ -746,7 +737,7 @@ fn worker(
                 result: Ok(Vec::new()),
             }
         } else {
-            decode_job(&mut state, job, rev)
+            decode_job(&mut state, job)
         };
         literace_telemetry::trace_end("decode.block");
         if let Some(t0) = busy_start {
@@ -829,7 +820,6 @@ pub(crate) fn spawn_pool<S: ScanSource + Send + 'static>(
 ) -> LogResult<RecordStream> {
     let Inline {
         mut scanner,
-        rev,
         consumer,
         ..
     } = reader;
@@ -872,7 +862,7 @@ pub(crate) fn spawn_pool<S: ScanSource + Send + 'static>(
             let abort = abort.clone();
             std::thread::Builder::new()
                 .name(format!("literace-decode-{i}"))
-                .spawn(move || worker(&job_rx, &res_tx, &abort, rev, strict))
+                .spawn(move || worker(&job_rx, &res_tx, &abort, strict))
                 .map_err(LogError::Io)
         })
         .collect::<LogResult<_>>()?;
@@ -908,7 +898,7 @@ mod tests {
     use super::*;
     use crate::record::SamplerMask;
     use crate::salvage::read_log_salvage;
-    use crate::v2::{encode_v2, encode_v2_rev, V2_REV_DELTA};
+    use crate::writer::{encode_v2, EncodeOpts, LogWriterV2};
     use literace_sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
 
     fn mixed_records(n: usize) -> Vec<Record> {
@@ -935,9 +925,9 @@ mod tests {
             .collect()
     }
 
-    fn multi_block(records: &[Record], rev: u8) -> Vec<u8> {
-        let mut w =
-            crate::v2::LogWriterV2::with_revision_and_block_bytes(Vec::new(), rev, 256);
+    fn multi_block(records: &[Record]) -> Vec<u8> {
+        let opts = EncodeOpts::default().block_records(48);
+        let mut w = LogWriterV2::with_opts(Vec::new(), opts).unwrap();
         for r in records {
             w.write_record(r).unwrap();
         }
@@ -959,19 +949,17 @@ mod tests {
     #[test]
     fn parallel_round_trips_both_revisions() {
         let records = mixed_records(5000);
-        for rev in [V2_REV_DELTA, crate::v2::V2_REV_GV] {
-            let bytes = multi_block(&records, rev);
-            for threads in [2, 4] {
-                let decoded = collect_parallel(bytes.clone(), threads).unwrap();
-                assert_eq!(decoded, records, "rev {rev} threads {threads}");
-            }
+        let bytes = multi_block(&records);
+        for threads in [2, 4] {
+            let decoded = collect_parallel(bytes.clone(), threads).unwrap();
+            assert_eq!(decoded, records, "threads {threads}");
         }
     }
 
     #[test]
     fn parallel_bytes_source_round_trips() {
         let records = mixed_records(5000);
-        let bytes: Vec<u8> = multi_block(&records, crate::v2::V2_REV_GV);
+        let bytes: Vec<u8> = multi_block(&records);
         let stream =
             RecordStream::spawn_bytes(Bytes::from(bytes), DecodeOpts::with_threads(4))
                 .unwrap();
@@ -982,7 +970,7 @@ mod tests {
     #[test]
     fn parallel_strict_errors_match_sequential() {
         let records = mixed_records(3000);
-        let clean = multi_block(&records, crate::v2::V2_REV_GV);
+        let clean = multi_block(&records);
         // Corruptions: truncated header, truncated payload, flipped payload
         // byte, flipped frame byte, trailing garbage after the footer.
         let mut torn_header = clean.clone();
@@ -1044,13 +1032,13 @@ mod tests {
     #[test]
     fn parallel_salvage_matches_sequential() {
         let records = mixed_records(3000);
-        let clean = multi_block(&records, crate::v2::V2_REV_GV);
+        let clean = multi_block(&records);
         // Mem-only records so a flipped payload is a skippable block.
         let mem_only: Vec<Record> = mixed_records(3000)
             .into_iter()
             .filter(|r| matches!(r, Record::Mem { .. }))
             .collect();
-        let mem_bytes = multi_block(&mem_only, crate::v2::V2_REV_GV);
+        let mem_bytes = multi_block(&mem_only);
         let mut cases = vec![clean.clone()];
         let mut torn = clean.clone();
         torn.truncate(clean.len() / 2);
@@ -1090,7 +1078,7 @@ mod tests {
     #[test]
     fn dropping_parallel_stream_midway_does_not_hang() {
         let records = mixed_records(50_000);
-        let bytes = multi_block(&records, crate::v2::V2_REV_GV);
+        let bytes = multi_block(&records);
         let mut stream = RecordStream::spawn_with(
             std::io::Cursor::new(bytes),
             DecodeOpts::with_threads(4).depth(1),
@@ -1104,7 +1092,7 @@ mod tests {
     #[test]
     fn seal_state_tracks_the_footer() {
         let records = mixed_records(2000);
-        let sealed = multi_block(&records, crate::v2::V2_REV_GV);
+        let sealed = multi_block(&records);
         let mut torn = sealed.clone();
         torn.truncate(sealed.len() - FRAME_BYTES - 3); // cut footer + tail
         for (bytes, expect_err, expect_seal) in [
@@ -1124,13 +1112,5 @@ mod tests {
                 assert_eq!(stream.seal_state(), expect_seal, "{threads} threads");
             }
         }
-    }
-
-    #[test]
-    fn old_revision_decodes_through_the_pool() {
-        let records = mixed_records(2000);
-        let bytes = encode_v2_rev(&records, V2_REV_DELTA).to_vec();
-        let decoded = collect_parallel(bytes, 4).unwrap();
-        assert_eq!(decoded, records);
     }
 }

@@ -181,7 +181,7 @@ mod tests {
     use crate::record::Record;
     use crate::v2::FRAME_BYTES;
     use crate::record::SamplerMask;
-    use crate::v2::encode_v2;
+    use crate::writer::encode_v2;
     use literace_sim::{Addr, FuncId, Pc, ThreadId};
 
     fn mem(i: usize) -> Record {
@@ -212,7 +212,7 @@ mod tests {
         out.extend_from_slice(&crate::v2::V2_MAGIC);
         out.push(crate::v2::V2_VERSION);
         for group in groups {
-            // Each group is far below DEFAULT_BLOCK_BYTES, so encode_v2
+            // Each group is far below DEFAULT_BLOCK_RECORDS, so encode_v2
             // emits exactly one block: strip its 5-byte header and
             // 24-byte footer and splice the block in.
             let bytes = encode_v2(group);

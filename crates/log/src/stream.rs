@@ -37,8 +37,9 @@ pub const V1_BLOCK_RECORDS: usize = 4096;
 pub const DEFAULT_STREAM_DEPTH: usize = 8;
 
 /// Upper bound on auto-sized stream depth: beyond this, extra queue slots
-/// only add memory (decoded blocks are ~32 KiB of records each), never
-/// throughput.
+/// only add memory (a decoded block holds one written block's records,
+/// [`DEFAULT_BLOCK_RECORDS`](crate::DEFAULT_BLOCK_RECORDS) by default),
+/// never throughput.
 pub const MAX_STREAM_DEPTH: usize = 64;
 
 /// Sizes the decode→detect channel from the pipeline's thread counts.
@@ -151,7 +152,7 @@ impl std::fmt::Display for LogFormat {
 /// unknown version byte and [`LogError::Io`] on read failure. A stream
 /// that merely *starts like* the magic but diverges is treated as v1 and
 /// left for the v1 decoder to judge.
-pub(crate) fn sniff_format(source: &mut impl Read) -> LogResult<(LogFormat, Vec<u8>, u8)> {
+pub(crate) fn sniff_format(source: &mut impl Read) -> LogResult<(LogFormat, Vec<u8>)> {
     let mut head = [0u8; 5];
     let mut filled = 0;
     while filled < head.len() {
@@ -165,21 +166,21 @@ pub(crate) fn sniff_format(source: &mut impl Read) -> LogResult<(LogFormat, Vec<
     let head = &head[..filled];
     if filled == 0 {
         // Empty input: a valid empty v1 log by definition.
-        return Ok((LogFormat::V1, Vec::new(), 0));
+        return Ok((LogFormat::V1, Vec::new()));
     }
     if filled >= 4 && head[..4] == V2_MAGIC {
         if filled < 5 {
             return Err(LogError::corrupt("v2 header truncated before version byte"));
         }
-        if !crate::v2::rev_supported(head[4]) {
+        if head[4] != V2_VERSION {
             return Err(LogError::UnsupportedVersion {
                 found: head[4],
                 supported: V2_VERSION,
             });
         }
-        Ok((LogFormat::V2, Vec::new(), head[4]))
+        Ok((LogFormat::V2, Vec::new()))
     } else {
-        Ok((LogFormat::V1, head.to_vec(), 0))
+        Ok((LogFormat::V1, head.to_vec()))
     }
 }
 
@@ -313,7 +314,7 @@ impl<R: Read> RecordBlocks<R> {
     }
 
     fn with_mode(mut source: R, mode: Mode) -> LogResult<RecordBlocks<R>> {
-        let (format, replay, rev) = sniff_format(&mut source)?;
+        let (format, replay) = sniff_format(&mut source)?;
         Ok(match format {
             LogFormat::V1 => RecordBlocks {
                 inner: Blocks::V1(V1Blocks {
@@ -326,7 +327,7 @@ impl<R: Read> RecordBlocks<R> {
                 seal: Arc::default(),
             },
             LogFormat::V2 => {
-                let reader = Inline::new(ReaderSource::new(source), rev, mode);
+                let reader = Inline::new(ReaderSource::new(source), mode);
                 RecordBlocks {
                     seal: reader.seal(),
                     inner: Blocks::V2(reader),
@@ -455,9 +456,9 @@ impl RecordStream {
         opts: DecodeOpts,
     ) -> LogResult<RecordStream> {
         if opts.threads > 1 {
-            if let Ok((LogFormat::V2, _, rev)) = sniff_format(&mut &bytes[..]) {
+            if let Ok((LogFormat::V2, _)) = sniff_format(&mut &bytes[..]) {
                 let src = BytesSource::new(bytes.slice(5..));
-                return spawn_pool(Inline::new(src, rev, Mode::Strict), opts);
+                return spawn_pool(Inline::new(src, Mode::Strict), opts);
             }
         }
         RecordStream::spawn_with(std::io::Cursor::new(bytes), opts)
@@ -619,7 +620,7 @@ mod tests {
     use super::*;
     use crate::codec::encode_all;
     use crate::record::SamplerMask;
-    use crate::v2::encode_v2;
+    use crate::writer::encode_v2;
     use literace_sim::{Addr, FuncId, Pc, ThreadId};
 
     fn some_records(n: usize) -> Vec<Record> {

@@ -7,9 +7,9 @@
 //!
 //! * **Per-thread deltas** — a thread's consecutive accesses touch nearby
 //!   addresses and program counters, and its logical timestamps are
-//!   near-monotonic, so each field is a zigzag varint delta against the
-//!   same thread's previous record (state keyed by thread, records still
-//!   in the single global order).
+//!   near-monotonic, so each field is a zigzag delta against the same
+//!   thread's previous record (state keyed by thread, records still in
+//!   the single global order).
 //! * **Packed tags** — the record kind, sync-op kind, `is_write` flag and
 //!   the two overwhelmingly common sampler masks (`bit 0`, `FULL`) all fit
 //!   in one tag byte.
@@ -19,32 +19,33 @@
 //!   reader hands whole blocks downstream without materializing the log,
 //!   and corruption is confined to one block.
 //!
-//! ## Wire format (revisions 3 and 4)
+//! This module holds the wire format only: frames, the block encoder
+//! ([`BlockEnc`]) and the block decoder. The writer that drives
+//! [`BlockEnc`] is [`crate::writer`]; the reader that drives the decoder
+//! is [`crate::parallel`].
+//!
+//! ## Wire format (revision 4)
 //!
 //! ```text
-//! file   := magic(4: "LRL\x02") version(1: 0x03 | 0x04) block* footer?
+//! file   := magic(4: "LRL\x02") version(1: 0x04) block* footer?
 //! block  := payload_len(u32 LE) record_count(u32 LE) sync_count(u32 LE)
 //!           head_sum(u32 LE)    payload_sum(u64 LE)  payload
 //! footer := sentinel(u32 LE: 0xFFFF_FFFF) total_records(u64 LE)
 //!           file_sum(u64 LE)   foot_sum(u32 LE)
 //!
-//! rev 3 payload := record*            (tag byte + LEB128 delta varints)
-//! rev 4 payload := values_len(u32 LE) gv_values tags
-//!                  gv_values : group-varint stream (see `crate::gv`) of
-//!                              every numeric operand, in record order
-//!                  tags      : record_count tag bytes
+//! payload := values_len(u32 LE) gv_values tags
+//!            gv_values : group-varint stream (see `crate::gv`) of every
+//!                        numeric operand, in record order
+//!            tags      : record_count tag bytes
 //! ```
 //!
-//! The framing (24-byte checksummed frames, footer, salvage rules) is
-//! identical across revisions; only the payload coding differs. Revision
-//! 4 splits tags from operands so the operand stream decodes with the
-//! branch-free wide-load group-varint cursor, and the version byte
-//! negotiates the revision: readers accept both, the writer emits
-//! [`V2_VERSION`] unless pinned with
-//! [`with_revision`](LogWriterV2::with_revision).
+//! Splitting tags from operands lets the operand stream decode with the
+//! branch-free wide-load group-varint cursor. Any other version byte —
+//! including 3, the retired LEB128 payload — fails with
+//! [`LogError::UnsupportedVersion`].
 //!
-//! Revision 3 adds the integrity fields that make salvage decoding sound
-//! (see [`crate::salvage`]):
+//! The frame and footer carry the integrity fields that make salvage
+//! decoding sound (see [`crate::salvage`]):
 //!
 //! * `head_sum` checksums the first 12 frame bytes, so a reader can trust
 //!   `payload_len` (framing survives payload corruption) and `sync_count`
@@ -57,46 +58,29 @@
 //!   record total and a whole-stream checksum, letting readers distinguish
 //!   a cleanly finalized ([`SealState::Sealed`]) log from a torn one.
 //!   A log without a footer still decodes ([`SealState::Unsealed`]): a
-//!   dropped writer flushes its open block but only
-//!   [`finish`](LogWriterV2::finish) seals.
+//!   dropped writer flushes its blocks but only
+//!   [`finish`](crate::LogWriterV2::finish) seals.
 //!
 //! v1 logs start with a record tag byte in `1..=4`, never `b'L'`, so the
 //! two formats are distinguishable from the first byte (see
 //! [`crate::stream`] for the auto-detecting reader).
 
-use std::io::Write;
-
-use bytes::{BufMut, Bytes, BytesMut};
+use bytes::{BufMut, BytesMut};
 
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 
 use crate::checksum::{checksum32, Checksum};
 use crate::error::{LogError, LogResult};
+use crate::gv::{GvCursor, GvEncoder};
 use crate::record::{Record, SamplerMask};
-use crate::varint::{get_delta_slice, get_varint_slice, put_delta, put_varint};
+use crate::varint::{unzigzag, zigzag};
 
 /// Magic bytes opening a v2 log file.
 pub const V2_MAGIC: [u8; 4] = *b"LRL\x02";
 
-/// Revision 3: checksummed frames + footer, LEB128 delta payloads.
-/// Still read; no longer written by default.
-pub const V2_REV_DELTA: u8 = 3;
-
-/// Revision 4: same framing, group-varint payloads (operand stream split
-/// from tag bytes — see [`crate::gv`]).
-pub const V2_REV_GV: u8 = 4;
-
-/// Current versioned format revision, what the writer emits by default
-/// (revision 2 lacked the integrity fields and is no longer read).
-pub const V2_VERSION: u8 = V2_REV_GV;
-
-/// Whether `rev` is a payload revision this reader decodes.
-pub(crate) fn rev_supported(rev: u8) -> bool {
-    rev == V2_REV_DELTA || rev == V2_REV_GV
-}
-
-/// Default block payload size at which the writer seals a block.
-pub const DEFAULT_BLOCK_BYTES: usize = 32 * 1024;
+/// The format revision the writer emits and the reader accepts: checksummed
+/// frames with group-varint payloads (revisions 2 and 3 are no longer read).
+pub const V2_VERSION: u8 = 4;
 
 /// Hard cap on a block's declared payload length; a corrupt header cannot
 /// make the reader allocate unboundedly.
@@ -194,16 +178,16 @@ pub(crate) fn parse_frame(frame: &[u8; FRAME_BYTES]) -> LogResult<Frame> {
 /// without decoding anything: checks the magic and version, parses the
 /// trailing 24-byte frame, and verifies the footer's whole-stream checksum
 /// against the body bytes (everything between the 5-byte header and the
-/// footer). Returns `None` for v1 logs, unsealed v2 logs, torn footers,
-/// bodies that fail the stream checksum, or files too short to hold a
-/// footer — this is a progress hint, so every failure degrades to
-/// "unknown" rather than an error.
+/// footer). Returns `None` for v1 logs, unsupported versions, unsealed v2
+/// logs, torn footers, bodies that fail the stream checksum, or files too
+/// short to hold a footer — this is a progress hint, so every failure
+/// degrades to "unknown" rather than an error.
 pub fn peek_sealed_total(path: &std::path::Path) -> Option<u64> {
     use std::io::{Read, Seek, SeekFrom};
     let mut f = std::fs::File::open(path).ok()?;
     let mut header = [0u8; 5];
     f.read_exact(&mut header).ok()?;
-    if header[..4] != V2_MAGIC || !rev_supported(header[4]) {
+    if header[..4] != V2_MAGIC || header[4] != V2_VERSION {
         return None;
     }
     let len = f.seek(SeekFrom::End(0)).ok()?;
@@ -240,6 +224,13 @@ pub fn peek_sealed_total(path: &std::path::Path) -> Option<u64> {
     Some(foot.total_records)
 }
 
+/// The 5-byte file header: magic plus version.
+pub(crate) fn file_header() -> [u8; 5] {
+    let mut header = [V2_VERSION; 5];
+    header[..4].copy_from_slice(&V2_MAGIC);
+    header
+}
+
 /// Builds a checksummed block frame for `payload`.
 pub(crate) fn make_block_frame(
     payload: &[u8],
@@ -274,7 +265,7 @@ const KIND_END: u8 = 4;
 
 /// Mem tag bit: the access is a write.
 const MEM_WRITE_BIT: u8 = 1 << 3;
-/// Mem tag mask-mode field (bits 4–5): 0 = explicit varint follows,
+/// Mem tag mask-mode field (bits 4–5): 0 = explicit operand follows,
 /// 1 = `SamplerMask::bit(0)`, 2 = `SamplerMask::FULL`.
 const MEM_MASK_SHIFT: u8 = 4;
 const MEM_MASK_EXPLICIT: u8 = 0;
@@ -370,9 +361,9 @@ impl BlockState {
 }
 
 /// Running count of delta fields emitted and how many spilled past one
-/// varint byte — the fallback rate of the delta scheme. Accumulated
+/// stored byte — the fallback rate of the delta scheme. Accumulated
 /// unconditionally (two integer adds per field) and published to telemetry
-/// only at block-flush time, keyed off the runtime flag there.
+/// only at seal time, keyed off the runtime flag there.
 #[derive(Debug, Default, Clone, Copy)]
 struct DeltaCount {
     total: u64,
@@ -380,20 +371,11 @@ struct DeltaCount {
 }
 
 impl DeltaCount {
-    /// `put_delta` plus fallback accounting.
+    /// Group-varint delta emit plus fallback accounting ("multibyte" = the
+    /// lane spilled past one stored byte).
     #[inline]
-    fn put(&mut self, buf: &mut BytesMut, last: u64, v: u64) {
-        let before = buf.len();
-        put_delta(buf, last, v);
-        self.total += 1;
-        self.multibyte += u64::from(buf.len() - before > 1);
-    }
-
-    /// Group-varint delta emit plus the same fallback accounting
-    /// ("multibyte" = the lane spilled past one stored byte).
-    #[inline]
-    fn put_gv(&mut self, enc: &mut crate::gv::GvEncoder, last: u64, v: u64) {
-        let d = crate::varint::zigzag(v.wrapping_sub(last) as i64);
+    fn put(&mut self, enc: &mut GvEncoder, last: u64, v: u64) {
+        let d = zigzag(v.wrapping_sub(last) as i64);
         enc.put(d);
         self.total += 1;
         self.multibyte += u64::from(d > 0xFF);
@@ -409,160 +391,129 @@ impl DeltaCount {
     }
 }
 
-/// Per-revision block payload encoder: rev 3 interleaves tag bytes and
-/// LEB128 varints in one buffer; rev 4 splits the numeric operands into a
-/// group-varint stream with the tag bytes trailing.
-#[derive(Debug)]
-pub(crate) enum BlockEnc {
-    Delta {
-        payload: BytesMut,
-    },
-    Gv {
-        values: crate::gv::GvEncoder,
-        tags: BytesMut,
-    },
+/// The one v2 block encoder: [`push`](BlockEnc::push) records into the
+/// open block, then [`seal`](BlockEnc::seal) it into frame + payload.
+/// The per-thread delta state restarts at every seal, so each block
+/// decodes on its own, and sealing the same records always yields the
+/// same bytes whichever thread runs the encoder.
+#[derive(Debug, Default)]
+pub(crate) struct BlockEnc {
+    state: BlockState,
+    /// Every numeric operand of the open block, in record order.
+    values: GvEncoder,
+    /// One tag byte per record of the open block.
+    tags: BytesMut,
+    /// Synchronization records in the open block (written into the frame
+    /// so salvage readers know whether a corrupt block can be dropped).
+    syncs: u32,
+    deltas: DeltaCount,
 }
 
 impl BlockEnc {
-    pub(crate) fn for_rev(rev: u8) -> BlockEnc {
-        debug_assert!(rev_supported(rev));
-        if rev == V2_REV_GV {
-            BlockEnc::Gv {
-                values: crate::gv::GvEncoder::new(),
-                tags: BytesMut::new(),
+    /// Records in the open block.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.tags.len()
+    }
+
+    /// Encodes `record` into the open block.
+    #[inline]
+    pub(crate) fn push(&mut self, record: &Record) {
+        let (values, deltas) = (&mut self.values, &mut self.deltas);
+        match *record {
+            Record::Sync {
+                tid,
+                pc,
+                kind,
+                var,
+                timestamp,
+            } => {
+                self.tags.put_u8(KIND_SYNC | (sync_kind_to_u8(kind) << 3));
+                self.syncs += 1;
+                let tid = tid.index() as u32;
+                values.put(u64::from(tid));
+                let t = self.state.thread(tid);
+                deltas.put(values, t.last_pc, pc.0);
+                deltas.put(values, t.last_var, var.0);
+                deltas.put(values, t.last_ts, timestamp);
+                t.last_pc = pc.0;
+                t.last_var = var.0;
+                t.last_ts = timestamp;
             }
-        } else {
-            BlockEnc::Delta {
-                payload: BytesMut::new(),
+            Record::Mem {
+                tid,
+                pc,
+                addr,
+                is_write,
+                mask,
+            } => {
+                let mask_mode = if mask == SamplerMask::bit(0) {
+                    MEM_MASK_BIT0
+                } else if mask == SamplerMask::FULL {
+                    MEM_MASK_FULL
+                } else {
+                    MEM_MASK_EXPLICIT
+                };
+                let mut tag = KIND_MEM | (mask_mode << MEM_MASK_SHIFT);
+                if is_write {
+                    tag |= MEM_WRITE_BIT;
+                }
+                self.tags.put_u8(tag);
+                let tid = tid.index() as u32;
+                values.put(u64::from(tid));
+                let t = self.state.thread(tid);
+                deltas.put(values, t.last_pc, pc.0);
+                deltas.put(values, t.last_addr, addr.raw());
+                t.last_pc = pc.0;
+                t.last_addr = addr.raw();
+                if mask_mode == MEM_MASK_EXPLICIT {
+                    values.put(u64::from(mask.0));
+                }
+            }
+            Record::ThreadBegin { tid } => {
+                self.tags.put_u8(KIND_BEGIN);
+                values.put(tid.index() as u64);
+            }
+            Record::ThreadEnd { tid } => {
+                self.tags.put_u8(KIND_END);
+                values.put(tid.index() as u64);
             }
         }
     }
 
-    /// Encodes `record`, updating the block's delta state.
-    fn push(&mut self, state: &mut BlockState, record: &Record, deltas: &mut DeltaCount) {
-        match self {
-            BlockEnc::Delta { payload } => {
-                encode_into_block(state, record, payload, deltas)
-            }
-            BlockEnc::Gv { values, tags } => {
-                encode_into_block_gv(state, record, values, tags, deltas)
-            }
+    /// Seals the open block: appends its checksummed frame and payload to
+    /// `out`, publishes the `log.encode.v2.*` counts, and leaves the
+    /// encoder empty (tables and buffers keep their capacity). Returns the
+    /// block's record count.
+    pub(crate) fn seal(&mut self, out: &mut Vec<u8>) -> u64 {
+        let records = self.tags.len() as u32;
+        let start = out.len();
+        out.resize(start + FRAME_BYTES, 0);
+        let values = self.values.seal();
+        out.extend_from_slice(&(values.len() as u32).to_le_bytes());
+        out.extend_from_slice(values);
+        out.extend_from_slice(&self.tags);
+        let frame = make_block_frame(&out[start + FRAME_BYTES..], records, self.syncs);
+        out[start..start + FRAME_BYTES].copy_from_slice(&frame);
+        if literace_telemetry::enabled() {
+            let m = literace_telemetry::metrics();
+            m.log_encode_v2_records.add(u64::from(records));
+            m.log_encode_v2_bytes.add((out.len() - start) as u64);
+            m.log_encode_v2_blocks.add(1);
         }
-    }
-
-    /// Exact payload size if the block were sealed now.
-    fn payload_len(&self) -> usize {
-        match self {
-            BlockEnc::Delta { payload } => payload.len(),
-            // 4-byte values_len prefix + padded value stream + tag bytes.
-            BlockEnc::Gv { values, tags } => 4 + values.encoded_len() + tags.len(),
-        }
-    }
-
-    /// Assembles and returns the payload, leaving the encoder empty.
-    fn take_payload(&mut self) -> BytesMut {
-        match self {
-            BlockEnc::Delta { payload } => std::mem::take(payload),
-            BlockEnc::Gv { values, tags } => {
-                let vals = values.finish();
-                let mut out = BytesMut::with_capacity(4 + vals.len() + tags.len());
-                out.extend_from_slice(&(vals.len() as u32).to_le_bytes());
-                out.extend_from_slice(&vals);
-                out.extend_from_slice(tags);
-                tags.clear();
-                out
-            }
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            BlockEnc::Delta { payload } => payload.clear(),
-            BlockEnc::Gv { values, tags } => {
-                values.clear();
-                tags.clear();
-            }
-        }
-    }
-}
-
-/// Rev-4 sibling of [`encode_into_block`]: the tag byte lands in `tags`,
-/// every numeric operand in the group-varint `values` stream.
-fn encode_into_block_gv(
-    state: &mut BlockState,
-    record: &Record,
-    values: &mut crate::gv::GvEncoder,
-    tags: &mut BytesMut,
-    deltas: &mut DeltaCount,
-) {
-    match *record {
-        Record::Sync {
-            tid,
-            pc,
-            kind,
-            var,
-            timestamp,
-        } => {
-            tags.put_u8(KIND_SYNC | (sync_kind_to_u8(kind) << 3));
-            let tid = tid.index() as u32;
-            values.put(u64::from(tid));
-            let t = state.thread(tid);
-            deltas.put_gv(values, t.last_pc, pc.0);
-            deltas.put_gv(values, t.last_var, var.0);
-            deltas.put_gv(values, t.last_ts, timestamp);
-            t.last_pc = pc.0;
-            t.last_var = var.0;
-            t.last_ts = timestamp;
-        }
-        Record::Mem {
-            tid,
-            pc,
-            addr,
-            is_write,
-            mask,
-        } => {
-            let mask_mode = if mask == SamplerMask::bit(0) {
-                MEM_MASK_BIT0
-            } else if mask == SamplerMask::FULL {
-                MEM_MASK_FULL
-            } else {
-                MEM_MASK_EXPLICIT
-            };
-            let mut tag = KIND_MEM | (mask_mode << MEM_MASK_SHIFT);
-            if is_write {
-                tag |= MEM_WRITE_BIT;
-            }
-            tags.put_u8(tag);
-            let tid = tid.index() as u32;
-            values.put(u64::from(tid));
-            let t = state.thread(tid);
-            deltas.put_gv(values, t.last_pc, pc.0);
-            deltas.put_gv(values, t.last_addr, addr.raw());
-            t.last_pc = pc.0;
-            t.last_addr = addr.raw();
-            if mask_mode == MEM_MASK_EXPLICIT {
-                values.put(u64::from(mask.0));
-            }
-        }
-        Record::ThreadBegin { tid } => {
-            tags.put_u8(KIND_BEGIN);
-            values.put(tid.index() as u64);
-        }
-        Record::ThreadEnd { tid } => {
-            tags.put_u8(KIND_END);
-            values.put(tid.index() as u64);
-        }
+        self.deltas.publish();
+        self.values.clear();
+        self.tags.clear();
+        self.syncs = 0;
+        self.state.reset();
+        u64::from(records)
     }
 }
 
-/// Rev-4 sibling of [`decode_from_block`]: `tag` was read from the tag
-/// region, operands stream out of the group-varint cursor.
+/// Decodes one record: `tag` was read from the tag region, operands
+/// stream out of the group-varint cursor.
 #[inline]
-fn decode_from_block_gv(
-    state: &mut BlockState,
-    tag: u8,
-    values: &mut crate::gv::GvCursor<'_>,
-) -> LogResult<Record> {
+fn decode_record(state: &mut BlockState, tag: u8, values: &mut GvCursor<'_>) -> LogResult<Record> {
     let kind = tag & 0b111;
     match kind {
         KIND_SYNC => {
@@ -635,251 +586,34 @@ fn decode_from_block_gv(
 }
 
 #[inline]
-fn gv_tid(values: &mut crate::gv::GvCursor<'_>) -> LogResult<u32> {
+fn gv_tid(values: &mut GvCursor<'_>) -> LogResult<u32> {
     let raw = values.next()?;
     u32::try_from(raw)
         .map_err(|_| LogError::corrupt(format!("thread id {raw} exceeds 32 bits")))
 }
 
 #[inline]
-fn gv_delta(values: &mut crate::gv::GvCursor<'_>, last: u64) -> LogResult<u64> {
-    Ok(last.wrapping_add(crate::varint::unzigzag(values.next()?) as u64))
+fn gv_delta(values: &mut GvCursor<'_>, last: u64) -> LogResult<u64> {
+    Ok(last.wrapping_add(unzigzag(values.next()?) as u64))
 }
 
-/// Encodes `record` into a block payload, updating the block's delta state.
-fn encode_into_block(
-    state: &mut BlockState,
-    record: &Record,
-    buf: &mut BytesMut,
-    deltas: &mut DeltaCount,
-) {
-    match *record {
-        Record::Sync {
-            tid,
-            pc,
-            kind,
-            var,
-            timestamp,
-        } => {
-            buf.put_u8(KIND_SYNC | (sync_kind_to_u8(kind) << 3));
-            let tid = tid.index() as u32;
-            put_varint(buf, u64::from(tid));
-            let t = state.thread(tid);
-            deltas.put(buf, t.last_pc, pc.0);
-            deltas.put(buf, t.last_var, var.0);
-            deltas.put(buf, t.last_ts, timestamp);
-            t.last_pc = pc.0;
-            t.last_var = var.0;
-            t.last_ts = timestamp;
-        }
-        Record::Mem {
-            tid,
-            pc,
-            addr,
-            is_write,
-            mask,
-        } => {
-            let mask_mode = if mask == SamplerMask::bit(0) {
-                MEM_MASK_BIT0
-            } else if mask == SamplerMask::FULL {
-                MEM_MASK_FULL
-            } else {
-                MEM_MASK_EXPLICIT
-            };
-            let mut tag = KIND_MEM | (mask_mode << MEM_MASK_SHIFT);
-            if is_write {
-                tag |= MEM_WRITE_BIT;
-            }
-            buf.put_u8(tag);
-            let tid = tid.index() as u32;
-            put_varint(buf, u64::from(tid));
-            let t = state.thread(tid);
-            deltas.put(buf, t.last_pc, pc.0);
-            deltas.put(buf, t.last_addr, addr.raw());
-            t.last_pc = pc.0;
-            t.last_addr = addr.raw();
-            if mask_mode == MEM_MASK_EXPLICIT {
-                put_varint(buf, u64::from(mask.0));
-            }
-        }
-        Record::ThreadBegin { tid } => {
-            buf.put_u8(KIND_BEGIN);
-            put_varint(buf, tid.index() as u64);
-        }
-        Record::ThreadEnd { tid } => {
-            buf.put_u8(KIND_END);
-            put_varint(buf, tid.index() as u64);
-        }
-    }
-}
-
-/// Decodes one record from a block payload, updating the delta state.
-/// Specialized to slices: block payloads are fully materialized, and the
-/// varint fast paths need direct byte access.
-fn decode_from_block(state: &mut BlockState, buf: &mut &[u8]) -> LogResult<Record> {
-    let Some((&tag, rest)) = buf.split_first() else {
-        return Err(LogError::corrupt("truncated block: record expected"));
-    };
-    *buf = rest;
-    let kind = tag & 0b111;
-    match kind {
-        KIND_SYNC => {
-            if tag & 0x80 != 0 {
-                return Err(LogError::corrupt(format!("bad sync tag {tag:#04x}")));
-            }
-            let sync_kind = sync_kind_from_u8((tag >> 3) & 0xF)?;
-            let tid = get_tid(buf)?;
-            let t = state.thread(tid);
-            let pc = get_delta_slice(buf, t.last_pc)?;
-            let var = get_delta_slice(buf, t.last_var)?;
-            let ts = get_delta_slice(buf, t.last_ts)?;
-            t.last_pc = pc;
-            t.last_var = var;
-            t.last_ts = ts;
-            Ok(Record::Sync {
-                tid: ThreadId::from_index(tid as usize),
-                pc: Pc(pc),
-                kind: sync_kind,
-                var: SyncVar(var),
-                timestamp: ts,
-            })
-        }
-        KIND_MEM => {
-            if tag & 0xC0 != 0 {
-                return Err(LogError::corrupt(format!("bad mem tag {tag:#04x}")));
-            }
-            let mask_mode = (tag >> MEM_MASK_SHIFT) & 0b11;
-            let tid = get_tid(buf)?;
-            let t = state.thread(tid);
-            let pc = get_delta_slice(buf, t.last_pc)?;
-            let addr = get_delta_slice(buf, t.last_addr)?;
-            t.last_pc = pc;
-            t.last_addr = addr;
-            let mask = match mask_mode {
-                MEM_MASK_BIT0 => SamplerMask::bit(0),
-                MEM_MASK_FULL => SamplerMask::FULL,
-                MEM_MASK_EXPLICIT => {
-                    let raw = get_varint_slice(buf)?;
-                    let raw = u32::try_from(raw).map_err(|_| {
-                        LogError::corrupt(format!("sampler mask {raw:#x} exceeds 32 bits"))
-                    })?;
-                    SamplerMask(raw)
-                }
-                other => {
-                    return Err(LogError::corrupt(format!("bad mem mask mode {other}")))
-                }
-            };
-            Ok(Record::Mem {
-                tid: ThreadId::from_index(tid as usize),
-                pc: Pc(pc),
-                addr: Addr(addr),
-                is_write: tag & MEM_WRITE_BIT != 0,
-                mask,
-            })
-        }
-        KIND_BEGIN | KIND_END => {
-            if tag & !0b111 != 0 {
-                return Err(LogError::corrupt(format!("bad marker tag {tag:#04x}")));
-            }
-            let tid = ThreadId::from_index(get_tid(buf)? as usize);
-            Ok(if kind == KIND_BEGIN {
-                Record::ThreadBegin { tid }
-            } else {
-                Record::ThreadEnd { tid }
-            })
-        }
-        other => Err(LogError::corrupt(format!("unknown v2 record kind {other}"))),
-    }
-}
-
-fn get_tid(buf: &mut &[u8]) -> LogResult<u32> {
-    let raw = get_varint_slice(buf)?;
-    u32::try_from(raw)
-        .map_err(|_| LogError::corrupt(format!("thread id {raw} exceeds 32 bits")))
-}
-
-/// Encodes `records` as one self-contained block (checksummed frame +
-/// payload) in the [`V2_VERSION`] payload revision.
-pub fn encode_block<'a>(
-    records: impl IntoIterator<Item = &'a Record>,
-    out: &mut BytesMut,
-) -> usize {
-    encode_block_rev(records, out, V2_VERSION)
-}
-
-/// [`encode_block`] pinned to payload revision `rev` (3 or 4).
-pub fn encode_block_rev<'a>(
-    records: impl IntoIterator<Item = &'a Record>,
-    out: &mut BytesMut,
-    rev: u8,
-) -> usize {
-    let mut state = BlockState::default();
-    let mut deltas = DeltaCount::default();
-    let mut enc = BlockEnc::for_rev(rev);
-    let mut count: u32 = 0;
-    let mut syncs: u32 = 0;
-    for r in records {
-        enc.push(&mut state, r, &mut deltas);
-        count += 1;
-        syncs += u32::from(matches!(r, Record::Sync { .. }));
-    }
-    deltas.publish();
-    let payload = enc.take_payload();
-    if literace_telemetry::enabled() && count > 0 {
-        let m = literace_telemetry::metrics();
-        m.log_encode_v2_records.add(u64::from(count));
-        m.log_encode_v2_bytes.add((FRAME_BYTES + payload.len()) as u64);
-        m.log_encode_v2_blocks.add(1);
-    }
-    out.extend_from_slice(&make_block_frame(&payload, count, syncs));
-    out.extend_from_slice(&payload);
-    count as usize
-}
-
-/// Decodes one revision-`rev` block payload declared to hold `count`
-/// records.
+/// Decodes one block payload declared to hold `count` records.
 ///
 /// # Errors
 ///
 /// Returns [`LogError::Corrupt`] when the payload truncates mid-record,
-/// holds malformed varints or tags, or has trailing bytes after the
+/// holds malformed operands or tags, or has trailing bytes after the
 /// declared record count.
-pub fn decode_block(payload: &[u8], count: u32, rev: u8) -> LogResult<Vec<Record>> {
-    decode_block_with(&mut BlockState::default(), payload, count, rev)
+pub fn decode_block(payload: &[u8], count: u32) -> LogResult<Vec<Record>> {
+    decode_block_with(&mut BlockState::default(), payload, count)
 }
 
 /// [`decode_block`] against caller-owned delta state, so a block-at-a-time
-/// reader reuses the state tables instead of reallocating them per block.
-/// The state is reset on entry.
+/// reader reuses the state tables instead of reallocating them per block:
+/// split the payload into the operand stream and the tag region, then
+/// drive the group-varint cursor one record at a time. The state is reset
+/// on entry.
 pub(crate) fn decode_block_with(
-    state: &mut BlockState,
-    payload: &[u8],
-    count: u32,
-    rev: u8,
-) -> LogResult<Vec<Record>> {
-    if rev == V2_REV_GV {
-        return decode_block_gv(state, payload, count);
-    }
-    state.reset();
-    let mut slice = payload;
-    // Every record is at least two bytes (tag + tid varint), so a corrupt
-    // count cannot force an allocation beyond half the payload.
-    let mut out = Vec::with_capacity((count as usize).min(payload.len() / 2 + 1));
-    for _ in 0..count {
-        out.push(decode_from_block(state, &mut slice)?);
-    }
-    if !slice.is_empty() {
-        return Err(LogError::corrupt(format!(
-            "block has {} trailing bytes after {count} records",
-            slice.len()
-        )));
-    }
-    Ok(out)
-}
-
-/// Rev-4 block decode: split the payload into the operand stream and the
-/// tag region, then drive the group-varint cursor one record at a time.
-fn decode_block_gv(
     state: &mut BlockState,
     payload: &[u8],
     count: u32,
@@ -897,17 +631,17 @@ fn decode_block_gv(
     };
     let tags = &payload[4 + values_len..];
     // One tag byte per record, exactly: the tag region length *is* the
-    // trailing-bytes check for revision 4.
+    // trailing-bytes check.
     if tags.len() != count as usize {
         return Err(LogError::corrupt(format!(
             "rev-4 block has {} tag bytes for {count} records",
             tags.len()
         )));
     }
-    let mut values = crate::gv::GvCursor::new(values_region);
+    let mut values = GvCursor::new(values_region);
     let mut out = Vec::with_capacity(count as usize);
     for &tag in tags {
-        out.push(decode_from_block_gv(state, tag, &mut values)?);
+        out.push(decode_record(state, tag, &mut values)?);
     }
     if !values.exhausted_except_padding() {
         return Err(LogError::corrupt(format!(
@@ -915,208 +649,6 @@ fn decode_block_gv(
         )));
     }
     Ok(out)
-}
-
-/// Writes records as a v2 log: header once, then size-bounded blocks.
-///
-/// Buffered state is flushed on [`finish`](LogWriterV2::finish) (which
-/// also reports errors) or, best-effort, on drop — a dropped writer never
-/// silently truncates whole blocks, but only `finish` surfaces failures.
-#[derive(Debug)]
-pub struct LogWriterV2<W: Write> {
-    sink: Option<W>,
-    /// Payload revision written into the header and used per block.
-    rev: u8,
-    /// Encoder for the open block's payload.
-    enc: BlockEnc,
-    state: BlockState,
-    deltas: DeltaCount,
-    block_records: u32,
-    /// Sync records in the open block (written into the frame so salvage
-    /// readers know whether a corrupt block can be dropped safely).
-    block_syncs: u32,
-    block_bytes: usize,
-    records_written: u64,
-    bytes_written: u64,
-    header_written: bool,
-    /// Running checksum over every byte after the 5-byte file header,
-    /// finalized into the footer.
-    file_sum: Checksum,
-}
-
-impl<W: Write> LogWriterV2<W> {
-    /// Creates a v2 writer over `sink` with the default block size and
-    /// the current payload revision ([`V2_VERSION`]).
-    pub fn new(sink: W) -> LogWriterV2<W> {
-        LogWriterV2::with_block_bytes(sink, DEFAULT_BLOCK_BYTES)
-    }
-
-    /// Creates a v2 writer pinned to payload revision `rev` (3 or 4) —
-    /// for compatibility tooling; new logs should take the default.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rev` is not a writable revision.
-    pub fn with_revision(sink: W, rev: u8) -> LogWriterV2<W> {
-        LogWriterV2::with_revision_and_block_bytes(sink, rev, DEFAULT_BLOCK_BYTES)
-    }
-
-    /// Creates a v2 writer pinned to payload revision `rev` sealing blocks
-    /// at `block_bytes` of payload (compatibility and test tooling).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `rev` is not a writable revision.
-    pub fn with_revision_and_block_bytes(
-        sink: W,
-        rev: u8,
-        block_bytes: usize,
-    ) -> LogWriterV2<W> {
-        assert!(rev_supported(rev), "unwritable v2 revision {rev}");
-        let mut w = LogWriterV2::with_block_bytes(sink, block_bytes);
-        w.rev = rev;
-        w.enc = BlockEnc::for_rev(rev);
-        w
-    }
-
-    /// Creates a v2 writer sealing blocks at `block_bytes` of payload.
-    pub fn with_block_bytes(sink: W, block_bytes: usize) -> LogWriterV2<W> {
-        LogWriterV2 {
-            sink: Some(sink),
-            rev: V2_VERSION,
-            enc: BlockEnc::for_rev(V2_VERSION),
-            state: BlockState::default(),
-            deltas: DeltaCount::default(),
-            block_records: 0,
-            block_syncs: 0,
-            block_bytes: block_bytes.max(1),
-            records_written: 0,
-            bytes_written: 0,
-            header_written: false,
-            file_sum: Checksum::new(),
-        }
-    }
-
-    /// Appends one record, sealing a block when the payload bound is hit.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the sink when a block flushes, and
-    /// returns [`LogError::WriterFinished`] after
-    /// [`finish`](LogWriterV2::finish).
-    pub fn write_record(&mut self, record: &Record) -> LogResult<()> {
-        if self.sink.is_none() {
-            return Err(LogError::WriterFinished);
-        }
-        self.enc.push(&mut self.state, record, &mut self.deltas);
-        self.block_records += 1;
-        self.block_syncs += u32::from(matches!(record, Record::Sync { .. }));
-        self.records_written += 1;
-        if self.enc.payload_len() >= self.block_bytes {
-            self.flush_block()?;
-        }
-        Ok(())
-    }
-
-    fn flush_block(&mut self) -> LogResult<()> {
-        let sink = self.sink.as_mut().ok_or(LogError::WriterFinished)?;
-        let mut emitted = 0u64;
-        if !self.header_written {
-            sink.write_all(&V2_MAGIC)?;
-            sink.write_all(&[self.rev])?;
-            self.bytes_written += V2_MAGIC.len() as u64 + 1;
-            emitted += V2_MAGIC.len() as u64 + 1;
-            self.header_written = true;
-        }
-        if self.block_records == 0 {
-            if literace_telemetry::enabled() && emitted > 0 {
-                literace_telemetry::metrics().log_encode_v2_bytes.add(emitted);
-            }
-            return Ok(());
-        }
-        let payload = self.enc.take_payload();
-        let frame = make_block_frame(&payload, self.block_records, self.block_syncs);
-        sink.write_all(&frame)?;
-        sink.write_all(&payload)?;
-        self.file_sum.update(&frame);
-        self.file_sum.update(&payload);
-        self.bytes_written += (FRAME_BYTES + payload.len()) as u64;
-        emitted += (FRAME_BYTES + payload.len()) as u64;
-        if literace_telemetry::enabled() {
-            let m = literace_telemetry::metrics();
-            m.log_encode_v2_records.add(u64::from(self.block_records));
-            m.log_encode_v2_bytes.add(emitted);
-            m.log_encode_v2_blocks.add(1);
-        }
-        self.deltas.publish();
-        self.enc.clear();
-        self.block_records = 0;
-        self.block_syncs = 0;
-        // Blocks decode independently, so the delta state restarts (the
-        // tables keep their capacity).
-        self.state.reset();
-        Ok(())
-    }
-
-    /// Seals the open block, writes the finalization footer, flushes, and
-    /// returns the sink. A log finished here reads back as
-    /// [`SealState::Sealed`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors from the final flush, and returns
-    /// [`LogError::WriterFinished`] when called twice.
-    pub fn finish(&mut self) -> LogResult<W> {
-        self.flush_block()?;
-        let footer = make_footer(self.records_written, self.file_sum.finish());
-        let sink = self.sink.as_mut().ok_or(LogError::WriterFinished)?;
-        sink.write_all(&footer)?;
-        self.bytes_written += FRAME_BYTES as u64;
-        if literace_telemetry::enabled() {
-            literace_telemetry::metrics()
-                .log_encode_v2_bytes
-                .add(FRAME_BYTES as u64);
-        }
-        let mut sink = self.sink.take().ok_or(LogError::WriterFinished)?;
-        sink.flush()?;
-        Ok(sink)
-    }
-
-    /// Records written so far.
-    pub fn records_written(&self) -> u64 {
-        self.records_written
-    }
-
-    /// Bytes the log will occupy if finished now: bytes already emitted,
-    /// plus the open block's buffered payload (counted as if sealed), the
-    /// header, and the footer.
-    pub fn bytes_written(&self) -> u64 {
-        let pending_header = if self.header_written { 0 } else { 5 };
-        let pending_block = if self.block_records > 0 {
-            (FRAME_BYTES + self.enc.payload_len()) as u64
-        } else {
-            0
-        };
-        let pending_footer = if self.sink.is_some() {
-            FRAME_BYTES as u64
-        } else {
-            0
-        };
-        self.bytes_written + pending_header + pending_block + pending_footer
-    }
-}
-
-impl<W: Write> Drop for LogWriterV2<W> {
-    /// Best-effort flush so a dropped writer cannot silently lose the open
-    /// block. Errors are swallowed here — call `finish` to observe them.
-    fn drop(&mut self) {
-        if self.sink.is_some() {
-            let _ = self.flush_block();
-            if let Some(sink) = self.sink.as_mut() {
-                let _ = sink.flush();
-            }
-        }
-    }
 }
 
 /// Fills `buf` as far as the source allows; returns bytes read (short only
@@ -1137,26 +669,11 @@ pub(crate) fn read_exact_or_eof(
     Ok(filled)
 }
 
-/// Serializes records as a complete, finalized v2 byte stream
-/// (header + blocks + footer) in the current payload revision.
-pub fn encode_v2<'a>(records: impl IntoIterator<Item = &'a Record>) -> Bytes {
-    encode_v2_rev(records, V2_VERSION)
-}
-
-/// [`encode_v2`] pinned to payload revision `rev` (3 or 4) — for
-/// backward-compatibility fixtures and tooling.
-pub fn encode_v2_rev<'a>(records: impl IntoIterator<Item = &'a Record>, rev: u8) -> Bytes {
-    let mut w = LogWriterV2::with_revision(Vec::new(), rev);
-    for r in records {
-        w.write_record(r).expect("Vec sink cannot fail");
-    }
-    Bytes::from(w.finish().expect("Vec sink cannot fail"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::codec::encoded_len;
+    use crate::writer::{encode_v2, EncodeOpts, LogWriterV2};
     use crate::RecordBlocks;
     use literace_sim::FuncId;
 
@@ -1189,9 +706,20 @@ mod tests {
         out
     }
 
+    /// One sealed block (frame + payload) holding `records`.
+    fn sealed_block(records: &[Record]) -> Vec<u8> {
+        let mut enc = BlockEnc::default();
+        for r in records {
+            enc.push(r);
+        }
+        let mut block = Vec::new();
+        enc.seal(&mut block);
+        block
+    }
+
     fn decode_stream(bytes: &[u8]) -> LogResult<Vec<Record>> {
         assert_eq!(&bytes[..4], &V2_MAGIC);
-        assert!(rev_supported(bytes[4]), "version byte {}", bytes[4]);
+        assert_eq!(bytes[4], V2_VERSION);
         let mut out = Vec::new();
         for block in RecordBlocks::open(bytes)? {
             out.extend(block?);
@@ -1203,7 +731,6 @@ mod tests {
     fn round_trip_preserves_records() {
         let records = sample_records();
         let bytes = encode_v2(&records);
-        assert_eq!(bytes[4], V2_REV_GV, "default revision is group varint");
         assert_eq!(decode_stream(&bytes).unwrap(), records);
     }
 
@@ -1232,28 +759,10 @@ mod tests {
     }
 
     #[test]
-    fn rev3_round_trip_preserves_records() {
-        let records = sample_records();
-        let bytes = encode_v2_rev(&records, V2_REV_DELTA);
-        assert_eq!(bytes[4], V2_REV_DELTA);
-        assert_eq!(decode_stream(&bytes).unwrap(), records);
-    }
-
-    #[test]
-    fn rev3_and_rev4_decode_identically() {
-        let records = sample_records();
-        let delta = encode_v2_rev(&records, V2_REV_DELTA);
-        let gv = encode_v2_rev(&records, V2_REV_GV);
-        assert_eq!(
-            decode_stream(&delta).unwrap(),
-            decode_stream(&gv).unwrap()
-        );
-    }
-
-    #[test]
     fn round_trip_across_tiny_blocks() {
         let records = sample_records();
-        let mut w = LogWriterV2::with_block_bytes(Vec::new(), 16);
+        let opts = EncodeOpts::default().block_records(3);
+        let mut w = LogWriterV2::with_opts(Vec::new(), opts).unwrap();
         for r in &records {
             w.write_record(r).unwrap();
         }
@@ -1309,19 +818,6 @@ mod tests {
         let err = last.unwrap_err();
         assert!(err.to_string().contains("footer"), "{err}");
         assert_eq!(blocks.seal_state(), SealState::Unknown);
-    }
-
-    #[test]
-    fn write_after_finish_is_a_typed_error() {
-        let records = sample_records();
-        let mut w = LogWriterV2::new(Vec::new());
-        w.write_record(&records[0]).unwrap();
-        w.finish().unwrap();
-        assert!(matches!(
-            w.write_record(&records[1]),
-            Err(LogError::WriterFinished)
-        ));
-        assert!(matches!(w.finish(), Err(LogError::WriterFinished)));
     }
 
     #[test]
@@ -1398,30 +894,22 @@ mod tests {
         let records = vec![Record::ThreadBegin {
             tid: ThreadId::MAIN,
         }];
-        for rev in [V2_REV_DELTA, V2_REV_GV] {
-            let mut buf = BytesMut::new();
-            encode_block_rev(&records, &mut buf, rev);
-            let mut payload = buf[FRAME_BYTES..].to_vec(); // strip the frame
-            payload.push(0x00); // extra byte after the declared record
-            let err = decode_block(&payload, 1, rev).unwrap_err();
-            // Rev 3 reports trailing payload bytes; rev 4 catches the same
-            // corruption as a tag-region length mismatch.
-            assert!(
-                err.to_string().contains("trailing") || err.to_string().contains("tag bytes"),
-                "rev {rev}: {err}"
-            );
-        }
+        let mut payload = sealed_block(&records)[FRAME_BYTES..].to_vec(); // strip the frame
+        payload.push(0x00); // extra byte after the declared record
+        let err = decode_block(&payload, 1).unwrap_err();
+        // The tag region holds one byte per record, so a trailing byte is
+        // a tag-region length mismatch.
+        assert!(err.to_string().contains("tag bytes"), "{err}");
     }
 
     #[test]
     fn gv_trailing_operand_bytes_are_corrupt() {
         let records = sample_records();
-        let mut buf = BytesMut::new();
-        encode_block_rev(&records, &mut buf, V2_REV_GV);
-        let payload = &buf[FRAME_BYTES..];
+        let block = sealed_block(&records);
+        let payload = &block[FRAME_BYTES..];
         // Declare one record fewer than encoded: the tag-region check
         // fires before any operand is touched.
-        let err = decode_block(payload, records.len() as u32 - 1, V2_REV_GV).unwrap_err();
+        let err = decode_block(payload, records.len() as u32 - 1).unwrap_err();
         assert!(err.to_string().contains("tag bytes"), "{err}");
     }
 
@@ -1437,17 +925,5 @@ mod tests {
             // Dropped without finish(): the open block must still land.
         }
         assert_eq!(decode_stream(&sink).unwrap(), records);
-    }
-
-    #[test]
-    fn bytes_written_matches_final_size() {
-        let records = sample_records();
-        let mut w = LogWriterV2::with_block_bytes(Vec::new(), 64);
-        for r in &records {
-            w.write_record(r).unwrap();
-        }
-        let claimed = w.bytes_written();
-        let bytes = w.finish().unwrap();
-        assert_eq!(claimed, bytes.len() as u64);
     }
 }

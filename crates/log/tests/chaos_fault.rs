@@ -10,12 +10,15 @@
 //!    records are a gap-free *prefix* of the clean log's sync records —
 //!    the property that makes races from a salvaged log trustworthy;
 //! 4. a writer killed mid-stream never leaves bytes that classify as a
-//!    sealed log.
+//!    sealed log, and after its first sink error writes nothing more.
+
+use std::io::Write;
+use std::sync::{Arc, Mutex};
 
 use literace_log::{
-    encode_v2, peek_sealed_total, read_log_auto, salvage::SalvageReport, DecodeOpts, FaultPlan,
-    FaultyReader, FaultySink, LogWriterV2, Record, RecordBlocks, RecordStream, SamplerMask,
-    SealState,
+    encode_v2, peek_sealed_total, read_log_auto, salvage::SalvageReport, DecodeOpts, EncodeOpts,
+    FaultPlan, FaultyReader, FaultySink, LogWriterV2, Record, RecordBlocks, RecordStream,
+    SamplerMask, SealState,
 };
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 use proptest::prelude::*;
@@ -45,11 +48,37 @@ fn sample_records(n: usize) -> Vec<Record> {
 /// Encodes `records` into a multi-block v2 log with small blocks, so fault
 /// offsets land in interesting places (frames, payloads, the footer).
 fn small_block_log(records: &[Record]) -> Vec<u8> {
-    let mut w = LogWriterV2::with_block_bytes(Vec::new(), 48);
+    let mut w = LogWriterV2::with_opts(Vec::new(), small_blocks()).unwrap();
     for r in records {
         w.write_record(r).unwrap();
     }
     w.finish().unwrap()
+}
+
+/// Eight records per block: many blocks even for short logs.
+fn small_blocks() -> EncodeOpts {
+    EncodeOpts::default().block_records(8)
+}
+
+/// A `Write` over a shared buffer, so the bytes that landed stay
+/// observable after the writer consumed or dropped its sink.
+#[derive(Debug, Clone, Default)]
+struct SharedVec(Arc<Mutex<Vec<u8>>>);
+
+impl SharedVec {
+    fn bytes(&self) -> Vec<u8> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+impl Write for SharedVec {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0.lock().unwrap().extend_from_slice(buf);
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
 }
 
 fn is_subsequence(needle: &[Record], hay: &[Record]) -> bool {
@@ -134,10 +163,10 @@ fn killed_writer_is_never_classified_sealed() {
     let records = sample_records(200);
     let full_len = small_block_log(&records).len() as u64;
     for fail_after in [0, 1, 30, 100, full_len / 2, full_len - 1] {
-        let mut out = Vec::new();
+        let shared = SharedVec::default();
         {
-            let sink = FaultySink::new(&mut out, Some(fail_after), true, fail_after);
-            let mut w = LogWriterV2::with_block_bytes(sink, 48);
+            let sink = FaultySink::new(shared.clone(), Some(fail_after), true, fail_after);
+            let mut w = LogWriterV2::with_opts(sink, small_blocks()).unwrap();
             let mut failed = false;
             for r in &records {
                 if w.write_record(r).is_err() {
@@ -150,6 +179,7 @@ fn killed_writer_is_never_classified_sealed() {
             }
             // Dropping the writer flushes best-effort into the dead sink.
         }
+        let out = shared.bytes();
         assert!(out.len() as u64 <= fail_after);
         let (salvaged, report) = drain_salvage(&out[..]);
         assert_ne!(
@@ -158,6 +188,85 @@ fn killed_writer_is_never_classified_sealed() {
             "torn write of {fail_after} bytes classified sealed: {report}"
         );
         check_soundness(&records, &salvaged, &report);
+    }
+}
+
+/// A sink that fails exactly one write call, the `fail_call`-th (from
+/// 1), and accepts every other; it notes how many bytes had landed when
+/// it failed.
+#[derive(Debug)]
+struct FailOnce {
+    out: SharedVec,
+    calls: usize,
+    fail_call: usize,
+    landed_at_failure: Arc<Mutex<Option<usize>>>,
+}
+
+impl Write for FailOnce {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        if self.calls == self.fail_call {
+            *self.landed_at_failure.lock().unwrap() = Some(self.out.bytes().len());
+            return Err(std::io::Error::other("injected one-shot write failure"));
+        }
+        self.out.write(buf)
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// First error wins. The sink fails one write call mid-log (after the
+/// header and eight blocks) and would accept every later one, yet no
+/// byte reaches it after the failure, `finish` returns that error, and
+/// what landed salvages as an unsealed subsequence of the input. The
+/// same at 0 and 2 encode workers, and used as `V2Sink` is (the
+/// instrument crate's alias of this writer): pushed past the error,
+/// then dropped.
+#[test]
+fn first_sink_error_wins_and_nothing_is_written_after_it() {
+    let records = sample_records(200);
+    for (threads, finish) in [(0, true), (2, true), (0, false)] {
+        let out = SharedVec::default();
+        let landed_at_failure = Arc::new(Mutex::new(None));
+        let sink = FailOnce {
+            out: out.clone(),
+            calls: 0,
+            fail_call: 10,
+            landed_at_failure: landed_at_failure.clone(),
+        };
+        let opts = EncodeOpts {
+            threads,
+            ..small_blocks()
+        };
+        let mut w = LogWriterV2::with_opts(sink, opts).unwrap();
+        for r in &records {
+            w.write_record(r).unwrap();
+        }
+        let leg = format!("{threads} workers, finish {finish}");
+        if finish {
+            let err = w.finish().expect_err("finish must return the sink error");
+            assert!(
+                err.to_string().contains("injected one-shot"),
+                "{leg}: {err}"
+            );
+        } else {
+            drop(w);
+        }
+        let landed = landed_at_failure
+            .lock()
+            .unwrap()
+            .expect("the sink failed once");
+        let bytes = out.bytes();
+        assert_eq!(
+            bytes.len(),
+            landed,
+            "{leg}: bytes reached the sink after its error"
+        );
+        let (salvaged, report) = drain_salvage(&bytes[..]);
+        assert_eq!(report.seal, SealState::Unsealed, "{leg}: {report}");
+        assert!(!salvaged.is_empty(), "{leg}: {report}");
+        assert!(is_subsequence(&salvaged, &records), "{leg}: {report}");
     }
 }
 
@@ -264,14 +373,15 @@ fn peek_sealed_total_rejects_header_footer_and_body_flips() {
 #[test]
 fn peek_sealed_total_rejects_an_unsealed_writer_drop() {
     let records = sample_records(60);
-    let mut unsealed = Vec::new();
+    let shared = SharedVec::default();
     {
-        let mut w = LogWriterV2::with_block_bytes(&mut unsealed, 48);
+        let mut w = LogWriterV2::with_opts(shared.clone(), small_blocks()).unwrap();
         for r in &records {
             w.write_record(r).unwrap();
         }
         // Dropped without finish: blocks flushed, but no footer.
     }
+    let unsealed = shared.bytes();
     assert!(!unsealed.is_empty());
     assert_eq!(peek_of(&unsealed, "unsealed"), None);
 }

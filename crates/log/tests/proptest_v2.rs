@@ -3,7 +3,7 @@
 //! never panics (it decodes a clean prefix or errors).
 
 use literace_log::{
-    encode_v2, read_log_auto, LogWriterV2, Record, RecordBlocks, SamplerMask,
+    encode_v2, read_log_auto, EncodeOpts, LogWriterV2, Record, RecordBlocks, SamplerMask,
 };
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 use proptest::prelude::*;
@@ -74,9 +74,10 @@ proptest! {
     #[test]
     fn round_trip_any_block_size(
         records in prop::collection::vec(arb_record(), 1..64),
-        block_bytes in 1usize..256,
+        block_records in 1usize..64,
     ) {
-        let mut w = LogWriterV2::with_block_bytes(Vec::new(), block_bytes);
+        let opts = EncodeOpts::default().block_records(block_records);
+        let mut w = LogWriterV2::with_opts(Vec::new(), opts).unwrap();
         for r in &records {
             w.write_record(r).unwrap();
         }
@@ -117,10 +118,11 @@ proptest! {
     #[test]
     fn truncation_yields_a_clean_prefix(
         records in prop::collection::vec(arb_record(), 1..64),
-        block_bytes in 8usize..64,
+        block_records in 1usize..16,
         cut_seed: usize,
     ) {
-        let mut w = LogWriterV2::with_block_bytes(Vec::new(), block_bytes);
+        let opts = EncodeOpts::default().block_records(block_records);
+        let mut w = LogWriterV2::with_opts(Vec::new(), opts).unwrap();
         for r in &records {
             w.write_record(r).unwrap();
         }

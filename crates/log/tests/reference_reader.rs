@@ -10,9 +10,9 @@
 //! to agree with the oracle.
 
 use literace_log::{
-    checksum, checksum32, decode_block, salvage::SalvageReport, DecodeOpts, FaultPlan,
+    checksum, checksum32, decode_block, salvage::SalvageReport, DecodeOpts, EncodeOpts, FaultPlan,
     FaultyReader, LogResult, LogWriterV2, Record, RecordBlocks, RecordStream, SamplerMask,
-    SealState,
+    SealState, V2_VERSION,
 };
 use literace_sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
 use proptest::prelude::*;
@@ -75,8 +75,8 @@ fn u64_at(b: &[u8], at: usize) -> u64 {
 fn reference(bytes: &[u8], salvage: bool) -> Outcome {
     let mut out = Outcome::default();
     let t = &mut out.report;
-    let rev = match bytes.get(4) {
-        Some(&rev) if rev == 3 || rev == 4 => rev,
+    match bytes.get(4) {
+        Some(&V2_VERSION) => {}
         missing_or_unknown => {
             if salvage {
                 t.suffix_dropped = true;
@@ -88,7 +88,7 @@ fn reference(bytes: &[u8], salvage: bool) -> Outcome {
             }
             return out;
         }
-    };
+    }
     // Every frame and payload that decoded, for the footer's file sum.
     let mut accepted = Vec::new();
     let mut declared = 0u64;
@@ -152,7 +152,7 @@ fn reference(bytes: &[u8], salvage: bool) -> Outcome {
         let payload = &rest[FRAME..FRAME + len];
         pos += FRAME + len;
         let decoded = if checksum(payload) == u64_at(frame, 16) {
-            decode_block(payload, count, rev).map_err(|e| e.kind_name())
+            decode_block(payload, count).map_err(|e| e.kind_name())
         } else {
             Err("corrupt")
         };
@@ -256,8 +256,9 @@ fn sample_records(n: usize) -> Vec<Record> {
 
 /// A sealed log with small blocks, so faults land in frames, payloads
 /// and the footer alike.
-fn small_block_log(records: &[Record], rev: u8) -> Vec<u8> {
-    let mut w = LogWriterV2::with_revision_and_block_bytes(Vec::new(), rev, 48);
+fn small_block_log(records: &[Record]) -> Vec<u8> {
+    let opts = EncodeOpts::default().block_records(8);
+    let mut w = LogWriterV2::with_opts(Vec::new(), opts).unwrap();
     for r in records {
         w.write_record(r).unwrap();
     }
@@ -273,14 +274,13 @@ proptest! {
     #[test]
     fn every_reader_agrees_with_the_reference(
         n in 0usize..160,
-        rev in prop::sample::select(vec![3u8, 4]),
         cut_seed: u64,
         flips in prop::collection::vec((any::<u64>(), 1u8..=255), 0..4),
         short_reads: bool,
         seed: u64,
     ) {
         let records = sample_records(n);
-        let bytes = small_block_log(&records, rev);
+        let bytes = small_block_log(&records);
         let len = bytes.len() as u64;
         let plan = FaultPlan {
             truncate_at: Some(4 + cut_seed % (len - 3)),

@@ -4,8 +4,8 @@
 //! records.
 
 use literace_log::{
-    encode_v2, read_log_auto, LogError, Record, RecordBlocks, SamplerMask, V2_MAGIC,
-    V2_VERSION,
+    encode_v2, peek_sealed_total, read_log_auto, DecodeOpts, EncodeOpts, LogError, LogWriterV2,
+    Record, RecordBlocks, RecordStream, SamplerMask, V2_MAGIC, V2_VERSION,
 };
 use literace_sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
 
@@ -39,23 +39,38 @@ fn collect(blocks: impl Iterator<Item = literace_log::LogResult<Vec<Record>>>)
     Ok(out)
 }
 
+/// Unknown version bytes — including the retired revision 3 — are a
+/// typed error from every opener, and never peek a sealed total.
 #[test]
 fn version_mismatch_is_typed_everywhere() {
-    let mut bytes = encode_v2(&sample_records(10)).to_vec();
-    bytes[4] = 9;
-    let err = RecordBlocks::open(&bytes[..]).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            LogError::UnsupportedVersion {
-                found: 9,
-                supported: V2_VERSION
-            }
-        ),
-        "{err}"
-    );
-    let err = read_log_auto(&bytes[..]).unwrap_err();
-    assert!(matches!(err, LogError::UnsupportedVersion { found: 9, .. }), "{err}");
+    for version in [3u8, 9] {
+        let mut bytes = encode_v2(&sample_records(10)).to_vec();
+        bytes[4] = version;
+        let is_unsupported = |err: &LogError| {
+            matches!(
+                err,
+                LogError::UnsupportedVersion { found, supported: V2_VERSION } if *found == version
+            )
+        };
+        let err = RecordBlocks::open(&bytes[..]).unwrap_err();
+        assert!(is_unsupported(&err), "{err}");
+        let err = read_log_auto(&bytes[..]).unwrap_err();
+        assert!(is_unsupported(&err), "{err}");
+        for threads in [1, 2] {
+            let source = std::io::Cursor::new(bytes.clone());
+            let err =
+                RecordStream::spawn_with(source, DecodeOpts::with_threads(threads)).unwrap_err();
+            assert!(is_unsupported(&err), "{threads} threads: {err}");
+        }
+        let path = std::env::temp_dir().join(format!(
+            "literace-version-{version}-{}.lrlog",
+            std::process::id()
+        ));
+        std::fs::write(&path, &bytes).unwrap();
+        let peeked = peek_sealed_total(&path);
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(peeked, None, "version {version} peeked a sealed total");
+    }
 }
 
 #[test]
@@ -164,9 +179,8 @@ fn record_count_mismatches_are_corrupt() {
     fix_head_sum(&mut more, 5);
     let err = collect(RecordBlocks::open(&more[..]).unwrap()).unwrap_err();
     assert!(matches!(err, LogError::Corrupt { .. }), "{err}");
-    // Deflate it: leftover bytes after the declared records. Revision 3
-    // reports them as trailing payload; revision 4 sees the tag region
-    // holding one byte per record no longer match the count.
+    // Deflate it: leftover bytes after the declared records. The tag
+    // region holds one byte per record, so it no longer matches the count.
     let mut fewer = bytes;
     fewer[9..13].copy_from_slice(&(count - 1).to_le_bytes());
     fix_head_sum(&mut fewer, 5);
@@ -194,7 +208,8 @@ fn corruption_is_confined_to_one_block() {
     // Two-block log; corrupt the second block's payload. The first block
     // must still stream out intact before the error surfaces.
     let records = sample_records(200);
-    let mut w = literace_log::LogWriterV2::with_block_bytes(Vec::new(), 64);
+    let opts = EncodeOpts::default().block_records(12);
+    let mut w = LogWriterV2::with_opts(Vec::new(), opts).unwrap();
     for r in &records {
         w.write_record(r).unwrap();
     }

@@ -2,8 +2,7 @@
 //! worker pool must be *byte-identical* to the same reader stages run
 //! inline on one thread — the same records in the same order, the same
 //! race reports on every detection path, the same strict errors and the
-//! same salvage tallies — for every decode-thread count and both v2
-//! payload revisions.
+//! same salvage tallies — for every decode-thread count.
 //!
 //! This is the contract that lets `--decode-threads auto` default on:
 //! workers decode blocks in whatever order the scheduler runs them, but
@@ -13,10 +12,7 @@
 
 use literace::detector::{detect, detect_sharded, detect_stream, DetectConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter};
-use literace::log::{
-    encode_v2_rev, read_log_salvage, DecodeOpts, EventLog, Record, RecordStream,
-    V2_REV_DELTA, V2_REV_GV,
-};
+use literace::log::{encode_v2, read_log_salvage, DecodeOpts, EventLog, Record, RecordStream};
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
 use literace::workloads::synthetic::{racy, SyntheticConfig};
@@ -54,51 +50,45 @@ fn pool_records(bytes: &[u8], threads: usize) -> Vec<Record> {
     out
 }
 
-/// The core check: for both payload revisions and every decode-thread
-/// count, the pool reproduces the sequential record stream exactly, and
-/// every detection path (sequential, sharded, streaming) over the pooled
-/// stream matches the materialized sequential report.
+/// The core check: for every decode-thread count, the pool reproduces
+/// the sequential record stream exactly, and every detection path
+/// (sequential, sharded, streaming) over the pooled stream matches the
+/// materialized sequential report.
 fn assert_pool_identical(log: &EventLog, non_stack: u64, context: &str) {
     let sequential = detect(log, non_stack);
-    for rev in [V2_REV_DELTA, V2_REV_GV] {
-        let bytes = encode_v2_rev(log, rev);
-        for decode_threads in DECODE_THREADS {
-            let records = pool_records(&bytes, decode_threads);
-            assert_eq!(
-                records,
-                log.records(),
-                "{context}: rev {rev} × {decode_threads} decode threads \
-                 changed the record stream"
-            );
-            let materialized: EventLog = records.into_iter().collect();
+    let bytes = encode_v2(log);
+    for decode_threads in DECODE_THREADS {
+        let records = pool_records(&bytes, decode_threads);
+        assert_eq!(
+            records,
+            log.records(),
+            "{context}: {decode_threads} decode threads changed the record stream"
+        );
+        let materialized: EventLog = records.into_iter().collect();
+        assert_eq!(
+            sequential,
+            detect(&materialized, non_stack),
+            "{context}: {decode_threads} decode threads: sequential detect diverged"
+        );
+        for detect_threads in DETECT_THREADS {
+            let cfg = DetectConfig::with_threads(detect_threads);
             assert_eq!(
                 sequential,
-                detect(&materialized, non_stack),
-                "{context}: rev {rev} × {decode_threads} sequential detect diverged"
+                detect_sharded(&materialized, non_stack, &cfg),
+                "{context}: {decode_threads}×{detect_threads} sharded detect diverged"
             );
-            for detect_threads in DETECT_THREADS {
-                let cfg = DetectConfig::with_threads(detect_threads);
-                assert_eq!(
-                    sequential,
-                    detect_sharded(&materialized, non_stack, &cfg),
-                    "{context}: rev {rev} × {decode_threads}×{detect_threads} \
-                     sharded detect diverged"
-                );
-                // Pool straight into the streaming workers: the full
-                // parallel pipeline end to end.
-                let stream = RecordStream::spawn_bytes(
-                    bytes.to_vec().into(),
-                    DecodeOpts::with_threads(decode_threads),
-                )
-                .expect("pool spawns");
-                let report = detect_stream(stream, non_stack, &cfg)
-                    .expect("clean log decodes");
-                assert_eq!(
-                    sequential, report,
-                    "{context}: rev {rev} × {decode_threads}×{detect_threads} \
-                     streaming detect diverged"
-                );
-            }
+            // Pool straight into the streaming workers: the full
+            // parallel pipeline end to end.
+            let stream = RecordStream::spawn_bytes(
+                bytes.to_vec().into(),
+                DecodeOpts::with_threads(decode_threads),
+            )
+            .expect("pool spawns");
+            let report = detect_stream(stream, non_stack, &cfg).expect("clean log decodes");
+            assert_eq!(
+                sequential, report,
+                "{context}: {decode_threads}×{detect_threads} streaming detect diverged"
+            );
         }
     }
 }
@@ -114,29 +104,13 @@ fn parallel_decode_is_byte_identical_on_every_workload() {
     }
 }
 
-/// Old logs keep decoding: a rev-3 (delta-varint) file written before the
-/// group-varint codec existed reads identically through the pool.
-#[test]
-fn old_revision_logs_decode_through_the_pool() {
-    let w = build(WorkloadId::LkrHash, Scale::Smoke);
-    let (log, _) = full_log(&w.program, 3);
-    let bytes = encode_v2_rev(&log, V2_REV_DELTA);
-    for threads in DECODE_THREADS {
-        assert_eq!(
-            pool_records(&bytes, threads),
-            log.records(),
-            "rev-3 backward compatibility broke at {threads} decode threads"
-        );
-    }
-}
-
 /// Strict decode failures surface identically: same error message from
 /// the pool as from the inline reader, wherever the log is torn.
 #[test]
 fn pool_strict_errors_match_sequential() {
     let w = build(WorkloadId::LfList, Scale::Smoke);
     let (log, _) = full_log(&w.program, 1);
-    let clean = encode_v2_rev(&log, V2_REV_GV);
+    let clean = encode_v2(&log);
     for cut in [clean.len() - 1, clean.len() * 2 / 3, clean.len() / 3] {
         let torn = &clean[..cut];
         let sequential_err = RecordStream::spawn_bytes(
@@ -170,7 +144,7 @@ fn pool_strict_errors_match_sequential() {
 fn pool_salvage_matches_sequential() {
     let w = build(WorkloadId::LfList, Scale::Smoke);
     let (log, non_stack) = full_log(&w.program, 1);
-    let clean = encode_v2_rev(&log, V2_REV_GV);
+    let clean = encode_v2(&log);
     for cut in [clean.len(), clean.len() - 1, clean.len() * 2 / 3, clean.len() / 3] {
         let torn = &clean[..cut];
         let (seq_log, seq_report) = read_log_salvage(torn);
@@ -217,7 +191,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random racy programs: the pool reproduces the sequential stream
-    /// and reports for every revision × decode-thread combination.
+    /// and reports at every decode-thread count.
     #[test]
     fn random_programs_decode_identically_through_the_pool(cfg in arb_config()) {
         let (program, _) = racy(cfg);

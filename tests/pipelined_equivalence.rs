@@ -1,15 +1,12 @@
-//! Pipelined-sink equivalence: a v2 log written through the pipelined
-//! write path (raw block builders → background encode pool → in-order
-//! committer) must decode to an [`EventLog`] identical to the inline
-//! `V2Sink` log, and detection reports over it must be byte-identical on
-//! every detection path — for every encode-thread count and block size.
-//!
-//! Block *boundaries* legitimately differ (the pipelined sink seals at a
-//! record count, the inline writer at a payload-byte threshold), so the
-//! contract is record-level identity plus report identity, not file-byte
-//! identity. The chaos half pins soundness: a run killed mid-write (the
-//! committer's device dies, via `fault.rs` injection) salvages to a log
-//! that can never manufacture a race the clean run would not report.
+//! Encode-worker equivalence: the v2 writer emits the same file bytes at
+//! every encode-worker count — 0 (encode and commit on the caller, what
+//! `V2Sink` does by default) or N (raw block builders → background encode
+//! pool → in-order committer) — for every block size. The log decodes to
+//! the source [`EventLog`], and detection reports over it are identical
+//! on every detection path. The chaos half pins soundness: a run killed
+//! mid-write (the committer's device dies, via `fault.rs` injection)
+//! salvages to a log that can never manufacture a race the clean run
+//! would not report.
 
 use std::sync::{Arc, Mutex};
 
@@ -17,14 +14,14 @@ use literace::detector::{detect, detect_sharded, detect_stream, DetectConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter, V2Sink};
 use literace::log::{
     read_log_auto, read_log_salvage, DecodeOpts, EncodeOpts, EventLog, FaultPlan, FaultyReader,
-    FaultySink, PipelinedSink, RecordStream, SealState,
+    FaultySink, LogWriterV2, RecordStream, SealState,
 };
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
 use literace::workloads::synthetic::{racy, SyntheticConfig};
 use proptest::prelude::*;
 
-const ENCODE_THREADS: [usize; 3] = [1, 2, 4];
+const ENCODE_THREADS: [usize; 4] = [0, 1, 2, 4];
 const BLOCK_RECORDS: [usize; 3] = [16, 256, 4096];
 const DETECT_THREADS: [usize; 2] = [2, 4];
 
@@ -42,26 +39,32 @@ fn full_log(program: &Program, seed: u64) -> (EventLog, u64) {
     (inst.finish().log, summary.non_stack_accesses)
 }
 
-/// Encodes `log` through the pipelined sink with `opts`, returning the
-/// sealed file bytes.
+/// Encodes `log` through the v2 writer with `opts`, returning the sealed
+/// file bytes.
 fn pipelined_bytes(log: &EventLog, opts: EncodeOpts) -> Vec<u8> {
-    let mut sink = PipelinedSink::with_opts(Vec::new(), opts).expect("pool spawns");
+    let mut sink = LogWriterV2::with_opts(Vec::new(), opts).expect("pool spawns");
     for r in log {
-        sink.push(*r);
+        sink.write_record(r).expect("vec sink");
     }
     sink.finish().expect("vec sink")
 }
 
-/// The core check: for every encode-thread count × block size, the
-/// pipelined log decodes to the identical record sequence, and every
-/// detection path (sequential, sharded, streaming) over it reproduces
-/// the inline-sink report exactly.
+/// The core check: for every encode-thread count × block size, the file
+/// bytes equal the 0-worker bytes at that block size, the log decodes to
+/// the identical record sequence, and every detection path (sequential,
+/// sharded, streaming) over it reproduces the source log's report.
 fn assert_pipelined_identical(log: &EventLog, non_stack: u64, context: &str) {
     let sequential = detect(log, non_stack);
-    for threads in ENCODE_THREADS {
-        for block_records in BLOCK_RECORDS {
+    for block_records in BLOCK_RECORDS {
+        let inline = pipelined_bytes(log, EncodeOpts::default().block_records(block_records));
+        for threads in ENCODE_THREADS {
             let opts = EncodeOpts::with_threads(threads).block_records(block_records);
             let bytes = pipelined_bytes(log, opts);
+            assert!(
+                bytes == inline,
+                "{context}: {threads} encode threads × {block_records} block records \
+                 changed the file bytes"
+            );
             let decoded = read_log_auto(&bytes[..]).expect("clean log decodes");
             assert_eq!(
                 decoded.records(),
@@ -111,26 +114,25 @@ fn pipelined_sink_is_identical_on_every_workload() {
 }
 
 /// End to end through the run pipeline: `run_literace_with_sink` with a
-/// pipelined sink produces a log whose decoded records — and reports —
-/// match the inline `V2Sink` run exactly (both runs share one seed, so
+/// pooled writer produces the same file bytes — and so the same reports —
+/// as a `V2Sink` run at the same block size (both runs share one seed, so
 /// one interleaving).
 #[test]
 fn pipelined_run_matches_inline_sink_run() {
     for id in [WorkloadId::LfList, WorkloadId::LkrHash, WorkloadId::Apache1] {
         let w = build(id, Scale::Smoke);
         let cfg = RunConfig::seeded(3);
-        let (summary, inline_out) = run_literace_with_sink(
-            &w.program,
-            SamplerKind::TlAdaptive,
-            &cfg,
-            V2Sink::new(Vec::new()),
-        )
-        .expect("inline run");
+        // Small blocks, so the pooled leg reorders many blocks per run.
+        let inline_sink = V2Sink::with_opts(Vec::new(), EncodeOpts::default().block_records(256))
+            .expect("inline writer");
+        let (summary, inline_out) =
+            run_literace_with_sink(&w.program, SamplerKind::TlAdaptive, &cfg, inline_sink)
+                .expect("inline run");
         let inline_bytes = inline_out.log.finish().expect("vec sink");
         let inline_log = read_log_auto(&inline_bytes[..]).expect("clean log");
         let clean = detect(&inline_log, summary.non_stack_accesses);
         for threads in ENCODE_THREADS {
-            let sink = PipelinedSink::with_opts(
+            let sink = LogWriterV2::with_opts(
                 Vec::new(),
                 EncodeOpts::with_threads(threads).block_records(256),
             )
@@ -143,6 +145,10 @@ fn pipelined_run_matches_inline_sink_run() {
                 "{id}: runs diverged before the sink"
             );
             let bytes = out.log.finish().expect("vec sink");
+            assert!(
+                bytes == inline_bytes,
+                "{id} × {threads} encode threads: file bytes differ from V2Sink"
+            );
             let pipelined_log = read_log_auto(&bytes[..]).expect("clean log");
             assert_eq!(
                 pipelined_log, inline_log,
@@ -169,13 +175,11 @@ fn killed_pipelined_writer_salvages_to_a_subset() {
     for fail_after in [150u64, 900, 4000, 20_000] {
         let shared = Arc::new(Mutex::new(Vec::new()));
         let device = FaultySink::new(SharedVec(shared.clone()), Some(fail_after), true, 11);
-        let mut sink = PipelinedSink::with_opts(
-            device,
-            EncodeOpts::with_threads(2).block_records(32),
-        )
-        .expect("pool spawns");
+        let mut sink =
+            LogWriterV2::with_opts(device, EncodeOpts::with_threads(2).block_records(32))
+                .expect("pool spawns");
         for r in &log {
-            sink.push(*r);
+            sink.write_record(r).expect("errors surface from finish");
         }
         sink.finish()
             .expect_err("a dying device must surface an error");
@@ -279,9 +283,8 @@ fn single_record_blocks_round_trip() {
     assert_eq!(detect(&decoded, non_stack), detect(&log, non_stack));
 }
 
-/// Pipelined bytes (record-count sealed) and inline bytes (payload-byte
-/// sealed) differ structurally but never semantically: both decode to
-/// the same `EventLog` as the source.
+/// `V2Sink` bytes equal pooled bytes at the same block size; a different
+/// block size moves the block boundaries, never the decoded records.
 #[test]
 fn record_identity_survives_different_block_boundaries() {
     let w = build(WorkloadId::Apache1, Scale::Smoke);
@@ -293,8 +296,14 @@ fn record_identity_survives_different_block_boundaries() {
         inline.push(*r);
     }
     let inline_bytes = inline.finish().expect("vec sink");
-    let a = read_log_auto(&pipelined[..]).expect("pipelined decodes");
+    assert!(pipelined == inline_bytes, "pooled and V2Sink bytes differ");
+    let reblocked = pipelined_bytes(&log, EncodeOpts::with_threads(2).block_records(1000));
+    assert!(
+        reblocked != pipelined,
+        "a different block size must move boundaries"
+    );
+    let a = read_log_auto(&reblocked[..]).expect("reblocked log decodes");
     let b = read_log_auto(&inline_bytes[..]).expect("inline decodes");
-    assert_eq!(a, b, "pipelined and inline logs must decode identically");
+    assert_eq!(a, b, "differently blocked logs must decode identically");
     assert_eq!(a.records(), log.records());
 }

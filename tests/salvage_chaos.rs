@@ -13,8 +13,8 @@
 use literace::detector::{detect, detect_stream, DetectConfig};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{
-    read_log_salvage, DecodeOpts, EventLog, FaultPlan, FaultyReader, LogWriterV2, RecordStream,
-    SealState,
+    read_log_salvage, DecodeOpts, EncodeOpts, EventLog, FaultPlan, FaultyReader, LogWriterV2,
+    RecordStream, SealState,
 };
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
@@ -38,7 +38,8 @@ fn full_log(program: &Program, seed: u64) -> (EventLog, u64) {
 /// Encodes with small blocks so injected faults land mid-stream, not all
 /// in one giant block.
 fn small_block_bytes(log: &EventLog) -> Vec<u8> {
-    let mut w = LogWriterV2::with_block_bytes(Vec::new(), 96);
+    let mut w = LogWriterV2::with_opts(Vec::new(), EncodeOpts::default().block_records(16))
+        .expect("inline writer");
     for r in log {
         w.write_record(r).expect("vec sink");
     }

@@ -362,13 +362,13 @@ fn parallel_decode_pool_is_neutral() {
     assert!(on_snap.counters["log.decode.worker_busy_ns"] >= 1, "{on_snap:?}");
 }
 
-/// The pipelined encode pool is neutral too: writing a log through
-/// `PipelinedSink` yields a byte-stream that decodes to identical records
-/// and identical race reports with telemetry on or off — and the
+/// The encode pool is neutral too: writing a log through `LogWriterV2`
+/// at two encode workers yields a byte-stream that decodes to identical
+/// records and identical race reports with telemetry on or off — and the
 /// `log.encode.*` pool metrics surface only while enabled.
 #[test]
 fn pipelined_encode_pool_is_neutral() {
-    use literace::log::{read_log_auto, EncodeOpts, PipelinedSink};
+    use literace::log::{read_log_auto, EncodeOpts};
 
     let _guard = serialized();
     let w = build(WorkloadId::LfList, Scale::Smoke);
@@ -376,13 +376,13 @@ fn pipelined_encode_pool_is_neutral() {
     let run = |on: bool| {
         telemetry::metrics().reset();
         let out = with_flag(on, || {
-            let mut sink = PipelinedSink::with_opts(
+            let mut sink = LogWriterV2::with_opts(
                 Vec::new(),
                 EncodeOpts::with_threads(2).block_records(64),
             )
             .expect("pool spawns");
             for r in &log {
-                sink.push(*r);
+                sink.write_record(r).expect("vec sink");
             }
             let bytes = sink.finish().expect("vec sink");
             let decoded = read_log_auto(&bytes[..]).expect("clean log decodes");
