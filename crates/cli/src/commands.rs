@@ -5,7 +5,6 @@ use std::process::ExitCode;
 
 use literace::detector::{detect_lockset, detect_stream};
 use literace::eval::{evaluate_program, EvalConfig};
-use literace::instrument::V1Sink;
 use literace::log::{
     auto_stream_depth, map_or_read, read_log_auto, read_log_salvage, AtomicFile, DecodeOpts,
     EncodeOpts, LogFormat, LogStats, LogWriter, LogWriterV2, RecordStream,
@@ -445,7 +444,7 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
             }
             LogFormat::V1 => {
                 let (summary, out) =
-                    run_literace_with_sink(&w.program, sampler, &cfg, V1Sink::new(file))
+                    run_literace_with_sink(&w.program, sampler, &cfg, LogWriter::new(file))
                         .map_err(|e| e.to_string())?;
                 let written = out.log.records_written();
                 let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;

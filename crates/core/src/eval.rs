@@ -1,17 +1,19 @@
 //! The §5.3 sampler-effectiveness methodology.
 //!
-//! One marked run produces a full log where every memory record carries a
-//! bitmask of the samplers that would have logged it. Ground truth is
-//! detection over the full log; each sampler's result is detection over its
-//! subset. Rates are averaged over several scheduler seeds (the paper runs
-//! each benchmark three times and averages).
+//! One marked run ([`Instrumenter::marked`]) produces a full log where
+//! every memory record carries a bitmask of the samplers that would have
+//! logged it. Ground truth is detection over the full log; each sampler's
+//! result is detection over its subset, which is that sampler's production
+//! log on the same schedule, under the same instrumentation config.
+//! Rates are averaged over several scheduler seeds (the paper runs each
+//! benchmark three times and averages).
 
 use std::collections::HashSet;
 
 use serde::{Deserialize, Serialize};
 
 use literace_detector::{DetectConfig, RaceReport};
-use literace_instrument::{InstrumentConfig, MultiSamplerInstrumenter};
+use literace_instrument::{InstrumentConfig, Instrumenter};
 use literace_log::SamplerMask;
 use literace_samplers::SamplerKind;
 use literace_sim::{
@@ -126,36 +128,26 @@ pub fn evaluate_program(program: &Program, cfg: &EvalConfig) -> Result<ProgramEv
     let mut total_mem = 0u64;
     let mut non_stack = 0u64;
 
-    // Samplers operating over the static prefilter's residual site set get
-    // the skip table applied to their mask bits; everyone else (including
-    // the ground-truth full log) is untouched.
-    let prefilter_mask = cfg
+    // Each sampler runs behind the static prefilter exactly when its
+    // production run would.
+    let prefiltered = cfg
         .samplers
         .iter()
         .enumerate()
-        .filter(|(_, k)| k.needs_prefilter())
+        .filter(|(_, k)| crate::pipeline::runs_behind_prefilter(**k, &cfg.instrument))
         .fold(SamplerMask::EMPTY, |m, (i, _)| m.union(SamplerMask::bit(i)));
-    let table = if prefilter_mask.is_empty() {
-        None
-    } else {
-        Some(literace_sim::PrefilterTable::build(&compiled))
-    };
+    let mut icfg = cfg.instrument.clone();
+    if !prefiltered.is_empty() && icfg.prefilter.is_none() {
+        icfg.prefilter = Some(literace_sim::PrefilterTable::build(&compiled));
+    }
 
     for &seed in &cfg.seeds {
         let samplers = cfg.samplers.iter().map(|k| k.build(seed)).collect();
-        let mut obs = match &table {
-            Some(t) => MultiSamplerInstrumenter::with_prefilter(
-                samplers,
-                cfg.instrument.clone(),
-                t.clone(),
-                prefilter_mask,
-            ),
-            None => MultiSamplerInstrumenter::new(samplers, cfg.instrument.clone()),
-        };
+        let mut inst = Instrumenter::marked(samplers, icfg.clone(), prefiltered);
         let mut sched = ChunkedRandomScheduler::seeded(seed, cfg.sched_quantum);
-        let summary = Machine::new(&compiled, cfg.machine).run(&mut sched, &mut obs)?;
-        let out = obs.finish();
-        total_mem += out.total_mem;
+        let summary = Machine::new(&compiled, cfg.machine).run(&mut sched, &mut inst)?;
+        let out = inst.finish();
+        total_mem += out.stats.total_mem;
         non_stack += summary.non_stack_accesses;
 
         // Ground truth: full log.
@@ -168,8 +160,8 @@ pub fn evaluate_program(program: &Program, cfg: &EvalConfig) -> Result<ProgramEv
         freq_counts.push(freq_keys.len() as u64);
 
         for i in 0..n {
-            per_sampler_logged[i] += out.per_sampler[i].logged_mem;
             let subset = out.log.sampler_subset(i);
+            per_sampler_logged[i] += subset.mem_count() as u64;
             let found = detect_log(&subset, summary.non_stack_accesses, cfg);
             let rate = found.detection_rate_against(&truth);
             per_sampler_det[i] += rate;

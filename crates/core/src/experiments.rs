@@ -141,26 +141,11 @@ pub fn run_sampler_study_on(
 }
 
 /// Like [`run_sampler_study_on`], but evaluating the workloads on parallel
-/// OS threads (they are fully independent). Results are identical to the
-/// sequential version — generation and evaluation are deterministic — only
-/// wall-clock time changes.
-///
-/// # Errors
-///
-/// Propagates the first simulator error from any workload.
-pub fn run_sampler_study_parallel(
-    scale: Scale,
-    seeds: &[u64],
-    workloads: &[WorkloadId],
-) -> Result<SamplerStudy, SimError> {
-    run_sampler_study_parallel_threads(scale, seeds, workloads, 1)
-}
-
-/// Like [`run_sampler_study_parallel`], additionally sharding each offline
+/// OS threads (they are fully independent) and sharding each offline
 /// detection pass across `detect_threads` workers (see
-/// [`literace_detector::detect_sharded`]). Sharded detection is
-/// byte-identical to sequential, so results still match
-/// [`run_sampler_study_on`].
+/// [`literace_detector::detect_sharded`]). Generation, evaluation and
+/// sharded detection are deterministic, so results are identical to the
+/// sequential version — only wall-clock time changes.
 ///
 /// # Errors
 ///
@@ -648,7 +633,7 @@ mod tests {
     fn parallel_study_matches_sequential() {
         let ids = [WorkloadId::Dryad, WorkloadId::LkrHash];
         let seq = run_sampler_study_on(Scale::Smoke, &[1], &ids).unwrap();
-        let par = run_sampler_study_parallel(Scale::Smoke, &[1], &ids).unwrap();
+        let par = run_sampler_study_parallel_threads(Scale::Smoke, &[1], &ids, 1).unwrap();
         assert_eq!(seq.table3().to_string(), par.table3().to_string());
         assert_eq!(seq.fig4().to_string(), par.fig4().to_string());
         // Sharded offline detection inside the study changes nothing either.

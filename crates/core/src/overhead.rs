@@ -12,12 +12,12 @@
 
 use serde::{Deserialize, Serialize};
 
-use literace_instrument::{InstrumentConfig, Instrumenter};
-use literace_log::LogStats;
+use literace_instrument::InstrumentConfig;
+use literace_log::{EventLog, LogStats};
 use literace_samplers::SamplerKind;
-use literace_sim::{lower, ChunkedRandomScheduler, Machine, Program, SimError};
+use literace_sim::{Program, SimError};
 
-use crate::pipeline::RunConfig;
+use crate::pipeline::{run_literace_with_sink, RunConfig};
 
 /// Nominal simulated clock: abstract instructions per second. Used only to
 /// express log volume as MB/s, as the paper does.
@@ -90,17 +90,19 @@ impl OverheadReport {
     }
 }
 
+/// Runs one configuration, returning the baseline cost, the
+/// configuration's cost and its effective sampling rate.
 fn run_config(
     program: &Program,
     sampler: SamplerKind,
     cfg: &RunConfig,
     instrument: InstrumentConfig,
-) -> Result<(u64, ConfigCost), SimError> {
-    let compiled = lower(program);
-    let mut inst = Instrumenter::new(sampler.build(cfg.seed), instrument);
-    let mut sched = ChunkedRandomScheduler::seeded(cfg.seed, cfg.sched_quantum);
-    let summary = Machine::new(&compiled, cfg.machine).run(&mut sched, &mut inst)?;
-    let out = inst.finish();
+) -> Result<(u64, ConfigCost, f64), SimError> {
+    let cfg = RunConfig {
+        instrument,
+        ..cfg.clone()
+    };
+    let (summary, out) = run_literace_with_sink(program, sampler, &cfg, EventLog::new())?;
     let stats = LogStats::of(&out.log);
     Ok((
         summary.baseline_cost,
@@ -111,6 +113,7 @@ fn run_config(
             mem_logging: out.overhead.mem_logging,
             log_bytes: stats.bytes,
         },
+        out.stats.esr(),
     ))
 }
 
@@ -127,41 +130,21 @@ pub fn measure_overhead(program: &Program, cfg: &RunConfig) -> Result<OverheadRe
         log_markers: false,
         ..cfg.instrument.clone()
     };
-    let (baseline, dispatch_only) =
+    let (baseline, dispatch_only, _) =
         run_config(program, SamplerKind::Never, cfg, dispatch_cfg)?;
     // Configuration 3: dispatch + synchronization logging.
-    let (_, dispatch_sync) = run_config(
-        program,
-        SamplerKind::Never,
-        cfg,
-        cfg.instrument.clone(),
-    )?;
+    let (_, dispatch_sync, _) =
+        run_config(program, SamplerKind::Never, cfg, cfg.instrument.clone())?;
     // Configuration 4: complete LiteRace (TL-Ad).
-    let compiled_esr;
-    let literace = {
-        let compiled = lower(program);
-        let mut inst = Instrumenter::new(
-            SamplerKind::TlAdaptive.build(cfg.seed),
-            cfg.instrument.clone(),
-        );
-        let mut sched = ChunkedRandomScheduler::seeded(cfg.seed, cfg.sched_quantum);
-        let summary = Machine::new(&compiled, cfg.machine).run(&mut sched, &mut inst)?;
-        let out = inst.finish();
-        compiled_esr = out.stats.esr();
-        let stats = LogStats::of(&out.log);
-        ConfigCost {
-            total_cost: summary.baseline_cost + out.overhead.total(),
-            dispatch: out.overhead.dispatch,
-            sync_logging: out.overhead.sync_logging,
-            mem_logging: out.overhead.mem_logging,
-            log_bytes: stats.bytes,
-        }
-    };
+    let (_, literace, literace_esr) =
+        run_config(program, SamplerKind::TlAdaptive, cfg, cfg.instrument.clone())?;
     // Table 5 comparison: full logging, no dispatch checks or cloned code.
-    let full_cfg = InstrumentConfig {
-        ..InstrumentConfig::full_logging()
-    };
-    let (_, full_logging) = run_config(program, SamplerKind::Always, cfg, full_cfg)?;
+    let (_, full_logging, _) = run_config(
+        program,
+        SamplerKind::Always,
+        cfg,
+        InstrumentConfig::full_logging(),
+    )?;
 
     Ok(OverheadReport {
         baseline_cost: baseline,
@@ -170,7 +153,7 @@ pub fn measure_overhead(program: &Program, cfg: &RunConfig) -> Result<OverheadRe
         dispatch_sync,
         literace,
         full_logging,
-        literace_esr: compiled_esr,
+        literace_esr,
     })
 }
 

@@ -93,18 +93,7 @@ pub fn run_literace(
     sampler: SamplerKind,
     cfg: &RunConfig,
 ) -> Result<RunOutcome, SimError> {
-    let compiled = lower(program);
-    let icfg = instrument_config_for(&compiled, sampler, &cfg.instrument);
-    let mut inst = Instrumenter::new(sampler.build(cfg.seed), icfg);
-    let mut sched = ChunkedRandomScheduler::seeded(cfg.seed, cfg.sched_quantum);
-    let summary = {
-        let _span = literace_telemetry::metrics().phase_execute.span();
-        literace_telemetry::trace_begin("phase.execute");
-        let run = Machine::new(&compiled, cfg.machine).run(&mut sched, &mut inst);
-        literace_telemetry::trace_end("phase.execute");
-        run?
-    };
-    let instrumented = inst.finish();
+    let (summary, instrumented) = run_literace_with_sink(program, sampler, cfg, EventLog::new())?;
     let report = detect_event_log(
         &instrumented.log,
         summary.non_stack_accesses,
@@ -129,10 +118,17 @@ fn instrument_config_for(
     base: &InstrumentConfig,
 ) -> InstrumentConfig {
     let mut cfg = base.clone();
-    if sampler.needs_prefilter() && cfg.prefilter.is_none() && cfg.sync_logging {
+    if runs_behind_prefilter(sampler, base) && cfg.prefilter.is_none() {
         cfg.prefilter = Some(literace_sim::PrefilterTable::build(compiled));
     }
     cfg
+}
+
+/// Whether `sampler` runs behind a static prefilter skip table under
+/// `base`: always when the caller installed one, otherwise when the
+/// sampler needs one and the table is sound (see [`instrument_config_for`]).
+pub(crate) fn runs_behind_prefilter(sampler: SamplerKind, base: &InstrumentConfig) -> bool {
+    base.prefilter.is_some() || (sampler.needs_prefilter() && base.sync_logging)
 }
 
 /// Detects over an in-memory log, timed as the pipeline's detect phase.

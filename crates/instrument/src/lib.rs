@@ -4,8 +4,10 @@
 //! dispatch check and two-copy function semantics of Figure 3, logical
 //! timestamps from a 128-counter bank (§4.2), unconditional synchronization
 //! logging (the no-false-positive invariant of §3.2), allocation-as-
-//! synchronization (§4.3), modeled overhead accounting (Table 5 / Figure 6),
-//! and the §5.3 multi-sampler marked-run evaluation mode.
+//! synchronization (§4.3), and modeled overhead accounting (Table 5 /
+//! Figure 6). One observer, [`Instrumenter`], does all of it; the §5.3
+//! marked run that compares samplers on one schedule is its N-sampler
+//! case, [`Instrumenter::marked`].
 //!
 //! ## Example
 //!
@@ -33,7 +35,6 @@
 #![warn(missing_debug_implementations)]
 
 mod config;
-mod multi;
 mod observer;
 mod sink;
 mod timestamps;
@@ -41,7 +42,6 @@ mod timestamps;
 pub use config::{
     AccessPolicy, InstrStats, InstrumentConfig, InstrumentCosts, LoopPolicy, OverheadBreakdown,
 };
-pub use multi::{MultiSamplerInstrumenter, MultiSamplerOutput, PerSamplerStats};
 pub use observer::{InstrumentOutput, Instrumenter};
-pub use sink::{RecordSink, V1Sink, V2Sink};
+pub use sink::{RecordSink, V2Sink};
 pub use timestamps::{TimestampBank, PAPER_COUNTER_COUNT};

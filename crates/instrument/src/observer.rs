@@ -13,6 +13,19 @@
 //!   false positives (Figure 2);
 //! * allocations and frees emit page-synchronization records (§4.3).
 //!
+//! # The §5.3 marked run
+//!
+//! Two executions of a multithreaded program need not interleave alike, so
+//! the paper compares samplers with a modified LiteRace that logs every
+//! access, runs every evaluated sampler's dispatch check, and marks which
+//! samplers would have logged each access. Here a frame's dispatch decision
+//! is a [`SamplerMask`] (bit i set when sampler i runs the instrumented
+//! copy), narrowed per access by the prefilter and the loop and access
+//! policies. A production run has one sampler and logs an access when its
+//! mask is non-empty; the marked run ([`Instrumenter::marked`]) has up to
+//! 32 and logs every access with its mask, so the log is the ground truth
+//! and subset i is sampler i's production log on the same schedule.
+//!
 //! # Deferred sync timestamping
 //!
 //! Stamping a sync record means touching a shared counter bank — the
@@ -33,7 +46,9 @@ use std::collections::HashMap;
 
 use literace_log::{EventLog, Record, SamplerMask};
 use literace_samplers::{BurstState, Sampler};
-use literace_sim::{alloc_page_var, pages_of, Event, Observer, Pc, SyncOpKind, SyncVar, ThreadId};
+use literace_sim::{
+    alloc_page_var, pages_of, Event, FuncId, Observer, Pc, SyncOpKind, SyncVar, ThreadId,
+};
 
 use crate::config::{InstrStats, InstrumentConfig, LoopPolicy, OverheadBreakdown};
 use crate::sink::RecordSink;
@@ -84,7 +99,8 @@ enum Pending {
 
 #[derive(Debug)]
 struct FrameInfo {
-    instrumented: bool,
+    /// The samplers running this frame's instrumented copy.
+    mask: SamplerMask,
     /// Whether the current loop iteration is sampled (always true at
     /// function granularity).
     iter_sampled: bool,
@@ -92,11 +108,21 @@ struct FrameInfo {
     loops: Option<HashMap<u64, BurstState>>,
 }
 
-/// The single-sampler instrumentation observer, generic over where its
-/// records go (`L`, default [`EventLog`]).
+/// The instrumentation observer over one sampler (a production run) or
+/// several (the §5.3 marked run), generic over where its records go (`L`,
+/// default [`EventLog`]).
 #[derive(Debug)]
 pub struct Instrumenter<S, L = EventLog> {
-    sampler: S,
+    /// Sampler i owns mask bit i.
+    samplers: Vec<S>,
+    /// Every sampler's bit.
+    all: SamplerMask,
+    /// The samplers that run behind `cfg.prefilter`: a fully skipped
+    /// function has no instrumented copy for them, and a skipped site
+    /// clears their bits.
+    prefiltered: SamplerMask,
+    /// The marked run logs every access, whatever its mask.
+    marked: bool,
     cfg: InstrumentConfig,
     bank: TimestampBank,
     log: L,
@@ -118,6 +144,29 @@ impl<S: Sampler> Instrumenter<S> {
     pub fn new(sampler: S, cfg: InstrumentConfig) -> Instrumenter<S> {
         Instrumenter::with_sink(sampler, cfg, EventLog::new())
     }
+
+    /// Creates the §5.3 marked run over `samplers` (sampler i owns mask
+    /// bit i). It differs from a production run in one way: it logs every
+    /// memory access, whatever its mask, so the log is the ground truth and
+    /// [`sampler_subset(i)`](EventLog::sampler_subset) is sampler i's
+    /// production log on this schedule. `prefiltered` names the samplers
+    /// that run behind `cfg.prefilter`'s skip table.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless 1 to 32 samplers are given (the mask width).
+    pub fn marked(
+        samplers: Vec<S>,
+        cfg: InstrumentConfig,
+        prefiltered: SamplerMask,
+    ) -> Instrumenter<S> {
+        assert!(
+            !samplers.is_empty() && samplers.len() <= 32,
+            "need 1..=32 samplers, got {}",
+            samplers.len()
+        );
+        Instrumenter::build(samplers, cfg, EventLog::new(), prefiltered, true)
+    }
 }
 
 impl<S: Sampler, L: RecordSink> Instrumenter<S, L> {
@@ -125,12 +174,26 @@ impl<S: Sampler, L: RecordSink> Instrumenter<S, L> {
     /// produced — e.g. a [`V2Sink`](crate::V2Sink) writing compact v2 log
     /// blocks straight to a file, with no in-memory log.
     pub fn with_sink(sampler: S, cfg: InstrumentConfig, sink: L) -> Instrumenter<S, L> {
+        Instrumenter::build(vec![sampler], cfg, sink, SamplerMask::bit(0), false)
+    }
+
+    fn build(
+        samplers: Vec<S>,
+        cfg: InstrumentConfig,
+        log: L,
+        prefiltered: SamplerMask,
+        marked: bool,
+    ) -> Instrumenter<S, L> {
+        let all = (0..samplers.len()).fold(SamplerMask::EMPTY, |m, i| m.union(SamplerMask::bit(i)));
         let bank = TimestampBank::with_counters(cfg.timestamp_counters);
         Instrumenter {
-            sampler,
+            samplers,
+            all,
+            prefiltered,
+            marked,
             cfg,
             bank,
-            log: sink,
+            log,
             pending: Vec::with_capacity(DEFER_BATCH),
             frames: Vec::new(),
             stats: InstrStats::default(),
@@ -176,11 +239,6 @@ impl<S: Sampler, L: RecordSink> Instrumenter<S, L> {
         }
     }
 
-    /// The sampler, for inspection.
-    pub fn sampler(&self) -> &S {
-        &self.sampler
-    }
-
     fn frames_mut(&mut self, tid: ThreadId) -> &mut Vec<FrameInfo> {
         let i = tid.index();
         if i >= self.frames.len() {
@@ -189,6 +247,35 @@ impl<S: Sampler, L: RecordSink> Instrumenter<S, L> {
         &mut self.frames[i]
     }
 
+    /// The dispatch check at an entry of `func`: the mask of the samplers
+    /// that run its instrumented copy. A prefiltered sampler has no
+    /// instrumented copy of a fully skipped function and is not consulted
+    /// there (its budget state is never perturbed by it); an entry that
+    /// consults no sampler pays no check.
+    fn dispatch(&mut self, tid: ThreadId, func: FuncId) -> SamplerMask {
+        let consulted = match &self.cfg.prefilter {
+            Some(table) if table.fully_skips(func) => self.all.minus(self.prefiltered),
+            _ => self.all,
+        };
+        if consulted.is_empty() {
+            return SamplerMask::EMPTY;
+        }
+        self.stats.dispatch_checks += 1;
+        self.overhead.dispatch += self.cfg.costs.dispatch_check;
+        let mut mask = SamplerMask::EMPTY;
+        for (i, sampler) in self.samplers.iter_mut().enumerate() {
+            if consulted.contains(i) && sampler.dispatch(tid, func).is_sampled() {
+                mask = mask.union(SamplerMask::bit(i));
+            }
+        }
+        let i = tid.index();
+        if i >= self.dispatch_by_thread.len() {
+            self.dispatch_by_thread.resize(i + 1, [0, 0]);
+        }
+        self.dispatch_by_thread[i][0] += 1;
+        self.dispatch_by_thread[i][1] += u64::from(!mask.is_empty());
+        mask
+    }
     /// Captures a sync operation on the hot path — no timestamp, no
     /// counter-bank traffic; the stamp is issued at batch resolution.
     fn log_sync(&mut self, tid: ThreadId, pc: Pc, kind: SyncOpKind, var: SyncVar, alloc: bool) {
@@ -278,49 +365,21 @@ impl<S: Sampler, L: RecordSink> Observer for Instrumenter<S, L> {
                 }
             }
             Event::FunctionEntry { tid, func } => {
-                // Static prefilter fast path: a function whose every data
-                // access is provably ordered has no instrumented copy at
-                // all, so its entry pays neither the dispatch check nor a
-                // sampler consultation (and the sampler's budget state is
-                // never perturbed by it).
-                if self.cfg.dispatch_checks
-                    && self
-                        .cfg
-                        .prefilter
-                        .as_ref()
-                        .is_some_and(|t| t.fully_skips(func))
-                {
-                    self.frames_mut(tid).push(FrameInfo {
-                        instrumented: false,
-                        iter_sampled: true,
-                        loops: None,
-                    });
-                    return;
-                }
-                let decision = if self.cfg.dispatch_checks {
-                    self.stats.dispatch_checks += 1;
-                    self.overhead.dispatch += self.cfg.costs.dispatch_check;
-                    let i = tid.index();
-                    if i >= self.dispatch_by_thread.len() {
-                        self.dispatch_by_thread.resize(i + 1, [0, 0]);
-                    }
-                    self.dispatch_by_thread[i][0] += 1;
-                    let sampled = self.sampler.dispatch(tid, func).is_sampled();
-                    self.dispatch_by_thread[i][1] += u64::from(sampled);
-                    sampled
+                let mask = if self.cfg.dispatch_checks {
+                    self.dispatch(tid, func)
                 } else {
                     // Full logging: no dispatch, everything instrumented.
-                    true
+                    self.all
                 };
-                if decision {
+                if !mask.is_empty() {
                     self.stats.instrumented_entries += 1;
                 }
-                let loops = match (&self.cfg.loop_policy, decision) {
-                    (LoopPolicy::AdaptiveLoops(_), true) => Some(HashMap::new()),
+                let loops = match (&self.cfg.loop_policy, mask.is_empty()) {
+                    (LoopPolicy::AdaptiveLoops(_), false) => Some(HashMap::new()),
                     _ => None,
                 };
                 self.frames_mut(tid).push(FrameInfo {
-                    instrumented: decision,
+                    mask,
                     iter_sampled: true,
                     loops,
                 });
@@ -332,7 +391,7 @@ impl<S: Sampler, L: RecordSink> Observer for Instrumenter<S, L> {
                 if let LoopPolicy::AdaptiveLoops(schedule) = &self.cfg.loop_policy {
                     let frame = self.frames.get_mut(tid.index()).and_then(|f| f.last_mut());
                     if let Some(frame) = frame {
-                        if frame.instrumented {
+                        if !frame.mask.is_empty() {
                             let loops = frame.loops.get_or_insert_with(HashMap::new);
                             let st = loops.entry(head.0).or_insert_with(BurstState::new);
                             frame.iter_sampled = st.step(schedule);
@@ -342,30 +401,33 @@ impl<S: Sampler, L: RecordSink> Observer for Instrumenter<S, L> {
             }
             Event::MemRead { tid, pc, addr } | Event::MemWrite { tid, pc, addr } => {
                 self.stats.total_mem += 1;
-                // Skip-table probe before any sampler or policy logic: a
-                // provably ordered site costs one bitset load. The access
-                // still counts toward `total_mem`, so ESR denominators
-                // stay comparable across samplers.
+                let mut mask = match self.frames.get(tid.index()).and_then(|f| f.last()) {
+                    Some(frame) if frame.iter_sampled => frame.mask,
+                    _ => SamplerMask::EMPTY,
+                };
+                // Skip-table probe: a provably ordered site costs one
+                // bitset load and is lost to every prefiltered sampler. The
+                // access still counts toward `total_mem`, so ESR
+                // denominators stay comparable across samplers.
                 if let Some(table) = &self.cfg.prefilter {
                     if table.skips(pc) {
                         self.stats.prefilter_skipped += 1;
-                        return;
+                        mask = mask.minus(self.prefiltered);
+                    } else {
+                        self.stats.prefilter_residual += 1;
                     }
-                    self.stats.prefilter_residual += 1;
                 }
-                let is_write = matches!(event, Event::MemWrite { .. });
-                let sampled = self
-                    .frames_mut(tid)
-                    .last()
-                    .map(|f| f.instrumented && f.iter_sampled)
-                    .unwrap_or(false);
-                if sampled && self.cfg.access_policy.keeps(addr) {
+                if !mask.is_empty() && !self.cfg.access_policy.keeps(addr) {
+                    mask = SamplerMask::EMPTY;
+                }
+                if self.marked || !mask.is_empty() {
+                    let is_write = matches!(event, Event::MemWrite { .. });
                     self.defer(Pending::Ready(Record::Mem {
                         tid,
                         pc,
                         addr,
                         is_write,
-                        mask: SamplerMask::bit(0),
+                        mask,
                     }));
                     self.stats.logged_mem += 1;
                     self.overhead.mem_logging += self.cfg.costs.mem_log;
@@ -402,7 +464,7 @@ mod tests {
     use crate::config::InstrumentCosts;
     use literace_samplers::{AlwaysSampler, NeverSampler, SamplerKind};
     use literace_sim::{
-        lower, Machine, MachineConfig, ProgramBuilder, RandomScheduler, Rvalue,
+        lower, Machine, MachineConfig, PrefilterTable, ProgramBuilder, RandomScheduler, Rvalue,
     };
 
     fn run<S: Sampler>(
@@ -848,5 +910,244 @@ mod tests {
             .count() as u64;
         assert_eq!(begins, summary.threads);
         assert_eq!(ends, summary.threads);
+    }
+
+    fn run_marked(
+        kinds: &[SamplerKind],
+        build: impl FnOnce(&mut ProgramBuilder),
+        seed: u64,
+    ) -> InstrumentOutput {
+        let mut b = ProgramBuilder::new();
+        build(&mut b);
+        let compiled = lower(&b.build().unwrap());
+        let samplers = kinds.iter().map(|k| k.build(seed)).collect();
+        let mut inst =
+            Instrumenter::marked(samplers, InstrumentConfig::default(), SamplerMask::EMPTY);
+        Machine::new(&compiled, MachineConfig::default())
+            .run(&mut RandomScheduler::seeded(seed), &mut inst)
+            .unwrap();
+        inst.finish()
+    }
+
+    /// Sampler `i`'s effective sampling rate in a marked run.
+    fn marked_esr(out: &InstrumentOutput, i: usize) -> f64 {
+        out.log.sampler_subset(i).mem_count() as f64 / out.stats.total_mem as f64
+    }
+
+    fn hot_loop(b: &mut ProgramBuilder) {
+        let g = b.global_word("g");
+        let hot = b.function("hot", 0, move |f| {
+            f.read(g);
+        });
+        b.entry_fn("main", move |f| {
+            f.loop_(20_000, |f| {
+                f.call(hot);
+            });
+        });
+    }
+
+    #[test]
+    fn all_memory_records_are_logged_regardless_of_masks() {
+        let out = run_marked(&[SamplerKind::TlAdaptive, SamplerKind::Never], hot_loop, 0);
+        assert_eq!(out.log.mem_count() as u64, out.stats.total_mem);
+        assert_eq!(out.stats.total_mem, 20_000);
+    }
+
+    #[test]
+    fn always_sampler_mask_covers_everything() {
+        let out = run_marked(&[SamplerKind::Always], hot_loop, 0);
+        assert_eq!(out.log.sampler_subset(0).mem_count() as u64, out.stats.total_mem);
+        assert!((marked_esr(&out, 0) - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn tl_ad_esr_is_far_below_random_10() {
+        let out = run_marked(&[SamplerKind::TlAdaptive, SamplerKind::Rnd10], hot_loop, 2);
+        let tl = marked_esr(&out, 0);
+        let rnd = marked_esr(&out, 1);
+        assert!(tl < 0.02, "TL-Ad esr {tl}");
+        assert!((rnd - 0.10).abs() < 0.02, "Rnd10 esr {rnd}");
+    }
+
+    #[test]
+    fn prefiltered_sampler_never_marks_ordered_sites() {
+        // Two TL-Ad samplers over the same execution; the second runs behind
+        // the prefilter, so it keeps strictly fewer records and none of them
+        // at skipped sites.
+        let mut b = ProgramBuilder::new();
+        let g = b.global_word("g");
+        let u = b.global_word("u");
+        let m = b.mutex("m");
+        let w = b.function("w", 0, move |f| {
+            f.loop_(200, |f| {
+                f.lock(m);
+                f.write(g);
+                f.unlock(m);
+                f.read(u);
+            });
+        });
+        b.entry_fn("main", move |f| {
+            let t1 = f.spawn(w, Rvalue::Const(0));
+            let t2 = f.spawn(w, Rvalue::Const(0));
+            f.join(t1);
+            f.join(t2);
+        });
+        let compiled = lower(&b.build().unwrap());
+        let table = PrefilterTable::build(&compiled);
+        assert!(table.stats().skipped_sites > 0);
+        let samplers: Vec<Box<dyn Sampler>> = vec![
+            SamplerKind::TlAdaptive.build(0),
+            SamplerKind::Prefiltered.build(0),
+        ];
+        let cfg = InstrumentConfig {
+            prefilter: Some(table.clone()),
+            ..InstrumentConfig::default()
+        };
+        let mut inst = Instrumenter::marked(samplers, cfg, SamplerMask::bit(1));
+        Machine::new(&compiled, MachineConfig::default())
+            .run(&mut RandomScheduler::seeded(3), &mut inst)
+            .unwrap();
+        let out = inst.finish();
+        // Identical dispatch schedule, so the prefiltered subset is exactly
+        // the plain subset minus the skipped sites.
+        for r in out.log.records() {
+            if let Record::Mem { pc, mask, .. } = r {
+                if table.skips(*pc) {
+                    assert!(!mask.contains(1), "skipped site marked at {pc:?}");
+                } else {
+                    assert_eq!(mask.contains(0), mask.contains(1));
+                }
+            }
+        }
+        assert!(out.log.sampler_subset(1).mem_count() < out.log.sampler_subset(0).mem_count());
+        // The full log is unaffected: every executed access has a record.
+        assert_eq!(out.log.mem_count() as u64, out.stats.total_mem);
+    }
+
+    #[test]
+    #[should_panic(expected = "1..=32 samplers")]
+    fn too_many_samplers_rejected() {
+        let samplers: Vec<Box<dyn Sampler>> = (0..33)
+            .map(|_| SamplerKind::Always.build(0))
+            .collect();
+        let _ = Instrumenter::marked(samplers, InstrumentConfig::default(), SamplerMask::EMPTY);
+    }
+
+    /// A log's records with every mask cleared, so logs from runs with
+    /// different sampler counts compare record by record.
+    fn unmasked(log: &EventLog) -> Vec<Record> {
+        log.iter()
+            .map(|r| match *r {
+                Record::Mem {
+                    tid,
+                    pc,
+                    addr,
+                    is_write,
+                    ..
+                } => Record::Mem {
+                    tid,
+                    pc,
+                    addr,
+                    is_write,
+                    mask: SamplerMask::EMPTY,
+                },
+                other => other,
+            })
+            .collect()
+    }
+
+    /// Hot and cold calls, an inline loop, lock-protected and stack sites
+    /// the prefilter skips, a function with no shared sites, many
+    /// addresses and a heap block: every per-access rule has work to do.
+    fn mixed_sites(b: &mut ProgramBuilder) {
+        let cells = b.global_array("cells", 16);
+        let m = b.mutex("m");
+        let scratch = b.function("scratch", 0, |f| {
+            f.write_stack(0);
+            f.read_stack(0);
+        });
+        let hot = b.function("hot", 0, move |f| {
+            f.read(cells.at(1));
+            f.write(cells.at(2));
+        });
+        let w = b.function("w", 0, move |f| {
+            f.loop_(300, |f| {
+                f.call(hot);
+                f.call(scratch);
+                f.lock(m);
+                f.write(cells.at(3));
+                f.unlock(m);
+                for i in 4..16 {
+                    f.read(cells.at(i));
+                }
+            });
+            let p = f.alloc(8);
+            f.free(p);
+        });
+        b.entry_fn("main", move |f| {
+            let t1 = f.spawn(w, Rvalue::Const(0));
+            let t2 = f.spawn(w, Rvalue::Const(0));
+            f.join(t1);
+            f.join(t2);
+        });
+    }
+
+    #[test]
+    fn marked_subsets_are_the_production_logs() {
+        let mut b = ProgramBuilder::new();
+        mixed_sites(&mut b);
+        let compiled = lower(&b.build().unwrap());
+        let table = PrefilterTable::build(&compiled);
+        let kinds = SamplerKind::study_set();
+        let prefiltered = kinds
+            .iter()
+            .enumerate()
+            .filter(|(_, k)| k.needs_prefilter())
+            .fold(SamplerMask::EMPTY, |m, (i, _)| m.union(SamplerMask::bit(i)));
+        let run = |mut inst: Instrumenter<Box<dyn Sampler>>| {
+            Machine::new(&compiled, MachineConfig::default())
+                .run(&mut RandomScheduler::seeded(5), &mut inst)
+                .unwrap();
+            inst.finish().log
+        };
+        let full = run(Instrumenter::new(
+            SamplerKind::Always.build(5),
+            InstrumentConfig::full_logging(),
+        ));
+        let policies = [
+            InstrumentConfig::default(),
+            InstrumentConfig {
+                loop_policy: LoopPolicy::AdaptiveLoops(
+                    literace_samplers::BackoffSchedule::literace(),
+                ),
+                ..InstrumentConfig::default()
+            },
+            InstrumentConfig {
+                access_policy: crate::config::AccessPolicy::AddressHash { keep_fraction: 0.3 },
+                ..InstrumentConfig::default()
+            },
+        ];
+        for cfg in policies {
+            let behind_table = InstrumentConfig {
+                prefilter: Some(table.clone()),
+                ..cfg.clone()
+            };
+            let samplers = kinds.iter().map(|k| k.build(5)).collect();
+            let marked = run(Instrumenter::marked(samplers, behind_table.clone(), prefiltered));
+            for (i, k) in kinds.iter().enumerate() {
+                let icfg = if k.needs_prefilter() {
+                    behind_table.clone()
+                } else {
+                    cfg.clone()
+                };
+                let production = run(Instrumenter::new(k.build(5), icfg));
+                assert_eq!(
+                    unmasked(&marked.sampler_subset(i)),
+                    unmasked(&production),
+                    "{k:?} under {cfg:?}"
+                );
+            }
+            assert_eq!(unmasked(&marked), unmasked(&full), "{cfg:?}");
+        }
     }
 }

@@ -1,15 +1,15 @@
 //! Where instrumentation records go.
 //!
-//! The observers in this crate historically pushed into a heap-resident
-//! [`EventLog`]; the [`RecordSink`] trait makes the destination pluggable
-//! so a simulation can emit compact v2 log blocks straight to a file (or
-//! any `Write`) while it runs, never materializing the log. Write errors
-//! cannot interrupt the simulator's observer callbacks, so the file sinks
-//! keep the first error and surface it from `finish`.
+//! The [`RecordSink`] trait makes the destination pluggable: a heap-resident
+//! [`EventLog`], or a log writer, so a simulation can emit log blocks
+//! straight to a file (or any `Write`) while it runs, never materializing
+//! the log. Write errors cannot interrupt the simulator's observer
+//! callbacks, so both log writers keep the first error, write nothing
+//! after it, and return it from `finish`.
 
 use std::io::Write;
 
-use literace_log::{EventLog, LogError, LogResult, LogWriter, LogWriterV2, Record};
+use literace_log::{EventLog, LogWriter, LogWriterV2, Record};
 
 /// A destination for instrumentation records.
 pub trait RecordSink {
@@ -39,53 +39,12 @@ impl<W: Write> RecordSink for LogWriterV2<W> {
     }
 }
 
-/// Like [`V2Sink`], but writing the fixed-width v1 format — for callers
-/// that still need logs readable by pre-v2 tools.
-#[derive(Debug)]
-pub struct V1Sink<W: Write> {
-    writer: Option<LogWriter<W>>,
-    error: Option<LogError>,
-    records: u64,
-}
-
-impl<W: Write> V1Sink<W> {
-    /// Creates a sink writing a v1 log to `sink`.
-    pub fn new(sink: W) -> V1Sink<W> {
-        V1Sink {
-            writer: Some(LogWriter::new(sink)),
-            error: None,
-            records: 0,
-        }
-    }
-
-    /// Flushes and returns the underlying writer's sink.
-    ///
-    /// # Errors
-    ///
-    /// Surfaces the first error stashed by [`push`](RecordSink::push), or
-    /// any error from the final flush.
-    pub fn finish(mut self) -> LogResult<W> {
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        self.writer.take().ok_or(LogError::WriterFinished)?.finish()
-    }
-
-    /// Records pushed so far (including any dropped after an error).
-    pub fn records_written(&self) -> u64 {
-        self.records
-    }
-}
-
-impl<W: Write> RecordSink for V1Sink<W> {
+/// The v1 writer, for callers that still need logs readable by pre-v2
+/// tools, is a sink the same way: `write_record` keeps the first sink
+/// error for [`finish`](LogWriter::finish).
+impl<W: Write> RecordSink for LogWriter<W> {
     fn push(&mut self, record: Record) {
-        self.records += 1;
-        if let Some(writer) = self.writer.as_mut() {
-            if let Err(e) = writer.write_record(&record) {
-                self.error = Some(e);
-                self.writer = None;
-            }
-        }
+        let _ = self.write_record(&record);
     }
 }
 
@@ -122,7 +81,7 @@ mod tests {
     #[test]
     fn v1_sink_emits_the_same_bytes_as_materialize_then_encode() {
         let records = some_records(1_000);
-        let mut sink = V1Sink::new(Vec::new());
+        let mut sink = LogWriter::new(Vec::new());
         for r in &records {
             sink.push(*r);
         }
@@ -166,6 +125,12 @@ mod tests {
     fn write_errors_surface_at_finish_not_push() {
         let mut sink = V2Sink::new(FailingWriter { ok: 16 });
         // Tiny blocks force flushes; pushes must not panic.
+        for r in some_records(100_000) {
+            sink.push(r);
+        }
+        let err = sink.finish().unwrap_err();
+        assert!(err.to_string().contains("disk full"), "{err}");
+        let mut sink = LogWriter::new(FailingWriter { ok: 16 });
         for r in some_records(100_000) {
             sink.push(r);
         }

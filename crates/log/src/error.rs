@@ -31,9 +31,6 @@ pub enum LogError {
     },
     /// An underlying I/O failure.
     Io(io::Error),
-    /// A write or finish was attempted on a writer that has already been
-    /// finished (its sink was taken by a previous `finish`).
-    WriterFinished,
     /// The background decoder thread panicked; the panic was contained and
     /// surfaced as a stream item instead of a hung channel.
     DecoderPanicked {
@@ -57,7 +54,6 @@ impl LogError {
             LogError::BadMagic { .. } => "bad_magic",
             LogError::UnsupportedVersion { .. } => "unsupported_version",
             LogError::Io(_) => "io",
-            LogError::WriterFinished => "writer_finished",
             LogError::DecoderPanicked { .. } => "decoder_panicked",
         }
     }
@@ -75,7 +71,6 @@ pub(crate) fn count_error(e: &LogError) {
             LogError::BadMagic { .. } => m.log_errors_bad_magic.add(1),
             LogError::UnsupportedVersion { .. } => m.log_errors_unsupported_version.add(1),
             LogError::Io(_) => m.log_errors_io.add(1),
-            LogError::WriterFinished => m.log_errors_writer_finished.add(1),
             LogError::DecoderPanicked { .. } => m.log_errors_decoder_panicked.add(1),
         }
     }
@@ -93,9 +88,6 @@ impl fmt::Display for LogError {
                 "unsupported log version {found} (this reader supports up to v{supported})"
             ),
             LogError::Io(e) => write!(f, "log i/o error: {e}"),
-            LogError::WriterFinished => {
-                write!(f, "log writer already finished (sink was taken)")
-            }
             LogError::DecoderPanicked { message } => {
                 write!(f, "log decoder thread panicked: {message}")
             }
@@ -110,7 +102,6 @@ impl Error for LogError {
             LogError::Corrupt { .. }
             | LogError::BadMagic { .. }
             | LogError::UnsupportedVersion { .. }
-            | LogError::WriterFinished
             | LogError::DecoderPanicked { .. } => None,
         }
     }
@@ -155,7 +146,6 @@ mod tests {
             LogError::Io(io::Error::other("x")).kind_name(),
             "io"
         );
-        assert_eq!(LogError::WriterFinished.kind_name(), "writer_finished");
         assert_eq!(
             LogError::DecoderPanicked {
                 message: "x".into()

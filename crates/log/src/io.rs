@@ -21,12 +21,15 @@ pub const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
 /// Pass a `&mut` reference if you need the writer back (readers and writers
 /// are taken by value per the standard-library convention).
 ///
-/// Buffered bytes are flushed by [`finish`](LogWriter::finish) — which is
-/// the only place flush *errors* are observable — or, best-effort, on
-/// drop, so a writer that goes out of scope early cannot silently truncate
-/// the log.
+/// Records are encoded into a buffer that flushes every 48 KiB. The
+/// first sink error wins: the writer keeps it, writes nothing after it
+/// (not even on drop), and [`finish`](LogWriter::finish) returns it —
+/// the rule of the v2 writer. A writer dropped without `finish` flushes
+/// its buffer best-effort, so going out of scope early cannot silently
+/// truncate the log.
 #[derive(Debug)]
 pub struct LogWriter<W: Write> {
+    /// Taken by `finish`.
     sink: Option<W>,
     buf: BytesMut,
     records_written: u64,
@@ -34,6 +37,8 @@ pub struct LogWriter<W: Write> {
     /// Records already reported to telemetry (counted per flush, so the
     /// per-record path stays untouched).
     records_reported: u64,
+    /// The first sink error; once set, nothing more reaches the sink.
+    error: Option<LogError>,
 }
 
 impl<W: Write> LogWriter<W> {
@@ -45,6 +50,7 @@ impl<W: Write> LogWriter<W> {
             records_written: 0,
             bytes_written: 0,
             records_reported: 0,
+            error: None,
         }
     }
 
@@ -52,55 +58,58 @@ impl<W: Write> LogWriter<W> {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the sink when the internal buffer
-    /// flushes; [`LogError::WriterFinished`] after [`finish`].
-    ///
-    /// [`finish`]: LogWriter::finish
+    /// None are raised here: a failed sink write is kept, nothing is
+    /// written after it, and [`finish`](LogWriter::finish) returns it. The
+    /// `Result` matches [`LogWriterV2`](crate::LogWriterV2), so callers
+    /// drive both formats alike.
     pub fn write_record(&mut self, record: &Record) -> LogResult<()> {
-        if self.sink.is_none() {
-            let e = LogError::WriterFinished;
-            crate::error::count_error(&e);
-            return Err(e);
-        }
-        encode(record, &mut self.buf);
         self.records_written += 1;
-        if self.buf.len() >= 48 * 1024 {
-            self.flush_buf()?;
+        if self.error.is_none() {
+            encode(record, &mut self.buf);
+            if self.buf.len() >= 48 * 1024 {
+                self.flush_buf();
+            }
         }
         Ok(())
     }
 
-    fn flush_buf(&mut self) -> LogResult<()> {
-        let sink = self.sink.as_mut().ok_or(LogError::WriterFinished)?;
-        sink.write_all(&self.buf)?;
-        self.bytes_written += self.buf.len() as u64;
-        if literace_telemetry::enabled() {
-            let m = literace_telemetry::metrics();
-            m.log_encode_v1_bytes.add(self.buf.len() as u64);
-            m.log_encode_v1_records
-                .add(self.records_written - self.records_reported);
-            self.records_reported = self.records_written;
+    /// Writes the buffer to the sink unless an earlier write failed.
+    fn flush_buf(&mut self) {
+        let Some(sink) = self.sink.as_mut().filter(|_| self.error.is_none()) else {
+            return;
+        };
+        match sink.write_all(&self.buf) {
+            Ok(()) => {
+                self.bytes_written += self.buf.len() as u64;
+                if literace_telemetry::enabled() {
+                    let m = literace_telemetry::metrics();
+                    m.log_encode_v1_bytes.add(self.buf.len() as u64);
+                    m.log_encode_v1_records
+                        .add(self.records_written - self.records_reported);
+                    self.records_reported = self.records_written;
+                }
+            }
+            Err(e) => self.error = Some(LogError::Io(e)),
         }
         self.buf.clear();
-        Ok(())
     }
 
-    /// Flushes buffered bytes and returns the sink. The writer is inert
-    /// afterwards: further writes or a second `finish` return
-    /// [`LogError::WriterFinished`] instead of panicking.
+    /// Flushes buffered bytes and returns the sink.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from the final flush;
-    /// [`LogError::WriterFinished`] when already finished.
-    pub fn finish(&mut self) -> LogResult<W> {
-        self.flush_buf()?;
-        let mut sink = self.sink.take().ok_or(LogError::WriterFinished)?;
+    /// The first sink I/O error, from any earlier flush or this one.
+    pub fn finish(mut self) -> LogResult<W> {
+        self.flush_buf();
+        let mut sink = self.sink.take().expect("the sink lives until finish");
+        if let Some(e) = self.error.take() {
+            return Err(e);
+        }
         sink.flush()?;
         Ok(sink)
     }
 
-    /// Records written so far.
+    /// Records written so far (including any after an error).
     pub fn records_written(&self) -> u64 {
         self.records_written
     }
@@ -112,14 +121,12 @@ impl<W: Write> LogWriter<W> {
 }
 
 impl<W: Write> Drop for LogWriter<W> {
-    /// Best-effort flush of buffered bytes. Errors are swallowed here —
-    /// call [`finish`](LogWriter::finish) to observe them.
+    /// Best-effort flush of buffered bytes, unless a write already failed.
+    /// Errors are swallowed here — call [`finish`](LogWriter::finish) to
+    /// observe them.
     fn drop(&mut self) {
-        if let Some(sink) = self.sink.as_mut() {
-            if !self.buf.is_empty() {
-                let _ = sink.write_all(&self.buf);
-                self.buf.clear();
-            }
+        self.flush_buf();
+        if let Some(sink) = self.sink.as_mut().filter(|_| self.error.is_none()) {
             let _ = sink.flush();
         }
     }
@@ -367,23 +374,6 @@ mod tests {
         let bytes = sink.0.lock().unwrap().clone();
         let log = LogReader::new(&bytes[..]).read_all().unwrap();
         assert_eq!(log.records(), &records[..]);
-    }
-
-    #[test]
-    fn write_after_finish_is_a_typed_error() {
-        let records = some_records(3);
-        let mut w = LogWriter::new(Vec::new());
-        for r in &records {
-            w.write_record(r).unwrap();
-        }
-        let bytes = w.finish().unwrap();
-        assert!(!bytes.is_empty());
-        // Write after finish: typed error, no panic.
-        let err = w.write_record(&records[0]).unwrap_err();
-        assert!(matches!(err, LogError::WriterFinished), "{err}");
-        // Double finish: same.
-        let err = w.finish().unwrap_err();
-        assert!(matches!(err, LogError::WriterFinished), "{err}");
     }
 
     #[test]

@@ -79,8 +79,6 @@ pub struct Metrics {
     pub log_errors_unsupported_version: Counter,
     /// Log-read failures: underlying I/O errors.
     pub log_errors_io: Counter,
-    /// Writes or finishes attempted on an already-finished log writer.
-    pub log_errors_writer_finished: Counter,
     /// Decoder-thread panics contained into stream errors.
     pub log_errors_decoder_panicked: Counter,
     /// Salvage decodes started (`--salvage` openers).
@@ -228,7 +226,6 @@ impl Metrics {
             log_errors_bad_magic: Counter::new(),
             log_errors_unsupported_version: Counter::new(),
             log_errors_io: Counter::new(),
-            log_errors_writer_finished: Counter::new(),
             log_errors_decoder_panicked: Counter::new(),
             log_salvage_runs: Counter::new(),
             log_salvage_blocks_skipped: Counter::new(),
@@ -278,7 +275,7 @@ impl Metrics {
     }
 
     /// Name↔field table for plain counters (the canonical metric names).
-    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 54] {
+    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 53] {
         [
             ("instrument.dispatch.checks", &self.instrument_dispatch_checks),
             ("instrument.dispatch.sampled", &self.instrument_dispatch_sampled),
@@ -320,10 +317,6 @@ impl Metrics {
                 &self.log_errors_unsupported_version,
             ),
             ("log.errors.io", &self.log_errors_io),
-            (
-                "log.errors.writer_finished",
-                &self.log_errors_writer_finished,
-            ),
             (
                 "log.errors.decoder_panicked",
                 &self.log_errors_decoder_panicked,
