@@ -732,48 +732,7 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
     // An error below exits without writing the trace, so the span needs no
     // balancing on the failure paths.
     literace::telemetry::trace_begin("phase.detect");
-    let (report, heading, salvage_report) = if let Some(out) = checkpoint_out {
-        // Checkpointing runs the sequential core over the block stream:
-        // state is sealed to `out` every --checkpoint-every blocks and
-        // once more at end of stream, each save atomic (written to
-        // <out>.partial, renamed only after fsync).
-        let out_path = std::path::Path::new(out);
-        let cfg = DetectConfig::with_threads(1);
-        let save = |cp: &Checkpoint| cp.write_to(out_path).map(|_| ());
-        if salvage {
-            let (blocks, handle) = RecordStream::spawn_salvage_with(file, decode_opts)
-                .map_err(|e| format!("read {path}: {e}"))?;
-            let format = blocks.format();
-            let report = detect_stream_checkpointed(
-                blocks,
-                non_stack,
-                &cfg,
-                resume_cp.as_ref(),
-                checkpoint_every,
-                save,
-            )
-            .map_err(|e| format!("{path}: {e}"))?;
-            (
-                report,
-                format!("{format} log (streamed, salvaged)"),
-                Some(handle.report()),
-            )
-        } else {
-            drop(file);
-            let blocks = spawn_log_stream(path, decode_opts)?;
-            let format = blocks.format();
-            let report = detect_stream_checkpointed(
-                blocks,
-                non_stack,
-                &cfg,
-                resume_cp.as_ref(),
-                checkpoint_every,
-                save,
-            )
-            .map_err(|e| format!("{path}: {e}"))?;
-            (report, format!("{format} log (streamed)"), None)
-        }
-    } else if streaming {
+    let (report, heading, salvage_report) = if checkpoint_out.is_some() || streaming {
         match flags.get("detector") {
             None | Some("hb") => {}
             Some(other) => {
@@ -784,29 +743,37 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
             }
         }
         // Decoded blocks flow from the decode pool straight into the
-        // sharded workers; the log is never materialized.
-        if salvage {
-            let (blocks, handle) =
-                RecordStream::spawn_salvage_with(file, decode_opts)
-                    .map_err(|e| format!("read {path}: {e}"))?;
-            let format = blocks.format();
-            let cfg = DetectConfig::with_threads(threads);
-            let report = detect_stream_from(blocks, non_stack, &cfg, resume_cp.as_ref())
+        // detector; the log is never materialized.
+        let (blocks, salvage_handle) = if salvage {
+            let (blocks, handle) = RecordStream::spawn_salvage_with(file, decode_opts)
                 .map_err(|e| format!("read {path}: {e}"))?;
-            (
-                report,
-                format!("{format} log (streamed, salvaged)"),
-                Some(handle.report()),
-            )
+            (blocks, Some(handle))
         } else {
             drop(file);
-            let blocks = spawn_log_stream(path, decode_opts)?;
-            let format = blocks.format();
-            let cfg = DetectConfig::with_threads(threads);
-            let report = detect_stream_from(blocks, non_stack, &cfg, resume_cp.as_ref())
-                .map_err(|e| format!("read {path}: {e}"))?;
-            (report, format!("{format} log (streamed)"), None)
-        }
+            (spawn_log_stream(path, decode_opts)?, None)
+        };
+        let format = blocks.format();
+        let cfg = DetectConfig::with_threads(threads);
+        let report = match checkpoint_out {
+            // Checkpointing runs one shard inline (--threads was refused
+            // above): state is sealed to `out` every --checkpoint-every
+            // blocks and once more at end of stream, each save atomic
+            // (written to <out>.partial, renamed only after fsync).
+            Some(out) => detect_stream_checkpointed(
+                blocks,
+                non_stack,
+                &cfg,
+                resume_cp.as_ref(),
+                checkpoint_every,
+                |cp: &Checkpoint| cp.write_to(std::path::Path::new(out)).map(|_| ()),
+            )
+            .map_err(|e| format!("{path}: {e}"))?,
+            None => detect_stream_from(blocks, non_stack, &cfg, resume_cp.as_ref())
+                .map_err(|e| format!("read {path}: {e}"))?,
+        };
+        let salvaged = if salvage { ", salvaged" } else { "" };
+        let heading = format!("{format} log (streamed{salvaged})");
+        (report, heading, salvage_handle.map(|h| h.report()))
     } else if salvage {
         // Best-effort decode: corrupt blocks are skipped where provably
         // safe, the suffix is dropped where it is not, and detection runs

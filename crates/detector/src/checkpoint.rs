@@ -51,9 +51,12 @@ use literace_log::{
 };
 use literace_sim::{Addr, Pc, SyncVar, ThreadId};
 
+use crate::clocks::ThreadState;
 use crate::epoch::check_thread_index;
+use crate::fast_hash::FastSet;
 use crate::frontier::Access;
-use crate::hb::{CoreSnapshot, HbConfig, HbCore, HbDetector, PairSnapshot, ThreadState};
+use crate::hb::{HbConfig, HbDetector};
+use crate::sharded::PairAgg;
 
 /// Magic bytes opening a checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LRCP";
@@ -73,7 +76,9 @@ const SEC_SUPPRESS: u32 = 7;
 ///
 /// Produced by [`HbDetector::save_checkpoint`]; consumed by
 /// [`HbDetector::resume`] and, at any shard count, by
-/// [`detect_stream_from`](crate::detect_stream_from).
+/// [`detect_stream_from`](crate::detect_stream_from). All state is in
+/// canonical (sorted) order, so equal detector states produce equal
+/// checkpoints regardless of hash-map iteration order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     pub(crate) cfg: HbConfig,
@@ -81,8 +86,17 @@ pub struct Checkpoint {
     pub(crate) records_since_compact: u64,
     pub(crate) timestamp_violations: u64,
     pub(crate) non_stack_accesses: u64,
+    /// The §4.2 monitor's last timestamp per variable, sorted by variable.
     pub(crate) last_ts: Vec<(SyncVar, u64)>,
-    pub(crate) core: CoreSnapshot,
+    /// Per-thread clocks, generations and retirement flags, by index.
+    pub(crate) threads: Vec<ThreadState>,
+    /// Sync-variable clocks, sorted by variable.
+    pub(crate) syncvars: Vec<(SyncVar, Vec<u64>)>,
+    /// Frontier state, sorted by address (see `Frontier::snapshot`).
+    pub(crate) locations: Vec<(u64, Vec<Access>, Vec<Access>)>,
+    /// Per-pair aggregates, sorted by the pc pair; every first position is
+    /// 0, as the pairs precede every record resumed after them.
+    pub(crate) pairs: Vec<((Pc, Pc), PairAgg)>,
     pub(crate) suppressions: Vec<String>,
 }
 
@@ -93,34 +107,29 @@ impl HbDetector {
     /// (carried for the inspector and as a default for resumed runs; the
     /// resume drivers accept an explicit final value).
     pub fn save_checkpoint(&self, non_stack_accesses: u64) -> Checkpoint {
+        let replay = &self.replay;
+        let (threads, syncvars) = replay.clocks.snapshot();
         let mut last_ts: Vec<(SyncVar, u64)> =
-            self.last_ts.iter().map(|(&v, &t)| (v, t)).collect();
+            replay.last_ts.iter().map(|(&v, &t)| (v, t)).collect();
         last_ts.sort_unstable_by_key(|&(v, _)| v);
+        let mut pairs: Vec<((Pc, Pc), PairAgg)> = self.shard.pairs.clone().into_iter().collect();
+        pairs.sort_unstable_by_key(|&(pcs, _)| pcs);
+        for (_, agg) in &mut pairs {
+            // The pairs precede every record resumed after the checkpoint.
+            agg.first_pos = 0;
+        }
         Checkpoint {
-            cfg: self.core.config(),
-            records_processed: self.records_processed,
-            records_since_compact: self.records_since_compact,
-            timestamp_violations: self.timestamp_violations,
+            cfg: self.shard.cfg,
+            records_processed: replay.pos,
+            records_since_compact: replay.since_compact,
+            timestamp_violations: replay.timestamp_violations,
             non_stack_accesses,
             last_ts,
-            core: self.core.snapshot_state(),
+            threads,
+            syncvars,
+            locations: self.shard.frontier.snapshot(),
+            pairs,
             suppressions: Vec::new(),
-        }
-    }
-
-    /// Rebuilds a detector from a checkpoint. Feeding it the records that
-    /// followed the checkpointed position yields a report byte-identical
-    /// to one-shot detection over the whole stream.
-    pub fn resume(cp: &Checkpoint) -> HbDetector {
-        if literace_telemetry::enabled() {
-            literace_telemetry::metrics().detector_checkpoint_resumes.add(1);
-        }
-        HbDetector {
-            core: HbCore::from_snapshot(cp.cfg, &cp.core),
-            records_since_compact: cp.records_since_compact,
-            records_processed: cp.records_processed,
-            last_ts: cp.last_ts.iter().copied().collect(),
-            timestamp_violations: cp.timestamp_violations,
         }
     }
 }
@@ -154,28 +163,27 @@ impl Checkpoint {
 
     /// Threads materialized at the checkpoint.
     pub fn thread_count(&self) -> usize {
-        self.core.threads.len()
+        self.threads.len()
     }
 
     /// Of those, threads that had already exited.
     pub fn retired_count(&self) -> usize {
-        self.core.threads.iter().filter(|t| t.retired).count()
+        self.threads.iter().filter(|t| t.retired).count()
     }
 
     /// Sync variables with live clocks.
     pub fn syncvar_count(&self) -> usize {
-        self.core.syncvars.len()
+        self.syncvars.len()
     }
 
     /// Addresses with live frontier history.
     pub fn location_count(&self) -> usize {
-        self.core.locations.len()
+        self.locations.len()
     }
 
     /// Of those, locations holding an escalated (full-history) antichain.
     pub fn escalated_count(&self) -> usize {
-        self.core
-            .locations
+        self.locations
             .iter()
             .filter(|(_, w, r)| w.len() >= 2 || r.len() >= 2)
             .count()
@@ -183,16 +191,12 @@ impl Checkpoint {
 
     /// Static race pairs accumulated so far.
     pub fn pair_count(&self) -> usize {
-        self.core.pairs.len()
+        self.pairs.len()
     }
 
-    /// Dynamic race occurrences accumulated so far (stored + overflow).
+    /// Dynamic race occurrences accumulated so far.
     pub fn dynamic_races(&self) -> u64 {
-        self.core
-            .pairs
-            .iter()
-            .map(|(_, p)| p.stored + p.overflow)
-            .sum()
+        self.pairs.iter().map(|(_, p)| p.count).sum()
     }
 
     /// The suppression patterns attached to the checkpoint.
@@ -217,7 +221,7 @@ impl Checkpoint {
         w.section(SEC_META, 6, &buf).unwrap();
 
         buf.clear();
-        for t in &self.core.threads {
+        for t in &self.threads {
             put_varint(&mut buf, t.clock_gen);
             put_varint(&mut buf, u64::from(t.retired));
             put_varint(&mut buf, t.components.len() as u64);
@@ -225,12 +229,12 @@ impl Checkpoint {
                 put_varint(&mut buf, c);
             }
         }
-        w.section(SEC_THREADS, self.core.threads.len() as u32, &buf)
+        w.section(SEC_THREADS, self.threads.len() as u32, &buf)
             .unwrap();
 
         buf.clear();
         let mut last_var = 0u64;
-        for (var, components) in &self.core.syncvars {
+        for (var, components) in &self.syncvars {
             put_delta(&mut buf, last_var, var.0);
             last_var = var.0;
             put_varint(&mut buf, components.len() as u64);
@@ -238,7 +242,7 @@ impl Checkpoint {
                 put_varint(&mut buf, c);
             }
         }
-        w.section(SEC_SYNCVARS, self.core.syncvars.len() as u32, &buf)
+        w.section(SEC_SYNCVARS, self.syncvars.len() as u32, &buf)
             .unwrap();
 
         buf.clear();
@@ -253,7 +257,7 @@ impl Checkpoint {
 
         buf.clear();
         let mut last_addr = 0u64;
-        for (addr, writes, reads) in &self.core.locations {
+        for (addr, writes, reads) in &self.locations {
             put_delta(&mut buf, last_addr, *addr);
             last_addr = *addr;
             for chain in [writes, reads] {
@@ -265,27 +269,30 @@ impl Checkpoint {
                 }
             }
         }
-        w.section(SEC_LOCATIONS, self.core.locations.len() as u32, &buf)
+        w.section(SEC_LOCATIONS, self.locations.len() as u32, &buf)
             .unwrap();
 
         buf.clear();
         let mut last_pc = 0u64;
-        for ((pc0, pc1), p) in &self.core.pairs {
+        for ((pc0, pc1), p) in &self.pairs {
             put_delta(&mut buf, last_pc, pc0.0);
             last_pc = pc0.0;
             put_varint(&mut buf, pc1.0);
-            put_varint(&mut buf, p.stored);
-            put_varint(&mut buf, p.overflow);
+            // Two count fields: LRCP v1 split them at the old occurrence
+            // cap. Written as `count, 0`; a reader sums them.
+            put_varint(&mut buf, p.count);
+            put_varint(&mut buf, 0);
             put_varint(&mut buf, p.example_addr.raw());
             put_varint(&mut buf, p.addrs.len() as u64);
+            let mut addrs: Vec<u64> = p.addrs.iter().map(|a| a.raw()).collect();
+            addrs.sort_unstable();
             let mut last = 0u64;
-            for a in &p.addrs {
-                put_delta(&mut buf, last, a.raw());
-                last = a.raw();
+            for a in addrs {
+                put_delta(&mut buf, last, a);
+                last = a;
             }
         }
-        w.section(SEC_PAIRS, self.core.pairs.len() as u32, &buf)
-            .unwrap();
+        w.section(SEC_PAIRS, self.pairs.len() as u32, &buf).unwrap();
 
         buf.clear();
         for pattern in &self.suppressions {
@@ -401,26 +408,27 @@ impl Checkpoint {
             let pc0 = get_delta_slice(&mut body, last_pc)?;
             last_pc = pc0;
             let pc1 = get_varint_slice(&mut body)?;
-            let stored = get_varint_slice(&mut body)?;
-            let overflow = get_varint_slice(&mut body)?;
+            let count = get_varint_slice(&mut body)?
+                .checked_add(get_varint_slice(&mut body)?)
+                .ok_or_else(|| LogError::Corrupt {
+                    reason: "checkpoint pair count overflows".into(),
+                })?;
             let example_addr = Addr(get_varint_slice(&mut body)?);
             let addr_count = checked_count_u64(get_varint_slice(&mut body)?, body, "pair addrs")?;
-            let mut addrs = Vec::new();
+            let mut addrs = FastSet::default();
             let mut last = 0u64;
             for _ in 0..addr_count {
                 let a = get_delta_slice(&mut body, last)?;
                 last = a;
-                addrs.push(Addr(a));
+                addrs.insert(Addr(a));
             }
-            pairs.push((
-                (Pc(pc0), Pc(pc1)),
-                PairSnapshot {
-                    stored,
-                    overflow,
-                    example_addr,
-                    addrs,
-                },
-            ));
+            let agg = PairAgg {
+                count,
+                first_pos: 0,
+                example_addr,
+                addrs,
+            };
+            pairs.push(((Pc(pc0), Pc(pc1)), agg));
         }
         expect_drained(body, "pairs")?;
 
@@ -449,12 +457,10 @@ impl Checkpoint {
             timestamp_violations,
             non_stack_accesses,
             last_ts,
-            core: CoreSnapshot {
-                threads,
-                syncvars,
-                locations,
-                pairs,
-            },
+            threads,
+            syncvars,
+            locations,
+            pairs,
             suppressions,
         };
         cp.validate()?;
@@ -471,7 +477,7 @@ impl Checkpoint {
     /// detector can never be seeded with state the engine itself could
     /// not have produced.
     fn validate(&self) -> LogResult<()> {
-        for (_, writes, reads) in &self.core.locations {
+        for (_, writes, reads) in &self.locations {
             for a in writes.iter().chain(reads) {
                 check_thread_index(a.tid.index()).map_err(corrupt_err)?;
                 if a.epoch == 0 {
@@ -481,17 +487,25 @@ impl Checkpoint {
                 }
             }
         }
-        for (pcs, p) in &self.core.pairs {
-            if p.stored == 0 && !p.addrs.is_empty() {
+        let mut total = 0u64;
+        for (pcs, p) in &self.pairs {
+            if p.count == 0 {
                 return Err(LogError::Corrupt {
-                    reason: format!("pair {pcs:?} has addresses but no stored occurrences"),
+                    reason: format!("pair {pcs:?} has no occurrences"),
                 });
             }
-            if p.addrs.len() as u64 > p.stored {
+            if p.addrs.len() as u64 > p.count || p.addrs.len() > self.cfg.max_dynamic_per_pair {
                 return Err(LogError::Corrupt {
-                    reason: format!("pair {pcs:?} has more distinct addresses than stored races"),
+                    reason: format!(
+                        "pair {pcs:?} has more distinct addresses than races or the cap"
+                    ),
                 });
             }
+            total = total
+                .checked_add(p.count)
+                .ok_or_else(|| LogError::Corrupt {
+                    reason: "checkpoint race counts overflow".into(),
+                })?;
         }
         Ok(())
     }
@@ -683,6 +697,61 @@ mod tests {
     }
 
     #[test]
+    fn a_pair_count_split_in_two_fields_loads_as_their_sum() {
+        // Past the old occurrence cap, the pair section's second count
+        // field was nonzero: re-seal a checkpoint's pairs that way.
+        let cap = 3;
+        let records = mixed_records();
+        let mut d = HbDetector::with_config(HbConfig {
+            max_dynamic_per_pair: cap,
+            ..HbConfig::default()
+        });
+        for r in &records {
+            d.process(r);
+        }
+        let cp = d.save_checkpoint(0);
+        assert!(cp.pairs.iter().any(|(_, p)| p.count > cap as u64));
+        let bytes = cp.to_bytes();
+        let sections = read_container(&bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
+        let mut w = ContainerWriter::new(Vec::new(), CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
+        let mut split_sum = 0;
+        for section in &sections {
+            if section.id != SEC_PAIRS {
+                w.section(section.id, section.item_count, section.payload)
+                    .unwrap();
+                continue;
+            }
+            let mut buf = Vec::new();
+            let mut last_pc = 0u64;
+            for ((pc0, pc1), p) in &cp.pairs {
+                put_delta(&mut buf, last_pc, pc0.0);
+                last_pc = pc0.0;
+                put_varint(&mut buf, pc1.0);
+                let stored = p.count.min(cap as u64);
+                put_varint(&mut buf, stored);
+                put_varint(&mut buf, p.count - stored);
+                split_sum += stored + (p.count - stored);
+                put_varint(&mut buf, p.example_addr.raw());
+                let mut addrs: Vec<u64> = p.addrs.iter().map(|a| a.raw()).collect();
+                addrs.sort_unstable();
+                put_varint(&mut buf, addrs.len() as u64);
+                let mut last = 0u64;
+                for a in addrs {
+                    put_delta(&mut buf, last, a);
+                    last = a;
+                }
+            }
+            w.section(SEC_PAIRS, section.item_count, &buf).unwrap();
+        }
+        let split = w.finish().unwrap();
+        assert_ne!(split, bytes, "some pair must have passed the cap");
+        let back = Checkpoint::from_bytes(&split).unwrap();
+        assert_eq!(back.dynamic_races(), split_sum);
+        assert_eq!(back, cp);
+        assert_eq!(back.to_bytes(), bytes);
+    }
+
+    #[test]
     fn every_truncation_of_a_checkpoint_is_a_typed_error() {
         let records = mixed_records();
         let mut d = HbDetector::new();
@@ -717,7 +786,6 @@ mod tests {
         let mut cp = d.save_checkpoint(0);
         // Corrupt a frontier access with a tid beyond the packing ceiling.
         let loc = cp
-            .core
             .locations
             .iter_mut()
             .find(|(_, w, _)| !w.is_empty())

@@ -1,9 +1,9 @@
 //! Thread and sync-variable clock state: the §2.1 clock algebra, written
 //! once for every detection path.
 //!
-//! The sequential core ([`HbCore`](crate::HbCore)) and the sharded
-//! engine's router (see [`streaming`](crate::streaming)) replay every
-//! synchronization record through one [`ClockState`]:
+//! The replay stage (see [`hb`](crate::hb)) owns one [`ClockState`] and
+//! replays every synchronization record through it, whether it feeds an
+//! inline shard or the sharded engine's router:
 //!
 //! * each thread `t` carries a clock `C(t)`, materialized on first sight —
 //!   together with every lower thread id — at `{t: 1}`, behind the tid
@@ -27,8 +27,18 @@ use literace_sim::{SyncOpKind, SyncVar, ThreadId};
 
 use crate::epoch::check_thread_index;
 use crate::fast_hash::FastMap;
-use crate::hb::{CoreSnapshot, ThreadState};
 use crate::vector_clock::VectorClock;
+
+/// One thread's clock state in a checkpoint.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct ThreadState {
+    /// The thread's vector clock, as its dense component slice.
+    pub components: Vec<u64>,
+    /// The thread's clock generation (the frontier memo token).
+    pub clock_gen: u64,
+    /// Whether the thread has exited.
+    pub retired: bool,
+}
 
 /// Per-thread and per-sync-variable vector clocks, with the generation
 /// counters and retirement flags every detection path needs.
@@ -46,17 +56,15 @@ pub(crate) struct ClockState {
 impl ClockState {
     /// Rebuilds the clock state captured in a checkpoint. Each thread
     /// resumes at its saved generation.
-    pub(crate) fn restore(snap: &CoreSnapshot) -> ClockState {
+    pub(crate) fn restore(threads: &[ThreadState], syncvars: &[(SyncVar, Vec<u64>)]) -> ClockState {
         ClockState {
-            threads: snap
-                .threads
+            threads: threads
                 .iter()
                 .map(|t| VectorClock::from_components(t.components.clone()))
                 .collect(),
-            generation: snap.threads.iter().map(|t| t.clock_gen).collect(),
-            retired: snap.threads.iter().map(|t| t.retired).collect(),
-            syncvars: snap
-                .syncvars
+            generation: threads.iter().map(|t| t.clock_gen).collect(),
+            retired: threads.iter().map(|t| t.retired).collect(),
+            syncvars: syncvars
                 .iter()
                 .map(|(var, c)| (*var, VectorClock::from_components(c.clone())))
                 .collect(),
@@ -290,13 +298,7 @@ mod tests {
                     Op::Exit(tid) => clocks.retire(t(tid)),
                     Op::Checkpoint => {
                         let (threads, syncvars) = clocks.snapshot();
-                        let snap = CoreSnapshot {
-                            threads,
-                            syncvars,
-                            locations: Vec::new(),
-                            pairs: Vec::new(),
-                        };
-                        let restored = ClockState::restore(&snap);
+                        let restored = ClockState::restore(&threads, &syncvars);
                         prop_assert_eq!(restored.snapshot(), clocks.snapshot());
                         prop_assert_eq!(
                             restored.live().collect::<Vec<_>>(),

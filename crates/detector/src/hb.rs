@@ -1,35 +1,37 @@
-//! The happens-before race-detection core (§2.1 of the paper).
+//! The happens-before detector (§2.1 of the paper) and its replay stage.
 //!
-//! [`HbCore`] implements the standard vector-clock algorithm over an
-//! abstract stream of synchronization operations and data accesses:
+//! Every detection path runs the same two stages:
 //!
-//! * each thread `t` carries a clock `C(t)`;
-//! * each synchronization variable `v` carries a clock `L(v)`;
-//! * a release-like operation on `v` joins `C(t)` into `L(v)` and then
-//!   increments `C(t)[t]`;
-//! * an acquire-like operation joins `L(v)` into `C(t)`;
-//! * two accesses to the same address race iff neither's clock snapshot is
-//!   ≤ the other's and at least one is a write.
+//! * the **replay stage** ([`Replay`]) owns the thread and sync-variable
+//!   clocks (see [`clocks`](crate::clocks)), the record position, the
+//!   compaction cadence and the §4.2 timestamp monitor. Its one
+//!   [`step`](Replay::step) replays a record's clock algebra and hands
+//!   the rest on to a [`Downstream`]: each access with its thread's
+//!   present clock, and each compaction point;
+//! * the **shard stage** ([`Shard`](crate::sharded::Shard)) keeps a
+//!   per-address frontier of accesses not yet ordered before a later
+//!   write (an antichain), so every racing static pair that manifests
+//!   against it is counted in one mergeable per-pair aggregate.
 //!
-//! Per address the core keeps a *frontier* of accesses not yet ordered
-//! before a subsequent write (an antichain), so every racing static pair
-//! that manifests against the frontier is reported. The offline
-//! [`HbDetector`] drives the core from an [`EventLog`]; the online detector
-//! (see [`online`](crate::online)) drives it from live simulator events.
-
-use std::collections::HashMap;
+//! [`HbDetector`] is the one-shard case, run inline: its replay stage
+//! feeds its one shard directly. The sharded engine (see
+//! [`streaming`](crate::streaming)) runs the same replay stage as its
+//! router, which routes each access to one of N shard workers instead.
+//! The online detector (see [`online`](crate::online)) turns live
+//! simulator events into records and feeds them to an [`HbDetector`].
 
 use literace_log::{EventLog, Record};
-use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
+use literace_sim::{Addr, Pc, SyncVar, ThreadId};
 
+use crate::checkpoint::Checkpoint;
 use crate::clocks::ClockState;
-use crate::fast_hash::{FastMap, FastSet};
-use crate::frontier::{Access, Frontier};
-use crate::provenance::{AccessEvidence, ProvenanceReport, ProvenanceState, SyncEdge};
-use crate::report::{RaceReport, StaticRace};
+use crate::fast_hash::FastMap;
+use crate::provenance::{ProvenanceReport, SyncEdge};
+use crate::report::RaceReport;
+use crate::sharded::{report, Shard};
 use crate::vector_clock::VectorClock;
 
-/// Tuning knobs for the happens-before core.
+/// Tuning knobs for the happens-before detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HbConfig {
     /// Upper bound on remembered frontier accesses per location and kind;
@@ -37,8 +39,9 @@ pub struct HbConfig {
     /// pathological inputs). The frontier is an antichain, so in practice it
     /// stays near the thread count.
     pub max_history_per_location: usize,
-    /// Upper bound on *dynamic* races recorded per static pair before
-    /// further occurrences are only counted, not stored.
+    /// Upper bound on the distinct racing addresses remembered per static
+    /// pair: a pair's `distinct_addrs` is the smaller of its distinct
+    /// racing addresses and this cap. Every occurrence is still counted.
     pub max_dynamic_per_pair: usize,
 }
 
@@ -51,387 +54,167 @@ impl Default for HbConfig {
     }
 }
 
-/// Running aggregate for one static pair — the report row built *online*,
-/// as races are detected, instead of by a separate grouping pass over a
-/// stored race vector at `finish` time (that pass used to cost as much as
-/// detection itself on race-heavy logs).
-#[derive(Debug)]
-struct PairAgg {
-    /// Dynamic occurrences stored (capped at `max_dynamic_per_pair`).
-    stored: u64,
-    /// Occurrences beyond the cap (counted, not stored).
-    overflow: u64,
-    /// Address of the first stored occurrence.
-    example_addr: Addr,
-    /// Distinct addresses among stored occurrences.
-    addrs: FastSet<Addr>,
-}
-
-/// The reusable happens-before engine.
-#[derive(Debug)]
-pub struct HbCore {
-    cfg: HbConfig,
-    /// Thread and sync-variable clocks. Their per-thread generations let
-    /// the frontier's same-epoch memo (see [`epoch`](crate::epoch)) key on
-    /// `(thread, generation)` instead of comparing whole clocks.
-    clocks: ClockState,
-    /// Per-address frontier state.
-    frontier: Frontier,
-    /// Per-static-pair aggregates, maintained online.
-    pairs: FastMap<(Pc, Pc), PairAgg>,
-    /// Frontier scan lengths, systematically sampled (1 in
-    /// [`ScanSampler::SAMPLE_RATE`](literace_telemetry::ScanSampler)),
-    /// accumulated locally and flushed to the global registry at
-    /// [`finish`](HbCore::finish).
-    scan_hist: literace_telemetry::ScanSampler,
-    /// Race-provenance capture, when enabled (see
-    /// [`enable_provenance`](HbCore::enable_provenance)). Off — the
-    /// default — costs one null check on the conflict path only.
-    provenance: Option<Box<ProvenanceState>>,
-}
-
-impl HbCore {
-    /// Creates a core with the given configuration.
-    pub fn new(cfg: HbConfig) -> HbCore {
-        HbCore {
-            cfg,
-            clocks: ClockState::default(),
-            frontier: Frontier::new(cfg.max_history_per_location),
-            pairs: FastMap::default(),
-            scan_hist: literace_telemetry::ScanSampler::new(),
-            provenance: None,
-        }
-    }
-
-    /// Turns on race-provenance capture: the core starts tracking each
-    /// thread's last release and records, for the first dynamic occurrence
-    /// of every static pair, the two access epochs and the sync edge that
-    /// failed to order them (retrieved via [`finish_full`](HbCore::finish_full)).
-    /// The [`RaceReport`] is byte-identical with capture on or off.
-    pub fn enable_provenance(&mut self) {
-        if self.provenance.is_none() {
-            self.provenance = Some(Box::default());
-        }
-    }
-
-    /// Processes one synchronization operation.
-    #[inline]
-    pub fn sync(&mut self, tid: ThreadId, kind: SyncOpKind, var: SyncVar) {
-        let released = self.clocks.sync(tid, kind, var);
-        if let (Some(p), Some(release_epoch)) = (self.provenance.as_deref_mut(), released) {
-            p.record_release(
-                tid.index(),
-                SyncEdge {
-                    var,
-                    kind,
-                    release_epoch,
-                },
-            );
-        }
-    }
-
-    /// Processes one data access.
-    ///
-    /// `inline(always)`: this is the detector's innermost per-record call.
-    /// Inlining it (and [`Frontier::access`] inside it) into each driver
-    /// loop keeps the location state in registers across records — worth
-    /// over 10% end-to-end on full logs, and LLVM won't do it unaided
-    /// because the function has many call sites (every offline driver
-    /// loop, and the online detector).
-    #[inline(always)]
-    pub fn access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool) {
-        let i = self.clocks.ensure_thread(tid);
-        // The access doesn't modify the clock, so a shared borrow suffices
-        // — no per-access clone (`clocks`, `frontier` and `pairs` are
-        // disjoint fields).
-        let HbCore {
-            cfg,
-            clocks,
-            frontier,
-            pairs,
-            scan_hist,
-            provenance,
-        } = self;
-        let clock = clocks.clock(i);
-        let generation = clocks.generation(i);
-        let max_pair = cfg.max_dynamic_per_pair as u64;
-        let mut provenance = provenance.as_deref_mut();
-        let scanned = frontier.access(
-            tid,
-            pc,
-            addr.raw(),
-            is_write,
-            clock,
-            generation,
-            |prior, prior_is_write| {
-                let key = if prior.pc <= pc {
-                    (prior.pc, pc)
-                } else {
-                    (pc, prior.pc)
-                };
-                let agg = pairs.entry(key).or_insert_with(|| PairAgg {
-                    stored: 0,
-                    overflow: 0,
-                    example_addr: addr,
-                    addrs: FastSet::default(),
-                });
-                if agg.stored == 0 && agg.overflow == 0 {
-                    // First dynamic occurrence of this static pair: emit a
-                    // trace instant and capture provenance. Both are off
-                    // the hot path — conflicts are rare, first-per-pair
-                    // conflicts rarer still.
-                    if literace_telemetry::trace_enabled() {
-                        literace_telemetry::trace_instant_detail(
-                            "race.detected",
-                            format!("{} ↔ {} at {addr}", key.0, key.1),
-                        );
-                    }
-                    if let Some(p) = provenance.as_mut() {
-                        p.capture(
-                            key,
-                            addr,
-                            AccessEvidence {
-                                tid: prior.tid,
-                                epoch: prior.epoch,
-                                pc: prior.pc,
-                                is_write: prior_is_write,
-                            },
-                            AccessEvidence {
-                                tid,
-                                epoch: clock.get(tid),
-                                pc,
-                                is_write,
-                            },
-                            clock.get(prior.tid),
-                        );
-                    }
-                }
-                if agg.stored < max_pair {
-                    agg.stored += 1;
-                    agg.addrs.insert(addr);
-                } else {
-                    agg.overflow += 1;
-                }
-            },
-        );
-        scan_hist.record(scanned as u64);
-    }
-
-    /// Marks a thread as exited: it will make no further accesses, so it no
-    /// longer constrains [`compact`](HbCore::compact)'s reclamation bound.
-    pub fn retire_thread(&mut self, tid: ThreadId) {
-        self.clocks.retire(tid);
-    }
-
-    /// Reclaims per-location state that can never race again: an access is
-    /// dead once **every live thread's clock** already covers it (all
-    /// future accesses inherit those clocks, so they would be ordered after
-    /// it). Locations whose frontier empties are dropped entirely. This
-    /// bounds detector memory on long runs; correctness is untouched
-    /// (property-tested in the crate's integration tests).
-    ///
-    /// Returns the number of locations dropped.
-    pub fn compact(&mut self) -> usize {
-        // Pointwise minimum over live threads' clocks. With no live thread,
-        // nothing further can happen: everything is reclaimable.
-        let live: Vec<&VectorClock> =
-            self.clocks.live().map(|i| self.clocks.clock(i)).collect();
-        let tracked_before = self.frontier.tracked_locations();
-        let dropped = self.frontier.compact(&live);
-        if literace_telemetry::enabled() {
-            let m = literace_telemetry::metrics();
-            m.detector_compact_runs.add(1);
-            m.detector_compact_dropped.add(dropped as u64);
-            // Compaction points see the frontier at its largest, so the
-            // pre-compaction size is the footprint high-water mark.
-            m.detector_frontier_tracked_hwm.record(tracked_before as u64);
-        }
-        dropped
-    }
-
-    /// Consumes the core, producing the race report.
-    ///
-    /// `non_stack_accesses` is the rarity denominator of §5.3.1 — the number
-    /// of non-stack memory instructions *executed* in the run (not merely
-    /// logged).
-    ///
-    /// The per-pair aggregates already hold every report field, so this is
-    /// a linear emit-and-sort — there is no grouping pass over stored
-    /// dynamic races. A pair with occurrences but nothing stored (possible
-    /// only when `max_dynamic_per_pair` is 0) is omitted entirely.
-    pub fn finish(self, non_stack_accesses: u64) -> RaceReport {
-        self.finish_full(non_stack_accesses).0
-    }
-
-    /// Like [`finish`](HbCore::finish), additionally returning the
-    /// provenance evidence when capture was enabled (`None` otherwise).
-    pub fn finish_full(
-        mut self,
-        non_stack_accesses: u64,
-    ) -> (RaceReport, Option<ProvenanceReport>) {
-        let provenance = self.provenance.take().map(|p| p.into_report());
-        self.frontier.flush_telemetry();
-        if literace_telemetry::enabled() {
-            let m = literace_telemetry::metrics();
-            self.scan_hist.flush_into(&m.detector_frontier_scan);
-            m.detector_frontier_tracked_hwm
-                .record(self.frontier.tracked_locations() as u64);
-        }
-        let mut dynamic_races = 0;
-        let mut static_races: Vec<StaticRace> = self
-            .pairs
-            .into_iter()
-            .filter(|(_, agg)| agg.stored > 0)
-            .map(|(pcs, agg)| {
-                let count = agg.stored + agg.overflow;
-                dynamic_races += count;
-                StaticRace {
-                    pcs,
-                    count,
-                    example_addr: agg.example_addr,
-                    distinct_addrs: agg.addrs.len() as u64,
-                }
-            })
-            .collect();
-        static_races.sort_by(|a, b| b.count.cmp(&a.count).then(a.pcs.cmp(&b.pcs)));
-        if literace_telemetry::enabled() {
-            let m = literace_telemetry::metrics();
-            m.detector_races_static.add(static_races.len() as u64);
-            m.detector_races_dynamic.add(dynamic_races);
-        }
-        let report = RaceReport {
-            static_races,
-            dynamic_races,
-            non_stack_accesses,
-        };
-        (report, provenance)
-    }
-
-    /// Number of addresses with live frontier state (memory footprint).
-    pub fn tracked_locations(&self) -> usize {
-        self.frontier.tracked_locations()
-    }
-
-    /// The configuration the core was created with.
-    pub fn config(&self) -> HbConfig {
-        self.cfg
-    }
-
-    /// Extracts the core's full semantic state in canonical (sorted)
-    /// order, for checkpoint serialization. Telemetry-only state (the
-    /// scan sampler, epoch counters) and provenance capture are excluded;
-    /// the frontier memos reset on restore, which is output-neutral (a
-    /// memo only ever short-circuits a provably conflict-free repeat).
-    pub(crate) fn snapshot_state(&self) -> CoreSnapshot {
-        let (threads, syncvars) = self.clocks.snapshot();
-        let mut pairs: Vec<((Pc, Pc), PairSnapshot)> = self
-            .pairs
-            .iter()
-            .map(|(&pcs, agg)| {
-                let mut addrs: Vec<Addr> = agg.addrs.iter().copied().collect();
-                addrs.sort_unstable();
-                (
-                    pcs,
-                    PairSnapshot {
-                        stored: agg.stored,
-                        overflow: agg.overflow,
-                        example_addr: agg.example_addr,
-                        addrs,
-                    },
-                )
-            })
-            .collect();
-        pairs.sort_unstable_by_key(|&(pcs, _)| pcs);
-        CoreSnapshot {
-            threads,
-            syncvars,
-            locations: self.frontier.snapshot(),
-            pairs,
-        }
-    }
-
-    /// Rebuilds a core from a [`snapshot_state`](HbCore::snapshot_state)
-    /// capture. The restored core processes any suffix of records exactly
-    /// as the snapshotted one would have.
-    pub(crate) fn from_snapshot(cfg: HbConfig, snap: &CoreSnapshot) -> HbCore {
-        let pairs: FastMap<(Pc, Pc), PairAgg> = snap
-            .pairs
-            .iter()
-            .map(|(pcs, p)| {
-                (
-                    *pcs,
-                    PairAgg {
-                        stored: p.stored,
-                        overflow: p.overflow,
-                        example_addr: p.example_addr,
-                        addrs: p.addrs.iter().copied().collect(),
-                    },
-                )
-            })
-            .collect();
-        HbCore {
-            cfg,
-            clocks: ClockState::restore(snap),
-            frontier: Frontier::restore(
-                cfg.max_history_per_location,
-                snap.locations.iter().cloned(),
-            ),
-            pairs,
-            scan_hist: literace_telemetry::ScanSampler::new(),
-            provenance: None,
-        }
-    }
-}
-
-/// Per-thread state in a [`CoreSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct ThreadState {
-    /// The thread's vector clock, as its dense component slice.
-    pub components: Vec<u64>,
-    /// The thread's clock generation (the frontier memo token).
-    pub clock_gen: u64,
-    /// Whether the thread has exited.
-    pub retired: bool,
-}
-
-/// One static pair's aggregate in a [`CoreSnapshot`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PairSnapshot {
-    /// Dynamic occurrences stored (capped).
-    pub stored: u64,
-    /// Occurrences beyond the cap.
-    pub overflow: u64,
-    /// Address of the first stored occurrence.
-    pub example_addr: Addr,
-    /// Distinct addresses among stored occurrences, sorted.
-    pub addrs: Vec<Addr>,
-}
-
-/// The full semantic state of an [`HbCore`], in canonical order: equal
-/// detector states produce equal snapshots regardless of hash-map
-/// iteration order. Produced by [`HbCore::snapshot_state`], consumed by
-/// [`HbCore::from_snapshot`] and the checkpoint codec
-/// (see [`checkpoint`](crate::checkpoint)).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct CoreSnapshot {
-    /// Per-thread clocks, generations, and retirement flags, by index.
-    pub threads: Vec<ThreadState>,
-    /// Sync-variable clocks, sorted by variable.
-    pub syncvars: Vec<(SyncVar, Vec<u64>)>,
-    /// Frontier state, sorted by address (see [`Frontier::snapshot`]).
-    pub locations: Vec<(u64, Vec<Access>, Vec<Access>)>,
-    /// Per-pair aggregates, sorted by the pc pair.
-    pub pairs: Vec<((Pc, Pc), PairSnapshot)>,
-}
-
-/// Records (or, online, events) between automatic frontier compactions
-/// in [`HbDetector`], in the sharded engine's router — which counts every
-/// record, so compaction points fall at the same stream positions — and
-/// in the [`OnlineDetector`](crate::OnlineDetector).
+/// Records between automatic frontier compactions. Only the replay
+/// stage reads it, so every path compacts at the same stream positions.
 pub(crate) const COMPACT_INTERVAL: u64 = 1 << 18;
 
+/// What the replay stage hands on: the shard stage's side of a record.
+/// Implemented by the inline shard of an [`HbDetector`] and by the
+/// sharded engine's router.
+pub(crate) trait Downstream {
+    /// An access by `tid` at global record position `pos`; `clocks` holds
+    /// the thread's present clock, already materialized.
+    fn on_access(
+        &mut self,
+        clocks: &ClockState,
+        pos: u64,
+        tid: ThreadId,
+        pc: Pc,
+        addr: Addr,
+        is_write: bool,
+    );
+
+    /// A compaction point: the live threads' clocks in `clocks` bound what
+    /// may be reclaimed.
+    fn on_compact(&mut self, clocks: &ClockState);
+
+    /// A release-like operation by `tid`: provenance's failed-edge
+    /// candidate. Ignored unless provenance capture is on.
+    fn on_release(&mut self, _tid: ThreadId, _edge: SyncEdge) {}
+}
+
+/// The replay stage: clock state, record position, compaction cadence and
+/// the §4.2 timestamp monitor.
+#[derive(Debug, Default)]
+pub(crate) struct Replay {
+    pub(crate) clocks: ClockState,
+    /// Records replayed so far, counting those before the checkpoint a
+    /// resumed replay started from: the next record's global position.
+    pub(crate) pos: u64,
+    /// Records since the last compaction point.
+    pub(crate) since_compact: u64,
+    /// Per-variable last timestamp: operations on one variable must be
+    /// logged in timestamp order (§4.2).
+    pub(crate) last_ts: FastMap<SyncVar, u64>,
+    /// Timestamp-order violations observed (should stay zero; a nonzero
+    /// value reproduces the paper's "hundreds of false data races" failure
+    /// mode when atomic timestamping is broken).
+    pub(crate) timestamp_violations: u64,
+}
+
+impl Replay {
+    /// A fresh replay stage, or one resuming where a checkpoint's stopped:
+    /// clocks, generations, retirement flags, position, compaction phase
+    /// and timestamp monitor.
+    pub(crate) fn resume(cp: Option<&Checkpoint>) -> Replay {
+        let Some(cp) = cp else {
+            return Replay::default();
+        };
+        if literace_telemetry::enabled() {
+            literace_telemetry::metrics()
+                .detector_checkpoint_resumes
+                .add(1);
+        }
+        Replay {
+            clocks: ClockState::restore(&cp.threads, &cp.syncvars),
+            pos: cp.records_processed,
+            since_compact: cp.records_since_compact,
+            last_ts: cp.last_ts.iter().copied().collect(),
+            timestamp_violations: cp.timestamp_violations,
+        }
+    }
+
+    /// Replays one record: sync records update the clocks, accesses go
+    /// downstream with their thread's clock, and a thread exit or every
+    /// [`COMPACT_INTERVAL`]th record is a compaction point.
+    ///
+    /// `inline(always)`: called once per record from every detection
+    /// loop; without the hint LLVM leaves a per-record call boundary,
+    /// forcing detector state back to memory every record.
+    #[inline(always)]
+    pub(crate) fn step<D: Downstream>(&mut self, record: &Record, down: &mut D) {
+        match *record {
+            Record::Sync {
+                tid,
+                kind,
+                var,
+                timestamp,
+                ..
+            } => {
+                let last = self.last_ts.entry(var).or_insert(0);
+                if timestamp < *last {
+                    self.timestamp_violations += 1;
+                }
+                *last = (*last).max(timestamp);
+                if let Some(release_epoch) = self.clocks.sync(tid, kind, var) {
+                    let edge = SyncEdge {
+                        var,
+                        kind,
+                        release_epoch,
+                    };
+                    down.on_release(tid, edge);
+                }
+            }
+            Record::Mem {
+                tid,
+                pc,
+                addr,
+                is_write,
+                ..
+            } => {
+                self.clocks.ensure_thread(tid);
+                down.on_access(&self.clocks, self.pos, tid, pc, addr, is_write);
+            }
+            Record::ThreadBegin { .. } => {}
+            Record::ThreadEnd { tid } => {
+                self.clocks.retire(tid);
+                self.since_compact = 0;
+                down.on_compact(&self.clocks);
+            }
+        }
+        self.pos += 1;
+        self.since_compact += 1;
+        if self.since_compact >= COMPACT_INTERVAL {
+            self.since_compact = 0;
+            down.on_compact(&self.clocks);
+        }
+    }
+}
+
+/// The inline shard: accesses check against its frontier with the
+/// thread's clock in place, no copy.
+impl Downstream for Shard {
+    #[inline(always)]
+    fn on_access(
+        &mut self,
+        clocks: &ClockState,
+        pos: u64,
+        tid: ThreadId,
+        pc: Pc,
+        addr: Addr,
+        is_write: bool,
+    ) {
+        let i = tid.index();
+        let (clock, generation) = (clocks.clock(i), clocks.generation(i));
+        self.access(pos, tid, pc, addr, is_write, clock, generation);
+    }
+
+    fn on_compact(&mut self, clocks: &ClockState) {
+        let live: Vec<&VectorClock> = clocks.live().map(|i| clocks.clock(i)).collect();
+        self.compact(&live);
+    }
+
+    #[inline]
+    fn on_release(&mut self, tid: ThreadId, edge: SyncEdge) {
+        if let Some(p) = self.provenance.as_deref_mut() {
+            p.record_release(tid.index(), edge);
+        }
+    }
+}
+
 /// Offline happens-before detector over an event log (§4.4: the paper's
-/// primary mode — write the log to disk, analyze later).
+/// primary mode — write the log to disk, analyze later): the replay stage
+/// feeding one shard inline.
 ///
 /// # Examples
 ///
@@ -455,19 +238,8 @@ pub(crate) const COMPACT_INTERVAL: u64 = 1 << 18;
 /// ```
 #[derive(Debug)]
 pub struct HbDetector {
-    pub(crate) core: HbCore,
-    pub(crate) records_since_compact: u64,
-    /// Total records processed since construction (or since the state a
-    /// resumed detector was checkpointed from began), for checkpoint
-    /// bookkeeping and the inspector.
-    pub(crate) records_processed: u64,
-    /// Per-var last timestamp, to validate the logical-timestamp invariant
-    /// (§4.2): operations on one variable must be logged in timestamp order.
-    pub(crate) last_ts: HashMap<SyncVar, u64>,
-    /// Count of timestamp-order violations observed (should stay zero; a
-    /// nonzero value reproduces the paper's "hundreds of false data races"
-    /// failure mode when atomic timestamping is broken).
-    pub timestamp_violations: u64,
+    pub(crate) replay: Replay,
+    pub(crate) shard: Shard,
 }
 
 impl HbDetector {
@@ -478,64 +250,44 @@ impl HbDetector {
 
     /// Creates a detector with an explicit configuration.
     pub fn with_config(cfg: HbConfig) -> HbDetector {
+        HbDetector::start(cfg, None)
+    }
+
+    /// Rebuilds a detector from a checkpoint. Feeding it the records that
+    /// followed the checkpointed position yields a report byte-identical
+    /// to one-shot detection over the whole stream.
+    pub fn resume(cp: &Checkpoint) -> HbDetector {
+        HbDetector::start(cp.cfg, Some(cp))
+    }
+
+    /// The one-shard case of the engine's start: a replay stage and one
+    /// shard, fresh or resumed.
+    pub(crate) fn start(cfg: HbConfig, resume: Option<&Checkpoint>) -> HbDetector {
+        let shard = Shard::seeded(1, cfg, resume)
+            .pop()
+            .expect("one shard was asked for");
         HbDetector {
-            core: HbCore::new(cfg),
-            records_since_compact: 0,
-            records_processed: 0,
-            last_ts: HashMap::new(),
-            timestamp_violations: 0,
+            replay: Replay::resume(resume),
+            shard,
         }
     }
 
     /// Total records processed so far (including any processed before the
     /// checkpoint a resumed detector started from).
     pub fn records_processed(&self) -> u64 {
-        self.records_processed
+        self.replay.pos
+    }
+
+    /// Timestamp-order violations observed so far (§4.2): sync operations
+    /// on one variable logged out of timestamp order. Zero on a sound log.
+    pub fn timestamp_violations(&self) -> u64 {
+        self.replay.timestamp_violations
     }
 
     /// Processes one log record.
-    ///
-    /// `inline(always)`: called once per record from every driver loop;
-    /// without the hint LLVM leaves a per-record call boundary (the
-    /// function has many callers), forcing detector state back to memory
-    /// every record.
     #[inline(always)]
     pub fn process(&mut self, record: &Record) {
-        match *record {
-            Record::Sync {
-                tid,
-                kind,
-                var,
-                timestamp,
-                ..
-            } => {
-                let last = self.last_ts.entry(var).or_insert(0);
-                if timestamp < *last {
-                    self.timestamp_violations += 1;
-                }
-                *last = (*last).max(timestamp);
-                self.core.sync(tid, kind, var);
-            }
-            Record::Mem {
-                tid,
-                pc,
-                addr,
-                is_write,
-                ..
-            } => self.core.access(tid, pc, addr, is_write),
-            Record::ThreadBegin { .. } => {}
-            Record::ThreadEnd { tid } => {
-                self.core.retire_thread(tid);
-                self.records_since_compact = 0;
-                self.core.compact();
-            }
-        }
-        self.records_processed += 1;
-        self.records_since_compact += 1;
-        if self.records_since_compact >= COMPACT_INTERVAL {
-            self.records_since_compact = 0;
-            self.core.compact();
-        }
+        self.replay.step(record, &mut self.shard);
     }
 
     /// Processes an entire log.
@@ -546,23 +298,37 @@ impl HbDetector {
     }
 
     /// Finishes, producing the report.
+    ///
+    /// `non_stack_accesses` is the rarity denominator of §5.3.1 — the
+    /// number of non-stack memory instructions *executed* in the run (not
+    /// merely logged).
     pub fn finish(self, non_stack_accesses: u64) -> RaceReport {
-        self.core.finish(non_stack_accesses)
+        self.finish_full(non_stack_accesses).0
     }
 
-    /// Turns on race-provenance capture (see
-    /// [`HbCore::enable_provenance`]).
+    /// Turns on race-provenance capture: the detector starts tracking each
+    /// thread's last release and records, for the first dynamic occurrence
+    /// of every static pair, the two access epochs and the sync edge that
+    /// failed to order them (retrieved via
+    /// [`finish_full`](HbDetector::finish_full)). The [`RaceReport`] is
+    /// byte-identical with capture on or off.
     pub fn enable_provenance(&mut self) {
-        self.core.enable_provenance();
+        self.shard.provenance.get_or_insert_with(Box::default);
     }
 
     /// Finishes, returning the report and — when provenance capture was
     /// enabled — one [`RaceEvidence`](crate::RaceEvidence) per static pair.
     pub fn finish_full(
-        self,
+        mut self,
         non_stack_accesses: u64,
     ) -> (RaceReport, Option<ProvenanceReport>) {
-        self.core.finish_full(non_stack_accesses)
+        let provenance = self.shard.provenance.take().map(|p| p.into_report());
+        (report(self.shard.finish(), non_stack_accesses), provenance)
+    }
+
+    /// Number of addresses with live frontier state (memory footprint).
+    pub(crate) fn tracked_locations(&self) -> usize {
+        self.shard.frontier.tracked_locations()
     }
 }
 
@@ -584,6 +350,7 @@ mod tests {
     use super::*;
     use crate::testkit::{pc, t};
     use literace_log::SamplerMask;
+    use literace_sim::SyncOpKind;
 
     fn a(i: u64) -> Addr {
         Addr::global(i)
@@ -802,7 +569,7 @@ mod tests {
         let mut d = HbDetector::new();
         d.process(&sync(t(0), SyncOpKind::LockAcquire, v(0), 5));
         d.process(&sync(t(0), SyncOpKind::LockRelease, v(0), 3));
-        assert_eq!(d.timestamp_violations, 1);
+        assert_eq!(d.timestamp_violations(), 1);
     }
 
     #[test]
@@ -901,7 +668,7 @@ mod tests {
         for i in 0..100 {
             d.process(&mem(t(i), i, a(0), false));
         }
-        assert_eq!(d.core.tracked_locations(), 1);
+        assert_eq!(d.tracked_locations(), 1);
         let report = d.finish(100);
         // No writes, no races.
         assert_eq!(report.static_count(), 0);

@@ -3,18 +3,21 @@
 //! Data-race detectors for the LiteRace reproduction:
 //!
 //! * [`HbDetector`] — the paper's offline happens-before detector over
-//!   event logs (vector clocks; no false positives by construction);
-//! * [`OnlineDetector`] — the §4.4 "spare core" variant, running the same
-//!   core live against the simulator's event stream;
+//!   event logs (vector clocks; no false positives by construction): the
+//!   replay stage feeding one shard inline (see [`sharded`]);
+//! * [`OnlineDetector`] — the §4.4 "spare core" variant: it turns the
+//!   simulator's live events into the records full logging would write and
+//!   feeds them to an [`HbDetector`];
 //! * [`LocksetDetector`] — an Eraser-style baseline that demonstrates the
 //!   false positives the paper's design avoids;
 //! * [`detect_stream_from`] — the sharded engine: address-sharded parallel
 //!   offline detection over record blocks, byte-identical to [`detect`]
 //!   at any shard count, optionally resuming from a [`Checkpoint`] (see
-//!   [`sharded`]). [`detect_stream`] feeds it from a
-//!   decoding log stream, [`detect_sharded`] from an in-memory log, and
-//!   [`detect_stream_checkpointed`] seals checkpoints on the sequential
-//!   core as it goes;
+//!   [`sharded`]); its one-shard case is an inline [`HbDetector`].
+//!   [`detect_stream`] feeds it from a decoding log stream,
+//!   [`detect_sharded`] from an in-memory log, and
+//!   [`detect_stream_checkpointed`] seals checkpoints from one inline
+//!   shard as it goes;
 //! * [`Checkpoint`] — a sealed, self-validating snapshot of full detector
 //!   state; resuming from one yields reports byte-identical to one-shot
 //!   detection;
@@ -66,7 +69,7 @@ mod vector_clock;
 
 pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use epoch::{check_thread_index, TidCeilingExceeded, MAX_THREAD_INDEX};
-pub use hb::{detect, HbConfig, HbCore, HbDetector};
+pub use hb::{detect, HbConfig, HbDetector};
 pub use lockset::{detect_lockset, LocksetDetector};
 pub use online::OnlineDetector;
 pub use provenance::{AccessEvidence, ProvenanceReport, RaceEvidence, SyncEdge};

@@ -2,28 +2,27 @@
 //!
 //! The paper writes the event stream to disk and detects offline, noting
 //! that an online detector consuming the stream "on a spare core" would
-//! avoid the I/O. [`OnlineDetector`] is that detector for our substrate: it
-//! implements [`Observer`] and runs the happens-before core directly on the
-//! simulator's live event stream — no log materialization at all.
-//!
-//! It synthesizes §4.3 allocation-as-synchronization from `Alloc`/`Free`
-//! events, exactly as the offline instrumentation layer does, so online and
-//! offline detection produce identical reports on the same execution (an
-//! integration test asserts this).
+//! avoid the I/O. [`OnlineDetector`] is that detector for our substrate: an
+//! [`Observer`] adapter that turns each simulator event into the record
+//! full logging would write for it — every access, every sync operation,
+//! the §4.3 allocation-page syncs of each `Alloc`/`Free`, and the thread
+//! markers — and feeds it straight to an [`HbDetector`]. No log is
+//! materialized, and online and offline detection produce identical
+//! reports on the same execution (an integration test asserts this).
 
+use literace_log::{Record, SamplerMask};
 use literace_sim::{alloc_page_var, pages_of, Event, Observer, SyncOpKind};
 
-use crate::hb::{HbConfig, HbCore, COMPACT_INTERVAL};
+use crate::hb::{HbConfig, HbDetector};
 use crate::report::RaceReport;
 
 /// An [`Observer`] that performs full happens-before detection during the
 /// run.
 #[derive(Debug)]
 pub struct OnlineDetector {
-    core: HbCore,
+    detector: HbDetector,
+    /// Non-stack accesses executed: the report's rarity denominator.
     non_stack_accesses: u64,
-    events_seen: u64,
-    events_since_compact: u64,
 }
 
 impl OnlineDetector {
@@ -32,24 +31,22 @@ impl OnlineDetector {
         OnlineDetector::with_config(HbConfig::default())
     }
 
-    /// Creates an online detector with an explicit core configuration.
+    /// Creates an online detector with an explicit configuration.
     pub fn with_config(cfg: HbConfig) -> OnlineDetector {
         OnlineDetector {
-            core: HbCore::new(cfg),
+            detector: HbDetector::with_config(cfg),
             non_stack_accesses: 0,
-            events_seen: 0,
-            events_since_compact: 0,
         }
     }
 
-    /// Events observed so far.
-    pub fn events_seen(&self) -> u64 {
-        self.events_seen
+    /// Number of addresses with live frontier state (memory footprint).
+    pub fn tracked_locations(&self) -> usize {
+        self.detector.tracked_locations()
     }
 
     /// Finishes, producing the race report.
     pub fn finish(self) -> RaceReport {
-        self.core.finish(self.non_stack_accesses)
+        self.detector.finish(self.non_stack_accesses)
     }
 }
 
@@ -61,46 +58,54 @@ impl Default for OnlineDetector {
 
 impl Observer for OnlineDetector {
     fn on_event(&mut self, event: &Event) {
-        self.events_seen += 1;
+        // Events arrive in one global order, so the record position is a
+        // valid §4.2 timestamp for every sync record.
+        let timestamp = self.detector.records_processed();
         match *event {
-            Event::MemRead { tid, pc, addr } => {
+            Event::MemRead { tid, pc, addr } | Event::MemWrite { tid, pc, addr } => {
                 if addr.class().is_non_stack() {
                     self.non_stack_accesses += 1;
                 }
-                self.core.access(tid, pc, addr, false);
+                self.detector.process(&Record::Mem {
+                    tid,
+                    pc,
+                    addr,
+                    is_write: matches!(event, Event::MemWrite { .. }),
+                    mask: SamplerMask::FULL,
+                });
             }
-            Event::MemWrite { tid, pc, addr } => {
-                if addr.class().is_non_stack() {
-                    self.non_stack_accesses += 1;
-                }
-                self.core.access(tid, pc, addr, true);
-            }
-            Event::Sync { tid, kind, var, .. } => self.core.sync(tid, kind, var),
+            Event::Sync { tid, pc, kind, var } => self.detector.process(&Record::Sync {
+                tid,
+                pc,
+                kind,
+                var,
+                timestamp,
+            }),
             Event::Alloc {
-                tid, base, words, ..
+                tid,
+                pc,
+                base,
+                words,
             }
             | Event::Free {
-                tid, base, words, ..
+                tid,
+                pc,
+                base,
+                words,
             } => {
                 for page in pages_of(base, words) {
-                    self.core
-                        .sync(tid, SyncOpKind::AllocPage, alloc_page_var(page));
+                    self.detector.process(&Record::Sync {
+                        tid,
+                        pc,
+                        kind: SyncOpKind::AllocPage,
+                        var: alloc_page_var(page),
+                        timestamp,
+                    });
                 }
             }
-            Event::ThreadExit { tid } => {
-                self.core.retire_thread(tid);
-                self.core.compact();
-                self.events_since_compact = 0;
-            }
-            Event::ThreadStart { .. }
-            | Event::FunctionEntry { .. }
-            | Event::FunctionExit { .. }
-            | Event::LoopIter { .. } => {}
-        }
-        self.events_since_compact += 1;
-        if self.events_since_compact >= COMPACT_INTERVAL {
-            self.events_since_compact = 0;
-            self.core.compact();
+            Event::ThreadStart { tid, .. } => self.detector.process(&Record::ThreadBegin { tid }),
+            Event::ThreadExit { tid } => self.detector.process(&Record::ThreadEnd { tid }),
+            Event::FunctionEntry { .. } | Event::FunctionExit { .. } | Event::LoopIter { .. } => {}
         }
     }
 }
@@ -214,12 +219,26 @@ mod tests {
     }
 
     #[test]
-    fn event_count_advances() {
+    fn each_event_feeds_the_record_full_logging_writes() {
+        let tid = literace_sim::ThreadId::MAIN;
+        let pc = literace_sim::Pc::new(literace_sim::FuncId::from_index(0), 0);
         let mut det = OnlineDetector::new();
-        assert_eq!(det.events_seen(), 0);
-        det.on_event(&Event::ThreadExit {
-            tid: literace_sim::ThreadId::MAIN,
+        assert_eq!(det.detector.records_processed(), 0);
+        det.on_event(&Event::FunctionEntry {
+            tid,
+            func: literace_sim::FuncId::from_index(0),
         });
-        assert_eq!(det.events_seen(), 1);
+        assert_eq!(det.detector.records_processed(), 0, "no record for a call");
+        // Two words straddling a page boundary touch two pages.
+        let base = literace_sim::Addr(literace_sim::HEAP_BASE + literace_sim::PAGE_BYTES - 8);
+        det.on_event(&Event::Alloc {
+            tid,
+            pc,
+            base,
+            words: 2,
+        });
+        assert_eq!(det.detector.records_processed(), 2, "one sync per page");
+        det.on_event(&Event::ThreadExit { tid });
+        assert_eq!(det.detector.records_processed(), 3);
     }
 }

@@ -7,11 +7,11 @@
 //! prior thread performed after the access (the sync-chain edge that
 //! *would* have ordered the pair, had the racing thread acquired it).
 //!
-//! Capture is opt-in ([`HbCore::enable_provenance`](crate::HbCore::enable_provenance))
-//! and sequential-only: the sharded and streaming paths never enable it,
-//! and an enabled core produces a byte-identical [`RaceReport`](crate::RaceReport)
+//! Capture is opt-in ([`HbDetector::enable_provenance`](crate::HbDetector::enable_provenance))
+//! and inline-only: the shard workers of the engine never enable it, and
+//! an enabled detector produces a byte-identical [`RaceReport`](crate::RaceReport)
 //! — evidence rides alongside the report, it never feeds back into it.
-//! `literace explain` re-runs sequential detection with capture on and
+//! `literace explain` re-runs inline detection with capture on and
 //! renders one [`RaceEvidence`] per static pair.
 
 use std::fmt;
@@ -138,10 +138,10 @@ impl ProvenanceReport {
     }
 }
 
-/// Mutable capture state carried by an [`HbCore`](crate::HbCore) with
-/// provenance enabled. Boxed behind an `Option` so the default
-/// (provenance off) costs one pointer-sized field and one branch per
-/// conflict — conflicts are already the rare path.
+/// Mutable capture state carried by the inline shard of an
+/// [`HbDetector`](crate::HbDetector) with provenance enabled. Boxed
+/// behind an `Option` so the default (provenance off) costs one
+/// pointer-sized field and one branch per pair's first occurrence.
 #[derive(Debug, Default)]
 pub(crate) struct ProvenanceState {
     /// Per-thread last release-like operation, indexed by thread id.

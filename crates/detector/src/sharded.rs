@@ -1,44 +1,50 @@
-//! Address sharding: how the sharded engine partitions accesses and
-//! merges what its shards find.
+//! The shard stage, the address partition and the one merge.
 //!
 //! LiteRace logs are asymmetric: synchronization records are a tiny
 //! fraction of the stream (the paper's whole premise — sync is never
 //! sampled away, data accesses are), while memory-access records dominate.
 //! The sharded engine ([`detect_stream_from`]) exploits that split. One
-//! router replays the sync records, and `shard_of` routes each memory
-//! access by address hash to exactly one of N shard workers, stamped with
-//! the clock its thread held at that point. Since all accesses to a given address
-//! land in one shard with the very clock values the sequential pass would
-//! see, that shard's frontier for the address is bit-for-bit the
-//! sequential frontier, and every dynamic race is detected in exactly one
-//! shard. Compaction points, with the live-clock set at each, are
-//! broadcast to every shard, so frontier reclamation — which interacts
-//! with the history cap — happens at identical stream positions with
-//! identical clock bounds.
+//! router runs the replay stage over every record (see
+//! [`hb`](crate::hb)), and `shard_of` routes each memory access by
+//! address hash to exactly one of N shards, stamped with the clock its
+//! thread held at that point. Since all accesses to a given address land
+//! in one shard with the very clock values the inline detector would see,
+//! that shard's frontier for the address is bit-for-bit the inline
+//! frontier, and every dynamic race is detected in exactly one shard.
+//! Compaction points, with the live-clock set at each, reach every shard,
+//! so frontier reclamation — which interacts with the history cap —
+//! happens at identical stream positions with identical clock bounds.
+//! [`HbDetector`](crate::HbDetector) is the one-shard case, run inline.
 //!
-//! **Byte-identical merge.** Workers record every conflict uncapped, tagged
-//! with the global record index at which it manifested. The merge sorts
-//! each static pair's occurrences by that tag — recovering the sequential
-//! per-pair detection order — then re-applies the sequential cap/overflow
-//! accounting (stored occurrences are the first `max_dynamic_per_pair`,
-//! the example address is the first stored one, distinct addresses count
-//! stored occurrences only). The result is equal to the sequential
-//! [`detect`](crate::detect) output on every input, which also means the
-//! no-false-positive invariant carries over unchanged (property-tested in
-//! `tests/sharded_equivalence.rs`).
+//! **One mergeable aggregate.** A [`Shard`] keeps one [`PairAgg`] per
+//! static pair: the occurrence count, the first occurrence's global
+//! position and address, and at most `max_dynamic_per_pair` distinct
+//! racing addresses. Nothing is kept per dynamic race. [`merge`] sums the
+//! counts, takes the example address of the earliest first occurrence and
+//! unions the address sets up to the cap, so the distinct-address count is
+//! the smaller of the distinct racing addresses and the cap at any shard
+//! count. A resumed run carries the checkpoint's pairs in its first shard
+//! as a prefix that precedes every resumed occurrence. The result is equal
+//! to the inline [`detect`](crate::detect) output on every input, which
+//! also means the no-false-positive invariant carries over unchanged
+//! (property-tested in `tests/sharded_equivalence.rs`).
 //!
 //! [`detect_sharded`] runs the engine over an in-memory [`EventLog`],
 //! handed over as one borrowed block.
 
+use std::collections::hash_map::Entry;
+
 use literace_log::EventLog;
-use literace_sim::{Addr, Pc};
+use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
 use crate::fast_hash::{FastMap, FastSet};
 use crate::frontier::Frontier;
-use crate::hb::{HbConfig, PairSnapshot};
+use crate::hb::HbConfig;
+use crate::provenance::{AccessEvidence, ProvenanceState};
 use crate::report::{RaceReport, StaticRace};
 use crate::streaming::detect_stream_from;
+use crate::vector_clock::VectorClock;
 
 /// Most shards the engine runs. Each shard is one OS thread holding up to
 /// six 4096-event batches in flight (about 1 MB), so a larger
@@ -46,14 +52,14 @@ use crate::streaming::detect_stream_from;
 /// the shard count, so the clamp is unobservable in the output.
 pub(crate) const MAX_SHARDS: usize = 64;
 
-/// Configuration for offline detection, sequential or sharded.
+/// Configuration for offline detection, inline or sharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectConfig {
-    /// Worker threads. `0` and `1` both mean the sequential detector;
+    /// Worker threads. `0` and `1` both mean one shard, run inline;
     /// `N ≥ 2` shards accesses across N workers, at most 64: each shard is
     /// an OS thread, so larger values run 64 shards (`MAX_SHARDS`).
     pub threads: usize,
-    /// Happens-before core tuning, applied identically to every shard.
+    /// Happens-before tuning, applied identically to every shard.
     pub hb: HbConfig,
 }
 
@@ -67,7 +73,7 @@ impl Default for DetectConfig {
 }
 
 impl DetectConfig {
-    /// A config running `threads` workers with default core tuning.
+    /// A config running `threads` workers with default tuning.
     pub fn with_threads(threads: usize) -> DetectConfig {
         DetectConfig {
             threads,
@@ -94,93 +100,250 @@ pub(crate) fn shard_of(addr: Addr, shards: usize) -> usize {
     ((h * shards as u64) >> 32) as usize
 }
 
-/// Per-static-pair conflict occurrences found by one shard, each tagged
-/// with the global record index and the racing address. Within one pair
-/// the vector is position-sorted by construction (the shard replays its
-/// stream in order).
-pub(crate) type ShardPairs = FastMap<(Pc, Pc), Vec<(u64, Addr)>>;
+/// One static pair's running aggregate: the report row, built as races
+/// are detected, and mergeable across shards and with a checkpoint's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PairAgg {
+    /// Dynamic occurrences.
+    pub count: u64,
+    /// Global record position of the first occurrence. A checkpoint's
+    /// pairs precede every record resumed after it, so they carry 0.
+    pub first_pos: u64,
+    /// Address of the first occurrence.
+    pub example_addr: Addr,
+    /// The first `max_dynamic_per_pair` distinct racing addresses.
+    pub addrs: FastSet<Addr>,
+}
 
-/// Merges per-shard conflict maps into the final report. Occurrences of
-/// one static pair may come from several shards (different addresses);
-/// re-interleave each pair by global position, then apply the sequential
-/// cap/overflow accounting (stored occurrences are the first `cap`, the
-/// example address is the first stored one, distinct addresses count
-/// stored occurrences only). A pair with nothing stored (cap 0) is
-/// omitted, matching `HbCore::finish`, which is what makes the engine
-/// byte-identical to the sequential detector.
-///
-/// With a non-empty `prefix` — a checkpoint's per-pair aggregates — the
-/// accounting *continues* from the prefix instead of starting fresh:
-/// every prefix occurrence globally precedes every shard occurrence (the
-/// prefix is the log up to the checkpoint, the shards replayed its
-/// suffix), so stored capacity left is `cap - stored`, the example
-/// address is the prefix's when it stored anything, and distinct
-/// addresses union the prefix's stored set with the newly stored
-/// occurrences. Produces exactly the one-shot sequential report.
-pub(crate) fn merge_pairs_seeded(
-    prefix: &[((Pc, Pc), PairSnapshot)],
-    shard_pairs: Vec<ShardPairs>,
-    cap: usize,
-    non_stack_accesses: u64,
-) -> RaceReport {
-    let mut by_pair = ShardPairs::default();
-    for shard in shard_pairs {
-        for (key, mut races) in shard {
-            match by_pair.entry(key) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(races);
+impl PairAgg {
+    /// Folds in `other`, the same pair's aggregate over other records.
+    fn absorb(&mut self, other: PairAgg, cap: usize) {
+        self.count += other.count;
+        if other.first_pos < self.first_pos {
+            self.first_pos = other.first_pos;
+            self.example_addr = other.example_addr;
+        }
+        for addr in other.addrs {
+            if self.addrs.len() >= cap {
+                break;
+            }
+            self.addrs.insert(addr);
+        }
+    }
+}
+
+/// Per-static-pair aggregates, keyed by the normalized (smaller-first)
+/// pc pair.
+pub(crate) type PairMap = FastMap<(Pc, Pc), PairAgg>;
+
+/// The shard stage: a frontier plus the per-pair aggregates of the races
+/// found against it. [`HbDetector`](crate::HbDetector) runs one inline;
+/// each shard worker of the engine runs one.
+#[derive(Debug)]
+pub(crate) struct Shard {
+    pub(crate) cfg: HbConfig,
+    pub(crate) frontier: Frontier,
+    pub(crate) pairs: PairMap,
+    /// Frontier scan lengths, systematically sampled (1 in
+    /// [`ScanSampler::SAMPLE_RATE`](literace_telemetry::ScanSampler)),
+    /// accumulated locally and flushed at [`finish`](Shard::finish).
+    scan_hist: literace_telemetry::ScanSampler,
+    /// Race-provenance capture, when enabled (inline only). Off — the
+    /// default — costs one null check per pair's first occurrence.
+    pub(crate) provenance: Option<Box<ProvenanceState>>,
+}
+
+impl Shard {
+    /// `shards` shard stages under `cfg`: fresh, or seeded from a
+    /// checkpoint — each with the checkpoint locations it owns (the
+    /// `shard_of` routing that partitions the accesses), and the first
+    /// with the checkpoint's pairs as well.
+    pub(crate) fn seeded(shards: usize, cfg: HbConfig, resume: Option<&Checkpoint>) -> Vec<Shard> {
+        let max_history = cfg.max_history_per_location;
+        (0..shards)
+            .map(|shard| Shard {
+                cfg,
+                frontier: match resume {
+                    None => Frontier::new(max_history),
+                    Some(cp) => Frontier::restore(
+                        max_history,
+                        cp.locations
+                            .iter()
+                            .filter(|(addr, _, _)| shard_of(Addr(*addr), shards) == shard)
+                            .cloned(),
+                    ),
+                },
+                pairs: match resume {
+                    Some(cp) if shard == 0 => cp.pairs.iter().cloned().collect(),
+                    _ => PairMap::default(),
+                },
+                scan_hist: literace_telemetry::ScanSampler::new(),
+                provenance: None,
+            })
+            .collect()
+    }
+
+    /// Checks one access at global position `pos` against the frontier,
+    /// counting every race it completes.
+    ///
+    /// `inline(always)`: this is the detector's innermost per-record call.
+    /// Inlining it (and [`Frontier::access`] inside it) into each record
+    /// loop keeps the location state in registers across records — worth
+    /// over 10% end-to-end on full logs, and LLVM won't do it unaided
+    /// because the function has several call sites.
+    #[allow(clippy::too_many_arguments)]
+    #[inline(always)]
+    pub(crate) fn access(
+        &mut self,
+        pos: u64,
+        tid: ThreadId,
+        pc: Pc,
+        addr: Addr,
+        is_write: bool,
+        clock: &VectorClock,
+        generation: u64,
+    ) {
+        let Shard {
+            cfg,
+            frontier,
+            pairs,
+            scan_hist,
+            provenance,
+        } = self;
+        let cap = cfg.max_dynamic_per_pair;
+        let mut provenance = provenance.as_deref_mut();
+        let scanned = frontier.access(
+            tid,
+            pc,
+            addr.raw(),
+            is_write,
+            clock,
+            generation,
+            |prior, prior_is_write| {
+                let key = if prior.pc <= pc {
+                    (prior.pc, pc)
+                } else {
+                    (pc, prior.pc)
+                };
+                let agg = pairs.entry(key).or_insert_with(|| PairAgg {
+                    count: 0,
+                    first_pos: pos,
+                    example_addr: addr,
+                    addrs: FastSet::default(),
+                });
+                if agg.count == 0 {
+                    // The pair's first occurrence here: emit a trace
+                    // instant and capture provenance. Both are off the hot
+                    // path — conflicts are rare, first-per-pair conflicts
+                    // rarer still.
+                    if literace_telemetry::trace_enabled() {
+                        literace_telemetry::trace_instant_detail(
+                            "race.detected",
+                            format!("{} ↔ {} at {addr}", key.0, key.1),
+                        );
+                    }
+                    if let Some(p) = provenance.as_mut() {
+                        p.capture(
+                            key,
+                            addr,
+                            AccessEvidence {
+                                tid: prior.tid,
+                                epoch: prior.epoch,
+                                pc: prior.pc,
+                                is_write: prior_is_write,
+                            },
+                            AccessEvidence {
+                                tid,
+                                epoch: clock.get(tid),
+                                pc,
+                                is_write,
+                            },
+                            clock.get(prior.tid),
+                        );
+                    }
                 }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    e.get_mut().append(&mut races);
+                agg.count += 1;
+                if agg.addrs.len() < cap {
+                    agg.addrs.insert(addr);
                 }
+            },
+        );
+        scan_hist.record(scanned as u64);
+    }
+
+    /// Reclaims frontier state that can never race again: an access is
+    /// dead once **every live thread's clock** in `live` already covers it
+    /// (all future accesses inherit those clocks, so they would be ordered
+    /// after it). This bounds detector memory on long runs; correctness is
+    /// untouched (property-tested in the crate's integration tests).
+    pub(crate) fn compact(&mut self, live: &[&VectorClock]) {
+        let tracked_before = self.frontier.tracked_locations();
+        let dropped = self.frontier.compact(live);
+        if literace_telemetry::enabled() {
+            let m = literace_telemetry::metrics();
+            m.detector_compact_runs.add(1);
+            m.detector_compact_dropped.add(dropped as u64);
+            // Compaction points see the frontier at its largest, so the
+            // pre-compaction size is the footprint high-water mark.
+            m.detector_frontier_tracked_hwm
+                .record(tracked_before as u64);
+        }
+    }
+
+    /// Flushes the shard's telemetry and hands over its aggregates.
+    pub(crate) fn finish(mut self) -> PairMap {
+        self.frontier.flush_telemetry();
+        if literace_telemetry::enabled() {
+            let m = literace_telemetry::metrics();
+            self.scan_hist.flush_into(&m.detector_frontier_scan);
+            m.detector_frontier_tracked_hwm
+                .record(self.frontier.tracked_locations() as u64);
+        }
+        self.pairs
+    }
+}
+
+/// The one merge: folds the shards' aggregates into one map. Counts sum,
+/// the earliest first occurrence supplies the example address, and the
+/// address sets union up to `cap`.
+pub(crate) fn merge(shards: impl IntoIterator<Item = PairMap>, cap: usize) -> PairMap {
+    let mut shards = shards.into_iter();
+    let mut merged = shards.next().unwrap_or_default();
+    for shard in shards {
+        for (key, agg) in shard {
+            match merged.entry(key) {
+                Entry::Vacant(e) => {
+                    e.insert(agg);
+                }
+                Entry::Occupied(mut e) => e.get_mut().absorb(agg, cap),
             }
         }
     }
-    let _span = literace_telemetry::metrics().phase_merge.span();
-    literace_telemetry::trace_begin("merge");
+    merged
+}
+
+/// The report of merged aggregates: one row per static pair, most
+/// frequent first, ties by pc pair.
+pub(crate) fn report(pairs: PairMap, non_stack_accesses: u64) -> RaceReport {
     let mut dynamic_races = 0;
-    let mut static_races: Vec<StaticRace> = Vec::with_capacity(by_pair.len() + prefix.len());
-    let mut emit = |pcs: (Pc, Pc), snap: Option<&PairSnapshot>, mut races: Vec<(u64, Addr)>| {
-        races.sort_unstable_by_key(|&(pos, _)| pos);
-        let prior_stored = snap.map_or(0, |s| s.stored);
-        let prior_overflow = snap.map_or(0, |s| s.overflow);
-        let capacity_left = (cap as u64).saturating_sub(prior_stored) as usize;
-        let extra_stored = races.len().min(capacity_left);
-        if prior_stored == 0 && extra_stored == 0 {
-            // Nothing stored even counting the prefix: the pair is omitted,
-            // matching `HbCore::finish` (possible only when `cap` is 0).
-            return;
-        }
-        let count = prior_stored + prior_overflow + races.len() as u64;
-        dynamic_races += count;
-        let mut addrs: FastSet<Addr> =
-            snap.map_or_else(FastSet::default, |s| s.addrs.iter().copied().collect());
-        addrs.extend(races[..extra_stored].iter().map(|&(_, a)| a));
-        let example_addr = match snap {
-            Some(s) if s.stored > 0 => s.example_addr,
-            _ => races[0].1,
-        };
-        static_races.push(StaticRace {
-            pcs,
-            count,
-            example_addr,
-            distinct_addrs: addrs.len() as u64,
-        });
-    };
-    for (pcs, snap) in prefix {
-        let races = by_pair.remove(pcs).unwrap_or_default();
-        emit(*pcs, Some(snap), races);
-    }
-    for (pcs, races) in by_pair {
-        emit(pcs, None, races);
-    }
+    let mut static_races: Vec<StaticRace> = pairs
+        .into_iter()
+        .map(|(pcs, agg)| {
+            dynamic_races += agg.count;
+            StaticRace {
+                pcs,
+                count: agg.count,
+                example_addr: agg.example_addr,
+                distinct_addrs: agg.addrs.len() as u64,
+            }
+        })
+        .collect();
     static_races.sort_by(|a, b| b.count.cmp(&a.count).then(a.pcs.cmp(&b.pcs)));
     if literace_telemetry::enabled() {
         let m = literace_telemetry::metrics();
         m.detector_races_static.add(static_races.len() as u64);
         m.detector_races_dynamic.add(dynamic_races);
     }
-    literace_telemetry::trace_end("merge");
     RaceReport {
         static_races,
         dynamic_races,
@@ -189,7 +352,7 @@ pub(crate) fn merge_pairs_seeded(
 }
 
 /// Detects races with the configured number of worker threads, producing
-/// a report byte-identical to the sequential [`detect`](crate::detect).
+/// a report byte-identical to the inline [`detect`](crate::detect).
 ///
 /// # Examples
 ///
@@ -205,31 +368,6 @@ pub(crate) fn merge_pairs_seeded(
 pub fn detect_sharded(log: &EventLog, non_stack_accesses: u64, cfg: &DetectConfig) -> RaceReport {
     detect_stream_from([Ok(log.records())], non_stack_accesses, cfg, None)
         .expect("an in-memory block cannot fail to decode")
-}
-
-/// One frontier per shard: fresh for a clean run, or seeded with the
-/// checkpoint locations the shard owns (the same `shard_of` routing that
-/// partitions the access streams) for a resumed one.
-pub(crate) fn shard_frontiers(
-    shards: usize,
-    max_history: usize,
-    seed: Option<&Checkpoint>,
-) -> Vec<Frontier> {
-    match seed {
-        None => (0..shards).map(|_| Frontier::new(max_history)).collect(),
-        Some(cp) => (0..shards)
-            .map(|shard| {
-                Frontier::restore(
-                    max_history,
-                    cp.core
-                        .locations
-                        .iter()
-                        .filter(|(addr, _, _)| shard_of(Addr(*addr), shards) == shard)
-                        .cloned(),
-                )
-            })
-            .collect(),
-    }
 }
 
 #[cfg(test)]
@@ -299,20 +437,79 @@ mod tests {
     }
 
     #[test]
-    fn zero_cap_omits_every_pair_like_sequential() {
+    fn zero_cap_reports_every_pair_without_addresses() {
         let log = mixed_log();
+        let uncapped = detect(&log, 1000);
+        assert!(uncapped.static_count() > 0, "log should race");
         let hb = HbConfig {
             max_dynamic_per_pair: 0,
             ..HbConfig::default()
         };
-        let seq = {
-            let mut d = HbDetector::with_config(hb);
-            d.process_log(&log);
-            d.finish(1000)
+        let want = RaceReport {
+            static_races: uncapped
+                .static_races
+                .iter()
+                .map(|s| StaticRace {
+                    distinct_addrs: 0,
+                    ..s.clone()
+                })
+                .collect(),
+            ..uncapped.clone()
         };
-        assert_eq!(seq.static_count(), 0);
-        let cfg = DetectConfig { threads: 4, hb };
-        assert_eq!(detect_sharded(&log, 1000, &cfg), seq);
+        for threads in [1, 2, 4, 8] {
+            let cfg = DetectConfig { threads, hb };
+            assert_eq!(detect_sharded(&log, 1000, &cfg), want, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn cap_bounds_distinct_addresses_not_occurrences() {
+        // One static pair racing on 16 addresses, four times each.
+        let mut records = Vec::new();
+        for _ in 0..4 {
+            for addr in 0..16u64 {
+                records.push(mem(t(0), 1, addr, true));
+                records.push(mem(t(1), 2, addr, true));
+            }
+        }
+        let log: EventLog = records.into_iter().collect();
+        let uncapped = detect(&log, 100);
+        assert_eq!(uncapped.static_count(), 1);
+        let pair = &uncapped.static_races[0];
+        assert_eq!(pair.distinct_addrs, 16);
+        assert!(pair.count > 16);
+        let hb = HbConfig {
+            max_dynamic_per_pair: 3,
+            ..HbConfig::default()
+        };
+        let want = RaceReport {
+            static_races: vec![StaticRace {
+                distinct_addrs: 3,
+                ..pair.clone()
+            }],
+            ..uncapped.clone()
+        };
+        for threads in [1, 2, 4, 8] {
+            let cfg = DetectConfig { threads, hb };
+            assert_eq!(detect_sharded(&log, 100, &cfg), want, "threads={threads}");
+        }
+        let records = log.records();
+        for split in 0..=records.len() {
+            let mut first = HbDetector::with_config(hb);
+            for r in &records[..split] {
+                first.process(r);
+            }
+            let cp = first.save_checkpoint(100);
+            for threads in [1, 2, 4, 8] {
+                let cfg = DetectConfig::with_threads(threads);
+                let suffix = [Ok(&records[split..])];
+                assert_eq!(
+                    detect_stream_from(suffix, 100, &cfg, Some(&cp)).unwrap(),
+                    want,
+                    "split={split} threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,12 +5,14 @@
 //! from a [`RecordStream`](literace_log::RecordStream) whose decoder is
 //! still running, or borrowed chunks of an in-memory
 //! [`EventLog`](literace_log::EventLog) — and never materializes more than
-//! it is handed. A router on the calling thread replays the sync records
-//! through the shared [`ClockState`], routes each access to its shard's
-//! bounded channel (see [`sharded`](crate::sharded) for the partition and
-//! the merge), and the shard workers replay concurrently with the routing
-//! and the decode. Peak memory is bounded by the channel depths, not the
-//! log size, and the shard count by [`MAX_SHARDS`](crate::sharded::MAX_SHARDS).
+//! it is handed. A router on the calling thread runs the replay stage's
+//! one step (see [`hb`](crate::hb)) over every record, routes each access
+//! to its shard's bounded channel (see [`sharded`](crate::sharded) for the
+//! partition, the shard stage and the merge), and the shard workers
+//! replay concurrently with the routing and the decode. Peak memory is
+//! bounded by the channel depths, not the log size, and the shard count by
+//! [`MAX_SHARDS`](crate::sharded::MAX_SHARDS). At one shard the engine is
+//! an [`HbDetector`] run inline on the calling thread.
 //!
 //! **Eager clock freezing.** Workers start before the log is fully read,
 //! so an access carries its clock with it: the first time a thread's
@@ -19,8 +21,8 @@
 //! and that `Arc` is shared until the generation moves. Clocks change only
 //! at sync operations, and every change bumps the generation (see
 //! [`clocks`](crate::clocks)), so each access sees exactly the clock the
-//! sequential detector would. Per access this costs one atomic refcount
-//! bump instead of a clock clone.
+//! inline detector would. Per access this costs one atomic refcount bump
+//! instead of a clock clone.
 //!
 //! Positions are carried as `u64` and a compaction point is its own
 //! stream item, so the engine has no log-length ceiling.
@@ -33,10 +35,9 @@ use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
 use crate::clocks::ClockState;
-use crate::frontier::Frontier;
-use crate::hb::{HbDetector, COMPACT_INTERVAL};
+use crate::hb::{Downstream, HbDetector, Replay};
 use crate::report::RaceReport;
-use crate::sharded::{merge_pairs_seeded, shard_frontiers, shard_of, DetectConfig, ShardPairs};
+use crate::sharded::{merge, report, shard_of, DetectConfig, PairMap, Shard};
 use crate::vector_clock::VectorClock;
 
 /// Stream items buffered per shard before a batch is sent. Large enough
@@ -52,7 +53,8 @@ const CHANNEL_DEPTH: usize = 4;
 /// One routed access, self-contained: the clock is resolved at routing
 /// time (an `Arc` share of the eager freeze), not looked up by the worker.
 struct StreamEvent {
-    /// Global record index — the merge sort key.
+    /// Global record index: a pair's first occurrence keeps it, so the
+    /// merge can take the earliest example address.
     pos: u64,
     tid: ThreadId,
     is_write: bool,
@@ -72,8 +74,9 @@ enum ShardItem {
     Access(StreamEvent),
     /// A frontier-compaction point with the live-clock set at that moment.
     /// Broadcast into every shard's stream in order with the accesses, so
-    /// reclamation happens at the sequential stream positions. Carried
-    /// in-band, so a thread exit costs no channel message of its own.
+    /// reclamation happens at the inline detector's stream positions.
+    /// Carried in-band, so a thread exit costs no channel message of its
+    /// own.
     Compact(Arc<[Arc<VectorClock>]>),
 }
 
@@ -101,31 +104,21 @@ impl Pinned {
     }
 }
 
-/// The routing half of the engine: replays sync records, stamps and
-/// batches accesses, and broadcasts compaction points. Owns the shard
-/// senders; dropping it closes every channel.
+/// The routing half of the engine, downstream of the replay stage:
+/// stamps and batches accesses, and broadcasts compaction points. Owns the
+/// shard senders; dropping it closes every channel.
 struct Router {
     shards: usize,
-    clocks: ClockState,
     pinned: Pinned,
-    since_compact: u64,
-    pos: u64,
     buffers: Vec<Vec<ShardItem>>,
     senders: Vec<SyncSender<Vec<ShardItem>>>,
 }
 
 impl Router {
-    /// A router over fresh clock state, or — with `seed` — over a
-    /// checkpoint's: clocks, generations, retirement flags, the
-    /// compaction phase, and the global position all resume where the
-    /// checkpointed detector stopped.
-    fn new(senders: Vec<SyncSender<Vec<ShardItem>>>, seed: Option<&Checkpoint>) -> Router {
+    fn new(senders: Vec<SyncSender<Vec<ShardItem>>>) -> Router {
         Router {
             shards: senders.len(),
-            clocks: seed.map_or_else(ClockState::default, |cp| ClockState::restore(&cp.core)),
             pinned: Pinned::default(),
-            since_compact: seed.map_or(0, |cp| cp.records_since_compact),
-            pos: seed.map_or(0, |cp| cp.records_processed),
             buffers: (0..senders.len())
                 .map(|_| Vec::with_capacity(BATCH_RECORDS))
                 .collect(),
@@ -160,68 +153,50 @@ impl Router {
         send_batch(&self.senders[shard], shard, batch);
     }
 
-    /// Appends a compaction point pinning the live-clock set to every
-    /// shard's stream — the same bound, at the same stream position, as
-    /// the sequential detector's compaction.
-    fn emit_compact(&mut self) {
-        let live: Arc<[Arc<VectorClock>]> = self
-            .clocks
-            .live()
-            .map(|i| self.pinned.pin(&self.clocks, i).0)
-            .collect();
-        for shard in 0..self.shards {
-            self.push(shard, ShardItem::Compact(live.clone()));
-        }
-    }
-
-    /// Processes one record, with [`HbDetector::process`]'s clock algebra
-    /// and compaction cadence.
-    fn route(&mut self, record: &Record) {
-        match *record {
-            Record::Sync { tid, kind, var, .. } => {
-                self.clocks.sync(tid, kind, var);
-            }
-            Record::Mem {
-                tid,
-                pc,
-                addr,
-                is_write,
-                ..
-            } => {
-                let i = self.clocks.ensure_thread(tid);
-                let (clock, generation) = self.pinned.pin(&self.clocks, i);
-                let event = StreamEvent {
-                    pos: self.pos,
-                    tid,
-                    is_write,
-                    pc,
-                    addr,
-                    clock,
-                    generation,
-                };
-                self.push(shard_of(addr, self.shards), ShardItem::Access(event));
-            }
-            Record::ThreadBegin { .. } => {}
-            Record::ThreadEnd { tid } => {
-                self.clocks.retire(tid);
-                self.since_compact = 0;
-                self.emit_compact();
-            }
-        }
-        self.pos += 1;
-        self.since_compact += 1;
-        if self.since_compact >= COMPACT_INTERVAL {
-            self.since_compact = 0;
-            self.emit_compact();
-        }
-    }
-
     /// Flushes whatever is still buffered; call once at end of input.
     fn finish(mut self) {
         for shard in 0..self.shards {
             self.flush(shard);
         }
         // Dropping `self` drops the senders, closing every channel.
+    }
+}
+
+impl Downstream for Router {
+    #[inline]
+    fn on_access(
+        &mut self,
+        clocks: &ClockState,
+        pos: u64,
+        tid: ThreadId,
+        pc: Pc,
+        addr: Addr,
+        is_write: bool,
+    ) {
+        let (clock, generation) = self.pinned.pin(clocks, tid.index());
+        let event = StreamEvent {
+            pos,
+            tid,
+            is_write,
+            pc,
+            addr,
+            clock,
+            generation,
+        };
+        self.push(shard_of(addr, self.shards), ShardItem::Access(event));
+    }
+
+    /// Appends a compaction point pinning the live-clock set to every
+    /// shard's stream — the same bound, at the same stream position, as
+    /// the inline detector's compaction.
+    fn on_compact(&mut self, clocks: &ClockState) {
+        let live: Arc<[Arc<VectorClock>]> = clocks
+            .live()
+            .map(|i| self.pinned.pin(clocks, i).0)
+            .collect();
+        for shard in 0..self.shards {
+            self.push(shard, ShardItem::Compact(live.clone()));
+        }
     }
 }
 
@@ -251,16 +226,10 @@ fn send_batch(sender: &SyncSender<Vec<ShardItem>>, shard: usize, batch: Vec<Shar
 }
 
 /// One shard worker: drains its channel, replaying batches against its
-/// private frontier. Pure frontier work — no sync replay, no clock
-/// mutation, no cloning.
-fn run_stream_shard(
-    shard: usize,
-    rx: Receiver<Vec<ShardItem>>,
-    mut frontier: Frontier,
-) -> ShardPairs {
+/// shard stage. Pure frontier work — no sync replay, no clock mutation,
+/// no cloning.
+fn run_stream_shard(index: usize, rx: Receiver<Vec<ShardItem>>, mut shard: Shard) -> PairMap {
     let _span = literace_telemetry::metrics().phase_shard_replay.span();
-    let mut scan_hist = literace_telemetry::ScanSampler::new();
-    let mut pairs = ShardPairs::default();
     loop {
         let idle = literace_telemetry::enabled().then(std::time::Instant::now);
         let batch = match rx.recv() {
@@ -275,36 +244,28 @@ fn run_stream_shard(
             now
         });
         if literace_telemetry::enabled() {
-            literace_telemetry::metrics().detector_shard_queue.dec(shard);
+            literace_telemetry::metrics()
+                .detector_shard_queue
+                .dec(index);
         }
         literace_telemetry::trace_begin("shard.batch");
         for item in &batch {
-            let ev = match item {
-                ShardItem::Access(ev) => ev,
+            match item {
+                ShardItem::Access(ev) => shard.access(
+                    ev.pos,
+                    ev.tid,
+                    ev.pc,
+                    ev.addr,
+                    ev.is_write,
+                    &ev.clock,
+                    ev.generation,
+                ),
                 ShardItem::Compact(clocks) => {
                     literace_telemetry::trace_instant("shard.compact");
                     let live: Vec<&VectorClock> = clocks.iter().map(Arc::as_ref).collect();
-                    frontier.compact(&live);
-                    continue;
+                    shard.compact(&live);
                 }
-            };
-            let scanned = frontier.access(
-                ev.tid,
-                ev.pc,
-                ev.addr.raw(),
-                ev.is_write,
-                &ev.clock,
-                ev.generation,
-                |prior, _| {
-                    let key = if prior.pc <= ev.pc {
-                        (prior.pc, ev.pc)
-                    } else {
-                        (ev.pc, prior.pc)
-                    };
-                    pairs.entry(key).or_default().push((ev.pos, ev.addr));
-                },
-            );
-            scan_hist.record(scanned as u64);
+            }
         }
         literace_telemetry::trace_end("shard.batch");
         if let Some(busy) = busy {
@@ -313,15 +274,11 @@ fn run_stream_shard(
                 .add(busy.elapsed().as_nanos() as u64);
         }
     }
-    frontier.flush_telemetry();
-    if literace_telemetry::enabled() {
-        scan_hist.flush_into(&literace_telemetry::metrics().detector_frontier_scan);
-    }
-    pairs
+    shard.finish()
 }
 
 /// Detects races from a stream of record blocks without materializing an
-/// event log, producing a report byte-identical to the sequential
+/// event log, producing a report byte-identical to the inline
 /// [`detect`](crate::detect): [`detect_stream_from`] without a checkpoint.
 ///
 /// # Errors
@@ -356,21 +313,22 @@ where
 
 /// The detection engine: detects races over `blocks`, optionally resuming
 /// from a [`Checkpoint`], with a report byte-identical to one-shot
-/// sequential [`detect`](crate::detect) over the whole stream.
+/// [`detect`](crate::detect) over the whole stream.
 ///
 /// `blocks` is any iterator of record blocks — most usefully a
 /// [`RecordStream`](literace_log::RecordStream), in which case decoding,
 /// routing, and shard replay all overlap, or borrowed slices of an
-/// in-memory log. With `cfg.threads <= 1` the records are fed straight
-/// through the sequential detector; otherwise `cfg.threads` shard workers
-/// (at most 64, `MAX_SHARDS`) replay the accesses they own.
+/// in-memory log. With `cfg.threads <= 1` the engine is one shard, run
+/// inline: the records feed an [`HbDetector`] on the calling thread.
+/// Otherwise `cfg.threads` shard workers (at most 64, `MAX_SHARDS`)
+/// replay the accesses they own.
 ///
 /// With `resume`, `blocks` must carry the records *after* the
-/// checkpointed position. The router starts from the checkpoint's clock
+/// checkpointed position. The replay stage restarts from the checkpoint's
 /// state, each shard's frontier is seeded with the checkpoint locations
-/// it owns, and the merge continues the checkpoint's per-pair accounting,
-/// at any shard count. The happens-before tuning then comes from the
-/// checkpoint; `cfg` contributes only the worker count.
+/// it owns, and the checkpoint's pairs are carried as a prefix into the
+/// merge, at any shard count. The happens-before tuning then comes from
+/// the checkpoint; `cfg` contributes only the worker count.
 ///
 /// # Errors
 ///
@@ -385,12 +343,10 @@ where
     I: IntoIterator<Item = LogResult<B>>,
     B: AsRef<[Record]>,
 {
+    let hb = resume.map_or(cfg.hb, |cp| cp.cfg);
     let shards = cfg.shards();
     if shards == 1 {
-        let mut detector = match resume {
-            Some(cp) => HbDetector::resume(cp),
-            None => HbDetector::with_config(cfg.hb),
-        };
+        let mut detector = HbDetector::start(hb, resume);
         for block in blocks {
             for record in block?.as_ref() {
                 detector.process(record);
@@ -398,33 +354,29 @@ where
         }
         return Ok(detector.finish(non_stack_accesses));
     }
-    if resume.is_some() && literace_telemetry::enabled() {
-        literace_telemetry::metrics().detector_checkpoint_resumes.add(1);
-    }
-    let hb = resume.map_or(cfg.hb, |cp| cp.cfg);
 
     std::thread::scope(|s| {
         let mut senders = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
-        let frontiers = shard_frontiers(shards, hb.max_history_per_location, resume);
-        for (shard, frontier) in frontiers.into_iter().enumerate() {
+        for (index, shard) in Shard::seeded(shards, hb, resume).into_iter().enumerate() {
             let (tx, rx) = sync_channel::<Vec<ShardItem>>(CHANNEL_DEPTH);
             senders.push(tx);
             handles.push(
                 std::thread::Builder::new()
-                    .name(format!("literace-shard-{shard}"))
-                    .spawn_scoped(s, move || run_stream_shard(shard, rx, frontier))
+                    .name(format!("literace-shard-{index}"))
+                    .spawn_scoped(s, move || run_stream_shard(index, rx, shard))
                     .expect("spawning shard worker"),
             );
         }
 
-        let mut router = Router::new(senders, resume);
+        let mut replay = Replay::resume(resume);
+        let mut router = Router::new(senders);
         let mut stream_err = None;
         for block in blocks {
             match block {
                 Ok(records) => {
                     for record in records.as_ref() {
-                        router.route(record);
+                        replay.step(record, &mut router);
                     }
                 }
                 Err(e) => {
@@ -435,19 +387,18 @@ where
         }
         router.finish();
 
-        let shard_pairs: Vec<ShardPairs> = handles
+        let parts: Vec<PairMap> = handles
             .into_iter()
             .map(|h| h.join().expect("stream shard worker panicked"))
             .collect();
-        match stream_err {
-            Some(e) => Err(e),
-            None => Ok(merge_pairs_seeded(
-                resume.map_or(&[][..], |cp| &cp.core.pairs),
-                shard_pairs,
-                hb.max_dynamic_per_pair,
-                non_stack_accesses,
-            )),
+        if let Some(e) = stream_err {
+            return Err(e);
         }
+        let _span = literace_telemetry::metrics().phase_merge.span();
+        literace_telemetry::trace_begin("merge");
+        let races = report(merge(parts, hb.max_dynamic_per_pair), non_stack_accesses);
+        literace_telemetry::trace_end("merge");
+        Ok(races)
     })
 }
 
@@ -462,9 +413,9 @@ where
 /// from a previously saved checkpoint; pass `0` to checkpoint only at
 /// end of stream.
 ///
-/// Checkpoint *creation* requires the sequential core — a mid-run
-/// parallel snapshot would have to drain and re-synchronize every shard —
-/// so this driver always runs single-threaded and ignores `cfg.threads`.
+/// Checkpoint *creation* runs one shard inline — a mid-run parallel
+/// snapshot would have to drain and re-synchronize every shard — so this
+/// function always runs single-threaded and ignores `cfg.threads`.
 /// *Resuming* has no such restriction: a checkpoint saved here can be
 /// resumed at any shard count via [`detect_stream_from`].
 ///
@@ -484,10 +435,7 @@ where
     I: IntoIterator<Item = LogResult<Vec<Record>>>,
     F: FnMut(&Checkpoint) -> std::io::Result<()>,
 {
-    let mut detector = match resume {
-        Some(cp) => HbDetector::resume(cp),
-        None => HbDetector::with_config(cfg.hb),
-    };
+    let mut detector = HbDetector::start(resume.map_or(cfg.hb, |cp| cp.cfg), resume);
     let mut blocks_seen = 0u64;
     let mut sealed_at = u64::MAX;
     for block in blocks {

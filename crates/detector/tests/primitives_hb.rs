@@ -189,36 +189,16 @@ fn multi_generation_barrier_pipeline_is_clean() {
 /// reclaimable.
 #[test]
 fn compaction_bounds_tracked_locations() {
-    use literace_detector::{HbConfig, HbCore};
-    use literace_sim::{alloc_page_var, pages_of, Event, Observer};
+    use literace_sim::{Event, Observer};
 
     struct Probe {
-        core: HbCore,
+        det: OnlineDetector,
         peak: usize,
     }
     impl Observer for Probe {
         fn on_event(&mut self, event: &Event) {
-            match *event {
-                Event::MemRead { tid, pc, addr } => self.core.access(tid, pc, addr, false),
-                Event::MemWrite { tid, pc, addr } => self.core.access(tid, pc, addr, true),
-                Event::Sync { tid, kind, var, .. } => self.core.sync(tid, kind, var),
-                Event::Alloc { tid, base, words, .. }
-                | Event::Free { tid, base, words, .. } => {
-                    for page in pages_of(base, words) {
-                        self.core.sync(
-                            tid,
-                            literace_sim::SyncOpKind::AllocPage,
-                            alloc_page_var(page),
-                        );
-                    }
-                }
-                Event::ThreadExit { tid } => {
-                    self.core.retire_thread(tid);
-                    self.core.compact();
-                }
-                _ => {}
-            }
-            self.peak = self.peak.max(self.core.tracked_locations());
+            self.det.on_event(event);
+            self.peak = self.peak.max(self.det.tracked_locations());
         }
     }
 
@@ -248,7 +228,7 @@ fn compaction_bounds_tracked_locations() {
     });
     let compiled = lower(&pb.build().unwrap());
     let mut probe = Probe {
-        core: HbCore::new(HbConfig::default()),
+        det: OnlineDetector::new(),
         peak: 0,
     };
     Machine::new(&compiled, MachineConfig::default())
@@ -262,6 +242,6 @@ fn compaction_bounds_tracked_locations() {
         "peak tracked locations {} suggests compaction is not reclaiming",
         probe.peak
     );
-    let report = probe.core.finish(10_000);
+    let report = probe.det.finish();
     assert_eq!(report.static_count(), 0, "phases are join-ordered");
 }

@@ -101,5 +101,5 @@ fn timestamps_are_strictly_monotonic_per_var() {
     let out = run_literace(&w.program, SamplerKind::Always, &RunConfig::seeded(2)).unwrap();
     let mut det = HbDetector::new();
     det.process_log(&out.instrumented.log);
-    assert_eq!(det.timestamp_violations, 0);
+    assert_eq!(det.timestamp_violations(), 0);
 }
