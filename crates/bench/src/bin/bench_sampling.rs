@@ -181,8 +181,7 @@ fn main() {
         for &kind in &samplers {
             // Modeled numbers are deterministic: one run suffices. The
             // execute-and-log wall clock is timed separately (no
-            // detection; in-memory v2 sink as `run --streaming --log`
-            // would use).
+            // detection; in-memory v2 sink as `run --log` would use).
             let (summary, out) = run_literace_with_sink(
                 &w.program,
                 kind,

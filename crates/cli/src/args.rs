@@ -1,38 +1,97 @@
 //! Minimal flag parsing (no external dependency).
 
 use std::collections::HashMap;
+use std::fmt;
 
-/// Parsed `--key value` flags.
+/// The flags one command accepts.
+#[derive(Debug, Clone, Copy)]
+pub struct Spec {
+    /// Flags that take a value (`--seed 7`).
+    pub values: &'static [&'static str],
+    /// Bare boolean switches that take none (`--salvage`).
+    pub switches: &'static [&'static str],
+}
+
+impl Spec {
+    /// Every accepted name, values first, as `--name`.
+    fn accepted(&self) -> Vec<String> {
+        self.values
+            .iter()
+            .chain(self.switches)
+            .map(|name| format!("--{name}"))
+            .collect()
+    }
+}
+
+/// Why a command line was refused.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FlagError {
+    /// An argument that is not a `--flag`.
+    NotAFlag(String),
+    /// A value flag given last, without its value.
+    MissingValue(String),
+    /// A flag the command does not accept; `accepted` lists those it does.
+    Unknown {
+        /// The rejected name, without its dashes.
+        name: String,
+        /// Every flag the command accepts, as `--name`.
+        accepted: Vec<String>,
+    },
+}
+
+impl fmt::Display for FlagError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FlagError::NotAFlag(arg) => write!(f, "expected a --flag, got `{arg}`"),
+            FlagError::MissingValue(name) => write!(f, "flag --{name} is missing its value"),
+            FlagError::Unknown { name, accepted } if accepted.is_empty() => {
+                write!(f, "unknown flag --{name} (this command takes no flags)")
+            }
+            FlagError::Unknown { name, accepted } => {
+                write!(f, "unknown flag --{name} (accepted: {})", accepted.join(", "))
+            }
+        }
+    }
+}
+
+impl std::error::Error for FlagError {}
+
+/// Parsed `--key value` flags and switches.
 #[derive(Debug, Default)]
 pub struct Flags {
     values: HashMap<String, String>,
 }
 
 impl Flags {
-    /// Parses `--key value` pairs; returns an error message on stray or
-    /// dangling arguments.
-    pub fn parse(args: &[String]) -> Result<Flags, String> {
-        Flags::parse_with_switches(args, &[])
-    }
-
-    /// Like [`parse`](Flags::parse), but the named `switches` are bare
-    /// boolean flags that take no value (query them with
+    /// Parses `args` against `spec`: `--key value` pairs for its value
+    /// flags, bare `--name` for its switches (query them with
     /// [`is_set`](Flags::is_set)).
-    pub fn parse_with_switches(args: &[String], switches: &[&str]) -> Result<Flags, String> {
+    ///
+    /// # Errors
+    ///
+    /// A stray positional argument, a dangling value flag, or any flag
+    /// `spec` does not name.
+    pub fn parse(args: &[String], spec: &Spec) -> Result<Flags, FlagError> {
         let mut values = HashMap::new();
         let mut i = 0;
         while i < args.len() {
             let key = &args[i];
             let Some(name) = key.strip_prefix("--") else {
-                return Err(format!("expected a --flag, got `{key}`"));
+                return Err(FlagError::NotAFlag(key.clone()));
             };
-            if switches.contains(&name) {
+            if spec.switches.contains(&name) {
                 values.insert(name.to_owned(), "true".to_owned());
                 i += 1;
                 continue;
             }
+            if !spec.values.contains(&name) {
+                return Err(FlagError::Unknown {
+                    name: name.to_owned(),
+                    accepted: spec.accepted(),
+                });
+            }
             let Some(value) = args.get(i + 1) else {
-                return Err(format!("flag --{name} is missing its value"));
+                return Err(FlagError::MissingValue(name.to_owned()));
             };
             values.insert(name.to_owned(), value.clone());
             i += 2;
@@ -71,13 +130,18 @@ impl Flags {
 mod tests {
     use super::*;
 
+    const SPEC: Spec = Spec {
+        values: &["seed", "scale", "log"],
+        switches: &["salvage"],
+    };
+
     fn sv(parts: &[&str]) -> Vec<String> {
         parts.iter().map(|s| (*s).to_owned()).collect()
     }
 
     #[test]
     fn parses_pairs() {
-        let f = Flags::parse(&sv(&["--seed", "7", "--scale", "paper"])).unwrap();
+        let f = Flags::parse(&sv(&["--seed", "7", "--scale", "paper"]), &SPEC).unwrap();
         assert_eq!(f.get("seed"), Some("7"));
         assert_eq!(f.get_parsed::<u64>("seed", 0).unwrap(), 7);
         assert_eq!(f.get_parsed::<u64>("missing", 42).unwrap(), 42);
@@ -85,26 +149,55 @@ mod tests {
 
     #[test]
     fn rejects_danglers_and_positional() {
-        assert!(Flags::parse(&sv(&["--seed"])).is_err());
-        assert!(Flags::parse(&sv(&["seed", "7"])).is_err());
+        assert_eq!(
+            Flags::parse(&sv(&["--seed"]), &SPEC).unwrap_err(),
+            FlagError::MissingValue("seed".into())
+        );
+        assert_eq!(
+            Flags::parse(&sv(&["seed", "7"]), &SPEC).unwrap_err(),
+            FlagError::NotAFlag("seed".into())
+        );
     }
 
     #[test]
     fn switches_take_no_value() {
-        let f = Flags::parse_with_switches(
-            &sv(&["--streaming", "--seed", "7"]),
-            &["streaming"],
-        )
-        .unwrap();
-        assert!(f.is_set("streaming"));
+        let f = Flags::parse(&sv(&["--salvage", "--seed", "7"]), &SPEC).unwrap();
+        assert!(f.is_set("salvage"));
         assert_eq!(f.get_parsed::<u64>("seed", 0).unwrap(), 7);
-        let f = Flags::parse_with_switches(&sv(&["--seed", "7"]), &["streaming"]).unwrap();
-        assert!(!f.is_set("streaming"));
+        let f = Flags::parse(&sv(&["--seed", "7"]), &SPEC).unwrap();
+        assert!(!f.is_set("salvage"));
     }
 
     #[test]
     fn require_reports_missing() {
-        let f = Flags::parse(&[]).unwrap();
+        let f = Flags::parse(&[], &SPEC).unwrap();
         assert!(f.require("log").unwrap_err().contains("--log"));
+    }
+
+    #[test]
+    fn unknown_flags_are_typed_errors_listing_the_accepted_ones() {
+        // A value-less unknown name is refused too, before its value is
+        // looked for.
+        for (args, unknown) in [
+            (&["--seed", "7", "--sed", "5"][..], "sed"),
+            (&["--bogus"][..], "bogus"),
+        ] {
+            let err = Flags::parse(&sv(args), &SPEC).unwrap_err();
+            let FlagError::Unknown { name, accepted } = &err else {
+                panic!("expected Unknown, got {err:?}");
+            };
+            assert_eq!(name, unknown);
+            assert_eq!(accepted, &["--seed", "--scale", "--log", "--salvage"]);
+            assert_eq!(
+                err.to_string(),
+                format!("unknown flag --{name} (accepted: --seed, --scale, --log, --salvage)")
+            );
+        }
+        let none = Spec {
+            values: &[],
+            switches: &[],
+        };
+        let err = Flags::parse(&sv(&["--x"]), &none).unwrap_err();
+        assert_eq!(err.to_string(), "unknown flag --x (this command takes no flags)");
     }
 }

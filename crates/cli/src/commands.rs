@@ -3,17 +3,19 @@
 use std::fs::File;
 use std::process::ExitCode;
 
-use literace::detector::{detect_lockset, detect_stream};
+use literace::detector::detect_stream;
 use literace::eval::{evaluate_program, EvalConfig};
 use literace::log::{
-    auto_stream_depth, map_or_read, read_log_auto, read_log_salvage, AtomicFile, DecodeOpts,
-    EncodeOpts, LogFormat, LogStats, LogWriter, LogWriterV2, RecordStream,
+    auto_stream_depth, map_or_read, AtomicFile, DecodeOpts, EncodeOpts, LogFormat, LogStats,
+    LogWriter, LogWriterV2, RecordStream, SalvageHandle,
 };
 use literace::overhead::measure_overhead;
+use literace::pipeline::detect_phase;
 use literace::prelude::*;
 use literace::tables::{mb_s, pct, slowdown, Table};
 use literace::workloads::WorkloadId;
 
+use crate::args::{Flags, Spec};
 use crate::error::CliError;
 use crate::telemetry::Telemetry;
 
@@ -27,25 +29,23 @@ USAGE:
 
   literace run --workload <name> [--sampler tl-ad] [--seed 1]
                [--scale smoke|paper] [--log <file>] [--format v1|v2]
-               [--streaming] [--threads N] [--decode-threads N|auto]
-               [--stream-depth N] [--encode-threads N|auto]
-               [--block-records N] [--suppress pat1,pat2]
+               [--threads N] [--decode-threads N|auto]
+               [--encode-threads N|auto] [--suppress pat1,pat2]
                [--prefilter] [--prefilter-stats]
                [--metrics-out <file>] [--trace-out <file>] [--progress]
       Instrument, execute, and detect. Optionally write the event log
       (compact v2 blocks by default; --format v1 for the legacy
       fixed-width format) and suppress races in functions matching the
-      given name patterns. With --streaming and --log, records stream to
-      disk as the program runs (the log is never materialized in memory)
-      and detection streams the file back through the decode pool
-      (--decode-threads / --stream-depth as under `detect`); without
-      --log, --streaming changes nothing. --threads N shards detection
+      given name patterns. With --log, records stream to disk as the
+      program runs (the log is never materialized in memory) and
+      detection streams the file back through the decode pool
+      (--decode-threads as under `detect`); without --log, detection
+      runs over the run's in-memory log. --threads N shards detection
       across N workers as under `detect`.
       --encode-threads N moves v2 encoding off the run's hot path: the
       run only appends raw records and N background workers encode the
-      blocks. --block-records sets the records per block (default 4096).
-      Both need --log and v2; the file's bytes depend on --block-records
-      only, never on --encode-threads. A stale <file>.partial left by a
+      blocks (4096 records each). It needs --log and v2; the file's
+      bytes never depend on it. A stale <file>.partial left by a
       crashed run is swept before writing. --metrics-out writes a JSON
       telemetry snapshot; --trace-out records pipeline event tracing and
       writes a Chrome trace-event JSON file loadable in Perfetto
@@ -68,23 +68,21 @@ USAGE:
       Print the workload's Table 5 row and Figure 6 decomposition.
 
   literace detect --log <file> [--detector hb|lockset]
-                  [--non-stack <count>] [--threads N] [--no-streaming]
-                  [--decode-threads N|auto] [--stream-depth N]
-                  [--salvage] [--resume-from <state.lrcp>]
+                  [--non-stack <count>] [--threads N]
+                  [--decode-threads N|auto] [--salvage]
+                  [--resume-from <state.lrcp>]
                   [--checkpoint-out <state.lrcp>] [--checkpoint-every N]
                   [--metrics-out <file>] [--trace-out <file>]
                   [--progress]
       Run offline detection over a previously written event log (v1 or
-      v2; the format is auto-detected). With --threads N ≥ 2, the hb
+      v2; the format is auto-detected). Every detector streams: decoded
+      blocks flow straight from the decode pool into the detector and
+      the log is never materialized. With --threads N ≥ 2, the hb
       detector shards accesses across N workers (byte-identical output;
-      N above 64 runs 64 shards). The hb detector streams by default:
-      decoded blocks flow straight from the decode pool into the workers
-      and the log is never materialized (--no-streaming decodes the whole
-      log first; other detectors always do). --decode-threads sizes the
+      N above 64 runs 64 shards). --decode-threads sizes the
       block-decode pool (auto: one worker per core; ≥ 2 decodes v2
       blocks out of order and reassembles in sequence, byte-identical
-      output) and --stream-depth overrides the auto-sized
-      decoder→detector channel depth.
+      output).
       With --salvage, a torn or corrupted log is decoded best-effort:
       corrupt blocks are skipped where provably safe (no sync records
       lost), the rest is dropped, and the damage tally is printed — a
@@ -94,10 +92,13 @@ USAGE:
       always once at end of stream (checkpoint creation runs the
       sequential core, so it conflicts with --threads; a stale
       <state>.partial left by a crashed save is swept first).
-      --resume-from loads a checkpoint and detects only the records
-      *after* the checkpointed position — on any path (sequential,
-      --threads N, streaming or materialized), the report is
-      byte-identical to one-shot detection over the whole log.
+      --resume-from loads a checkpoint and continues detection over
+      --log, which must hold only the records *after* the checkpointed
+      position: an empty log for a checkpoint sealed at end of stream,
+      or the next segment of a segmented log. The report is then
+      byte-identical to one-shot detection over the whole stream, at
+      any --threads. A --log that repeats the checkpointed records
+      counts them twice.
       --metrics-out / --trace-out / --progress export telemetry as under
       `run`; with --progress, a sealed v2 log's footer total adds a
       percent-complete segment to the heartbeat line.
@@ -110,7 +111,8 @@ USAGE:
       ids and sites, the vector-clock check that failed, and the last
       sync-chain edge that would have ordered the pair had it been
       acquired. --race K limits output to the K-th race (1-based). The
-      race set is byte-identical to `run`/`detect` on the same input.
+      race set is byte-identical to `run`/`detect` on the same input;
+      --log streams the log as `detect` does.
 
   literace metrics [--in <metrics.json> | --workload <name> [--seed 1]
                    [--scale smoke|paper] [--threads N]]
@@ -122,12 +124,13 @@ USAGE:
       every required pipeline metric.
 
   literace log-stats --log <file> [--salvage] [--decode-threads N|auto]
-                     [--stream-depth N] [--metrics-out <file>]
+                     [--metrics-out <file>] [--trace-out <file>]
       Print log composition, per-thread breakdown, encoded size and
-      whether the log was cleanly finalized (either format). With
-      --salvage, read a damaged log best-effort and include the salvage
-      summary. --decode-threads ≥ 2 reads v2 logs through the parallel
-      decode pool (identical output, including the salvage summary).
+      whether the log was cleanly finalized (either format), counted
+      record by record as the log streams. With --salvage, read a
+      damaged log best-effort and include the salvage summary.
+      --decode-threads ≥ 2 reads v2 logs through the parallel decode
+      pool (identical output, including the salvage summary).
 
   literace checkpoint --in <state.lrcp>
       Validate and describe a detector checkpoint written by
@@ -136,16 +139,20 @@ USAGE:
       under. A torn or tampered checkpoint fails with the exact
       corruption, never a partial printout.
 
-  literace inspect --workload <name> [--function <substring>]
+  literace inspect --workload <name> [--scale smoke|paper]
+                   [--function <substring>]
       Show a workload's structure; with --function, disassemble matching
       functions (offsets match race-report program counters).
 
   literace trace --workload <name> [--limit 40] [--seed 1]
+                 [--scale smoke|paper]
       Print the first events of an execution, human-readably.
 
   literace trace --in <trace.json> [--top 10]
       Validate a --trace-out file and print a summary: per-track
       wall-clock attribution, the longest spans, and stall/race instants.
+
+Every command refuses a flag it does not list above.
 ";
 
 fn fail(e: impl std::fmt::Display) -> ExitCode {
@@ -173,7 +180,7 @@ fn parse_workload(name: &str) -> Result<WorkloadId, String> {
     })
 }
 
-fn parse_scale(flags: &crate::args::Flags) -> Result<Scale, String> {
+fn parse_scale(flags: &Flags) -> Result<Scale, String> {
     match flags.get("scale") {
         None | Some("smoke") => Ok(Scale::Smoke),
         Some("paper") => Ok(Scale::Paper),
@@ -199,7 +206,7 @@ fn resolve_sampler(name: Option<&str>) -> Result<SamplerKind, CliError> {
     }
 }
 
-fn parse_format(flags: &crate::args::Flags) -> Result<LogFormat, String> {
+fn parse_format(flags: &Flags) -> Result<LogFormat, String> {
     match flags.get("format") {
         None => Ok(LogFormat::V2),
         Some(name) => LogFormat::from_name(name)
@@ -208,15 +215,12 @@ fn parse_format(flags: &crate::args::Flags) -> Result<LogFormat, String> {
 }
 
 /// Parses `--decode-threads` (default `auto`: one worker per available
-/// core) and `--stream-depth` (default: auto-sized from the decode and
-/// detect thread counts) into the [`DecodeOpts`] handed to the log
-/// readers. With 2+ decode threads, v2 block payloads decode on a
-/// parallel out-of-order worker pool; delivery order and every report
-/// stay byte-identical to one decode thread.
-fn parse_decode_opts(
-    flags: &crate::args::Flags,
-    detect_threads: usize,
-) -> Result<DecodeOpts, String> {
+/// core) into the [`DecodeOpts`] handed to the log readers, with the
+/// channel depth auto-sized from the decode and detect thread counts.
+/// With 2+ decode threads, v2 block payloads decode on a parallel
+/// out-of-order worker pool; delivery order and every report stay
+/// byte-identical to one decode thread.
+fn parse_decode_opts(flags: &Flags, detect_threads: usize) -> Result<DecodeOpts, String> {
     let opts = match flags.get("decode-threads") {
         None | Some("auto") => DecodeOpts::auto(),
         Some(v) => {
@@ -229,28 +233,16 @@ fn parse_decode_opts(
             DecodeOpts::with_threads(threads)
         }
     };
-    let opts = opts.depth(auto_stream_depth(opts.threads, detect_threads));
-    match flags.get("stream-depth") {
-        None => Ok(opts),
-        Some(v) => {
-            let depth: usize = v
-                .parse()
-                .map_err(|_| format!("flag --stream-depth: cannot parse `{v}`"))?;
-            if depth == 0 {
-                return Err("--stream-depth must be at least 1".into());
-            }
-            Ok(opts.depth(depth))
-        }
-    }
+    Ok(opts.depth(auto_stream_depth(opts.threads, detect_threads)))
 }
 
-/// Parses `--encode-threads` (N or `auto`) and `--block-records` into
-/// the v2 writer's [`EncodeOpts`]. Without `--encode-threads` the writer
-/// encodes on the producing thread (0 workers).
-fn parse_encode_opts(flags: &crate::args::Flags) -> Result<EncodeOpts, String> {
-    let opts = match flags.get("encode-threads") {
-        None => EncodeOpts::default(),
-        Some("auto") => EncodeOpts::auto(),
+/// Parses `--encode-threads` (N or `auto`) into the v2 writer's
+/// [`EncodeOpts`]. Without it the writer encodes on the producing thread
+/// (0 workers).
+fn parse_encode_opts(flags: &Flags) -> Result<EncodeOpts, String> {
+    match flags.get("encode-threads") {
+        None => Ok(EncodeOpts::default()),
+        Some("auto") => Ok(EncodeOpts::auto()),
         Some(v) => {
             let threads: usize = v
                 .parse()
@@ -258,79 +250,62 @@ fn parse_encode_opts(flags: &crate::args::Flags) -> Result<EncodeOpts, String> {
             if threads == 0 {
                 return Err("--encode-threads must be at least 1 (or `auto`)".into());
             }
-            EncodeOpts::with_threads(threads)
-        }
-    };
-    match flags.get("block-records") {
-        None => Ok(opts),
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| format!("flag --block-records: cannot parse `{v}`"))?;
-            if n == 0 {
-                return Err("--block-records must be at least 1".into());
-            }
-            Ok(opts.block_records(n))
+            Ok(EncodeOpts::with_threads(threads))
         }
     }
 }
 
-/// Opens `path` as a strict [`RecordStream`] with `opts`: memory-mapped
-/// (or read whole) for zero-copy payload handoff when the parallel pool
-/// is active, plain file streaming otherwise.
-fn spawn_log_stream(path: &str, opts: DecodeOpts) -> Result<RecordStream, String> {
+/// Opens the log at `path` as one [`RecordStream`], strict or (with
+/// `salvage`) best-effort. The salvage handle's report is final once the
+/// stream is exhausted. A strict read through the parallel pool maps (or
+/// reads whole) the file for zero-copy payload handoff; every other read
+/// streams the file.
+fn open_log(
+    path: &str,
+    salvage: bool,
+    opts: DecodeOpts,
+) -> Result<(RecordStream, Option<SalvageHandle>), CliError> {
+    let file = File::open(path).map_err(CliError::io("cannot open", path))?;
+    let read_err = |e| format!("read {path}: {e}");
+    if salvage {
+        let (stream, handle) = RecordStream::spawn_salvage_with(file, opts).map_err(read_err)?;
+        return Ok((stream, Some(handle)));
+    }
     let stream = if opts.threads > 1 {
-        let bytes = map_or_read(path).map_err(|e| format!("read {path}: {e}"))?;
-        RecordStream::spawn_bytes(bytes, opts)
+        drop(file);
+        RecordStream::spawn_bytes(map_or_read(path).map_err(read_err)?, opts)
     } else {
-        let file = File::open(path)
-            .map_err(|e| format!("cannot open {path}: {e}"))?;
         RecordStream::spawn_with(file, opts)
     };
-    stream.map_err(|e| format!("read {path}: {e}"))
+    Ok((stream.map_err(read_err)?, None))
 }
 
-/// Writes a materialized log to `path` in the requested format, returning
-/// the record count. The log is written to `<path>.partial` and renamed
-/// into place only after a clean finish, so a crash mid-write never
-/// leaves a half-written file at `path`. `encode` places the v2 writer's
-/// stages and sizes its blocks.
-fn write_log(
+/// Feeds every record of `stream` to `consume`, block by block, and
+/// fails at the first read error.
+fn for_each_record(
+    stream: &mut RecordStream,
     path: &str,
-    format: LogFormat,
-    encode: EncodeOpts,
-    log: &EventLog,
-) -> Result<u64, CliError> {
-    let file = AtomicFile::create(path).map_err(CliError::io("cannot create", path))?;
-    let (written, file) = match format {
-        LogFormat::V1 => {
-            let mut writer = LogWriter::new(file);
-            for record in log {
-                writer
-                    .write_record(record)
-                    .map_err(|e| format!("write {path}: {e}"))?;
-            }
-            let n = writer.records_written();
-            (n, writer.finish().map_err(|e| format!("flush {path}: {e}"))?)
-        }
-        LogFormat::V2 => {
-            let mut writer =
-                LogWriterV2::with_opts(file, encode).map_err(|e| format!("write {path}: {e}"))?;
-            for record in log {
-                writer
-                    .write_record(record)
-                    .map_err(|e| format!("write {path}: {e}"))?;
-            }
-            let n = writer.records_written();
-            (n, writer.finish().map_err(|e| format!("flush {path}: {e}"))?)
-        }
-    };
-    file.commit().map_err(CliError::io("cannot finalize", path))?;
-    Ok(written)
+    mut consume: impl FnMut(&Record),
+) -> Result<(), CliError> {
+    for block in stream {
+        block
+            .map_err(|e| format!("read {path}: {e}"))?
+            .iter()
+            .for_each(&mut consume);
+    }
+    Ok(())
 }
+
+const WORKLOADS: Spec = Spec {
+    values: &[],
+    switches: &[],
+};
 
 /// `literace workloads`
-pub fn workloads() -> ExitCode {
+pub fn workloads(args: &[String]) -> ExitCode {
+    if let Err(e) = Flags::parse(args, &WORKLOADS) {
+        return fail(e);
+    }
     let mut t = Table::new(
         "benchmark workloads (Table 2)",
         &["name", "paper name", "description", "planted races"],
@@ -368,12 +343,16 @@ pub fn run(args: &[String]) -> ExitCode {
     }
 }
 
+const RUN: Spec = Spec {
+    values: &[
+        "workload", "sampler", "seed", "scale", "log", "format", "threads", "decode-threads",
+        "encode-threads", "suppress", "metrics-out", "trace-out",
+    ],
+    switches: &["progress", "prefilter", "prefilter-stats"],
+};
+
 fn run_inner(args: &[String]) -> Result<(), CliError> {
-    let flags =
-        crate::args::Flags::parse_with_switches(
-            args,
-            &["streaming", "progress", "prefilter", "prefilter-stats"],
-        )?;
+    let flags = Flags::parse(args, &RUN)?;
     let id = parse_workload(flags.require("workload")?)?;
     let scale = parse_scale(&flags)?;
     let seed: u64 = flags.get_parsed("seed", 1)?;
@@ -381,18 +360,15 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let streaming = flags.is_set("streaming");
     let decode_opts = parse_decode_opts(&flags, threads)?;
     let format = parse_format(&flags)?;
     let encode_opts = parse_encode_opts(&flags)?;
-    if flags.get("encode-threads").is_some() || flags.get("block-records").is_some() {
+    if flags.get("encode-threads").is_some() {
         if flags.get("log").is_none() {
-            return Err("--encode-threads/--block-records require --log".into());
+            return Err("--encode-threads requires --log".into());
         }
         if matches!(format, LogFormat::V1) {
-            return Err(
-                "--encode-threads/--block-records shape v2 logs only (drop --format v1)".into(),
-            );
+            return Err("--encode-threads shapes v2 logs only (drop --format v1)".into());
         }
     }
     if let Some(path) = flags.get("log") {
@@ -424,59 +400,48 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
         None
     };
 
-    let streamed_log = flags.get("log").filter(|_| streaming);
-    let (summary, stats, overhead, report, log_note) = if let Some(path) = streamed_log {
-        // Zero-materialization: records stream to disk in encoded
-        // blocks as the program runs, then the file streams back
-        // through the detector. The decoded log never sits in memory,
-        // and the file only appears at `path` after a clean finish.
+    let (summary, stats, overhead, report, log_note) = if let Some(path) = flags.get("log") {
+        // Records stream to disk in encoded blocks as the program runs,
+        // then the file streams back through the detector. The decoded
+        // log never sits in memory, and the file only appears at `path`
+        // after a clean finish.
         let file = AtomicFile::create(path).map_err(CliError::io("cannot create", path))?;
-        let (summary, stats, overhead, written) = match format {
+        let write_err = |e| format!("write {path}: {e}");
+        let (summary, stats, overhead, written, file) = match format {
             LogFormat::V2 => {
-                let sink = LogWriterV2::with_opts(file, encode_opts)
-                    .map_err(|e| format!("write {path}: {e}"))?;
+                let sink = LogWriterV2::with_opts(file, encode_opts).map_err(write_err)?;
                 let (summary, out) = run_literace_with_sink(&w.program, sampler, &cfg, sink)
                     .map_err(|e| e.to_string())?;
                 let written = out.log.records_written();
-                let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
-                file.commit().map_err(CliError::io("cannot finalize", path))?;
-                (summary, out.stats, out.overhead, written)
+                let file = out.log.finish().map_err(write_err)?;
+                (summary, out.stats, out.overhead, written, file)
             }
             LogFormat::V1 => {
-                let (summary, out) =
-                    run_literace_with_sink(&w.program, sampler, &cfg, LogWriter::new(file))
-                        .map_err(|e| e.to_string())?;
+                let sink = LogWriter::new(file);
+                let (summary, out) = run_literace_with_sink(&w.program, sampler, &cfg, sink)
+                    .map_err(|e| e.to_string())?;
                 let written = out.log.records_written();
-                let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
-                file.commit().map_err(CliError::io("cannot finalize", path))?;
-                (summary, out.stats, out.overhead, written)
+                let file = out.log.finish().map_err(write_err)?;
+                (summary, out.stats, out.overhead, written, file)
             }
         };
-        let blocks = spawn_log_stream(path, decode_opts)?;
-        let report = detect_stream(blocks, summary.non_stack_accesses, &cfg.detect_config())
-            .map_err(|e| format!("read {path}: {e}"))?;
-        let note = format!("wrote {written} records to {path} ({format} format, streamed)");
+        file.commit().map_err(CliError::io("cannot finalize", path))?;
         let non_stack = summary.non_stack_accesses;
+        let report = detect_phase(|| -> Result<_, CliError> {
+            let (blocks, _) = open_log(path, false, decode_opts)?;
+            Ok(detect_stream(blocks, non_stack, &cfg.detect_config())
+                .map_err(|e| format!("read {path}: {e}"))?)
+        })?;
+        let note = format!("wrote {written} records to {path} ({format} format)");
         (summary, stats, overhead, report, Some((note, non_stack, path)))
     } else {
         let outcome = run_literace(&w.program, sampler, &cfg).map_err(|e| e.to_string())?;
-        let note = match flags.get("log") {
-            None => None,
-            Some(path) => {
-                let written = write_log(path, format, encode_opts, &outcome.instrumented.log)?;
-                Some((
-                    format!("wrote {written} records to {path} ({format} format)"),
-                    outcome.summary.non_stack_accesses,
-                    path,
-                ))
-            }
-        };
         (
             outcome.summary,
             outcome.instrumented.stats,
             outcome.instrumented.overhead,
             outcome.report,
-            note,
+            None,
         )
     };
 
@@ -550,8 +515,13 @@ pub fn eval(args: &[String]) -> ExitCode {
     }
 }
 
+const EVAL: Spec = Spec {
+    values: &["workload", "seeds", "scale"],
+    switches: &[],
+};
+
 fn eval_inner(args: &[String]) -> Result<(), CliError> {
-    let flags = crate::args::Flags::parse(args)?;
+    let flags = Flags::parse(args, &EVAL)?;
     let id = parse_workload(flags.require("workload")?)?;
     let scale = parse_scale(&flags)?;
     let seeds: u64 = flags.get_parsed("seeds", 3)?;
@@ -595,8 +565,13 @@ pub fn overhead(args: &[String]) -> ExitCode {
     }
 }
 
+const OVERHEAD: Spec = Spec {
+    values: &["workload", "seed", "scale"],
+    switches: &[],
+};
+
 fn overhead_inner(args: &[String]) -> Result<(), CliError> {
-    let flags = crate::args::Flags::parse(args)?;
+    let flags = Flags::parse(args, &OVERHEAD)?;
     let id = parse_workload(flags.require("workload")?)?;
     let scale = parse_scale(&flags)?;
     let seed: u64 = flags.get_parsed("seed", 1)?;
@@ -637,15 +612,21 @@ pub fn detect(args: &[String]) -> ExitCode {
     }
 }
 
+const DETECT: Spec = Spec {
+    values: &[
+        "log", "detector", "non-stack", "threads", "decode-threads", "resume-from",
+        "checkpoint-out", "checkpoint-every", "metrics-out", "trace-out",
+    ],
+    switches: &["salvage", "progress"],
+};
+
 fn detect_inner(args: &[String]) -> Result<(), CliError> {
     use literace::detector::{
         detect_stream_checkpointed, detect_stream_from, Checkpoint, DetectConfig,
+        LocksetDetector,
     };
 
-    let flags = crate::args::Flags::parse_with_switches(
-        args,
-        &["streaming", "no-streaming", "progress", "salvage"],
-    )?;
+    let flags = Flags::parse(args, &DETECT)?;
     let path = flags.require("log")?;
     let non_stack: u64 = flags.get_parsed("non-stack", 0)?;
     let threads: usize = flags.get_parsed("threads", 1)?;
@@ -653,28 +634,24 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
         return Err("--threads must be at least 1".into());
     }
     let decode_opts = parse_decode_opts(&flags, threads)?;
-    // Streaming decode→detect is the default for the hb detector — it is
-    // at least as fast as materializing and bounds memory. --no-streaming
-    // restores the materialized path; other detectors need it anyway.
-    let hb_detector = matches!(flags.get("detector"), None | Some("hb"));
-    if flags.is_set("streaming") && flags.is_set("no-streaming") {
-        return Err("--streaming conflicts with --no-streaming".into());
-    }
-    let streaming = if flags.is_set("no-streaming") {
-        false
-    } else {
-        flags.is_set("streaming") || hb_detector
+    let lockset = match flags.get("detector") {
+        None | Some("hb") => false,
+        Some("lockset") => true,
+        Some(other) => return Err(format!("unknown detector `{other}`").into()),
     };
-    let salvage = flags.is_set("salvage");
-    // Checkpoint/resume only make sense for the hb detector (the others
-    // carry no resumable state). A checkpoint is loaded and fully
-    // validated up front so a torn file fails before any decoding starts.
+    if lockset && threads > 1 {
+        return Err("--threads only applies to the hb detector, not `lockset`".into());
+    }
+    // Checkpoint/resume only make sense for the hb detector (the lockset
+    // detector carries no resumable state). A checkpoint is loaded and
+    // fully validated up front so a torn file fails before any decoding
+    // starts.
     let checkpoint_out = flags.get("checkpoint-out");
     let checkpoint_every: u64 = flags.get_parsed("checkpoint-every", 0)?;
     if checkpoint_every > 0 && checkpoint_out.is_none() {
         return Err("--checkpoint-every requires --checkpoint-out".into());
     }
-    if (checkpoint_out.is_some() || flags.get("resume-from").is_some()) && !hb_detector {
+    if (checkpoint_out.is_some() || flags.get("resume-from").is_some()) && lockset {
         return Err(
             "--checkpoint-out/--resume-from only apply to the hb detector".into(),
         );
@@ -707,59 +684,22 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
                 .record(total);
         }
     }
-    let file = File::open(path).map_err(CliError::io("cannot open", path))?;
-    // Picks the detector for a materialized log, honoring --detector and
-    // --threads the same way on the clean and the salvage path.
-    let detect_materialized = |log: &EventLog| -> Result<_, CliError> {
-        Ok(match flags.get("detector") {
-            None | Some("hb") => detect_stream_from(
-                [Ok(log.records())],
-                non_stack,
-                &DetectConfig::with_threads(threads),
-                resume_cp.as_ref(),
-            )
-            .map_err(|e| format!("{path}: {e}"))?,
-            Some(other) if threads > 1 => {
-                return Err(format!(
-                    "--threads only applies to the hb detector, not `{other}`"
-                )
-                .into())
-            }
-            Some("lockset") => detect_lockset(log, non_stack),
-            Some(other) => return Err(format!("unknown detector `{other}`").into()),
-        })
-    };
-    // An error below exits without writing the trace, so the span needs no
-    // balancing on the failure paths.
-    literace::telemetry::trace_begin("phase.detect");
-    let (report, heading, salvage_report) = if checkpoint_out.is_some() || streaming {
-        match flags.get("detector") {
-            None | Some("hb") => {}
-            Some(other) => {
-                return Err(format!(
-                    "--streaming only applies to the hb detector, not `{other}`"
-                )
-                .into())
-            }
-        }
-        // Decoded blocks flow from the decode pool straight into the
-        // detector; the log is never materialized.
-        let (blocks, salvage_handle) = if salvage {
-            let (blocks, handle) = RecordStream::spawn_salvage_with(file, decode_opts)
-                .map_err(|e| format!("read {path}: {e}"))?;
-            (blocks, Some(handle))
-        } else {
-            drop(file);
-            (spawn_log_stream(path, decode_opts)?, None)
-        };
-        let format = blocks.format();
-        let cfg = DetectConfig::with_threads(threads);
-        let report = match checkpoint_out {
+    // Decoded blocks flow from the decode pool straight into the
+    // detector; the log is never materialized.
+    let (mut blocks, salvage) = open_log(path, flags.is_set("salvage"), decode_opts)?;
+    let format = blocks.format();
+    let cfg = DetectConfig::with_threads(threads);
+    let report = detect_phase(|| -> Result<_, CliError> {
+        Ok(if lockset {
+            let mut detector = LocksetDetector::new();
+            for_each_record(&mut blocks, path, |r| detector.process(r))?;
+            detector.finish(non_stack)
+        } else if let Some(out) = checkpoint_out {
             // Checkpointing runs one shard inline (--threads was refused
             // above): state is sealed to `out` every --checkpoint-every
             // blocks and once more at end of stream, each save atomic
             // (written to <out>.partial, renamed only after fsync).
-            Some(out) => detect_stream_checkpointed(
+            detect_stream_checkpointed(
                 blocks,
                 non_stack,
                 &cfg,
@@ -767,28 +707,15 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
                 checkpoint_every,
                 |cp: &Checkpoint| cp.write_to(std::path::Path::new(out)).map(|_| ()),
             )
-            .map_err(|e| format!("{path}: {e}"))?,
-            None => detect_stream_from(blocks, non_stack, &cfg, resume_cp.as_ref())
-                .map_err(|e| format!("read {path}: {e}"))?,
-        };
-        let salvaged = if salvage { ", salvaged" } else { "" };
-        let heading = format!("{format} log (streamed{salvaged})");
-        (report, heading, salvage_handle.map(|h| h.report()))
-    } else if salvage {
-        // Best-effort decode: corrupt blocks are skipped where provably
-        // safe, the suffix is dropped where it is not, and detection runs
-        // on what survived.
-        let (log, sreport) = read_log_salvage(file);
-        let report = detect_materialized(&log)?;
-        (report, format!("{} records (salvaged)", log.len()), Some(sreport))
-    } else {
-        // Auto-detecting chunked decoding: peak memory is the decoded log
-        // plus one encoded chunk, whichever the on-disk format.
-        let log = read_log_auto(file).map_err(|e| format!("read {path}: {e}"))?;
-        let report = detect_materialized(&log)?;
-        (report, format!("{} records", log.len()), None)
-    };
-    literace::telemetry::trace_end("phase.detect");
+            .map_err(|e| format!("{path}: {e}"))?
+        } else {
+            detect_stream_from(blocks, non_stack, &cfg, resume_cp.as_ref())
+                .map_err(|e| format!("read {path}: {e}"))?
+        })
+    })?;
+    let salvaged = if salvage.is_some() { ", salvaged" } else { "" };
+    let heading = format!("{format} log (streamed{salvaged})");
+    let salvage_report = salvage.map(|h| h.report());
     telemetry.finish()?;
     println!(
         "{}: {}, {} static races ({} dynamic)",
@@ -837,9 +764,14 @@ pub fn checkpoint(args: &[String]) -> ExitCode {
     }
 }
 
+const CHECKPOINT: Spec = Spec {
+    values: &["in"],
+    switches: &[],
+};
+
 fn checkpoint_inner(args: &[String]) -> Result<(), CliError> {
     use literace::detector::Checkpoint;
-    let flags = crate::args::Flags::parse(args)?;
+    let flags = Flags::parse(args, &CHECKPOINT)?;
     let path = flags.require("in")?;
     let on_disk = std::fs::metadata(path)
         .map_err(CliError::io("cannot open", path))?
@@ -888,21 +820,28 @@ pub fn explain(args: &[String]) -> ExitCode {
     }
 }
 
+const EXPLAIN: Spec = Spec {
+    values: &["workload", "seed", "scale", "sampler", "race", "log", "non-stack"],
+    switches: &[],
+};
+
 fn explain_inner(args: &[String]) -> Result<(), CliError> {
-    use literace::detector::HbDetector;
-    let flags = crate::args::Flags::parse(args)?;
+    let flags = Flags::parse(args, &EXPLAIN)?;
     let race_filter: usize = flags.get_parsed("race", 0)?;
-    // Either mode yields (log, non_stack, heading, program-for-names);
-    // detection itself is always the sequential core with capture on —
+    // Detection is always the sequential core with capture on —
     // provenance rides alongside the report and never changes it, so the
-    // race set matches `run`/`detect` on the same input exactly.
-    let (log, non_stack, heading, program) = match (flags.get("log"), flags.get("workload")) {
+    // race set matches `run`/`detect` on the same input exactly. Either
+    // mode feeds it and yields (non_stack, heading, program-for-names).
+    let mut det = HbDetector::new();
+    det.enable_provenance();
+    let (non_stack, heading, program) = match (flags.get("log"), flags.get("workload")) {
         (Some(_), Some(_)) => return Err("--log conflicts with --workload".into()),
         (Some(path), None) => {
             let non_stack: u64 = flags.get_parsed("non-stack", 0)?;
-            let file = File::open(path).map_err(CliError::io("cannot open", path))?;
-            let log = read_log_auto(file).map_err(|e| format!("read {path}: {e}"))?;
-            (log, non_stack, path.to_owned(), None)
+            // `explain` takes no --decode-threads: the default pool.
+            let (mut blocks, _) = open_log(path, false, parse_decode_opts(&flags, 1)?)?;
+            for_each_record(&mut blocks, path, |r| det.process(r))?;
+            (non_stack, path.to_owned(), None)
         }
         (None, Some(name)) => {
             let id = parse_workload(name)?;
@@ -914,20 +853,13 @@ fn explain_inner(args: &[String]) -> Result<(), CliError> {
             let outcome =
                 run_literace(&w.program, sampler, &cfg).map_err(|e| e.to_string())?;
             let heading = format!("{id} ({:?} scale, seed {seed}, {})", scale, sampler.short_name());
-            (
-                outcome.instrumented.log,
-                outcome.summary.non_stack_accesses,
-                heading,
-                Some(w.program),
-            )
+            det.process_log(&outcome.instrumented.log);
+            (outcome.summary.non_stack_accesses, heading, Some(w.program))
         }
         (None, None) => {
             return Err("explain needs --workload <name> or --log <file>".into())
         }
     };
-    let mut det = HbDetector::new();
-    det.enable_provenance();
-    det.process_log(&log);
     let (report, provenance) = det.finish_full(non_stack);
     let provenance = provenance.expect("provenance was enabled");
     println!(
@@ -977,9 +909,14 @@ pub fn inspect(args: &[String]) -> ExitCode {
     }
 }
 
+const INSPECT: Spec = Spec {
+    values: &["workload", "scale", "function"],
+    switches: &[],
+};
+
 fn inspect_inner(args: &[String]) -> Result<(), CliError> {
     use literace::sim::{disasm, lower, FuncId};
-    let flags = crate::args::Flags::parse(args)?;
+    let flags = Flags::parse(args, &INSPECT)?;
     let id = parse_workload(flags.require("workload")?)?;
     let scale = parse_scale(&flags)?;
     let w = build(id, scale);
@@ -1019,11 +956,16 @@ pub fn trace(args: &[String]) -> ExitCode {
     }
 }
 
+const TRACE: Spec = Spec {
+    values: &["in", "top", "workload", "scale", "seed", "limit"],
+    switches: &[],
+};
+
 fn trace_inner(args: &[String]) -> Result<(), CliError> {
     use literace::sim::{
         lower, ChunkedRandomScheduler, Event, Machine, MachineConfig, Observer,
     };
-    let flags = crate::args::Flags::parse(args)?;
+    let flags = Flags::parse(args, &TRACE)?;
     if let Some(path) = flags.get("in") {
         // Summary mode: validate a --trace-out file with the strict
         // trace-event parser and print the per-track attribution table.
@@ -1099,41 +1041,30 @@ pub fn log_stats(args: &[String]) -> ExitCode {
     }
 }
 
+const LOG_STATS: Spec = Spec {
+    values: &["log", "decode-threads", "metrics-out", "trace-out"],
+    switches: &["salvage"],
+};
+
 fn log_stats_inner(args: &[String]) -> Result<(), CliError> {
-    let flags = crate::args::Flags::parse_with_switches(args, &["salvage"])?;
+    let flags = Flags::parse(args, &LOG_STATS)?;
     let path = flags.require("log")?;
     let decode_opts = parse_decode_opts(&flags, 0)?;
     let telemetry = Telemetry::from_flags(&flags);
     let on_disk = std::fs::metadata(path)
         .map_err(CliError::io("cannot open", path))?
         .len();
-    let file = File::open(path).map_err(CliError::io("cannot open", path))?;
-    let (format, seal, log, salvage_note) = if flags.is_set("salvage") {
-        // The reader detect --salvage uses: the same report at every
-        // --decode-threads.
-        let (blocks, handle) = RecordStream::spawn_salvage_with(file, decode_opts)
-            .map_err(|e| format!("read {path}: {e}"))?;
-        let mut log = EventLog::new();
-        for block in blocks {
-            log.extend(block.map_err(|e| format!("read {path}: {e}"))?);
-        }
-        let sreport = handle.report();
-        let format = sreport
-            .format
-            .map_or_else(|| "unknown".to_owned(), |f| f.to_string());
-        (format, sreport.seal, log, Some(sreport.to_string()))
-    } else {
-        drop(file);
-        let mut blocks = spawn_log_stream(path, decode_opts)?;
-        let format = blocks.format();
-        let mut log = EventLog::new();
-        for block in blocks.by_ref() {
-            log.extend(block.map_err(|e| format!("read {path}: {e}"))?);
-        }
-        (format.to_string(), blocks.seal_state(), log, None)
-    };
-    let stats = LogStats::of(&log);
-    let per_thread = LogStats::per_thread(&log);
+    // The reader detect uses, strict or salvage: the same numbers at
+    // every --decode-threads, counted as the records stream by.
+    let (mut blocks, salvage) = open_log(path, flags.is_set("salvage"), decode_opts)?;
+    let mut stats = LogStats::default();
+    let mut per_thread = Vec::new();
+    for_each_record(&mut blocks, path, |r| {
+        stats.add(r);
+        LogStats::add_by_thread(&mut per_thread, r);
+    })?;
+    let (format, seal) = (blocks.format(), blocks.seal_state());
+    let salvage_note = salvage.map(|h| h.report().to_string());
     if literace::telemetry::enabled() {
         let m = literace::telemetry::metrics();
         for (i, t) in per_thread.iter().enumerate() {
@@ -1181,8 +1112,13 @@ pub fn metrics_cmd(args: &[String]) -> ExitCode {
     }
 }
 
+const METRICS: Spec = Spec {
+    values: &["in", "workload", "scale", "seed", "threads", "format", "out"],
+    switches: &["validate"],
+};
+
 fn metrics_inner(args: &[String]) -> Result<(), CliError> {
-    let flags = crate::args::Flags::parse_with_switches(args, &["validate"])?;
+    let flags = Flags::parse(args, &METRICS)?;
     let snap = match flags.get("in") {
         Some(path) => {
             let text = std::fs::read_to_string(path)
@@ -1242,7 +1178,6 @@ fn metrics_inner(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::args::Flags;
 
     #[test]
     fn workload_names_resolve() {
@@ -1253,11 +1188,11 @@ mod tests {
 
     #[test]
     fn scale_parsing_defaults_to_smoke() {
-        let f = Flags::parse(&[]).unwrap();
+        let f = Flags::parse(&[], &RUN).unwrap();
         assert_eq!(parse_scale(&f).unwrap(), Scale::Smoke);
-        let f = Flags::parse(&["--scale".into(), "paper".into()]).unwrap();
+        let f = Flags::parse(&["--scale".into(), "paper".into()], &RUN).unwrap();
         assert_eq!(parse_scale(&f).unwrap(), Scale::Paper);
-        let f = Flags::parse(&["--scale".into(), "huge".into()]).unwrap();
+        let f = Flags::parse(&["--scale".into(), "huge".into()], &RUN).unwrap();
         assert!(parse_scale(&f).is_err());
     }
 
@@ -1310,20 +1245,20 @@ mod tests {
 
     #[test]
     fn encode_opts_parse_and_validate() {
-        let f = Flags::parse(&[]).unwrap();
+        let f = Flags::parse(&[], &RUN).unwrap();
         assert_eq!(parse_encode_opts(&f).unwrap(), EncodeOpts::default());
-        let f = Flags::parse(&["--encode-threads".into(), "3".into()]).unwrap();
+        let f = Flags::parse(&["--encode-threads".into(), "3".into()], &RUN).unwrap();
         let opts = parse_encode_opts(&f).unwrap();
-        assert_eq!(opts.threads, 3);
-        let f = Flags::parse(&["--encode-threads".into(), "auto".into()]).unwrap();
+        assert_eq!(opts, EncodeOpts::with_threads(3));
+        let f = Flags::parse(&["--encode-threads".into(), "auto".into()], &RUN).unwrap();
         assert!(parse_encode_opts(&f).unwrap().threads >= 1);
-        let f = Flags::parse(&["--block-records".into(), "512".into()]).unwrap();
-        let opts = parse_encode_opts(&f).unwrap();
-        assert_eq!((opts.threads, opts.block_records), (0, 512));
-        let f = Flags::parse(&["--encode-threads".into(), "0".into()]).unwrap();
+        let f = Flags::parse(&["--encode-threads".into(), "0".into()], &RUN).unwrap();
         assert!(parse_encode_opts(&f).is_err());
-        let f = Flags::parse(&["--block-records".into(), "x".into()]).unwrap();
+        let f = Flags::parse(&["--encode-threads".into(), "x".into()], &RUN).unwrap();
         assert!(parse_encode_opts(&f).is_err());
+        // The block size is not a flag: the writer's default is the one
+        // the reader's memory bound is sized for.
+        assert!(Flags::parse(&["--block-records".into(), "512".into()], &RUN).is_err());
     }
 
     #[test]
@@ -1338,20 +1273,19 @@ mod tests {
         let stale = dir.join("literace_cli_pipelined_test.lrlog.partial");
         std::fs::write(&stale, b"torn").unwrap();
         let run_args = sv(&[
-            "--workload", "lflist", "--seed", "2", "--streaming",
-            "--log", &path_s, "--encode-threads", "2", "--block-records", "256",
+            "--workload", "lflist", "--seed", "2",
+            "--log", &path_s, "--encode-threads", "2",
         ]);
         assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
         assert!(!stale.exists(), "stale partial must be swept on run --log");
         // The pipelined log re-detects like any other v2 log.
         let detect_args = sv(&["--log", &path_s, "--non-stack", "100"]);
         assert_eq!(detect(&detect_args), std::process::ExitCode::SUCCESS);
-        // Also exercised without --streaming (materialize, then encode).
-        let run_args = sv(&[
-            "--workload", "lflist", "--seed", "2",
-            "--log", &path_s, "--encode-threads", "2",
-        ]);
+        // Encoding on the run's own thread writes the same bytes.
+        let pooled = std::fs::read(&path).unwrap();
+        let run_args = sv(&["--workload", "lflist", "--seed", "2", "--log", &path_s]);
         assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
+        assert!(std::fs::read(&path).unwrap() == pooled, "bytes depend on --encode-threads");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1405,9 +1339,9 @@ mod tests {
 
     #[test]
     fn v1_format_and_streaming_round_trip() {
-        // run --format v1 writes the legacy format; run --streaming --log
-        // writes v2 without materializing; detect handles both, with and
-        // without --streaming (formats are auto-detected).
+        // run --log streams either format to disk without materializing;
+        // detect streams both back, with either detector (formats are
+        // auto-detected).
         let dir = std::env::temp_dir();
         let v1 = dir.join("literace_cli_v1_test.lrlog");
         let v2 = dir.join("literace_cli_v2_stream_test.lrlog");
@@ -1421,8 +1355,7 @@ mod tests {
         ]);
         assert_eq!(run(&run_v1), std::process::ExitCode::SUCCESS);
         let run_v2 = sv(&[
-            "--workload", "lflist", "--seed", "2", "--streaming", "--threads", "2",
-            "--log", &v2_s,
+            "--workload", "lflist", "--seed", "2", "--threads", "2", "--log", &v2_s,
         ]);
         assert_eq!(run(&run_v2), std::process::ExitCode::SUCCESS);
         // v2 must be the smaller encoding of the identical record stream.
@@ -1437,7 +1370,7 @@ mod tests {
                 std::process::ExitCode::SUCCESS
             );
             assert_eq!(
-                detect(&sv(&["--log", path, "--streaming", "--threads", "2"])),
+                detect(&sv(&["--log", path, "--detector", "lockset"])),
                 std::process::ExitCode::SUCCESS
             );
             assert_eq!(
@@ -1445,8 +1378,9 @@ mod tests {
                 std::process::ExitCode::SUCCESS
             );
         }
+        // --streaming is no flag: every read streams.
         assert_eq!(
-            detect(&sv(&["--log", &v2_s, "--streaming", "--detector", "lockset"])),
+            detect(&sv(&["--log", &v2_s, "--streaming"])),
             std::process::ExitCode::FAILURE
         );
         let bad_format = sv(&["--workload", "lflist", "--format", "v3"]);
@@ -1456,9 +1390,9 @@ mod tests {
     }
 
     #[test]
-    fn streaming_run_without_log_uses_in_memory_blocks() {
+    fn run_without_log_detects_in_memory() {
         let args: Vec<String> =
-            ["--workload", "lflist", "--seed", "2", "--streaming", "--threads", "2"]
+            ["--workload", "lflist", "--seed", "2", "--threads", "2"]
                 .iter()
                 .map(|s| (*s).to_string())
                 .collect();
@@ -1496,7 +1430,7 @@ mod tests {
         let log_s = log.to_str().unwrap().to_string();
         let json_s = json.to_str().unwrap().to_string();
         let args: Vec<String> = [
-            "--workload", "lflist", "--seed", "2", "--streaming", "--threads", "2",
+            "--workload", "lflist", "--seed", "2", "--threads", "2",
             "--log", &log_s, "--metrics-out", &json_s,
         ]
         .iter()
@@ -1514,8 +1448,8 @@ mod tests {
     fn salvage_flag_recovers_a_truncated_log() {
         // Write a clean v2 log, truncate a copy mid-stream: plain detect
         // and log-stats must fail on the torn file, --salvage must
-        // succeed on it (materialized and streaming), and the intact
-        // original must still detect cleanly.
+        // succeed on it (at one and two shards), and the intact original
+        // must still detect cleanly.
         let dir = std::env::temp_dir();
         let clean = dir.join("literace_cli_salvage_clean.lrlog");
         let torn = dir.join("literace_cli_salvage_torn.lrlog");
@@ -1543,7 +1477,7 @@ mod tests {
             std::process::ExitCode::SUCCESS
         );
         assert_eq!(
-            detect(&sv(&["--log", &torn_s, "--salvage", "--streaming", "--threads", "2"])),
+            detect(&sv(&["--log", &torn_s, "--salvage", "--threads", "2"])),
             std::process::ExitCode::SUCCESS
         );
         assert_eq!(
@@ -1566,8 +1500,8 @@ mod tests {
     #[test]
     fn decode_pool_flags_cover_every_reader() {
         // --decode-threads ≥ 2 routes detect, log-stats, and salvage
-        // through the parallel pool; --no-streaming forces the
-        // materialized path; conflicting or malformed flags fail.
+        // through the parallel pool, for either detector; malformed
+        // values and the retired stream flags fail.
         let dir = std::env::temp_dir();
         let clean = dir.join("literace_cli_pool_clean.lrlog");
         let torn = dir.join("literace_cli_pool_torn.lrlog");
@@ -1583,9 +1517,9 @@ mod tests {
 
         for extra in [
             &["--decode-threads", "2"][..],
-            &["--decode-threads", "4", "--stream-depth", "3"][..],
+            &["--decode-threads", "4"][..],
             &["--decode-threads", "auto"][..],
-            &["--no-streaming"][..],
+            &["--decode-threads", "2", "--detector", "lockset"][..],
         ] {
             let mut args = sv(&["--log", &clean_s]);
             args.extend(sv(extra));
@@ -1623,9 +1557,9 @@ mod tests {
     #[test]
     fn checkpoint_round_trip_through_the_cli() {
         // detect --checkpoint-out seals resumable state; checkpoint --in
-        // inspects it; detect --resume-from continues from it on the
-        // sequential, sharded, and streaming paths. A stale .partial from
-        // a crashed save is swept, and a torn checkpoint fails cleanly.
+        // inspects it; detect --resume-from continues from it at one and
+        // four shards. A stale .partial from a crashed save is swept, and
+        // a torn checkpoint fails cleanly.
         let dir = std::env::temp_dir();
         let log = dir.join("literace_cli_checkpoint_test.lrlog");
         let state = dir.join("literace_cli_checkpoint_test.lrcp");
@@ -1650,23 +1584,20 @@ mod tests {
             checkpoint(&sv(&["--in", &state_s])),
             std::process::ExitCode::SUCCESS
         );
-        // The final checkpoint covers the whole log: resuming it against
-        // the same log's remaining records (none, when detect re-reads the
-        // full file the resume driver skips nothing — so resume against
-        // the full log is only valid for a mid-stream checkpoint; here we
-        // simply check the resume plumbing succeeds at every shard count).
+        // The final checkpoint covers the whole log, so the records after
+        // it are none: resume over an empty log. (Resuming over a suffix
+        // is checked against the one-shot report in cli_roundtrip.rs.)
+        let empty = dir.join("literace_cli_checkpoint_test_empty.lrlog");
+        std::fs::write(&empty, b"").unwrap();
+        let empty_s = empty.to_str().unwrap().to_string();
         for threads in ["1", "4"] {
             let resume_args = sv(&[
-                "--log", &log_s, "--non-stack", "100", "--threads", threads,
+                "--log", &empty_s, "--non-stack", "100", "--threads", threads,
                 "--resume-from", &state_s,
             ]);
             assert_eq!(detect(&resume_args), std::process::ExitCode::SUCCESS);
-            let materialized = sv(&[
-                "--log", &log_s, "--non-stack", "100", "--threads", threads,
-                "--no-streaming", "--resume-from", &state_s,
-            ]);
-            assert_eq!(detect(&materialized), std::process::ExitCode::SUCCESS);
         }
+        let _ = std::fs::remove_file(&empty);
         // A torn checkpoint is a typed failure for both consumers.
         let bytes = std::fs::read(&state).unwrap();
         std::fs::write(&state, &bytes[..bytes.len() - 3]).unwrap();

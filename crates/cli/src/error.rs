@@ -7,6 +7,8 @@
 
 use std::fmt;
 
+use crate::args::FlagError;
+
 /// Why a CLI command failed.
 #[derive(Debug)]
 pub enum CliError {
@@ -52,6 +54,12 @@ impl std::error::Error for CliError {
             CliError::Io { source, .. } => Some(source),
             CliError::Msg(_) => None,
         }
+    }
+}
+
+impl From<FlagError> for CliError {
+    fn from(e: FlagError) -> CliError {
+        CliError::Msg(e.to_string())
     }
 }
 

@@ -24,7 +24,7 @@ use std::process::ExitCode;
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match argv.first().map(String::as_str) {
-        Some("workloads") => commands::workloads(),
+        Some("workloads") => commands::workloads(&argv[1..]),
         Some("run") => commands::run(&argv[1..]),
         Some("eval") => commands::eval(&argv[1..]),
         Some("overhead") => commands::overhead(&argv[1..]),

@@ -2,8 +2,44 @@
 
 use std::process::Command;
 
+use literace::detector::{detect_lockset, HbDetector, RaceReport};
+use literace::log::{encode_v2, read_log_auto, read_log_salvage, EventLog, LogStats};
+use literace::tables::Table;
+
 fn literace() -> Command {
     Command::new(env!("CARGO_BIN_EXE_literace"))
+}
+
+/// A detect printout's race lines plus its heading's static/dynamic
+/// counts: what must match across detect paths whose heading's source
+/// part (e.g. "v2 log (streamed)") may differ.
+fn race_lines(text: &str) -> Vec<String> {
+    text.lines()
+        .filter_map(|l| match l.rsplit_once(", ") {
+            _ if l.starts_with("  race ") => Some(l.to_string()),
+            Some((_, counts)) if counts.contains("static races") => Some(counts.to_string()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// [`race_lines`] of a report as `detect` prints it.
+fn report_lines(report: &RaceReport) -> Vec<String> {
+    let mut lines: Vec<String> = report.static_races.iter().map(|r| format!("  {r}")).collect();
+    lines.insert(
+        0,
+        format!("{} static races ({} dynamic)", report.static_count(), report.dynamic_races),
+    );
+    lines
+}
+
+/// Writes a Full-sampler lflist log (smoke scale) to `log`.
+fn write_full_lflist_log(log: &str) {
+    stdout_of({
+        let mut c = literace();
+        c.args(["run", "--workload", "lflist", "--sampler", "Full", "--log", log]);
+        c
+    });
 }
 
 fn stdout_of(mut cmd: Command) -> String {
@@ -114,11 +150,13 @@ fn trace_out_emits_a_valid_chrome_trace_and_summarizes() {
     let text = std::fs::read_to_string(&run_trace).unwrap();
     let summary = literace::telemetry::validate_chrome_trace(&text).expect("valid trace");
     assert!(summary.total_events > 0);
-    assert!(
-        summary.top_spans.iter().any(|s| s.name == "phase.execute"),
-        "spans: {:?}",
-        summary.top_spans.iter().map(|s| &s.name).collect::<Vec<_>>()
-    );
+    for phase in ["phase.execute", "phase.detect"] {
+        assert!(
+            summary.top_spans.iter().any(|s| s.name == phase),
+            "{phase} missing from spans: {:?}",
+            summary.top_spans.iter().map(|s| &s.name).collect::<Vec<_>>()
+        );
+    }
 
     // A traced sharded detect over the written log.
     let baseline = stdout_of({
@@ -300,17 +338,6 @@ fn detect_clamps_a_huge_thread_count_instead_of_aborting() {
         c.args(["run", "--workload", "lflist", "--scale", "smoke", "--log", log]);
         c
     });
-    // Race lines plus the heading's counts; the heading's source part
-    // ("v2 log (streamed)" vs "N records") differs by design.
-    let races = |text: &str| -> Vec<String> {
-        text.lines()
-            .filter_map(|l| match l.split_once(", ") {
-                _ if l.starts_with("  race ") => Some(l.to_string()),
-                Some((_, counts)) if counts.contains("static races") => Some(counts.to_string()),
-                _ => None,
-            })
-            .collect()
-    };
     let sequential = stdout_of({
         let mut c = literace();
         c.args(["detect", "--log", log]);
@@ -319,14 +346,12 @@ fn detect_clamps_a_huge_thread_count_instead_of_aborting() {
     assert!(sequential.contains("static races"), "{sequential}");
     // One OS thread per shard: 70000 shards would exhaust the process,
     // so the engine runs at most 64 and the report is unchanged.
-    for extra in [&[][..], &["--no-streaming"][..]] {
-        let sharded = stdout_of({
-            let mut c = literace();
-            c.args(["detect", "--log", log, "--threads", "70000"]).args(extra);
-            c
-        });
-        assert_eq!(races(&sharded), races(&sequential), "{extra:?}");
-    }
+    let sharded = stdout_of({
+        let mut c = literace();
+        c.args(["detect", "--log", log, "--threads", "70000"]);
+        c
+    });
+    assert_eq!(race_lines(&sharded), race_lines(&sequential));
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -363,5 +388,200 @@ fn log_stats_is_identical_at_one_and_two_decode_threads() {
     assert!(!one.status.success() && !two.status.success());
     assert!(!one.stderr.is_empty());
     assert_eq!(one.stderr, two.stderr);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn resume_on_the_suffix_reproduces_the_one_shot_report() {
+    // A checkpoint covers the records before it, so --resume-from takes
+    // the records after it: cut a log into prefix and suffix files,
+    // checkpoint the prefix, resume on the suffix.
+    let dir = std::env::temp_dir().join(format!("literace_cli_suffix_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (full, prefix, suffix, state) =
+        (path("full.lrlog"), path("prefix.lrlog"), path("suffix.lrlog"), path("state.lrcp"));
+    write_full_lflist_log(&full);
+    let log = read_log_auto(std::fs::File::open(&full).unwrap()).unwrap();
+    let (head, tail) = log.records().split_at(log.len() / 2);
+    std::fs::write(&prefix, encode_v2(head)).unwrap();
+    std::fs::write(&suffix, encode_v2(tail)).unwrap();
+    let detect = |log: &str, extra: &[&str]| {
+        stdout_of({
+            let mut c = literace();
+            c.args(["detect", "--log", log, "--non-stack", "100000"]).args(extra);
+            c
+        })
+    };
+    // The race lines, the static/dynamic counts and the rare/frequent
+    // split.
+    let report = |text: &str| {
+        let mut lines = race_lines(text);
+        lines.extend(text.lines().filter(|l| l.starts_with("rare: ")).map(str::to_owned));
+        lines
+    };
+    let one_shot = report(&detect(&full, &[]));
+    assert!(one_shot.len() >= 3, "{one_shot:?}");
+    detect(&prefix, &["--checkpoint-out", &state]);
+    for threads in ["1", "2", "4"] {
+        let resumed = detect(&suffix, &["--resume-from", &state, "--threads", threads]);
+        assert!(resumed.contains("resumed:"), "{resumed}");
+        assert_eq!(report(&resumed), one_shot, "--threads {threads}");
+    }
+    // Resuming over the whole log counts the prefix twice.
+    let twice = detect(&full, &["--resume-from", &state]);
+    assert_ne!(report(&twice), one_shot);
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn unknown_flags_fail_and_list_the_accepted_ones() {
+    let dir = std::env::temp_dir().join(format!("literace_cli_flags_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let log = dir.join("run.lrlog");
+    let log = log.to_str().unwrap();
+    write_full_lflist_log(log);
+    for (args, name, accepted) in [
+        (
+            &["detect", "--log", log, "--thread", "4", "--bogus-flag", "x"][..],
+            "thread",
+            "--threads",
+        ),
+        (&["run", "--workload", "lflist", "--sed", "5"][..], "sed", "--seed"),
+        // The retired tuning flags fail loudly instead of being ignored.
+        (&["run", "--workload", "lflist", "--log", log, "--streaming"][..], "streaming", "--log"),
+        (&["detect", "--log", log, "--no-streaming"][..], "no-streaming", "--salvage"),
+        (
+            &["detect", "--log", log, "--stream-depth", "3"][..],
+            "stream-depth",
+            "--decode-threads",
+        ),
+        (&["log-stats", "--log", log, "--stream-depth", "3"][..], "stream-depth", "--salvage"),
+        (
+            &["run", "--workload", "lflist", "--log", log, "--block-records", "512"][..],
+            "block-records",
+            "--encode-threads",
+        ),
+        (&["workloads", "--all"][..], "all", "takes no flags"),
+    ] {
+        let out = literace().args(args).output().unwrap();
+        assert!(!out.status.success(), "{args:?} was accepted");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(&format!("unknown flag --{name} (")), "{args:?}: {stderr}");
+        assert!(stderr.contains(accepted), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// What `explain --log` prints for `log`, computed over the materialized
+/// log with the sequential detector and provenance on.
+fn explained(path: &str, log: &EventLog, non_stack: u64) -> String {
+    let mut det = HbDetector::new();
+    det.enable_provenance();
+    det.process_log(log);
+    let (report, provenance) = det.finish_full(non_stack);
+    let provenance = provenance.unwrap();
+    let mut out = format!(
+        "{path}: {} static races ({} dynamic)\n",
+        report.static_count(),
+        report.dynamic_races
+    );
+    for (i, r) in report.static_races.iter().enumerate() {
+        out += &format!(
+            "\nrace {}: {} ↔ {} ({} occurrences, {} addresses)\n",
+            i + 1,
+            r.pcs.0,
+            r.pcs.1,
+            r.count,
+            r.distinct_addrs
+        );
+        out += &match provenance.find(r.pcs) {
+            Some(e) => format!("{e}\n"),
+            None => "  (no evidence captured for this pair)\n".to_owned(),
+        };
+    }
+    out
+}
+
+/// The `log-stats` lines that carry counts, computed over the
+/// materialized log.
+fn stats_lines(log: &EventLog) -> Vec<String> {
+    let s = LogStats::of(log);
+    let mut t = Table::new(
+        "per-thread breakdown",
+        &["thread", "records", "memory", "sync", "markers"],
+    );
+    for (i, row) in LogStats::per_thread(log).iter().enumerate() {
+        t.row(vec![
+            format!("t{i}"),
+            row.records.to_string(),
+            row.mem_records.to_string(),
+            row.sync_records.to_string(),
+            row.marker_records.to_string(),
+        ]);
+    }
+    vec![
+        format!("  records          : {}", s.records),
+        format!("  memory accesses  : {}", s.mem_records),
+        format!("  synchronization  : {}", s.sync_records),
+        format!("  thread markers   : {}", s.marker_records),
+        format!("  size as v1       : {} bytes", s.bytes),
+        format!("{t}"),
+    ]
+}
+
+#[test]
+fn streamed_consumers_match_the_materialized_log() {
+    // detect --detector lockset, log-stats and explain --log fold the
+    // decoded blocks as they stream; each must print what its detector
+    // or counter computes over the whole decoded log, on a clean log and
+    // (with --salvage, where the command takes it) on a torn one.
+    let dir = std::env::temp_dir().join(format!("literace_cli_folds_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let clean = dir.join("clean.lrlog");
+    let torn = dir.join("torn.lrlog");
+    let (clean, torn) = (clean.to_str().unwrap(), torn.to_str().unwrap());
+    write_full_lflist_log(clean);
+    let bytes = std::fs::read(clean).unwrap();
+    std::fs::write(torn, &bytes[..bytes.len() * 2 / 3]).unwrap();
+    let non_stack = 100_000;
+    let run = |args: &[&str]| {
+        stdout_of({
+            let mut c = literace();
+            c.args(args);
+            c
+        })
+    };
+    let salvaged = read_log_salvage(std::fs::File::open(torn).unwrap()).0;
+    let materialized = read_log_auto(std::fs::File::open(clean).unwrap()).unwrap();
+    assert!(salvaged.len() < materialized.len());
+    for (path, log, salvage) in [
+        (clean, &materialized, &[][..]),
+        (torn, &salvaged, &["--salvage"][..]),
+    ] {
+        for threads in ["1", "2"] {
+            let extra = [salvage, &["--decode-threads", threads]].concat();
+            let lockset = run(
+                &[
+                    &["detect", "--log", path, "--detector", "lockset", "--non-stack", "100000"][..],
+                    &extra,
+                ]
+                .concat(),
+            );
+            let expected = report_lines(&detect_lockset(log, non_stack));
+            assert_eq!(race_lines(&lockset), expected, "{path}");
+            let stats = run(&[&["log-stats", "--log", path][..], &extra].concat());
+            for line in stats_lines(log) {
+                assert!(stats.contains(&line), "{path}: missing {line:?} in\n{stats}");
+            }
+        }
+    }
+    let explain = run(&["explain", "--log", clean, "--non-stack", "100000"]);
+    assert_eq!(explain, explained(clean, &materialized, non_stack));
+    // explain reads strictly, as read_log_auto does: a torn log fails.
+    assert!(read_log_auto(std::fs::File::open(torn).unwrap()).is_err());
+    let out = literace().args(["explain", "--log", torn]).output().unwrap();
+    assert!(!out.status.success() && out.stdout.is_empty());
     std::fs::remove_dir_all(&dir).unwrap();
 }

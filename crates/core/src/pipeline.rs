@@ -131,17 +131,23 @@ pub(crate) fn runs_behind_prefilter(sampler: SamplerKind, base: &InstrumentConfi
     base.prefilter.is_some() || (sampler.needs_prefilter() && base.sync_logging)
 }
 
+/// Runs `detect` as the pipeline's detect phase: timed into the
+/// `phase.detect` stats and traced as the `phase.detect` span.
+pub fn detect_phase<T>(detect: impl FnOnce() -> T) -> T {
+    let _span = literace_telemetry::metrics().phase_detect.span();
+    literace_telemetry::trace_begin("phase.detect");
+    let out = detect();
+    literace_telemetry::trace_end("phase.detect");
+    out
+}
+
 /// Detects over an in-memory log, timed as the pipeline's detect phase.
 pub(crate) fn detect_event_log(
     log: &EventLog,
     non_stack_accesses: u64,
     cfg: &DetectConfig,
 ) -> RaceReport {
-    let _span = literace_telemetry::metrics().phase_detect.span();
-    literace_telemetry::trace_begin("phase.detect");
-    let report = detect_sharded(log, non_stack_accesses, cfg);
-    literace_telemetry::trace_end("phase.detect");
-    report
+    detect_phase(|| detect_sharded(log, non_stack_accesses, cfg))
 }
 
 /// Runs instrumentation and execution, emitting records into `sink` as
@@ -149,7 +155,7 @@ pub(crate) fn detect_event_log(
 /// over a file, the event log streams to disk in compact v2 blocks and is
 /// never materialized in memory. No detection is performed; callers
 /// typically re-open the written log and stream-detect it (see the
-/// `literace run --streaming` command).
+/// `literace run --log` command).
 ///
 /// # Errors
 ///

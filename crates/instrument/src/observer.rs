@@ -25,22 +25,6 @@
 //! mask is non-empty; the marked run ([`Instrumenter::marked`]) has up to
 //! 32 and logs every access with its mask, so the log is the ground truth
 //! and subset i is sampler i's production log on the same schedule.
-//!
-//! # Deferred sync timestamping
-//!
-//! Stamping a sync record means touching a shared counter bank — the
-//! §4.2 cache-line traffic that "Efficient Timestamping for
-//! Sampling-based Race Detection" argues must come off the monitored hot
-//! path. The observer therefore buffers every record in arrival order
-//! and resolves them in batches: memory accesses and thread markers are
-//! captured ready-made, sync operations are captured *without* a
-//! timestamp and stamped at the next batch boundary (every
-//! [`DEFER_BATCH`] records, and at [`finish`](Instrumenter::finish)).
-//! [`TimestampBank`] is order-deterministic — its state depends only on
-//! the sequence of `stamp(tid, var)` calls — so replaying the buffer in
-//! original order yields bit-identical timestamps, contention accounting
-//! and modeled costs to the old stamp-at-event path (pinned by the
-//! deferred-oracle proptest below).
 
 use std::collections::HashMap;
 
@@ -72,31 +56,6 @@ pub struct InstrumentOutput<L = EventLog> {
     pub contention_units_per_stamp: f64,
 }
 
-/// Records buffered between batch resolutions; the same size as the v2
-/// writer's default block (`DEFAULT_BLOCK_RECORDS`). A resolution only
-/// stamps the batch's sync records in order and hands the batch to the
-/// sink, which seals blocks on its own record count.
-const DEFER_BATCH: usize = 4096;
-
-/// A buffered record awaiting batch resolution. Sync operations are
-/// interleaved with ready records in one buffer so the global order —
-/// load-bearing for happens-before detection — survives deferral.
-#[derive(Debug)]
-enum Pending {
-    /// Fully materialized at capture (memory accesses, thread markers).
-    Ready(Record),
-    /// A sync operation captured without its timestamp; stamped when the
-    /// batch resolves.
-    Sync {
-        tid: ThreadId,
-        pc: Pc,
-        kind: SyncOpKind,
-        var: SyncVar,
-        /// Charges `alloc_sync` instead of `sync_log` at resolution.
-        alloc: bool,
-    },
-}
-
 #[derive(Debug)]
 struct FrameInfo {
     /// The samplers running this frame's instrumented copy.
@@ -126,9 +85,6 @@ pub struct Instrumenter<S, L = EventLog> {
     cfg: InstrumentConfig,
     bank: TimestampBank,
     log: L,
-    /// Arrival-order buffer of records awaiting batch resolution (see
-    /// the module docs on deferred sync timestamping).
-    pending: Vec<Pending>,
     frames: Vec<Vec<FrameInfo>>,
     stats: InstrStats,
     overhead: OverheadBreakdown,
@@ -194,7 +150,6 @@ impl<S: Sampler, L: RecordSink> Instrumenter<S, L> {
             cfg,
             bank,
             log,
-            pending: Vec::with_capacity(DEFER_BATCH),
             frames: Vec::new(),
             stats: InstrStats::default(),
             overhead: OverheadBreakdown::default(),
@@ -203,8 +158,7 @@ impl<S: Sampler, L: RecordSink> Instrumenter<S, L> {
     }
 
     /// Finishes the run, returning the log, overhead and statistics.
-    pub fn finish(mut self) -> InstrumentOutput<L> {
-        self.resolve_pending();
+    pub fn finish(self) -> InstrumentOutput<L> {
         if literace_telemetry::enabled() {
             let m = literace_telemetry::metrics();
             m.instrument_dispatch_checks.add(self.stats.dispatch_checks);
@@ -276,78 +230,38 @@ impl<S: Sampler, L: RecordSink> Instrumenter<S, L> {
         self.dispatch_by_thread[i][1] += u64::from(!mask.is_empty());
         mask
     }
-    /// Captures a sync operation on the hot path — no timestamp, no
-    /// counter-bank traffic; the stamp is issued at batch resolution.
+
+    /// Logs a sync operation: stamps it through the bank at the event and
+    /// charges its modeled cost.
     fn log_sync(&mut self, tid: ThreadId, pc: Pc, kind: SyncOpKind, var: SyncVar, alloc: bool) {
         if !self.cfg.sync_logging {
             return;
         }
-        self.defer(Pending::Sync {
+        let units_before = self.bank.contention_units;
+        let timestamp = self.bank.stamp(tid, var);
+        let transfer_units = self.bank.contention_units - units_before;
+        self.log.push(Record::Sync {
             tid,
             pc,
             kind,
             var,
-            alloc,
+            timestamp,
         });
-    }
-
-    /// Buffers one record, resolving the batch at the boundary.
-    fn defer(&mut self, p: Pending) {
-        self.pending.push(p);
-        if self.pending.len() >= DEFER_BATCH {
-            self.resolve_pending();
-        }
-    }
-
-    /// Batch resolution: replays the buffer in arrival order, stamping
-    /// sync records through the bank and charging their modeled costs.
-    /// The bank's state depends only on the `stamp` call sequence, so
-    /// in-order replay is bit-identical to stamping at event time.
-    fn resolve_pending(&mut self) {
-        literace_telemetry::trace_begin("instrument.resolve_batch");
-        let mut drained = std::mem::take(&mut self.pending);
-        for p in drained.drain(..) {
-            match p {
-                Pending::Ready(record) => self.log.push(record),
-                Pending::Sync {
-                    tid,
-                    pc,
-                    kind,
-                    var,
-                    alloc,
-                } => {
-                    let units_before = self.bank.contention_units;
-                    let timestamp = self.bank.stamp(tid, var);
-                    let transfer_units = self.bank.contention_units - units_before;
-                    self.log.push(Record::Sync {
-                        tid,
-                        pc,
-                        kind,
-                        var,
-                        timestamp,
-                    });
-                    self.stats.sync_records += 1;
-                    let base = if alloc {
-                        self.cfg.costs.alloc_sync
-                    } else {
-                        self.cfg.costs.sync_log
-                    };
-                    // A contended stamp pays one cache-line transfer,
-                    // however many threads are queued behind it (the
-                    // queueing itself is what the ablation's
-                    // `contention_units` metric measures).
-                    self.overhead.sync_logging += base
-                        + if transfer_units > 0 {
-                            self.cfg.costs.contended_stamp
-                        } else {
-                            0
-                        };
-                }
-            }
-        }
-        // Nothing is buffered during resolution; keep the allocation.
-        self.pending = drained;
-        literace_telemetry::trace_end("instrument.resolve_batch");
+        self.stats.sync_records += 1;
+        let base = if alloc {
+            self.cfg.costs.alloc_sync
+        } else {
+            self.cfg.costs.sync_log
+        };
+        // A contended stamp pays one cache-line transfer, however many
+        // threads are queued behind it (the queueing itself is what the
+        // ablation's `contention_units` metric measures).
+        self.overhead.sync_logging += base
+            + if transfer_units > 0 {
+                self.cfg.costs.contended_stamp
+            } else {
+                0
+            };
     }
 }
 
@@ -356,12 +270,12 @@ impl<S: Sampler, L: RecordSink> Observer for Instrumenter<S, L> {
         match *event {
             Event::ThreadStart { tid, .. } => {
                 if self.cfg.log_markers {
-                    self.defer(Pending::Ready(Record::ThreadBegin { tid }));
+                    self.log.push(Record::ThreadBegin { tid });
                 }
             }
             Event::ThreadExit { tid } => {
                 if self.cfg.log_markers {
-                    self.defer(Pending::Ready(Record::ThreadEnd { tid }));
+                    self.log.push(Record::ThreadEnd { tid });
                 }
             }
             Event::FunctionEntry { tid, func } => {
@@ -422,13 +336,13 @@ impl<S: Sampler, L: RecordSink> Observer for Instrumenter<S, L> {
                 }
                 if self.marked || !mask.is_empty() {
                     let is_write = matches!(event, Event::MemWrite { .. });
-                    self.defer(Pending::Ready(Record::Mem {
+                    self.log.push(Record::Mem {
                         tid,
                         pc,
                         addr,
                         is_write,
                         mask,
-                    }));
+                    });
                     self.stats.logged_mem += 1;
                     self.overhead.mem_logging += self.cfg.costs.mem_log;
                 }
@@ -646,11 +560,10 @@ mod tests {
         assert!(looped.stats.logged_mem >= 10);
     }
 
-    /// Replays the old stamp-at-event path over the produced log: a fresh
-    /// bank stamped in log order must reproduce every logged timestamp,
-    /// the modeled sync cost, and the contention statistics exactly —
-    /// deferral may not change a single bit of any of them.
-    fn assert_matches_inline_oracle(out: &InstrumentOutput, cfg: &InstrumentConfig) {
+    /// Replays the produced log through a fresh bank: stamping its sync
+    /// records in log order must reproduce every logged timestamp, the
+    /// modeled sync cost, and the contention statistics exactly.
+    fn assert_matches_fresh_bank_oracle(out: &InstrumentOutput, cfg: &InstrumentConfig) {
         let mut bank = TimestampBank::with_counters(cfg.timestamp_counters);
         let mut sync_cost = 0u64;
         let mut sync_records = 0u64;
@@ -665,7 +578,7 @@ mod tests {
             {
                 let before = bank.contention_units;
                 let ts = bank.stamp(*tid, *var);
-                assert_eq!(ts, *timestamp, "deferred stamp diverged on {var}");
+                assert_eq!(ts, *timestamp, "stamp diverged on {var}");
                 let base = if matches!(kind, SyncOpKind::AllocPage) {
                     cfg.costs.alloc_sync
                 } else {
@@ -686,44 +599,20 @@ mod tests {
     }
 
     #[test]
-    fn deferred_stamping_matches_the_inline_oracle() {
+    fn stamping_matches_the_fresh_bank_oracle() {
         let cfg = InstrumentConfig::default();
         let (out, _) = run(AlwaysSampler, cfg.clone(), racy_two_threads);
-        assert_matches_inline_oracle(&out, &cfg);
-    }
-
-    #[test]
-    fn deferred_stamping_survives_multiple_batch_resolutions() {
-        // > 3 * DEFER_BATCH sync records, so the buffer resolves several
-        // times mid-run, not only at finish().
-        let cfg = InstrumentConfig::default();
-        let (out, _) = run(AlwaysSampler, cfg.clone(), |b| {
-            let g = b.global_word("g");
-            let m = b.mutex("m");
-            b.entry_fn("main", move |f| {
-                f.loop_(8_000, |f| {
-                    f.lock(m);
-                    f.write(g);
-                    f.unlock(m);
-                });
-            });
-        });
-        assert!(
-            out.stats.sync_records as usize > 3 * DEFER_BATCH,
-            "program too small to cross batch boundaries: {}",
-            out.stats.sync_records
-        );
-        assert_matches_inline_oracle(&out, &cfg);
+        assert_matches_fresh_bank_oracle(&out, &cfg);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
-        /// Deferred resolution is bit-identical to inline stamping on
-        /// random programs, for both the paper bank and the degenerate
-        /// single-counter bank, and per-var monotonicity holds.
+        /// The fresh-bank oracle holds on random programs, for both the
+        /// paper bank and the degenerate single-counter bank, and per-var
+        /// monotonicity holds.
         #[test]
-        fn deferred_oracle_holds_on_random_programs(
+        fn fresh_bank_oracle_holds_on_random_programs(
             threads in 2usize..5,
             globals in 2u64..5,
             iters in 5u32..40,
@@ -776,7 +665,7 @@ mod tests {
                     }
                 });
             });
-            assert_matches_inline_oracle(&out, &cfg);
+            assert_matches_fresh_bank_oracle(&out, &cfg);
             let mut last: HashMap<u64, u64> = HashMap::new();
             for r in &out.log {
                 if let Record::Sync { var, timestamp, .. } = r {

@@ -66,7 +66,7 @@ pub use mmap::{map_or_read, mmap_supported};
 pub use record::{EventLog, Record, SamplerMask};
 pub use retry::{RetryPolicy, RetryReader};
 pub use salvage::{read_log_salvage, SalvageHandle, SalvageReport};
-pub use stats::{LogStats, ThreadLogStats};
+pub use stats::LogStats;
 pub use stream::{
     auto_stream_depth, read_log_auto, DecodeOpts, LogFormat, RecordBlocks, RecordStream,
     DEFAULT_STREAM_DEPTH, MAX_STREAM_DEPTH, V1_BLOCK_RECORDS,

@@ -25,19 +25,39 @@ pub struct LogStats {
 }
 
 impl LogStats {
+    /// Counts one record.
+    pub fn add(&mut self, r: &Record) {
+        self.records += 1;
+        self.bytes += encoded_len(r) as u64;
+        match r {
+            Record::Mem { .. } => self.mem_records += 1,
+            Record::Sync { .. } => self.sync_records += 1,
+            Record::ThreadBegin { .. } | Record::ThreadEnd { .. } => self.marker_records += 1,
+        }
+    }
+
+    /// Counts `r` into its thread's row of `rows`, indexed by thread id
+    /// (threads that never logged get zero rows).
+    pub fn add_by_thread(rows: &mut Vec<LogStats>, r: &Record) {
+        let i = r.tid().index();
+        if i >= rows.len() {
+            rows.resize(i + 1, LogStats::default());
+        }
+        rows[i].add(r);
+    }
+
     /// Computes statistics over a log.
     pub fn of(log: &EventLog) -> LogStats {
         let mut s = LogStats::default();
-        for r in log {
-            s.records += 1;
-            s.bytes += encoded_len(r) as u64;
-            match r {
-                Record::Mem { .. } => s.mem_records += 1,
-                Record::Sync { .. } => s.sync_records += 1,
-                Record::ThreadBegin { .. } | Record::ThreadEnd { .. } => s.marker_records += 1,
-            }
-        }
+        log.iter().for_each(|r| s.add(r));
         s
+    }
+
+    /// Per-thread statistics of a log (see [`add_by_thread`](LogStats::add_by_thread)).
+    pub fn per_thread(log: &EventLog) -> Vec<LogStats> {
+        let mut rows = Vec::new();
+        log.iter().for_each(|r| LogStats::add_by_thread(&mut rows, r));
+        rows
     }
 
     /// Log generation rate in MB/s given an execution time in seconds.
@@ -49,39 +69,6 @@ impl LogStats {
         }
         self.bytes as f64 / (1024.0 * 1024.0) / seconds
     }
-
-    /// Per-thread record counts and sync/memory breakdown, indexed by
-    /// thread id (threads that never logged get zero rows).
-    pub fn per_thread(log: &EventLog) -> Vec<ThreadLogStats> {
-        let mut out: Vec<ThreadLogStats> = Vec::new();
-        for r in log {
-            let i = r.tid().index();
-            if i >= out.len() {
-                out.resize(i + 1, ThreadLogStats::default());
-            }
-            let t = &mut out[i];
-            t.records += 1;
-            match r {
-                Record::Mem { .. } => t.mem_records += 1,
-                Record::Sync { .. } => t.sync_records += 1,
-                Record::ThreadBegin { .. } | Record::ThreadEnd { .. } => t.marker_records += 1,
-            }
-        }
-        out
-    }
-}
-
-/// One thread's slice of a log's composition (see [`LogStats::per_thread`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ThreadLogStats {
-    /// Records logged by this thread.
-    pub records: u64,
-    /// Memory-access records.
-    pub mem_records: u64,
-    /// Synchronization records.
-    pub sync_records: u64,
-    /// Thread marker records.
-    pub marker_records: u64,
 }
 
 #[cfg(test)]
@@ -145,7 +132,7 @@ mod tests {
         let per = LogStats::per_thread(&log);
         assert_eq!(per.len(), 3);
         assert_eq!(per[0].marker_records, 1);
-        assert_eq!(per[1], ThreadLogStats::default(), "gap thread is zeroed");
+        assert_eq!(per[1], LogStats::default(), "gap thread is zeroed");
         assert_eq!(per[2].records, 2);
         assert_eq!(per[2].mem_records, 1);
         assert_eq!(per[2].sync_records, 1);

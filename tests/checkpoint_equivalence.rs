@@ -28,7 +28,7 @@ use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Progr
 use literace::workloads::synthetic::{racy, SyntheticConfig};
 use proptest::prelude::*;
 
-/// Records per streamed block — the granularity `detect --streaming`
+/// Records per streamed block — the granularity `detect`
 /// hands the detector, and therefore the boundaries a production
 /// checkpoint can land on.
 const BLOCK_RECORDS: usize = 4096;

@@ -5,7 +5,7 @@
 //! block reader over either encoding, or the decoder-thread
 //! `RecordStream`.
 //!
-//! This is the contract that makes `--streaming` safe to default on: the
+//! This is the contract that lets every CLI read stream its log: the
 //! router freezes each thread's clock at first use per clock generation,
 //! and a generation moves whenever the clock changes, so every access
 //! carries exactly the clock the sequential detector holds.
