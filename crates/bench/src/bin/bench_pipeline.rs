@@ -277,8 +277,9 @@ fn main() {
             let decoded = read_log_auto(&v2[..]).expect("v2 decodes");
             assert_eq!(decoded.len(), records);
         });
-        // The out-of-order pool, scanning a shared buffer exactly the way
-        // `literace detect --decode-threads N` does after `map_or_read`.
+        // The out-of-order pool, scanning an in-memory copy of the log
+        // through the same stages `literace detect --decode-threads N` runs
+        // over the file.
         let pool_bytes = literace::log::Bytes::from(v2.clone());
         let pool_secs = time_best(repeats, || {
             let stream = RecordStream::spawn_bytes(

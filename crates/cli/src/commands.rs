@@ -6,8 +6,8 @@ use std::process::ExitCode;
 use literace::detector::detect_stream;
 use literace::eval::{evaluate_program, EvalConfig};
 use literace::log::{
-    auto_stream_depth, map_or_read, AtomicFile, DecodeOpts, EncodeOpts, LogFormat, LogStats,
-    LogWriter, LogWriterV2, RecordStream, SalvageHandle,
+    auto_stream_depth, AtomicFile, DecodeOpts, EncodeOpts, LogFormat, LogStats, LogWriter,
+    LogWriterV2, RecordStream, SalvageHandle,
 };
 use literace::overhead::measure_overhead;
 use literace::pipeline::detect_phase;
@@ -256,10 +256,9 @@ fn parse_encode_opts(flags: &Flags) -> Result<EncodeOpts, String> {
 }
 
 /// Opens the log at `path` as one [`RecordStream`], strict or (with
-/// `salvage`) best-effort. The salvage handle's report is final once the
-/// stream is exhausted. A strict read through the parallel pool maps (or
-/// reads whole) the file for zero-copy payload handoff; every other read
-/// streams the file.
+/// `salvage`) best-effort. Either way the file is streamed, so a read
+/// holds one decode channel of blocks, never the whole file. The salvage
+/// handle's report is final once the stream is exhausted.
 fn open_log(
     path: &str,
     salvage: bool,
@@ -271,13 +270,8 @@ fn open_log(
         let (stream, handle) = RecordStream::spawn_salvage_with(file, opts).map_err(read_err)?;
         return Ok((stream, Some(handle)));
     }
-    let stream = if opts.threads > 1 {
-        drop(file);
-        RecordStream::spawn_bytes(map_or_read(path).map_err(read_err)?, opts)
-    } else {
-        RecordStream::spawn_with(file, opts)
-    };
-    Ok((stream.map_err(read_err)?, None))
+    let stream = RecordStream::spawn_with(file, opts).map_err(read_err)?;
+    Ok((stream, None))
 }
 
 /// Feeds every record of `stream` to `consume`, block by block, and
@@ -1178,6 +1172,9 @@ fn metrics_inner(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use literace::sim::{Addr, FuncId, Pc, ThreadId};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn workload_names_resolve() {
@@ -1650,6 +1647,124 @@ mod tests {
             .map(|s| (*s).to_string())
             .collect();
         assert_eq!(detect(&args), std::process::ExitCode::FAILURE);
+    }
+
+    /// Counts live and peak heap bytes of this test binary, then defers
+    /// to the system allocator.
+    struct Counting;
+
+    static LIVE: AtomicUsize = AtomicUsize::new(0);
+    static PEAK: AtomicUsize = AtomicUsize::new(0);
+
+    fn grew(bytes: usize) {
+        let live = LIVE.fetch_add(bytes, Ordering::SeqCst) + bytes;
+        PEAK.fetch_max(live, Ordering::SeqCst);
+    }
+
+    // SAFETY: every method forwards to `System` with the caller's
+    // arguments unchanged, so `System`'s guarantees carry over; the
+    // bookkeeping only touches atomics.
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            grew(layout.size());
+            // SAFETY: forwarded as-is; the caller upholds `alloc`'s contract.
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            LIVE.fetch_sub(layout.size(), Ordering::SeqCst);
+            // SAFETY: forwarded as-is; `ptr` came from this allocator.
+            unsafe { System.dealloc(ptr, layout) }
+        }
+
+        unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+            if new_size > layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                LIVE.fetch_sub(layout.size() - new_size, Ordering::SeqCst);
+            }
+            // SAFETY: forwarded as-is; the caller upholds `realloc`'s
+            // contract.
+            unsafe { System.realloc(ptr, layout, new_size) }
+        }
+    }
+
+    #[global_allocator]
+    static GLOBAL: Counting = Counting;
+
+    #[test]
+    fn strict_pooled_read_holds_blocks_not_the_file() {
+        // The counters are process-wide and this binary's other tests run
+        // concurrently, so the measurement runs in a child process that
+        // runs this test alone.
+        const CHILD: &str = "LITERACE_CLI_HEAP_PROBE";
+        if std::env::var_os(CHILD).is_none() {
+            let name = module_path!().split_once("::").expect("crate::module").1;
+            let name = format!("{name}::strict_pooled_read_holds_blocks_not_the_file");
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([
+                    name.as_str(),
+                    "--exact",
+                    "--test-threads",
+                    "1",
+                    "--nocapture",
+                ])
+                .env(CHILD, "1")
+                .output()
+                .unwrap();
+            let text = format!(
+                "{}{}",
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(out.status.success() && text.contains("1 passed"), "{text}");
+            return;
+        }
+        // A multi-MB v2 log in which every access is logged; random
+        // addresses and sites keep the deltas wide, so blocks stay large
+        // on disk.
+        const RECORDS: u64 = 1_000_000;
+        let path = std::env::temp_dir().join(format!(
+            "literace_cli_heap_probe_{}.lrlog",
+            std::process::id()
+        ));
+        let path_s = path.to_str().unwrap().to_string();
+        let mut rng = literace::log::SplitMix64::new(7);
+        let file = std::io::BufWriter::new(File::create(&path).unwrap());
+        let mut w = LogWriterV2::new(file);
+        for i in 0..RECORDS {
+            w.write_record(&Record::Mem {
+                tid: ThreadId::from_index(i as usize % 4),
+                pc: Pc::new(
+                    FuncId::from_index(rng.below(64) as usize),
+                    rng.below(4096) as usize,
+                ),
+                addr: Addr::global(rng.below(1 << 32)),
+                is_write: rng.below(2) == 0,
+                mask: SamplerMask::FULL,
+            })
+            .unwrap();
+        }
+        w.finish().unwrap();
+        let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+        assert!(file_len > 8 << 20, "log is only {file_len} bytes");
+
+        let start = LIVE.load(Ordering::SeqCst);
+        PEAK.store(start, Ordering::SeqCst);
+        let (mut stream, salvage) = open_log(&path_s, false, DecodeOpts::with_threads(2)).unwrap();
+        assert!(salvage.is_none());
+        let mut seen = 0u64;
+        for_each_record(&mut stream, &path_s, |_| seen += 1).unwrap();
+        drop(stream);
+        let growth = PEAK.load(Ordering::SeqCst) - start;
+        let _ = std::fs::remove_file(&path);
+        assert_eq!(seen, RECORDS);
+        println!("peak heap growth {growth} bytes for a {file_len}-byte log");
+        assert!(
+            growth < file_len / 3,
+            "a strict read at 2 decode threads grew the heap {growth} bytes \
+             for a {file_len}-byte log"
+        );
     }
 
     #[test]

@@ -66,13 +66,6 @@ impl LocksetDetector {
         &mut self.held[i]
     }
 
-    fn held_of(&self, tid: ThreadId) -> HashSet<SyncVar> {
-        self.held
-            .get(tid.index())
-            .cloned()
-            .unwrap_or_default()
-    }
-
     /// Processes one log record.
     pub fn process(&mut self, record: &Record) {
         match *record {
@@ -99,7 +92,10 @@ impl LocksetDetector {
     }
 
     fn access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool) {
-        let held = self.held_of(tid);
+        // The thread's held locks, borrowed: a location copies them only
+        // when it first becomes shared.
+        let held = self.held.get(tid.index());
+        let holds = |v: &SyncVar| held.is_some_and(|h| h.contains(v));
         let state = self
             .locations
             .entry(addr.raw())
@@ -124,7 +120,7 @@ impl LocksetDetector {
                     }
                 } else if is_write || written {
                     // Second thread with a write involved: shared-modified.
-                    let candidates: HashSet<SyncVar> = held.clone();
+                    let candidates = held.cloned().unwrap_or_default();
                     if candidates.is_empty() {
                         race_with = Some(last_pc);
                     }
@@ -135,7 +131,7 @@ impl LocksetDetector {
                     }
                 } else {
                     LocState::Shared {
-                        candidates: held.clone(),
+                        candidates: held.cloned().unwrap_or_default(),
                         last_pc: pc,
                     }
                 }
@@ -144,7 +140,7 @@ impl LocksetDetector {
                 mut candidates,
                 last_pc,
             } => {
-                candidates.retain(|v| held.contains(v));
+                candidates.retain(holds);
                 if is_write {
                     if candidates.is_empty() {
                         race_with = Some(last_pc);
@@ -166,7 +162,7 @@ impl LocksetDetector {
                 last_pc,
                 reported,
             } => {
-                candidates.retain(|v| held.contains(v));
+                candidates.retain(holds);
                 let newly_empty = candidates.is_empty() && !reported;
                 if newly_empty {
                     race_with = Some(last_pc);

@@ -37,7 +37,6 @@ mod error;
 pub mod fault;
 pub mod gv;
 mod io;
-pub mod mmap;
 mod parallel;
 mod record;
 pub mod retry;
@@ -62,14 +61,13 @@ pub use io::{
     log_from_bytes, log_to_bytes, ChunkedRecords, LogReader, LogWriter, DEFAULT_CHUNK_BYTES,
 };
 pub use bytes::Bytes;
-pub use mmap::{map_or_read, mmap_supported};
 pub use record::{EventLog, Record, SamplerMask};
 pub use retry::{RetryPolicy, RetryReader};
 pub use salvage::{read_log_salvage, SalvageHandle, SalvageReport};
 pub use stats::LogStats;
 pub use stream::{
-    auto_stream_depth, read_log_auto, DecodeOpts, LogFormat, RecordBlocks, RecordStream,
-    DEFAULT_STREAM_DEPTH, MAX_STREAM_DEPTH, V1_BLOCK_RECORDS,
+    auto_stream_depth, map_or_read, read_log_auto, DecodeOpts, LogFormat, RecordBlocks,
+    RecordStream, DEFAULT_STREAM_DEPTH, MAX_STREAM_DEPTH, V1_BLOCK_RECORDS,
 };
 pub use v2::{decode_block, peek_sealed_total, SealState, V2_MAGIC, V2_VERSION};
 pub use varint::{

@@ -18,7 +18,9 @@
 //! * The [`Scanner`] walks the stream — frame headers are cheap fixed
 //!   24-byte reads — validates each frame, reads the raw payload, and
 //!   yields one [`Job`] per block or the [`Terminal`] event that ended the
-//!   walk.
+//!   walk. Its source is any `Read`: a payload is copied once, into an
+//!   owned buffer that travels with its job, so a read holds the blocks in
+//!   flight and never the whole file.
 //! * [`decode_job`] verifies the payload checksum and decodes the
 //!   records, containing a panic as a typed error.
 //! * The [`Consumer`] takes the results in sequence order and owns every
@@ -30,9 +32,9 @@
 //! Two drivers run these stages. [`Inline`] runs them on the caller's
 //! thread (`RecordBlocks`, and `RecordStream` at one decode thread).
 //! [`spawn_pool`] runs the scanner, the workers and the consumer on
-//! threads of their own, with a reorder buffer in front of the consumer:
-//! only the payload decode runs out of order, so delivery is identical at
-//! every worker count. The consumer thread joins every other pool thread,
+//! threads of their own, with a reorder buffer in front of the consumer
+//! that a [`Window`] bounds: only the payload decode runs out of order,
+//! so delivery is identical at every worker count. The consumer thread joins every other pool thread,
 //! and [`RecordStream`] joins the consumer thread on drop, so no pool
 //! thread outlives the stream.
 
@@ -41,9 +43,7 @@ use std::io::Read;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-
-use bytes::Bytes;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 use crate::checksum::Checksum;
 use crate::error::{count_error, LogError, LogResult};
@@ -55,130 +55,24 @@ use crate::v2::{
     SealState, FRAME_BYTES,
 };
 
-/// A block payload in flight: owned bytes from a reader source, or a
-/// zero-copy refcounted slice of a mapped/materialized log.
-pub(crate) enum PayloadBuf {
-    /// Copied out of a `Read` source.
-    Owned(Vec<u8>),
-    /// Shared slice of the whole-file buffer (mmap/Bytes sources).
-    Shared(Bytes),
-}
-
-impl std::ops::Deref for PayloadBuf {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        match self {
-            PayloadBuf::Owned(v) => v,
-            PayloadBuf::Shared(b) => b,
-        }
-    }
-}
-
-/// What the scanner needs from a source: exact frame reads, payload
-/// reads, a byte-counting drain, and a one-byte trailing probe.
-pub(crate) trait ScanSource {
-    /// Fills `buf` as far as the source allows; short only at EOF.
-    fn read_frame(&mut self, buf: &mut [u8; FRAME_BYTES]) -> LogResult<usize>;
-    /// Reads up to `len` payload bytes; the returned count is short only
-    /// at EOF (a torn final block).
-    fn read_payload(&mut self, len: usize) -> LogResult<(PayloadBuf, usize)>;
-    /// Consumes the rest of the source, counting bytes (errors just end
-    /// the count: nothing past them is reachable).
-    fn drain(&mut self) -> u64;
-    /// Reads at most one byte (the strict footer-trailing probe).
-    fn probe_byte(&mut self) -> LogResult<u64>;
-}
-
 /// Most a payload read allocates ahead of the bytes that arrive. A frame's
 /// length is only a claim: a torn or hostile file can claim up to the
 /// 1 GiB cap while holding a few bytes.
 const PAYLOAD_CHUNK: usize = 64 * 1024;
 
-/// [`ScanSource`] over any `Read` — payloads are copied once into owned
-/// buffers that travel through the pool.
-pub(crate) struct ReaderSource<R>(R);
-
-impl<R: Read> ReaderSource<R> {
-    pub(crate) fn new(source: R) -> ReaderSource<R> {
-        ReaderSource(source)
-    }
-}
-
-impl<R: Read> ScanSource for ReaderSource<R> {
-    fn read_frame(&mut self, buf: &mut [u8; FRAME_BYTES]) -> LogResult<usize> {
-        read_exact_or_eof(&mut self.0, buf)
-    }
-
-    fn read_payload(&mut self, len: usize) -> LogResult<(PayloadBuf, usize)> {
-        let mut payload = Vec::new();
-        loop {
-            let start = payload.len();
-            let want = (len - start).min(PAYLOAD_CHUNK);
-            payload.resize(start + want, 0);
-            let got = read_exact_or_eof(&mut self.0, &mut payload[start..])?;
-            payload.truncate(start + got);
-            if got < want || payload.len() == len {
-                let got = payload.len();
-                return Ok((PayloadBuf::Owned(payload), got));
-            }
+/// Reads up to `len` payload bytes from `src`, growing the buffer as the
+/// bytes arrive; the result is short only at EOF (a torn final block).
+fn read_payload(src: &mut impl Read, len: usize) -> LogResult<Vec<u8>> {
+    let mut payload = Vec::new();
+    loop {
+        let start = payload.len();
+        let want = (len - start).min(PAYLOAD_CHUNK);
+        payload.resize(start + want, 0);
+        let got = read_exact_or_eof(src, &mut payload[start..])?;
+        payload.truncate(start + got);
+        if got < want || payload.len() == len {
+            return Ok(payload);
         }
-    }
-
-    fn drain(&mut self) -> u64 {
-        drain_bytes(&mut self.0)
-    }
-
-    fn probe_byte(&mut self) -> LogResult<u64> {
-        let mut probe = [0u8; 1];
-        Ok(read_exact_or_eof(&mut self.0, &mut probe)? as u64)
-    }
-}
-
-/// [`ScanSource`] over a fully materialized log: payloads are zero-copy
-/// refcounted slices — the pool never copies block bytes.
-pub(crate) struct BytesSource {
-    buf: Bytes,
-    pos: usize,
-}
-
-impl BytesSource {
-    /// A source over `buf`, which must start at the first block frame
-    /// (the 5-byte file header already stripped).
-    pub(crate) fn new(buf: Bytes) -> BytesSource {
-        BytesSource { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-}
-
-impl ScanSource for BytesSource {
-    fn read_frame(&mut self, buf: &mut [u8; FRAME_BYTES]) -> LogResult<usize> {
-        let n = FRAME_BYTES.min(self.remaining());
-        buf[..n].copy_from_slice(&self.buf[self.pos..self.pos + n]);
-        self.pos += n;
-        Ok(n)
-    }
-
-    fn read_payload(&mut self, len: usize) -> LogResult<(PayloadBuf, usize)> {
-        let n = len.min(self.remaining());
-        let slice = self.buf.slice(self.pos..self.pos + n);
-        self.pos += n;
-        Ok((PayloadBuf::Shared(slice), n))
-    }
-
-    fn drain(&mut self) -> u64 {
-        let n = self.remaining() as u64;
-        self.pos = self.buf.len();
-        n
-    }
-
-    fn probe_byte(&mut self) -> LogResult<u64> {
-        let n = 1.min(self.remaining());
-        self.pos += n;
-        Ok(n as u64)
     }
 }
 
@@ -187,7 +81,7 @@ struct Job {
     seq: u64,
     frame: [u8; FRAME_BYTES],
     head: BlockFrame,
-    payload: PayloadBuf,
+    payload: Vec<u8>,
 }
 
 /// A decoded job: the outcome, with the frame and payload kept so the
@@ -244,20 +138,20 @@ impl Terminal {
 
 /// The frame walk: validates frames and reads payloads, never decoding
 /// one. This is the only place the v2 block stream is framed.
-struct Scanner<S> {
-    src: S,
+struct Scanner<R> {
+    src: R,
     /// Sequence index of the next block.
     seq: u64,
     /// Salvage drains and counts what follows a terminal frame.
     salvage: bool,
 }
 
-impl<S: ScanSource> Scanner<S> {
+impl<R: Read> Scanner<R> {
     /// The next block, or the event that ended the walk. Not called again
     /// after a terminal.
     fn next(&mut self) -> Result<Job, Terminal> {
         let mut frame = [0u8; FRAME_BYTES];
-        let got = self.src.read_frame(&mut frame).map_err(Terminal::Io)?;
+        let got = read_exact_or_eof(&mut self.src, &mut frame).map_err(Terminal::Io)?;
         if got == 0 {
             return Err(Terminal::Eof);
         }
@@ -271,19 +165,18 @@ impl<S: ScanSource> Scanner<S> {
             }
             Ok(Frame::Footer(foot)) => {
                 let trailing = if self.salvage {
-                    Ok(self.src.drain())
+                    Ok(drain_bytes(&mut self.src))
                 } else {
-                    self.src.probe_byte()
+                    read_exact_or_eof(&mut self.src, &mut [0u8; 1]).map(|n| n as u64)
                 };
                 return Err(Terminal::Footer { foot, trailing });
             }
             Ok(Frame::Block(head)) => head,
         };
-        let (payload, got) = self
-            .src
-            .read_payload(head.payload_len as usize)
-            .map_err(Terminal::Io)?;
-        if got < head.payload_len as usize {
+        let payload =
+            read_payload(&mut self.src, head.payload_len as usize).map_err(Terminal::Io)?;
+        if payload.len() < head.payload_len as usize {
+            let got = payload.len();
             return Err(Terminal::TornPayload { head, got });
         }
         let seq = self.seq;
@@ -305,7 +198,7 @@ impl<S: ScanSource> Scanner<S> {
 
     fn drain(&mut self) -> u64 {
         if self.salvage {
-            self.src.drain()
+            drain_bytes(&mut self.src)
         } else {
             0
         }
@@ -611,16 +504,16 @@ impl Consumer {
 
 /// The reader stages run inline on the caller's thread: the pool's
 /// degenerate case at zero workers. Yields what the consumer delivers.
-pub(crate) struct Inline<S> {
-    scanner: Scanner<S>,
+pub(crate) struct Inline<R> {
+    scanner: Scanner<R>,
     state: BlockState,
     /// `None` once the walk has ended.
     consumer: Option<Consumer>,
 }
 
-impl<S: ScanSource> Inline<S> {
+impl<R: Read> Inline<R> {
     /// A reader over `src`, positioned at the first block frame.
-    pub(crate) fn new(src: S, mode: Mode) -> Inline<S> {
+    pub(crate) fn new(src: R, mode: Mode) -> Inline<R> {
         Inline {
             scanner: Scanner {
                 src,
@@ -639,7 +532,7 @@ impl<S: ScanSource> Inline<S> {
     }
 }
 
-impl<S: ScanSource> Iterator for Inline<S> {
+impl<R: Read> Iterator for Inline<R> {
     type Item = LogResult<Vec<Record>>;
 
     fn next(&mut self) -> Option<LogResult<Vec<Record>>> {
@@ -670,14 +563,53 @@ impl<S: ScanSource> Iterator for Inline<S> {
     }
 }
 
+/// The pool's reorder window: blocks the scanner has issued that the
+/// consumer has not yet taken in sequence order. Both pool channels are
+/// bounded, but the reorder buffer in front of the consumer is not: while
+/// one worker stalls on a block, the others would fill it with the rest
+/// of the file. The scanner waits instead while `limit` blocks are out.
+struct Window {
+    /// Blocks out. A plain count, valid after every update, so a
+    /// poisoned lock is recovered rather than propagated.
+    out: Mutex<u64>,
+    taken: Condvar,
+    limit: u64,
+}
+
+impl Window {
+    /// Waits until fewer than `limit` blocks are out or `abort` is set,
+    /// then counts one more block out; returns the new count.
+    fn admit(&self, abort: &AtomicBool) -> u64 {
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        while *out >= self.limit && !abort.load(Ordering::Acquire) {
+            out = self.taken.wait(out).unwrap_or_else(PoisonError::into_inner);
+        }
+        *out += 1;
+        *out
+    }
+
+    /// The consumer took the next block in order.
+    fn take(&self) {
+        *self.out.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
+        self.taken.notify_one();
+    }
+
+    /// Wakes the scanner once `abort` is set by a thread that will take
+    /// no more blocks (the lock orders the wake after its abort check).
+    fn wake(&self) {
+        let _out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        self.taken.notify_all();
+    }
+}
+
 /// The pool's scanner thread: walks frames and feeds the workers until
 /// the walk ends or the consumer asks it to stop.
-fn scan<S: ScanSource>(
-    scanner: &mut Scanner<S>,
+fn scan<R: Read>(
+    scanner: &mut Scanner<R>,
     jobs: &SyncSender<Job>,
     abort: &AtomicBool,
     issued: &AtomicU64,
-    inflight: &AtomicU64,
+    window: &Window,
 ) -> Terminal {
     literace_telemetry::trace_begin("scan");
     let term = loop {
@@ -688,7 +620,7 @@ fn scan<S: ScanSource>(
             Ok(job) => job,
             Err(term) => break term,
         };
-        let in_flight = inflight.fetch_add(1, Ordering::AcqRel) + 1;
+        let in_flight = window.admit(abort);
         if literace_telemetry::enabled() {
             literace_telemetry::metrics()
                 .log_decode_blocks_inflight_hwm
@@ -761,7 +693,7 @@ fn consume(
     terminal: Receiver<(u64, Terminal)>,
     out: SyncSender<LogResult<Vec<Record>>>,
     abort: &AtomicBool,
-    inflight: &AtomicU64,
+    window: &Window,
 ) {
     let mut pending: BTreeMap<u64, Done> = BTreeMap::new();
     let mut next = 0u64;
@@ -777,7 +709,7 @@ fn consume(
         pending.insert(done.job.seq, done);
         while let Some(done) = pending.remove(&next) {
             next += 1;
-            inflight.fetch_sub(1, Ordering::AcqRel);
+            window.take();
             literace_telemetry::trace_begin("consume.block");
             if let Some(item) = consumer.accept(done) {
                 if !push_output(&out, item) {
@@ -814,8 +746,8 @@ fn consume(
 /// Runs an unstarted reader's stages on threads: the scanner,
 /// `opts.threads` decode workers and the in-order consumer. Returns the
 /// stream the consumer feeds.
-pub(crate) fn spawn_pool<S: ScanSource + Send + 'static>(
-    reader: Inline<S>,
+pub(crate) fn spawn_pool<R: Read + Send + 'static>(
+    reader: Inline<R>,
     opts: DecodeOpts,
 ) -> LogResult<RecordStream> {
     let Inline {
@@ -835,17 +767,21 @@ pub(crate) fn spawn_pool<S: ScanSource + Send + 'static>(
     let (res_tx, res_rx) = sync_channel::<Done>(depth.max(threads));
     let (term_tx, term_rx) = std::sync::mpsc::channel::<(u64, Terminal)>();
     let abort = Arc::new(AtomicBool::new(false));
-    let inflight = Arc::new(AtomicU64::new(0));
+    let window = Arc::new(Window {
+        out: Mutex::new(0),
+        taken: Condvar::new(),
+        limit: (depth + threads) as u64,
+    });
 
     let scanner = {
         let abort = abort.clone();
-        let inflight = inflight.clone();
+        let window = window.clone();
         std::thread::Builder::new()
             .name("literace-decode-scan".to_owned())
             .spawn(move || {
                 let issued = AtomicU64::new(0);
                 let term = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    scan(&mut scanner, &job_tx, &abort, &issued, &inflight)
+                    scan(&mut scanner, &job_tx, &abort, &issued, &window)
                 }))
                 .unwrap_or_else(|payload| Terminal::Panicked {
                     message: panic_message(payload.as_ref()),
@@ -860,9 +796,19 @@ pub(crate) fn spawn_pool<S: ScanSource + Send + 'static>(
             let job_rx = job_rx.clone();
             let res_tx = res_tx.clone();
             let abort = abort.clone();
+            let window = window.clone();
             std::thread::Builder::new()
                 .name(format!("literace-decode-{i}"))
-                .spawn(move || worker(&job_rx, &res_tx, &abort, strict))
+                .spawn(move || {
+                    let run = AssertUnwindSafe(|| worker(&job_rx, &res_tx, &abort, strict));
+                    if std::panic::catch_unwind(run).is_err() {
+                        // Its block never reaches the consumer, so the
+                        // window would never drain: end the walk. The
+                        // consumer reports the missing block.
+                        abort.store(true, Ordering::Release);
+                        window.wake();
+                    }
+                })
                 .map_err(LogError::Io)
         })
         .collect::<LogResult<_>>()?;
@@ -874,10 +820,11 @@ pub(crate) fn spawn_pool<S: ScanSource + Send + 'static>(
         .spawn(move || {
             let out = out_tx.clone();
             let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                consume(consumer, res_rx, term_rx, out, &abort, &inflight);
+                consume(consumer, res_rx, term_rx, out, &abort, &window);
             }));
             if let Err(payload) = outcome {
                 abort.store(true, Ordering::Release);
+                window.wake();
                 let e = LogError::DecoderPanicked {
                     message: panic_message(payload.as_ref()),
                 };
@@ -960,9 +907,7 @@ mod tests {
     fn parallel_bytes_source_round_trips() {
         let records = mixed_records(5000);
         let bytes: Vec<u8> = multi_block(&records);
-        let stream =
-            RecordStream::spawn_bytes(Bytes::from(bytes), DecodeOpts::with_threads(4))
-                .unwrap();
+        let stream = RecordStream::spawn_bytes(bytes.into(), DecodeOpts::with_threads(4)).unwrap();
         let decoded: Vec<Record> = stream.flat_map(|b| b.unwrap()).collect();
         assert_eq!(decoded, records);
     }
@@ -1073,6 +1018,64 @@ mod tests {
         let (par, par_report) = salvage_parallel(bytes, 4);
         assert!(par.is_empty());
         assert_reports_match(&seq_report, &par_report);
+    }
+
+    /// A source that counts the bytes it has served.
+    struct Counted {
+        inner: std::io::Cursor<Vec<u8>>,
+        served: Arc<AtomicU64>,
+    }
+
+    impl Read for Counted {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.served.fetch_add(n as u64, Ordering::SeqCst);
+            Ok(n)
+        }
+    }
+
+    /// A log's block frames and payloads, without header and footer.
+    fn body(records: &[Record], block_records: usize) -> Vec<u8> {
+        let opts = EncodeOpts::default().block_records(block_records);
+        let mut w = LogWriterV2::with_opts(Vec::new(), opts).unwrap();
+        for r in records {
+            w.write_record(r).unwrap();
+        }
+        let bytes = w.finish().unwrap();
+        bytes[5..bytes.len() - FRAME_BYTES].to_vec()
+    }
+
+    #[test]
+    fn a_slow_block_holds_back_the_scan() {
+        // One block that takes long to decode, then thousands of identical
+        // one-record blocks (an unsealed log). While one worker decodes
+        // the first, the other finishes small blocks that must wait for it
+        // in the reorder buffer: without the window the scanner reads on
+        // through the file.
+        let slow = mixed_records(200_000);
+        let small = vec![mixed_records(2)[1]; 20_000];
+        let mut bytes = crate::v2::file_header().to_vec();
+        bytes.extend(body(&slow, slow.len()));
+        let before_small = bytes.len() as u64;
+        let small_body = body(&small, 1);
+        let per_block = (small_body.len() / small.len()) as u64;
+        bytes.extend(&small_body);
+        let served = Arc::new(AtomicU64::new(0));
+        let source = Counted {
+            inner: std::io::Cursor::new(bytes),
+            served: served.clone(),
+        };
+        let opts = DecodeOpts::with_threads(2);
+        let mut stream = RecordStream::spawn_with(source, opts).unwrap();
+        assert_eq!(stream.next().unwrap().unwrap().len(), slow.len());
+        let read_ahead = (served.load(Ordering::SeqCst) - before_small) / per_block;
+        // Past the slow block the consumer has delivered at most the
+        // output channel's depth plus the one it is sending, and the
+        // scanner has issued at most the window past those plus the one
+        // it holds.
+        let bound = (opts.depth + 2 + (opts.depth + opts.threads)) as u64;
+        assert!(read_ahead <= bound, "scanned {read_ahead} blocks ahead");
+        drop(stream);
     }
 
     #[test]

@@ -21,9 +21,11 @@ use std::io::Read;
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 
+use bytes::Bytes;
+
 use crate::error::{count_error, LogError, LogResult};
 use crate::io::{ChunkedRecords, LogReader, DEFAULT_CHUNK_BYTES};
-use crate::parallel::{spawn_pool, BytesSource, Inline, Mode, ReaderSource};
+use crate::parallel::{spawn_pool, Inline, Mode};
 use crate::record::{EventLog, Record};
 use crate::retry::{RetryPolicy, RetryReader};
 use crate::salvage::{SalvageHandle, SalvageReport};
@@ -190,7 +192,7 @@ type Replayed<R> = std::io::Chain<std::io::Cursor<Vec<u8>>, R>;
 
 enum Blocks<R: Read> {
     V1(V1Blocks<Replayed<R>>),
-    V2(Inline<ReaderSource<R>>),
+    V2(Inline<R>),
     /// A salvage read whose header was unreadable: nothing to read.
     Dead,
 }
@@ -327,7 +329,7 @@ impl<R: Read> RecordBlocks<R> {
                 seal: Arc::default(),
             },
             LogFormat::V2 => {
-                let reader = Inline::new(ReaderSource::new(source), mode);
+                let reader = Inline::new(source, mode);
                 RecordBlocks {
                     seal: reader.seal(),
                     inner: Blocks::V2(reader),
@@ -442,25 +444,15 @@ impl RecordStream {
         Ok((spawn_blocks(blocks, opts)?, handle))
     }
 
-    /// Streams a fully materialized (possibly memory-mapped) log without
-    /// copying payload bytes: v2 block payloads are handed to the decode
-    /// pool as zero-copy [`Bytes`](bytes::Bytes) slices of `bytes`. Falls
-    /// back to [`spawn_with`](RecordStream::spawn_with) for v1 logs, an
-    /// unreadable header or one decode thread.
+    /// Streams a log already held whole in memory: exactly
+    /// [`spawn_with`](RecordStream::spawn_with) over a cursor on `bytes`.
+    /// It and [`map_or_read`] remain as perfbench's entry point (its
+    /// `open_stream`); a reader with a path streams the file.
     ///
     /// # Errors
     ///
     /// Same as [`spawn_with`](RecordStream::spawn_with).
-    pub fn spawn_bytes(
-        bytes: bytes::Bytes,
-        opts: DecodeOpts,
-    ) -> LogResult<RecordStream> {
-        if opts.threads > 1 {
-            if let Ok((LogFormat::V2, _)) = sniff_format(&mut &bytes[..]) {
-                let src = BytesSource::new(bytes.slice(5..));
-                return spawn_pool(Inline::new(src, Mode::Strict), opts);
-            }
-        }
+    pub fn spawn_bytes(bytes: Bytes, opts: DecodeOpts) -> LogResult<RecordStream> {
         RecordStream::spawn_with(std::io::Cursor::new(bytes), opts)
     }
 
@@ -468,6 +460,17 @@ impl RecordStream {
     pub fn format(&self) -> LogFormat {
         self.format
     }
+}
+
+/// Reads the whole file at `path` into one [`Bytes`] buffer for
+/// [`RecordStream::spawn_bytes`]. Nothing is mapped: the name stays for
+/// perfbench, its one caller. Every other reader streams the file.
+///
+/// # Errors
+///
+/// Returns [`LogError::Io`] when the file cannot be opened or read.
+pub fn map_or_read(path: impl AsRef<std::path::Path>) -> LogResult<Bytes> {
+    std::fs::read(path).map(Bytes::from).map_err(LogError::Io)
 }
 
 /// Runs `blocks` on one decoder thread, or a v2 reader on the decode pool
@@ -823,5 +826,39 @@ mod tests {
         let bytes = encode_v2(&records);
         let log = read_log_auto(&bytes[..]).unwrap();
         assert_eq!(log.records(), &records[..]);
+    }
+
+    fn scratch(name: &str, bytes: &[u8]) -> std::path::PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("literace-read-{}-{name}.bin", std::process::id()));
+        std::fs::write(&path, bytes).unwrap();
+        path
+    }
+
+    #[test]
+    fn map_or_read_round_trips_a_log() {
+        let records = some_records(5000);
+        let bytes = encode_v2(&records);
+        let path = scratch("roundtrip", &bytes);
+        let buf = map_or_read(&path).unwrap();
+        assert_eq!(&buf[..], &bytes[..]);
+        let stream = RecordStream::spawn_bytes(buf, DecodeOpts::with_threads(4)).unwrap();
+        let decoded: Vec<Record> = stream.flat_map(|b| b.unwrap()).collect();
+        assert_eq!(decoded, records);
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn map_or_read_handles_an_empty_file() {
+        let path = scratch("empty", b"");
+        let buf = map_or_read(&path).unwrap();
+        assert!(buf.is_empty());
+        std::fs::remove_file(path).ok();
+    }
+
+    #[test]
+    fn missing_file_is_an_io_error() {
+        let err = map_or_read("/nonexistent/literace-definitely-missing").unwrap_err();
+        assert!(matches!(err, LogError::Io(_)));
     }
 }
