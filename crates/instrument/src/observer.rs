@@ -2,16 +2,26 @@
 //!
 //! In the paper, Phoenix rewrites each function into an instrumented and an
 //! uninstrumented copy plus a dispatch check (Figure 3). In our substrate
-//! the behaviour of both copies is identical — only what gets *logged* and
-//! what it *costs* differ — so the entire pass is an [`Observer`]:
+//! the machine runs one copy of each function and asks its observer at
+//! every entry which copy the new frame runs ([`Observer::on_entry`]). The
+//! entire pass is that [`Observer`]:
 //!
-//! * at every `FunctionEntry` it runs the sampler (the dispatch check) and
-//!   remembers the decision for the frame;
-//! * memory accesses are logged only from instrumented frames;
+//! * at every function entry it runs the sampler (the dispatch check) and
+//!   answers with the frame's [`SamplerMask`]. A frame that no sampler
+//!   instruments runs the uninstrumented copy: the machine counts its
+//!   accesses in the [`RunSummary`] and delivers none of them;
+//! * memory accesses of instrumented frames arrive with the frame's mask
+//!   and are logged;
 //! * synchronization operations are logged from **both** copies, with
 //!   logical timestamps (§4.2) — never sampling these is what guarantees no
 //!   false positives (Figure 2);
-//! * allocations and frees emit page-synchronization records (§4.3).
+//! * allocations and frees emit page-synchronization records (§4.3);
+//! * `total_mem`, the ESR denominator, is the run summary's access count,
+//!   taken when the run ends ([`Observer::on_run_end`]).
+//!
+//! Two configurations observe every frame, whatever its mask: the marked
+//! run below, which logs every access, and a prefilter skip table, whose
+//! counters count every access it probes.
 //!
 //! # The §5.3 marked run
 //!
@@ -31,7 +41,8 @@ use std::collections::HashMap;
 use literace_log::{EventLog, Record, SamplerMask};
 use literace_samplers::{BurstState, Sampler};
 use literace_sim::{
-    alloc_page_var, pages_of, Event, FuncId, Observer, Pc, SyncOpKind, SyncVar, ThreadId,
+    alloc_page_var, pages_of, Addr, Dispatch, Event, FuncId, Observer, Pc, RunSummary, SyncOpKind,
+    SyncVar, ThreadId,
 };
 
 use crate::config::{InstrStats, InstrumentConfig, LoopPolicy, OverheadBreakdown};
@@ -56,15 +67,13 @@ pub struct InstrumentOutput<L = EventLog> {
     pub contention_units_per_stamp: f64,
 }
 
+/// One instrumented frame's §7 loop back-off (`LoopPolicy::AdaptiveLoops`
+/// only): burst state per loop head, and whether the current iteration is
+/// sampled.
 #[derive(Debug)]
-struct FrameInfo {
-    /// The samplers running this frame's instrumented copy.
-    mask: SamplerMask,
-    /// Whether the current loop iteration is sampled (always true at
-    /// function granularity).
+struct LoopBackoff {
+    heads: HashMap<u64, BurstState>,
     iter_sampled: bool,
-    /// Per-loop-head back-off state (only under `LoopPolicy::AdaptiveLoops`).
-    loops: Option<HashMap<u64, BurstState>>,
 }
 
 /// The instrumentation observer over one sampler (a production run) or
@@ -82,10 +91,16 @@ pub struct Instrumenter<S, L = EventLog> {
     prefiltered: SamplerMask,
     /// The marked run logs every access, whatever its mask.
     marked: bool,
+    /// Every frame is observed, whatever its mask: the marked run logs
+    /// every access, and a prefilter table counts every access it probes.
+    observe_all: bool,
     cfg: InstrumentConfig,
     bank: TimestampBank,
     log: L,
-    frames: Vec<Vec<FrameInfo>>,
+    /// Under `LoopPolicy::AdaptiveLoops`, each thread's frames, innermost
+    /// last: an instrumented frame's back-off, `None` for the others.
+    /// Empty under any other loop policy.
+    loop_frames: Vec<Vec<Option<LoopBackoff>>>,
     stats: InstrStats,
     overhead: OverheadBreakdown,
     /// Per-thread `[dispatch checks, sampled decisions]`, indexed by thread
@@ -147,10 +162,11 @@ impl<S: Sampler, L: RecordSink> Instrumenter<S, L> {
             all,
             prefiltered,
             marked,
+            observe_all: marked || cfg.prefilter.is_some(),
             cfg,
             bank,
             log,
-            frames: Vec::new(),
+            loop_frames: Vec::new(),
             stats: InstrStats::default(),
             overhead: OverheadBreakdown::default(),
             dispatch_by_thread: Vec::new(),
@@ -191,14 +207,6 @@ impl<S: Sampler, L: RecordSink> Instrumenter<S, L> {
             timestamp_contention: self.bank.contention_rate(),
             contention_units_per_stamp: units_per_stamp,
         }
-    }
-
-    fn frames_mut(&mut self, tid: ThreadId) -> &mut Vec<FrameInfo> {
-        let i = tid.index();
-        if i >= self.frames.len() {
-            self.frames.resize_with(i + 1, Vec::new);
-        }
-        &mut self.frames[i]
     }
 
     /// The dispatch check at an entry of `func`: the mask of the samplers
@@ -278,73 +286,21 @@ impl<S: Sampler, L: RecordSink> Observer for Instrumenter<S, L> {
                     self.log.push(Record::ThreadEnd { tid });
                 }
             }
-            Event::FunctionEntry { tid, func } => {
-                let mask = if self.cfg.dispatch_checks {
-                    self.dispatch(tid, func)
-                } else {
-                    // Full logging: no dispatch, everything instrumented.
-                    self.all
-                };
-                if !mask.is_empty() {
-                    self.stats.instrumented_entries += 1;
-                }
-                let loops = match (&self.cfg.loop_policy, mask.is_empty()) {
-                    (LoopPolicy::AdaptiveLoops(_), false) => Some(HashMap::new()),
-                    _ => None,
-                };
-                self.frames_mut(tid).push(FrameInfo {
-                    mask,
-                    iter_sampled: true,
-                    loops,
-                });
-            }
             Event::FunctionExit { tid, .. } => {
-                self.frames_mut(tid).pop();
+                if let Some(frames) = self.loop_frames.get_mut(tid.index()) {
+                    frames.pop();
+                }
             }
             Event::LoopIter { tid, head, .. } => {
                 if let LoopPolicy::AdaptiveLoops(schedule) = &self.cfg.loop_policy {
-                    let frame = self.frames.get_mut(tid.index()).and_then(|f| f.last_mut());
-                    if let Some(frame) = frame {
-                        if !frame.mask.is_empty() {
-                            let loops = frame.loops.get_or_insert_with(HashMap::new);
-                            let st = loops.entry(head.0).or_insert_with(BurstState::new);
-                            frame.iter_sampled = st.step(schedule);
-                        }
+                    let frame = self
+                        .loop_frames
+                        .get_mut(tid.index())
+                        .and_then(|f| f.last_mut());
+                    if let Some(Some(backoff)) = frame {
+                        let st = backoff.heads.entry(head.0).or_insert_with(BurstState::new);
+                        backoff.iter_sampled = st.step(schedule);
                     }
-                }
-            }
-            Event::MemRead { tid, pc, addr } | Event::MemWrite { tid, pc, addr } => {
-                self.stats.total_mem += 1;
-                let mut mask = match self.frames.get(tid.index()).and_then(|f| f.last()) {
-                    Some(frame) if frame.iter_sampled => frame.mask,
-                    _ => SamplerMask::EMPTY,
-                };
-                // Skip-table probe: a provably ordered site costs one
-                // bitset load and is lost to every prefiltered sampler. The
-                // access still counts toward `total_mem`, so ESR
-                // denominators stay comparable across samplers.
-                if let Some(table) = &self.cfg.prefilter {
-                    if table.skips(pc) {
-                        self.stats.prefilter_skipped += 1;
-                        mask = mask.minus(self.prefiltered);
-                    } else {
-                        self.stats.prefilter_residual += 1;
-                    }
-                }
-                if !mask.is_empty() && !self.cfg.access_policy.keeps(addr) {
-                    mask = SamplerMask::EMPTY;
-                }
-                if self.marked || !mask.is_empty() {
-                    let is_write = matches!(event, Event::MemWrite { .. });
-                    self.log.push(Record::Mem {
-                        tid,
-                        pc,
-                        addr,
-                        is_write,
-                        mask,
-                    });
-                    self.stats.logged_mem += 1;
-                    self.overhead.mem_logging += self.cfg.costs.mem_log;
                 }
             }
             Event::Sync { tid, pc, kind, var } => {
@@ -368,7 +324,79 @@ impl<S: Sampler, L: RecordSink> Observer for Instrumenter<S, L> {
                     }
                 }
             }
+            // The machine delivers these through `on_entry` and
+            // `on_access`, with the frame's mask.
+            Event::FunctionEntry { .. } | Event::MemRead { .. } | Event::MemWrite { .. } => {}
         }
+    }
+
+    fn on_entry(&mut self, tid: ThreadId, func: FuncId) -> Dispatch {
+        let mask = if self.cfg.dispatch_checks {
+            self.dispatch(tid, func)
+        } else {
+            // Full logging: no dispatch, everything instrumented.
+            self.all
+        };
+        if !mask.is_empty() {
+            self.stats.instrumented_entries += 1;
+        }
+        if let LoopPolicy::AdaptiveLoops(_) = self.cfg.loop_policy {
+            let i = tid.index();
+            if i >= self.loop_frames.len() {
+                self.loop_frames.resize_with(i + 1, Vec::new);
+            }
+            self.loop_frames[i].push((!mask.is_empty()).then(|| LoopBackoff {
+                heads: HashMap::new(),
+                iter_sampled: true,
+            }));
+        }
+        if mask.is_empty() && !self.observe_all {
+            Dispatch::Skip
+        } else {
+            Dispatch::Observe(mask.0)
+        }
+    }
+
+    fn on_access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool, word: u32) {
+        let frame = self.loop_frames.get(tid.index()).and_then(|f| f.last());
+        let mut mask = match frame {
+            Some(Some(LoopBackoff {
+                iter_sampled: false,
+                ..
+            })) => SamplerMask::EMPTY,
+            _ => SamplerMask(word),
+        };
+        // Skip-table probe: a provably ordered site costs one bitset load
+        // and is lost to every prefiltered sampler. With a table installed
+        // every frame is observed, so the counters cover every access.
+        if let Some(table) = &self.cfg.prefilter {
+            if table.skips(pc) {
+                self.stats.prefilter_skipped += 1;
+                mask = mask.minus(self.prefiltered);
+            } else {
+                self.stats.prefilter_residual += 1;
+            }
+        }
+        if !mask.is_empty() && !self.cfg.access_policy.keeps(addr) {
+            mask = SamplerMask::EMPTY;
+        }
+        if self.marked || !mask.is_empty() {
+            self.log.push(Record::Mem {
+                tid,
+                pc,
+                addr,
+                is_write,
+                mask,
+            });
+            self.stats.logged_mem += 1;
+            self.overhead.mem_logging += self.cfg.costs.mem_log;
+        }
+    }
+
+    fn on_run_end(&mut self, summary: &RunSummary) {
+        // Every executed access, from both copies: the ESR denominator,
+        // comparable across samplers.
+        self.stats.total_mem = summary.data_accesses();
     }
 }
 

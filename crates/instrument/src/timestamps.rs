@@ -19,8 +19,12 @@ use literace_sim::{SyncVar, ThreadId};
 pub const PAPER_COUNTER_COUNT: usize = 128;
 
 /// Width of the sliding window used to model concurrent demand on a
-/// counter's cache line.
+/// counter's cache line. A power of two, so the ring index wraps by mask.
 const RECENT_WINDOW: usize = 16;
+
+/// The counter index of an empty window slot: no counter has it, because
+/// [`TimestampBank::with_counters`] keeps the bank smaller.
+const EMPTY_SLOT: u32 = u32::MAX;
 
 /// A bank of logical-timestamp counters indexed by a hash of the `SyncVar`.
 ///
@@ -39,8 +43,14 @@ const RECENT_WINDOW: usize = 16;
 #[derive(Debug, Clone)]
 pub struct TimestampBank {
     counters: Vec<u64>,
-    /// The last [`RECENT_WINDOW`] stamps, as (counter index, thread index).
-    recent: std::collections::VecDeque<(u32, u32)>,
+    /// `counters.len() - 1` when the count is a power of two, so a hash
+    /// picks its counter with a mask instead of a division.
+    pow2_mask: Option<usize>,
+    /// The last [`RECENT_WINDOW`] stamps, as (counter index, thread
+    /// index), in a ring; slots not yet written hold [`EMPTY_SLOT`].
+    recent: [(u32, u32); RECENT_WINDOW],
+    /// The ring slot the next stamp overwrites (its oldest).
+    next: usize,
     /// Stamps that found at least one recent stamp by another thread on the
     /// same counter.
     pub contended_stamps: u64,
@@ -66,12 +76,18 @@ impl TimestampBank {
     ///
     /// # Panics
     ///
-    /// Panics if `n` is zero.
+    /// Panics if `n` is zero or not below `u32::MAX`.
     pub fn with_counters(n: usize) -> TimestampBank {
         assert!(n > 0, "need at least one counter");
+        assert!(
+            n < EMPTY_SLOT as usize,
+            "{n} counters exceed the bank's index width"
+        );
         TimestampBank {
             counters: vec![0; n],
-            recent: std::collections::VecDeque::with_capacity(RECENT_WINDOW + 1),
+            pow2_mask: n.is_power_of_two().then(|| n - 1),
+            recent: [(EMPTY_SLOT, 0); RECENT_WINDOW],
+            next: 0,
             contended_stamps: 0,
             contention_units: 0,
             total_stamps: 0,
@@ -88,23 +104,26 @@ impl TimestampBank {
     /// Timestamps for one variable are strictly increasing. The first stamp
     /// issued by any counter is 1, so 0 can serve as "before everything".
     pub fn stamp(&mut self, tid: ThreadId, var: SyncVar) -> u64 {
-        let idx = hash_var(var) as usize % self.counters.len();
+        let hash = hash_var(var) as usize;
+        let idx = match self.pow2_mask {
+            Some(mask) => hash & mask,
+            None => hash % self.counters.len(),
+        };
         self.counters[idx] += 1;
         self.total_stamps += 1;
         let me = tid.index() as u32;
+        // A branch-free count over the whole ring: empty slots never match.
         let others = self
             .recent
             .iter()
-            .filter(|(i, t)| *i == idx as u32 && *t != me)
-            .count() as u64;
+            .map(|&(i, t)| u64::from(i == idx as u32 && t != me))
+            .sum::<u64>();
         if others > 0 {
             self.contended_stamps += 1;
             self.contention_units += others;
         }
-        self.recent.push_back((idx as u32, me));
-        if self.recent.len() > RECENT_WINDOW {
-            self.recent.pop_front();
-        }
+        self.recent[self.next] = (idx as u32, me);
+        self.next = (self.next + 1) & (RECENT_WINDOW - 1);
         self.counters[idx]
     }
 
@@ -200,5 +219,69 @@ mod tests {
     #[should_panic(expected = "at least one counter")]
     fn zero_counters_rejected() {
         let _ = TimestampBank::with_counters(0);
+    }
+
+    /// The straightforward bank: a `VecDeque` window and a `%` on every
+    /// stamp. The reference for the proptest below.
+    struct DequeBank {
+        counters: Vec<u64>,
+        recent: std::collections::VecDeque<(u32, u32)>,
+        contended_stamps: u64,
+        contention_units: u64,
+    }
+
+    impl DequeBank {
+        fn stamp(&mut self, tid: ThreadId, var: SyncVar) -> u64 {
+            let idx = hash_var(var) as usize % self.counters.len();
+            self.counters[idx] += 1;
+            let me = tid.index() as u32;
+            let others = self
+                .recent
+                .iter()
+                .filter(|(i, t)| *i == idx as u32 && *t != me)
+                .count() as u64;
+            if others > 0 {
+                self.contended_stamps += 1;
+                self.contention_units += others;
+            }
+            self.recent.push_back((idx as u32, me));
+            if self.recent.len() > RECENT_WINDOW {
+                self.recent.pop_front();
+            }
+            self.counters[idx]
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Stamps and contention counts equal the `VecDeque` bank's after
+        /// every stamp, at one counter, a count that is not a power of two
+        /// (the `%` path) and the paper's 128 (the mask path). Few threads
+        /// and vars, so counters collide and windows fill.
+        #[test]
+        fn ring_bank_matches_the_deque_bank(
+            counters in proptest::prelude::prop_oneof![
+                proptest::prelude::Just(1usize),
+                proptest::prelude::Just(3usize),
+                proptest::prelude::Just(128usize),
+            ],
+            stream in proptest::prop::collection::vec((0usize..4, 0u64..24), 0..300),
+        ) {
+            let mut ring = TimestampBank::with_counters(counters);
+            let mut deque = DequeBank {
+                counters: vec![0; counters],
+                recent: std::collections::VecDeque::new(),
+                contended_stamps: 0,
+                contention_units: 0,
+            };
+            for (i, &(tid, var)) in stream.iter().enumerate() {
+                let var = SyncVar(0x2000_0000 + var * 64);
+                proptest::prop_assert_eq!(ring.stamp(t(tid), var), deque.stamp(t(tid), var));
+                proptest::prop_assert_eq!(ring.contended_stamps, deque.contended_stamps);
+                proptest::prop_assert_eq!(ring.contention_units, deque.contention_units);
+                proptest::prop_assert_eq!(ring.total_stamps, i as u64 + 1);
+            }
+        }
     }
 }

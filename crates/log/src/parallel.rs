@@ -3,9 +3,9 @@
 //!
 //! ```text
 //! Scanner ──Job──▶ decode_job ──Done──▶ Consumer ──▶ blocks downstream
-//!  frame walk,      payload checksum,    sequence order, file checksum,
-//!  payload read     record decode        footer checks, strict errors,
-//!  only             (out of order on     salvage skip/taint/drop rules
+//!  frame walk,      payload checksum,    sequence order, footer checks,
+//!  payload read,    record decode        strict errors, salvage
+//!  file checksum    (out of order on     skip/taint/drop rules
 //!                    N pool workers)
 //!
 //! 0 workers = the same stages inline on one thread (`Inline`)
@@ -20,14 +20,15 @@
 //!   yields one [`Job`] per block or the [`Terminal`] event that ended the
 //!   walk. Its source is any `Read`: a payload is copied once, into an
 //!   owned buffer that travels with its job, so a read holds the blocks in
-//!   flight and never the whole file.
+//!   flight and never the whole file. It reads in file order, so it keeps
+//!   the running file checksum and hands it over with the footer.
 //! * [`decode_job`] verifies the payload checksum and decodes the
-//!   records, containing a panic as a typed error.
+//!   records, containing a panic as a typed error. The payload is dropped
+//!   there: a decoded block travels on as its records alone.
 //! * The [`Consumer`] takes the results in sequence order and owns every
-//!   policy decision: the running file checksum, the footer checks, the
-//!   strict error texts and — in salvage mode — the skip/taint/drop rules
-//!   of [`crate::salvage`]. It returns what to deliver; the driver
-//!   delivers it.
+//!   policy decision: the footer checks, the strict error texts and — in
+//!   salvage mode — the skip/taint/drop rules of [`crate::salvage`]. It
+//!   returns what to deliver; the driver delivers it.
 //!
 //! Two drivers run these stages. [`Inline`] runs them on the caller's
 //! thread (`RecordBlocks`, and `RecordStream` at one decode thread).
@@ -79,16 +80,16 @@ fn read_payload(src: &mut impl Read, len: usize) -> LogResult<Vec<u8>> {
 /// One scanned block, tagged with its sequence index in the stream.
 struct Job {
     seq: u64,
-    frame: [u8; FRAME_BYTES],
     head: BlockFrame,
     payload: Vec<u8>,
 }
 
-/// A decoded job: the outcome, with the frame and payload kept so the
-/// consumer can fold them into the running file checksum (and the
-/// salvage byte tally).
+/// A decoded job: the outcome, with the sequence index and frame header
+/// the consumer orders and accounts by. It holds no payload, so a worker
+/// frees each payload as soon as the block is decoded.
 struct Done {
-    job: Job,
+    seq: u64,
+    head: BlockFrame,
     result: LogResult<Vec<Record>>,
 }
 
@@ -96,10 +97,12 @@ struct Done {
 enum Terminal {
     /// Clean EOF without a footer (an unsealed log).
     Eof,
-    /// A verified footer frame; `trailing` is what followed it (strict
-    /// mode probes one byte, salvage drains and counts).
+    /// A verified footer frame; `file_sum` is the checksum of every block
+    /// frame and payload before it, and `trailing` is what followed it
+    /// (strict mode probes one byte, salvage drains and counts).
     Footer {
         foot: FooterFrame,
+        file_sum: u64,
         trailing: LogResult<u64>,
     },
     /// EOF inside a frame header: `got` of 24 bytes.
@@ -144,6 +147,8 @@ struct Scanner<R> {
     seq: u64,
     /// Salvage drains and counts what follows a terminal frame.
     salvage: bool,
+    /// Running checksum of every block frame and payload read so far.
+    file_sum: Checksum,
 }
 
 impl<R: Read> Scanner<R> {
@@ -169,7 +174,12 @@ impl<R: Read> Scanner<R> {
                 } else {
                     read_exact_or_eof(&mut self.src, &mut [0u8; 1]).map(|n| n as u64)
                 };
-                return Err(Terminal::Footer { foot, trailing });
+                let file_sum = self.file_sum.finish();
+                return Err(Terminal::Footer {
+                    foot,
+                    file_sum,
+                    trailing,
+                });
             }
             Ok(Frame::Block(head)) => head,
         };
@@ -179,14 +189,11 @@ impl<R: Read> Scanner<R> {
             let got = payload.len();
             return Err(Terminal::TornPayload { head, got });
         }
+        self.file_sum.update(&frame);
+        self.file_sum.update(&payload);
         let seq = self.seq;
         self.seq += 1;
-        Ok(Job {
-            seq,
-            frame,
-            head,
-            payload,
-        })
+        Ok(Job { seq, head, payload })
     }
 
     /// Ends the walk early.
@@ -206,7 +213,7 @@ impl<R: Read> Scanner<R> {
 }
 
 /// The decode step of every driver: payload checksum, then the records,
-/// with a panic contained as a typed error.
+/// with a panic contained as a typed error. Consumes the payload.
 fn decode_job(state: &mut BlockState, job: Job) -> Done {
     let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if crate::checksum::checksum(&job.payload) != job.head.payload_sum {
@@ -219,7 +226,11 @@ fn decode_job(state: &mut BlockState, job: Job) -> Done {
             message: panic_message(payload.as_ref()),
         })
     });
-    Done { job, result }
+    Done {
+        seq: job.seq,
+        head: job.head,
+        result,
+    }
 }
 
 /// Publishes a block decoded in strict mode to the `log.decode.v2.*`
@@ -228,9 +239,9 @@ fn count_decoded(done: &Done, ns: u64) {
     let m = literace_telemetry::metrics();
     m.log_decode_v2_blocks.add(1);
     m.log_decode_v2_bytes
-        .add((FRAME_BYTES as u32 + done.job.head.payload_len) as u64);
+        .add((FRAME_BYTES as u32 + done.head.payload_len) as u64);
     m.log_decode_v2_records
-        .add(u64::from(done.job.head.record_count));
+        .add(u64::from(done.head.record_count));
     m.log_decode_v2_ns.add(ns);
 }
 
@@ -253,7 +264,6 @@ pub(crate) enum Mode {
 /// The in-order consumer: every policy decision of the reader.
 struct Consumer {
     mode: Mode,
-    file_sum: Checksum,
     records_seen: u64,
     /// Delivery is over: an error delivered (strict) or downstream gone.
     stopped: bool,
@@ -266,7 +276,6 @@ impl Consumer {
     fn new(mode: Mode) -> Consumer {
         Consumer {
             mode,
-            file_sum: Checksum::new(),
             records_seen: 0,
             stopped: false,
             taint: None,
@@ -298,10 +307,10 @@ impl Consumer {
     /// Takes the next block in sequence order and returns what to
     /// deliver downstream, if anything.
     fn accept(&mut self, done: Done) -> Option<LogResult<Vec<Record>>> {
-        let Done { job, result } = done;
+        let Done { head, result, .. } = done;
         if let Some(t) = &mut self.taint {
             // Suffix already dropped: only the byte count matters.
-            t.rest += FRAME_BYTES as u64 + u64::from(job.head.payload_len);
+            t.rest += FRAME_BYTES as u64 + u64::from(head.payload_len);
             return None;
         }
         if self.stopped {
@@ -311,14 +320,15 @@ impl Consumer {
             (Ok(block), _) => block,
             (Err(e), Mode::Strict) => return Some(Err(self.fail(e))),
             (Err(e), Mode::Salvage(report)) => {
-                let dropped = FRAME_BYTES as u64 + job.payload.len() as u64;
-                let records = u64::from(job.head.record_count);
+                // A job's payload is always whole: a torn one ends the walk.
+                let dropped = FRAME_BYTES as u64 + u64::from(head.payload_len);
+                let records = u64::from(head.record_count);
                 let mut r = report.lock().expect("salvage report poisoned");
                 r.blocks_skipped += 1;
                 r.records_dropped_known += records;
                 r.bytes_dropped += dropped;
                 r.note_error(e.to_string());
-                if job.head.sync_count > 0 {
+                if head.sync_count > 0 {
                     // Sync records lost: a happens-before edge between
                     // surviving accesses may be gone, so nothing after
                     // this block can be trusted not to race falsely. The
@@ -339,9 +349,7 @@ impl Consumer {
                 return None;
             }
         };
-        self.file_sum.update(&job.frame);
-        self.file_sum.update(&job.payload);
-        self.records_seen += u64::from(job.head.record_count);
+        self.records_seen += u64::from(head.record_count);
         if let Mode::Salvage(report) = &self.mode {
             let mut r = report.lock().expect("salvage report poisoned");
             r.blocks_decoded += 1;
@@ -374,13 +382,17 @@ impl Consumer {
                 self.set_seal(SealState::Unsealed);
                 return None;
             }
-            Terminal::Footer { foot, trailing } => {
+            Terminal::Footer {
+                foot,
+                file_sum,
+                trailing,
+            } => {
                 if foot.total_records != self.records_seen {
                     LogError::corrupt(format!(
                         "footer record count mismatch: footer says {}, decoded {}",
                         foot.total_records, self.records_seen
                     ))
-                } else if foot.file_sum != self.file_sum.finish() {
+                } else if foot.file_sum != file_sum {
                     LogError::corrupt("footer stream checksum mismatch")
                 } else {
                     match trailing {
@@ -426,7 +438,11 @@ impl Consumer {
                     r.seal = SealState::Unsealed;
                 }
             }
-            Terminal::Footer { foot, trailing } => {
+            Terminal::Footer {
+                foot,
+                file_sum,
+                trailing,
+            } => {
                 // foot_sum verified in parse_frame: the writer did
                 // finalize this log, whatever happened to its middle.
                 let trailing = trailing.unwrap_or(0);
@@ -436,11 +452,11 @@ impl Consumer {
                     r.note_error(format!("{trailing} trailing bytes after footer"));
                     tally_skip(0, 0, trailing);
                 }
-                // A mismatch is expected when blocks were skipped; on an
-                // otherwise clean read it means damage the block checks
-                // missed.
-                let totals_match = foot.total_records == self.records_seen
-                    && foot.file_sum == self.file_sum.finish();
+                // A mismatch is expected when blocks were skipped (and
+                // noted first); on an otherwise clean read it means damage
+                // the block checks missed.
+                let totals_match =
+                    foot.total_records == self.records_seen && foot.file_sum == file_sum;
                 if !totals_match && r.first_error.is_none() {
                     r.note_error(format!(
                         "footer totals mismatch: footer says {} records, decoded {}",
@@ -519,6 +535,7 @@ impl<R: Read> Inline<R> {
                 src,
                 seq: 0,
                 salvage: matches!(mode, Mode::Salvage(_)),
+                file_sum: Checksum::new(),
             },
             state: BlockState::default(),
             consumer: Some(Consumer::new(mode)),
@@ -665,7 +682,8 @@ fn worker(jobs: &Mutex<Receiver<Job>>, out: &SyncSender<Done>, abort: &AtomicBoo
             // The consumer only needs the head for byte accounting now;
             // skip the decode work.
             Done {
-                job,
+                seq: job.seq,
+                head: job.head,
                 result: Ok(Vec::new()),
             }
         } else {
@@ -698,7 +716,7 @@ fn consume(
     let mut pending: BTreeMap<u64, Done> = BTreeMap::new();
     let mut next = 0u64;
     while let Ok(done) = results.recv() {
-        if done.job.seq != next {
+        if done.seq != next {
             if literace_telemetry::enabled() {
                 literace_telemetry::metrics()
                     .log_decode_ooo_reorder_depth
@@ -706,7 +724,7 @@ fn consume(
             }
             literace_telemetry::trace_instant("consume.reorder");
         }
-        pending.insert(done.job.seq, done);
+        pending.insert(done.seq, done);
         while let Some(done) = pending.remove(&next) {
             next += 1;
             window.take();

@@ -1,4 +1,4 @@
-//! The runtime event stream and observer hook.
+//! The runtime event stream and observer hooks.
 //!
 //! The machine emits one [`Event`] for every observable action. Observers —
 //! the LiteRace instrumentation, the online detector, statistics collectors —
@@ -7,11 +7,29 @@
 //! per-synchronization-variable order is the true synchronization order. The
 //! instrumentation layer relies on this to produce timestamps consistent with
 //! §4.2 of the paper.
+//!
+//! # The dispatch check
+//!
+//! LiteRace clones every function and runs a dispatch check at each entry
+//! that picks the instrumented or the uninstrumented copy (§3.3, §4.1).
+//! Here the check is the observer's [`Observer::on_entry`] hook, and its
+//! [`Dispatch`] answer is stored in the new frame. A frame that runs the
+//! uninstrumented copy ([`Dispatch::Skip`]) delivers none of its data
+//! accesses or loop iterations: they update only the [`RunSummary`] and
+//! the baseline cost, as the uninstrumented clone pays nothing past its
+//! check. Its synchronization operations, allocations and exit are
+//! delivered from both copies. An observed frame's accesses arrive through
+//! [`Observer::on_access`] with the observer's word for the frame.
+//!
+//! Every hook has a provided default that emits the events it stands in
+//! for, and the default entry hook observes every frame, so an observer
+//! that implements only [`Observer::on_event`] sees the complete stream.
 
 use serde::{Deserialize, Serialize};
 
 use crate::addr::Addr;
 use crate::ids::{FuncId, Pc, SyncVar, ThreadId};
+use crate::summary::RunSummary;
 
 /// The kind of synchronization operation, with its happens-before role.
 ///
@@ -204,14 +222,61 @@ impl Event {
     }
 }
 
+/// An observer's answer at a function entry: which copy of the function
+/// the new frame runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dispatch {
+    /// The uninstrumented copy: the frame's data accesses and loop
+    /// iterations reach no observer.
+    Skip,
+    /// The instrumented copy. The word is the observer's own tag for the
+    /// frame (the instrumenter's sampler mask); the machine hands it back
+    /// with each of the frame's accesses.
+    Observe(u32),
+}
+
 /// Receives the event stream of a run.
 ///
 /// Observers must not assume anything beyond the linearization guarantee
-/// documented at the module level. Multiple observers can be layered
-/// with [`ObserverPair`] or a `Vec<&mut dyn Observer>` of your own.
+/// documented at the module level. To feed several observers one run,
+/// run the (deterministic) schedule once per observer.
 pub trait Observer {
     /// Called for every event, in the machine's global step order.
     fn on_event(&mut self, event: &Event);
+
+    /// The dispatch check: called at every function entry, in place of the
+    /// [`Event::FunctionEntry`] event. The machine stores the [`Dispatch`]
+    /// answer in the new frame; a skipped frame's data accesses and loop
+    /// iterations reach no hook, while its sync operations, allocations and
+    /// exit are still delivered.
+    ///
+    /// The default delivers the `FunctionEntry` event and observes every
+    /// frame, so the stream is complete unless an observer opts out. Like
+    /// `Scheduler::keep_current`, it is always correct to keep.
+    fn on_entry(&mut self, tid: ThreadId, func: FuncId) -> Dispatch {
+        self.on_event(&Event::FunctionEntry { tid, func });
+        Dispatch::Observe(0)
+    }
+
+    /// Called for every data access of an observed frame, in place of its
+    /// [`Event::MemRead`] or [`Event::MemWrite`] event, with the word the
+    /// frame's [`on_entry`](Observer::on_entry) answered. The default
+    /// delivers the event.
+    fn on_access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool, word: u32) {
+        let _ = word;
+        self.on_event(&if is_write {
+            Event::MemWrite { tid, pc, addr }
+        } else {
+            Event::MemRead { tid, pc, addr }
+        });
+    }
+
+    /// Called once as a run ends, completed or not, with the machine's
+    /// counters so far: every access executed, observed or not, is in
+    /// them. The default does nothing.
+    fn on_run_end(&mut self, summary: &RunSummary) {
+        let _ = summary;
+    }
 }
 
 /// An observer that discards everything.
@@ -220,29 +285,6 @@ pub struct NullObserver;
 
 impl Observer for NullObserver {
     fn on_event(&mut self, _event: &Event) {}
-}
-
-/// Fans one event stream out to two observers (first `a`, then `b`).
-#[derive(Debug)]
-pub struct ObserverPair<A, B> {
-    /// First observer.
-    pub a: A,
-    /// Second observer.
-    pub b: B,
-}
-
-impl<A, B> ObserverPair<A, B> {
-    /// Creates the pair.
-    pub fn new(a: A, b: B) -> ObserverPair<A, B> {
-        ObserverPair { a, b }
-    }
-}
-
-impl<A: Observer, B: Observer> Observer for ObserverPair<A, B> {
-    fn on_event(&mut self, event: &Event) {
-        self.a.on_event(event);
-        self.b.on_event(event);
-    }
 }
 
 /// An observer that buffers every event (useful in tests).
@@ -261,6 +303,18 @@ impl Observer for RecordingObserver {
 impl<O: Observer + ?Sized> Observer for &mut O {
     fn on_event(&mut self, event: &Event) {
         (**self).on_event(event);
+    }
+
+    fn on_entry(&mut self, tid: ThreadId, func: FuncId) -> Dispatch {
+        (**self).on_entry(tid, func)
+    }
+
+    fn on_access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool, word: u32) {
+        (**self).on_access(tid, pc, addr, is_write, word);
+    }
+
+    fn on_run_end(&mut self, summary: &RunSummary) {
+        (**self).on_run_end(summary);
     }
 }
 
@@ -307,13 +361,22 @@ mod tests {
     }
 
     #[test]
-    fn observer_pair_preserves_order() {
-        let mut pair = ObserverPair::new(RecordingObserver::default(), RecordingObserver::default());
-        let ev = Event::ThreadExit {
-            tid: ThreadId::MAIN,
-        };
-        pair.on_event(&ev);
-        assert_eq!(pair.a.events.len(), 1);
-        assert_eq!(pair.b.events.len(), 1);
+    fn default_hooks_deliver_the_events_they_replace() {
+        let mut obs = RecordingObserver::default();
+        let (tid, func) = (ThreadId::MAIN, FuncId::from_index(2));
+        let (pc, addr) = (Pc::new(func, 1), Addr(0x1000_0008));
+        assert_eq!(obs.on_entry(tid, func), Dispatch::Observe(0));
+        obs.on_access(tid, pc, addr, false, 7);
+        // Through the `&mut O` impl, which forwards every hook.
+        Observer::on_access(&mut &mut obs, tid, pc, addr, true, 0);
+        obs.on_run_end(&RunSummary::default());
+        assert_eq!(
+            obs.events,
+            [
+                Event::FunctionEntry { tid, func },
+                Event::MemRead { tid, pc, addr },
+                Event::MemWrite { tid, pc, addr },
+            ]
+        );
     }
 }

@@ -10,7 +10,9 @@
 //! deterministic [`Scheduler`]. The machine emits a runtime [`Event`] stream
 //! to an [`Observer`] — function entries (the dispatch-check points), data
 //! memory accesses, synchronization operations, allocations — which is
-//! exactly the information the LiteRace instrumentation consumes.
+//! exactly the information the LiteRace instrumentation consumes. The
+//! observer answers each function entry with a [`Dispatch`]; a frame it
+//! skips runs the uninstrumented copy and emits no access events.
 //!
 //! Determinism matters: a `(program, scheduler)` pair fixes the interleaving,
 //! so different sampling strategies can be compared on *the same execution*,
@@ -70,9 +72,7 @@ pub use addr::{
 pub use builder::{FunctionBuilder, GlobalVar, ProgramBuilder};
 pub use cost::CostModel;
 pub use error::{SimError, SimResult};
-pub use event::{
-    Event, NullObserver, Observer, ObserverPair, RecordingObserver, SyncOpKind,
-};
+pub use event::{Dispatch, Event, NullObserver, Observer, RecordingObserver, SyncOpKind};
 pub use ids::{FuncId, LocalSlot, Pc, SyncId, SyncVar, ThreadId};
 pub use lower::{lower, CompiledFunction, CompiledProgram, Instr};
 pub use machine::{

@@ -2,8 +2,11 @@
 //!
 //! [`Machine::run`] interprets a [`CompiledProgram`] under a
 //! [`Scheduler`](crate::Scheduler), emitting an [`Event`] stream to an
-//! [`Observer`](crate::Observer) and collecting a [`RunSummary`]. Execution
-//! is deterministic given the program and the scheduler.
+//! [`Observer`](crate::Observer) and collecting a [`RunSummary`]. Each frame
+//! carries the observer's [`Dispatch`] answer from its entry; a skipped
+//! frame's accesses and loop iterations are counted but not delivered.
+//! Execution is deterministic given the program and the scheduler, and
+//! does not depend on what the observer answers.
 
 mod memory;
 mod sync;
@@ -19,8 +22,8 @@ use serde::{Deserialize, Serialize};
 use crate::addr::{Addr, GLOBAL_BASE, WORD_BYTES};
 use crate::cost::CostModel;
 use crate::error::{SimError, SimResult};
-use crate::event::{Event, Observer, SyncOpKind};
-use crate::ids::{FuncId, Pc, SyncId, SyncVar, ThreadId};
+use crate::event::{Dispatch, Event, Observer, SyncOpKind};
+use crate::ids::{Pc, SyncId, SyncVar, ThreadId};
 use crate::lower::{CompiledProgram, Instr};
 use crate::op::{AddrExpr, Rvalue, SyncRef};
 use crate::program::SyncKind;
@@ -129,7 +132,8 @@ impl<'p> Machine<'p> {
         }
     }
 
-    /// Runs to completion (every thread exited).
+    /// Runs to completion (every thread exited). The observer's run-end
+    /// hook gets the summary as the run ends, whether it completed or not.
     ///
     /// # Errors
     ///
@@ -142,6 +146,17 @@ impl<'p> Machine<'p> {
         sched: &mut S,
         obs: &mut O,
     ) -> SimResult<RunSummary> {
+        let outcome = self.run_steps(sched, obs);
+        obs.on_run_end(&self.summary);
+        outcome.map(|()| std::mem::take(&mut self.summary))
+    }
+
+    /// Steps threads until none is runnable or a step fails.
+    fn run_steps<S: Scheduler, O: Observer>(
+        &mut self,
+        sched: &mut S,
+        obs: &mut O,
+    ) -> SimResult<()> {
         // The thread that stepped last. While it stays runnable, the
         // scheduler is asked to continue its slice before any pick.
         let mut current: Option<ThreadId> = None;
@@ -184,9 +199,9 @@ impl<'p> Machine<'p> {
         &self.runnable
     }
 
-    /// Ends a run that has no runnable thread: the summary if every thread
-    /// has exited, otherwise a deadlock naming the blocked threads.
-    fn finish(&mut self) -> SimResult<RunSummary> {
+    /// Ends a run that has no runnable thread: done if every thread has
+    /// exited, otherwise a deadlock naming the blocked threads.
+    fn finish(&self) -> SimResult<()> {
         let blocked: Vec<_> = self
             .threads
             .iter()
@@ -196,7 +211,7 @@ impl<'p> Machine<'p> {
             })
             .collect();
         if blocked.is_empty() {
-            Ok(std::mem::take(&mut self.summary))
+            Ok(())
         } else {
             Err(SimError::Deadlock { blocked })
         }
@@ -261,12 +276,13 @@ impl<'p> Machine<'p> {
     /// Executes one instruction of thread `tid`, which must be runnable.
     fn step<O: Observer>(&mut self, tid: ThreadId, obs: &mut O) -> SimResult<()> {
         let ti = tid.index();
+        if !self.meta[ti].started {
+            self.start_thread(tid, obs);
+        }
         let frame = self.threads[ti].frame();
         let func = frame.func;
         let pc_idx = frame.pc;
-        if !self.meta[ti].started {
-            self.start_thread(tid, func, obs);
-        }
+        let dispatch = frame.dispatch;
         let instr = self.prog.function(func).code[pc_idx];
         let pc = Pc::new(func, pc_idx);
 
@@ -278,7 +294,9 @@ impl<'p> Machine<'p> {
                 self.charge(tid, self.cfg.cost.read);
                 self.summary.mem_reads += 1;
                 self.count_access_class(addr);
-                obs.on_event(&Event::MemRead { tid, pc, addr });
+                if let Dispatch::Observe(word) = dispatch {
+                    obs.on_access(tid, pc, addr, false, word);
+                }
                 self.advance(tid);
             }
             Instr::Write(a) => {
@@ -286,7 +304,9 @@ impl<'p> Machine<'p> {
                 self.charge(tid, self.cfg.cost.write);
                 self.summary.mem_writes += 1;
                 self.count_access_class(addr);
-                obs.on_event(&Event::MemWrite { tid, pc, addr });
+                if let Dispatch::Observe(word) = dispatch {
+                    obs.on_access(tid, pc, addr, true, word);
+                }
                 self.advance(tid);
             }
             Instr::AtomicRmw(a) => {
@@ -501,7 +521,7 @@ impl<'p> Machine<'p> {
                 thread.push_frame(func, locals, arg);
                 self.summary.func_entries += 1;
                 self.summary.per_func_entries[func.index()] += 1;
-                obs.on_event(&Event::FunctionEntry { tid, func });
+                self.threads[ti].frame_mut().dispatch = obs.on_entry(tid, func);
             }
             Instr::Compute { cost } => {
                 self.charge(tid, cost as u64);
@@ -529,11 +549,13 @@ impl<'p> Machine<'p> {
                 } else {
                     thread.push_loop(trips);
                     thread.frame_mut().pc += 1;
-                    obs.on_event(&Event::LoopIter {
-                        tid,
-                        func,
-                        head: pc,
-                    });
+                    if let Dispatch::Observe(_) = dispatch {
+                        obs.on_event(&Event::LoopIter {
+                            tid,
+                            func,
+                            head: pc,
+                        });
+                    }
                 }
             }
             Instr::LoopBack { body } => {
@@ -541,8 +563,10 @@ impl<'p> Machine<'p> {
                 let thread = &mut self.threads[ti];
                 if thread.loop_back() {
                     thread.frame_mut().pc = body;
-                    let head = Pc::new(func, body - 1);
-                    obs.on_event(&Event::LoopIter { tid, func, head });
+                    if let Dispatch::Observe(_) = dispatch {
+                        let head = Pc::new(func, body - 1);
+                        obs.on_event(&Event::LoopIter { tid, func, head });
+                    }
                 } else {
                     thread.frame_mut().pc += 1;
                 }
@@ -592,10 +616,11 @@ impl<'p> Machine<'p> {
         self.syncs[sid.index()].waiters.clear();
     }
 
-    /// Emits a thread's start events ahead of its first instruction, whose
-    /// frame runs `func`.
+    /// Emits a thread's start events ahead of its first instruction and
+    /// runs the entry hook for its first frame.
     #[cold]
-    fn start_thread<O: Observer>(&mut self, tid: ThreadId, func: FuncId, obs: &mut O) {
+    fn start_thread<O: Observer>(&mut self, tid: ThreadId, obs: &mut O) {
+        let func = self.threads[tid.index()].frame().func;
         let meta = &mut self.meta[tid.index()];
         meta.started = true;
         let parent = meta.parent;
@@ -611,7 +636,7 @@ impl<'p> Machine<'p> {
         }
         self.summary.func_entries += 1;
         self.summary.per_func_entries[func.index()] += 1;
-        obs.on_event(&Event::FunctionEntry { tid, func });
+        self.threads[tid.index()].frame_mut().dispatch = obs.on_entry(tid, func);
     }
 
     fn count_access_class(&mut self, addr: Addr) {
@@ -723,7 +748,7 @@ mod tests {
     use super::*;
     use crate::builder::{FunctionBuilder, GlobalVar, ProgramBuilder};
     use crate::event::{NullObserver, RecordingObserver};
-    use crate::ids::LocalSlot;
+    use crate::ids::{FuncId, LocalSlot};
     use crate::lower::lower;
     use crate::sched::{
         ChunkedRandomScheduler, PctScheduler, RandomScheduler, RoundRobinScheduler,

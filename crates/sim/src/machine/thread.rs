@@ -1,6 +1,7 @@
 //! Per-thread runtime state: frames, locals, blocking status.
 
 use crate::addr::{stack_base, Addr, STACK_BYTES_PER_THREAD, WORD_BYTES};
+use crate::event::Dispatch;
 use crate::ids::{FuncId, LocalSlot, SyncId, ThreadId};
 
 /// Words of simulated stack per frame (stack accesses wrap within this).
@@ -58,6 +59,9 @@ pub(crate) struct Frame {
     pub(crate) func: FuncId,
     /// Index of the next instruction to execute.
     pub(crate) pc: usize,
+    /// The observer's answer at this frame's entry; `Skip` until the entry
+    /// hook has run.
+    pub(crate) dispatch: Dispatch,
     /// Where this frame's local slots start in `ThreadState::locals`.
     locals_base: usize,
     /// Where this frame's loop counters start in `ThreadState::loops`.
@@ -106,6 +110,7 @@ impl ThreadState {
         self.frames.push(Frame {
             func,
             pc: 0,
+            dispatch: Dispatch::Skip,
             locals_base,
             loops_base: self.loops.len(),
         });

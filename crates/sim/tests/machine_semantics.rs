@@ -1,8 +1,9 @@
 //! Integration tests for the execution semantics of the machine.
 
 use literace_sim::{
-    lower, CompiledProgram, Event, Machine, MachineConfig, ProgramBuilder, RandomScheduler,
-    RecordingObserver, RunSummary, Rvalue, Scheduler, SimError, SyncOpKind, ThreadId,
+    lower, Addr, CompiledProgram, Dispatch, Event, FuncId, Machine, MachineConfig, NullObserver,
+    Observer, Pc, ProgramBuilder, RandomScheduler, RecordingObserver, RunSummary, Rvalue,
+    Scheduler, SimError, SyncOpKind, ThreadId,
 };
 
 fn run_with_seed(
@@ -611,4 +612,163 @@ fn soak_hundreds_of_threads() {
     assert_eq!(summary.threads, 201);
     assert_eq!(summary.mem_writes, 200 * 20);
     assert_eq!(summary.mem_reads, 200);
+}
+
+/// Skips every frame of one function and observes every other frame with
+/// its function index as the word; records what it is given.
+struct Declines {
+    func: FuncId,
+    events: Vec<Event>,
+    end: Option<RunSummary>,
+}
+
+impl Observer for Declines {
+    fn on_event(&mut self, event: &Event) {
+        self.events.push(*event);
+    }
+
+    fn on_entry(&mut self, tid: ThreadId, func: FuncId) -> Dispatch {
+        self.events.push(Event::FunctionEntry { tid, func });
+        if func == self.func {
+            Dispatch::Skip
+        } else {
+            Dispatch::Observe(func.index() as u32)
+        }
+    }
+
+    fn on_access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool, word: u32) {
+        assert_eq!(
+            word,
+            pc.func().index() as u32,
+            "an access carries its own frame's word"
+        );
+        self.events.push(if is_write {
+            Event::MemWrite { tid, pc, addr }
+        } else {
+            Event::MemRead { tid, pc, addr }
+        });
+    }
+
+    fn on_run_end(&mut self, summary: &RunSummary) {
+        assert!(self.end.is_none(), "one run end per run");
+        self.end = Some(summary.clone());
+    }
+}
+
+#[test]
+fn a_skipped_frame_delivers_its_sync_and_exit_but_no_accesses() {
+    let mut skipped = None;
+    let p = build(|b| {
+        let g = b.global_word("g");
+        let m = b.mutex("m");
+        let inner = b.function("inner", 0, move |f| {
+            f.write(g);
+        });
+        let s = b.function("skipped", 0, move |f| {
+            f.loop_(3, |f| {
+                f.read(g);
+                f.write_stack(0);
+            });
+            f.call(inner);
+            f.lock(m);
+            f.write(g);
+            f.unlock(m);
+            let block = f.alloc(4);
+            f.free(block);
+        });
+        skipped = Some(s);
+        b.entry_fn("main", move |f| {
+            let t = f.spawn(s, Rvalue::Const(0));
+            f.call(s);
+            f.write(g);
+            f.join(t);
+        });
+    });
+    let skipped = skipped.unwrap();
+    let mut null_summary = None;
+    let mut streams = Vec::new();
+    for forwarded in [false, true] {
+        let mut obs = Declines {
+            func: skipped,
+            events: Vec::new(),
+            end: None,
+        };
+        let mut machine = Machine::new(&p, MachineConfig::default());
+        let mut sched = RandomScheduler::seeded(4);
+        // Through `&mut O`, which must forward every hook.
+        let summary = if forwarded {
+            machine.run(&mut sched, &mut &mut obs)
+        } else {
+            machine.run(&mut sched, &mut obs)
+        }
+        .unwrap();
+        let null = Machine::new(&p, MachineConfig::default())
+            .run(&mut RandomScheduler::seeded(4), &mut NullObserver)
+            .unwrap();
+        assert_eq!(
+            summary, null,
+            "what the observer answers never changes the run"
+        );
+        assert_eq!(obs.end.as_ref(), Some(&summary));
+        null_summary = Some(null);
+        streams.push(obs.events);
+    }
+    assert_eq!(streams[0], streams[1]);
+    let events = &streams[0];
+    let summary = null_summary.unwrap();
+    // Both threads ran `skipped`, whose loop read g 3 times each.
+    assert_eq!(summary.mem_reads, 6);
+    let in_skipped = |pc: Pc| pc.func() == skipped;
+    assert!(
+        !events.iter().any(|e| match *e {
+            Event::MemRead { pc, .. } | Event::MemWrite { pc, .. } => in_skipped(pc),
+            Event::LoopIter { func, .. } => func == skipped,
+            _ => false,
+        }),
+        "a skipped frame delivers no access or loop iteration"
+    );
+    let count = |want: &dyn Fn(&Event) -> bool| events.iter().filter(|e| want(e)).count();
+    assert_eq!(
+        count(&|e| matches!(*e, Event::FunctionEntry { func, .. } if func == skipped)),
+        2
+    );
+    assert_eq!(
+        count(&|e| matches!(*e, Event::FunctionExit { func, .. } if func == skipped)),
+        2
+    );
+    // Lock, unlock and the allocation's §4.3 page syncs come from both
+    // copies: the sync events the instrumentation must never drop.
+    let sync_in_skipped = |kind: SyncOpKind| {
+        count(&|e| matches!(*e, Event::Sync { pc, kind: k, .. } if in_skipped(pc) && k == kind))
+    };
+    assert_eq!(sync_in_skipped(SyncOpKind::LockAcquire), 2);
+    assert_eq!(sync_in_skipped(SyncOpKind::LockRelease), 2);
+    assert_eq!(
+        count(&|e| matches!(*e, Event::Alloc { pc, .. } if in_skipped(pc))),
+        2
+    );
+    assert_eq!(
+        count(&|e| matches!(*e, Event::Free { pc, .. } if in_skipped(pc))),
+        2
+    );
+    // An observed callee of a skipped frame is observed...
+    let inner_writes = count(&|e| match *e {
+        Event::MemWrite { pc, .. } => !in_skipped(pc) && pc.func() != p.entry,
+        _ => false,
+    });
+    assert_eq!(inner_writes, 2);
+    // ...and so is the caller, after `skipped` returns to it.
+    let main = ThreadId::MAIN;
+    let exit_in_main = events
+        .iter()
+        .position(|e| {
+            *e == Event::FunctionExit {
+                tid: main,
+                func: skipped,
+            }
+        })
+        .expect("main's call returns");
+    assert!(events[exit_in_main..].iter().any(
+        |e| matches!(*e, Event::MemWrite { tid, pc, .. } if tid == main && pc.func() == p.entry)
+    ));
 }

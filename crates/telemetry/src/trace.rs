@@ -243,6 +243,7 @@ fn clock_base() -> Instant {
 }
 
 /// Pins the clock base; called by [`set_trace_enabled`](crate::set_trace_enabled).
+#[cfg(feature = "enabled")]
 pub(crate) fn init_clock_base() {
     let _ = clock_base();
 }

@@ -6,7 +6,7 @@ use std::collections::HashSet;
 
 use literace::detector::{detect, merge, HbDetector, OnlineDetector};
 use literace::prelude::*;
-use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, ObserverPair};
+use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig};
 use literace::workloads::synthetic::{racy, SyntheticConfig};
 use proptest::prelude::*;
 
@@ -22,19 +22,26 @@ fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
     )
 }
 
-/// Runs one program once, producing both the offline log (via the
-/// instrumenter) and the online detector's report from the same execution.
+/// Runs one seeded schedule twice, once under the instrumenter (the
+/// offline log) and once under the online detector, and checks that both
+/// runs are the same execution before returning both reports.
 fn run_both(program: &literace::sim::Program, seed: u64) -> (RaceReport, RaceReport) {
     let compiled = lower(program);
     let mut inst = literace::instrument::Instrumenter::new(
         SamplerKind::Always.build(seed),
         InstrumentConfig::default(),
     );
-    let mut online = OnlineDetector::new();
-    let mut pair = ObserverPair::new(&mut inst, &mut online);
     let summary = Machine::new(&compiled, MachineConfig::default())
-        .run(&mut ChunkedRandomScheduler::seeded(seed, 48), &mut pair)
+        .run(&mut ChunkedRandomScheduler::seeded(seed, 48), &mut inst)
         .expect("program runs");
+    let mut online = OnlineDetector::new();
+    let online_summary = Machine::new(&compiled, MachineConfig::default())
+        .run(&mut ChunkedRandomScheduler::seeded(seed, 48), &mut online)
+        .expect("program runs");
+    assert_eq!(
+        summary, online_summary,
+        "one seeded schedule, one execution"
+    );
     let out = inst.finish();
     let offline = detect(&out.log, summary.non_stack_accesses);
     (offline, online.finish())
