@@ -54,7 +54,7 @@ use std::time::Instant;
 use literace::detector::{detect_sharded, detect_stream, DetectConfig, RaceReport};
 use literace::instrument::{InstrumentConfig, Instrumenter, V2Sink};
 use literace::log::{
-    encode_v2, log_to_bytes, read_log_auto, DecodeOpts, EncodeOpts, LogWriterV2, RecordStream,
+    encode_all, encode_v2, read_log_auto, DecodeOpts, EncodeOpts, LogWriterV2, RecordStream,
     DEFAULT_BLOCK_RECORDS,
 };
 use literace::prelude::*;
@@ -260,7 +260,7 @@ fn main() {
             non_stack += ns;
         }
         let records = log.len();
-        let v1: Vec<u8> = log_to_bytes(&log).to_vec();
+        let v1: Vec<u8> = encode_all(&log).to_vec();
         let v2: Vec<u8> = encode_v2(&log).to_vec();
 
         eprintln!(

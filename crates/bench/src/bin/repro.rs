@@ -2,7 +2,7 @@
 //! Tables 3–5 and Figures 4–6, printing paper reference values alongside
 //! the measured ones.
 
-use literace::experiments::{run_overhead_study_on, run_sampler_study_parallel_threads};
+use literace::experiments::{run_overhead_study_on, run_sampler_study_on};
 use literace_bench::{detection_workloads, overhead_workloads};
 
 fn main() {
@@ -28,7 +28,7 @@ fn main() {
     println!("{}", literace::experiments::table1());
     println!("{}", literace::experiments::table2(opts.scale));
     let study =
-        run_sampler_study_parallel_threads(opts.scale, &opts.seeds, &detection_workloads(&opts), 1)
+        run_sampler_study_on(opts.scale, &opts.seeds, &detection_workloads(&opts))
             .expect("sampler study runs");
     println!("{}", study.table3());
     println!("{}", study.table4());

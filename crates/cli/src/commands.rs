@@ -89,9 +89,10 @@ USAGE:
       salvaged log can never report a race the clean log would not.
       --checkpoint-out seals the hb detector's full state into a
       checkpoint file: every N input blocks with --checkpoint-every, and
-      always once at end of stream (checkpoint creation runs the
-      sequential core, so it conflicts with --threads; a stale
-      <state>.partial left by a crashed save is swept first).
+      always once at end of stream, at any --threads (every shard count
+      writes the same bytes unless one race pair passes 2^20 distinct
+      addresses; a stale <state>.partial left by a crashed save is swept
+      first).
       --resume-from loads a checkpoint and continues detection over
       --log, which must hold only the records *after* the checkpointed
       position: an empty log for a checkpoint sealed at end of stream,
@@ -650,11 +651,6 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
             "--checkpoint-out/--resume-from only apply to the hb detector".into(),
         );
     }
-    if checkpoint_out.is_some() && threads > 1 {
-        return Err(
-            "--checkpoint-out seals sequential-core state (drop --threads)".into(),
-        );
-    }
     let resume_cp = match flags.get("resume-from") {
         None => None,
         Some(p) => Some(
@@ -688,23 +684,35 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
             let mut detector = LocksetDetector::new();
             for_each_record(&mut blocks, path, |r| detector.process(r))?;
             detector.finish(non_stack)
-        } else if let Some(out) = checkpoint_out {
-            // Checkpointing runs one shard inline (--threads was refused
-            // above): state is sealed to `out` every --checkpoint-every
-            // blocks and once more at end of stream, each save atomic
-            // (written to <out>.partial, renamed only after fsync).
-            detect_stream_checkpointed(
-                blocks,
-                non_stack,
-                &cfg,
-                resume_cp.as_ref(),
-                checkpoint_every,
-                |cp: &Checkpoint| cp.write_to(std::path::Path::new(out)).map(|_| ()),
-            )
-            .map_err(|e| format!("{path}: {e}"))?
         } else {
-            detect_stream_from(blocks, non_stack, &cfg, resume_cp.as_ref())
-                .map_err(|e| format!("read {path}: {e}"))?
+            // With --checkpoint-out, state is sealed to `out` every
+            // --checkpoint-every blocks and once more at end of stream, at
+            // any --threads, each save atomic (written to <out>.partial,
+            // renamed only after fsync). A failed save is reported against
+            // `out`, not against the log being read.
+            let resume = resume_cp.as_ref();
+            let mut write_err = None;
+            let report = match checkpoint_out {
+                Some(out) => detect_stream_checkpointed(
+                    blocks,
+                    non_stack,
+                    &cfg,
+                    resume,
+                    checkpoint_every,
+                    |cp: &Checkpoint| {
+                        cp.write_to(std::path::Path::new(out)).map(|_| ()).map_err(|e| {
+                            let kind = e.kind();
+                            write_err = Some(e);
+                            kind.into()
+                        })
+                    },
+                ),
+                None => detect_stream_from(blocks, non_stack, &cfg, resume),
+            };
+            if let (Some(out), Some(e)) = (checkpoint_out, write_err) {
+                return Err(CliError::io("write", out)(e));
+            }
+            report.map_err(|e| format!("read {path}: {e}"))?
         })
     })?;
     let salvaged = if salvage.is_some() { ", salvaged" } else { "" };
@@ -1052,7 +1060,7 @@ fn log_stats_inner(args: &[String]) -> Result<(), CliError> {
     // every --decode-threads, counted as the records stream by.
     let (mut blocks, salvage) = open_log(path, flags.is_set("salvage"), decode_opts)?;
     let mut stats = LogStats::default();
-    let mut per_thread = Vec::new();
+    let mut per_thread = std::collections::BTreeMap::new();
     for_each_record(&mut blocks, path, |r| {
         stats.add(r);
         LogStats::add_by_thread(&mut per_thread, r);
@@ -1061,8 +1069,8 @@ fn log_stats_inner(args: &[String]) -> Result<(), CliError> {
     let salvage_note = salvage.map(|h| h.report().to_string());
     if literace::telemetry::enabled() {
         let m = literace::telemetry::metrics();
-        for (i, t) in per_thread.iter().enumerate() {
-            m.log_records_by_thread.add(i, t.records);
+        for (tid, t) in &per_thread {
+            m.log_records_by_thread.add(tid.index(), t.records);
         }
     }
     println!("{path}:");
@@ -1082,9 +1090,9 @@ fn log_stats_inner(args: &[String]) -> Result<(), CliError> {
             "per-thread breakdown",
             &["thread", "records", "memory", "sync", "markers"],
         );
-        for (i, s) in per_thread.iter().enumerate() {
+        for (tid, s) in &per_thread {
             t.row(vec![
-                format!("t{i}"),
+                format!("t{}", tid.index()),
                 s.records.to_string(),
                 s.mem_records.to_string(),
                 s.sync_records.to_string(),
@@ -1620,13 +1628,31 @@ mod tests {
             detect(&sv(&["--log", "x.lrlog", "--checkpoint-every", "4"])),
             std::process::ExitCode::FAILURE
         );
-        // Checkpointing is sequential-core only.
-        assert_eq!(
-            detect(&sv(&[
-                "--log", "x.lrlog", "--checkpoint-out", "x.lrcp", "--threads", "2",
-            ])),
-            std::process::ExitCode::FAILURE
+        // Checkpoints seal at any --threads, to the same bytes.
+        let dir = std::env::temp_dir().join(format!("literace_cli_threads_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+        let log = path("x.lrlog");
+        let run_args = sv(&["--workload", "lflist", "--sampler", "Full", "--log", &log]);
+        assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
+        let sealed: Vec<Vec<u8>> = ["1", "2"]
+            .iter()
+            .map(|threads| {
+                let out = path(&format!("x{threads}.lrcp"));
+                assert_eq!(
+                    detect(&sv(&[
+                        "--log", &log, "--checkpoint-out", &out, "--threads", threads,
+                    ])),
+                    std::process::ExitCode::SUCCESS
+                );
+                std::fs::read(&out).unwrap()
+            })
+            .collect();
+        assert!(
+            sealed[0] == sealed[1],
+            "the checkpoint depends on --threads"
         );
+        std::fs::remove_dir_all(&dir).unwrap();
         // Only the hb detector has resumable state.
         assert_eq!(
             detect(&sv(&[

@@ -356,6 +356,59 @@ fn detect_clamps_a_huge_thread_count_instead_of_aborting() {
 }
 
 #[test]
+fn a_huge_thread_id_costs_one_table_entry() {
+    // Five- and 30-byte v1 logs naming thread 0xFFFF_FFF0: a ThreadBegin,
+    // a ThreadEnd and a LockAcquire. Per-thread tables keyed by thread
+    // hold one entry for it instead of growing to four billion rows. (An
+    // hb access or sync by such a thread hits the detector's thread
+    // ceiling, a typed panic; only markers go through hb here.)
+    let dir = std::env::temp_dir().join(format!("literace_cli_tid_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let tid = 0xFFFF_FFF0u32.to_le_bytes();
+    let acquire: Vec<u8> = [
+        &[1][..],
+        &tid,
+        &[0; 8],
+        &[0],
+        &7u64.to_le_bytes(),
+        &1u64.to_le_bytes(),
+    ]
+    .concat();
+    let logs = [
+        ("begin", [&[3][..], &tid].concat(), true),
+        ("end", [&[4][..], &tid].concat(), true),
+        ("acquire", acquire, false),
+    ];
+    for (name, bytes, hb) in logs {
+        let path = dir.join(format!("{name}.lrlog"));
+        std::fs::write(&path, bytes).unwrap();
+        let path = path.to_str().unwrap();
+        let run = |args: &[&str]| {
+            stdout_of({
+                let mut c = literace();
+                c.args(args);
+                c
+            })
+        };
+        let stats = run(&["log-stats", "--log", path]);
+        assert!(stats.contains("t4294967280  1 "), "{name}: {stats}");
+        let mut detects = vec![run(&["detect", "--log", path, "--detector", "lockset"])];
+        if hb {
+            for threads in ["1", "2"] {
+                detects.push(run(&["detect", "--log", path, "--threads", threads]));
+            }
+        }
+        for out in detects {
+            assert!(
+                out.contains(", 0 static races (0 dynamic)"),
+                "{name}: {out}"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
 fn log_stats_is_identical_at_one_and_two_decode_threads() {
     let dir = std::env::temp_dir().join(format!("literace_cli_seal_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -431,6 +484,16 @@ fn resume_on_the_suffix_reproduces_the_one_shot_report() {
     // Resuming over the whole log counts the prefix twice.
     let twice = detect(&full, &["--resume-from", &state]);
     assert_ne!(report(&twice), one_shot);
+    // A save that cannot be written names the checkpoint, not the log.
+    let unwritable = path("missing/state.lrcp");
+    let out = literace()
+        .args(["detect", "--log", &prefix, "--checkpoint-out", &unwritable])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success());
+    assert!(stderr.contains(&format!("write {unwritable}: ")), "{stderr}");
+    assert!(!stderr.contains(&prefix), "{stderr}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -512,9 +575,9 @@ fn stats_lines(log: &EventLog) -> Vec<String> {
         "per-thread breakdown",
         &["thread", "records", "memory", "sync", "markers"],
     );
-    for (i, row) in LogStats::per_thread(log).iter().enumerate() {
+    for (tid, row) in &LogStats::per_thread(log) {
         t.row(vec![
-            format!("t{i}"),
+            format!("t{}", tid.index()),
             row.records.to_string(),
             row.mem_records.to_string(),
             row.sync_records.to_string(),

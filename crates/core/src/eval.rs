@@ -33,9 +33,6 @@ pub struct EvalConfig {
     pub machine: MachineConfig,
     /// Instrumentation knobs (alloc-sync etc.).
     pub instrument: InstrumentConfig,
-    /// Worker threads for each offline detection pass (1 = sequential;
-    /// sharded detection is byte-identical, so results don't change).
-    pub detect_threads: usize,
 }
 
 impl Default for EvalConfig {
@@ -46,7 +43,6 @@ impl Default for EvalConfig {
             sched_quantum: 64,
             machine: MachineConfig::default(),
             instrument: InstrumentConfig::default(),
-            detect_threads: 1,
         }
     }
 }
@@ -151,7 +147,7 @@ pub fn evaluate_program(program: &Program, cfg: &EvalConfig) -> Result<ProgramEv
         non_stack += summary.non_stack_accesses;
 
         // Ground truth: full log.
-        let truth = detect_log(&out.log, summary.non_stack_accesses, cfg);
+        let truth = detect_log(&out.log, summary.non_stack_accesses);
         let (truth_rare, truth_freq) = truth.split_by_rarity();
         let rare_keys: HashSet<(Pc, Pc)> = truth_rare.iter().map(|s| s.pcs).collect();
         let freq_keys: HashSet<(Pc, Pc)> = truth_freq.iter().map(|s| s.pcs).collect();
@@ -162,7 +158,7 @@ pub fn evaluate_program(program: &Program, cfg: &EvalConfig) -> Result<ProgramEv
         for i in 0..n {
             let subset = out.log.sampler_subset(i);
             per_sampler_logged[i] += subset.mem_count() as u64;
-            let found = detect_log(&subset, summary.non_stack_accesses, cfg);
+            let found = detect_log(&subset, summary.non_stack_accesses);
             let rate = found.detection_rate_against(&truth);
             per_sampler_det[i] += rate;
             per_sampler_det_min[i] = per_sampler_det_min[i].min(rate);
@@ -218,12 +214,8 @@ fn ratio((found, total): (u64, u64)) -> f64 {
     }
 }
 
-fn detect_log(log: &literace_log::EventLog, non_stack: u64, cfg: &EvalConfig) -> RaceReport {
-    crate::pipeline::detect_event_log(
-        log,
-        non_stack,
-        &DetectConfig::with_threads(cfg.detect_threads),
-    )
+fn detect_log(log: &literace_log::EventLog, non_stack: u64) -> RaceReport {
+    crate::pipeline::detect_event_log(log, non_stack, &DetectConfig::default())
 }
 
 #[cfg(test)]

@@ -112,11 +112,14 @@ pub fn run_sampler_study(scale: Scale, seeds: &[u64]) -> Result<SamplerStudy, Si
     run_sampler_study_on(scale, seeds, &WorkloadId::detection_set())
 }
 
-/// Runs the sampler study over an explicit workload list.
+/// Runs the sampler study over an explicit workload list. The workloads
+/// are independent, so each is built and evaluated on its own scoped OS
+/// thread; generation and evaluation are deterministic, so the results do
+/// not depend on the interleaving.
 ///
 /// # Errors
 ///
-/// Propagates simulator errors.
+/// Propagates the first simulator error, in workload order.
 pub fn run_sampler_study_on(
     scale: Scale,
     seeds: &[u64],
@@ -126,41 +129,6 @@ pub fn run_sampler_study_on(
     let cfg = EvalConfig {
         seeds: seeds.to_vec(),
         samplers: samplers.clone(),
-        ..EvalConfig::default()
-    };
-    let mut per_workload = Vec::new();
-    for &id in workloads {
-        let w = build(id, scale);
-        let eval = evaluate_program(&w.program, &cfg)?;
-        per_workload.push((id, eval));
-    }
-    Ok(SamplerStudy {
-        samplers,
-        per_workload,
-    })
-}
-
-/// Like [`run_sampler_study_on`], but evaluating the workloads on parallel
-/// OS threads (they are fully independent) and sharding each offline
-/// detection pass across `detect_threads` workers (see
-/// [`literace_detector::detect_sharded`]). Generation, evaluation and
-/// sharded detection are deterministic, so results are identical to the
-/// sequential version — only wall-clock time changes.
-///
-/// # Errors
-///
-/// Propagates the first simulator error from any workload.
-pub fn run_sampler_study_parallel_threads(
-    scale: Scale,
-    seeds: &[u64],
-    workloads: &[WorkloadId],
-    detect_threads: usize,
-) -> Result<SamplerStudy, SimError> {
-    let samplers = SamplerKind::study_set().to_vec();
-    let cfg = EvalConfig {
-        seeds: seeds.to_vec(),
-        samplers: samplers.clone(),
-        detect_threads,
         ..EvalConfig::default()
     };
     // Slot per workload, filled from worker threads; parking_lot's mutex is
@@ -631,15 +599,31 @@ mod tests {
 
     #[test]
     fn parallel_study_matches_sequential() {
+        // The study evaluates its workloads on parallel threads; each one
+        // evaluated alone, one after another, gives the same results.
         let ids = [WorkloadId::Dryad, WorkloadId::LkrHash];
-        let seq = run_sampler_study_on(Scale::Smoke, &[1], &ids).unwrap();
-        let par = run_sampler_study_parallel_threads(Scale::Smoke, &[1], &ids, 1).unwrap();
-        assert_eq!(seq.table3().to_string(), par.table3().to_string());
-        assert_eq!(seq.fig4().to_string(), par.fig4().to_string());
-        // Sharded offline detection inside the study changes nothing either.
-        let sharded = run_sampler_study_parallel_threads(Scale::Smoke, &[1], &ids, 4).unwrap();
-        assert_eq!(seq.table4().to_string(), sharded.table4().to_string());
-        assert_eq!(seq.fig4().to_string(), sharded.fig4().to_string());
+        let par = run_sampler_study_on(Scale::Smoke, &[1], &ids).unwrap();
+        let cfg = EvalConfig {
+            seeds: vec![1],
+            samplers: par.samplers.clone(),
+            ..EvalConfig::default()
+        };
+        let seq = SamplerStudy {
+            samplers: par.samplers.clone(),
+            per_workload: ids
+                .iter()
+                .map(|&id| {
+                    (
+                        id,
+                        evaluate_program(&build(id, Scale::Smoke).program, &cfg).unwrap(),
+                    )
+                })
+                .collect(),
+        };
+        for (table, want) in [(par.table3(), seq.table3()), (par.table4(), seq.table4())] {
+            assert_eq!(table.to_string(), want.to_string());
+        }
+        assert_eq!(par.fig4().to_string(), seq.fig4().to_string());
     }
 
     #[test]

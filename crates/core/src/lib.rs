@@ -71,7 +71,8 @@ pub use literace_samplers as samplers;
 /// The instrumentation pass (dispatch checks, timestamps, logging).
 pub use literace_instrument as instrument;
 
-/// Happens-before, lockset and online detectors.
+/// Happens-before and lockset detectors; an `HbDetector` is also the
+/// instrumenter's record sink for online detection.
 pub use literace_detector as detector;
 
 /// The paper's benchmark workloads.

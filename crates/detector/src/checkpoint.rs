@@ -55,8 +55,8 @@ use crate::clocks::ThreadState;
 use crate::epoch::check_thread_index;
 use crate::fast_hash::FastSet;
 use crate::frontier::Access;
-use crate::hb::{HbConfig, HbDetector};
-use crate::sharded::PairAgg;
+use crate::hb::{HbConfig, HbDetector, Replay};
+use crate::sharded::{merge, PairAgg, ShardState};
 
 /// Magic bytes opening a checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LRCP";
@@ -74,8 +74,9 @@ const SEC_SUPPRESS: u32 = 7;
 
 /// A sealed, self-validating snapshot of full detector state.
 ///
-/// Produced by [`HbDetector::save_checkpoint`]; consumed by
-/// [`HbDetector::resume`] and, at any shard count, by
+/// Produced by [`HbDetector::save_checkpoint`] and, at any shard count,
+/// by [`detect_stream_checkpointed`](crate::detect_stream_checkpointed);
+/// consumed by [`HbDetector::resume`] and, at any shard count, by
 /// [`detect_stream_from`](crate::detect_stream_from). All state is in
 /// canonical (sorted) order, so equal detector states produce equal
 /// checkpoints regardless of hash-map iteration order.
@@ -101,25 +102,56 @@ pub struct Checkpoint {
 }
 
 impl HbDetector {
-    /// Snapshots the detector's full state into a [`Checkpoint`].
+    /// Snapshots the detector's full state into a [`Checkpoint`]: the
+    /// one-shard case of the assembly every seal point runs.
     ///
     /// `non_stack_accesses` is the rarity denominator accumulated so far
     /// (carried for the inspector and as a default for resumed runs; the
     /// resume drivers accept an explicit final value).
     pub fn save_checkpoint(&self, non_stack_accesses: u64) -> Checkpoint {
-        let replay = &self.replay;
+        Checkpoint::assemble(
+            &self.replay,
+            self.shard.cfg,
+            vec![self.shard.state()],
+            non_stack_accesses,
+        )
+    }
+}
+
+impl Checkpoint {
+    /// The one checkpoint assembly, at any shard count: the replay stage's
+    /// state plus every shard's sealed state. Shards own disjoint
+    /// addresses, so their locations concatenate, sorted by address; their
+    /// pairs fold through the one [`merge`], each first position zeroed
+    /// because the pairs precede every record resumed after them. While no
+    /// pair reaches `max_dynamic_per_pair` distinct addresses, the result
+    /// does not depend on the shard count.
+    pub(crate) fn assemble(
+        replay: &Replay,
+        cfg: HbConfig,
+        shards: Vec<ShardState>,
+        non_stack_accesses: u64,
+    ) -> Checkpoint {
         let (threads, syncvars) = replay.clocks.snapshot();
         let mut last_ts: Vec<(SyncVar, u64)> =
             replay.last_ts.iter().map(|(&v, &t)| (v, t)).collect();
         last_ts.sort_unstable_by_key(|&(v, _)| v);
-        let mut pairs: Vec<((Pc, Pc), PairAgg)> = self.shard.pairs.clone().into_iter().collect();
+        let mut locations = Vec::new();
+        let mut pair_maps = Vec::with_capacity(shards.len());
+        for shard in shards {
+            locations.extend(shard.locations);
+            pair_maps.push(shard.pairs);
+        }
+        locations.sort_unstable_by_key(|&(addr, _, _)| addr);
+        let mut pairs: Vec<((Pc, Pc), PairAgg)> = merge(pair_maps, cfg.max_dynamic_per_pair)
+            .into_iter()
+            .collect();
         pairs.sort_unstable_by_key(|&(pcs, _)| pcs);
         for (_, agg) in &mut pairs {
-            // The pairs precede every record resumed after the checkpoint.
             agg.first_pos = 0;
         }
         Checkpoint {
-            cfg: self.shard.cfg,
+            cfg,
             records_processed: replay.pos,
             records_since_compact: replay.since_compact,
             timestamp_violations: replay.timestamp_violations,
@@ -127,14 +159,12 @@ impl HbDetector {
             last_ts,
             threads,
             syncvars,
-            locations: self.shard.frontier.snapshot(),
+            locations,
             pairs,
             suppressions: Vec::new(),
         }
     }
-}
 
-impl Checkpoint {
     /// Attaches the suppression patterns in force, so an inspector (or a
     /// resumed CLI run) sees the same triage configuration.
     pub fn set_suppressions(&mut self, patterns: Vec<String>) {

@@ -26,7 +26,7 @@
 use literace_sim::{SyncOpKind, SyncVar, ThreadId};
 
 use crate::epoch::check_thread_index;
-use crate::fast_hash::FastMap;
+use crate::fast_hash::{FastMap, FastSet};
 use crate::vector_clock::VectorClock;
 
 /// One thread's clock state in a checkpoint.
@@ -47,9 +47,10 @@ pub(crate) struct ClockState {
     threads: Vec<VectorClock>,
     /// `generation[t]` counts the changes of `threads[t]`'s value.
     generation: Vec<u64>,
-    /// Threads known to have exited. May run past `threads`: a thread can
-    /// end without ever having been materialized.
-    retired: Vec<bool>,
+    /// Indices of the threads known to have exited. May name threads past
+    /// `threads`: a thread can end without ever having been materialized,
+    /// and is retired once it is.
+    retired: FastSet<usize>,
     syncvars: FastMap<SyncVar, VectorClock>,
 }
 
@@ -63,7 +64,7 @@ impl ClockState {
                 .map(|t| VectorClock::from_components(t.components.clone()))
                 .collect(),
             generation: threads.iter().map(|t| t.clock_gen).collect(),
-            retired: threads.iter().map(|t| t.retired).collect(),
+            retired: (0..threads.len()).filter(|&i| threads[i].retired).collect(),
             syncvars: syncvars
                 .iter()
                 .map(|(var, c)| (*var, VectorClock::from_components(c.clone())))
@@ -161,15 +162,11 @@ impl ClockState {
     /// Marks `tid` as exited: it makes no further accesses, so its clock
     /// no longer bounds compaction.
     pub(crate) fn retire(&mut self, tid: ThreadId) {
-        let i = tid.index();
-        if i >= self.retired.len() {
-            self.retired.resize(i + 1, false);
-        }
-        self.retired[i] = true;
+        self.retired.insert(tid.index());
     }
 
     fn is_retired(&self, i: usize) -> bool {
-        self.retired.get(i).copied().unwrap_or(false)
+        self.retired.contains(&i)
     }
 
     /// Thread `i`'s present clock. `i` must be materialized.
@@ -245,6 +242,21 @@ mod tests {
         clocks.retire(t(3));
         clocks.retire(t(9));
         assert_eq!(clocks.live().collect::<Vec<_>>(), vec![0, 1, 2]);
+        // A thread retired before it was materialized stays retired once
+        // it is.
+        clocks.ensure_thread(t(9));
+        assert_eq!(
+            clocks.live().collect::<Vec<_>>(),
+            vec![0, 1, 2, 4, 5, 6, 7, 8]
+        );
+    }
+
+    #[test]
+    fn retiring_a_huge_thread_id_keeps_one_flag() {
+        let mut clocks = ClockState::default();
+        clocks.retire(t(0xFFFF_FFF0));
+        assert_eq!(clocks.retired.len(), 1);
+        assert_eq!(clocks.live().count(), 0);
     }
 
     #[derive(Debug, Clone, Copy)]

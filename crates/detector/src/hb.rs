@@ -17,10 +17,10 @@
 //! feeds its one shard directly. The sharded engine (see
 //! [`streaming`](crate::streaming)) runs the same replay stage as its
 //! router, which routes each access to one of N shard workers instead.
-//! The online detector (see [`online`](crate::online)) turns live
-//! simulator events into records and feeds them to an [`HbDetector`].
+//! An [`HbDetector`] is also a [`RecordSink`]: §4.4's online detection is
+//! the instrumenter writing its records straight into one.
 
-use literace_log::{EventLog, Record};
+use literace_log::{EventLog, Record, RecordSink};
 use literace_sim::{Addr, Pc, SyncVar, ThreadId};
 
 use crate::checkpoint::Checkpoint;
@@ -28,7 +28,7 @@ use crate::clocks::ClockState;
 use crate::fast_hash::FastMap;
 use crate::provenance::{ProvenanceReport, SyncEdge};
 use crate::report::RaceReport;
-use crate::sharded::{report, Shard};
+use crate::sharded::{report, Shard, ShardState};
 use crate::vector_clock::VectorClock;
 
 /// Tuning knobs for the happens-before detector.
@@ -81,6 +81,10 @@ pub(crate) trait Downstream {
     /// A release-like operation by `tid`: provenance's failed-edge
     /// candidate. Ignored unless provenance capture is on.
     fn on_release(&mut self, _tid: ThreadId, _edge: SyncEdge) {}
+
+    /// A seal point: every shard's state after every record handed on so
+    /// far, in shard order, or `None` if a shard died before answering.
+    fn seal(&mut self) -> Option<Vec<ShardState>>;
 }
 
 /// The replay stage: clock state, record position, compaction cadence and
@@ -210,6 +214,10 @@ impl Downstream for Shard {
             p.record_release(tid.index(), edge);
         }
     }
+
+    fn seal(&mut self) -> Option<Vec<ShardState>> {
+        Some(vec![self.state()])
+    }
 }
 
 /// Offline happens-before detector over an event log (§4.4: the paper's
@@ -327,7 +335,7 @@ impl HbDetector {
     }
 
     /// Number of addresses with live frontier state (memory footprint).
-    pub(crate) fn tracked_locations(&self) -> usize {
+    pub fn tracked_locations(&self) -> usize {
         self.shard.frontier.tracked_locations()
     }
 }
@@ -335,6 +343,17 @@ impl HbDetector {
 impl Default for HbDetector {
     fn default() -> HbDetector {
         HbDetector::new()
+    }
+}
+
+/// Online detection (§4.4's "spare core"): the instrumenter's records go
+/// straight into the detector, and no log is kept. Under full logging
+/// (`InstrumentConfig::full_logging`) the detector sees exactly the
+/// records an offline run would write, so both report the same races.
+impl RecordSink for HbDetector {
+    #[inline]
+    fn push(&mut self, record: Record) {
+        self.process(&record);
     }
 }
 

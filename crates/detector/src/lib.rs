@@ -4,10 +4,9 @@
 //!
 //! * [`HbDetector`] — the paper's offline happens-before detector over
 //!   event logs (vector clocks; no false positives by construction): the
-//!   replay stage feeding one shard inline (see [`sharded`]);
-//! * [`OnlineDetector`] — the §4.4 "spare core" variant: it turns the
-//!   simulator's live events into the records full logging would write and
-//!   feeds them to an [`HbDetector`];
+//!   replay stage feeding one shard inline (see [`sharded`]). It is also a
+//!   [`RecordSink`](literace_log::RecordSink), so the §4.4 "spare core"
+//!   online detector is the instrumenter writing into one;
 //! * [`LocksetDetector`] — an Eraser-style baseline that demonstrates the
 //!   false positives the paper's design avoids;
 //! * [`detect_stream_from`] — the sharded engine: address-sharded parallel
@@ -16,8 +15,8 @@
 //!   [`sharded`]); its one-shard case is an inline [`HbDetector`].
 //!   [`detect_stream`] feeds it from a decoding log stream,
 //!   [`detect_sharded`] from an in-memory log, and
-//!   [`detect_stream_checkpointed`] seals checkpoints from one inline
-//!   shard as it goes;
+//!   [`detect_stream_checkpointed`] seals checkpoints as it goes, at any
+//!   shard count;
 //! * [`Checkpoint`] — a sealed, self-validating snapshot of full detector
 //!   state; resuming from one yields reports byte-identical to one-shot
 //!   detection;
@@ -57,7 +56,6 @@ mod frontier;
 mod hb;
 mod lockset;
 pub mod merge;
-mod online;
 mod provenance;
 mod report;
 pub mod sharded;
@@ -71,7 +69,6 @@ pub use checkpoint::{Checkpoint, CHECKPOINT_MAGIC, CHECKPOINT_VERSION};
 pub use epoch::{check_thread_index, TidCeilingExceeded, MAX_THREAD_INDEX};
 pub use hb::{detect, HbConfig, HbDetector};
 pub use lockset::{detect_lockset, LocksetDetector};
-pub use online::OnlineDetector;
 pub use provenance::{AccessEvidence, ProvenanceReport, RaceEvidence, SyncEdge};
 pub use sharded::{detect_sharded, DetectConfig};
 pub use streaming::{detect_stream, detect_stream_checkpointed, detect_stream_from};

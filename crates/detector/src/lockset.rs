@@ -16,6 +16,7 @@ use std::collections::{HashMap, HashSet};
 use literace_log::{EventLog, Record};
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 
+use crate::fast_hash::FastMap;
 use crate::report::{DynamicRace, RaceReport};
 
 /// Per-location state of the Eraser state machine.
@@ -43,7 +44,9 @@ enum LocState {
 /// The lockset detector.
 #[derive(Debug)]
 pub struct LocksetDetector {
-    held: Vec<HashSet<SyncVar>>,
+    /// Each thread's held locks, keyed by thread: a record naming a huge
+    /// thread id costs one entry.
+    held: FastMap<ThreadId, HashSet<SyncVar>>,
     locations: HashMap<u64, LocState>,
     races: Vec<DynamicRace>,
 }
@@ -52,18 +55,14 @@ impl LocksetDetector {
     /// Creates an empty detector.
     pub fn new() -> LocksetDetector {
         LocksetDetector {
-            held: Vec::new(),
+            held: FastMap::default(),
             locations: HashMap::new(),
             races: Vec::new(),
         }
     }
 
     fn held_mut(&mut self, tid: ThreadId) -> &mut HashSet<SyncVar> {
-        let i = tid.index();
-        if i >= self.held.len() {
-            self.held.resize_with(i + 1, HashSet::new);
-        }
-        &mut self.held[i]
+        self.held.entry(tid).or_default()
     }
 
     /// Processes one log record.
@@ -94,7 +93,7 @@ impl LocksetDetector {
     fn access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool) {
         // The thread's held locks, borrowed: a location copies them only
         // when it first becomes shared.
-        let held = self.held.get(tid.index());
+        let held = self.held.get(&tid);
         let holds = |v: &SyncVar| held.is_some_and(|h| h.contains(v));
         let state = self
             .locations
@@ -328,6 +327,14 @@ mod tests {
         let log: EventLog = records.into_iter().collect();
         let r = detect_lockset(&log, 10);
         assert_eq!(r.dynamic_races, 1, "Eraser reports once per location");
+    }
+
+    #[test]
+    fn a_huge_thread_id_holds_one_lock_set() {
+        let mut d = LocksetDetector::new();
+        d.process(&sync(t(0xFFFF_FFF0), SyncOpKind::LockAcquire, v(0)));
+        assert_eq!(d.held.len(), 1);
+        assert_eq!(d.finish(0).static_count(), 0);
     }
 
     #[test]

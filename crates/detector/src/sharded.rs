@@ -39,7 +39,7 @@ use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
 use crate::fast_hash::{FastMap, FastSet};
-use crate::frontier::Frontier;
+use crate::frontier::{Access, Frontier};
 use crate::hb::HbConfig;
 use crate::provenance::{AccessEvidence, ProvenanceState};
 use crate::report::{RaceReport, StaticRace};
@@ -135,6 +135,14 @@ impl PairAgg {
 /// Per-static-pair aggregates, keyed by the normalized (smaller-first)
 /// pc pair.
 pub(crate) type PairMap = FastMap<(Pc, Pc), PairAgg>;
+
+/// One shard's state at a seal point: its frontier's locations, sorted by
+/// address, and a copy of its per-pair aggregates.
+#[derive(Debug)]
+pub(crate) struct ShardState {
+    pub(crate) locations: Vec<(u64, Vec<Access>, Vec<Access>)>,
+    pub(crate) pairs: PairMap,
+}
 
 /// The shard stage: a frontier plus the per-pair aggregates of the races
 /// found against it. [`HbDetector`](crate::HbDetector) runs one inline;
@@ -287,6 +295,14 @@ impl Shard {
             // pre-compaction size is the footprint high-water mark.
             m.detector_frontier_tracked_hwm
                 .record(tracked_before as u64);
+        }
+    }
+
+    /// The shard's state at a seal point, for a checkpoint.
+    pub(crate) fn state(&self) -> ShardState {
+        ShardState {
+            locations: self.frontier.snapshot(),
+            pairs: self.pairs.clone(),
         }
     }
 
@@ -493,21 +509,39 @@ mod tests {
             let cfg = DetectConfig { threads, hb };
             assert_eq!(detect_sharded(&log, 100, &cfg), want, "threads={threads}");
         }
+        // Past the cap, which addresses a checkpoint keeps may depend on
+        // the shard count that sealed it; every one still resumes to the
+        // one-shot report.
         let records = log.records();
         for split in 0..=records.len() {
-            let mut first = HbDetector::with_config(hb);
-            for r in &records[..split] {
-                first.process(r);
-            }
-            let cp = first.save_checkpoint(100);
-            for threads in [1, 2, 4, 8] {
-                let cfg = DetectConfig::with_threads(threads);
-                let suffix = [Ok(&records[split..])];
-                assert_eq!(
-                    detect_stream_from(suffix, 100, &cfg, Some(&cp)).unwrap(),
-                    want,
-                    "split={split} threads={threads}"
-                );
+            for seal_threads in [1, 2, 4, 8] {
+                let mut sealed = None;
+                let cfg = DetectConfig {
+                    threads: seal_threads,
+                    hb,
+                };
+                crate::detect_stream_checkpointed(
+                    [Ok(&records[..split])],
+                    100,
+                    &cfg,
+                    None,
+                    0,
+                    |cp| {
+                        sealed = Some(cp.clone());
+                        Ok(())
+                    },
+                )
+                .unwrap();
+                let cp = sealed.expect("sealed at end of stream");
+                for threads in [1, 2, 4, 8] {
+                    let cfg = DetectConfig::with_threads(threads);
+                    let suffix = [Ok(&records[split..])];
+                    assert_eq!(
+                        detect_stream_from(suffix, 100, &cfg, Some(&cp)).unwrap(),
+                        want,
+                        "split={split} sealed at {seal_threads}, resumed at {threads}"
+                    );
+                }
             }
         }
     }

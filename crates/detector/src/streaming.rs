@@ -25,9 +25,10 @@
 //! instead of a clock clone.
 //!
 //! Positions are carried as `u64` and a compaction point is its own
-//! stream item, so the engine has no log-length ceiling.
+//! stream item, so the engine has no log-length ceiling. A seal point
+//! (see [`detect_stream_checkpointed`]) is one too.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 
 use literace_log::{LogResult, Record};
@@ -35,9 +36,9 @@ use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
 use crate::clocks::ClockState;
-use crate::hb::{Downstream, HbDetector, Replay};
+use crate::hb::{Downstream, HbConfig, HbDetector, Replay};
 use crate::report::RaceReport;
-use crate::sharded::{merge, report, shard_of, DetectConfig, PairMap, Shard};
+use crate::sharded::{merge, report, shard_of, DetectConfig, PairMap, Shard, ShardState};
 use crate::vector_clock::VectorClock;
 
 /// Stream items buffered per shard before a batch is sent. Large enough
@@ -78,6 +79,11 @@ enum ShardItem {
     /// Carried in-band, so a thread exit costs no channel message of its
     /// own.
     Compact(Arc<[Arc<VectorClock>]>),
+    /// A seal point: the shard answers on the sender with its index and
+    /// its state after every item before this one. Every reply sender
+    /// travels inside a `Seal`, so a shard that dies first drops its own
+    /// and the router's wait ends.
+    Seal(Sender<(usize, ShardState)>),
 }
 
 /// The shared snapshots behind eager freezing: per thread, the
@@ -198,6 +204,24 @@ impl Downstream for Router {
             self.push(shard, ShardItem::Compact(live.clone()));
         }
     }
+
+    /// Sends every shard its buffered items with a `Seal` behind them,
+    /// each holding a clone of one fresh reply sender, drops the original,
+    /// and collects the answers in shard order.
+    fn seal(&mut self) -> Option<Vec<ShardState>> {
+        let (reply, replies) = channel();
+        for shard in 0..self.shards {
+            self.push(shard, ShardItem::Seal(reply.clone()));
+            self.flush(shard);
+        }
+        drop(reply);
+        let mut states: Vec<Option<ShardState>> = (0..self.shards).map(|_| None).collect();
+        for _ in 0..self.shards {
+            let (index, state) = replies.recv().ok()?;
+            states[index] = Some(state);
+        }
+        states.into_iter().collect()
+    }
 }
 
 /// Sends one batch to a shard channel, accounting backpressure: a full
@@ -264,6 +288,11 @@ fn run_stream_shard(index: usize, rx: Receiver<Vec<ShardItem>>, mut shard: Shard
                     literace_telemetry::trace_instant("shard.compact");
                     let live: Vec<&VectorClock> = clocks.iter().map(Arc::as_ref).collect();
                     shard.compact(&live);
+                }
+                ShardItem::Seal(reply) => {
+                    // Fails only if the router is gone, which makes the
+                    // answer moot.
+                    let _ = reply.send((index, shard.state()));
                 }
             }
         }
@@ -343,15 +372,95 @@ where
     I: IntoIterator<Item = LogResult<B>>,
     B: AsRef<[Record]>,
 {
+    engine(blocks, non_stack_accesses, cfg, resume, None)
+}
+
+/// [`detect_stream_from`] with periodic checkpointing: every
+/// `checkpoint_every_blocks` input blocks the detector's full state is
+/// sealed into a [`Checkpoint`] and handed to `on_checkpoint` (which
+/// typically writes it via [`Checkpoint::write_to`]). Once the stream
+/// drains, the final state is sealed and emitted too (unless a periodic
+/// save already landed exactly at the end), so the caller always holds a
+/// checkpoint covering everything processed — resume it against records
+/// appended later for incremental detection. Pass `resume` to continue
+/// from a previously saved checkpoint; pass `0` to checkpoint only at
+/// end of stream.
+///
+/// Seals run at any `cfg.threads`: at N shards the router flushes every
+/// shard's stream with an in-band seal behind it and assembles one
+/// checkpoint from its replay state and the shards' answers. While no
+/// pair reaches `max_dynamic_per_pair` distinct addresses, every shard
+/// count seals the same bytes; past that cap the retained address subset
+/// may differ, and every checkpoint still resumes to the one-shot report.
+///
+/// # Errors
+///
+/// The first decode/I-O error the stream yields, or the error returned by
+/// `on_checkpoint`; at N shards, after every worker is joined.
+pub fn detect_stream_checkpointed<I, B, F>(
+    blocks: I,
+    non_stack_accesses: u64,
+    cfg: &DetectConfig,
+    resume: Option<&Checkpoint>,
+    checkpoint_every_blocks: u64,
+    mut on_checkpoint: F,
+) -> LogResult<RaceReport>
+where
+    I: IntoIterator<Item = LogResult<B>>,
+    B: AsRef<[Record]>,
+    F: FnMut(&Checkpoint) -> std::io::Result<()>,
+{
+    let seal = Seal {
+        every_blocks: checkpoint_every_blocks,
+        on_checkpoint: &mut on_checkpoint,
+    };
+    engine(blocks, non_stack_accesses, cfg, resume, Some(seal))
+}
+
+/// Where the engine hands its checkpoints, and how often it seals one.
+struct Seal<'a> {
+    every_blocks: u64,
+    on_checkpoint: &'a mut dyn FnMut(&Checkpoint) -> std::io::Result<()>,
+}
+
+impl Seal<'_> {
+    /// Seals the state behind `replay` and `down` into one checkpoint and
+    /// hands it on.
+    fn emit<D: Downstream>(
+        &mut self,
+        replay: &Replay,
+        down: &mut D,
+        hb: HbConfig,
+        non_stack_accesses: u64,
+    ) -> LogResult<()> {
+        let shards = down
+            .seal()
+            .ok_or_else(|| std::io::Error::other("a shard worker died before sealing"))?;
+        let checkpoint = Checkpoint::assemble(replay, hb, shards, non_stack_accesses);
+        (self.on_checkpoint)(&checkpoint)?;
+        Ok(())
+    }
+}
+
+/// The engine body, at every shard count and with or without seals: one
+/// inline shard, or N shard workers behind the router.
+fn engine<I, B>(
+    blocks: I,
+    non_stack_accesses: u64,
+    cfg: &DetectConfig,
+    resume: Option<&Checkpoint>,
+    seal: Option<Seal<'_>>,
+) -> LogResult<RaceReport>
+where
+    I: IntoIterator<Item = LogResult<B>>,
+    B: AsRef<[Record]>,
+{
     let hb = resume.map_or(cfg.hb, |cp| cp.cfg);
     let shards = cfg.shards();
     if shards == 1 {
         let mut detector = HbDetector::start(hb, resume);
-        for block in blocks {
-            for record in block?.as_ref() {
-                detector.process(record);
-            }
-        }
+        let HbDetector { replay, shard } = &mut detector;
+        drive(blocks, replay, shard, seal, hb, non_stack_accesses)?;
         return Ok(detector.finish(non_stack_accesses));
     }
 
@@ -371,29 +480,21 @@ where
 
         let mut replay = Replay::resume(resume);
         let mut router = Router::new(senders);
-        let mut stream_err = None;
-        for block in blocks {
-            match block {
-                Ok(records) => {
-                    for record in records.as_ref() {
-                        replay.step(record, &mut router);
-                    }
-                }
-                Err(e) => {
-                    stream_err = Some(e);
-                    break;
-                }
-            }
-        }
+        let driven = drive(
+            blocks,
+            &mut replay,
+            &mut router,
+            seal,
+            hb,
+            non_stack_accesses,
+        );
         router.finish();
 
         let parts: Vec<PairMap> = handles
             .into_iter()
             .map(|h| h.join().expect("stream shard worker panicked"))
             .collect();
-        if let Some(e) = stream_err {
-            return Err(e);
-        }
+        driven?;
         let _span = literace_telemetry::metrics().phase_merge.span();
         literace_telemetry::trace_begin("merge");
         let races = report(merge(parts, hb.max_dynamic_per_pair), non_stack_accesses);
@@ -402,58 +503,42 @@ where
     })
 }
 
-/// Streaming detection with periodic checkpointing: every
-/// `checkpoint_every_blocks` input blocks the detector's full state is
-/// sealed into a [`Checkpoint`] and handed to `on_checkpoint` (which
-/// typically writes it via [`Checkpoint::write_to`]). Once the stream
-/// drains, the final state is sealed and emitted too (unless a periodic
-/// save already landed exactly at the end), so the caller always holds a
-/// checkpoint covering everything processed — resume it against records
-/// appended later for incremental detection. Pass `resume` to continue
-/// from a previously saved checkpoint; pass `0` to checkpoint only at
-/// end of stream.
-///
-/// Checkpoint *creation* runs one shard inline — a mid-run parallel
-/// snapshot would have to drain and re-synchronize every shard — so this
-/// function always runs single-threaded and ignores `cfg.threads`.
-/// *Resuming* has no such restriction: a checkpoint saved here can be
-/// resumed at any shard count via [`detect_stream_from`].
-///
-/// # Errors
-///
-/// The first decode/I-O error the stream yields, or the error returned by
-/// `on_checkpoint`.
-pub fn detect_stream_checkpointed<I, F>(
+/// Replays every block into `down`, sealing every `seal.every_blocks`
+/// blocks and once more at end of stream, unless a periodic seal just
+/// landed there. Stops at the first stream or seal error.
+fn drive<I, B, D>(
     blocks: I,
+    replay: &mut Replay,
+    down: &mut D,
+    mut seal: Option<Seal<'_>>,
+    hb: HbConfig,
     non_stack_accesses: u64,
-    cfg: &DetectConfig,
-    resume: Option<&Checkpoint>,
-    checkpoint_every_blocks: u64,
-    mut on_checkpoint: F,
-) -> LogResult<RaceReport>
+) -> LogResult<()>
 where
-    I: IntoIterator<Item = LogResult<Vec<Record>>>,
-    F: FnMut(&Checkpoint) -> std::io::Result<()>,
+    I: IntoIterator<Item = LogResult<B>>,
+    B: AsRef<[Record]>,
+    D: Downstream,
 {
-    let mut detector = HbDetector::start(resume.map_or(cfg.hb, |cp| cp.cfg), resume);
     let mut blocks_seen = 0u64;
-    let mut sealed_at = u64::MAX;
+    let mut sealed_at = None;
     for block in blocks {
-        for record in &block? {
-            detector.process(record);
+        for record in block?.as_ref() {
+            replay.step(record, down);
         }
         blocks_seen += 1;
-        if checkpoint_every_blocks > 0 && blocks_seen.is_multiple_of(checkpoint_every_blocks) {
-            let cp = detector.save_checkpoint(non_stack_accesses);
-            on_checkpoint(&cp)?;
-            sealed_at = blocks_seen;
+        if let Some(seal) = seal.as_mut() {
+            if seal.every_blocks > 0 && blocks_seen.is_multiple_of(seal.every_blocks) {
+                seal.emit(replay, down, hb, non_stack_accesses)?;
+                sealed_at = Some(blocks_seen);
+            }
         }
     }
-    if sealed_at != blocks_seen {
-        let cp = detector.save_checkpoint(non_stack_accesses);
-        on_checkpoint(&cp)?;
+    match seal {
+        Some(mut seal) if sealed_at != Some(blocks_seen) => {
+            seal.emit(replay, down, hb, non_stack_accesses)
+        }
+        _ => Ok(()),
     }
-    Ok(detector.finish(non_stack_accesses))
 }
 
 #[cfg(test)]
@@ -582,54 +667,111 @@ mod tests {
     fn checkpointed_driver_emits_resumable_checkpoints() {
         let log = mixed_log();
         let seq = detect(&log, 1000);
-        let mut saved: Vec<(u64, Checkpoint)> = Vec::new();
-        let report = detect_stream_checkpointed(
-            blocks_of(&log, 100),
-            1000,
-            &DetectConfig::default(),
-            None,
-            2,
-            |cp| {
-                saved.push((cp.records_processed(), cp.clone()));
-                Ok(())
-            },
-        )
-        .unwrap();
-        assert_eq!(report, seq, "checkpointing must not perturb detection");
-        assert!(!saved.is_empty(), "every-2-blocks must have fired");
+        // Every shard count seals the same checkpoints, byte for byte.
+        let mut one_shard: Vec<(u64, Checkpoint)> = Vec::new();
+        for threads in [1, 2, 4, 8] {
+            let mut saved: Vec<(u64, Checkpoint)> = Vec::new();
+            let report = detect_stream_checkpointed(
+                blocks_of(&log, 100),
+                1000,
+                &DetectConfig::with_threads(threads),
+                None,
+                2,
+                |cp| {
+                    saved.push((cp.records_processed(), cp.clone()));
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(report, seq, "checkpointing must not perturb detection");
+            assert!(saved.len() > 1, "every-2-blocks must have fired");
+            if threads == 1 {
+                one_shard = saved;
+                continue;
+            }
+            assert_eq!(saved.len(), one_shard.len(), "threads={threads}");
+            for ((at, cp), (one_at, one)) in saved.iter().zip(&one_shard) {
+                assert_eq!(at, one_at, "threads={threads}");
+                assert_eq!(cp.to_bytes(), one.to_bytes(), "threads={threads} at {at}");
+            }
+        }
         // Every emitted checkpoint resumes to the one-shot report, on the
         // sequential core and at 2 and 4 shards alike, from one whole
         // block or from 64-record blocks.
-        for (processed, cp) in &saved {
+        for (processed, cp) in &one_shard {
             let rest = &log.records()[*processed as usize..];
             for threads in [1, 2, 4] {
                 let cfg = DetectConfig::with_threads(threads);
-                assert_eq!(detect_stream_from([Ok(rest)], 1000, &cfg, Some(cp)).unwrap(), seq);
+                assert_eq!(
+                    detect_stream_from([Ok(rest)], 1000, &cfg, Some(cp)).unwrap(),
+                    seq
+                );
                 let blocks = rest.chunks(64).map(Ok);
-                assert_eq!(detect_stream_from(blocks, 1000, &cfg, Some(cp)).unwrap(), seq);
+                assert_eq!(
+                    detect_stream_from(blocks, 1000, &cfg, Some(cp)).unwrap(),
+                    seq
+                );
             }
         }
         // A round-trip through bytes resumes identically (the CLI path).
-        let (processed, cp) = &saved[saved.len() / 2];
+        let (processed, cp) = &one_shard[one_shard.len() / 2];
         let back = Checkpoint::from_bytes(&cp.to_bytes()).unwrap();
         let rest = &log.records()[*processed as usize..];
         let cfg = DetectConfig::default();
-        assert_eq!(detect_stream_from([Ok(rest)], 1000, &cfg, Some(&back)).unwrap(), seq);
+        assert_eq!(
+            detect_stream_from([Ok(rest)], 1000, &cfg, Some(&back)).unwrap(),
+            seq
+        );
     }
 
     #[test]
     fn checkpoint_callback_errors_propagate() {
         let log = mixed_log();
-        let err = detect_stream_checkpointed(
-            blocks_of(&log, 10),
-            0,
-            &DetectConfig::default(),
-            None,
-            1,
-            |_| Err(std::io::Error::other("disk full")),
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("disk full"), "{err}");
+        for threads in [1, 2, 4, 8] {
+            let err = detect_stream_checkpointed(
+                blocks_of(&log, 10),
+                0,
+                &DetectConfig::with_threads(threads),
+                None,
+                1,
+                |_| Err(std::io::Error::other("disk full")),
+            )
+            .unwrap_err();
+            assert!(
+                err.to_string().contains("disk full"),
+                "threads={threads}: {err}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_shard_that_dies_before_its_seal_cannot_hang_the_router() {
+        let (senders, receivers): (Vec<_>, Vec<_>) =
+            (0..4).map(|_| sync_channel(CHANNEL_DEPTH)).unzip();
+        let mut router = Router::new(senders);
+        let mut replay = Replay::default();
+        for record in mixed_log().records() {
+            replay.step(record, &mut router);
+        }
+        std::thread::scope(|s| {
+            for (index, rx) in receivers.into_iter().enumerate() {
+                if index == 2 {
+                    // Shard 2 is gone: its queued items, the seal among
+                    // them, are dropped with its receiver.
+                    drop(rx);
+                    continue;
+                }
+                let shard = Shard::seeded(1, crate::HbConfig::default(), None)
+                    .pop()
+                    .unwrap();
+                s.spawn(move || run_stream_shard(index, rx, shard));
+            }
+            assert!(
+                router.seal().is_none(),
+                "three answers of four make no checkpoint"
+            );
+            router.finish();
+        });
     }
 
     #[test]

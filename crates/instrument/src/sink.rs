@@ -1,57 +1,24 @@
-//! Where instrumentation records go.
-//!
-//! The [`RecordSink`] trait makes the destination pluggable: a heap-resident
-//! [`EventLog`], or a log writer, so a simulation can emit log blocks
-//! straight to a file (or any `Write`) while it runs, never materializing
-//! the log. Write errors cannot interrupt the simulator's observer
-//! callbacks, so both log writers keep the first error, write nothing
-//! after it, and return it from `finish`.
+//! Where instrumentation records go: any [`RecordSink`]. An
+//! [`EventLog`](literace_log::EventLog) materializes them, a log writer
+//! emits log blocks straight to a file while the simulation runs, and an
+//! `HbDetector` detects races online as they arrive.
 
-use std::io::Write;
-
-use literace_log::{EventLog, LogWriter, LogWriterV2, Record};
-
-/// A destination for instrumentation records.
-pub trait RecordSink {
-    /// Appends one record.
-    fn push(&mut self, record: Record);
-}
-
-impl RecordSink for EventLog {
-    fn push(&mut self, record: Record) {
-        EventLog::push(self, record);
-    }
-}
+use literace_log::LogWriterV2;
+pub use literace_log::RecordSink;
 
 /// Streams records into a v2 log as they are produced, so the simulation
-/// emits encoded blocks instead of a materialized [`EventLog`]. This is
-/// the log writer itself: [`LogWriterV2::new`] encodes on the producing
-/// thread, [`LogWriterV2::with_opts`] can move encoding to a worker pool,
-/// and the bytes are the same either way.
+/// emits encoded blocks instead of a materialized log. This is the log
+/// writer itself: [`LogWriterV2::new`] encodes on the producing thread,
+/// [`LogWriterV2::with_opts`] can move encoding to a worker pool, and the
+/// bytes are the same either way.
 pub type V2Sink<W> = LogWriterV2<W>;
-
-/// The v2 writer is a sink as-is: `write_record` never interrupts the
-/// producer (its committer keeps the first sink error for
-/// [`finish`](LogWriterV2::finish)).
-impl<W: Write> RecordSink for LogWriterV2<W> {
-    fn push(&mut self, record: Record) {
-        let _ = self.write_record(&record);
-    }
-}
-
-/// The v1 writer, for callers that still need logs readable by pre-v2
-/// tools, is a sink the same way: `write_record` keeps the first sink
-/// error for [`finish`](LogWriter::finish).
-impl<W: Write> RecordSink for LogWriter<W> {
-    fn push(&mut self, record: Record) {
-        let _ = self.write_record(&record);
-    }
-}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use literace_log::{encode_v2, log_to_bytes, read_log_auto, SamplerMask};
+    use std::io::Write;
+
+    use literace_log::{encode_all, encode_v2, read_log_auto, LogWriter, Record, SamplerMask};
     use literace_sim::{Addr, FuncId, Pc, ThreadId};
 
     fn some_records(n: usize) -> Vec<Record> {
@@ -86,8 +53,7 @@ mod tests {
             sink.push(*r);
         }
         let direct = sink.finish().unwrap();
-        let log: EventLog = records.into_iter().collect();
-        assert_eq!(&direct[..], &log_to_bytes(&log)[..]);
+        assert_eq!(&direct[..], &encode_all(&records)[..]);
     }
 
     #[test]

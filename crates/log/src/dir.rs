@@ -12,8 +12,9 @@ use std::path::{Path, PathBuf};
 use literace_sim::ThreadId;
 
 use crate::error::{LogError, LogResult};
-use crate::io::{LogReader, LogWriter};
+use crate::io::LogWriter;
 use crate::record::EventLog;
+use crate::stream::read_log_auto;
 
 /// File name for one thread's log.
 fn thread_file_name(tid: ThreadId) -> String {
@@ -67,7 +68,7 @@ pub fn read_thread_logs(dir: &Path) -> LogResult<Vec<(ThreadId, EventLog)>> {
                 reason: format!("bad thread log file name `{name}`"),
             }
         })?;
-        let log = LogReader::new(File::open(entry.path()).map_err(LogError::Io)?).read_all()?;
+        let log = read_log_auto(File::open(entry.path()).map_err(LogError::Io)?)?;
         out.push((ThreadId::from_index(index), log));
     }
     out.sort_by_key(|(tid, _)| *tid);

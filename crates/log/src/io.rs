@@ -1,20 +1,21 @@
-//! Streaming log writer and reader over `std::io`.
+//! The v1 log writer and record decoder over `std::io`.
 //!
 //! The paper writes its event stream to disk and detects offline (§4.4).
-//! [`LogWriter`] and [`LogReader`] provide the same capability for our logs;
-//! they also work over in-memory buffers, which is what the test suite uses.
+//! [`LogWriter`] writes the fixed-width v1 format; [`ChunkedRecords`]
+//! decodes it for the one log reader,
+//! [`RecordBlocks`](crate::RecordBlocks). Both also work over in-memory
+//! buffers, which is what the test suite uses.
 
 use std::io::{Read, Write};
 
-use bytes::{Bytes, BytesMut};
+use bytes::BytesMut;
 
 use crate::codec::{decode, encode, tag_len};
 use crate::error::{LogError, LogResult};
-use crate::record::{EventLog, Record};
+use crate::record::Record;
 
-/// Default chunk size for [`LogReader::read_chunked`] and
-/// [`LogReader::records`].
-pub const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
+/// Bytes a v1 read pulls from its source per refill.
+const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
 
 /// Writes records to an underlying byte sink.
 ///
@@ -132,68 +133,13 @@ impl<W: Write> Drop for LogWriter<W> {
     }
 }
 
-/// Reads records from an underlying byte source.
-#[derive(Debug)]
-pub struct LogReader<R> {
-    source: R,
-}
-
-impl<R: Read> LogReader<R> {
-    /// Creates a reader over `source`.
-    pub fn new(source: R) -> LogReader<R> {
-        LogReader { source }
-    }
-
-    /// Reads the entire source into an [`EventLog`].
-    ///
-    /// Decodes in fixed-size chunks (see [`read_chunked`]); peak memory is
-    /// the decoded log plus one chunk, never the whole encoded stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] on read failure or [`LogError::Corrupt`] on
-    /// malformed bytes.
-    ///
-    /// [`read_chunked`]: LogReader::read_chunked
-    pub fn read_all(self) -> LogResult<EventLog> {
-        self.read_chunked(DEFAULT_CHUNK_BYTES)
-    }
-
-    /// Reads the source into an [`EventLog`] using `chunk_bytes`-sized reads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LogError::Io`] on read failure or [`LogError::Corrupt`] on
-    /// malformed bytes.
-    pub fn read_chunked(self, chunk_bytes: usize) -> LogResult<EventLog> {
-        let mut log = EventLog::new();
-        for record in self.records(chunk_bytes) {
-            log.push(record?);
-        }
-        Ok(log)
-    }
-
-    /// Returns a streaming record iterator over the source.
-    ///
-    /// Records are decoded out of a reusable `chunk_bytes`-sized buffer;
-    /// a record spanning a chunk boundary is carried over to the next fill.
-    pub fn records(self, chunk_bytes: usize) -> ChunkedRecords<R> {
-        ChunkedRecords {
-            source: self.source,
-            buf: Vec::with_capacity(chunk_bytes.max(1)),
-            pos: 0,
-            chunk_bytes: chunk_bytes.max(1),
-            eof: false,
-            done: false,
-        }
-    }
-}
-
-/// Streaming record iterator produced by [`LogReader::records`].
+/// Streaming v1 record iterator over a byte source.
 ///
-/// Yields `LogResult<Record>`; iteration fuses after the first error.
+/// Records are decoded out of a reusable chunk-sized buffer; a record
+/// spanning a chunk boundary is carried over to the next fill. Yields
+/// `LogResult<Record>`; iteration fuses after the first error.
 #[derive(Debug)]
-pub struct ChunkedRecords<R> {
+pub(crate) struct ChunkedRecords<R> {
     source: R,
     /// Undecoded bytes: `buf[pos..]` is pending input, `buf[..pos]` is
     /// already consumed and reclaimed on the next refill.
@@ -205,6 +151,22 @@ pub struct ChunkedRecords<R> {
 }
 
 impl<R: Read> ChunkedRecords<R> {
+    /// Decodes `source`, reading it [`DEFAULT_CHUNK_BYTES`] at a time.
+    pub(crate) fn new(source: R) -> ChunkedRecords<R> {
+        ChunkedRecords::with_chunk(source, DEFAULT_CHUNK_BYTES)
+    }
+
+    fn with_chunk(source: R, chunk_bytes: usize) -> ChunkedRecords<R> {
+        ChunkedRecords {
+            source,
+            buf: Vec::with_capacity(chunk_bytes.max(1)),
+            pos: 0,
+            chunk_bytes: chunk_bytes.max(1),
+            eof: false,
+            done: false,
+        }
+    }
+
     /// Pulls one more chunk from the source, compacting consumed bytes
     /// first so a partial record at the tail survives the refill.
     fn refill(&mut self) -> LogResult<()> {
@@ -289,26 +251,19 @@ impl<R: Read> Iterator for ChunkedRecords<R> {
     }
 }
 
-/// Serializes a whole [`EventLog`] to bytes.
-pub fn log_to_bytes(log: &EventLog) -> Bytes {
-    crate::codec::encode_all(log.records())
-}
-
-/// Deserializes an [`EventLog`] from bytes.
-///
-/// # Errors
-///
-/// Returns [`LogError::Corrupt`] on malformed input.
-pub fn log_from_bytes(bytes: Bytes) -> LogResult<EventLog> {
-    Ok(crate::codec::decode_all(bytes)?.into_iter().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use literace_sim::{Addr, FuncId, Pc, ThreadId};
 
-    use crate::record::SamplerMask;
+    use crate::codec::encode_all;
+    use crate::record::{EventLog, SamplerMask};
+    use crate::stream::read_log_auto;
+
+    /// Every record of a v1 byte source, read `chunk` bytes at a time.
+    fn read_chunked(source: impl Read, chunk: usize) -> LogResult<Vec<Record>> {
+        ChunkedRecords::with_chunk(source, chunk).collect()
+    }
 
     fn some_records(n: usize) -> Vec<Record> {
         (0..n)
@@ -331,7 +286,7 @@ mod tests {
         }
         assert_eq!(w.records_written(), 10_000);
         let bytes = w.finish().unwrap();
-        let log = LogReader::new(&bytes[..]).read_all().unwrap();
+        let log = read_log_auto(&bytes[..]).unwrap();
         assert_eq!(log.records(), &records[..]);
     }
 
@@ -372,15 +327,15 @@ mod tests {
             // 48 KiB buffer, so nothing has reached the sink yet.
         }
         let bytes = sink.0.lock().unwrap().clone();
-        let log = LogReader::new(&bytes[..]).read_all().unwrap();
+        let log = read_log_auto(&bytes[..]).unwrap();
         assert_eq!(log.records(), &records[..]);
     }
 
     #[test]
     fn event_log_byte_round_trip() {
         let log: EventLog = some_records(100).into_iter().collect();
-        let bytes = log_to_bytes(&log);
-        let back = log_from_bytes(bytes).unwrap();
+        let bytes = encode_all(log.records());
+        let back = read_log_auto(&bytes[..]).unwrap();
         assert_eq!(log, back);
     }
 
@@ -395,8 +350,8 @@ mod tests {
         // Chunk sizes that never align with the 26-byte Mem record force a
         // carried-over partial record on almost every refill.
         for chunk in [1, 7, 25, 26, 27, 1024] {
-            let log = LogReader::new(&bytes[..]).read_chunked(chunk).unwrap();
-            assert_eq!(log.records(), &records[..], "chunk={chunk}");
+            let read = read_chunked(&bytes[..], chunk).unwrap();
+            assert_eq!(read, records, "chunk={chunk}");
         }
     }
 
@@ -417,19 +372,17 @@ mod tests {
     #[test]
     fn chunked_read_tolerates_short_reads() {
         let records = some_records(50);
-        let bytes = log_to_bytes(&records.iter().cloned().collect::<EventLog>());
-        let log = LogReader::new(TrickleReader(&bytes))
-            .read_chunked(64)
-            .unwrap();
-        assert_eq!(log.records(), &records[..]);
+        let bytes = encode_all(&records);
+        let read = read_chunked(TrickleReader(&bytes), 64).unwrap();
+        assert_eq!(read, records);
     }
 
     #[test]
     fn chunked_iterator_reports_truncation_and_fuses() {
         let records = some_records(4);
-        let bytes = log_to_bytes(&records.iter().cloned().collect::<EventLog>());
+        let bytes = encode_all(&records);
         let cut = &bytes[..bytes.len() - 3];
-        let mut it = LogReader::new(cut).records(16);
+        let mut it = ChunkedRecords::with_chunk(cut, 16);
         for expected in &records[..3] {
             assert_eq!(&it.next().unwrap().unwrap(), expected);
         }
@@ -440,12 +393,9 @@ mod tests {
 
     #[test]
     fn chunked_iterator_reports_unknown_tag() {
-        let mut bytes = log_to_bytes(&some_records(2).into_iter().collect::<EventLog>())
-            .as_slice()
-            .to_vec();
+        let mut bytes = encode_all(&some_records(2)).to_vec();
         bytes.push(0xFF);
-        let errs: Vec<_> = LogReader::new(&bytes[..])
-            .records(8)
+        let errs: Vec<_> = ChunkedRecords::with_chunk(&bytes[..], 8)
             .filter_map(Result::err)
             .collect();
         assert_eq!(errs.len(), 1);

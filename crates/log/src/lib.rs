@@ -8,7 +8,7 @@
 //! ## Example
 //!
 //! ```
-//! use literace_log::{EventLog, Record, SamplerMask, log_to_bytes, log_from_bytes};
+//! use literace_log::{encode_all, read_log_auto, EventLog, Record, SamplerMask};
 //! use literace_sim::{Addr, FuncId, Pc, ThreadId};
 //!
 //! let mut log = EventLog::new();
@@ -19,8 +19,8 @@
 //!     is_write: true,
 //!     mask: SamplerMask::FULL,
 //! });
-//! let bytes = log_to_bytes(&log);
-//! let back = log_from_bytes(bytes)?;
+//! let bytes = encode_all(log.records());
+//! let back = read_log_auto(&bytes[..])?;
 //! assert_eq!(log, back);
 //! # Ok::<(), literace_log::LogError>(())
 //! ```
@@ -57,11 +57,9 @@ pub use codec::{
 pub use dir::{read_thread_logs, write_thread_logs};
 pub use error::{LogError, LogResult};
 pub use fault::{FaultPlan, FaultyReader, FaultySink, SplitMix64};
-pub use io::{
-    log_from_bytes, log_to_bytes, ChunkedRecords, LogReader, LogWriter, DEFAULT_CHUNK_BYTES,
-};
+pub use io::LogWriter;
 pub use bytes::Bytes;
-pub use record::{EventLog, Record, SamplerMask};
+pub use record::{EventLog, Record, RecordSink, SamplerMask};
 pub use retry::{RetryPolicy, RetryReader};
 pub use salvage::{read_log_salvage, SalvageHandle, SalvageReport};
 pub use stats::LogStats;

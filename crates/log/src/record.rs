@@ -12,9 +12,14 @@
 //! samplers would have logged it; detection is then run on per-sampler
 //! subsets of one identical execution.
 
+use std::io::Write;
+
 use serde::{Deserialize, Serialize};
 
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
+
+use crate::io::LogWriter;
+use crate::writer::LogWriterV2;
 
 /// Bitmask of samplers that would have logged a memory access.
 ///
@@ -234,6 +239,38 @@ impl<'a> IntoIterator for &'a EventLog {
     type IntoIter = std::slice::Iter<'a, Record>;
     fn into_iter(self) -> Self::IntoIter {
         self.records.iter()
+    }
+}
+
+/// A destination for records as they are produced: a heap-resident
+/// [`EventLog`], a log writer streaming blocks to a file (or any
+/// `Write`), or a detector consuming them live. A producer's callbacks
+/// cannot be interrupted by a failed write, so both log writers keep the
+/// first write error, write nothing after it, and return it from
+/// `finish`.
+pub trait RecordSink {
+    /// Appends one record.
+    fn push(&mut self, record: Record);
+}
+
+impl RecordSink for EventLog {
+    #[inline]
+    fn push(&mut self, record: Record) {
+        EventLog::push(self, record);
+    }
+}
+
+impl<W: Write> RecordSink for LogWriterV2<W> {
+    #[inline]
+    fn push(&mut self, record: Record) {
+        let _ = self.write_record(&record);
+    }
+}
+
+impl<W: Write> RecordSink for LogWriter<W> {
+    #[inline]
+    fn push(&mut self, record: Record) {
+        let _ = self.write_record(&record);
     }
 }
 

@@ -4,6 +4,9 @@
 //! versus full logging. [`LogStats`] computes the encoded size of a log and,
 //! combined with a modeled baseline execution time, the MB/s figure.
 
+use std::collections::BTreeMap;
+
+use literace_sim::ThreadId;
 use serde::{Deserialize, Serialize};
 
 use crate::codec::encoded_len;
@@ -36,14 +39,11 @@ impl LogStats {
         }
     }
 
-    /// Counts `r` into its thread's row of `rows`, indexed by thread id
-    /// (threads that never logged get zero rows).
-    pub fn add_by_thread(rows: &mut Vec<LogStats>, r: &Record) {
-        let i = r.tid().index();
-        if i >= rows.len() {
-            rows.resize(i + 1, LogStats::default());
-        }
-        rows[i].add(r);
+    /// Counts `r` into its thread's row of `rows`. Rows are keyed by
+    /// thread, so a thread that never logged has none, and a log naming
+    /// thread 4 billion costs one row, not four billion.
+    pub fn add_by_thread(rows: &mut BTreeMap<ThreadId, LogStats>, r: &Record) {
+        rows.entry(r.tid()).or_default().add(r);
     }
 
     /// Computes statistics over a log.
@@ -54,8 +54,8 @@ impl LogStats {
     }
 
     /// Per-thread statistics of a log (see [`add_by_thread`](LogStats::add_by_thread)).
-    pub fn per_thread(log: &EventLog) -> Vec<LogStats> {
-        let mut rows = Vec::new();
+    pub fn per_thread(log: &EventLog) -> BTreeMap<ThreadId, LogStats> {
+        let mut rows = BTreeMap::new();
         log.iter().for_each(|r| LogStats::add_by_thread(&mut rows, r));
         rows
     }
@@ -110,7 +110,7 @@ mod tests {
     }
 
     #[test]
-    fn per_thread_attributes_by_kind_and_pads_gaps() {
+    fn per_thread_attributes_by_kind_and_skips_gaps() {
         let mut log = EventLog::new();
         log.push(Record::ThreadBegin {
             tid: ThreadId::MAIN,
@@ -130,18 +130,25 @@ mod tests {
             timestamp: 1,
         });
         let per = LogStats::per_thread(&log);
-        assert_eq!(per.len(), 3);
-        assert_eq!(per[0].marker_records, 1);
-        assert_eq!(per[1], LogStats::default(), "gap thread is zeroed");
-        assert_eq!(per[2].records, 2);
-        assert_eq!(per[2].mem_records, 1);
-        assert_eq!(per[2].sync_records, 1);
+        let tids: Vec<usize> = per.keys().map(|t| t.index()).collect();
+        assert_eq!(tids, [0, 2], "rows in thread order, none for the gap");
+        assert_eq!(per[&ThreadId::MAIN].marker_records, 1);
+        let t2 = &per[&ThreadId::from_index(2)];
+        assert_eq!(t2.records, 2);
+        assert_eq!(t2.mem_records, 1);
+        assert_eq!(t2.sync_records, 1);
         // The per-thread rows partition the totals.
         let totals = LogStats::of(&log);
-        assert_eq!(
-            per.iter().map(|t| t.records).sum::<u64>(),
-            totals.records
-        );
+        assert_eq!(per.values().map(|t| t.records).sum::<u64>(), totals.records);
+    }
+
+    #[test]
+    fn a_huge_thread_id_costs_one_row() {
+        let tid = ThreadId::from_index(0xFFFF_FFF0);
+        let mut rows = BTreeMap::new();
+        LogStats::add_by_thread(&mut rows, &Record::ThreadBegin { tid });
+        assert_eq!(rows.len(), 1);
+        assert_eq!(rows[&tid].marker_records, 1);
     }
 
     #[test]

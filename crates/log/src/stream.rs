@@ -24,7 +24,7 @@ use std::sync::{Arc, Mutex};
 use bytes::Bytes;
 
 use crate::error::{count_error, LogError, LogResult};
-use crate::io::{ChunkedRecords, LogReader, DEFAULT_CHUNK_BYTES};
+use crate::io::ChunkedRecords;
 use crate::parallel::{spawn_pool, Inline, Mode};
 use crate::record::{EventLog, Record};
 use crate::retry::{RetryPolicy, RetryReader};
@@ -320,8 +320,7 @@ impl<R: Read> RecordBlocks<R> {
         Ok(match format {
             LogFormat::V1 => RecordBlocks {
                 inner: Blocks::V1(V1Blocks {
-                    records: LogReader::new(std::io::Cursor::new(replay).chain(source))
-                        .records(DEFAULT_CHUNK_BYTES),
+                    records: ChunkedRecords::new(std::io::Cursor::new(replay).chain(source)),
                     mode,
                     done: false,
                 }),

@@ -16,8 +16,8 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use literace_log::{
-    encode_v2, log_to_bytes, peek_sealed_total, read_log_auto, salvage::SalvageReport, DecodeOpts,
-    EncodeOpts, EventLog, FaultPlan, FaultyReader, FaultySink, LogReader, LogWriter, LogWriterV2,
+    encode_all, encode_v2, peek_sealed_total, read_log_auto, salvage::SalvageReport, DecodeOpts,
+    EncodeOpts, EventLog, FaultPlan, FaultyReader, FaultySink, LogWriter, LogWriterV2,
     Record, RecordBlocks, RecordStream, SamplerMask, SealState,
 };
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
@@ -275,13 +275,13 @@ fn first_sink_error_wins_and_nothing_is_written_after_it() {
 
 /// The v1 leg of the first-error rule: a log long enough for at least
 /// three 48 KiB flushes, a sink failing its 2nd write call, and either
-/// `finish` or pushes past the error (ignoring each result, as the
-/// instrument crate's `RecordSink::push` does) and a drop. Only the
-/// first flush may land, and it decodes as a prefix of the input.
+/// `finish` or pushes past the error (ignoring each result, as
+/// `RecordSink::push` does) and a drop. Only the first flush may land,
+/// and it decodes as a prefix of the input.
 fn v1_leg(finish: bool) {
     let records = sample_records(8_000);
     let log: EventLog = records.iter().copied().collect();
-    assert!(log_to_bytes(&log).len() >= 3 * 48 * 1024);
+    assert!(encode_all(&log).len() >= 3 * 48 * 1024);
     let out = SharedVec::default();
     let landed_at_failure = Arc::new(Mutex::new(None));
     let sink = FailOnce {
@@ -314,7 +314,7 @@ fn v1_leg(finish: bool) {
         landed,
         "{leg}: bytes reached the sink after its error"
     );
-    let decoded = LogReader::new(&bytes[..]).read_all().unwrap();
+    let decoded = read_log_auto(&bytes[..]).unwrap();
     assert!(!decoded.is_empty(), "{leg}");
     assert!(records.starts_with(decoded.records()), "{leg}");
 }

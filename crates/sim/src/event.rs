@@ -1,8 +1,8 @@
 //! The runtime event stream and observer hooks.
 //!
 //! The machine emits one [`Event`] for every observable action. Observers —
-//! the LiteRace instrumentation, the online detector, statistics collectors —
-//! receive events in the machine's global step order, which is a legal
+//! the LiteRace instrumentation, tracers, statistics collectors — receive
+//! events in the machine's global step order, which is a legal
 //! linearization of the execution: per-thread order is program order, and
 //! per-synchronization-variable order is the true synchronization order. The
 //! instrumentation layer relies on this to produce timestamps consistent with

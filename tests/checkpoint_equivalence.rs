@@ -10,7 +10,8 @@
 //! at random boundaries of random racy programs under proptest), resumes
 //! the suffix on every detection path — sequential, sharded ×{2,4,8},
 //! streaming — and requires the whole [`RaceReport`] to match one-shot
-//! detection field for field.
+//! detection field for field. Every checkpoint is sealed by the engine at
+//! 1, 2, 4 and 8 shards, and every shard count must seal the same bytes.
 //!
 //! Every checkpoint is round-tripped through its sealed byte form
 //! (`to_bytes` → `from_bytes`) before resuming, so the suite pins the wire
@@ -18,8 +19,7 @@
 //! snapshot.
 
 use literace::detector::{
-    detect, detect_stream_checkpointed, detect_stream_from, Checkpoint, DetectConfig,
-    HbDetector, RaceReport,
+    detect, detect_stream_checkpointed, detect_stream_from, Checkpoint, DetectConfig, RaceReport,
 };
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{EventLog, LogResult, Record};
@@ -47,17 +47,57 @@ fn full_log(program: &Program, seed: u64) -> (EventLog, u64) {
     (inst.finish().log, summary.non_stack_accesses)
 }
 
-/// Detects `records[..split]`, seals the state, and round-trips it
-/// through the wire format.
-fn sealed_checkpoint_at(records: &[Record], split: usize, non_stack: u64) -> Checkpoint {
-    let mut d = HbDetector::new();
-    for r in &records[..split] {
-        d.process(r);
+/// Shard counts every checkpoint is sealed at.
+const SEAL_THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// The report of detecting `blocks` on `threads` shards, resuming from
+/// `resume`, and every checkpoint the engine sealed on the way (every
+/// `every` blocks and at end of stream), each round-tripped through the
+/// wire format.
+fn seal_all<B: AsRef<[Record]>>(
+    blocks: impl IntoIterator<Item = LogResult<B>>,
+    non_stack: u64,
+    threads: usize,
+    resume: Option<&Checkpoint>,
+    every: u64,
+) -> (RaceReport, Vec<Checkpoint>) {
+    let mut sealed = Vec::new();
+    let cfg = DetectConfig::with_threads(threads);
+    let report = detect_stream_checkpointed(blocks, non_stack, &cfg, resume, every, |cp| {
+        let back = Checkpoint::from_bytes(&cp.to_bytes()).expect("sealed checkpoint loads");
+        assert_eq!(cp, &back, "wire round-trip must be lossless");
+        sealed.push(back);
+        Ok(())
+    })
+    .expect("in-memory blocks decode");
+    (report, sealed)
+}
+
+/// Seals `blocks` as [`seal_all`] does at every shard count of
+/// [`SEAL_THREADS`], requires every shard count to report the same races
+/// and seal the same bytes, and returns the report and the checkpoints.
+fn seal_at_every_shard_count<B: AsRef<[Record]>>(
+    blocks: &[B],
+    non_stack: u64,
+    resume: Option<&Checkpoint>,
+    every: u64,
+    context: &str,
+) -> (RaceReport, Vec<Checkpoint>) {
+    let (report, one) = seal_all(blocks.iter().map(Ok), non_stack, 1, resume, every);
+    let bytes: Vec<Vec<u8>> = one.iter().map(Checkpoint::to_bytes).collect();
+    for threads in &SEAL_THREADS[1..] {
+        let (driven, sealed) = seal_all(blocks.iter().map(Ok), non_stack, *threads, resume, every);
+        assert_eq!(
+            report, driven,
+            "{context}: sealing at {threads} shards changed the report"
+        );
+        let sharded: Vec<Vec<u8>> = sealed.iter().map(Checkpoint::to_bytes).collect();
+        assert!(
+            bytes == sharded,
+            "{context}: sealed at {threads} shards, bytes differ"
+        );
     }
-    let cp = d.save_checkpoint(non_stack);
-    let back = Checkpoint::from_bytes(&cp.to_bytes()).expect("sealed checkpoint loads");
-    assert_eq!(cp, back, "wire round-trip must be lossless");
-    back
+    (report, one)
 }
 
 /// Resumes `cp` over `suffix`, handed over as one in-memory block, on
@@ -67,26 +107,25 @@ fn resume(suffix: &[Record], cp: &Checkpoint, non_stack: u64, threads: usize) ->
         .expect("in-memory blocks decode")
 }
 
-/// Resumes the suffix after `split` on every detection path and requires
+/// Resumes the suffix after `cp` on every detection path and requires
 /// each report to equal `expected` (the one-shot report) byte for byte.
 fn assert_resume_matches(
     records: &[Record],
-    split: usize,
+    cp: &Checkpoint,
     expected: &RaceReport,
     non_stack: u64,
     context: &str,
 ) {
-    let cp = sealed_checkpoint_at(records, split, non_stack);
-    assert_eq!(cp.records_processed(), split as u64, "{context}");
+    let split = cp.records_processed() as usize;
     let suffix = &records[split..];
 
-    let sequential = resume(suffix, &cp, non_stack, 1);
+    let sequential = resume(suffix, cp, non_stack, 1);
     assert_eq!(
         expected, &sequential,
         "{context}: sequential resume at {split} diverged"
     );
     for threads in [2usize, 4, 8] {
-        let sharded = resume(suffix, &cp, non_stack, threads);
+        let sharded = resume(suffix, cp, non_stack, threads);
         assert_eq!(
             expected, &sharded,
             "{context}: sharded×{threads} resume at {split} diverged"
@@ -96,7 +135,7 @@ fn assert_resume_matches(
         .chunks(BLOCK_RECORDS)
         .map(|c| Ok(c.to_vec()))
         .collect();
-    let streamed = detect_stream_from(blocks, non_stack, &DetectConfig::with_threads(4), Some(&cp))
+    let streamed = detect_stream_from(blocks, non_stack, &DetectConfig::with_threads(4), Some(cp))
         .expect("in-memory blocks decode");
     assert_eq!(
         expected, &streamed,
@@ -104,15 +143,35 @@ fn assert_resume_matches(
     );
 }
 
-/// Every block boundary of `records` (block = [`BLOCK_RECORDS`]), plus
-/// the two degenerate splits: resume-everything (0) and resume-nothing
-/// (len).
-fn block_boundaries(len: usize) -> Vec<usize> {
-    let mut splits: Vec<usize> = (0..=len).step_by(BLOCK_RECORDS).collect();
-    if splits.last() != Some(&len) {
-        splits.push(len);
+/// Checkpoints at every block boundary of `records` (block =
+/// [`BLOCK_RECORDS`]), sealed at every shard count: resume-everything
+/// (0), then the engine sealing after every block, the last at
+/// resume-nothing (len). The sealing pass over the whole log must report
+/// `expected`, the one-shot report.
+fn block_boundary_checkpoints(
+    records: &[Record],
+    expected: &RaceReport,
+    non_stack: u64,
+    context: &str,
+) -> Vec<Checkpoint> {
+    let (_, mut sealed) = seal_at_every_shard_count(&[&records[..0]], non_stack, None, 0, context);
+    let blocks: Vec<&[Record]> = records.chunks(BLOCK_RECORDS).collect();
+    if !blocks.is_empty() {
+        let (driven, every_block) = seal_at_every_shard_count(&blocks, non_stack, None, 1, context);
+        assert_eq!(
+            expected, &driven,
+            "{context}: checkpointing must not perturb detection"
+        );
+        sealed.extend(every_block);
     }
-    splits
+    let splits: Vec<u64> = sealed.iter().map(Checkpoint::records_processed).collect();
+    let want: Vec<u64> = (0..records.len())
+        .step_by(BLOCK_RECORDS)
+        .chain([records.len()])
+        .map(|split| split as u64)
+        .collect();
+    assert_eq!(splits, want, "{context}: one checkpoint per block boundary");
+    sealed
 }
 
 #[test]
@@ -121,8 +180,8 @@ fn every_bundled_workload_resumes_identically_at_every_block_boundary() {
         let w = build(id, Scale::Smoke);
         let (log, non_stack) = full_log(&w.program, 7);
         let expected = detect(&log, non_stack);
-        for split in block_boundaries(log.len()) {
-            assert_resume_matches(log.records(), split, &expected, non_stack, id.name());
+        for cp in block_boundary_checkpoints(log.records(), &expected, non_stack, id.name()) {
+            assert_resume_matches(log.records(), &cp, &expected, non_stack, id.name());
         }
     }
 }
@@ -130,30 +189,14 @@ fn every_bundled_workload_resumes_identically_at_every_block_boundary() {
 /// The periodic-checkpoint streaming driver: every emitted checkpoint —
 /// not just the final one — must resume to the one-shot report, which is
 /// what makes "distribute one giant log across workers by checkpoint
-/// handoff" sound.
+/// handoff" sound. Every shard count seals the same checkpoints.
 #[test]
 fn every_periodically_emitted_checkpoint_resumes_to_the_one_shot_report() {
     let w = build(WorkloadId::LfList, Scale::Smoke);
     let (log, non_stack) = full_log(&w.program, 11);
     let expected = detect(&log, non_stack);
-    let blocks: Vec<LogResult<Vec<Record>>> = log
-        .records()
-        .chunks(512)
-        .map(|c| Ok(c.to_vec()))
-        .collect();
-    let mut saved: Vec<Checkpoint> = Vec::new();
-    let driven = detect_stream_checkpointed(
-        blocks,
-        non_stack,
-        &DetectConfig::default(),
-        None,
-        3,
-        |cp| {
-            saved.push(Checkpoint::from_bytes(&cp.to_bytes()).expect("sealed"));
-            Ok(())
-        },
-    )
-    .expect("in-memory blocks decode");
+    let blocks: Vec<&[Record]> = log.records().chunks(512).collect();
+    let (driven, saved) = seal_at_every_shard_count(&blocks, non_stack, None, 3, "periodic");
     assert_eq!(expected, driven, "checkpointing must not perturb detection");
     assert!(saved.len() >= 2, "every-3-blocks must fire repeatedly");
     for cp in &saved {
@@ -167,13 +210,15 @@ fn every_periodically_emitted_checkpoint_resumes_to_the_one_shot_report() {
     // checkpoint can seed worker B, whose checkpoint can seed worker C.
     let first = &saved[0];
     let mid = (first.records_processed() as usize + log.len()) / 2;
-    let mut hop = HbDetector::resume(first);
-    for r in &log.records()[first.records_processed() as usize..mid] {
-        hop.process(r);
+    let hop = [&log.records()[first.records_processed() as usize..mid]];
+    let (_, second) = seal_at_every_shard_count(&hop, non_stack, Some(first), 0, "second hop");
+    assert_eq!(second.len(), 1);
+    for threads in [1, 4] {
+        assert_eq!(
+            expected,
+            resume(&log.records()[mid..], &second[0], non_stack, threads)
+        );
     }
-    let second = Checkpoint::from_bytes(&hop.save_checkpoint(non_stack).to_bytes())
-        .expect("second-hop checkpoint seals");
-    assert_eq!(expected, resume(&log.records()[mid..], &second, non_stack, 1));
 }
 
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
@@ -204,12 +249,11 @@ proptest! {
         let expected = detect(&log, non_stack);
         let split = ((log.len() as f64) * split_frac) as usize;
         let split = split.min(log.len());
-        assert_resume_matches(
-            log.records(),
-            split,
-            &expected,
-            non_stack,
-            &format!("{cfg:?}"),
-        );
+        let context = format!("{cfg:?}");
+        let prefix = [&log.records()[..split]];
+        let (_, sealed) = seal_at_every_shard_count(&prefix, non_stack, None, 0, &context);
+        prop_assert_eq!(sealed.len(), 1, "one seal at end of stream");
+        prop_assert_eq!(sealed[0].records_processed(), split as u64);
+        assert_resume_matches(log.records(), &sealed[0], &expected, non_stack, &context);
     }
 }

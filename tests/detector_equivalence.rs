@@ -1,11 +1,12 @@
-//! Cross-detector equivalence: the online detector and the per-thread-log
-//! merge path must agree with the offline vector-clock detector about
-//! *which* races exist.
+//! Cross-detector equivalence: online detection must report exactly what
+//! the offline vector-clock detector reports, and the per-thread-log merge
+//! path must agree with it about *which* races exist.
 
 use std::collections::HashSet;
 
-use literace::detector::{detect, merge, HbDetector, OnlineDetector};
+use literace::detector::{detect, merge, HbDetector};
 use literace::prelude::*;
+use literace::samplers::AlwaysSampler;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig};
 use literace::workloads::synthetic::{racy, SyntheticConfig};
 use proptest::prelude::*;
@@ -22,19 +23,21 @@ fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
     )
 }
 
-/// Runs one seeded schedule twice, once under the instrumenter (the
-/// offline log) and once under the online detector, and checks that both
-/// runs are the same execution before returning both reports.
+/// Runs one seeded schedule twice, once under the instrumenter writing a
+/// log (offline) and once writing into an `HbDetector` under full logging
+/// (online), and checks that both runs are the same execution before
+/// returning both reports.
 fn run_both(program: &literace::sim::Program, seed: u64) -> (RaceReport, RaceReport) {
     let compiled = lower(program);
-    let mut inst = literace::instrument::Instrumenter::new(
-        SamplerKind::Always.build(seed),
-        InstrumentConfig::default(),
-    );
+    let mut inst = Instrumenter::new(SamplerKind::Always.build(seed), InstrumentConfig::default());
     let summary = Machine::new(&compiled, MachineConfig::default())
         .run(&mut ChunkedRandomScheduler::seeded(seed, 48), &mut inst)
         .expect("program runs");
-    let mut online = OnlineDetector::new();
+    let mut online = Instrumenter::with_sink(
+        AlwaysSampler,
+        InstrumentConfig::full_logging(),
+        HbDetector::new(),
+    );
     let online_summary = Machine::new(&compiled, MachineConfig::default())
         .run(&mut ChunkedRandomScheduler::seeded(seed, 48), &mut online)
         .expect("program runs");
@@ -42,24 +45,24 @@ fn run_both(program: &literace::sim::Program, seed: u64) -> (RaceReport, RaceRep
         summary, online_summary,
         "one seeded schedule, one execution"
     );
-    let out = inst.finish();
-    let offline = detect(&out.log, summary.non_stack_accesses);
-    (offline, online.finish())
-}
-
-fn keys(r: &RaceReport) -> HashSet<(literace::sim::Pc, literace::sim::Pc)> {
-    r.static_keys()
+    let offline = detect(&inst.finish().log, summary.non_stack_accesses);
+    let online = online
+        .finish()
+        .log
+        .finish(online_summary.non_stack_accesses);
+    (offline, online)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Online == offline on the same execution, racy or not.
+    /// Online == offline on the same execution, racy or not: the whole
+    /// report, field for field.
     #[test]
     fn online_equals_offline(cfg in arb_config()) {
         let (program, _) = racy(cfg);
         let (offline, online) = run_both(&program, cfg.seed);
-        prop_assert_eq!(keys(&offline), keys(&online));
+        prop_assert_eq!(offline, online);
     }
 
     /// Splitting into per-thread logs and re-merging by timestamps yields a
@@ -94,8 +97,8 @@ fn online_equals_offline_on_benchmarks() {
     ] {
         let w = build(id, Scale::Smoke);
         let (offline, online) = run_both(&w.program, 11);
-        assert_eq!(keys(&offline), keys(&online), "{id}");
         assert_eq!(offline.static_count() as u32, w.planted.total(), "{id}");
+        assert_eq!(offline, online, "{id}");
     }
 }
 

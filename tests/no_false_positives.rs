@@ -2,8 +2,8 @@
 //! data race.** Property-based tests over randomly generated race-free
 //! programs, for every detector and sampler combination.
 
-use literace::detector::OnlineDetector;
 use literace::prelude::*;
+use literace::samplers::AlwaysSampler;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig};
 use literace::workloads::synthetic::{race_free, SyntheticConfig};
 use proptest::prelude::*;
@@ -47,16 +47,22 @@ proptest! {
         prop_assert_eq!(out.report.static_count(), 0);
     }
 
-    /// The online detector (no log at all) is equally clean.
+    /// Online detection — the instrumenter writing into an `HbDetector`,
+    /// no log at all — is equally clean.
     #[test]
     fn online_detector_has_no_false_positives(cfg in arb_config()) {
         let program = race_free(cfg);
         let compiled = lower(&program);
-        let mut det = OnlineDetector::new();
-        Machine::new(&compiled, MachineConfig::default())
-            .run(&mut ChunkedRandomScheduler::seeded(cfg.seed, 32), &mut det)
+        let mut online = Instrumenter::with_sink(
+            AlwaysSampler,
+            InstrumentConfig::full_logging(),
+            HbDetector::new(),
+        );
+        let summary = Machine::new(&compiled, MachineConfig::default())
+            .run(&mut ChunkedRandomScheduler::seeded(cfg.seed, 32), &mut online)
             .unwrap();
-        prop_assert_eq!(det.finish().static_count(), 0);
+        let report = online.finish().log.finish(summary.non_stack_accesses);
+        prop_assert_eq!(report.static_count(), 0);
     }
 }
 

@@ -13,7 +13,7 @@
 use literace::detector::{detect, detect_stream, DetectConfig, RaceReport};
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{
-    encode_v2, log_to_bytes, DecodeOpts, EventLog, RecordBlocks, RecordStream,
+    encode_all, encode_v2, DecodeOpts, EventLog, RecordBlocks, RecordStream,
 };
 use literace::prelude::*;
 use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
@@ -40,7 +40,7 @@ fn full_log(program: &Program, seed: u64) -> (EventLog, u64) {
 /// detector for every thread count, feeding the stream three ways.
 fn assert_stream_identical(log: &EventLog, non_stack: u64, context: &str) {
     let sequential = detect(log, non_stack);
-    let v1 = log_to_bytes(log);
+    let v1 = encode_all(log);
     let v2 = encode_v2(log);
     for threads in THREAD_COUNTS {
         let cfg = DetectConfig::with_threads(threads);
