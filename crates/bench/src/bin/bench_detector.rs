@@ -40,8 +40,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use literace::detector::{
-    detect, detect_sharded, Checkpoint, DetectConfig, DynamicRace, HbDetector, RaceReport,
-    VectorClock,
+    detect, detect_sharded, Checkpoint, DetectConfig, HbDetector, RaceReport, VectorClock,
 };
 use literace::instrument::{InstrumentConfig, Instrumenter};
 use literace::log::{EventLog, Record};
@@ -123,6 +122,29 @@ mod seed {
     const MAX_HISTORY: usize = 128;
     const MAX_DYNAMIC_PER_PAIR: usize = 1 << 20;
     const COMPACT_INTERVAL: u64 = 1 << 18;
+
+    /// The seed's record of one dynamic race occurrence.
+    #[allow(dead_code)] // kept whole: the seed built one per race
+    struct DynamicRace {
+        first_pc: Pc,
+        second_pc: Pc,
+        addr: Addr,
+        first_tid: ThreadId,
+        second_tid: ThreadId,
+        first_is_write: bool,
+        second_is_write: bool,
+    }
+
+    impl DynamicRace {
+        /// The unordered, normalized PC pair identifying the static race.
+        fn static_key(&self) -> (Pc, Pc) {
+            if self.first_pc <= self.second_pc {
+                (self.first_pc, self.second_pc)
+            } else {
+                (self.second_pc, self.first_pc)
+            }
+        }
+    }
 
     #[derive(Default)]
     pub struct SeedDetector {
@@ -287,8 +309,10 @@ mod seed {
         }
 
         /// Static race count, to sanity-check agreement with today's path.
-        pub fn static_count(&self, non_stack: u64) -> usize {
-            RaceReport::from_dynamic(self.races.clone(), non_stack).static_count()
+        pub fn static_count(&self) -> usize {
+            let keys: std::collections::HashSet<(Pc, Pc)> =
+                self.races.iter().map(DynamicRace::static_key).collect();
+            keys.len()
         }
     }
 
@@ -789,7 +813,7 @@ fn main() {
         let seed_secs = time_best(repeats, || {
             let mut d = seed::SeedDetector::default();
             d.process_log(&log);
-            seed_det_races = d.static_count(non_stack);
+            seed_det_races = d.static_count();
         });
         // The headline comparison (epoch vs pre-epoch) interleaves its
         // repeats so clock-frequency drift on a shared host cannot bias

@@ -1,6 +1,7 @@
 //! Command implementations.
 
 use std::fs::File;
+use std::io::Write;
 use std::process::ExitCode;
 
 use literace::detector::detect_stream;
@@ -20,7 +21,7 @@ use crate::error::CliError;
 use crate::telemetry::Telemetry;
 
 /// Top-level usage text.
-pub const USAGE: &str = "\
+const USAGE: &str = "\
 literace — sampling-based data-race detection (LiteRace, PLDI 2009)
 
 USAGE:
@@ -135,10 +136,13 @@ USAGE:
 
   literace checkpoint --in <state.lrcp>
       Validate and describe a detector checkpoint written by
-      `detect --checkpoint-out`: records processed, threads, tracked
-      locations, accumulated races, and the configuration it was taken
-      under. A torn or tampered checkpoint fails with the exact
-      corruption, never a partial printout.
+      `detect --checkpoint-out`: records processed, threads (retired
+      counts every thread known to have ended, also one that ended
+      before any record of its own), sync variables (every variable a
+      sync record named), tracked locations, accumulated races, and the
+      configuration it was taken under. A torn or tampered checkpoint
+      fails with the exact corruption, never a partial printout; one
+      written in an older format version fails naming that version.
 
   literace inspect --workload <name> [--scale smoke|paper]
                    [--function <substring>]
@@ -156,9 +160,45 @@ USAGE:
 Every command refuses a flag it does not list above.
 ";
 
-fn fail(e: impl std::fmt::Display) -> ExitCode {
-    eprintln!("error: {e}");
-    ExitCode::FAILURE
+/// Writes a command's output to `out`, the process's one stdout writer
+/// (tests hand in their own). A failed write is a [`CliError::Stdout`]
+/// that the command returns, not a panic.
+macro_rules! out {
+    ($out:expr, $($arg:tt)*) => {
+        write!($out, $($arg)*).map_err(CliError::Stdout)?
+    };
+}
+
+/// [`out!`] with a trailing newline.
+macro_rules! outln {
+    ($out:expr) => {
+        writeln!($out).map_err(CliError::Stdout)?
+    };
+    ($out:expr, $($arg:tt)*) => {
+        writeln!($out, $($arg)*).map_err(CliError::Stdout)?
+    };
+}
+
+/// `literace help`
+pub fn usage(out: &mut dyn Write) -> Result<(), CliError> {
+    out!(out, "{USAGE}");
+    Ok(())
+}
+
+/// A command's exit status. Success flushes stdout first. A closed stdout
+/// (`literace … | head`) ends the command quietly with status 0; any
+/// other failure is reported on stderr with status 1.
+pub fn exit_code(result: Result<(), CliError>, out: &mut dyn Write) -> ExitCode {
+    match result.and_then(|()| out.flush().map_err(CliError::Stdout)) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(CliError::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => {
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }
 
 fn parse_workload(name: &str) -> Result<WorkloadId, String> {
@@ -297,10 +337,8 @@ const WORKLOADS: Spec = Spec {
 };
 
 /// `literace workloads`
-pub fn workloads(args: &[String]) -> ExitCode {
-    if let Err(e) = Flags::parse(args, &WORKLOADS) {
-        return fail(e);
-    }
+pub fn workloads(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
+    Flags::parse(args, &WORKLOADS)?;
     let mut t = Table::new(
         "benchmark workloads (Table 2)",
         &["name", "paper name", "description", "planted races"],
@@ -326,16 +364,8 @@ pub fn workloads(args: &[String]) -> ExitCode {
             format!("{} ({} rare)", w.planted.total(), w.planted.rare()),
         ]);
     }
-    println!("{t}");
-    ExitCode::SUCCESS
-}
-
-/// `literace run …`
-pub fn run(args: &[String]) -> ExitCode {
-    match run_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
+    outln!(out, "{t}");
+    Ok(())
 }
 
 const RUN: Spec = Spec {
@@ -346,7 +376,8 @@ const RUN: Spec = Spec {
     switches: &["progress", "prefilter", "prefilter-stats"],
 };
 
-fn run_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace run …`
+pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, &RUN)?;
     let id = parse_workload(flags.require("workload")?)?;
     let scale = parse_scale(&flags)?;
@@ -378,14 +409,12 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
     let mut cfg = RunConfig::seeded(seed);
     cfg.detect_threads = threads;
 
-    // --prefilter forces the static ordering skip table with any sampler
-    // (the Prefiltered sampler gets one automatically); --prefilter-stats
-    // implies it, since the runtime counters only move with a table
-    // installed. Building it here (rather than in the pipeline) keeps the
-    // static classification around for the stats printout.
-    let want_prefilter =
-        flags.is_set("prefilter") || flags.is_set("prefilter-stats") || sampler.needs_prefilter();
-    let prefilter_static = if want_prefilter {
+    // --prefilter forces the static ordering skip table with any sampler;
+    // --prefilter-stats implies it, since the runtime counters only move
+    // with a table installed. Building it here keeps the static
+    // classification around for the stats printout. Otherwise the
+    // pipeline installs one exactly when the sampler needs it.
+    let prefilter_static = if flags.is_set("prefilter") || flags.is_set("prefilter-stats") {
         let table = literace::sim::PrefilterTable::build(&literace::sim::lower(&w.program));
         let stats = *table.stats();
         let bytes = table.table_bytes();
@@ -455,18 +484,18 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
     // this also stops the --progress heartbeat before the report prints.
     telemetry.finish()?;
 
-    println!("workload           : {} ({:?} scale, seed {seed})", id, scale);
-    println!("sampler            : {}", sampler.short_name());
-    println!(
+    outln!(out, "workload           : {} ({:?} scale, seed {seed})", id, scale);
+    outln!(out, "sampler            : {}", sampler.short_name());
+    outln!(out, 
         "memory accesses    : {} executed, {} logged (ESR {})",
         stats.total_mem,
         stats.logged_mem,
         pct(stats.esr()),
     );
-    println!("sync records       : {}", stats.sync_records);
+    outln!(out, "sync records       : {}", stats.sync_records);
     if flags.is_set("prefilter-stats") {
         if let Some((ps, bytes)) = prefilter_static {
-            println!(
+            outln!(out, 
                 "prefilter (static) : {} of {} sites provably ordered \
                  ({} stack, {} lock, {} phase); {} of {} functions fully \
                  skipped; skip table {} bytes",
@@ -479,35 +508,27 @@ fn run_inner(args: &[String]) -> Result<(), CliError> {
                 ps.total_functions,
                 bytes,
             );
-            println!(
+            outln!(out, 
                 "prefilter (run)    : {} accesses skipped, {} residual",
                 stats.prefilter_skipped, stats.prefilter_residual,
             );
         }
     }
-    println!(
+    outln!(out, 
         "modeled slowdown   : {}",
         slowdown(overhead.slowdown(summary.baseline_cost))
     );
     if suppressed > 0 {
-        println!("suppressed races   : {suppressed}");
+        outln!(out, "suppressed races   : {suppressed}");
     }
-    println!();
-    print!("{}", literace::render::render_report(&report, &w.program));
+    outln!(out);
+    out!(out, "{}", literace::render::render_report(&report, &w.program));
 
     if let Some((note, non_stack, path)) = log_note {
-        println!("{note}");
-        println!("(redetect with: literace detect --log {path} --non-stack {non_stack})");
+        outln!(out, "{note}");
+        outln!(out, "(redetect with: literace detect --log {path} --non-stack {non_stack})");
     }
     Ok(())
-}
-
-/// `literace eval …`
-pub fn eval(args: &[String]) -> ExitCode {
-    match eval_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
 }
 
 const EVAL: Spec = Spec {
@@ -515,7 +536,8 @@ const EVAL: Spec = Spec {
     switches: &[],
 };
 
-fn eval_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace eval …`
+pub fn eval(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, &EVAL)?;
     let id = parse_workload(flags.require("workload")?)?;
     let scale = parse_scale(&flags)?;
@@ -527,7 +549,7 @@ fn eval_inner(args: &[String]) -> Result<(), CliError> {
         ..EvalConfig::default()
     };
     let eval = evaluate_program(&w.program, &cfg).map_err(|e| e.to_string())?;
-    println!(
+    outln!(out, 
         "{} — ground truth: {} static races ({} rare, {} frequent), median of {} runs",
         id,
         eval.truth.static_races_median,
@@ -548,16 +570,8 @@ fn eval_inner(args: &[String]) -> Result<(), CliError> {
             pct(s.esr),
         ]);
     }
-    println!("{t}");
+    outln!(out, "{t}");
     Ok(())
-}
-
-/// `literace overhead …`
-pub fn overhead(args: &[String]) -> ExitCode {
-    match overhead_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
 }
 
 const OVERHEAD: Spec = Spec {
@@ -565,46 +579,39 @@ const OVERHEAD: Spec = Spec {
     switches: &[],
 };
 
-fn overhead_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace overhead …`
+pub fn overhead(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, &OVERHEAD)?;
     let id = parse_workload(flags.require("workload")?)?;
     let scale = parse_scale(&flags)?;
     let seed: u64 = flags.get_parsed("seed", 1)?;
     let w = build(id, scale);
     let r = measure_overhead(&w.program, &RunConfig::seeded(seed)).map_err(|e| e.to_string())?;
-    println!("{id} — modeled overhead (Figure 6 decomposition):");
-    println!("  baseline              : 1.00x  ({} abstract instructions)", r.baseline_cost);
-    println!(
+    outln!(out, "{id} — modeled overhead (Figure 6 decomposition):");
+    outln!(out, "  baseline              : 1.00x  ({} abstract instructions)", r.baseline_cost);
+    outln!(out, 
         "  + dispatch checks     : {}",
         slowdown(r.dispatch_only.slowdown(r.baseline_cost))
     );
-    println!(
+    outln!(out, 
         "  + sync logging        : {}",
         slowdown(r.dispatch_sync.slowdown(r.baseline_cost))
     );
-    println!(
+    outln!(out, 
         "  + sampled mem logging : {}  (LiteRace, ESR {})",
         slowdown(r.literace_slowdown()),
         pct(r.literace_esr)
     );
-    println!(
+    outln!(out, 
         "  full logging          : {}",
         slowdown(r.full_logging_slowdown())
     );
-    println!(
+    outln!(out, 
         "  log volume            : LiteRace {} MB/s vs full {} MB/s",
         mb_s(r.literace.log_mb_per_s()),
         mb_s(r.full_logging.log_mb_per_s())
     );
     Ok(())
-}
-
-/// `literace detect …`
-pub fn detect(args: &[String]) -> ExitCode {
-    match detect_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
 }
 
 const DETECT: Spec = Spec {
@@ -615,7 +622,8 @@ const DETECT: Spec = Spec {
     switches: &["salvage", "progress"],
 };
 
-fn detect_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace detect …`
+pub fn detect(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use literace::detector::{
         detect_stream_checkpointed, detect_stream_from, Checkpoint, DetectConfig,
         LocksetDetector,
@@ -658,9 +666,9 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
                 .map_err(|e| format!("read {p}: {e}"))?,
         ),
     };
-    if let Some(out) = checkpoint_out {
-        if AtomicFile::sweep_stale(out).map_err(CliError::io("cannot sweep", out))? {
-            eprintln!("note: removed stale {out}.partial left by a crashed save");
+    if let Some(state) = checkpoint_out {
+        if AtomicFile::sweep_stale(state).map_err(CliError::io("cannot sweep", state))? {
+            eprintln!("note: removed stale {state}.partial left by a crashed save");
         }
     }
     let telemetry = Telemetry::from_flags(&flags);
@@ -685,22 +693,22 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
             for_each_record(&mut blocks, path, |r| detector.process(r))?;
             detector.finish(non_stack)
         } else {
-            // With --checkpoint-out, state is sealed to `out` every
+            // With --checkpoint-out, state is sealed to `state` every
             // --checkpoint-every blocks and once more at end of stream, at
-            // any --threads, each save atomic (written to <out>.partial,
+            // any --threads, each save atomic (written to <state>.partial,
             // renamed only after fsync). A failed save is reported against
-            // `out`, not against the log being read.
+            // `state`, not against the log being read.
             let resume = resume_cp.as_ref();
             let mut write_err = None;
             let report = match checkpoint_out {
-                Some(out) => detect_stream_checkpointed(
+                Some(state) => detect_stream_checkpointed(
                     blocks,
                     non_stack,
                     &cfg,
                     resume,
                     checkpoint_every,
                     |cp: &Checkpoint| {
-                        cp.write_to(std::path::Path::new(out)).map(|_| ()).map_err(|e| {
+                        cp.write_to(std::path::Path::new(state)).map(|_| ()).map_err(|e| {
                             let kind = e.kind();
                             write_err = Some(e);
                             kind.into()
@@ -709,8 +717,8 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
                 ),
                 None => detect_stream_from(blocks, non_stack, &cfg, resume),
             };
-            if let (Some(out), Some(e)) = (checkpoint_out, write_err) {
-                return Err(CliError::io("write", out)(e));
+            if let (Some(state), Some(e)) = (checkpoint_out, write_err) {
+                return Err(CliError::io("write", state)(e));
             }
             report.map_err(|e| format!("read {path}: {e}"))?
         })
@@ -719,7 +727,7 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
     let heading = format!("{format} log (streamed{salvaged})");
     let salvage_report = salvage.map(|h| h.report());
     telemetry.finish()?;
-    println!(
+    outln!(out, 
         "{}: {}, {} static races ({} dynamic)",
         path,
         heading,
@@ -727,29 +735,29 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
         report.dynamic_races
     );
     if let Some(cp) = &resume_cp {
-        println!(
+        outln!(out, 
             "resumed: {} records already processed before this run",
             cp.records_processed()
         );
     }
-    if let Some(out) = checkpoint_out {
-        let size = std::fs::metadata(out).map(|m| m.len()).unwrap_or(0);
-        println!("checkpoint: sealed detector state at {out} ({size} bytes)");
-        println!("(resume with: literace detect --log <file> --resume-from {out})");
+    if let Some(state) = checkpoint_out {
+        let size = std::fs::metadata(state).map(|m| m.len()).unwrap_or(0);
+        outln!(out, "checkpoint: sealed detector state at {state} ({size} bytes)");
+        outln!(out, "(resume with: literace detect --log <file> --resume-from {state})");
     }
     for r in &report.static_races {
-        println!("  {r}");
+        outln!(out, "  {r}");
     }
     if non_stack == 0 {
-        println!("(pass --non-stack to enable the rare/frequent split)");
+        outln!(out, "(pass --non-stack to enable the rare/frequent split)");
     } else {
         let (rare, freq) = report.split_by_rarity();
-        println!("rare: {}, frequent: {}", rare.len(), freq.len());
+        outln!(out, "rare: {}, frequent: {}", rare.len(), freq.len());
     }
     if let Some(s) = salvage_report {
-        println!("salvage: {s}");
+        outln!(out, "salvage: {s}");
         if s.sync_tainted {
-            println!(
+            outln!(out, 
                 "warning: synchronization records were lost; everything after the \
                  damage was dropped so no false race can be reported"
             );
@@ -758,20 +766,13 @@ fn detect_inner(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `literace checkpoint …`
-pub fn checkpoint(args: &[String]) -> ExitCode {
-    match checkpoint_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
-}
-
 const CHECKPOINT: Spec = Spec {
     values: &["in"],
     switches: &[],
 };
 
-fn checkpoint_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace checkpoint …`
+pub fn checkpoint(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use literace::detector::Checkpoint;
     let flags = Flags::parse(args, &CHECKPOINT)?;
     let path = flags.require("in")?;
@@ -784,42 +785,31 @@ fn checkpoint_inner(args: &[String]) -> Result<(), CliError> {
     let cp = Checkpoint::read_from(std::path::Path::new(path))
         .map_err(|e| format!("{path}: {e}"))?;
     let cfg = cp.config();
-    println!("{path}:");
-    println!("  sealed             : yes (footer and checksums verified)");
-    println!("  on-disk size       : {on_disk} bytes");
-    println!("  records processed  : {}", cp.records_processed());
-    println!(
+    outln!(out, "{path}:");
+    outln!(out, "  sealed             : yes (footer and checksums verified)");
+    outln!(out, "  on-disk size       : {on_disk} bytes");
+    outln!(out, "  records processed  : {}", cp.records_processed());
+    outln!(out, 
         "  threads            : {} ({} retired)",
         cp.thread_count(),
         cp.retired_count()
     );
-    println!("  sync variables     : {}", cp.syncvar_count());
-    println!(
+    outln!(out, "  sync variables     : {}", cp.syncvar_count());
+    outln!(out, 
         "  tracked locations  : {} ({} escalated)",
         cp.location_count(),
         cp.escalated_count()
     );
-    println!("  static race pairs  : {}", cp.pair_count());
-    println!("  dynamic races      : {}", cp.dynamic_races());
-    println!("  non-stack accesses : {}", cp.non_stack_accesses());
-    println!("  timestamp faults   : {}", cp.timestamp_violations());
-    println!(
+    outln!(out, "  static race pairs  : {}", cp.pair_count());
+    outln!(out, "  dynamic races      : {}", cp.dynamic_races());
+    outln!(out, "  non-stack accesses : {}", cp.non_stack_accesses());
+    outln!(out, "  timestamp faults   : {}", cp.timestamp_violations());
+    outln!(out, 
         "  config             : max-history {}, max-dynamic-per-pair {}",
         cfg.max_history_per_location, cfg.max_dynamic_per_pair
     );
-    if !cp.suppressions().is_empty() {
-        println!("  suppressions       : {}", cp.suppressions().join(", "));
-    }
-    println!("(resume with: literace detect --log <file> --resume-from {path})");
+    outln!(out, "(resume with: literace detect --log <file> --resume-from {path})");
     Ok(())
-}
-
-/// `literace explain …`
-pub fn explain(args: &[String]) -> ExitCode {
-    match explain_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
 }
 
 const EXPLAIN: Spec = Spec {
@@ -827,7 +817,8 @@ const EXPLAIN: Spec = Spec {
     switches: &[],
 };
 
-fn explain_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace explain …`
+pub fn explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, &EXPLAIN)?;
     let race_filter: usize = flags.get_parsed("race", 0)?;
     // Detection is always the sequential core with capture on —
@@ -864,7 +855,7 @@ fn explain_inner(args: &[String]) -> Result<(), CliError> {
     };
     let (report, provenance) = det.finish_full(non_stack);
     let provenance = provenance.expect("provenance was enabled");
-    println!(
+    outln!(out, 
         "{heading}: {} static races ({} dynamic)",
         report.static_count(),
         report.dynamic_races
@@ -887,8 +878,8 @@ fn explain_inner(args: &[String]) -> Result<(), CliError> {
         if race_filter != 0 && k != race_filter {
             continue;
         }
-        println!();
-        println!(
+        outln!(out);
+        outln!(out, 
             "race {k}: {} ↔ {} ({} occurrences, {} addresses)",
             site(r.pcs.0),
             site(r.pcs.1),
@@ -896,19 +887,11 @@ fn explain_inner(args: &[String]) -> Result<(), CliError> {
             r.distinct_addrs
         );
         match provenance.find(r.pcs) {
-            Some(e) => println!("{e}"),
-            None => println!("  (no evidence captured for this pair)"),
+            Some(e) => outln!(out, "{e}"),
+            None => outln!(out, "  (no evidence captured for this pair)"),
         }
     }
     Ok(())
-}
-
-/// `literace inspect …`
-pub fn inspect(args: &[String]) -> ExitCode {
-    match inspect_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
 }
 
 const INSPECT: Spec = Spec {
@@ -916,16 +899,17 @@ const INSPECT: Spec = Spec {
     switches: &[],
 };
 
-fn inspect_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace inspect …`
+pub fn inspect(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use literace::sim::{disasm, lower, FuncId};
     let flags = Flags::parse(args, &INSPECT)?;
     let id = parse_workload(flags.require("workload")?)?;
     let scale = parse_scale(&flags)?;
     let w = build(id, scale);
     let compiled = lower(&w.program);
-    println!("{id} ({:?} scale):", scale);
-    println!("{}", literace::sim::ProgramStats::of(&compiled));
-    println!(
+    outln!(out, "{id} ({:?} scale):", scale);
+    outln!(out, "{}", literace::sim::ProgramStats::of(&compiled));
+    outln!(out, 
         "planted races      : {} ({} rare at paper scale)",
         w.planted.total(),
         w.planted.rare()
@@ -934,11 +918,11 @@ fn inspect_inner(args: &[String]) -> Result<(), CliError> {
         let mut shown = 0;
         for (i, f) in compiled.functions.iter().enumerate() {
             if f.name.contains(pattern) {
-                println!();
-                print!("{}", disasm::disasm_function(FuncId::from_index(i), f));
+                outln!(out);
+                out!(out, "{}", disasm::disasm_function(FuncId::from_index(i), f));
                 shown += 1;
                 if shown >= 8 {
-                    println!("(more matches elided)");
+                    outln!(out, "(more matches elided)");
                     break;
                 }
             }
@@ -950,20 +934,13 @@ fn inspect_inner(args: &[String]) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `literace trace …`
-pub fn trace(args: &[String]) -> ExitCode {
-    match trace_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
-}
-
 const TRACE: Spec = Spec {
     values: &["in", "top", "workload", "scale", "seed", "limit"],
     switches: &[],
 };
 
-fn trace_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace trace …`
+pub fn trace(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     use literace::sim::{
         lower, ChunkedRandomScheduler, Event, Machine, MachineConfig, Observer,
     };
@@ -976,7 +953,7 @@ fn trace_inner(args: &[String]) -> Result<(), CliError> {
             std::fs::read_to_string(path).map_err(CliError::io("cannot read", path))?;
         let summary = literace::telemetry::validate_chrome_trace(&text)
             .map_err(|e| format!("{path}: {e}"))?;
-        print!("{}", literace::telemetry::render_trace_summary(&summary, top));
+        out!(out, "{}", literace::telemetry::render_trace_summary(&summary, top));
         return Ok(());
     }
     let id = parse_workload(flags.require("workload")?)?;
@@ -986,9 +963,12 @@ fn trace_inner(args: &[String]) -> Result<(), CliError> {
     let w = build(id, scale);
     let compiled = lower(&w.program);
 
+    /// Renders the first `remaining` events; they are printed once the
+    /// run returns, so a write error can end the command.
     struct Tracer<'p> {
         program: &'p literace::sim::Program,
         remaining: usize,
+        lines: Vec<String>,
     }
     impl Observer for Tracer<'_> {
         fn on_event(&mut self, event: &Event) {
@@ -1022,25 +1002,21 @@ fn trace_inner(args: &[String]) -> Result<(), CliError> {
                 }
                 Event::Free { tid, base, .. } => format!("{tid} free  {base}"),
             };
-            println!("{line}");
+            self.lines.push(line);
         }
     }
     let mut tracer = Tracer {
         program: &w.program,
         remaining: limit,
+        lines: Vec::new(),
     };
-    Machine::new(&compiled, MachineConfig::default())
-        .run(&mut ChunkedRandomScheduler::seeded(seed, 64), &mut tracer)
-        .map_err(|e| e.to_string())?;
-    Ok(())
-}
-
-/// `literace log-stats …`
-pub fn log_stats(args: &[String]) -> ExitCode {
-    match log_stats_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
+    let run = Machine::new(&compiled, MachineConfig::default())
+        .run(&mut ChunkedRandomScheduler::seeded(seed, 64), &mut tracer);
+    for line in &tracer.lines {
+        outln!(out, "{line}");
     }
+    run.map_err(|e| e.to_string())?;
+    Ok(())
 }
 
 const LOG_STATS: Spec = Spec {
@@ -1048,7 +1024,8 @@ const LOG_STATS: Spec = Spec {
     switches: &["salvage"],
 };
 
-fn log_stats_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace log-stats …`
+pub fn log_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, &LOG_STATS)?;
     let path = flags.require("log")?;
     let decode_opts = parse_decode_opts(&flags, 0)?;
@@ -1073,17 +1050,17 @@ fn log_stats_inner(args: &[String]) -> Result<(), CliError> {
             m.log_records_by_thread.add(tid.index(), t.records);
         }
     }
-    println!("{path}:");
-    println!("  format           : {format}");
-    println!("  finalized        : {seal}");
-    println!("  records          : {}", stats.records);
-    println!("  memory accesses  : {}", stats.mem_records);
-    println!("  synchronization  : {}", stats.sync_records);
-    println!("  thread markers   : {}", stats.marker_records);
-    println!("  on-disk size     : {on_disk} bytes");
-    println!("  size as v1       : {} bytes", stats.bytes);
+    outln!(out, "{path}:");
+    outln!(out, "  format           : {format}");
+    outln!(out, "  finalized        : {seal}");
+    outln!(out, "  records          : {}", stats.records);
+    outln!(out, "  memory accesses  : {}", stats.mem_records);
+    outln!(out, "  synchronization  : {}", stats.sync_records);
+    outln!(out, "  thread markers   : {}", stats.marker_records);
+    outln!(out, "  on-disk size     : {on_disk} bytes");
+    outln!(out, "  size as v1       : {} bytes", stats.bytes);
     if let Some(note) = salvage_note {
-        println!("  salvage          : {note}");
+        outln!(out, "  salvage          : {note}");
     }
     if !per_thread.is_empty() {
         let mut t = Table::new(
@@ -1099,19 +1076,11 @@ fn log_stats_inner(args: &[String]) -> Result<(), CliError> {
                 s.marker_records.to_string(),
             ]);
         }
-        println!();
-        println!("{t}");
+        outln!(out);
+        outln!(out, "{t}");
     }
     telemetry.finish()?;
     Ok(())
-}
-
-/// `literace metrics …`
-pub fn metrics_cmd(args: &[String]) -> ExitCode {
-    match metrics_inner(args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => fail(&e),
-    }
 }
 
 const METRICS: Spec = Spec {
@@ -1119,7 +1088,8 @@ const METRICS: Spec = Spec {
     switches: &["validate"],
 };
 
-fn metrics_inner(args: &[String]) -> Result<(), CliError> {
+/// `literace metrics …`
+pub fn metrics_cmd(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, &METRICS)?;
     let snap = match flags.get("in") {
         Some(path) => {
@@ -1169,7 +1139,7 @@ fn metrics_inner(args: &[String]) -> Result<(), CliError> {
         }
     };
     match flags.get("out") {
-        None => print!("{text}"),
+        None => out!(out, "{text}"),
         Some(path) => {
             std::fs::write(path, &text).map_err(CliError::io("cannot write", path))?;
         }
@@ -1180,6 +1150,7 @@ fn metrics_inner(args: &[String]) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::sink;
     use literace::sim::{Addr, FuncId, Pc, ThreadId};
     use std::alloc::{GlobalAlloc, Layout, System};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -1235,7 +1206,7 @@ mod tests {
         .iter()
         .map(|s| (*s).to_string())
         .collect();
-        assert_eq!(run(&args), std::process::ExitCode::SUCCESS);
+        run(&args, &mut sink()).unwrap();
     }
 
     #[test]
@@ -1245,7 +1216,7 @@ mod tests {
             .iter()
             .map(|s| (*s).to_string())
             .collect();
-        assert_eq!(run(&args), std::process::ExitCode::SUCCESS);
+        run(&args, &mut sink()).unwrap();
     }
 
     #[test]
@@ -1281,15 +1252,15 @@ mod tests {
             "--workload", "lflist", "--seed", "2",
             "--log", &path_s, "--encode-threads", "2",
         ]);
-        assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
+        run(&run_args, &mut sink()).unwrap();
         assert!(!stale.exists(), "stale partial must be swept on run --log");
         // The pipelined log re-detects like any other v2 log.
         let detect_args = sv(&["--log", &path_s, "--non-stack", "100"]);
-        assert_eq!(detect(&detect_args), std::process::ExitCode::SUCCESS);
+        detect(&detect_args, &mut sink()).unwrap();
         // Encoding on the run's own thread writes the same bytes.
         let pooled = std::fs::read(&path).unwrap();
         let run_args = sv(&["--workload", "lflist", "--seed", "2", "--log", &path_s]);
-        assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
+        run(&run_args, &mut sink()).unwrap();
         assert!(std::fs::read(&path).unwrap() == pooled, "bytes depend on --encode-threads");
         let _ = std::fs::remove_file(&path);
     }
@@ -1300,7 +1271,7 @@ mod tests {
             parts.iter().map(|s| (*s).to_string()).collect()
         };
         let no_log = sv(&["--workload", "lflist", "--encode-threads", "2"]);
-        assert_eq!(run(&no_log), std::process::ExitCode::FAILURE);
+        assert!(run(&no_log, &mut sink()).is_err());
         let dir = std::env::temp_dir();
         let path = dir.join("literace_cli_pipelined_v1_reject.lrlog");
         let path_s = path.to_str().unwrap().to_string();
@@ -1308,7 +1279,7 @@ mod tests {
             "--workload", "lflist", "--log", &path_s,
             "--format", "v1", "--encode-threads", "2",
         ]);
-        assert_eq!(run(&v1), std::process::ExitCode::FAILURE);
+        assert!(run(&v1, &mut sink()).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1324,21 +1295,21 @@ mod tests {
                 .iter()
                 .map(|s| (*s).to_string())
                 .collect();
-        assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
+        run(&run_args, &mut sink()).unwrap();
         for threads in ["1", "4"] {
             let detect_args: Vec<String> =
                 ["--log", &path_s, "--threads", threads, "--non-stack", "100"]
                     .iter()
                     .map(|s| (*s).to_string())
                     .collect();
-            assert_eq!(detect(&detect_args), std::process::ExitCode::SUCCESS);
+            detect(&detect_args, &mut sink()).unwrap();
         }
         let bad_args: Vec<String> =
             ["--log", &path_s, "--threads", "2", "--detector", "lockset"]
                 .iter()
                 .map(|s| (*s).to_string())
                 .collect();
-        assert_eq!(detect(&bad_args), std::process::ExitCode::FAILURE);
+        assert!(detect(&bad_args, &mut sink()).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1358,11 +1329,11 @@ mod tests {
         let run_v1 = sv(&[
             "--workload", "lflist", "--seed", "2", "--format", "v1", "--log", &v1_s,
         ]);
-        assert_eq!(run(&run_v1), std::process::ExitCode::SUCCESS);
+        run(&run_v1, &mut sink()).unwrap();
         let run_v2 = sv(&[
             "--workload", "lflist", "--seed", "2", "--threads", "2", "--log", &v2_s,
         ]);
-        assert_eq!(run(&run_v2), std::process::ExitCode::SUCCESS);
+        run(&run_v2, &mut sink()).unwrap();
         // v2 must be the smaller encoding of the identical record stream.
         let (v1_len, v2_len) = (
             std::fs::metadata(&v1).unwrap().len(),
@@ -1370,26 +1341,14 @@ mod tests {
         );
         assert!(v2_len < v1_len, "v2 {v2_len} bytes vs v1 {v1_len} bytes");
         for path in [&v1_s, &v2_s] {
-            assert_eq!(
-                detect(&sv(&["--log", path, "--threads", "2"])),
-                std::process::ExitCode::SUCCESS
-            );
-            assert_eq!(
-                detect(&sv(&["--log", path, "--detector", "lockset"])),
-                std::process::ExitCode::SUCCESS
-            );
-            assert_eq!(
-                log_stats(&sv(&["--log", path])),
-                std::process::ExitCode::SUCCESS
-            );
+            detect(&sv(&["--log", path, "--threads", "2"]), &mut sink()).unwrap();
+            detect(&sv(&["--log", path, "--detector", "lockset"]), &mut sink()).unwrap();
+            log_stats(&sv(&["--log", path]), &mut sink()).unwrap();
         }
         // --streaming is no flag: every read streams.
-        assert_eq!(
-            detect(&sv(&["--log", &v2_s, "--streaming"])),
-            std::process::ExitCode::FAILURE
-        );
+        assert!(detect(&sv(&["--log", &v2_s, "--streaming"]), &mut sink()).is_err());
         let bad_format = sv(&["--workload", "lflist", "--format", "v3"]);
-        assert_eq!(run(&bad_format), std::process::ExitCode::FAILURE);
+        assert!(run(&bad_format, &mut sink()).is_err());
         let _ = std::fs::remove_file(&v1);
         let _ = std::fs::remove_file(&v2);
     }
@@ -1401,7 +1360,7 @@ mod tests {
                 .iter()
                 .map(|s| (*s).to_string())
                 .collect();
-        assert_eq!(run(&args), std::process::ExitCode::SUCCESS);
+        run(&args, &mut sink()).unwrap();
     }
 
     #[test]
@@ -1416,14 +1375,14 @@ mod tests {
             "--workload", "lflist", "--seed", "2", "--threads", "2", "--validate",
             "--out", &path_s,
         ]);
-        assert_eq!(metrics_cmd(&export), std::process::ExitCode::SUCCESS);
+        metrics_cmd(&export, &mut sink()).unwrap();
         // The written snapshot re-exports as Prometheus text and validates.
         let reexport = sv(&["--in", &path_s, "--format", "prom", "--validate"]);
-        assert_eq!(metrics_cmd(&reexport), std::process::ExitCode::SUCCESS);
+        metrics_cmd(&reexport, &mut sink()).unwrap();
         let bad_file = sv(&["--in", "/nonexistent/never.json"]);
-        assert_eq!(metrics_cmd(&bad_file), std::process::ExitCode::FAILURE);
+        assert!(metrics_cmd(&bad_file, &mut sink()).is_err());
         let bad_format = sv(&["--workload", "lflist", "--format", "xml"]);
-        assert_eq!(metrics_cmd(&bad_format), std::process::ExitCode::FAILURE);
+        assert!(metrics_cmd(&bad_format, &mut sink()).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1441,7 +1400,7 @@ mod tests {
         .iter()
         .map(|s| (*s).to_string())
         .collect();
-        assert_eq!(run(&args), std::process::ExitCode::SUCCESS);
+        run(&args, &mut sink()).unwrap();
         let text = std::fs::read_to_string(&json).unwrap();
         let snap = literace::telemetry::Snapshot::from_json(&text).unwrap();
         assert_eq!(snap.missing_required(), Vec::<&str>::new());
@@ -1464,36 +1423,20 @@ mod tests {
             parts.iter().map(|s| (*s).to_string()).collect()
         };
         let run_args = sv(&["--workload", "lflist", "--seed", "2", "--log", &clean_s]);
-        assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
+        run(&run_args, &mut sink()).unwrap();
         let bytes = std::fs::read(&clean).unwrap();
         std::fs::write(&torn, &bytes[..bytes.len() * 2 / 3]).unwrap();
 
-        assert_eq!(
-            detect(&sv(&["--log", &torn_s])),
-            std::process::ExitCode::FAILURE,
+        assert!(
+            detect(&sv(&["--log", &torn_s]), &mut sink()).is_err(),
             "a torn log must fail without --salvage"
         );
-        assert_eq!(
-            log_stats(&sv(&["--log", &torn_s])),
-            std::process::ExitCode::FAILURE
-        );
-        assert_eq!(
-            detect(&sv(&["--log", &torn_s, "--salvage"])),
-            std::process::ExitCode::SUCCESS
-        );
-        assert_eq!(
-            detect(&sv(&["--log", &torn_s, "--salvage", "--threads", "2"])),
-            std::process::ExitCode::SUCCESS
-        );
-        assert_eq!(
-            log_stats(&sv(&["--log", &torn_s, "--salvage"])),
-            std::process::ExitCode::SUCCESS
-        );
+        assert!(log_stats(&sv(&["--log", &torn_s]), &mut sink()).is_err());
+        detect(&sv(&["--log", &torn_s, "--salvage"]), &mut sink()).unwrap();
+        detect(&sv(&["--log", &torn_s, "--salvage", "--threads", "2"]), &mut sink()).unwrap();
+        log_stats(&sv(&["--log", &torn_s, "--salvage"]), &mut sink()).unwrap();
         // The atomically committed original is sealed and clean.
-        assert_eq!(
-            detect(&sv(&["--log", &clean_s, "--salvage"])),
-            std::process::ExitCode::SUCCESS
-        );
+        detect(&sv(&["--log", &clean_s, "--salvage"]), &mut sink()).unwrap();
         assert!(
             !dir.join("literace_cli_salvage_clean.lrlog.partial").exists(),
             "temp file must be renamed away on commit"
@@ -1516,7 +1459,7 @@ mod tests {
             parts.iter().map(|s| (*s).to_string()).collect()
         };
         let run_args = sv(&["--workload", "lflist", "--seed", "2", "--log", &clean_s]);
-        assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
+        run(&run_args, &mut sink()).unwrap();
         let bytes = std::fs::read(&clean).unwrap();
         std::fs::write(&torn, &bytes[..bytes.len() * 2 / 3]).unwrap();
 
@@ -1528,32 +1471,28 @@ mod tests {
         ] {
             let mut args = sv(&["--log", &clean_s]);
             args.extend(sv(extra));
-            assert_eq!(detect(&args), std::process::ExitCode::SUCCESS, "{extra:?}");
+            detect(&args, &mut sink()).unwrap_or_else(|e| panic!("{extra:?}: {e}"));
         }
-        assert_eq!(
-            log_stats(&sv(&["--log", &clean_s, "--decode-threads", "2"])),
-            std::process::ExitCode::SUCCESS
-        );
-        assert_eq!(
-            log_stats(&sv(&["--log", &torn_s, "--salvage", "--decode-threads", "2"])),
-            std::process::ExitCode::SUCCESS
-        );
-        assert_eq!(
-            detect(&sv(&["--log", &torn_s, "--salvage", "--decode-threads", "2"])),
-            std::process::ExitCode::SUCCESS
-        );
+        log_stats(&sv(&["--log", &clean_s, "--decode-threads", "2"]), &mut sink()).unwrap();
+        log_stats(
+            &sv(&["--log", &torn_s, "--salvage", "--decode-threads", "2"]),
+            &mut sink(),
+        )
+        .unwrap();
+        detect(
+            &sv(&["--log", &torn_s, "--salvage", "--decode-threads", "2"]),
+            &mut sink(),
+        )
+        .unwrap();
         // A torn log still fails strict decode through the pool.
-        assert_eq!(
-            detect(&sv(&["--log", &torn_s, "--decode-threads", "2"])),
-            std::process::ExitCode::FAILURE
-        );
+        assert!(detect(&sv(&["--log", &torn_s, "--decode-threads", "2"]), &mut sink()).is_err());
         for bad in [
             &["--log", &clean_s, "--streaming", "--no-streaming"][..],
             &["--log", &clean_s, "--decode-threads", "0"][..],
             &["--log", &clean_s, "--decode-threads", "many"][..],
             &["--log", &clean_s, "--stream-depth", "0"][..],
         ] {
-            assert_eq!(detect(&sv(bad)), std::process::ExitCode::FAILURE, "{bad:?}");
+            assert!(detect(&sv(bad), &mut sink()).is_err(), "{bad:?}");
         }
         let _ = std::fs::remove_file(&clean);
         let _ = std::fs::remove_file(&torn);
@@ -1574,7 +1513,7 @@ mod tests {
             parts.iter().map(|s| (*s).to_string()).collect()
         };
         let run_args = sv(&["--workload", "lflist", "--seed", "2", "--log", &log_s]);
-        assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
+        run(&run_args, &mut sink()).unwrap();
         // A stale partial from a "crashed" previous save must be swept.
         let stale = dir.join("literace_cli_checkpoint_test.lrcp.partial");
         std::fs::write(&stale, b"torn").unwrap();
@@ -1582,13 +1521,10 @@ mod tests {
             "--log", &log_s, "--non-stack", "100",
             "--checkpoint-out", &state_s, "--checkpoint-every", "2",
         ]);
-        assert_eq!(detect(&save_args), std::process::ExitCode::SUCCESS);
+        detect(&save_args, &mut sink()).unwrap();
         assert!(!stale.exists(), "stale partial must be swept before saving");
         assert!(state.exists(), "final state must be sealed at end of stream");
-        assert_eq!(
-            checkpoint(&sv(&["--in", &state_s])),
-            std::process::ExitCode::SUCCESS
-        );
+        checkpoint(&sv(&["--in", &state_s]), &mut sink()).unwrap();
         // The final checkpoint covers the whole log, so the records after
         // it are none: resume over an empty log. (Resuming over a suffix
         // is checked against the one-shot report in cli_roundtrip.rs.)
@@ -1600,20 +1536,14 @@ mod tests {
                 "--log", &empty_s, "--non-stack", "100", "--threads", threads,
                 "--resume-from", &state_s,
             ]);
-            assert_eq!(detect(&resume_args), std::process::ExitCode::SUCCESS);
+            detect(&resume_args, &mut sink()).unwrap();
         }
         let _ = std::fs::remove_file(&empty);
         // A torn checkpoint is a typed failure for both consumers.
         let bytes = std::fs::read(&state).unwrap();
         std::fs::write(&state, &bytes[..bytes.len() - 3]).unwrap();
-        assert_eq!(
-            checkpoint(&sv(&["--in", &state_s])),
-            std::process::ExitCode::FAILURE
-        );
-        assert_eq!(
-            detect(&sv(&["--log", &log_s, "--resume-from", &state_s])),
-            std::process::ExitCode::FAILURE
-        );
+        assert!(checkpoint(&sv(&["--in", &state_s]), &mut sink()).is_err());
+        assert!(detect(&sv(&["--log", &log_s, "--resume-from", &state_s]), &mut sink()).is_err());
         let _ = std::fs::remove_file(&log);
         let _ = std::fs::remove_file(&state);
     }
@@ -1624,27 +1554,25 @@ mod tests {
             parts.iter().map(|s| (*s).to_string()).collect()
         };
         // --checkpoint-every without --checkpoint-out.
-        assert_eq!(
-            detect(&sv(&["--log", "x.lrlog", "--checkpoint-every", "4"])),
-            std::process::ExitCode::FAILURE
-        );
+        assert!(detect(
+            &sv(&["--log", "x.lrlog", "--checkpoint-every", "4"]),
+            &mut sink()
+        )
+        .is_err());
         // Checkpoints seal at any --threads, to the same bytes.
         let dir = std::env::temp_dir().join(format!("literace_cli_threads_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
         let log = path("x.lrlog");
         let run_args = sv(&["--workload", "lflist", "--sampler", "Full", "--log", &log]);
-        assert_eq!(run(&run_args), std::process::ExitCode::SUCCESS);
+        run(&run_args, &mut sink()).unwrap();
         let sealed: Vec<Vec<u8>> = ["1", "2"]
             .iter()
             .map(|threads| {
                 let out = path(&format!("x{threads}.lrcp"));
-                assert_eq!(
-                    detect(&sv(&[
+                detect(&sv(&[
                         "--log", &log, "--checkpoint-out", &out, "--threads", threads,
-                    ])),
-                    std::process::ExitCode::SUCCESS
-                );
+                    ]), &mut sink()).unwrap();
                 std::fs::read(&out).unwrap()
             })
             .collect();
@@ -1654,16 +1582,10 @@ mod tests {
         );
         std::fs::remove_dir_all(&dir).unwrap();
         // Only the hb detector has resumable state.
-        assert_eq!(
-            detect(&sv(&[
+        assert!(detect(&sv(&[
                 "--log", "x.lrlog", "--detector", "lockset", "--resume-from", "x.lrcp",
-            ])),
-            std::process::ExitCode::FAILURE
-        );
-        assert_eq!(
-            checkpoint(&sv(&["--in", "/nonexistent/never.lrcp"])),
-            std::process::ExitCode::FAILURE
-        );
+            ]), &mut sink()).is_err());
+        assert!(checkpoint(&sv(&["--in", "/nonexistent/never.lrcp"]), &mut sink()).is_err());
     }
 
     #[test]
@@ -1672,7 +1594,7 @@ mod tests {
             .iter()
             .map(|s| (*s).to_string())
             .collect();
-        assert_eq!(detect(&args), std::process::ExitCode::FAILURE);
+        assert!(detect(&args, &mut sink()).is_err());
     }
 
     /// Counts live and peak heap bytes of this test binary, then defers
@@ -1799,6 +1721,6 @@ mod tests {
             .iter()
             .map(|s| (*s).to_string())
             .collect();
-        assert_eq!(inspect(&args), std::process::ExitCode::SUCCESS);
+        inspect(&args, &mut sink()).unwrap();
     }
 }

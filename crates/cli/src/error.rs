@@ -1,9 +1,10 @@
 //! CLI failure type.
 //!
-//! Commands fail for two reasons: a filesystem operation on a user-named
-//! path, or anything else (usage mistakes, pipeline errors) that arrives
-//! already rendered. [`CliError`] keeps the path attached to the former so
-//! every message names the file involved instead of panicking on it.
+//! Commands fail for three reasons: a filesystem operation on a
+//! user-named path, a write to stdout, or anything else (usage mistakes,
+//! pipeline errors) that arrives already rendered. [`CliError`] keeps the
+//! path attached to the first so every message names the file involved
+//! instead of panicking on it.
 
 use std::fmt;
 
@@ -21,6 +22,9 @@ pub enum CliError {
         /// The underlying I/O error.
         source: std::io::Error,
     },
+    /// Writing the command's output to stdout failed. A closed pipe ends
+    /// the command quietly (see `commands::exit_code`).
+    Stdout(std::io::Error),
     /// Any other failure, already rendered for the user.
     Msg(String),
 }
@@ -43,6 +47,7 @@ impl fmt::Display for CliError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CliError::Io { op, path, source } => write!(f, "{op} {path}: {source}"),
+            CliError::Stdout(e) => write!(f, "write stdout: {e}"),
             CliError::Msg(msg) => f.write_str(msg),
         }
     }
@@ -51,7 +56,7 @@ impl fmt::Display for CliError {
 impl std::error::Error for CliError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            CliError::Io { source, .. } => Some(source),
+            CliError::Io { source, .. } | CliError::Stdout(source) => Some(source),
             CliError::Msg(_) => None,
         }
     }

@@ -23,26 +23,28 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match argv.first().map(String::as_str) {
-        Some("workloads") => commands::workloads(&argv[1..]),
-        Some("run") => commands::run(&argv[1..]),
-        Some("eval") => commands::eval(&argv[1..]),
-        Some("overhead") => commands::overhead(&argv[1..]),
-        Some("detect") => commands::detect(&argv[1..]),
-        Some("explain") => commands::explain(&argv[1..]),
-        Some("metrics") => commands::metrics_cmd(&argv[1..]),
-        Some("log-stats") => commands::log_stats(&argv[1..]),
-        Some("checkpoint") => commands::checkpoint(&argv[1..]),
-        Some("inspect") => commands::inspect(&argv[1..]),
-        Some("trace") => commands::trace(&argv[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{}", commands::USAGE);
-            ExitCode::SUCCESS
-        }
+    let args = argv.get(1..).unwrap_or_default();
+    // Every command writes its output here, the process's one stdout
+    // writer.
+    let out = &mut std::io::stdout();
+    let result = match argv.first().map(String::as_str) {
+        Some("workloads") => commands::workloads(args, out),
+        Some("run") => commands::run(args, out),
+        Some("eval") => commands::eval(args, out),
+        Some("overhead") => commands::overhead(args, out),
+        Some("detect") => commands::detect(args, out),
+        Some("explain") => commands::explain(args, out),
+        Some("metrics") => commands::metrics_cmd(args, out),
+        Some("log-stats") => commands::log_stats(args, out),
+        Some("checkpoint") => commands::checkpoint(args, out),
+        Some("inspect") => commands::inspect(args, out),
+        Some("trace") => commands::trace(args, out),
+        Some("help") | Some("--help") | Some("-h") | None => commands::usage(out),
         Some(other) => {
             eprintln!("unknown command `{other}`\n");
-            print!("{}", commands::USAGE);
-            ExitCode::FAILURE
+            let _ = commands::usage(out);
+            return ExitCode::FAILURE;
         }
-    }
+    };
+    commands::exit_code(result, out)
 }

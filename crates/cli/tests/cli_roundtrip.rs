@@ -1,9 +1,13 @@
 //! True end-to-end tests driving the compiled `literace` binary.
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use literace::detector::{detect_lockset, HbDetector, RaceReport};
-use literace::log::{encode_v2, read_log_auto, read_log_salvage, EventLog, LogStats};
+use literace::log::{
+    encode_all, encode_v2, read_log_auto, read_log_salvage, EventLog, LogStats, Record,
+    SamplerMask,
+};
+use literace::sim::{Addr, FuncId, Pc, ThreadId};
 use literace::tables::Table;
 
 fn literace() -> Command {
@@ -494,6 +498,141 @@ fn resume_on_the_suffix_reproduces_the_one_shot_report() {
     assert!(!out.status.success());
     assert!(stderr.contains(&format!("write {unwritable}: ")), "{stderr}");
     assert!(!stderr.contains(&prefix), "{stderr}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Five v1 records in which thread 1 ends before any record of its own:
+/// t1 ends; t0 writes A; t2 writes B; t2 ends; t1 writes A. At t2's exit
+/// the only live thread, t0, covers its own write of A, so one-shot
+/// detection reclaims it and reports no race.
+fn early_exit_records() -> [Record; 5] {
+    let write = |t: usize, site: usize, addr: u64| Record::Mem {
+        tid: ThreadId::from_index(t),
+        pc: Pc::new(FuncId::from_index(0), site),
+        addr: Addr(addr),
+        is_write: true,
+        mask: SamplerMask::FULL,
+    };
+    [
+        Record::ThreadEnd { tid: ThreadId::from_index(1) },
+        write(0, 1, 0x1000),
+        write(2, 2, 0x2000),
+        Record::ThreadEnd { tid: ThreadId::from_index(2) },
+        write(1, 3, 0x1000),
+    ]
+}
+
+#[test]
+fn a_thread_that_ends_before_its_clock_exists_resumes_to_the_one_shot_report() {
+    // Checkpoint the first two records, resume on the last three: the
+    // checkpoint must keep t1 retired although no clock of t1 exists yet.
+    let dir = std::env::temp_dir().join(format!("literace_cli_early_exit_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (full, prefix, suffix, state) =
+        (path("full.lrlog"), path("prefix.lrlog"), path("suffix.lrlog"), path("state.lrcp"));
+    let records = early_exit_records();
+    std::fs::write(&full, encode_all(&records)).unwrap();
+    std::fs::write(&prefix, encode_all(&records[..2])).unwrap();
+    std::fs::write(&suffix, encode_all(&records[2..])).unwrap();
+    let detect = |log: &str, extra: &[&str]| {
+        stdout_of({
+            let mut c = literace();
+            c.args(["detect", "--log", log]).args(extra);
+            c
+        })
+    };
+    let one_shot = race_lines(&detect(&full, &[]));
+    assert_eq!(one_shot, ["0 static races (0 dynamic)"]);
+    detect(&prefix, &["--checkpoint-out", &state]);
+    let inspected = stdout_of({
+        let mut c = literace();
+        c.args(["checkpoint", "--in", &state]);
+        c
+    });
+    assert!(inspected.contains("  threads            : 1 (1 retired)"), "{inspected}");
+    for threads in ["1", "2", "4"] {
+        assert_eq!(detect(&full, &["--threads", threads]), detect(&full, &[]));
+        let resumed = detect(&suffix, &["--resume-from", &state, "--threads", threads]);
+        assert_eq!(race_lines(&resumed), one_shot, "--threads {threads}: {resumed}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_version_1_checkpoint_fails_naming_its_version() {
+    // Every checkpoint written before LRCP v2 carries version byte 1.
+    let dir = std::env::temp_dir().join(format!("literace_cli_lrcp_v1_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (log, state) = (path("x.lrlog"), path("state.lrcp"));
+    std::fs::write(&log, encode_all(&early_exit_records())).unwrap();
+    stdout_of({
+        let mut c = literace();
+        c.args(["detect", "--log", &log, "--checkpoint-out", &state]);
+        c
+    });
+    let mut bytes = std::fs::read(&state).unwrap();
+    assert_eq!(&bytes[..5], b"LRCP\x02");
+    bytes[4] = 1;
+    std::fs::write(&state, &bytes).unwrap();
+    for args in [
+        &["checkpoint", "--in", &state][..],
+        &["detect", "--log", &log, "--resume-from", &state][..],
+    ] {
+        let out = literace().args(args).output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert!(stderr.contains("version 1"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_closed_stdout_ends_every_command_quietly() {
+    // The read end of stdout is closed before the command starts, so its
+    // first write fails with a broken pipe, as under `| head -0`.
+    let dir = std::env::temp_dir().join(format!("literace_cli_epipe_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
+    let (log, state, trace) = (path("x.lrlog"), path("state.lrcp"), path("trace.json"));
+    std::fs::write(&log, encode_all(&early_exit_records())).unwrap();
+    stdout_of({
+        let mut c = literace();
+        c.args(["detect", "--log", &log, "--checkpoint-out", &state, "--trace-out", &trace]);
+        c
+    });
+    let lflist = ["--workload", "lflist"];
+    let commands: Vec<Vec<&str>> = vec![
+        vec!["help"],
+        vec!["workloads"],
+        [&["run"][..], &lflist].concat(),
+        [&["eval"][..], &lflist, &["--seeds", "1"]].concat(),
+        [&["overhead"][..], &lflist].concat(),
+        vec!["detect", "--log", &log],
+        vec!["detect", "--log", &log, "--detector", "lockset"],
+        vec!["explain", "--log", &log],
+        [&["metrics"][..], &lflist].concat(),
+        vec!["log-stats", "--log", &log],
+        vec!["checkpoint", "--in", &state],
+        vec!["inspect", "--workload", "lkrhash", "--function", "hash_op"],
+        [&["trace"][..], &lflist].concat(),
+        vec!["trace", "--in", &trace],
+    ];
+    for args in commands {
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = literace()
+            .args(&args)
+            .stdout(writer)
+            .stderr(Stdio::piped())
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {:?} {stderr}", out.status);
+        assert!(stderr.is_empty(), "{args:?}: {stderr}");
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

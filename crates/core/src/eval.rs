@@ -20,6 +20,8 @@ use literace_sim::{
     lower, ChunkedRandomScheduler, Machine, MachineConfig, Pc, Program, SimError,
 };
 
+use crate::pipeline::{instrument_config_for, runs_behind_prefilter};
+
 /// Configuration for a sampler-comparison evaluation.
 #[derive(Debug, Clone)]
 pub struct EvalConfig {
@@ -130,12 +132,9 @@ pub fn evaluate_program(program: &Program, cfg: &EvalConfig) -> Result<ProgramEv
         .samplers
         .iter()
         .enumerate()
-        .filter(|(_, k)| crate::pipeline::runs_behind_prefilter(**k, &cfg.instrument))
+        .filter(|(_, k)| runs_behind_prefilter(**k, &cfg.instrument))
         .fold(SamplerMask::EMPTY, |m, (i, _)| m.union(SamplerMask::bit(i)));
-    let mut icfg = cfg.instrument.clone();
-    if !prefiltered.is_empty() && icfg.prefilter.is_none() {
-        icfg.prefilter = Some(literace_sim::PrefilterTable::build(&compiled));
-    }
+    let icfg = instrument_config_for(&compiled, &cfg.samplers, &cfg.instrument);
 
     for &seed in &cfg.seeds {
         let samplers = cfg.samplers.iter().map(|k| k.build(seed)).collect();

@@ -106,19 +106,18 @@ pub fn run_literace(
     })
 }
 
-/// Resolves the effective instrument config for one run: samplers that
-/// operate over the static prefilter's residual site set get a skip table
-/// built from the compiled program unless the caller supplied one already.
-/// The table is only sound when synchronization logging is on (the ordering
-/// proofs lean on fork/join and lock edges being in the log), so a config
-/// with `sync_logging` disabled never gets one auto-installed.
-fn instrument_config_for(
+/// The one prefilter-install rule: `base`, plus a static prefilter skip
+/// table built from `compiled` when one of `samplers` runs behind one (see
+/// [`runs_behind_prefilter`]) and the caller supplied none. A production
+/// run passes its one sampler; the §5.3 study passes every sampler it
+/// marks.
+pub(crate) fn instrument_config_for(
     compiled: &literace_sim::CompiledProgram,
-    sampler: SamplerKind,
+    samplers: &[SamplerKind],
     base: &InstrumentConfig,
 ) -> InstrumentConfig {
     let mut cfg = base.clone();
-    if runs_behind_prefilter(sampler, base) && cfg.prefilter.is_none() {
+    if cfg.prefilter.is_none() && samplers.iter().any(|&s| runs_behind_prefilter(s, base)) {
         cfg.prefilter = Some(literace_sim::PrefilterTable::build(compiled));
     }
     cfg
@@ -126,7 +125,9 @@ fn instrument_config_for(
 
 /// Whether `sampler` runs behind a static prefilter skip table under
 /// `base`: always when the caller installed one, otherwise when the
-/// sampler needs one and the table is sound (see [`instrument_config_for`]).
+/// sampler needs one and synchronization logging is on. The table is
+/// only sound with sync records in the log: its ordering proofs lean on
+/// fork/join and lock edges.
 pub(crate) fn runs_behind_prefilter(sampler: SamplerKind, base: &InstrumentConfig) -> bool {
     base.prefilter.is_some() || (sampler.needs_prefilter() && base.sync_logging)
 }
@@ -168,7 +169,7 @@ pub fn run_literace_with_sink<L: RecordSink>(
     sink: L,
 ) -> Result<(RunSummary, InstrumentOutput<L>), SimError> {
     let compiled = lower(program);
-    let icfg = instrument_config_for(&compiled, sampler, &cfg.instrument);
+    let icfg = instrument_config_for(&compiled, &[sampler], &cfg.instrument);
     let mut inst = Instrumenter::with_sink(sampler.build(cfg.seed), icfg, sink);
     let mut sched = ChunkedRandomScheduler::seeded(cfg.seed, cfg.sched_quantum);
     let summary = {

@@ -1,9 +1,8 @@
 //! Human-readable rendering of race reports against their program.
 //!
-//! A [`RaceReport`](literace_detector::RaceReport) speaks in program
-//! counters; a triager wants function names and rarity. [`render_report`]
-//! joins the two, producing the text the CLI's `run` command and the
-//! examples print.
+//! A [`RaceReport`] speaks in program counters; a triager wants function
+//! names and rarity. [`render_report`] joins the two, producing the text
+//! the CLI's `run` command and the examples print.
 
 use literace_detector::RaceReport;
 use literace_sim::Program;

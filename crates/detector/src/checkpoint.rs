@@ -4,15 +4,16 @@
 //! A million-user log does not fit one sitting: fleet-scale detection
 //! needs to pause, snapshot, and resume instead of replaying from zero
 //! (ROADMAP item 2). A [`Checkpoint`] captures the **full semantic state**
-//! of a detector mid-stream — per-thread vector clocks with their
-//! generation stamps and retirement flags, sync-variable clocks, the
+//! of a detector mid-stream, one record per fact, as the detector holds
+//! it: the replay stage (each thread's clock and generation, the retired
+//! set, each sync variable's clock and §4.2 last timestamp, the record
+//! position, the compaction phase and the timestamp-violation count), the
 //! adaptive epoch frontier (inline pairs *and* escalated arena
-//! antichains), the per-pair race aggregates, the timestamp-order
-//! monitor, and the suppression patterns in force — such that a detector
-//! resumed from it and fed the remaining records produces a report
-//! **byte-identical** to one-shot detection (`tests/checkpoint_equivalence.rs`
-//! pins this at every block boundary, across the sequential, sharded, and
-//! streaming paths).
+//! antichains) and the per-pair race aggregates. A detector resumed from
+//! it and fed the remaining records produces a report **byte-identical**
+//! to one-shot detection (`tests/checkpoint_equivalence.rs` pins this at
+//! every block boundary, across the sequential, sharded, and streaming
+//! paths).
 //!
 //! ## Wire format
 //!
@@ -22,16 +23,29 @@
 //! checksummed, the file ends in a sealing footer carrying a whole-file
 //! running checksum, and the reader is strict — a torn, truncated, or
 //! bit-flipped checkpoint is always classified with a typed
-//! [`LogError`], never silently loaded.
+//! [`LogError`], never silently loaded. LRCP version 2 has one section
+//! per record kind:
 //!
 //! ```text
-//! file     := magic(4: "LRCP") version(1: 0x01) section* footer
-//! sections := meta(1) threads(2) syncvars(3) last_ts(4)
-//!             locations(5) pairs(6) suppressions(7)   (in this order)
+//! file      := magic(4: "LRCP") version(1: 0x02) section* footer
+//! sections  := meta(1) threads(2) retired(3) syncvars(4)
+//!              locations(5) pairs(6)                      (in this order)
+//! meta      := max_history max_pair position since_compact
+//!              timestamp_violations non_stack
+//! threads   := (generation clock)*                        by thread index
+//! retired   := Δindex*                            ascending thread indices
+//! syncvars  := (Δvar last_ts clock)*                      ascending vars
+//! locations := (Δaddr chain(writes) chain(reads))*        ascending addrs
+//! pairs     := (Δpc0 pc1 count example_addr n Δaddr^n)*   ascending pairs
+//! clock     := n component^n          chain := n (tid epoch pc)^n
 //! ```
 //!
-//! All maps are serialized in canonical (sorted) order and sorted runs
-//! are delta-coded, so equal detector states produce equal bytes.
+//! Every field is a LEB128 varint and every Δ a zigzag delta against the
+//! previous key (0 first). Sections' item counts are frame fields, each
+//! bounded by its section's bytes before anything is allocated. All maps
+//! are written in canonical (sorted) order, so equal detector states
+//! produce equal bytes, and a reader rejects keys that do not strictly
+//! ascend. A version-1 file is [`LogError::UnsupportedVersion`].
 //!
 //! ## What is *not* captured
 //!
@@ -51,54 +65,47 @@ use literace_log::{
 };
 use literace_sim::{Addr, Pc, SyncVar, ThreadId};
 
-use crate::clocks::ThreadState;
+use crate::clocks::{ClockState, SyncClock, ThreadClock};
 use crate::epoch::check_thread_index;
-use crate::fast_hash::FastSet;
+use crate::fast_hash::{FastMap, FastSet};
 use crate::frontier::Access;
 use crate::hb::{HbConfig, HbDetector, Replay};
-use crate::sharded::{merge, PairAgg, ShardState};
+use crate::report::{merge, PairAgg};
+use crate::sharded::ShardState;
+use crate::vector_clock::VectorClock;
 
 /// Magic bytes opening a checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 4] = *b"LRCP";
 
 /// Current checkpoint format version.
-pub const CHECKPOINT_VERSION: u8 = 1;
+pub const CHECKPOINT_VERSION: u8 = 2;
 
 const SEC_META: u32 = 1;
 const SEC_THREADS: u32 = 2;
-const SEC_SYNCVARS: u32 = 3;
-const SEC_LAST_TS: u32 = 4;
+const SEC_RETIRED: u32 = 3;
+const SEC_SYNCVARS: u32 = 4;
 const SEC_LOCATIONS: u32 = 5;
 const SEC_PAIRS: u32 = 6;
-const SEC_SUPPRESS: u32 = 7;
 
 /// A sealed, self-validating snapshot of full detector state.
 ///
 /// Produced by [`HbDetector::save_checkpoint`] and, at any shard count,
 /// by [`detect_stream_checkpointed`](crate::detect_stream_checkpointed);
 /// consumed by [`HbDetector::resume`] and, at any shard count, by
-/// [`detect_stream_from`](crate::detect_stream_from). All state is in
+/// [`detect_stream_from`](crate::detect_stream_from). Serialization is in
 /// canonical (sorted) order, so equal detector states produce equal
 /// checkpoints regardless of hash-map iteration order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Checkpoint {
     pub(crate) cfg: HbConfig,
-    pub(crate) records_processed: u64,
-    pub(crate) records_since_compact: u64,
-    pub(crate) timestamp_violations: u64,
     pub(crate) non_stack_accesses: u64,
-    /// The §4.2 monitor's last timestamp per variable, sorted by variable.
-    pub(crate) last_ts: Vec<(SyncVar, u64)>,
-    /// Per-thread clocks, generations and retirement flags, by index.
-    pub(crate) threads: Vec<ThreadState>,
-    /// Sync-variable clocks, sorted by variable.
-    pub(crate) syncvars: Vec<(SyncVar, Vec<u64>)>,
+    /// The replay stage as it stopped.
+    pub(crate) replay: Replay,
     /// Frontier state, sorted by address (see `Frontier::snapshot`).
     pub(crate) locations: Vec<(u64, Vec<Access>, Vec<Access>)>,
     /// Per-pair aggregates, sorted by the pc pair; every first position is
     /// 0, as the pairs precede every record resumed after them.
     pub(crate) pairs: Vec<((Pc, Pc), PairAgg)>,
-    pub(crate) suppressions: Vec<String>,
 }
 
 impl HbDetector {
@@ -119,23 +126,19 @@ impl HbDetector {
 }
 
 impl Checkpoint {
-    /// The one checkpoint assembly, at any shard count: the replay stage's
-    /// state plus every shard's sealed state. Shards own disjoint
-    /// addresses, so their locations concatenate, sorted by address; their
-    /// pairs fold through the one [`merge`], each first position zeroed
-    /// because the pairs precede every record resumed after them. While no
-    /// pair reaches `max_dynamic_per_pair` distinct addresses, the result
-    /// does not depend on the shard count.
+    /// The one checkpoint assembly, at any shard count: the replay stage
+    /// plus every shard's sealed state. Shards own disjoint addresses, so
+    /// their locations concatenate, sorted by address; their pairs fold
+    /// through the one [`merge`], each first position zeroed because the
+    /// pairs precede every record resumed after them. While no pair
+    /// reaches `max_dynamic_per_pair` distinct addresses, the result does
+    /// not depend on the shard count.
     pub(crate) fn assemble(
         replay: &Replay,
         cfg: HbConfig,
         shards: Vec<ShardState>,
         non_stack_accesses: u64,
     ) -> Checkpoint {
-        let (threads, syncvars) = replay.clocks.snapshot();
-        let mut last_ts: Vec<(SyncVar, u64)> =
-            replay.last_ts.iter().map(|(&v, &t)| (v, t)).collect();
-        last_ts.sort_unstable_by_key(|&(v, _)| v);
         let mut locations = Vec::new();
         let mut pair_maps = Vec::with_capacity(shards.len());
         for shard in shards {
@@ -152,23 +155,11 @@ impl Checkpoint {
         }
         Checkpoint {
             cfg,
-            records_processed: replay.pos,
-            records_since_compact: replay.since_compact,
-            timestamp_violations: replay.timestamp_violations,
             non_stack_accesses,
-            last_ts,
-            threads,
-            syncvars,
+            replay: replay.clone(),
             locations,
             pairs,
-            suppressions: Vec::new(),
         }
-    }
-
-    /// Attaches the suppression patterns in force, so an inspector (or a
-    /// resumed CLI run) sees the same triage configuration.
-    pub fn set_suppressions(&mut self, patterns: Vec<String>) {
-        self.suppressions = patterns;
     }
 
     /// The detector configuration the checkpoint was taken under.
@@ -178,7 +169,7 @@ impl Checkpoint {
 
     /// Records processed up to the checkpointed position.
     pub fn records_processed(&self) -> u64 {
-        self.records_processed
+        self.replay.pos
     }
 
     /// The rarity denominator recorded at save time.
@@ -188,22 +179,22 @@ impl Checkpoint {
 
     /// Timestamp-order violations observed before the checkpoint.
     pub fn timestamp_violations(&self) -> u64 {
-        self.timestamp_violations
+        self.replay.clocks.timestamp_violations
     }
 
     /// Threads materialized at the checkpoint.
     pub fn thread_count(&self) -> usize {
-        self.threads.len()
+        self.replay.clocks.threads.len()
     }
 
-    /// Of those, threads that had already exited.
+    /// Threads known to have exited, materialized or not.
     pub fn retired_count(&self) -> usize {
-        self.threads.iter().filter(|t| t.retired).count()
+        self.replay.clocks.retired.len()
     }
 
-    /// Sync variables with live clocks.
+    /// Sync variables named by any sync record so far.
     pub fn syncvar_count(&self) -> usize {
-        self.syncvars.len()
+        self.replay.clocks.syncvars.len()
     }
 
     /// Addresses with live frontier history.
@@ -229,67 +220,59 @@ impl Checkpoint {
         self.pairs.iter().map(|(_, p)| p.count).sum()
     }
 
-    /// The suppression patterns attached to the checkpoint.
-    pub fn suppressions(&self) -> &[String] {
-        &self.suppressions
-    }
-
     /// Serializes into a sealed container. Equal detector states produce
-    /// equal bytes (all state is in canonical order).
+    /// equal bytes (all state is written in canonical order).
     pub fn to_bytes(&self) -> Vec<u8> {
         let t0 = literace_telemetry::enabled().then(std::time::Instant::now);
+        let clocks = &self.replay.clocks;
         let mut w = ContainerWriter::new(Vec::new(), CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
             .expect("writing to a Vec cannot fail");
         let mut buf = Vec::new();
+        let mut section = |id: u32, count: usize, buf: &mut Vec<u8>| {
+            let count = u32::try_from(count).expect("a section holds fewer than 2^32 items");
+            w.section(id, count, buf)
+                .expect("writing to a Vec cannot fail");
+            buf.clear();
+        };
 
-        put_varint(&mut buf, self.cfg.max_history_per_location as u64);
-        put_varint(&mut buf, self.cfg.max_dynamic_per_pair as u64);
-        put_varint(&mut buf, self.records_processed);
-        put_varint(&mut buf, self.records_since_compact);
-        put_varint(&mut buf, self.timestamp_violations);
-        put_varint(&mut buf, self.non_stack_accesses);
-        w.section(SEC_META, 6, &buf).unwrap();
-
-        buf.clear();
-        for t in &self.threads {
-            put_varint(&mut buf, t.clock_gen);
-            put_varint(&mut buf, u64::from(t.retired));
-            put_varint(&mut buf, t.components.len() as u64);
-            for &c in &t.components {
-                put_varint(&mut buf, c);
-            }
+        for field in [
+            self.cfg.max_history_per_location as u64,
+            self.cfg.max_dynamic_per_pair as u64,
+            self.replay.pos,
+            self.replay.since_compact,
+            clocks.timestamp_violations,
+            self.non_stack_accesses,
+        ] {
+            put_varint(&mut buf, field);
         }
-        w.section(SEC_THREADS, self.threads.len() as u32, &buf)
-            .unwrap();
+        section(SEC_META, 6, &mut buf);
 
-        buf.clear();
-        let mut last_var = 0u64;
-        for (var, components) in &self.syncvars {
-            put_delta(&mut buf, last_var, var.0);
-            last_var = var.0;
-            put_varint(&mut buf, components.len() as u64);
-            for &c in components {
-                put_varint(&mut buf, c);
-            }
+        for t in &clocks.threads {
+            put_varint(&mut buf, t.generation);
+            put_clock(&mut buf, &t.clock);
         }
-        w.section(SEC_SYNCVARS, self.syncvars.len() as u32, &buf)
-            .unwrap();
+        section(SEC_THREADS, clocks.threads.len(), &mut buf);
 
-        buf.clear();
-        let mut last_var = 0u64;
-        for &(var, ts) in &self.last_ts {
-            put_delta(&mut buf, last_var, var.0);
-            last_var = var.0;
-            put_varint(&mut buf, ts);
+        let mut retired: Vec<u64> = clocks.retired.iter().map(|&i| i as u64).collect();
+        retired.sort_unstable();
+        put_ascending(&mut buf, &retired);
+        section(SEC_RETIRED, retired.len(), &mut buf);
+
+        let mut syncvars: Vec<(&SyncVar, &SyncClock)> = clocks.syncvars.iter().collect();
+        syncvars.sort_unstable_by_key(|&(var, _)| *var);
+        let mut last = 0u64;
+        for (var, sv) in &syncvars {
+            put_delta(&mut buf, last, var.0);
+            last = var.0;
+            put_varint(&mut buf, sv.last_ts);
+            put_clock(&mut buf, &sv.clock);
         }
-        w.section(SEC_LAST_TS, self.last_ts.len() as u32, &buf)
-            .unwrap();
+        section(SEC_SYNCVARS, syncvars.len(), &mut buf);
 
-        buf.clear();
-        let mut last_addr = 0u64;
+        let mut last = 0u64;
         for (addr, writes, reads) in &self.locations {
-            put_delta(&mut buf, last_addr, *addr);
-            last_addr = *addr;
+            put_delta(&mut buf, last, *addr);
+            last = *addr;
             for chain in [writes, reads] {
                 put_varint(&mut buf, chain.len() as u64);
                 for a in chain {
@@ -299,38 +282,21 @@ impl Checkpoint {
                 }
             }
         }
-        w.section(SEC_LOCATIONS, self.locations.len() as u32, &buf)
-            .unwrap();
+        section(SEC_LOCATIONS, self.locations.len(), &mut buf);
 
-        buf.clear();
-        let mut last_pc = 0u64;
+        let mut last = 0u64;
         for ((pc0, pc1), p) in &self.pairs {
-            put_delta(&mut buf, last_pc, pc0.0);
-            last_pc = pc0.0;
+            put_delta(&mut buf, last, pc0.0);
+            last = pc0.0;
             put_varint(&mut buf, pc1.0);
-            // Two count fields: LRCP v1 split them at the old occurrence
-            // cap. Written as `count, 0`; a reader sums them.
             put_varint(&mut buf, p.count);
-            put_varint(&mut buf, 0);
             put_varint(&mut buf, p.example_addr.raw());
-            put_varint(&mut buf, p.addrs.len() as u64);
             let mut addrs: Vec<u64> = p.addrs.iter().map(|a| a.raw()).collect();
             addrs.sort_unstable();
-            let mut last = 0u64;
-            for a in addrs {
-                put_delta(&mut buf, last, a);
-                last = a;
-            }
+            put_varint(&mut buf, addrs.len() as u64);
+            put_ascending(&mut buf, &addrs);
         }
-        w.section(SEC_PAIRS, self.pairs.len() as u32, &buf).unwrap();
-
-        buf.clear();
-        for pattern in &self.suppressions {
-            put_varint(&mut buf, pattern.len() as u64);
-            buf.extend_from_slice(pattern.as_bytes());
-        }
-        w.section(SEC_SUPPRESS, self.suppressions.len() as u32, &buf)
-            .unwrap();
+        section(SEC_PAIRS, self.pairs.len(), &mut buf);
 
         let bytes = w.finish().expect("writing to a Vec cannot fail");
         if let Some(t0) = t0 {
@@ -351,79 +317,77 @@ impl Checkpoint {
         let t0 = literace_telemetry::enabled().then(std::time::Instant::now);
         let sections = read_container(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
         let expect_order = [
-            SEC_META,
-            SEC_THREADS,
-            SEC_SYNCVARS,
-            SEC_LAST_TS,
-            SEC_LOCATIONS,
-            SEC_PAIRS,
-            SEC_SUPPRESS,
+            (SEC_META, "meta"),
+            (SEC_THREADS, "threads"),
+            (SEC_RETIRED, "retired"),
+            (SEC_SYNCVARS, "syncvars"),
+            (SEC_LOCATIONS, "locations"),
+            (SEC_PAIRS, "pairs"),
         ];
         if sections.len() != expect_order.len()
             || sections
                 .iter()
                 .zip(expect_order)
-                .any(|(s, want)| s.id != want)
+                .any(|(s, (want, _))| s.id != want)
         {
             return Err(LogError::Corrupt {
                 reason: "checkpoint sections missing or out of order".into(),
             });
         }
+        // Every section's item count is bounded by its bytes (an item
+        // costs at least one) before anything is allocated for it.
+        let mut counts = [0usize; 6];
+        for ((s, (_, what)), count) in sections.iter().zip(expect_order).zip(&mut counts) {
+            *count = checked_count(u64::from(s.item_count), s.payload, what)?;
+        }
 
         let mut meta = sections[0].payload;
         let max_history = usize_field(&mut meta, "max_history_per_location")?;
         let max_pair = usize_field(&mut meta, "max_dynamic_per_pair")?;
-        let records_processed = get_varint_slice(&mut meta)?;
-        let records_since_compact = get_varint_slice(&mut meta)?;
+        let pos = get_varint_slice(&mut meta)?;
+        let since_compact = get_varint_slice(&mut meta)?;
         let timestamp_violations = get_varint_slice(&mut meta)?;
         let non_stack_accesses = get_varint_slice(&mut meta)?;
         expect_drained(meta, "meta")?;
 
         let mut body = sections[1].payload;
-        let thread_count = checked_count(sections[1].item_count, body, "threads")?;
-        check_thread_index(thread_count.saturating_sub(1)).map_err(corrupt_err)?;
-        let mut threads = Vec::new();
-        for _ in 0..thread_count {
-            let clock_gen = get_varint_slice(&mut body)?;
-            let retired = bool_field(&mut body, "thread retired flag")?;
-            let components = clock_field(&mut body)?;
-            threads.push(ThreadState {
-                components,
-                clock_gen,
-                retired,
-            });
+        check_thread_index(counts[1].saturating_sub(1)).map_err(corrupt_err)?;
+        let mut threads = Vec::with_capacity(counts[1]);
+        for _ in 0..counts[1] {
+            let generation = get_varint_slice(&mut body)?;
+            let clock = clock_field(&mut body)?;
+            threads.push(ThreadClock { clock, generation });
         }
         expect_drained(body, "threads")?;
 
         let mut body = sections[2].payload;
-        let syncvar_count = checked_count(sections[2].item_count, body, "syncvars")?;
-        let mut syncvars = Vec::new();
-        let mut last_var = 0u64;
-        for _ in 0..syncvar_count {
-            let var = get_delta_slice(&mut body, last_var)?;
-            last_var = var;
-            syncvars.push((SyncVar(var), clock_field(&mut body)?));
+        let mut retired = FastSet::default();
+        let mut last = None;
+        for _ in 0..counts[2] {
+            let index = ascending_key(&mut body, &mut last, "retired")?;
+            let index = u32::try_from(index).map_err(|_| LogError::Corrupt {
+                reason: format!("checkpoint retired thread {index} exceeds the thread id range"),
+            })?;
+            retired.insert(index as usize);
+        }
+        expect_drained(body, "retired")?;
+
+        let mut body = sections[3].payload;
+        let mut syncvars = FastMap::default();
+        let mut last = None;
+        for _ in 0..counts[3] {
+            let var = SyncVar(ascending_key(&mut body, &mut last, "syncvars")?);
+            let last_ts = get_varint_slice(&mut body)?;
+            let clock = clock_field(&mut body)?;
+            syncvars.insert(var, SyncClock { clock, last_ts });
         }
         expect_drained(body, "syncvars")?;
 
-        let mut body = sections[3].payload;
-        let ts_count = checked_count(sections[3].item_count, body, "last_ts")?;
-        let mut last_ts = Vec::new();
-        let mut last_var = 0u64;
-        for _ in 0..ts_count {
-            let var = get_delta_slice(&mut body, last_var)?;
-            last_var = var;
-            last_ts.push((SyncVar(var), get_varint_slice(&mut body)?));
-        }
-        expect_drained(body, "last_ts")?;
-
         let mut body = sections[4].payload;
-        let loc_count = checked_count(sections[4].item_count, body, "locations")?;
-        let mut locations = Vec::new();
-        let mut last_addr = 0u64;
-        for _ in 0..loc_count {
-            let addr = get_delta_slice(&mut body, last_addr)?;
-            last_addr = addr;
+        let mut locations = Vec::with_capacity(counts[4]);
+        let mut last = None;
+        for _ in 0..counts[4] {
+            let addr = ascending_key(&mut body, &mut last, "locations")?;
             let writes = access_chain(&mut body)?;
             let reads = access_chain(&mut body)?;
             locations.push((addr, writes, reads));
@@ -431,26 +395,24 @@ impl Checkpoint {
         expect_drained(body, "locations")?;
 
         let mut body = sections[5].payload;
-        let pair_count = checked_count(sections[5].item_count, body, "pairs")?;
-        let mut pairs = Vec::new();
+        let mut pairs: Vec<((Pc, Pc), PairAgg)> = Vec::with_capacity(counts[5]);
         let mut last_pc = 0u64;
-        for _ in 0..pair_count {
+        for _ in 0..counts[5] {
             let pc0 = get_delta_slice(&mut body, last_pc)?;
             last_pc = pc0;
-            let pc1 = get_varint_slice(&mut body)?;
-            let count = get_varint_slice(&mut body)?
-                .checked_add(get_varint_slice(&mut body)?)
-                .ok_or_else(|| LogError::Corrupt {
-                    reason: "checkpoint pair count overflows".into(),
-                })?;
+            let pcs = (Pc(pc0), Pc(get_varint_slice(&mut body)?));
+            if pairs.last().is_some_and(|&(last, _)| pcs <= last) {
+                return Err(LogError::Corrupt {
+                    reason: "checkpoint pairs keys are not strictly ascending".into(),
+                });
+            }
+            let count = get_varint_slice(&mut body)?;
             let example_addr = Addr(get_varint_slice(&mut body)?);
-            let addr_count = checked_count_u64(get_varint_slice(&mut body)?, body, "pair addrs")?;
+            let addr_count = checked_count(get_varint_slice(&mut body)?, body, "pair addrs")?;
             let mut addrs = FastSet::default();
-            let mut last = 0u64;
+            let mut last = None;
             for _ in 0..addr_count {
-                let a = get_delta_slice(&mut body, last)?;
-                last = a;
-                addrs.insert(Addr(a));
+                addrs.insert(Addr(ascending_key(&mut body, &mut last, "pair addrs")?));
             }
             let agg = PairAgg {
                 count,
@@ -458,40 +420,28 @@ impl Checkpoint {
                 example_addr,
                 addrs,
             };
-            pairs.push(((Pc(pc0), Pc(pc1)), agg));
+            pairs.push((pcs, agg));
         }
         expect_drained(body, "pairs")?;
-
-        let mut body = sections[6].payload;
-        let pattern_count = checked_count(sections[6].item_count, body, "suppressions")?;
-        let mut suppressions = Vec::new();
-        for _ in 0..pattern_count {
-            let len = checked_count_u64(get_varint_slice(&mut body)?, body, "pattern")?;
-            let (raw, rest) = body.split_at(len);
-            body = rest;
-            suppressions.push(String::from_utf8(raw.to_vec()).map_err(|_| {
-                LogError::Corrupt {
-                    reason: "suppression pattern is not valid UTF-8".into(),
-                }
-            })?);
-        }
-        expect_drained(body, "suppressions")?;
 
         let cp = Checkpoint {
             cfg: HbConfig {
                 max_history_per_location: max_history,
                 max_dynamic_per_pair: max_pair,
             },
-            records_processed,
-            records_since_compact,
-            timestamp_violations,
             non_stack_accesses,
-            last_ts,
-            threads,
-            syncvars,
+            replay: Replay {
+                clocks: ClockState {
+                    threads,
+                    retired,
+                    syncvars,
+                    timestamp_violations,
+                },
+                pos,
+                since_compact,
+            },
             locations,
             pairs,
-            suppressions,
         };
         cp.validate()?;
         if let Some(t0) = t0 {
@@ -581,11 +531,7 @@ fn expect_drained(body: &[u8], section: &str) -> LogResult<()> {
 /// Bounds a declared item count by the bytes actually present (each item
 /// costs ≥ 1 byte on the wire), so a corrupt count can never drive an
 /// unbounded allocation.
-fn checked_count(declared: u32, body: &[u8], what: &str) -> LogResult<usize> {
-    checked_count_u64(u64::from(declared), body, what)
-}
-
-fn checked_count_u64(declared: u64, body: &[u8], what: &str) -> LogResult<usize> {
+fn checked_count(declared: u64, body: &[u8], what: &str) -> LogResult<usize> {
     if declared > body.len() as u64 {
         return Err(LogError::Corrupt {
             reason: format!("checkpoint {what} count {declared} exceeds section size"),
@@ -601,27 +547,48 @@ fn usize_field(body: &mut &[u8], what: &str) -> LogResult<usize> {
     })
 }
 
-fn bool_field(body: &mut &[u8], what: &str) -> LogResult<bool> {
-    match get_varint_slice(body)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(LogError::Corrupt {
-            reason: format!("checkpoint {what} is {other}, expected 0 or 1"),
-        }),
+/// Writes sorted, distinct keys as deltas, each against the one before.
+fn put_ascending(buf: &mut Vec<u8>, keys: &[u64]) {
+    let mut last = 0u64;
+    for &key in keys {
+        put_delta(buf, last, key);
+        last = key;
     }
 }
 
-fn clock_field(body: &mut &[u8]) -> LogResult<Vec<u64>> {
-    let len = checked_count_u64(get_varint_slice(body)?, body, "clock")?;
+/// Reads the next key of a strictly ascending, delta-coded run (as
+/// [`put_ascending`] writes one); `last` is the key before, `None` at the
+/// first. A repeated or smaller key is corrupt: no detector state writes
+/// one.
+fn ascending_key(body: &mut &[u8], last: &mut Option<u64>, what: &str) -> LogResult<u64> {
+    let key = get_delta_slice(body, last.unwrap_or(0))?;
+    if last.is_some_and(|l| key <= l) {
+        return Err(LogError::Corrupt {
+            reason: format!("checkpoint {what} keys are not strictly ascending"),
+        });
+    }
+    *last = Some(key);
+    Ok(key)
+}
+
+fn put_clock(buf: &mut Vec<u8>, clock: &VectorClock) {
+    put_varint(buf, clock.components().len() as u64);
+    for &c in clock.components() {
+        put_varint(buf, c);
+    }
+}
+
+fn clock_field(body: &mut &[u8]) -> LogResult<VectorClock> {
+    let len = checked_count(get_varint_slice(body)?, body, "clock")?;
     let mut components = Vec::with_capacity(len);
     for _ in 0..len {
         components.push(get_varint_slice(body)?);
     }
-    Ok(components)
+    Ok(VectorClock::from_components(components))
 }
 
 fn access_chain(body: &mut &[u8]) -> LogResult<Vec<Access>> {
-    let len = checked_count_u64(get_varint_slice(body)?, body, "access chain")?;
+    let len = checked_count(get_varint_slice(body)?, body, "access chain")?;
     let mut chain = Vec::with_capacity(len);
     for _ in 0..len {
         let tid = usize_field(body, "access tid")?;
@@ -683,8 +650,7 @@ mod tests {
         for r in &records {
             d.process(r);
         }
-        let mut cp = d.save_checkpoint(1234);
-        cp.set_suppressions(vec!["stats_".into(), "logging_".into()]);
+        let cp = d.save_checkpoint(1234);
         let bytes = cp.to_bytes();
         let back = Checkpoint::from_bytes(&bytes).unwrap();
         assert_eq!(cp, back);
@@ -727,58 +693,39 @@ mod tests {
     }
 
     #[test]
-    fn a_pair_count_split_in_two_fields_loads_as_their_sum() {
-        // Past the old occurrence cap, the pair section's second count
-        // field was nonzero: re-seal a checkpoint's pairs that way.
-        let cap = 3;
-        let records = mixed_records();
-        let mut d = HbDetector::with_config(HbConfig {
-            max_dynamic_per_pair: cap,
-            ..HbConfig::default()
-        });
+    fn a_version_1_checkpoint_is_unsupported() {
+        // Every checkpoint written before LRCP v2 carries version byte 1.
+        let mut bytes = HbDetector::new().save_checkpoint(0).to_bytes();
+        assert_eq!(bytes[4], CHECKPOINT_VERSION);
+        bytes[4] = 1;
+        let err = Checkpoint::from_bytes(&bytes).unwrap_err();
+        assert!(
+            matches!(err, LogError::UnsupportedVersion { found: 1, supported: 2 }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn the_whole_retired_set_survives_a_checkpoint() {
+        // Thread 1 ends before any record of its own materializes it; the
+        // checkpoint keeps it retired, and every variable named by a sync
+        // record keeps its one record, acquired-only ones included.
+        let records = [
+            Record::ThreadEnd { tid: t(1) },
+            sync(t(0), SyncOpKind::LockAcquire, 5, 3),
+            mem(t(0), 1, 0, true),
+        ];
+        let mut d = HbDetector::new();
         for r in &records {
             d.process(r);
         }
-        let cp = d.save_checkpoint(0);
-        assert!(cp.pairs.iter().any(|(_, p)| p.count > cap as u64));
-        let bytes = cp.to_bytes();
-        let sections = read_container(&bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
-        let mut w = ContainerWriter::new(Vec::new(), CHECKPOINT_MAGIC, CHECKPOINT_VERSION).unwrap();
-        let mut split_sum = 0;
-        for section in &sections {
-            if section.id != SEC_PAIRS {
-                w.section(section.id, section.item_count, section.payload)
-                    .unwrap();
-                continue;
-            }
-            let mut buf = Vec::new();
-            let mut last_pc = 0u64;
-            for ((pc0, pc1), p) in &cp.pairs {
-                put_delta(&mut buf, last_pc, pc0.0);
-                last_pc = pc0.0;
-                put_varint(&mut buf, pc1.0);
-                let stored = p.count.min(cap as u64);
-                put_varint(&mut buf, stored);
-                put_varint(&mut buf, p.count - stored);
-                split_sum += stored + (p.count - stored);
-                put_varint(&mut buf, p.example_addr.raw());
-                let mut addrs: Vec<u64> = p.addrs.iter().map(|a| a.raw()).collect();
-                addrs.sort_unstable();
-                put_varint(&mut buf, addrs.len() as u64);
-                let mut last = 0u64;
-                for a in addrs {
-                    put_delta(&mut buf, last, a);
-                    last = a;
-                }
-            }
-            w.section(SEC_PAIRS, section.item_count, &buf).unwrap();
-        }
-        let split = w.finish().unwrap();
-        assert_ne!(split, bytes, "some pair must have passed the cap");
-        let back = Checkpoint::from_bytes(&split).unwrap();
-        assert_eq!(back.dynamic_races(), split_sum);
-        assert_eq!(back, cp);
-        assert_eq!(back.to_bytes(), bytes);
+        let cp = Checkpoint::from_bytes(&d.save_checkpoint(0).to_bytes()).unwrap();
+        assert_eq!((cp.thread_count(), cp.retired_count()), (1, 1));
+        assert_eq!(cp.syncvar_count(), 1);
+        let mut resumed = HbDetector::resume(&cp);
+        resumed.process(&mem(t(2), 2, 8, true));
+        let live: Vec<usize> = resumed.replay.clocks.live().collect();
+        assert_eq!(live, vec![0, 2], "thread 1 materialized retired");
     }
 
     #[test]
@@ -823,6 +770,26 @@ mod tests {
         loc.1[0].tid = ThreadId::from_index((1usize << 31) + 5);
         let err = Checkpoint::from_bytes(&cp.to_bytes()).unwrap_err();
         assert!(err.to_string().contains("ceiling"), "{err}");
+    }
+
+    #[test]
+    fn a_repeated_location_or_pair_is_a_typed_error() {
+        // Checksums only prove the bytes are the ones written; a repeated
+        // key would load as two entries where the detector holds one.
+        let records = mixed_records();
+        let mut d = HbDetector::new();
+        for r in &records {
+            d.process(r);
+        }
+        let cp = d.save_checkpoint(0);
+        let mut repeated_location = cp.clone();
+        repeated_location.locations.push(cp.locations[0].clone());
+        let mut repeated_pair = cp.clone();
+        repeated_pair.pairs.push(cp.pairs[0].clone());
+        for bad in [repeated_location, repeated_pair] {
+            let err = Checkpoint::from_bytes(&bad.to_bytes()).unwrap_err();
+            assert!(err.to_string().contains("not strictly ascending"), "{err}");
+        }
     }
 
     #[test]

@@ -13,10 +13,10 @@
 use literace_sim::{Pc, ThreadId};
 
 /// Highest thread index the detector registers. One below the memo-key
-/// packing limit: [`MemoKey`] folds the access kind into bit 31 of a
-/// `u32`, so index `0x7FFF_FFFF` with the write bit set would collide
-/// with [`MemoKey::INVALID`], and anything ≥ 2³¹ would silently flip the
-/// recorded access kind. Rather than let a hostile or corrupt log reach
+/// packing limit: the frontier's same-epoch memo key folds the access
+/// kind into bit 31 of a `u32`, so index `0x7FFF_FFFF` with the write bit
+/// set would collide with the key's invalid sentinel, and anything ≥ 2³¹
+/// would silently flip the recorded access kind. Rather than let a hostile or corrupt log reach
 /// either state (or OOM materializing billions of clocks on the way
 /// there), registration rejects the index outright — see
 /// [`check_thread_index`].

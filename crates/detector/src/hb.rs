@@ -21,14 +21,13 @@
 //! the instrumenter writing its records straight into one.
 
 use literace_log::{EventLog, Record, RecordSink};
-use literace_sim::{Addr, Pc, SyncVar, ThreadId};
+use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
 use crate::clocks::ClockState;
-use crate::fast_hash::FastMap;
 use crate::provenance::{ProvenanceReport, SyncEdge};
-use crate::report::RaceReport;
-use crate::sharded::{report, Shard, ShardState};
+use crate::report::{report, RaceReport, DEFAULT_PAIR_ADDR_CAP};
+use crate::sharded::{Shard, ShardState};
 use crate::vector_clock::VectorClock;
 
 /// Tuning knobs for the happens-before detector.
@@ -49,7 +48,7 @@ impl Default for HbConfig {
     fn default() -> HbConfig {
         HbConfig {
             max_history_per_location: 128,
-            max_dynamic_per_pair: 1 << 20,
+            max_dynamic_per_pair: DEFAULT_PAIR_ADDR_CAP,
         }
     }
 }
@@ -87,9 +86,10 @@ pub(crate) trait Downstream {
     fn seal(&mut self) -> Option<Vec<ShardState>>;
 }
 
-/// The replay stage: clock state, record position, compaction cadence and
-/// the §4.2 timestamp monitor.
-#[derive(Debug, Default)]
+/// The replay stage: clock state (with the §4.2 timestamp monitor),
+/// record position and compaction cadence. A checkpoint stores it as it
+/// is.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct Replay {
     pub(crate) clocks: ClockState,
     /// Records replayed so far, counting those before the checkpoint a
@@ -97,19 +97,10 @@ pub(crate) struct Replay {
     pub(crate) pos: u64,
     /// Records since the last compaction point.
     pub(crate) since_compact: u64,
-    /// Per-variable last timestamp: operations on one variable must be
-    /// logged in timestamp order (§4.2).
-    pub(crate) last_ts: FastMap<SyncVar, u64>,
-    /// Timestamp-order violations observed (should stay zero; a nonzero
-    /// value reproduces the paper's "hundreds of false data races" failure
-    /// mode when atomic timestamping is broken).
-    pub(crate) timestamp_violations: u64,
 }
 
 impl Replay {
-    /// A fresh replay stage, or one resuming where a checkpoint's stopped:
-    /// clocks, generations, retirement flags, position, compaction phase
-    /// and timestamp monitor.
+    /// A fresh replay stage, or the one a checkpoint stopped with.
     pub(crate) fn resume(cp: Option<&Checkpoint>) -> Replay {
         let Some(cp) = cp else {
             return Replay::default();
@@ -119,13 +110,7 @@ impl Replay {
                 .detector_checkpoint_resumes
                 .add(1);
         }
-        Replay {
-            clocks: ClockState::restore(&cp.threads, &cp.syncvars),
-            pos: cp.records_processed,
-            since_compact: cp.records_since_compact,
-            last_ts: cp.last_ts.iter().copied().collect(),
-            timestamp_violations: cp.timestamp_violations,
-        }
+        cp.replay.clone()
     }
 
     /// Replays one record: sync records update the clocks, accesses go
@@ -145,12 +130,7 @@ impl Replay {
                 timestamp,
                 ..
             } => {
-                let last = self.last_ts.entry(var).or_insert(0);
-                if timestamp < *last {
-                    self.timestamp_violations += 1;
-                }
-                *last = (*last).max(timestamp);
-                if let Some(release_epoch) = self.clocks.sync(tid, kind, var) {
+                if let Some(release_epoch) = self.clocks.sync(tid, kind, var, timestamp) {
                     let edge = SyncEdge {
                         var,
                         kind,
@@ -198,13 +178,12 @@ impl Downstream for Shard {
         addr: Addr,
         is_write: bool,
     ) {
-        let i = tid.index();
-        let (clock, generation) = (clocks.clock(i), clocks.generation(i));
-        self.access(pos, tid, pc, addr, is_write, clock, generation);
+        let thread = clocks.thread(tid.index());
+        self.access(pos, tid, pc, addr, is_write, &thread.clock, thread.generation);
     }
 
     fn on_compact(&mut self, clocks: &ClockState) {
-        let live: Vec<&VectorClock> = clocks.live().map(|i| clocks.clock(i)).collect();
+        let live: Vec<&VectorClock> = clocks.live().map(|i| &clocks.thread(i).clock).collect();
         self.compact(&live);
     }
 
@@ -289,7 +268,7 @@ impl HbDetector {
     /// Timestamp-order violations observed so far (§4.2): sync operations
     /// on one variable logged out of timestamp order. Zero on a sound log.
     pub fn timestamp_violations(&self) -> u64 {
-        self.replay.timestamp_violations
+        self.replay.clocks.timestamp_violations
     }
 
     /// Processes one log record.
@@ -369,7 +348,7 @@ mod tests {
     use super::*;
     use crate::testkit::{pc, t};
     use literace_log::SamplerMask;
-    use literace_sim::SyncOpKind;
+    use literace_sim::{SyncOpKind, SyncVar};
 
     fn a(i: u64) -> Addr {
         Addr::global(i)

@@ -8,7 +8,9 @@
 //!   [`RecordSink`](literace_log::RecordSink), so the §4.4 "spare core"
 //!   online detector is the instrumenter writing into one;
 //! * [`LocksetDetector`] — an Eraser-style baseline that demonstrates the
-//!   false positives the paper's design avoids;
+//!   false positives the paper's design avoids. Both detectors count each
+//!   race into one per-pair aggregate and build their [`RaceReport`] from
+//!   it the same way;
 //! * [`detect_stream_from`] — the sharded engine: address-sharded parallel
 //!   offline detection over record blocks, byte-identical to [`detect`]
 //!   at any shard count, optionally resuming from a [`Checkpoint`] (see
@@ -18,7 +20,10 @@
 //!   [`detect_stream_checkpointed`] seals checkpoints as it goes, at any
 //!   shard count;
 //! * [`Checkpoint`] — a sealed, self-validating snapshot of full detector
-//!   state; resuming from one yields reports byte-identical to one-shot
+//!   state, one record per fact as the detector holds it (format LRCP
+//!   v2: each thread's clock, the retired set, each sync variable's clock
+//!   and last timestamp, the frontier, one aggregate per race pair);
+//!   resuming from one yields reports byte-identical to one-shot
 //!   detection;
 //! * [`merge`] utilities reconstructing a global order from per-thread logs
 //!   using the §4.2 logical timestamps.
@@ -72,6 +77,6 @@ pub use lockset::{detect_lockset, LocksetDetector};
 pub use provenance::{AccessEvidence, ProvenanceReport, RaceEvidence, SyncEdge};
 pub use sharded::{detect_sharded, DetectConfig};
 pub use streaming::{detect_stream, detect_stream_checkpointed, detect_stream_from};
-pub use report::{DynamicRace, RaceReport, StaticRace};
+pub use report::{RaceReport, StaticRace};
 pub use suppress::Suppressions;
 pub use vector_clock::VectorClock;

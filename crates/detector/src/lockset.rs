@@ -9,7 +9,8 @@
 //! Implementation: the classic state machine per location
 //! (Virgin → Exclusive → Shared → Shared-Modified) with candidate-lockset
 //! intersection; a race is reported when the candidate set becomes empty in
-//! the Shared-Modified state.
+//! the Shared-Modified state. Races are counted into the same per-pair
+//! aggregate as the happens-before detector's (see `crate::report`).
 
 use std::collections::{HashMap, HashSet};
 
@@ -17,7 +18,7 @@ use literace_log::{EventLog, Record};
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 
 use crate::fast_hash::FastMap;
-use crate::report::{DynamicRace, RaceReport};
+use crate::report::{count_race, report, PairMap, RaceReport, DEFAULT_PAIR_ADDR_CAP};
 
 /// Per-location state of the Eraser state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +49,9 @@ pub struct LocksetDetector {
     /// thread id costs one entry.
     held: FastMap<ThreadId, HashSet<SyncVar>>,
     locations: HashMap<u64, LocState>,
-    races: Vec<DynamicRace>,
+    pairs: PairMap,
+    /// Records processed: the next record's position.
+    pos: u64,
 }
 
 impl LocksetDetector {
@@ -57,7 +60,8 @@ impl LocksetDetector {
         LocksetDetector {
             held: FastMap::default(),
             locations: HashMap::new(),
-            races: Vec::new(),
+            pairs: PairMap::default(),
+            pos: 0,
         }
     }
 
@@ -88,6 +92,7 @@ impl LocksetDetector {
             } => self.access(tid, pc, addr, is_write),
             Record::ThreadBegin { .. } | Record::ThreadEnd { .. } => {}
         }
+        self.pos += 1;
     }
 
     fn access(&mut self, tid: ThreadId, pc: Pc, addr: Addr, is_write: bool) {
@@ -175,15 +180,7 @@ impl LocksetDetector {
         };
         *state = next;
         if let Some(prior_pc) = race_with {
-            self.races.push(DynamicRace {
-                first_pc: prior_pc,
-                second_pc: pc,
-                addr,
-                first_tid: tid, // prior thread identity not tracked by Eraser
-                second_tid: tid,
-                first_is_write: true,
-                second_is_write: is_write,
-            });
+            count_race(&mut self.pairs, prior_pc, pc, self.pos, addr, DEFAULT_PAIR_ADDR_CAP);
         }
     }
 
@@ -196,7 +193,7 @@ impl LocksetDetector {
 
     /// Finishes, producing a report.
     pub fn finish(self, non_stack_accesses: u64) -> RaceReport {
-        RaceReport::from_dynamic(self.races, non_stack_accesses)
+        report(self.pairs, non_stack_accesses)
     }
 }
 

@@ -1,40 +1,143 @@
 //! Race reports: dynamic races grouped into static races, with the paper's
-//! rare/frequent classification (§5.3.1).
+//! rare/frequent classification (§5.3.1), and the one per-pair aggregate
+//! every detector builds them from.
+//!
+//! **One mergeable aggregate.** A detector counts each dynamic race into
+//! its static pair's [`PairAgg`] through one insert, [`count_race`]: the
+//! occurrence count, the first occurrence's global record position and
+//! address, and at most a cap of distinct racing addresses. Nothing is
+//! kept per dynamic race. The happens-before shards and the lockset
+//! detector both count this way. [`merge`] folds aggregates built over
+//! disjoint records (the engine's shards, a checkpoint's prefix): counts
+//! sum, the earliest first occurrence supplies the example address, and
+//! the address sets union up to the cap, so the distinct-address count is
+//! the smaller of the distinct racing addresses and the cap at any shard
+//! count. [`report`] turns the aggregates into a [`RaceReport`].
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use literace_sim::{Addr, Pc, ThreadId};
+use literace_sim::{Addr, Pc};
 
-/// One detected dynamic race occurrence.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct DynamicRace {
-    /// The earlier access's site.
-    pub first_pc: Pc,
-    /// The later access's site.
-    pub second_pc: Pc,
-    /// The address both accesses touched.
-    pub addr: Addr,
-    /// Thread of the earlier access.
-    pub first_tid: ThreadId,
-    /// Thread of the later access.
-    pub second_tid: ThreadId,
-    /// Whether the earlier access was a write.
-    pub first_is_write: bool,
-    /// Whether the later access was a write.
-    pub second_is_write: bool,
+use crate::fast_hash::{FastMap, FastSet};
+
+/// Distinct racing addresses a static pair remembers by default (see
+/// [`HbConfig::max_dynamic_per_pair`](crate::HbConfig)); the lockset
+/// detector always uses it.
+pub(crate) const DEFAULT_PAIR_ADDR_CAP: usize = 1 << 20;
+
+/// One static pair's running aggregate: the report row, built as races
+/// are detected, and mergeable across shards and with a checkpoint's.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PairAgg {
+    /// Dynamic occurrences.
+    pub count: u64,
+    /// Global record position of the first occurrence. A checkpoint's
+    /// pairs precede every record resumed after them, so they carry 0.
+    pub first_pos: u64,
+    /// Address of the first occurrence.
+    pub example_addr: Addr,
+    /// The first `cap` distinct racing addresses.
+    pub addrs: FastSet<Addr>,
 }
 
-impl DynamicRace {
-    /// The unordered, normalized PC pair identifying the static race.
-    pub fn static_key(&self) -> (Pc, Pc) {
-        if self.first_pc <= self.second_pc {
-            (self.first_pc, self.second_pc)
-        } else {
-            (self.second_pc, self.first_pc)
+impl PairAgg {
+    /// Folds in `other`, the same pair's aggregate over other records.
+    fn absorb(&mut self, other: PairAgg, cap: usize) {
+        self.count += other.count;
+        if other.first_pos < self.first_pos {
+            self.first_pos = other.first_pos;
+            self.example_addr = other.example_addr;
         }
+        for addr in other.addrs {
+            if self.addrs.len() >= cap {
+                break;
+            }
+            self.addrs.insert(addr);
+        }
+    }
+}
+
+/// Per-static-pair aggregates, keyed by the normalized (smaller-first)
+/// pc pair.
+pub(crate) type PairMap = FastMap<(Pc, Pc), PairAgg>;
+
+/// The one per-pair insert: counts one dynamic race between sites `a`
+/// and `b` on `addr`, completed at global record position `pos`, keeping
+/// at most `cap` distinct addresses. Returns the normalized pair and
+/// whether this was its first occurrence in `pairs`.
+#[inline]
+pub(crate) fn count_race(
+    pairs: &mut PairMap,
+    a: Pc,
+    b: Pc,
+    pos: u64,
+    addr: Addr,
+    cap: usize,
+) -> ((Pc, Pc), bool) {
+    let key = if a <= b { (a, b) } else { (b, a) };
+    let agg = pairs.entry(key).or_insert_with(|| PairAgg {
+        count: 0,
+        first_pos: pos,
+        example_addr: addr,
+        addrs: FastSet::default(),
+    });
+    let first = agg.count == 0;
+    agg.count += 1;
+    if agg.addrs.len() < cap {
+        agg.addrs.insert(addr);
+    }
+    (key, first)
+}
+
+/// The one merge: folds aggregates over disjoint records into one map.
+/// Counts sum, the earliest first occurrence supplies the example address,
+/// and the address sets union up to `cap`.
+pub(crate) fn merge(parts: impl IntoIterator<Item = PairMap>, cap: usize) -> PairMap {
+    let mut parts = parts.into_iter();
+    let mut merged = parts.next().unwrap_or_default();
+    for part in parts {
+        for (key, agg) in part {
+            match merged.entry(key) {
+                Entry::Vacant(e) => {
+                    e.insert(agg);
+                }
+                Entry::Occupied(mut e) => e.get_mut().absorb(agg, cap),
+            }
+        }
+    }
+    merged
+}
+
+/// The report of merged aggregates: one row per static pair, most
+/// frequent first, ties by pc pair.
+pub(crate) fn report(pairs: PairMap, non_stack_accesses: u64) -> RaceReport {
+    let mut dynamic_races = 0;
+    let mut static_races: Vec<StaticRace> = pairs
+        .into_iter()
+        .map(|(pcs, agg)| {
+            dynamic_races += agg.count;
+            StaticRace {
+                pcs,
+                count: agg.count,
+                example_addr: agg.example_addr,
+                distinct_addrs: agg.addrs.len() as u64,
+            }
+        })
+        .collect();
+    static_races.sort_by(|a, b| b.count.cmp(&a.count).then(a.pcs.cmp(&b.pcs)));
+    if literace_telemetry::enabled() {
+        let m = literace_telemetry::metrics();
+        m.detector_races_static.add(static_races.len() as u64);
+        m.detector_races_dynamic.add(dynamic_races);
+    }
+    RaceReport {
+        static_races,
+        dynamic_races,
+        non_stack_accesses,
     }
 }
 
@@ -86,37 +189,6 @@ pub struct RaceReport {
 }
 
 impl RaceReport {
-    /// Builds a report from raw dynamic races.
-    pub fn from_dynamic(races: Vec<DynamicRace>, non_stack_accesses: u64) -> RaceReport {
-        let mut groups: HashMap<(Pc, Pc), StaticRace> = HashMap::new();
-        let mut addr_sets: HashMap<(Pc, Pc), std::collections::HashSet<Addr>> = HashMap::new();
-        let dynamic_races = races.len() as u64;
-        for r in races {
-            let key = r.static_key();
-            let entry = groups.entry(key).or_insert_with(|| StaticRace {
-                pcs: key,
-                count: 0,
-                example_addr: r.addr,
-                distinct_addrs: 0,
-            });
-            entry.count += 1;
-            addr_sets.entry(key).or_default().insert(r.addr);
-        }
-        let mut static_races: Vec<StaticRace> = groups
-            .into_values()
-            .map(|mut s| {
-                s.distinct_addrs = addr_sets[&s.pcs].len() as u64;
-                s
-            })
-            .collect();
-        static_races.sort_by(|a, b| b.count.cmp(&a.count).then(a.pcs.cmp(&b.pcs)));
-        RaceReport {
-            static_races,
-            dynamic_races,
-            non_stack_accesses,
-        }
-    }
-
     /// Number of static races.
     pub fn static_count(&self) -> usize {
         self.static_races.len()
@@ -198,32 +270,51 @@ mod tests {
         Pc::new(FuncId::from_index(0), i)
     }
 
-    fn dr(a: usize, b: usize, addr: u64) -> DynamicRace {
-        DynamicRace {
-            first_pc: pc(a),
-            second_pc: pc(b),
-            addr: Addr::global(addr),
-            first_tid: ThreadId::from_index(0),
-            second_tid: ThreadId::from_index(1),
-            first_is_write: true,
-            second_is_write: false,
+    /// The report of races `(first site, second site, address)`, each
+    /// counted through the one per-pair insert in order.
+    fn report_of(races: &[(usize, usize, u64)], non_stack: u64) -> RaceReport {
+        let mut pairs = PairMap::default();
+        for (pos, &(a, b, addr)) in races.iter().enumerate() {
+            let addr = Addr::global(addr);
+            count_race(&mut pairs, pc(a), pc(b), pos as u64, addr, DEFAULT_PAIR_ADDR_CAP);
         }
+        report(pairs, non_stack)
     }
 
     #[test]
     fn static_key_is_order_insensitive() {
-        assert_eq!(dr(1, 2, 0).static_key(), dr(2, 1, 0).static_key());
+        let mut pairs = PairMap::default();
+        let (key, first) = count_race(&mut pairs, pc(1), pc(2), 0, Addr::global(0), 4);
+        assert_eq!((key, first), ((pc(1), pc(2)), true));
+        let (key, first) = count_race(&mut pairs, pc(2), pc(1), 1, Addr::global(0), 4);
+        assert_eq!((key, first), ((pc(1), pc(2)), false));
+        assert_eq!(pairs.len(), 1);
     }
 
     #[test]
     fn grouping_counts_occurrences_and_addresses() {
-        let races = vec![dr(1, 2, 0), dr(2, 1, 5), dr(3, 4, 0)];
-        let report = RaceReport::from_dynamic(races, 1_000_000);
+        let report = report_of(&[(1, 2, 0), (2, 1, 5), (3, 4, 0)], 1_000_000);
         assert_eq!(report.static_count(), 2);
         assert_eq!(report.dynamic_races, 3);
         let top = &report.static_races[0];
         assert_eq!(top.count, 2);
         assert_eq!(top.distinct_addrs, 2);
+        assert_eq!(top.example_addr, Addr::global(0), "the first occurrence's");
+    }
+
+    #[test]
+    fn the_cap_bounds_addresses_and_the_merge_keeps_the_earliest_example() {
+        let mut early = PairMap::default();
+        let mut late = PairMap::default();
+        for addr in 0..4 {
+            count_race(&mut late, pc(1), pc(2), 10 + addr, Addr::global(addr), 3);
+        }
+        count_race(&mut early, pc(2), pc(1), 5, Addr::global(9), 3);
+        assert_eq!(late[&(pc(1), pc(2))].addrs.len(), 3, "capped");
+        let merged = report(merge([late, early], 3), 0);
+        let row = &merged.static_races[0];
+        assert_eq!((row.count, row.distinct_addrs), (5, 3));
+        assert_eq!(row.example_addr, Addr::global(9));
     }
 
     #[test]
@@ -244,8 +335,8 @@ mod tests {
 
     #[test]
     fn detection_rate() {
-        let truth = RaceReport::from_dynamic(vec![dr(1, 2, 0), dr(3, 4, 0), dr(5, 6, 0)], 100);
-        let partial = RaceReport::from_dynamic(vec![dr(1, 2, 0), dr(5, 6, 1)], 100);
+        let truth = report_of(&[(1, 2, 0), (3, 4, 0), (5, 6, 0)], 100);
+        let partial = report_of(&[(1, 2, 0), (5, 6, 1)], 100);
         let rate = partial.detection_rate_against(&truth);
         assert!((rate - 2.0 / 3.0).abs() < 1e-9);
         let empty = RaceReport::default();
@@ -255,8 +346,8 @@ mod tests {
 
     #[test]
     fn merge_unions_static_races_and_sums_counts() {
-        let a = RaceReport::from_dynamic(vec![dr(1, 2, 0), dr(1, 2, 3)], 100);
-        let b = RaceReport::from_dynamic(vec![dr(1, 2, 0), dr(5, 6, 0)], 200);
+        let a = report_of(&[(1, 2, 0), (1, 2, 3)], 100);
+        let b = report_of(&[(1, 2, 0), (5, 6, 0)], 200);
         let merged = RaceReport::merge([&a, &b]);
         assert_eq!(merged.static_count(), 2);
         assert_eq!(merged.dynamic_races, 4);
@@ -277,11 +368,9 @@ mod tests {
 
     #[test]
     fn split_by_rarity_partitions() {
-        let mut races = vec![dr(1, 2, 0)];
-        for _ in 0..100 {
-            races.push(dr(3, 4, 0));
-        }
-        let report = RaceReport::from_dynamic(races, 1_000_000);
+        let mut races = vec![(1, 2, 0)];
+        races.extend(std::iter::repeat_n((3, 4, 0), 100));
+        let report = report_of(&races, 1_000_000);
         let (rare, freq) = report.split_by_rarity();
         assert_eq!(rare.len(), 1);
         assert_eq!(freq.len(), 1);

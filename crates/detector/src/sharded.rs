@@ -1,48 +1,41 @@
-//! The shard stage, the address partition and the one merge.
+//! The shard stage and the address partition.
 //!
 //! LiteRace logs are asymmetric: synchronization records are a tiny
 //! fraction of the stream (the paper's whole premise — sync is never
 //! sampled away, data accesses are), while memory-access records dominate.
 //! The sharded engine ([`detect_stream_from`]) exploits that split. One
-//! router runs the replay stage over every record (see
-//! [`hb`](crate::hb)), and `shard_of` routes each memory access by
-//! address hash to exactly one of N shards, stamped with the clock its
-//! thread held at that point. Since all accesses to a given address land
-//! in one shard with the very clock values the inline detector would see,
-//! that shard's frontier for the address is bit-for-bit the inline
-//! frontier, and every dynamic race is detected in exactly one shard.
-//! Compaction points, with the live-clock set at each, reach every shard,
-//! so frontier reclamation — which interacts with the history cap —
-//! happens at identical stream positions with identical clock bounds.
-//! [`HbDetector`](crate::HbDetector) is the one-shard case, run inline.
+//! router runs the replay stage over every record, and an address hash
+//! routes each memory access to exactly one of N shards, stamped with the
+//! clock its thread held at that point. Since all accesses to a given
+//! address land in one shard with the very clock values the inline
+//! detector would see, that shard's frontier for the address is
+//! bit-for-bit the inline frontier, and every dynamic race is detected in
+//! exactly one shard. Compaction points, with the live-clock set at each,
+//! reach every shard, so frontier reclamation — which interacts with the
+//! history cap — happens at identical stream positions with identical
+//! clock bounds. [`HbDetector`](crate::HbDetector) is the one-shard case,
+//! run inline.
 //!
-//! **One mergeable aggregate.** A [`Shard`] keeps one [`PairAgg`] per
-//! static pair: the occurrence count, the first occurrence's global
-//! position and address, and at most `max_dynamic_per_pair` distinct
-//! racing addresses. Nothing is kept per dynamic race. [`merge`] sums the
-//! counts, takes the example address of the earliest first occurrence and
-//! unions the address sets up to the cap, so the distinct-address count is
-//! the smaller of the distinct racing addresses and the cap at any shard
-//! count. A resumed run carries the checkpoint's pairs in its first shard
-//! as a prefix that precedes every resumed occurrence. The result is equal
-//! to the inline [`detect`](crate::detect) output on every input, which
-//! also means the no-false-positive invariant carries over unchanged
-//! (property-tested in `tests/sharded_equivalence.rs`).
+//! Each shard counts its races into one per-pair aggregate, the same one
+//! the lockset detector builds, and the engine merges the shards'
+//! aggregates once at the end. A resumed run carries the checkpoint's
+//! pairs in its first shard as a prefix that precedes every resumed
+//! occurrence. The result is equal to the inline
+//! [`detect`](crate::detect) output on every input, which also means the
+//! no-false-positive invariant carries over unchanged (property-tested in
+//! `tests/sharded_equivalence.rs`).
 //!
 //! [`detect_sharded`] runs the engine over an in-memory [`EventLog`],
 //! handed over as one borrowed block.
-
-use std::collections::hash_map::Entry;
 
 use literace_log::EventLog;
 use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
-use crate::fast_hash::{FastMap, FastSet};
 use crate::frontier::{Access, Frontier};
 use crate::hb::HbConfig;
 use crate::provenance::{AccessEvidence, ProvenanceState};
-use crate::report::{RaceReport, StaticRace};
+use crate::report::{count_race, PairMap, RaceReport};
 use crate::streaming::detect_stream_from;
 use crate::vector_clock::VectorClock;
 
@@ -99,42 +92,6 @@ pub(crate) fn shard_of(addr: Addr, shards: usize) -> usize {
     // there is measurable, so avoid `%`.
     ((h * shards as u64) >> 32) as usize
 }
-
-/// One static pair's running aggregate: the report row, built as races
-/// are detected, and mergeable across shards and with a checkpoint's.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PairAgg {
-    /// Dynamic occurrences.
-    pub count: u64,
-    /// Global record position of the first occurrence. A checkpoint's
-    /// pairs precede every record resumed after it, so they carry 0.
-    pub first_pos: u64,
-    /// Address of the first occurrence.
-    pub example_addr: Addr,
-    /// The first `max_dynamic_per_pair` distinct racing addresses.
-    pub addrs: FastSet<Addr>,
-}
-
-impl PairAgg {
-    /// Folds in `other`, the same pair's aggregate over other records.
-    fn absorb(&mut self, other: PairAgg, cap: usize) {
-        self.count += other.count;
-        if other.first_pos < self.first_pos {
-            self.first_pos = other.first_pos;
-            self.example_addr = other.example_addr;
-        }
-        for addr in other.addrs {
-            if self.addrs.len() >= cap {
-                break;
-            }
-            self.addrs.insert(addr);
-        }
-    }
-}
-
-/// Per-static-pair aggregates, keyed by the normalized (smaller-first)
-/// pc pair.
-pub(crate) type PairMap = FastMap<(Pc, Pc), PairAgg>;
 
 /// One shard's state at a seal point: its frontier's locations, sorted by
 /// address, and a copy of its per-pair aggregates.
@@ -228,18 +185,8 @@ impl Shard {
             clock,
             generation,
             |prior, prior_is_write| {
-                let key = if prior.pc <= pc {
-                    (prior.pc, pc)
-                } else {
-                    (pc, prior.pc)
-                };
-                let agg = pairs.entry(key).or_insert_with(|| PairAgg {
-                    count: 0,
-                    first_pos: pos,
-                    example_addr: addr,
-                    addrs: FastSet::default(),
-                });
-                if agg.count == 0 {
+                let (key, first) = count_race(pairs, prior.pc, pc, pos, addr, cap);
+                if first {
                     // The pair's first occurrence here: emit a trace
                     // instant and capture provenance. Both are off the hot
                     // path — conflicts are rare, first-per-pair conflicts
@@ -269,10 +216,6 @@ impl Shard {
                             clock.get(prior.tid),
                         );
                     }
-                }
-                agg.count += 1;
-                if agg.addrs.len() < cap {
-                    agg.addrs.insert(addr);
                 }
             },
         );
@@ -319,54 +262,6 @@ impl Shard {
     }
 }
 
-/// The one merge: folds the shards' aggregates into one map. Counts sum,
-/// the earliest first occurrence supplies the example address, and the
-/// address sets union up to `cap`.
-pub(crate) fn merge(shards: impl IntoIterator<Item = PairMap>, cap: usize) -> PairMap {
-    let mut shards = shards.into_iter();
-    let mut merged = shards.next().unwrap_or_default();
-    for shard in shards {
-        for (key, agg) in shard {
-            match merged.entry(key) {
-                Entry::Vacant(e) => {
-                    e.insert(agg);
-                }
-                Entry::Occupied(mut e) => e.get_mut().absorb(agg, cap),
-            }
-        }
-    }
-    merged
-}
-
-/// The report of merged aggregates: one row per static pair, most
-/// frequent first, ties by pc pair.
-pub(crate) fn report(pairs: PairMap, non_stack_accesses: u64) -> RaceReport {
-    let mut dynamic_races = 0;
-    let mut static_races: Vec<StaticRace> = pairs
-        .into_iter()
-        .map(|(pcs, agg)| {
-            dynamic_races += agg.count;
-            StaticRace {
-                pcs,
-                count: agg.count,
-                example_addr: agg.example_addr,
-                distinct_addrs: agg.addrs.len() as u64,
-            }
-        })
-        .collect();
-    static_races.sort_by(|a, b| b.count.cmp(&a.count).then(a.pcs.cmp(&b.pcs)));
-    if literace_telemetry::enabled() {
-        let m = literace_telemetry::metrics();
-        m.detector_races_static.add(static_races.len() as u64);
-        m.detector_races_dynamic.add(dynamic_races);
-    }
-    RaceReport {
-        static_races,
-        dynamic_races,
-        non_stack_accesses,
-    }
-}
-
 /// Detects races with the configured number of worker threads, producing
 /// a report byte-identical to the inline [`detect`](crate::detect).
 ///
@@ -389,6 +284,7 @@ pub fn detect_sharded(log: &EventLog, non_stack_accesses: u64, cfg: &DetectConfi
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::StaticRace;
     use crate::testkit::{mem, sync, t};
     use crate::{detect, HbDetector};
     use literace_sim::SyncOpKind;

@@ -8,11 +8,11 @@
 //! it is handed. A router on the calling thread runs the replay stage's
 //! one step (see [`hb`](crate::hb)) over every record, routes each access
 //! to its shard's bounded channel (see [`sharded`](crate::sharded) for the
-//! partition, the shard stage and the merge), and the shard workers
-//! replay concurrently with the routing and the decode. Peak memory is
-//! bounded by the channel depths, not the log size, and the shard count by
-//! [`MAX_SHARDS`](crate::sharded::MAX_SHARDS). At one shard the engine is
-//! an [`HbDetector`] run inline on the calling thread.
+//! partition and the shard stage, and `crate::report` for the merge), and
+//! the shard workers replay concurrently with the routing and the decode.
+//! Peak memory is bounded by the channel depths, not the log size, and the
+//! shard count by [`MAX_SHARDS`](crate::sharded::MAX_SHARDS). At one shard
+//! the engine is an [`HbDetector`] run inline on the calling thread.
 //!
 //! **Eager clock freezing.** Workers start before the log is fully read,
 //! so an access carries its clock with it: the first time a thread's
@@ -37,8 +37,8 @@ use literace_sim::{Addr, Pc, ThreadId};
 use crate::checkpoint::Checkpoint;
 use crate::clocks::ClockState;
 use crate::hb::{Downstream, HbConfig, HbDetector, Replay};
-use crate::report::RaceReport;
-use crate::sharded::{merge, report, shard_of, DetectConfig, PairMap, Shard, ShardState};
+use crate::report::{merge, report, PairMap, RaceReport};
+use crate::sharded::{shard_of, DetectConfig, Shard, ShardState};
 use crate::vector_clock::VectorClock;
 
 /// Stream items buffered per shard before a batch is sent. Large enough
@@ -95,14 +95,15 @@ impl Pinned {
     /// Thread `i`'s present clock as a shared snapshot, with its
     /// generation. Clones the clock at most once per generation.
     fn pin(&mut self, clocks: &ClockState, i: usize) -> (Arc<VectorClock>, u64) {
-        let generation = clocks.generation(i);
+        let thread = clocks.thread(i);
+        let generation = thread.generation;
         if self.0.len() <= i {
             self.0.resize(i + 1, None);
         }
         match &self.0[i] {
             Some((g, clock)) if *g == generation => (clock.clone(), generation),
             _ => {
-                let clock = Arc::new(clocks.clock(i).clone());
+                let clock = Arc::new(thread.clock.clone());
                 self.0[i] = Some((generation, clock.clone()));
                 (clock, generation)
             }
@@ -783,7 +784,7 @@ mod tests {
         let (b, gen_b) = pinned.pin(&clocks, i);
         assert!(Arc::ptr_eq(&a, &b), "same generation must share one Arc");
         assert_eq!(gen_a, gen_b);
-        clocks.sync(t(0), SyncOpKind::LockRelease, SyncVar(7));
+        clocks.sync(t(0), SyncOpKind::LockRelease, SyncVar(7), 1);
         let (c, gen_c) = pinned.pin(&clocks, i);
         assert!(!Arc::ptr_eq(&a, &c));
         assert_ne!(gen_a, gen_c);

@@ -26,7 +26,10 @@ pub const MEM_RECORD_BYTES: usize = 1 + 4 + 8 + 8 + 1 + 4;
 /// Encoded size in bytes of a thread marker record.
 pub const MARKER_RECORD_BYTES: usize = 1 + 4;
 
-fn kind_to_u8(kind: SyncOpKind) -> u8 {
+/// The sync-kind wire table, shared by the v1 and v2 codecs: a kind's
+/// byte in v1, and the 4-bit field of a v2 sync tag.
+#[inline]
+pub(crate) fn sync_kind_to_u8(kind: SyncOpKind) -> u8 {
     match kind {
         SyncOpKind::LockAcquire => 0,
         SyncOpKind::LockRelease => 1,
@@ -46,7 +49,9 @@ fn kind_to_u8(kind: SyncOpKind) -> u8 {
     }
 }
 
-fn kind_from_u8(v: u8) -> LogResult<SyncOpKind> {
+/// The inverse of [`sync_kind_to_u8`]; any other byte is corrupt.
+#[inline]
+pub(crate) fn sync_kind_from_u8(v: u8) -> LogResult<SyncOpKind> {
     Ok(match v {
         0 => SyncOpKind::LockAcquire,
         1 => SyncOpKind::LockRelease,
@@ -80,7 +85,7 @@ pub fn encode(record: &Record, buf: &mut BytesMut) {
             buf.put_u8(TAG_SYNC);
             buf.put_u32_le(tid.index() as u32);
             buf.put_u64_le(pc.0);
-            buf.put_u8(kind_to_u8(kind));
+            buf.put_u8(sync_kind_to_u8(kind));
             buf.put_u64_le(var.0);
             buf.put_u64_le(timestamp);
         }
@@ -157,7 +162,7 @@ pub fn decode<B: Buf>(buf: &mut B) -> LogResult<Record> {
         TAG_SYNC => {
             let tid = ThreadId::from_index(buf.get_u32_le() as usize);
             let pc = Pc(buf.get_u64_le());
-            let kind = kind_from_u8(buf.get_u8())?;
+            let kind = sync_kind_from_u8(buf.get_u8())?;
             let var = SyncVar(buf.get_u64_le());
             let timestamp = buf.get_u64_le();
             Record::Sync {
@@ -287,7 +292,7 @@ mod tests {
             AtomicRmw,
             AllocPage,
         ] {
-            assert_eq!(kind_from_u8(kind_to_u8(kind)).unwrap(), kind);
+            assert_eq!(sync_kind_from_u8(sync_kind_to_u8(kind)).unwrap(), kind);
         }
     }
 

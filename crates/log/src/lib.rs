@@ -69,7 +69,7 @@ pub use stream::{
 };
 pub use v2::{decode_block, peek_sealed_total, SealState, V2_MAGIC, V2_VERSION};
 pub use varint::{
-    get_delta, get_delta_slice, get_varint, get_varint_slice, put_delta, put_varint, unzigzag,
+    get_delta_slice, get_varint, get_varint_slice, put_delta, put_varint, unzigzag,
     zigzag, MAX_VARINT_BYTES,
 };
 pub use writer::{encode_v2, EncodeOpts, LogWriterV2, DEFAULT_BLOCK_RECORDS};

@@ -67,9 +67,10 @@
 
 use bytes::{BufMut, BytesMut};
 
-use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
+use literace_sim::{Addr, Pc, SyncVar, ThreadId};
 
 use crate::checksum::{checksum32, Checksum};
+use crate::codec::{sync_kind_from_u8, sync_kind_to_u8};
 use crate::error::{LogError, LogResult};
 use crate::gv::{GvCursor, GvEncoder};
 use crate::record::{Record, SamplerMask};
@@ -271,47 +272,6 @@ const MEM_MASK_SHIFT: u8 = 4;
 const MEM_MASK_EXPLICIT: u8 = 0;
 const MEM_MASK_BIT0: u8 = 1;
 const MEM_MASK_FULL: u8 = 2;
-
-fn sync_kind_to_u8(kind: SyncOpKind) -> u8 {
-    match kind {
-        SyncOpKind::LockAcquire => 0,
-        SyncOpKind::LockRelease => 1,
-        SyncOpKind::Notify => 2,
-        SyncOpKind::WaitReturn => 3,
-        SyncOpKind::Reset => 4,
-        SyncOpKind::Fork => 5,
-        SyncOpKind::ThreadStart => 6,
-        SyncOpKind::ThreadExit => 7,
-        SyncOpKind::Join => 8,
-        SyncOpKind::AtomicRmw => 9,
-        SyncOpKind::AllocPage => 10,
-        SyncOpKind::SemRelease => 11,
-        SyncOpKind::SemAcquire => 12,
-        SyncOpKind::BarrierArrive => 13,
-        SyncOpKind::BarrierDepart => 14,
-    }
-}
-
-fn sync_kind_from_u8(v: u8) -> LogResult<SyncOpKind> {
-    Ok(match v {
-        0 => SyncOpKind::LockAcquire,
-        1 => SyncOpKind::LockRelease,
-        2 => SyncOpKind::Notify,
-        3 => SyncOpKind::WaitReturn,
-        4 => SyncOpKind::Reset,
-        5 => SyncOpKind::Fork,
-        6 => SyncOpKind::ThreadStart,
-        7 => SyncOpKind::ThreadExit,
-        8 => SyncOpKind::Join,
-        9 => SyncOpKind::AtomicRmw,
-        10 => SyncOpKind::AllocPage,
-        11 => SyncOpKind::SemRelease,
-        12 => SyncOpKind::SemAcquire,
-        13 => SyncOpKind::BarrierArrive,
-        14 => SyncOpKind::BarrierDepart,
-        other => return Err(LogError::corrupt(format!("bad sync kind {other}"))),
-    })
-}
 
 /// Per-thread delta context. Reset at every block boundary so blocks
 /// decode independently.
@@ -675,7 +635,7 @@ mod tests {
     use crate::codec::encoded_len;
     use crate::writer::{encode_v2, EncodeOpts, LogWriterV2};
     use crate::RecordBlocks;
-    use literace_sim::FuncId;
+    use literace_sim::{FuncId, SyncOpKind};
 
     fn sample_records() -> Vec<Record> {
         let mut out = Vec::new();

@@ -1,11 +1,13 @@
-//! LEB128 varints and zigzag deltas for the v2 codec.
+//! LEB128 varints and zigzag deltas.
 //!
-//! The v2 format (see [`crate::v2`]) shrinks records by encoding most
-//! fields as deltas against the same thread's previous record: addresses
-//! walk arrays, program counters walk straight-line code, and logical
-//! timestamps are near-monotonic, so the deltas are small and a varint
-//! stores them in one or two bytes instead of eight. Deltas can be
-//! negative (a thread revisits a lower address), hence zigzag.
+//! Detector checkpoints (LRCP, `literace-detector`'s `checkpoint` module)
+//! write every field as an LEB128 varint and every sorted key as a zigzag
+//! delta against the key before, so small values and dense key runs take
+//! one or two bytes instead of eight. The v2 log codec (see [`crate::v2`])
+//! takes only [`zigzag`] and [`unzigzag`] from here: its deltas against
+//! the same thread's previous record are group-varint coded (see
+//! `crate::gv`). Deltas can be negative (a thread revisits a lower
+//! address), hence zigzag.
 
 use bytes::{Buf, BufMut};
 
@@ -87,7 +89,8 @@ pub fn get_varint_slice(buf: &mut &[u8]) -> LogResult<u64> {
     get_varint(buf)
 }
 
-/// Slice-specialized [`get_delta`], built on [`get_varint_slice`].
+/// Decodes a zigzag varint delta from the front of `buf` and applies it
+/// to `last`, built on [`get_varint_slice`].
 ///
 /// # Errors
 ///
@@ -115,16 +118,6 @@ pub fn unzigzag(v: u64) -> i64 {
 #[inline]
 pub fn put_delta(buf: &mut impl BufMut, last: u64, new: u64) {
     put_varint(buf, zigzag(new.wrapping_sub(last) as i64));
-}
-
-/// Decodes a zigzag varint delta and applies it to `last`.
-///
-/// # Errors
-///
-/// Propagates varint decoding errors.
-#[inline]
-pub fn get_delta(buf: &mut impl Buf, last: u64) -> LogResult<u64> {
-    Ok(last.wrapping_add(unzigzag(get_varint(buf)?) as u64))
 }
 
 #[cfg(test)]
@@ -251,7 +244,7 @@ mod tests {
             let mut buf = BytesMut::new();
             put_delta(&mut buf, last, new);
             let mut slice = &buf[..];
-            assert_eq!(get_delta(&mut slice, last).unwrap(), new);
+            assert_eq!(get_delta_slice(&mut slice, last).unwrap(), new);
         }
     }
 }

@@ -30,9 +30,8 @@
 //! Metric names are lowercase, dot-separated, `layer.subsystem.quantity`
 //! (e.g. `detector.shard.events`, `log.decode.v2.bytes`). Durations are
 //! suffixed `_ns`; high-water marks `_hwm`. The JSON snapshot groups
-//! metrics by kind and carries [`SCHEMA_VERSION`](snapshot::SCHEMA_VERSION);
-//! the Prometheus exporter rewrites dots to underscores and prefixes
-//! `literace_`.
+//! metrics by kind and carries [`SCHEMA_VERSION`]; the Prometheus
+//! exporter rewrites dots to underscores and prefixes `literace_`.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -85,8 +85,8 @@ pub struct TrackData {
 /// A bounded per-actor event buffer.
 ///
 /// Usually managed implicitly through the thread-local free functions
-/// ([`trace_begin`](crate::trace_begin) & co.); constructed directly only
-/// when an actor wants a track name different from its thread's.
+/// ([`trace_begin`] & co.); constructed directly only when an actor wants
+/// a track name different from its thread's.
 #[derive(Debug)]
 pub struct TraceBuf {
     active: bool,

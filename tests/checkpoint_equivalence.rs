@@ -16,15 +16,18 @@
 //! Every checkpoint is round-tripped through its sealed byte form
 //! (`to_bytes` → `from_bytes`) before resuming, so the suite pins the wire
 //! format on exactly the path the CLI takes, not just the in-memory
-//! snapshot.
+//! snapshot. A resumed run sealed at the last record must also seal the
+//! one-shot run's final bytes: the checkpoint carries the whole state.
 
 use literace::detector::{
     detect, detect_stream_checkpointed, detect_stream_from, Checkpoint, DetectConfig, RaceReport,
 };
 use literace::instrument::{InstrumentConfig, Instrumenter};
-use literace::log::{EventLog, LogResult, Record};
+use literace::log::{EventLog, LogResult, Record, SamplerMask};
 use literace::prelude::*;
-use literace::sim::{lower, ChunkedRandomScheduler, Machine, MachineConfig, Program};
+use literace::sim::{
+    lower, Addr, ChunkedRandomScheduler, FuncId, Machine, MachineConfig, Pc, Program, ThreadId,
+};
 use literace::workloads::synthetic::{racy, SyntheticConfig};
 use proptest::prelude::*;
 
@@ -108,16 +111,24 @@ fn resume(suffix: &[Record], cp: &Checkpoint, non_stack: u64, threads: usize) ->
 }
 
 /// Resumes the suffix after `cp` on every detection path and requires
-/// each report to equal `expected` (the one-shot report) byte for byte.
+/// each report to equal `expected` (the one-shot report) byte for byte,
+/// and the resumed run's seal at the last record to equal `final_seal`,
+/// the one-shot run's.
 fn assert_resume_matches(
     records: &[Record],
     cp: &Checkpoint,
     expected: &RaceReport,
+    final_seal: &[u8],
     non_stack: u64,
     context: &str,
 ) {
     let split = cp.records_processed() as usize;
     let suffix = &records[split..];
+    let (_, resealed) = seal_all([Ok(suffix)], non_stack, 1, Some(cp), 0);
+    assert!(
+        resealed[0].to_bytes() == final_seal,
+        "{context}: resumed at {split}, the final seal differs from one-shot's"
+    );
 
     let sequential = resume(suffix, cp, non_stack, 1);
     assert_eq!(
@@ -180,8 +191,10 @@ fn every_bundled_workload_resumes_identically_at_every_block_boundary() {
         let w = build(id, Scale::Smoke);
         let (log, non_stack) = full_log(&w.program, 7);
         let expected = detect(&log, non_stack);
-        for cp in block_boundary_checkpoints(log.records(), &expected, non_stack, id.name()) {
-            assert_resume_matches(log.records(), &cp, &expected, non_stack, id.name());
+        let sealed = block_boundary_checkpoints(log.records(), &expected, non_stack, id.name());
+        let final_seal = sealed.last().expect("a seal at the last record").to_bytes();
+        for cp in &sealed {
+            assert_resume_matches(log.records(), cp, &expected, &final_seal, non_stack, id.name());
         }
     }
 }
@@ -221,6 +234,43 @@ fn every_periodically_emitted_checkpoint_resumes_to_the_one_shot_report() {
     }
 }
 
+/// Thread 1 ends before any record of its own materializes its clock:
+/// t1 ends; t0 writes A; t2 writes B; t2 ends; t1 writes A. At t2's exit
+/// the only live thread, t0, covers its own write of A, so one-shot
+/// detection reclaims it and reports no race; a checkpoint that forgot
+/// t1's exit would resume into a race on A.
+#[test]
+fn a_thread_that_ends_before_its_clock_exists_resumes_identically_at_every_split() {
+    let write = |t: usize, site: usize, addr: u64| Record::Mem {
+        tid: ThreadId::from_index(t),
+        pc: Pc::new(FuncId::from_index(0), site),
+        addr: Addr(addr),
+        is_write: true,
+        mask: SamplerMask::FULL,
+    };
+    let records = [
+        Record::ThreadEnd { tid: ThreadId::from_index(1) },
+        write(0, 1, 0x1000),
+        write(2, 2, 0x2000),
+        Record::ThreadEnd { tid: ThreadId::from_index(2) },
+        write(1, 3, 0x1000),
+    ];
+    let log: EventLog = records.iter().copied().collect();
+    let expected = detect(&log, 0);
+    assert_eq!(expected.static_count(), 0);
+    let (_, one_shot) = seal_at_every_shard_count(&[&records[..]], 0, None, 0, "one-shot");
+    let final_seal = one_shot[0].to_bytes();
+    for split in 0..=records.len() {
+        let context = format!("early exit, split {split}");
+        let (_, sealed) = seal_at_every_shard_count(&[&records[..split]], 0, None, 0, &context);
+        assert_resume_matches(&records, &sealed[0], &expected, &final_seal, 0, &context);
+        // Every shard count seals the resumed run's last record alike.
+        let suffix = [&records[split..]];
+        let (_, resealed) = seal_at_every_shard_count(&suffix, 0, Some(&sealed[0]), 0, &context);
+        assert!(resealed[0].to_bytes() == final_seal, "{context}");
+    }
+}
+
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
     (2u32..6, 2u32..6, 5u32..20, 3u32..8, any::<u64>()).prop_map(
         |(threads, globals, iterations, actions, seed)| SyntheticConfig {
@@ -254,6 +304,9 @@ proptest! {
         let (_, sealed) = seal_at_every_shard_count(&prefix, non_stack, None, 0, &context);
         prop_assert_eq!(sealed.len(), 1, "one seal at end of stream");
         prop_assert_eq!(sealed[0].records_processed(), split as u64);
-        assert_resume_matches(log.records(), &sealed[0], &expected, non_stack, &context);
+        let (_, one_shot) = seal_all([Ok(log.records())], non_stack, 1, None, 0);
+        let final_seal = one_shot[0].to_bytes();
+        let records = log.records();
+        assert_resume_matches(records, &sealed[0], &expected, &final_seal, non_stack, &context);
     }
 }
