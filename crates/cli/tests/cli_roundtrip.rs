@@ -572,19 +572,33 @@ fn a_version_1_checkpoint_fails_naming_its_version() {
         c.args(["detect", "--log", &log, "--checkpoint-out", &state]);
         c
     });
-    let mut bytes = std::fs::read(&state).unwrap();
-    assert_eq!(&bytes[..5], b"LRCP\x02");
-    bytes[4] = 1;
-    std::fs::write(&state, &bytes).unwrap();
-    for args in [
-        &["checkpoint", "--in", &state][..],
-        &["detect", "--log", &log, "--resume-from", &state][..],
+    let sealed = std::fs::read(&state).unwrap();
+    assert_eq!(&sealed[..5], b"LRCP\x02");
+    let mut version_1 = sealed.clone();
+    version_1[4] = 1;
+    let mut bad_magic = sealed.clone();
+    bad_magic[0] = b'X';
+    let torn = sealed[..sealed.len() - 5].to_vec();
+    // Every failure names the file as a checkpoint, never as a log.
+    for (bytes, names) in [
+        (version_1, "unsupported checkpoint version 1"),
+        (bad_magic, "bad checkpoint magic"),
+        (torn, "corrupt checkpoint: unsealed"),
     ] {
-        let out = literace().args(args).output().unwrap();
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(out.stdout.is_empty(), "{args:?}");
-        assert!(stderr.contains("version 1"), "{args:?}: {stderr}");
+        std::fs::write(&state, &bytes).unwrap();
+        for args in [
+            &["checkpoint", "--in", &state][..],
+            &["detect", "--log", &log, "--resume-from", &state][..],
+        ] {
+            let out = literace().args(args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+            assert!(stderr.contains(names), "{args:?}: {stderr}");
+            for log_words in ["log version", "log magic", "corrupt log"] {
+                assert!(!stderr.contains(log_words), "{args:?}: {stderr}");
+            }
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

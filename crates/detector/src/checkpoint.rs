@@ -315,7 +315,7 @@ impl Checkpoint {
     /// and never returns a partially loaded state.
     pub fn from_bytes(bytes: &[u8]) -> LogResult<Checkpoint> {
         let t0 = literace_telemetry::enabled().then(std::time::Instant::now);
-        let sections = read_container(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)?;
+        let sections = read_container(bytes, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")?;
         let expect_order = [
             (SEC_META, "meta"),
             (SEC_THREADS, "threads"),
@@ -331,6 +331,7 @@ impl Checkpoint {
                 .any(|(s, (want, _))| s.id != want)
         {
             return Err(LogError::Corrupt {
+                file: "checkpoint",
                 reason: "checkpoint sections missing or out of order".into(),
             });
         }
@@ -366,6 +367,7 @@ impl Checkpoint {
         for _ in 0..counts[2] {
             let index = ascending_key(&mut body, &mut last, "retired")?;
             let index = u32::try_from(index).map_err(|_| LogError::Corrupt {
+                file: "checkpoint",
                 reason: format!("checkpoint retired thread {index} exceeds the thread id range"),
             })?;
             retired.insert(index as usize);
@@ -403,6 +405,7 @@ impl Checkpoint {
             let pcs = (Pc(pc0), Pc(get_varint_slice(&mut body)?));
             if pairs.last().is_some_and(|&(last, _)| pcs <= last) {
                 return Err(LogError::Corrupt {
+                    file: "checkpoint",
                     reason: "checkpoint pairs keys are not strictly ascending".into(),
                 });
             }
@@ -462,6 +465,7 @@ impl Checkpoint {
                 check_thread_index(a.tid.index()).map_err(corrupt_err)?;
                 if a.epoch == 0 {
                     return Err(LogError::Corrupt {
+                        file: "checkpoint",
                         reason: "frontier access with epoch 0 (the absent sentinel)".into(),
                     });
                 }
@@ -471,11 +475,13 @@ impl Checkpoint {
         for (pcs, p) in &self.pairs {
             if p.count == 0 {
                 return Err(LogError::Corrupt {
+                    file: "checkpoint",
                     reason: format!("pair {pcs:?} has no occurrences"),
                 });
             }
             if p.addrs.len() as u64 > p.count || p.addrs.len() > self.cfg.max_dynamic_per_pair {
                 return Err(LogError::Corrupt {
+                    file: "checkpoint",
                     reason: format!(
                         "pair {pcs:?} has more distinct addresses than races or the cap"
                     ),
@@ -484,6 +490,7 @@ impl Checkpoint {
             total = total
                 .checked_add(p.count)
                 .ok_or_else(|| LogError::Corrupt {
+                    file: "checkpoint",
                     reason: "checkpoint race counts overflow".into(),
                 })?;
         }
@@ -514,6 +521,7 @@ impl Checkpoint {
 
 fn corrupt_err(e: impl std::fmt::Display) -> LogError {
     LogError::Corrupt {
+        file: "checkpoint",
         reason: e.to_string(),
     }
 }
@@ -523,6 +531,7 @@ fn expect_drained(body: &[u8], section: &str) -> LogResult<()> {
         Ok(())
     } else {
         Err(LogError::Corrupt {
+            file: "checkpoint",
             reason: format!("trailing bytes in checkpoint {section} section"),
         })
     }
@@ -534,6 +543,7 @@ fn expect_drained(body: &[u8], section: &str) -> LogResult<()> {
 fn checked_count(declared: u64, body: &[u8], what: &str) -> LogResult<usize> {
     if declared > body.len() as u64 {
         return Err(LogError::Corrupt {
+            file: "checkpoint",
             reason: format!("checkpoint {what} count {declared} exceeds section size"),
         });
     }
@@ -543,6 +553,7 @@ fn checked_count(declared: u64, body: &[u8], what: &str) -> LogResult<usize> {
 fn usize_field(body: &mut &[u8], what: &str) -> LogResult<usize> {
     let v = get_varint_slice(body)?;
     usize::try_from(v).map_err(|_| LogError::Corrupt {
+        file: "checkpoint",
         reason: format!("checkpoint {what} {v} does not fit usize"),
     })
 }
@@ -564,6 +575,7 @@ fn ascending_key(body: &mut &[u8], last: &mut Option<u64>, what: &str) -> LogRes
     let key = get_delta_slice(body, last.unwrap_or(0))?;
     if last.is_some_and(|l| key <= l) {
         return Err(LogError::Corrupt {
+            file: "checkpoint",
             reason: format!("checkpoint {what} keys are not strictly ascending"),
         });
     }
@@ -700,7 +712,14 @@ mod tests {
         bytes[4] = 1;
         let err = Checkpoint::from_bytes(&bytes).unwrap_err();
         assert!(
-            matches!(err, LogError::UnsupportedVersion { found: 1, supported: 2 }),
+            matches!(
+                err,
+                LogError::UnsupportedVersion {
+                    file: "checkpoint",
+                    found: 1,
+                    supported: 2
+                }
+            ),
             "{err}"
         );
     }

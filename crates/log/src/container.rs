@@ -94,25 +94,28 @@ pub struct ContainerSection<'a> {
 /// Parses and fully verifies a sealed container: magic, version, every
 /// section frame and payload checksum, the mandatory footer, the section
 /// total, the whole-file running checksum, and the absence of trailing
-/// bytes. Any failure is a typed error — a container is either perfectly
-/// intact or rejected.
-pub fn read_container(
-    bytes: &[u8],
+/// bytes. Any failure is a typed error naming `file`, what the container
+/// holds (e.g. `"checkpoint"`) — a container is either perfectly intact
+/// or rejected.
+pub fn read_container<'a>(
+    bytes: &'a [u8],
     magic: [u8; 4],
     version: u8,
-) -> LogResult<Vec<ContainerSection<'_>>> {
-    if bytes.len() < 5 {
+    file: &'static str,
+) -> LogResult<Vec<ContainerSection<'a>>> {
+    read_sections(bytes, magic, version).map_err(|e| e.in_file(file))
+}
+
+fn read_sections(bytes: &[u8], magic: [u8; 4], version: u8) -> LogResult<Vec<ContainerSection<'_>>> {
+    if bytes.len() < 5 || bytes[..4] != magic {
         return Err(LogError::BadMagic {
-            found: bytes.to_vec(),
-        });
-    }
-    if bytes[..4] != magic {
-        return Err(LogError::BadMagic {
-            found: bytes[..4].to_vec(),
+            file: "container",
+            found: bytes[..bytes.len().min(4)].to_vec(),
         });
     }
     if bytes[4] != version {
         return Err(LogError::UnsupportedVersion {
+            file: "container",
             found: bytes[4],
             supported: version,
         });
@@ -188,7 +191,7 @@ mod tests {
     #[test]
     fn round_trips_sections_in_order() {
         let bytes = sealed(&[(7, 3, b"alpha"), (9, 0, b""), (7, 1, b"beta")]);
-        let sections = read_container(&bytes, MAGIC, VERSION).unwrap();
+        let sections = read_container(&bytes, MAGIC, VERSION, "test").unwrap();
         assert_eq!(sections.len(), 3);
         assert_eq!(
             sections
@@ -206,18 +209,18 @@ mod tests {
     #[test]
     fn empty_container_is_valid() {
         let bytes = sealed(&[]);
-        assert!(read_container(&bytes, MAGIC, VERSION).unwrap().is_empty());
+        assert!(read_container(&bytes, MAGIC, VERSION, "test").unwrap().is_empty());
     }
 
     #[test]
     fn wrong_magic_and_version_are_typed() {
         let bytes = sealed(&[(1, 1, b"x")]);
         assert!(matches!(
-            read_container(&bytes, *b"ZZZZ", VERSION),
+            read_container(&bytes, *b"ZZZZ", VERSION, "test"),
             Err(LogError::BadMagic { .. })
         ));
         assert!(matches!(
-            read_container(&bytes, MAGIC, VERSION + 1),
+            read_container(&bytes, MAGIC, VERSION + 1, "test"),
             Err(LogError::UnsupportedVersion { .. })
         ));
     }
@@ -227,7 +230,7 @@ mod tests {
         let mut w = ContainerWriter::new(Vec::new(), MAGIC, VERSION).unwrap();
         w.section(1, 1, b"payload").unwrap();
         let bytes = w.sink; // drop without finish: no footer
-        let err = read_container(&bytes, MAGIC, VERSION).unwrap_err();
+        let err = read_container(&bytes, MAGIC, VERSION, "test").unwrap_err();
         assert!(err.to_string().contains("unsealed"), "{err}");
     }
 
@@ -235,7 +238,7 @@ mod tests {
     fn every_truncation_is_a_typed_error() {
         let bytes = sealed(&[(1, 2, b"hello world"), (2, 1, b"tail")]);
         for cut in 0..bytes.len() {
-            let err = read_container(&bytes[..cut], MAGIC, VERSION).unwrap_err();
+            let err = read_container(&bytes[..cut], MAGIC, VERSION, "test").unwrap_err();
             let _ = err.to_string();
         }
     }
@@ -248,7 +251,7 @@ mod tests {
                 let mut bad = bytes.clone();
                 bad[off] ^= bit;
                 assert!(
-                    read_container(&bad, MAGIC, VERSION).is_err(),
+                    read_container(&bad, MAGIC, VERSION, "test").is_err(),
                     "flip at {off} mask {bit:#x} must not verify"
                 );
             }
@@ -259,7 +262,7 @@ mod tests {
     fn trailing_bytes_after_footer_are_rejected() {
         let mut bytes = sealed(&[(1, 1, b"x")]);
         bytes.push(0);
-        let err = read_container(&bytes, MAGIC, VERSION).unwrap_err();
+        let err = read_container(&bytes, MAGIC, VERSION, "test").unwrap_err();
         assert!(err.to_string().contains("trailing"), "{err}");
     }
 }

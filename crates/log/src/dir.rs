@@ -64,9 +64,7 @@ pub fn read_thread_logs(dir: &Path) -> LogResult<Vec<(ThreadId, EventLog)>> {
             continue;
         };
         let index: usize = stem.parse().map_err(|_| {
-            LogError::Corrupt {
-                reason: format!("bad thread log file name `{name}`"),
-            }
+            LogError::corrupt(format!("bad thread log file name `{name}`"))
         })?;
         let log = read_log_auto(File::open(entry.path()).map_err(LogError::Io)?)?;
         out.push((ThreadId::from_index(index), log));

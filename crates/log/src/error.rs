@@ -11,19 +11,25 @@ pub type LogResult<T> = Result<T, LogError>;
 #[derive(Debug)]
 #[non_exhaustive]
 pub enum LogError {
-    /// The byte stream is not a valid log.
+    /// The byte stream is not a valid log (or checkpoint).
     Corrupt {
+        /// What was being read: `"log"`, or `"checkpoint"`.
+        file: &'static str,
         /// Description of the malformation.
         reason: String,
     },
-    /// The stream claims to be a versioned log but the magic bytes are
+    /// The stream claims to be a versioned file but the magic bytes are
     /// wrong (e.g. a truncated header or an unrelated file).
     BadMagic {
+        /// What was being read: `"log"`, or `"checkpoint"`.
+        file: &'static str,
         /// The bytes found where the magic was expected.
         found: Vec<u8>,
     },
-    /// The stream is a versioned log of a version this build cannot read.
+    /// The stream is a versioned file of a version this build cannot read.
     UnsupportedVersion {
+        /// What was being read: `"log"`, or `"checkpoint"`.
+        file: &'static str,
         /// The version byte found in the header.
         found: u8,
         /// The highest version this reader supports.
@@ -42,8 +48,20 @@ pub enum LogError {
 impl LogError {
     pub(crate) fn corrupt(reason: impl Into<String>) -> LogError {
         LogError::Corrupt {
+            file: "log",
             reason: reason.into(),
         }
+    }
+
+    /// The same error, naming `file` as what was being read.
+    pub(crate) fn in_file(mut self, file: &'static str) -> LogError {
+        if let LogError::Corrupt { file: f, .. }
+        | LogError::BadMagic { file: f, .. }
+        | LogError::UnsupportedVersion { file: f, .. } = &mut self
+        {
+            *f = file;
+        }
+        self
     }
 
     /// Stable lowercase name of this error's variant — the key used for
@@ -79,13 +97,13 @@ pub(crate) fn count_error(e: &LogError) {
 impl fmt::Display for LogError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            LogError::Corrupt { reason } => write!(f, "corrupt log: {reason}"),
-            LogError::BadMagic { found } => {
-                write!(f, "bad log magic: expected a log header, found {found:02X?}")
+            LogError::Corrupt { file, reason } => write!(f, "corrupt {file}: {reason}"),
+            LogError::BadMagic { file, found } => {
+                write!(f, "bad {file} magic: expected a {file} header, found {found:02X?}")
             }
-            LogError::UnsupportedVersion { found, supported } => write!(
+            LogError::UnsupportedVersion { file, found, supported } => write!(
                 f,
-                "unsupported log version {found} (this reader supports up to v{supported})"
+                "unsupported {file} version {found} (this reader supports up to v{supported})"
             ),
             LogError::Io(e) => write!(f, "log i/o error: {e}"),
             LogError::DecoderPanicked { message } => {
@@ -133,9 +151,17 @@ mod tests {
     #[test]
     fn kind_names_are_stable() {
         assert_eq!(LogError::corrupt("x").kind_name(), "corrupt");
-        assert_eq!(LogError::BadMagic { found: vec![] }.kind_name(), "bad_magic");
+        assert_eq!(
+            LogError::BadMagic {
+                file: "log",
+                found: vec![]
+            }
+            .kind_name(),
+            "bad_magic"
+        );
         assert_eq!(
             LogError::UnsupportedVersion {
+                file: "log",
                 found: 9,
                 supported: 2
             }

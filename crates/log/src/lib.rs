@@ -37,6 +37,7 @@ mod error;
 pub mod fault;
 pub mod gv;
 mod io;
+mod ordered;
 mod parallel;
 mod record;
 pub mod retry;

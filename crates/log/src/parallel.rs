@@ -2,11 +2,10 @@
 //! consumer, for strict and salvage reads at any worker count.
 //!
 //! ```text
-//! Scanner ──Job──▶ decode_job ──Done──▶ Consumer ──▶ blocks downstream
-//!  frame walk,      payload checksum,    sequence order, footer checks,
-//!  payload read,    record decode        strict errors, salvage
-//!  file checksum    (out of order on     skip/taint/drop rules
-//!                    N pool workers)
+//! Scanner ──head, payload──▶ decode_job ──head, records──▶ Consumer ──▶ blocks downstream
+//!  frame walk,               payload checksum,             sequence order, footer checks,
+//!  payload read,             record decode                 strict errors, salvage
+//!  file checksum             (out of order on N workers)   skip/taint/drop rules
 //!
 //! 0 workers = the same stages inline on one thread (`Inline`)
 //! ```
@@ -17,37 +16,38 @@
 //!
 //! * The [`Scanner`] walks the stream — frame headers are cheap fixed
 //!   24-byte reads — validates each frame, reads the raw payload, and
-//!   yields one [`Job`] per block or the [`Terminal`] event that ended the
-//!   walk. Its source is any `Read`: a payload is copied once, into an
-//!   owned buffer that travels with its job, so a read holds the blocks in
-//!   flight and never the whole file. It reads in file order, so it keeps
-//!   the running file checksum and hands it over with the footer.
+//!   yields each block's header and payload, or the [`Terminal`] event
+//!   that ended the walk. Its source is any `Read`: a payload is copied
+//!   once, into an owned buffer that travels with its block, so a read
+//!   holds the blocks in flight and never the whole file. It reads in
+//!   file order, so it keeps the running file checksum and hands it over
+//!   with the footer.
 //! * [`decode_job`] verifies the payload checksum and decodes the
-//!   records, containing a panic as a typed error. The payload is dropped
-//!   there: a decoded block travels on as its records alone.
+//!   records. The payload is dropped there: a decoded block travels on as
+//!   its frame header and records alone.
 //! * The [`Consumer`] takes the results in sequence order and owns every
 //!   policy decision: the footer checks, the strict error texts and — in
 //!   salvage mode — the skip/taint/drop rules of [`crate::salvage`]. It
 //!   returns what to deliver; the driver delivers it.
 //!
-//! Two drivers run these stages. [`Inline`] runs them on the caller's
-//! thread (`RecordBlocks`, and `RecordStream` at one decode thread).
-//! [`spawn_pool`] runs the scanner, the workers and the consumer on
-//! threads of their own, with a reorder buffer in front of the consumer
-//! that a [`Window`] bounds: only the payload decode runs out of order,
-//! so delivery is identical at every worker count. The consumer thread joins every other pool thread,
-//! and [`RecordStream`] joins the consumer thread on drop, so no pool
-//! thread outlives the stream.
+//! Two drivers run these stages under one panic rule: a decode that
+//! panics is that block's typed error. [`Inline`] runs them on the
+//! caller's thread (`RecordBlocks`, and `RecordStream` at one decode
+//! thread). [`spawn_pool`] runs the scanner on a thread of its own that
+//! submits to the ordered stage of `crate::ordered`, whose delivery
+//! thread runs the consumer, so delivery is identical at every worker
+//! count. The scanner thread finishes the stage, joining its threads,
+//! and [`RecordStream`] joins the scanner thread, so no pool thread
+//! outlives the stream.
 
-use std::collections::BTreeMap;
 use std::io::Read;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::sync::{Arc, Mutex};
 
 use crate::checksum::Checksum;
 use crate::error::{count_error, LogError, LogResult};
+use crate::ordered::{contained, Pool, Stage};
 use crate::record::Record;
 use crate::salvage::{drain_bytes, tally_skip, SalvageReport};
 use crate::stream::{panic_message, push_output, DecodeOpts, LogFormat, RecordStream};
@@ -77,22 +77,6 @@ fn read_payload(src: &mut impl Read, len: usize) -> LogResult<Vec<u8>> {
     }
 }
 
-/// One scanned block, tagged with its sequence index in the stream.
-struct Job {
-    seq: u64,
-    head: BlockFrame,
-    payload: Vec<u8>,
-}
-
-/// A decoded job: the outcome, with the sequence index and frame header
-/// the consumer orders and accounts by. It holds no payload, so a worker
-/// frees each payload as soon as the block is decoded.
-struct Done {
-    seq: u64,
-    head: BlockFrame,
-    result: LogResult<Vec<Record>>,
-}
-
 /// How the frame walk ended.
 enum Terminal {
     /// Clean EOF without a footer (an unsealed log).
@@ -118,7 +102,7 @@ enum Terminal {
     /// downstream gone); `drained` counts bytes salvage consumed past the
     /// abort point.
     Aborted { drained: u64 },
-    /// The scanner (or pool plumbing) panicked.
+    /// The scanner panicked, or a pool worker died with a block.
     Panicked { message: String },
 }
 
@@ -143,8 +127,6 @@ impl Terminal {
 /// one. This is the only place the v2 block stream is framed.
 struct Scanner<R> {
     src: R,
-    /// Sequence index of the next block.
-    seq: u64,
     /// Salvage drains and counts what follows a terminal frame.
     salvage: bool,
     /// Running checksum of every block frame and payload read so far.
@@ -152,9 +134,9 @@ struct Scanner<R> {
 }
 
 impl<R: Read> Scanner<R> {
-    /// The next block, or the event that ended the walk. Not called again
-    /// after a terminal.
-    fn next(&mut self) -> Result<Job, Terminal> {
+    /// The next block — its verified frame header and whole raw payload —
+    /// or the event that ended the walk. Not called again after a terminal.
+    fn next(&mut self) -> Result<(BlockFrame, Vec<u8>), Terminal> {
         let mut frame = [0u8; FRAME_BYTES];
         let got = read_exact_or_eof(&mut self.src, &mut frame).map_err(Terminal::Io)?;
         if got == 0 {
@@ -191,15 +173,14 @@ impl<R: Read> Scanner<R> {
         }
         self.file_sum.update(&frame);
         self.file_sum.update(&payload);
-        let seq = self.seq;
-        self.seq += 1;
-        Ok(Job { seq, head, payload })
+        Ok((head, payload))
     }
 
-    /// Ends the walk early.
-    fn abort(&mut self) -> Terminal {
+    /// Ends the walk early; `read` counts the bytes of a block already
+    /// read and never delivered.
+    fn abort(&mut self, read: u64) -> Terminal {
         Terminal::Aborted {
-            drained: self.drain(),
+            drained: read + self.drain(),
         }
     }
 
@@ -212,37 +193,29 @@ impl<R: Read> Scanner<R> {
     }
 }
 
-/// The decode step of every driver: payload checksum, then the records,
-/// with a panic contained as a typed error. Consumes the payload.
-fn decode_job(state: &mut BlockState, job: Job) -> Done {
-    let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        if crate::checksum::checksum(&job.payload) != job.head.payload_sum {
-            return Err(LogError::corrupt("block payload checksum mismatch"));
-        }
-        decode_block_with(state, &job.payload, job.head.record_count)
-    }))
-    .unwrap_or_else(|payload| {
-        Err(LogError::DecoderPanicked {
-            message: panic_message(payload.as_ref()),
-        })
-    });
-    Done {
-        seq: job.seq,
-        head: job.head,
-        result,
+/// The decode step of every driver: payload checksum, then the records.
+/// Consumes the payload. A strict read publishes each decoded block to
+/// the `log.decode.v2.*` counters (salvage reads do not publish them).
+fn decode_job(
+    state: &mut BlockState,
+    head: &BlockFrame,
+    payload: Vec<u8>,
+    strict: bool,
+) -> LogResult<Vec<Record>> {
+    let start = (strict && literace_telemetry::enabled()).then(std::time::Instant::now);
+    if crate::checksum::checksum(&payload) != head.payload_sum {
+        return Err(LogError::corrupt("block payload checksum mismatch"));
     }
-}
-
-/// Publishes a block decoded in strict mode to the `log.decode.v2.*`
-/// counters (salvage reads do not publish them).
-fn count_decoded(done: &Done, ns: u64) {
-    let m = literace_telemetry::metrics();
-    m.log_decode_v2_blocks.add(1);
-    m.log_decode_v2_bytes
-        .add((FRAME_BYTES as u32 + done.head.payload_len) as u64);
-    m.log_decode_v2_records
-        .add(u64::from(done.head.record_count));
-    m.log_decode_v2_ns.add(ns);
+    let records = decode_block_with(state, &payload, head.record_count)?;
+    if let Some(t0) = start {
+        let m = literace_telemetry::metrics();
+        m.log_decode_v2_blocks.add(1);
+        m.log_decode_v2_bytes
+            .add((FRAME_BYTES as u32 + head.payload_len) as u64);
+        m.log_decode_v2_records.add(u64::from(head.record_count));
+        m.log_decode_v2_ns.add(t0.elapsed().as_nanos() as u64);
+    }
+    Ok(records)
 }
 
 /// Byte accounting for a sync-tainted suffix drop in flight: everything
@@ -306,8 +279,11 @@ impl Consumer {
 
     /// Takes the next block in sequence order and returns what to
     /// deliver downstream, if anything.
-    fn accept(&mut self, done: Done) -> Option<LogResult<Vec<Record>>> {
-        let Done { head, result, .. } = done;
+    fn accept(
+        &mut self,
+        head: BlockFrame,
+        result: LogResult<Vec<Record>>,
+    ) -> Option<LogResult<Vec<Record>>> {
         if let Some(t) = &mut self.taint {
             // Suffix already dropped: only the byte count matters.
             t.rest += FRAME_BYTES as u64 + u64::from(head.payload_len);
@@ -533,7 +509,6 @@ impl<R: Read> Inline<R> {
         Inline {
             scanner: Scanner {
                 src,
-                seq: 0,
                 salvage: matches!(mode, Mode::Salvage(_)),
                 file_sum: Checksum::new(),
             },
@@ -558,19 +533,17 @@ impl<R: Read> Iterator for Inline<R> {
             let step = if consumer.halted() {
                 // After a sync taint this drains the rest, so the salvage
                 // tally is computed by the same code the pool uses.
-                Err(self.scanner.abort())
+                Err(self.scanner.abort(0))
             } else {
                 self.scanner.next()
             };
             match step {
-                Ok(job) => {
-                    let start = (consumer.strict() && literace_telemetry::enabled())
-                        .then(std::time::Instant::now);
-                    let done = decode_job(&mut self.state, job);
-                    if let (Some(t0), true) = (start, done.result.is_ok()) {
-                        count_decoded(&done, t0.elapsed().as_nanos() as u64);
-                    }
-                    if let Some(item) = consumer.accept(done) {
+                Ok((head, payload)) => {
+                    let strict = consumer.strict();
+                    let result = contained(Pool::Decode, &mut self.state, |state| {
+                        decode_job(state, &head, payload, strict)
+                    });
+                    if let Some(item) = consumer.accept(head, result) {
                         return Some(item);
                     }
                 }
@@ -580,281 +553,94 @@ impl<R: Read> Iterator for Inline<R> {
     }
 }
 
-/// The pool's reorder window: blocks the scanner has issued that the
-/// consumer has not yet taken in sequence order. Both pool channels are
-/// bounded, but the reorder buffer in front of the consumer is not: while
-/// one worker stalls on a block, the others would fill it with the rest
-/// of the file. The scanner waits instead while `limit` blocks are out.
-struct Window {
-    /// Blocks out. A plain count, valid after every update, so a
-    /// poisoned lock is recovered rather than propagated.
-    out: Mutex<u64>,
-    taken: Condvar,
-    limit: u64,
-}
-
-impl Window {
-    /// Waits until fewer than `limit` blocks are out or `abort` is set,
-    /// then counts one more block out; returns the new count.
-    fn admit(&self, abort: &AtomicBool) -> u64 {
-        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
-        while *out >= self.limit && !abort.load(Ordering::Acquire) {
-            out = self.taken.wait(out).unwrap_or_else(PoisonError::into_inner);
-        }
-        *out += 1;
-        *out
-    }
-
-    /// The consumer took the next block in order.
-    fn take(&self) {
-        *self.out.lock().unwrap_or_else(PoisonError::into_inner) -= 1;
-        self.taken.notify_one();
-    }
-
-    /// Wakes the scanner once `abort` is set by a thread that will take
-    /// no more blocks (the lock orders the wake after its abort check).
-    fn wake(&self) {
-        let _out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
-        self.taken.notify_all();
-    }
-}
-
-/// The pool's scanner thread: walks frames and feeds the workers until
-/// the walk ends or the consumer asks it to stop.
-fn scan<R: Read>(
-    scanner: &mut Scanner<R>,
-    jobs: &SyncSender<Job>,
-    abort: &AtomicBool,
-    issued: &AtomicU64,
-    window: &Window,
-) -> Terminal {
-    literace_telemetry::trace_begin("scan");
-    let term = loop {
-        if abort.load(Ordering::Acquire) {
-            break scanner.abort();
-        }
-        let job = match scanner.next() {
-            Ok(job) => job,
-            Err(term) => break term,
-        };
-        let in_flight = window.admit(abort);
-        if literace_telemetry::enabled() {
-            literace_telemetry::metrics()
-                .log_decode_blocks_inflight_hwm
-                .record(in_flight);
-        }
-        literace_telemetry::trace_counter("decode.blocks_inflight", in_flight);
-        let seq = job.seq;
-        if jobs.send(job).is_err() {
-            // Every worker is gone (pool panic); the consumer's
-            // missing-block check surfaces this.
-            break Terminal::Panicked {
-                message: "decode worker pool disconnected".to_owned(),
-            };
-        }
-        issued.store(seq + 1, Ordering::Release);
-    };
-    literace_telemetry::trace_end("scan");
-    term
-}
-
-/// One decode worker: pulls scanned blocks, decodes them and sends them
-/// on. Decode panics are contained per block.
-fn worker(jobs: &Mutex<Receiver<Job>>, out: &SyncSender<Done>, abort: &AtomicBool, strict: bool) {
-    let mut state = BlockState::default();
-    loop {
-        let idle_start = literace_telemetry::enabled().then(std::time::Instant::now);
-        let job = {
-            let guard = jobs.lock().expect("decode job queue poisoned");
-            match guard.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            }
-        };
-        if let Some(t0) = idle_start {
-            literace_telemetry::metrics()
-                .log_decode_worker_idle_ns
-                .add(t0.elapsed().as_nanos() as u64);
-        }
-        let busy_start = literace_telemetry::enabled().then(std::time::Instant::now);
-        literace_telemetry::trace_begin("decode.block");
-        let done = if abort.load(Ordering::Acquire) {
-            // The consumer only needs the head for byte accounting now;
-            // skip the decode work.
-            Done {
-                seq: job.seq,
-                head: job.head,
-                result: Ok(Vec::new()),
-            }
-        } else {
-            decode_job(&mut state, job)
-        };
-        literace_telemetry::trace_end("decode.block");
-        if let Some(t0) = busy_start {
-            let ns = t0.elapsed().as_nanos() as u64;
-            literace_telemetry::metrics().log_decode_worker_busy_ns.add(ns);
-            if strict && done.result.is_ok() {
-                count_decoded(&done, ns);
-            }
-        }
-        if out.send(done).is_err() {
-            return;
-        }
-    }
-}
-
-/// The pool's consumer thread: restores sequence order in front of the
-/// [`Consumer`] and delivers what it returns.
-fn consume(
-    mut consumer: Consumer,
-    results: Receiver<Done>,
-    terminal: Receiver<(u64, Terminal)>,
+/// The pool's in-order end, on the stage's delivery thread: the
+/// consumer and the stream it feeds.
+struct Delivery {
+    consumer: Consumer,
     out: SyncSender<LogResult<Vec<Record>>>,
-    abort: &AtomicBool,
-    window: &Window,
-) {
-    let mut pending: BTreeMap<u64, Done> = BTreeMap::new();
-    let mut next = 0u64;
-    while let Ok(done) = results.recv() {
-        if done.seq != next {
-            if literace_telemetry::enabled() {
-                literace_telemetry::metrics()
-                    .log_decode_ooo_reorder_depth
-                    .record(pending.len() as u64 + 1);
+}
+
+impl Delivery {
+    /// Takes the next block in sequence order; `false` once the consumer
+    /// wants no more.
+    fn deliver(&mut self, head: BlockFrame, result: LogResult<Vec<Record>>) -> bool {
+        literace_telemetry::trace_begin("consume.block");
+        if let Some(item) = self.consumer.accept(head, result) {
+            if !push_output(&self.out, item) {
+                self.consumer.stop();
             }
-            literace_telemetry::trace_instant("consume.reorder");
         }
-        pending.insert(done.seq, done);
-        while let Some(done) = pending.remove(&next) {
-            next += 1;
-            window.take();
-            literace_telemetry::trace_begin("consume.block");
-            if let Some(item) = consumer.accept(done) {
-                if !push_output(&out, item) {
-                    consumer.stop();
-                }
-            }
-            if consumer.halted() {
-                abort.store(true, Ordering::Release);
-            }
-            literace_telemetry::trace_end("consume.block");
-        }
-    }
-    // Workers have all exited, so the scanner is finished too and its
-    // terminal is waiting (or it died before sending one).
-    let (issued, term) = terminal.recv().unwrap_or((
-        next,
-        Terminal::Panicked {
-            message: "decode scanner exited without a terminal event".to_owned(),
-        },
-    ));
-    let term = if next < issued || !pending.is_empty() {
-        // A worker died without sending its block on.
-        Terminal::Panicked {
-            message: "decode worker dropped a block".to_owned(),
-        }
-    } else {
-        term
-    };
-    if let Some(e) = consumer.finish(term) {
-        let _ = push_output(&out, Err(e));
+        literace_telemetry::trace_end("consume.block");
+        !self.consumer.halted()
     }
 }
 
-/// Runs an unstarted reader's stages on threads: the scanner,
-/// `opts.threads` decode workers and the in-order consumer. Returns the
-/// stream the consumer feeds.
+/// Runs an unstarted reader on the decode pool: a scanner thread submits
+/// each block to an ordered stage of `opts.threads` decode workers, whose
+/// delivery thread runs the consumer. Returns the stream it feeds.
 pub(crate) fn spawn_pool<R: Read + Send + 'static>(
     reader: Inline<R>,
     opts: DecodeOpts,
 ) -> LogResult<RecordStream> {
-    let Inline {
-        mut scanner,
-        consumer,
-        ..
-    } = reader;
+    let Inline { mut scanner, consumer, .. } = reader;
     let consumer = consumer.expect("the pool takes an unstarted reader");
-    let strict = consumer.strict();
-    let seal = consumer.seal.clone();
-    let threads = opts.threads;
+    let (strict, seal) = (consumer.strict(), consumer.seal.clone());
     let depth = opts.depth.max(1);
-
-    let (out_tx, out_rx) = sync_channel(depth);
-    let (job_tx, job_rx) = sync_channel::<Job>(depth);
-    let job_rx = Arc::new(Mutex::new(job_rx));
-    let (res_tx, res_rx) = sync_channel::<Done>(depth.max(threads));
-    let (term_tx, term_rx) = std::sync::mpsc::channel::<(u64, Terminal)>();
-    let abort = Arc::new(AtomicBool::new(false));
-    let window = Arc::new(Window {
-        out: Mutex::new(0),
-        taken: Condvar::new(),
-        limit: (depth + threads) as u64,
-    });
-
-    let scanner = {
-        let abort = abort.clone();
-        let window = window.clone();
-        std::thread::Builder::new()
-            .name("literace-decode-scan".to_owned())
-            .spawn(move || {
-                let issued = AtomicU64::new(0);
-                let term = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    scan(&mut scanner, &job_tx, &abort, &issued, &window)
-                }))
-                .unwrap_or_else(|payload| Terminal::Panicked {
-                    message: panic_message(payload.as_ref()),
-                });
-                let _ = term_tx.send((issued.load(Ordering::Acquire), term));
-            })
-            .map_err(LogError::Io)?
+    let (out, out_rx) = sync_channel(depth);
+    let decode = move |state: &mut BlockState, head: &BlockFrame, payload| {
+        decode_job(state, head, payload, strict)
     };
-
-    let workers: Vec<_> = (0..threads)
-        .map(|i| {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let abort = abort.clone();
-            let window = window.clone();
-            std::thread::Builder::new()
-                .name(format!("literace-decode-{i}"))
-                .spawn(move || {
-                    let run = AssertUnwindSafe(|| worker(&job_rx, &res_tx, &abort, strict));
-                    if std::panic::catch_unwind(run).is_err() {
-                        // Its block never reaches the consumer, so the
-                        // window would never drain: end the walk. The
-                        // consumer reports the missing block.
-                        abort.store(true, Ordering::Release);
-                        window.wake();
-                    }
-                })
-                .map_err(LogError::Io)
-        })
-        .collect::<LogResult<_>>()?;
-    // The consumer's results loop must end when the workers do.
-    drop(res_tx);
-
+    let delivery = Delivery { consumer, out: out.clone() };
+    let (stage_tx, stage_rx) = sync_channel::<Stage<BlockFrame, Vec<u8>, Delivery>>(1);
     let handle = std::thread::Builder::new()
-        .name("literace-log-decode".to_owned())
+        .name("literace-decode-scan".to_owned())
         .spawn(move || {
-            let out = out_tx.clone();
-            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                consume(consumer, res_rx, term_rx, out, &abort, &window);
+            literace_telemetry::trace_begin("scan");
+            // The first block is read while the caller starts the stage.
+            let first = std::panic::catch_unwind(AssertUnwindSafe(|| scanner.next()));
+            let Ok(mut stage) = stage_rx.recv() else { return };
+            let walk = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                let mut step = first.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+                loop {
+                    let (head, payload) = match step {
+                        Ok(job) => job,
+                        Err(term) => return term,
+                    };
+                    if stage.submit(head, payload).is_err() {
+                        // The consumer wants no more: this block counts
+                        // with the rest of the suffix.
+                        return scanner.abort(FRAME_BYTES as u64 + u64::from(head.payload_len));
+                    }
+                    step = if stage.halted() { Err(scanner.abort(0)) } else { scanner.next() };
+                }
             }));
-            if let Err(payload) = outcome {
-                abort.store(true, Ordering::Release);
-                window.wake();
-                let e = LogError::DecoderPanicked {
-                    message: panic_message(payload.as_ref()),
-                };
-                count_error(&e);
-                let _ = out_tx.send(Err(e));
-            }
-            let _ = scanner.join();
-            for w in workers {
-                let _ = w.join();
+            literace_telemetry::trace_end("scan");
+            // The walk is over: free the source (a whole file, for
+            // `spawn_bytes`) now, not when the last block is delivered.
+            drop(scanner);
+            let term = walk.unwrap_or_else(|payload| Terminal::Panicked {
+                message: panic_message(payload.as_ref()),
+            });
+            match stage.finish() {
+                Ok((Delivery { consumer, out }, complete)) => {
+                    let lost = Terminal::Panicked {
+                        message: "decode worker dropped a block".to_owned(),
+                    };
+                    if let Some(e) = consumer.finish(if complete { term } else { lost }) {
+                        let _ = push_output(&out, Err(e));
+                    }
+                }
+                Err(message) => {
+                    let e = LogError::DecoderPanicked { message };
+                    count_error(&e);
+                    let _ = out.send(Err(e));
+                }
             }
         })
         .map_err(LogError::Io)?;
+    let stage =
+        Stage::spawn(Pool::Decode, opts.threads, depth, decode, delivery, Delivery::deliver)?;
+    let _ = stage_tx.send(stage);
     Ok(RecordStream::from_parts(out_rx, handle, LogFormat::V2, seal))
 }
 
@@ -865,6 +651,7 @@ mod tests {
     use crate::salvage::read_log_salvage;
     use crate::writer::{encode_v2, EncodeOpts, LogWriterV2};
     use literace_sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn mixed_records(n: usize) -> Vec<Record> {
         (0..n)

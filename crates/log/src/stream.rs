@@ -176,6 +176,7 @@ pub(crate) fn sniff_format(source: &mut impl Read) -> LogResult<(LogFormat, Vec<
         }
         if head[4] != V2_VERSION {
             return Err(LogError::UnsupportedVersion {
+                file: "log",
                 found: head[4],
                 supported: V2_VERSION,
             });

@@ -9,23 +9,19 @@
 //!             varint, checksums, frame   drop leaves the log unsealed
 //!
 //! 0 workers = the same stages inline on the caller (the default)
-//! N workers = raw Vec<Record> append ─jobs(bounded)─▶ BlockEnc × N
-//!             ─results─▶ BTreeMap reorder ─▶ committer thread
+//! N workers = raw Vec<Record> append ─submit─▶ ordered stage:
+//!             BlockEnc × N ─▶ Committer on the delivery thread
 //! ```
 //!
-//! [`EncodeOpts::threads`] decides only *where* the stages run; a pool
-//! takes encoding off the monitored program's hot path, which the paper
-//! wants cheap:
-//!
-//! * At **0 workers** ([`LogWriterV2::new`]) the caller encodes each
-//!   record into the open block and, every `block_records` records,
-//!   seals it and commits it on the spot.
-//! * At **N ≥ 1 workers** the caller only appends the record to a raw
-//!   block builder. Every `block_records` records the builder is handed
-//!   over a bounded channel to N encode workers, which seal blocks in
-//!   any order (panics contained per block). A committer thread restores
-//!   sequence order with a reorder buffer. Spent builders recycle back
-//!   to the caller, so steady state reuses warm pages.
+//! [`EncodeOpts::threads`] decides only *where* the stages run. At **0
+//! workers** ([`LogWriterV2::new`]) the caller encodes each record into
+//! the open block and commits each sealed block on the spot. At **N ≥ 1
+//! workers**, which take encoding off the monitored program's hot path,
+//! the caller only appends each record to a raw block builder and submits
+//! every full builder to the ordered stage of `crate::ordered`. It waits
+//! while `depth + threads` blocks are not yet committed, so a stalled
+//! worker bounds the blocks held, not the log, and spent builders recycle
+//! back to it, so steady state reuses warm pages.
 //!
 //! Blocks seal at the same record counts either way, and the delta state
 //! restarts at every block, so a log's bytes are identical at every
@@ -36,22 +32,19 @@
 //! [`finish`](LogWriterV2::finish). A dropped writer flushes its blocks
 //! but withholds the footer, so the log reads back
 //! [`Unsealed`](crate::SealState::Unsealed). After the first error
-//! nothing more reaches the sink, and `finish` returns that error.
+//! nothing more reaches the sink (the pool stops taking blocks), and
+//! `finish` returns that error.
 
-use std::collections::BTreeMap;
 use std::io::Write;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::mpsc::{sync_channel, Receiver};
 
 use bytes::Bytes;
 
 use crate::checksum::Checksum;
 use crate::error::{LogError, LogResult};
+use crate::ordered::{self, Stage};
 use crate::record::Record;
-use crate::stream::{auto_stream_depth, panic_message, V1_BLOCK_RECORDS};
+use crate::stream::{auto_stream_depth, V1_BLOCK_RECORDS};
 use crate::v2::{file_header, make_footer, BlockEnc, FRAME_BYTES};
 
 /// Default records per block: the size of a re-batched v1 block, so a
@@ -150,6 +143,16 @@ impl<W: Write> Committer<W> {
         self.error.get_or_insert(e);
     }
 
+    /// Commits the pool's next block in sequence order; `false` once the
+    /// log has failed, so the pool stops taking blocks.
+    fn deliver(&mut self, records: u64, block: LogResult<Vec<u8>>) -> bool {
+        match block {
+            Ok(block) => self.commit(&block, records),
+            Err(e) => self.fail(e),
+        }
+        self.error.is_none()
+    }
+
     fn header(&mut self) -> LogResult<()> {
         if !self.header_written {
             let header = file_header();
@@ -192,251 +195,89 @@ impl<W: Write> Committer<W> {
     }
 }
 
-/// A raw block heading into the encode pool, tagged with its sequence
-/// index in the stream.
-struct RawBlock {
-    seq: u64,
-    records: Vec<Record>,
-}
-
-/// A worker's result: the sealed frame + payload, or a contained panic.
-struct Sealed {
-    seq: u64,
-    records: u64,
-    result: Result<Vec<u8>, String>,
-}
-
-/// One encode worker: pulls raw blocks and seals them through its own
-/// [`BlockEnc`]. Panics are contained per block.
-fn encode_worker(
-    jobs: &Mutex<Receiver<RawBlock>>,
-    out: &SyncSender<Sealed>,
-    recycle: &SyncSender<Vec<Record>>,
-    queued: &AtomicU64,
-) {
-    let mut enc = BlockEnc::default();
-    loop {
-        let idle_start = literace_telemetry::enabled().then(std::time::Instant::now);
-        let job = {
-            let guard = jobs.lock().expect("encode job queue poisoned");
-            match guard.recv() {
-                Ok(job) => job,
-                Err(_) => return,
-            }
-        };
-        queued.fetch_sub(1, Ordering::AcqRel);
-        if let Some(t0) = idle_start {
-            literace_telemetry::metrics()
-                .log_encode_worker_idle_ns
-                .add(t0.elapsed().as_nanos() as u64);
-        }
-        let busy_start = literace_telemetry::enabled().then(std::time::Instant::now);
-        literace_telemetry::trace_begin("encode.block");
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut block = Vec::new();
-            for r in &job.records {
-                enc.push(r);
-            }
-            enc.seal(&mut block);
-            block
-        }))
-        .map_err(|payload| {
-            enc = BlockEnc::default();
-            panic_message(payload.as_ref())
-        });
-        literace_telemetry::trace_end("encode.block");
-        if let Some(t0) = busy_start {
-            literace_telemetry::metrics()
-                .log_encode_worker_busy_ns
-                .add(t0.elapsed().as_nanos() as u64);
-        }
-        let done = Sealed {
-            seq: job.seq,
-            records: job.records.len() as u64,
-            result,
-        };
-        // Hand the spent raw buffer back to the producer for reuse.
-        // Best-effort: a full return lane just drops the buffer.
-        let mut spent = job.records;
-        spent.clear();
-        let _ = recycle.try_send(spent);
-        if out.send(done).is_err() {
-            return;
-        }
-    }
-}
-
-/// The committer thread: commits worker results in sequence order and
-/// returns the committer with the number of blocks it saw.
-fn commit_in_order<W: Write>(
-    mut committer: Committer<W>,
-    results: Receiver<Sealed>,
-    inflight: &AtomicU64,
-) -> (Committer<W>, u64) {
-    let mut pending = BTreeMap::new();
-    let mut next = 0u64;
-    while let Ok(sealed) = results.recv() {
-        pending.insert(sealed.seq, sealed);
-        while let Some(sealed) = pending.remove(&next) {
-            next += 1;
-            inflight.fetch_sub(1, Ordering::AcqRel);
-            match sealed.result {
-                Ok(block) => committer.commit(&block, sealed.records),
-                Err(message) => committer.fail(LogError::corrupt(format!(
-                    "encode worker panicked: {message}"
-                ))),
-            }
-        }
-    }
-    (committer, next)
-}
-
-/// The stages at 0 workers: the open block and the committer, both on
-/// the caller.
-#[derive(Debug)]
-struct Inline<W> {
-    enc: BlockEnc,
-    /// The sealed block being committed (reused across blocks).
-    block: Vec<u8>,
-    committer: Committer<W>,
-}
-
-impl<W: Write> Inline<W> {
-    /// Seals the open block (if any) and commits it.
-    fn seal(&mut self) {
-        if self.enc.len() > 0 {
-            let records = self.enc.seal(&mut self.block);
-            self.committer.commit(&self.block, records);
-            self.block.clear();
-        }
-    }
-}
-
-/// The stages at N ≥ 1 workers: the caller's raw block builder and the
-/// handles of the encode workers and the committer thread.
-#[derive(Debug)]
-struct Pool<W> {
-    builder: Vec<Record>,
-    /// Blocks handed to the workers so far.
-    seq: u64,
-    /// Spent raw buffers coming back from the workers.
-    recycle: Receiver<Vec<Record>>,
-    jobs: Option<SyncSender<RawBlock>>,
-    workers: Vec<JoinHandle<()>>,
-    committer: JoinHandle<(Committer<W>, u64)>,
-    queued: Arc<AtomicU64>,
-    inflight: Arc<AtomicU64>,
-}
-
-impl<W: Write + Send + 'static> Pool<W> {
-    fn spawn(sink: W, threads: usize, block_records: usize) -> LogResult<Pool<W>> {
-        let depth = auto_stream_depth(threads, 0);
-        let (job_tx, job_rx) = sync_channel::<RawBlock>(depth);
-        let job_rx = Arc::new(Mutex::new(job_rx));
-        let (res_tx, res_rx) = sync_channel::<Sealed>(depth.max(threads));
-        let (recycle_tx, recycle_rx) = sync_channel::<Vec<Record>>(depth.max(threads) + 1);
-        let queued = Arc::new(AtomicU64::new(0));
-        let inflight = Arc::new(AtomicU64::new(0));
-        let workers = (0..threads)
-            .map(|i| {
-                let (jobs, out) = (job_rx.clone(), res_tx.clone());
-                let (recycle, queued) = (recycle_tx.clone(), queued.clone());
-                std::thread::Builder::new()
-                    .name(format!("literace-encode-{i}"))
-                    .spawn(move || encode_worker(&jobs, &out, &recycle, &queued))
-                    .map_err(LogError::Io)
-            })
-            .collect::<LogResult<_>>()?;
-        // The committer's results loop must end when the workers do.
-        drop(res_tx);
-        let committer = {
-            let inflight = inflight.clone();
-            std::thread::Builder::new()
-                .name("literace-log-commit".to_owned())
-                .spawn(move || commit_in_order(Committer::new(sink), res_rx, &inflight))
-                .map_err(LogError::Io)?
-        };
-        Ok(Pool {
-            builder: Vec::with_capacity(block_records),
-            seq: 0,
-            recycle: recycle_rx,
-            jobs: Some(job_tx),
-            workers,
-            committer,
-            queued,
-            inflight,
-        })
-    }
-}
-
-impl<W: Write> Pool<W> {
-    /// Hands the open raw block (if any) to the encode workers.
-    fn seal(&mut self, block_records: usize) {
-        if self.builder.is_empty() {
-            return;
-        }
-        let fresh = self
-            .recycle
-            .try_recv()
-            .unwrap_or_else(|_| Vec::with_capacity(block_records));
-        let records = std::mem::replace(&mut self.builder, fresh);
-        let seq = self.seq;
-        self.seq += 1;
-        let queued = self.queued.fetch_add(1, Ordering::AcqRel) + 1;
-        let in_flight = self.inflight.fetch_add(1, Ordering::AcqRel) + 1;
-        if literace_telemetry::enabled() {
-            let m = literace_telemetry::metrics();
-            m.log_encode_sealed_blocks_hwm.record(queued);
-            m.log_encode_blocks_inflight_hwm.record(in_flight);
-        }
-        if let Some(jobs) = &self.jobs {
-            if jobs.send(RawBlock { seq, records }).is_err() {
-                // Every worker is gone; the committer's block count
-                // surfaces this from `finish`.
-                self.jobs = None;
-            }
-        }
-    }
-
-    /// Closes the job channel, joins every pool thread and returns the
-    /// committer with every block committed.
-    fn join(mut self) -> LogResult<Committer<W>> {
-        drop(self.jobs.take());
-        for w in self.workers.drain(..) {
-            let _ = w.join();
-        }
-        let (mut committer, committed) = self.committer.join().map_err(|payload| {
-            LogError::corrupt(format!(
-                "encode committer panicked: {}",
-                panic_message(payload.as_ref())
-            ))
-        })?;
-        if committed < self.seq {
-            committer.fail(LogError::corrupt("encode worker dropped a block"));
-        }
-        Ok(committer)
-    }
-}
-
 /// Where a writer's stages run.
 #[derive(Debug)]
 enum Stages<W> {
-    Inline(Inline<W>),
-    Pool(Pool<W>),
+    /// 0 workers: the open block and the committer, both on the caller;
+    /// `block` is the sealed block being committed, reused.
+    Inline {
+        enc: BlockEnc,
+        block: Vec<u8>,
+        committer: Committer<W>,
+    },
+    /// N ≥ 1 workers: the caller's raw block builder, the spent builders
+    /// coming back, and the ordered stage that encodes each block on a
+    /// worker and commits it on the delivery thread.
+    Pool {
+        builder: Vec<Record>,
+        recycle: Receiver<Vec<Record>>,
+        stage: Stage<u64, Vec<Record>, Committer<W>>,
+    },
+}
+
+impl<W: Write + Send + 'static> Stages<W> {
+    fn pool(sink: W, threads: usize, block_records: usize) -> LogResult<Stages<W>> {
+        let depth = auto_stream_depth(threads, 0);
+        let (recycle_tx, recycle) = sync_channel(depth.max(threads) + 1);
+        let encode = move |enc: &mut BlockEnc, _: &u64, mut records: Vec<Record>| {
+            let mut block = Vec::new();
+            records.iter().for_each(|r| enc.push(r));
+            enc.seal(&mut block);
+            // Hand the spent raw buffer back to the producer for reuse.
+            // Best-effort: a full return lane just drops the buffer.
+            records.clear();
+            let _ = recycle_tx.try_send(records);
+            Ok(block)
+        };
+        let (pool, committer) = (ordered::Pool::Encode, Committer::new(sink));
+        let stage = Stage::spawn(pool, threads, depth, encode, committer, Committer::deliver)?;
+        let builder = Vec::with_capacity(block_records);
+        Ok(Stages::Pool { builder, recycle, stage })
+    }
 }
 
 impl<W: Write> Stages<W> {
+    /// Seals the open block, if any: commits it inline, or hands it to
+    /// the encode workers, first waiting while the stage's window is full.
+    fn seal(&mut self, block_records: usize) {
+        match self {
+            Stages::Inline { enc, block, committer } => {
+                if enc.len() > 0 {
+                    let records = enc.seal(block);
+                    committer.commit(block, records);
+                    block.clear();
+                }
+            }
+            Stages::Pool { builder, recycle, stage } => {
+                if builder.is_empty() {
+                    return;
+                }
+                let fresh = recycle
+                    .try_recv()
+                    .unwrap_or_else(|_| Vec::with_capacity(block_records));
+                let records = std::mem::replace(builder, fresh);
+                // A halted stage hands the block back: the committer
+                // already holds the error `finish` returns, or a worker
+                // died and `close` reports the lost block.
+                let _ = stage.submit(records.len() as u64, records);
+            }
+        }
+    }
+
     /// Seals the open block, stops the pool if there is one, and returns
     /// the committer with every block committed.
-    fn close(self, block_records: usize) -> LogResult<Committer<W>> {
+    fn close(mut self, block_records: usize) -> LogResult<Committer<W>> {
+        self.seal(block_records);
         match self {
-            Stages::Inline(mut inline) => {
-                inline.seal();
-                Ok(inline.committer)
-            }
-            Stages::Pool(mut pool) => {
-                pool.seal(block_records);
-                pool.join()
+            Stages::Inline { committer, .. } => Ok(committer),
+            Stages::Pool { stage, .. } => {
+                let (mut committer, complete) = stage.finish().map_err(|message| {
+                    LogError::corrupt(format!("encode committer panicked: {message}"))
+                })?;
+                if !complete {
+                    committer.fail(LogError::corrupt("encode worker dropped a block"));
+                }
+                Ok(committer)
             }
         }
     }
@@ -467,11 +308,11 @@ impl<W: Write> LogWriterV2<W> {
         LogWriterV2 {
             block_records: block_records.max(1),
             records: 0,
-            stages: Some(Stages::Inline(Inline {
+            stages: Some(Stages::Inline {
                 enc: BlockEnc::default(),
                 block: Vec::new(),
                 committer: Committer::new(sink),
-            })),
+            }),
         }
     }
 
@@ -487,20 +328,19 @@ impl<W: Write> LogWriterV2<W> {
     #[inline]
     pub fn write_record(&mut self, record: &Record) -> LogResult<()> {
         self.records += 1;
-        match self.stages.as_mut() {
-            Some(Stages::Inline(inline)) => {
-                inline.enc.push(record);
-                if inline.enc.len() >= self.block_records {
-                    inline.seal();
-                }
+        let stages = self.stages.as_mut().expect("the stages live until finish or drop");
+        let open = match stages {
+            Stages::Inline { enc, .. } => {
+                enc.push(record);
+                enc.len()
             }
-            Some(Stages::Pool(pool)) => {
-                pool.builder.push(*record);
-                if pool.builder.len() >= self.block_records {
-                    pool.seal(self.block_records);
-                }
+            Stages::Pool { builder, .. } => {
+                builder.push(*record);
+                builder.len()
             }
-            None => unreachable!("the stages live until finish or drop"),
+        };
+        if open >= self.block_records {
+            stages.seal(self.block_records);
         }
         Ok(())
     }
@@ -536,11 +376,10 @@ impl<W: Write + Send + 'static> LogWriterV2<W> {
         if opts.threads == 0 {
             return Ok(LogWriterV2::inline(sink, block_records));
         }
-        let pool = Pool::spawn(sink, opts.threads, block_records)?;
         Ok(LogWriterV2 {
             block_records,
             records: 0,
-            stages: Some(Stages::Pool(pool)),
+            stages: Some(Stages::pool(sink, opts.threads, block_records)?),
         })
     }
 }
@@ -576,6 +415,7 @@ mod tests {
     use crate::stream::{read_log_auto, DecodeOpts, RecordStream};
     use crate::v2::{SealState, V2_MAGIC};
     use literace_sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
+    use std::sync::{Arc, Mutex};
 
     fn mixed_records(n: usize) -> Vec<Record> {
         (0..n)

@@ -49,7 +49,8 @@ fn version_mismatch_is_typed_everywhere() {
         let is_unsupported = |err: &LogError| {
             matches!(
                 err,
-                LogError::UnsupportedVersion { found, supported: V2_VERSION } if *found == version
+                LogError::UnsupportedVersion { file: "log", found, supported: V2_VERSION }
+                    if *found == version
             )
         };
         let err = RecordBlocks::open(&bytes[..]).unwrap_err();

@@ -414,6 +414,47 @@ fn pipelined_encode_pool_is_neutral() {
     );
 }
 
+/// The encode pool holds at most its window: however its workers are
+/// scheduled, no more than `auto_stream_depth(threads, 0) + threads`
+/// blocks are sealed and not yet committed. Small blocks make many of
+/// them, so a descheduled worker would otherwise let the rest pile up
+/// in the reorder buffer.
+#[test]
+fn the_encode_pool_holds_at_most_its_window() {
+    use literace::log::{auto_stream_depth, read_log_auto, EncodeOpts};
+    use literace::sim::{Addr, FuncId, Pc, ThreadId};
+
+    let _guard = serialized();
+    let records: Vec<Record> = (0..200_000usize)
+        .map(|i| Record::Mem {
+            tid: ThreadId::from_index(i % 4),
+            pc: Pc::new(FuncId::from_index(i % 5), i),
+            addr: Addr::global((i % 13) as u64 * 8),
+            is_write: i % 2 == 0,
+            mask: SamplerMask::FULL,
+        })
+        .collect();
+    for threads in [2usize, 4] {
+        telemetry::metrics().reset();
+        let bytes = with_flag(true, || {
+            let opts = EncodeOpts::with_threads(threads).block_records(16);
+            let mut sink = LogWriterV2::with_opts(Vec::new(), opts).expect("pool spawns");
+            for r in &records {
+                sink.write_record(r).expect("vec sink");
+            }
+            sink.finish().expect("vec sink")
+        });
+        let held = telemetry::metrics().snapshot().gauges["log.encode.blocks_inflight_hwm"];
+        let window = (auto_stream_depth(threads, 0) + threads) as u64;
+        assert!(
+            (1..=window).contains(&held),
+            "{threads} workers held {held} blocks, window {window}"
+        );
+        let log = read_log_auto(&bytes[..]).expect("clean log decodes");
+        assert_eq!(log.records(), &records[..], "{threads} workers");
+    }
+}
+
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
     (2u32..5, 2u32..5, 5u32..15, 3u32..7, any::<u64>()).prop_map(
         |(threads, globals, iterations, actions, seed)| SyntheticConfig {
