@@ -137,7 +137,7 @@ fn main() {
                 workloads = Some(
                     list.split(',')
                         .map(|s| {
-                            literace_bench::parse_workload(s)
+                            WorkloadId::from_name(s)
                                 .unwrap_or_else(|| panic!("unknown workload {s}"))
                         })
                         .collect(),

@@ -3,6 +3,7 @@
 //! the measured ones.
 
 use literace::experiments::{run_overhead_study_on, run_sampler_study_on};
+use literace::workloads::WorkloadId;
 use literace_bench::{detection_workloads, overhead_workloads};
 
 fn main() {
@@ -85,7 +86,7 @@ fn literace_bench_parse(args: &[String]) -> literace_bench::Options {
                 opts.workloads = Some(
                     list.split(',')
                         .map(|s| {
-                            literace_bench::parse_workload(s)
+                            WorkloadId::from_name(s)
                                 .unwrap_or_else(|| panic!("unknown workload {s}"))
                         })
                         .collect(),

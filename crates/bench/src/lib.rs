@@ -64,7 +64,10 @@ pub fn parse_args() -> Options {
                 let list = args.get(i).expect("--workloads expects a list");
                 opts.workloads = Some(
                     list.split(',')
-                        .map(|s| parse_workload(s).unwrap_or_else(|| panic!("unknown workload {s}")))
+                        .map(|s| {
+                            WorkloadId::from_name(s)
+                                .unwrap_or_else(|| panic!("unknown workload {s}"))
+                        })
                         .collect(),
                 );
             }
@@ -73,29 +76,6 @@ pub fn parse_args() -> Options {
         i += 1;
     }
     opts
-}
-
-/// Parses a workload name (paper name or short form, case-insensitive).
-pub fn parse_workload(s: &str) -> Option<WorkloadId> {
-    let key = s.to_ascii_lowercase();
-    let by_short = match key.as_str() {
-        "dryad-stdlib" | "dryadstdlib" => Some(WorkloadId::DryadStdlib),
-        "dryad" => Some(WorkloadId::Dryad),
-        "concrt-messaging" | "messaging" => Some(WorkloadId::ConcrtMessaging),
-        "concrt-scheduling" | "scheduling" => Some(WorkloadId::ConcrtScheduling),
-        "apache-1" | "apache1" => Some(WorkloadId::Apache1),
-        "apache-2" | "apache2" => Some(WorkloadId::Apache2),
-        "ff-start" | "firefox-start" => Some(WorkloadId::FirefoxStart),
-        "ff-render" | "firefox-render" => Some(WorkloadId::FirefoxRender),
-        "lkrhash" => Some(WorkloadId::LkrHash),
-        "lflist" => Some(WorkloadId::LfList),
-        _ => None,
-    };
-    by_short.or_else(|| {
-        WorkloadId::all()
-            .into_iter()
-            .find(|id| id.name().eq_ignore_ascii_case(s))
-    })
 }
 
 /// The detection-experiment workload set, honoring `--workloads`.
@@ -118,11 +98,18 @@ mod tests {
 
     #[test]
     fn workload_names_parse_both_forms() {
-        assert_eq!(parse_workload("apache-1"), Some(WorkloadId::Apache1));
-        assert_eq!(parse_workload("Apache-1"), Some(WorkloadId::Apache1));
-        assert_eq!(parse_workload("Dryad Channel"), Some(WorkloadId::Dryad));
-        assert_eq!(parse_workload("ff-render"), Some(WorkloadId::FirefoxRender));
-        assert_eq!(parse_workload("nope"), None);
+        // `--workloads` resolves names through `WorkloadId::from_name`.
+        assert_eq!(WorkloadId::from_name("apache-1"), Some(WorkloadId::Apache1));
+        assert_eq!(WorkloadId::from_name("Apache-1"), Some(WorkloadId::Apache1));
+        assert_eq!(
+            WorkloadId::from_name("Dryad Channel"),
+            Some(WorkloadId::Dryad)
+        );
+        assert_eq!(
+            WorkloadId::from_name("ff-render"),
+            Some(WorkloadId::FirefoxRender)
+        );
+        assert_eq!(WorkloadId::from_name("nope"), None);
     }
 
     #[test]

@@ -202,23 +202,8 @@ pub fn exit_code(result: Result<(), CliError>, out: &mut dyn Write) -> ExitCode 
 }
 
 fn parse_workload(name: &str) -> Result<WorkloadId, String> {
-    let key = name.to_ascii_lowercase();
-    let found = match key.as_str() {
-        "dryad-stdlib" => Some(WorkloadId::DryadStdlib),
-        "dryad" => Some(WorkloadId::Dryad),
-        "messaging" | "concrt-messaging" => Some(WorkloadId::ConcrtMessaging),
-        "scheduling" | "concrt-scheduling" => Some(WorkloadId::ConcrtScheduling),
-        "apache-1" => Some(WorkloadId::Apache1),
-        "apache-2" => Some(WorkloadId::Apache2),
-        "ff-start" | "firefox-start" => Some(WorkloadId::FirefoxStart),
-        "ff-render" | "firefox-render" => Some(WorkloadId::FirefoxRender),
-        "lkrhash" => Some(WorkloadId::LkrHash),
-        "lflist" => Some(WorkloadId::LfList),
-        _ => None,
-    };
-    found.ok_or_else(|| {
-        format!("unknown workload `{name}` (try `literace workloads`)")
-    })
+    WorkloadId::from_name(name)
+        .ok_or_else(|| format!("unknown workload `{name}` (try `literace workloads`)"))
 }
 
 fn parse_scale(flags: &Flags) -> Result<Scale, String> {
@@ -343,22 +328,10 @@ pub fn workloads(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         "benchmark workloads (Table 2)",
         &["name", "paper name", "description", "planted races"],
     );
-    let short = [
-        "dryad-stdlib",
-        "dryad",
-        "messaging",
-        "scheduling",
-        "apache-1",
-        "apache-2",
-        "ff-start",
-        "ff-render",
-        "lkrhash",
-        "lflist",
-    ];
-    for (id, short) in WorkloadId::all().into_iter().zip(short) {
+    for id in WorkloadId::all() {
         let w = build(id, Scale::Smoke);
         t.row(vec![
-            short.to_owned(),
+            id.short_name().to_owned(),
             id.name().to_owned(),
             w.spec.description.to_owned(),
             format!("{} ({} rare)", w.planted.total(), w.planted.rare()),
@@ -661,10 +634,10 @@ pub fn detect(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let resume_cp = match flags.get("resume-from") {
         None => None,
-        Some(p) => Some(
-            Checkpoint::read_from(std::path::Path::new(p))
-                .map_err(|e| format!("read {p}: {e}"))?,
-        ),
+        Some(p) => {
+            let bytes = std::fs::read(p).map_err(CliError::io("cannot read", p))?;
+            Some(Checkpoint::from_bytes(&bytes).map_err(|e| format!("read {p}: {e}"))?)
+        }
     };
     if let Some(state) = checkpoint_out {
         if AtomicFile::sweep_stale(state).map_err(CliError::io("cannot sweep", state))? {
@@ -776,18 +749,15 @@ pub fn checkpoint(args: &[String], out: &mut dyn Write) -> Result<(), CliError> 
     use literace::detector::Checkpoint;
     let flags = Flags::parse(args, &CHECKPOINT)?;
     let path = flags.require("in")?;
-    let on_disk = std::fs::metadata(path)
-        .map_err(CliError::io("cannot open", path))?
-        .len();
-    // read_from re-validates everything — magic, version, per-section
+    let bytes = std::fs::read(path).map_err(CliError::io("cannot read", path))?;
+    // from_bytes re-validates everything — magic, version, per-section
     // checksums, sealing footer, and the detector's semantic invariants —
     // so anything printed below describes a checkpoint that will load.
-    let cp = Checkpoint::read_from(std::path::Path::new(path))
-        .map_err(|e| format!("{path}: {e}"))?;
+    let cp = Checkpoint::from_bytes(&bytes).map_err(|e| format!("{path}: {e}"))?;
     let cfg = cp.config();
     outln!(out, "{path}:");
     outln!(out, "  sealed             : yes (footer and checksums verified)");
-    outln!(out, "  on-disk size       : {on_disk} bytes");
+    outln!(out, "  on-disk size       : {} bytes", bytes.len());
     outln!(out, "  records processed  : {}", cp.records_processed());
     outln!(out, 
         "  threads            : {} ({} retired)",

@@ -600,6 +600,25 @@ fn a_version_1_checkpoint_fails_naming_its_version() {
             }
         }
     }
+    // A checkpoint that cannot be read at all names its path, not a log.
+    let (missing, a_dir) = (path("missing.lrcp"), path("adir.lrcp"));
+    std::fs::create_dir_all(&a_dir).unwrap();
+    for state in [&missing, &a_dir] {
+        for args in [
+            &["checkpoint", "--in", state][..],
+            &["detect", "--log", &log, "--resume-from", state][..],
+        ] {
+            let out = literace().args(args).output().unwrap();
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+            assert!(out.stdout.is_empty(), "{args:?}");
+            assert!(
+                stderr.contains(&format!("cannot read {state}: ")),
+                "{args:?}: {stderr}"
+            );
+            assert!(!stderr.contains("log"), "{args:?}: {stderr}");
+        }
+    }
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

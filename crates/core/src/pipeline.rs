@@ -136,10 +136,7 @@ pub(crate) fn runs_behind_prefilter(sampler: SamplerKind, base: &InstrumentConfi
 /// `phase.detect` stats and traced as the `phase.detect` span.
 pub fn detect_phase<T>(detect: impl FnOnce() -> T) -> T {
     let _span = literace_telemetry::metrics().phase_detect.span();
-    literace_telemetry::trace_begin("phase.detect");
-    let out = detect();
-    literace_telemetry::trace_end("phase.detect");
-    out
+    detect()
 }
 
 /// Detects over an in-memory log, timed as the pipeline's detect phase.
@@ -174,10 +171,7 @@ pub fn run_literace_with_sink<L: RecordSink>(
     let mut sched = ChunkedRandomScheduler::seeded(cfg.seed, cfg.sched_quantum);
     let summary = {
         let _span = literace_telemetry::metrics().phase_execute.span();
-        literace_telemetry::trace_begin("phase.execute");
-        let run = Machine::new(&compiled, cfg.machine).run(&mut sched, &mut inst);
-        literace_telemetry::trace_end("phase.execute");
-        run?
+        Machine::new(&compiled, cfg.machine).run(&mut sched, &mut inst)?
     };
     Ok((summary, inst.finish()))
 }

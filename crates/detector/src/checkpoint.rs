@@ -511,12 +511,6 @@ impl Checkpoint {
         f.commit()?;
         Ok(bytes.len() as u64)
     }
-
-    /// Reads and validates a checkpoint from `path`.
-    pub fn read_from(path: &Path) -> LogResult<Checkpoint> {
-        let bytes = std::fs::read(path)?;
-        Checkpoint::from_bytes(&bytes)
-    }
 }
 
 fn corrupt_err(e: impl std::fmt::Display) -> LogError {
@@ -838,12 +832,15 @@ mod tests {
         std::fs::write(&partial, b"torn mid-write").unwrap();
 
         // Next resume sees only the last sealed checkpoint...
-        let loaded = Checkpoint::read_from(&path).unwrap();
+        let loaded = Checkpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap();
         assert_eq!(loaded, sealed);
         // ...and the next save sweeps the stale partial before writing.
         loaded.write_to(&path).unwrap();
         assert!(!partial.exists(), "stale .partial must be swept on save");
-        assert_eq!(Checkpoint::read_from(&path).unwrap(), loaded);
+        assert_eq!(
+            Checkpoint::from_bytes(&std::fs::read(&path).unwrap()).unwrap(),
+            loaded
+        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

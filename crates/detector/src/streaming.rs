@@ -149,13 +149,13 @@ impl Router {
             Vec::with_capacity(BATCH_RECORDS),
         );
         if literace_telemetry::enabled() {
-            let m = literace_telemetry::metrics();
-            let routed = batch
+            let accesses = batch
                 .iter()
                 .filter(|item| matches!(item, ShardItem::Access(_)))
                 .count() as u64;
-            m.detector_shard_events.add(shard, routed);
-            m.detector_records_routed.add(routed);
+            literace_telemetry::metrics()
+                .detector_shard_events
+                .add(shard, accesses);
         }
         send_batch(&self.senders[shard], shard, batch);
     }
@@ -497,16 +497,17 @@ where
             .collect();
         driven?;
         let _span = literace_telemetry::metrics().phase_merge.span();
-        literace_telemetry::trace_begin("merge");
-        let races = report(merge(parts, hb.max_dynamic_per_pair), non_stack_accesses);
-        literace_telemetry::trace_end("merge");
-        Ok(races)
+        Ok(report(
+            merge(parts, hb.max_dynamic_per_pair),
+            non_stack_accesses,
+        ))
     })
 }
 
-/// Replays every block into `down`, sealing every `seal.every_blocks`
-/// blocks and once more at end of stream, unless a periodic seal just
-/// landed there. Stops at the first stream or seal error.
+/// Replays every block into `down`, counting its records into
+/// `detector.records.routed`, sealing every `seal.every_blocks` blocks
+/// and once more at end of stream, unless a periodic seal just landed
+/// there. Stops at the first stream or seal error.
 fn drive<I, B, D>(
     blocks: I,
     replay: &mut Replay,
@@ -523,8 +524,14 @@ where
     let mut blocks_seen = 0u64;
     let mut sealed_at = None;
     for block in blocks {
-        for record in block?.as_ref() {
+        let block = block?;
+        for record in block.as_ref() {
             replay.step(record, down);
+        }
+        if literace_telemetry::enabled() {
+            literace_telemetry::metrics()
+                .detector_records_routed
+                .add(block.as_ref().len() as u64);
         }
         blocks_seen += 1;
         if let Some(seal) = seal.as_mut() {

@@ -13,10 +13,18 @@
 //!   until [`set_enabled`]`(true)`. Hot paths guard with [`enabled()`],
 //!   which is `const false` when the feature is off — a branch the
 //!   optimizer deletes.
-//! * **Sharded counters.** [`Counter`] spreads increments over cache-padded
-//!   cells indexed by a per-thread slot, so detector workers never contend
-//!   on one line. [`SlotCounters`] keeps the slot visible for per-thread /
-//!   per-shard attribution.
+//! * **One declaration per metric.** Each metric is one entry of the
+//!   registry's table: doc, type, snapshot section, canonical name, and
+//!   whether `metrics --validate` requires it. The [`Metrics`] struct, the
+//!   exporters' names, [`Metrics::reset`] and the required list all come
+//!   from it.
+//! * **One atomic per counter.** A [`Counter`] is one relaxed `AtomicU64`:
+//!   every add site runs once per block, batch, run, error or retry, never
+//!   once per record, so there is no hot line to spread. [`SlotCounters`]
+//!   keeps a slot visible for per-thread / per-shard attribution.
+//! * **One guard per phase.** A [`PhaseStats`] carries its canonical name;
+//!   its [`span`](PhaseStats::span) guard both times the phase and traces
+//!   it as a span of that name.
 //! * **Batched hot paths.** Per-access costs are kept off the atomics
 //!   entirely: tight loops record into a plain [`LocalHistogram`] (or local
 //!   integer counters) and flush once at the end of the run or worker.
@@ -137,6 +145,14 @@ pub fn set_trace_enabled(_on: bool) {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Serializes the tests that record trace events: they share the
+    /// process-global trace flag and collector, so they take one lock
+    /// rather than fight the parallel runner.
+    pub(crate) fn serial() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    }
 
     #[test]
     fn runtime_flag_toggles() {

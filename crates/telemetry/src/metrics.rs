@@ -1,4 +1,4 @@
-//! The primitive metric types: sharded counters, slot-attributed counters,
+//! The primitive metric types: counters, slot-attributed counters,
 //! monotonic gauges, level gauges with high-water marks, and log2
 //! histograms (global atomic and thread-local batched forms).
 //!
@@ -21,9 +21,6 @@ pub const BURST_SLOTS: usize = 8;
 /// holds values in `[2^(b-1), 2^b - 1]`.
 pub const HIST_BUCKETS: usize = 64;
 
-/// Cells a [`Counter`] spreads increments over (power of two).
-const CELLS: usize = 8;
-
 static NEXT_SLOT: AtomicUsize = AtomicUsize::new(0);
 
 thread_local! {
@@ -32,54 +29,39 @@ thread_local! {
 
 /// A small dense id for the calling thread, assigned on first use.
 ///
-/// Used to pick a counter cell and to attribute slot metrics; ids keep
-/// growing process-wide, so attribution clamps into [`SLOTS`].
+/// Attributes phase time to threads and names unnamed trace tracks; ids
+/// keep growing process-wide, so attribution clamps into [`SLOTS`].
 #[inline]
 pub fn thread_slot() -> usize {
     SLOT.with(|s| *s)
 }
 
-/// One cache line per atomic so concurrent writers don't false-share.
-#[repr(align(64))]
+/// A monotonically increasing counter: one relaxed atomic. Every add site
+/// runs once per block, batch, run, error or retry, never once per
+/// record, so threads seldom meet on it.
 #[derive(Debug)]
-struct Cell(AtomicU64);
-
-#[allow(clippy::declare_interior_mutable_const)] // const used only as array initializer
-const ZERO_CELL: Cell = Cell(AtomicU64::new(0));
-
-/// A monotonically increasing counter, sharded over cache-padded cells so
-/// increments from different threads (usually) touch different lines.
-#[derive(Debug)]
-pub struct Counter {
-    cells: [Cell; CELLS],
-}
+pub struct Counter(AtomicU64);
 
 impl Counter {
     /// A zeroed counter.
     pub const fn new() -> Counter {
-        Counter {
-            cells: [ZERO_CELL; CELLS],
-        }
+        Counter(AtomicU64::new(0))
     }
 
-    /// Adds `n` (relaxed; cell chosen by the calling thread's slot).
+    /// Adds `n` (relaxed).
     #[inline]
     pub fn add(&self, n: u64) {
-        self.cells[thread_slot() & (CELLS - 1)]
-            .0
-            .fetch_add(n, Ordering::Relaxed);
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Current total across all cells.
+    /// Current total.
     pub fn get(&self) -> u64 {
-        self.cells.iter().map(|c| c.0.load(Ordering::Relaxed)).sum()
+        self.0.load(Ordering::Relaxed)
     }
 
-    /// Zeroes the counter (not atomic as a whole; for tests and benches).
+    /// Zeroes the counter.
     pub fn reset(&self) {
-        for c in &self.cells {
-            c.0.store(0, Ordering::Relaxed);
-        }
+        self.0.store(0, Ordering::Relaxed);
     }
 }
 

@@ -2,497 +2,363 @@
 //! `static` of atomics.
 //!
 //! Fields are public so recording sites write straight to the atomic with
-//! no name lookup; the name↔field tables at the bottom are the single
-//! source of truth for exporters (snapshot, Prometheus) and for
-//! [`reset`](Metrics::reset).
+//! no name lookup. Each metric is declared once, as one entry of the
+//! `registry!` table below: its doc, its type, the snapshot section it
+//! exports to, its canonical name, and whether `literace metrics
+//! --validate` requires it. The struct, [`Metrics::new`], the snapshot
+//! capture (and so the Prometheus names), [`reset`](Metrics::reset) and
+//! the required list all expand from that table.
 
 use crate::metrics::{Counter, Histogram, LevelGauges, MaxGauge, SlotCounters, BURST_SLOTS, SLOTS};
-use crate::snapshot::Snapshot;
+use crate::snapshot::{HistogramSnapshot, PhaseSnapshot, Snapshot};
 use crate::span::PhaseStats;
 
-/// Every metric the LiteRace pipeline records. See the crate docs for the
-/// naming convention; the canonical name of each field is in the tables
-/// used by [`snapshot`](Metrics::snapshot).
-#[derive(Debug)]
-pub struct Metrics {
+/// Expands the one table of metrics. An entry reads
+/// `field: Type => section["canonical.name"]`, plus `, required` if
+/// `metrics --validate` requires it; `section` is the [`Snapshot`] map
+/// the metric exports to.
+macro_rules! registry {
+    (@new phases, $ty:ty, $name:literal) => { <$ty>::new($name) };
+    (@new $section:ident, $ty:ty, $name:literal) => { <$ty>::new() };
+    (@required required) => { true };
+    (@required) => { false };
+    ($(
+        $(#[doc = $doc:literal])+
+        $field:ident: $ty:ty => $section:ident[$name:literal] $(, $required:ident)?;
+    )+) => {
+        /// Every metric the LiteRace pipeline records, declared once each
+        /// in the table in `registry.rs`. See the crate docs for the
+        /// naming convention.
+        #[derive(Debug)]
+        pub struct Metrics {
+            $(
+                $(#[doc = $doc])+
+                #[doc = ""]
+                #[doc = concat!("Exported as `", $name, "`.")]
+                pub $field: $ty,
+            )+
+        }
+
+        impl Metrics {
+            /// Every canonical name, in table order.
+            #[cfg(test)]
+            const NAMES: &'static [&'static str] = &[$($name),+];
+
+            /// A fresh, zeroed registry — used by the global `static` and
+            /// by tests that need isolation from it.
+            pub(crate) const fn new() -> Metrics {
+                Metrics { $($field: registry!(@new $section, $ty, $name),)+ }
+            }
+
+            /// Puts every metric into its section of `snap`.
+            pub(crate) fn capture_into(&self, snap: &mut Snapshot) {
+                $(snap.$section.insert($name.to_owned(), Export::export(&self.$field));)+
+            }
+
+            /// Zeroes every metric (for benches and tests; not atomic as a
+            /// whole).
+            pub fn reset(&self) {
+                $(self.$field.reset();)+
+            }
+
+            /// The required metrics `snap` lacks, in table order.
+            pub(crate) fn missing_required(snap: &Snapshot) -> Vec<&'static str> {
+                let entries = [$((
+                    $name,
+                    registry!(@required $($required)?),
+                    snap.$section.contains_key($name),
+                )),+];
+                entries
+                    .into_iter()
+                    .filter(|&(_, required, present)| required && !present)
+                    .map(|(name, ..)| name)
+                    .collect()
+            }
+
+            /// Makes every part of every metric non-zero.
+            #[cfg(test)]
+            fn touch_all(&self) {
+                $(Export::touch(&self.$field);)+
+            }
+        }
+    };
+}
+
+registry! {
     // ── instrument side ────────────────────────────────────────────────
     /// Sampler dispatch checks executed (one per instrumented function
     /// entry, §4.1).
-    pub instrument_dispatch_checks: Counter,
+    instrument_dispatch_checks: Counter => counters["instrument.dispatch.checks"], required;
     /// Dispatch checks that chose the instrumented (sampled) copy.
-    pub instrument_dispatch_sampled: Counter,
+    instrument_dispatch_sampled: Counter => counters["instrument.dispatch.sampled"], required;
     /// Dispatch checks attributed to the simulated thread that ran them.
-    pub instrument_dispatch_checks_by_thread: SlotCounters<SLOTS>,
+    instrument_dispatch_checks_by_thread: SlotCounters<SLOTS>
+        => slots["instrument.dispatch.checks_by_thread"];
     /// Sampled dispatch decisions per simulated thread.
-    pub instrument_dispatch_sampled_by_thread: SlotCounters<SLOTS>,
+    instrument_dispatch_sampled_by_thread: SlotCounters<SLOTS>
+        => slots["instrument.dispatch.sampled_by_thread"];
     /// Memory accesses executed by the program (sampled or not).
-    pub instrument_mem_executed: Counter,
+    instrument_mem_executed: Counter => counters["instrument.mem.executed"];
     /// Memory accesses actually logged.
-    pub instrument_mem_logged: Counter,
+    instrument_mem_logged: Counter => counters["instrument.mem.logged"], required;
     /// Synchronization records logged (never sampled, §4.1).
-    pub instrument_sync_logged: Counter,
+    instrument_sync_logged: Counter => counters["instrument.sync.logged"], required;
     /// Memory accesses skipped by the static ordering prefilter — no
     /// sampler consultation, no log record.
-    pub instrument_prefilter_skipped: Counter,
+    instrument_prefilter_skipped: Counter => counters["instrument.prefilter.skipped"];
     /// Memory accesses that passed the prefilter (the residual
     /// possibly-racy set the sampler budget is spent on).
-    pub instrument_prefilter_residual: Counter,
+    instrument_prefilter_residual: Counter => counters["instrument.prefilter.residual"];
     /// Size in bytes of the installed prefilter skip table.
-    pub instrument_prefilter_table_bytes: Counter,
+    instrument_prefilter_table_bytes: Counter => counters["instrument.prefilter.table_bytes"];
     /// Burst-sampler back-off transitions, by the back-off level entered
     /// (slot 1 = first back-off, e.g. 100%→10% in the LiteRace schedule).
-    pub sampler_burst_transitions: SlotCounters<BURST_SLOTS>,
+    sampler_burst_transitions: SlotCounters<BURST_SLOTS>
+        => slots["sampler.burst.transitions"], required;
 
     // ── log side ───────────────────────────────────────────────────────
     /// Records encoded to the fixed-width v1 format.
-    pub log_encode_v1_records: Counter,
+    log_encode_v1_records: Counter => counters["log.encode.v1.records"];
     /// v1 bytes flushed to the sink.
-    pub log_encode_v1_bytes: Counter,
+    log_encode_v1_bytes: Counter => counters["log.encode.v1.bytes"];
     /// Records encoded to the compact v2 format.
-    pub log_encode_v2_records: Counter,
+    log_encode_v2_records: Counter => counters["log.encode.v2.records"];
     /// v2 bytes flushed to the sink (headers + block frames).
-    pub log_encode_v2_bytes: Counter,
+    log_encode_v2_bytes: Counter => counters["log.encode.v2.bytes"];
     /// v2 blocks flushed to the sink.
-    pub log_encode_v2_blocks: Counter,
+    log_encode_v2_blocks: Counter => counters["log.encode.v2.blocks"];
     /// Delta fields emitted by the v2 encoder.
-    pub log_encode_v2_deltas: Counter,
+    log_encode_v2_deltas: Counter => counters["log.encode.v2.deltas"];
     /// Delta fields that needed more than one varint byte (the fallback
     /// rate of the zigzag delta scheme).
-    pub log_encode_v2_deltas_multibyte: Counter,
+    log_encode_v2_deltas_multibyte: Counter => counters["log.encode.v2.deltas_multibyte"];
     /// Records decoded from v1 logs.
-    pub log_decode_v1_records: Counter,
+    log_decode_v1_records: Counter => counters["log.decode.v1.records"];
     /// Nanoseconds spent decoding v1 blocks.
-    pub log_decode_v1_ns: Counter,
+    log_decode_v1_ns: Counter => counters["log.decode.v1.ns"];
     /// Records decoded from v2 logs.
-    pub log_decode_v2_records: Counter,
+    log_decode_v2_records: Counter => counters["log.decode.v2.records"];
     /// v2 bytes consumed by the decoder (block frames + payloads).
-    pub log_decode_v2_bytes: Counter,
+    log_decode_v2_bytes: Counter => counters["log.decode.v2.bytes"], required;
     /// v2 blocks decoded.
-    pub log_decode_v2_blocks: Counter,
+    log_decode_v2_blocks: Counter => counters["log.decode.v2.blocks"];
     /// Nanoseconds spent decoding v2 blocks.
-    pub log_decode_v2_ns: Counter,
+    log_decode_v2_ns: Counter => counters["log.decode.v2.ns"], required;
     /// Log-read failures: corrupt framing or payload.
-    pub log_errors_corrupt: Counter,
+    log_errors_corrupt: Counter => counters["log.errors.corrupt"];
     /// Log-read failures: unrecognized magic.
-    pub log_errors_bad_magic: Counter,
+    log_errors_bad_magic: Counter => counters["log.errors.bad_magic"];
     /// Log-read failures: known magic, unsupported version.
-    pub log_errors_unsupported_version: Counter,
+    log_errors_unsupported_version: Counter => counters["log.errors.unsupported_version"];
     /// Log-read failures: underlying I/O errors.
-    pub log_errors_io: Counter,
+    log_errors_io: Counter => counters["log.errors.io"];
     /// Decoder-thread panics contained into stream errors.
-    pub log_errors_decoder_panicked: Counter,
+    log_errors_decoder_panicked: Counter => counters["log.errors.decoder_panicked"];
     /// Salvage decodes started (`--salvage` openers).
-    pub log_salvage_runs: Counter,
+    log_salvage_runs: Counter => counters["log.salvage.runs"];
     /// Corrupt v2 blocks skipped by salvage decode.
-    pub log_salvage_blocks_skipped: Counter,
+    log_salvage_blocks_skipped: Counter => counters["log.salvage.blocks_skipped"];
     /// Records known dropped by salvage (from trusted block headers).
-    pub log_salvage_records_dropped: Counter,
+    log_salvage_records_dropped: Counter => counters["log.salvage.records_dropped"];
     /// Bytes discarded by salvage (skipped blocks + dropped suffixes).
-    pub log_salvage_bytes_dropped: Counter,
+    log_salvage_bytes_dropped: Counter => counters["log.salvage.bytes_dropped"];
     /// Transient-I/O read retries attempted by the retry wrapper.
-    pub log_retry_attempts: Counter,
+    log_retry_attempts: Counter => counters["log.retry.attempts"];
     /// Reads that failed even after exhausting the retry budget.
-    pub log_retry_exhausted: Counter,
+    log_retry_exhausted: Counter => counters["log.retry.exhausted"];
     /// Nanoseconds parallel-decode workers spent decoding block payloads.
-    pub log_decode_worker_busy_ns: Counter,
+    log_decode_worker_busy_ns: Counter => counters["log.decode.worker_busy_ns"];
     /// Nanoseconds parallel-decode workers spent waiting for scanned
     /// blocks.
-    pub log_decode_worker_idle_ns: Counter,
+    log_decode_worker_idle_ns: Counter => counters["log.decode.worker_idle_ns"];
     /// Most blocks simultaneously in flight between the frame scanner and
     /// the in-order consumer of the parallel decode pool.
-    pub log_decode_blocks_inflight_hwm: MaxGauge,
+    log_decode_blocks_inflight_hwm: MaxGauge => gauges["log.decode.blocks_inflight_hwm"];
     /// Deepest reorder buffer the parallel-decode consumer needed to
     /// restore sequence order from out-of-order workers.
-    pub log_decode_ooo_reorder_depth: MaxGauge,
+    log_decode_ooo_reorder_depth: MaxGauge => gauges["log.decode.ooo_reorder_depth"];
     /// Nanoseconds pipelined-encode workers spent encoding sealed blocks.
-    pub log_encode_worker_busy_ns: Counter,
+    log_encode_worker_busy_ns: Counter => counters["log.encode.worker_busy_ns"];
     /// Nanoseconds pipelined-encode workers spent waiting for sealed
     /// blocks.
-    pub log_encode_worker_idle_ns: Counter,
+    log_encode_worker_idle_ns: Counter => counters["log.encode.worker_idle_ns"];
     /// Most raw blocks simultaneously sealed and awaiting an encode
     /// worker in the pipelined write path.
-    pub log_encode_sealed_blocks_hwm: MaxGauge,
+    log_encode_sealed_blocks_hwm: MaxGauge => gauges["log.encode.sealed_blocks_hwm"];
     /// Most blocks simultaneously in flight between the producer's seal
     /// and the in-order committer of the pipelined write path.
-    pub log_encode_blocks_inflight_hwm: MaxGauge,
+    log_encode_blocks_inflight_hwm: MaxGauge => gauges["log.encode.blocks_inflight_hwm"];
     /// Blocks handed from the decode thread to the streaming channel.
-    pub log_stream_blocks: Counter,
+    log_stream_blocks: Counter => counters["log.stream.blocks"];
     /// Times the decode thread found the streaming channel full and had to
     /// block (backpressure stalls).
-    pub log_stream_stalls: Counter,
+    log_stream_stalls: Counter => counters["log.stream.stalls"], required;
     /// Occupancy of the decode→detect channel (slot 0), with high-water
     /// mark.
-    pub log_stream_queue: LevelGauges<1>,
+    log_stream_queue: LevelGauges<1> => slots["log.stream.queue_depth_hwm"];
     /// Total records a sealed v2 log declares in its footer — set before
     /// decoding starts so progress reporting can compute percent-complete.
     /// Zero when the input is unsealed or the total is unknown.
-    pub log_decode_total_records: MaxGauge,
+    log_decode_total_records: MaxGauge => gauges["log.decode.total_records"];
     /// Log records attributed per thread (populated by `log-stats`).
-    pub log_records_by_thread: SlotCounters<SLOTS>,
+    log_records_by_thread: SlotCounters<SLOTS> => slots["log.records_by_thread"];
 
     // ── detector side ──────────────────────────────────────────────────
-    /// Records routed into detection (any path).
-    pub detector_records_routed: Counter,
+    /// Records the detection engine replayed, counted once per block at
+    /// every shard count.
+    detector_records_routed: Counter => counters["detector.records.routed"], required;
     /// Events assigned to each address shard.
-    pub detector_shard_events: SlotCounters<SLOTS>,
+    detector_shard_events: SlotCounters<SLOTS> => slots["detector.shard.events"], required;
     /// Occupancy of each shard's streaming channel, with high-water marks.
-    pub detector_shard_queue: LevelGauges<SLOTS>,
+    detector_shard_queue: LevelGauges<SLOTS>
+        => slots["detector.shard.queue_depth_hwm"], required;
     /// Times the streaming router found a shard channel full and had to
     /// block (backpressure stalls).
-    pub detector_stream_stalls: Counter,
+    detector_stream_stalls: Counter => counters["detector.stream.stalls"], required;
     /// Nanoseconds shard workers spent processing batches.
-    pub detector_worker_busy_ns: Counter,
+    detector_worker_busy_ns: Counter => counters["detector.worker.busy_ns"];
     /// Nanoseconds shard workers spent waiting for input.
-    pub detector_worker_idle_ns: Counter,
+    detector_worker_idle_ns: Counter => counters["detector.worker.idle_ns"];
     /// Frontier entries examined per access (antichain scan length).
     /// Detectors feed this through a [`ScanSampler`](crate::ScanSampler):
     /// a deterministic 1-in-16 systematic sample, so the per-access cost
     /// stays within the overhead budget. Counts are ~accesses/16; the
     /// shape of the distribution is what matters.
-    pub detector_frontier_scan: Histogram,
+    detector_frontier_scan: Histogram => histograms["detector.frontier.scan_len"];
     /// Frontier compaction passes run.
-    pub detector_compact_runs: Counter,
+    detector_compact_runs: Counter => counters["detector.compact.runs"];
     /// Locations reclaimed by compaction.
-    pub detector_compact_dropped: Counter,
+    detector_compact_dropped: Counter => counters["detector.compact.dropped"];
     /// Most addresses with live frontier state seen at once.
-    pub detector_frontier_tracked_hwm: MaxGauge,
+    detector_frontier_tracked_hwm: MaxGauge => gauges["detector.frontier.tracked_hwm"];
     /// Locations promoted from inline epochs to a full access history.
-    pub detector_epoch_escalations: Counter,
+    detector_epoch_escalations: Counter => counters["detector.epoch.escalations"];
     /// Escalated locations collapsed back to inline epochs.
-    pub detector_epoch_deescalations: Counter,
+    detector_epoch_deescalations: Counter => counters["detector.epoch.deescalations"];
     /// Accesses short-circuited by the same-epoch memo (no history work).
-    pub detector_epoch_memo_hits: Counter,
+    detector_epoch_memo_hits: Counter => counters["detector.epoch.memo_hits"];
     /// Most simultaneously escalated (full-history) locations, summed over
     /// shard frontiers.
-    pub detector_epoch_resident_shared: MaxGauge,
+    detector_epoch_resident_shared: MaxGauge => gauges["detector.epoch.resident_shared"];
     /// Checkpoint bytes serialized (sealed container size, summed over
     /// saves).
-    pub detector_checkpoint_bytes: Counter,
+    detector_checkpoint_bytes: Counter => counters["detector.checkpoint.bytes"];
     /// Nanoseconds spent serializing checkpoints.
-    pub detector_checkpoint_save_ns: Counter,
+    detector_checkpoint_save_ns: Counter => counters["detector.checkpoint.save_ns"];
     /// Nanoseconds spent parsing and validating checkpoints.
-    pub detector_checkpoint_load_ns: Counter,
+    detector_checkpoint_load_ns: Counter => counters["detector.checkpoint.load_ns"];
     /// Detectors resumed from a checkpoint (any path).
-    pub detector_checkpoint_resumes: Counter,
+    detector_checkpoint_resumes: Counter => counters["detector.checkpoint.resumes"];
     /// Static (PC-pair) races reported.
-    pub detector_races_static: Counter,
+    detector_races_static: Counter => counters["detector.races.static"], required;
     /// Dynamic race occurrences reported.
-    pub detector_races_dynamic: Counter,
-    /// Static races removed by suppression rules.
-    pub detector_races_suppressed: Counter,
+    detector_races_dynamic: Counter => counters["detector.races.dynamic"], required;
+    /// Static races removed by suppression rules. Exported as a gauge:
+    /// suppression runs after the detection that feeds a snapshot in some
+    /// flows, and must not read as detector throughput.
+    detector_races_suppressed: Counter => gauges["detector.races.suppressed"], required;
 
     // ── pipeline phases ────────────────────────────────────────────────
     /// Instrumented execution (simulator run, including sampling and
     /// logging).
-    pub phase_execute: PhaseStats,
+    phase_execute: PhaseStats => phases["phase.execute"];
     /// Whole offline detection, any path.
-    pub phase_detect: PhaseStats,
+    phase_detect: PhaseStats => phases["phase.detect"];
     /// Per-shard frontier replay (one span per worker).
-    pub phase_shard_replay: PhaseStats,
+    phase_shard_replay: PhaseStats => phases["phase.shard_replay"];
     /// Merge of per-shard race pairs into the final report.
-    pub phase_merge: PhaseStats,
+    phase_merge: PhaseStats => phases["phase.merge"];
 }
 
 impl Metrics {
-    /// A fresh, zeroed registry — used by the global `static` and by tests
-    /// that need isolation from it.
-    pub(crate) const fn new() -> Metrics {
-        Metrics {
-            instrument_dispatch_checks: Counter::new(),
-            instrument_dispatch_sampled: Counter::new(),
-            instrument_dispatch_checks_by_thread: SlotCounters::new(),
-            instrument_dispatch_sampled_by_thread: SlotCounters::new(),
-            instrument_mem_executed: Counter::new(),
-            instrument_mem_logged: Counter::new(),
-            instrument_sync_logged: Counter::new(),
-            instrument_prefilter_skipped: Counter::new(),
-            instrument_prefilter_residual: Counter::new(),
-            instrument_prefilter_table_bytes: Counter::new(),
-            sampler_burst_transitions: SlotCounters::new(),
-            log_encode_v1_records: Counter::new(),
-            log_encode_v1_bytes: Counter::new(),
-            log_encode_v2_records: Counter::new(),
-            log_encode_v2_bytes: Counter::new(),
-            log_encode_v2_blocks: Counter::new(),
-            log_encode_v2_deltas: Counter::new(),
-            log_encode_v2_deltas_multibyte: Counter::new(),
-            log_decode_v1_records: Counter::new(),
-            log_decode_v1_ns: Counter::new(),
-            log_decode_v2_records: Counter::new(),
-            log_decode_v2_bytes: Counter::new(),
-            log_decode_v2_blocks: Counter::new(),
-            log_decode_v2_ns: Counter::new(),
-            log_errors_corrupt: Counter::new(),
-            log_errors_bad_magic: Counter::new(),
-            log_errors_unsupported_version: Counter::new(),
-            log_errors_io: Counter::new(),
-            log_errors_decoder_panicked: Counter::new(),
-            log_salvage_runs: Counter::new(),
-            log_salvage_blocks_skipped: Counter::new(),
-            log_salvage_records_dropped: Counter::new(),
-            log_salvage_bytes_dropped: Counter::new(),
-            log_retry_attempts: Counter::new(),
-            log_retry_exhausted: Counter::new(),
-            log_decode_worker_busy_ns: Counter::new(),
-            log_decode_worker_idle_ns: Counter::new(),
-            log_decode_blocks_inflight_hwm: MaxGauge::new(),
-            log_decode_ooo_reorder_depth: MaxGauge::new(),
-            log_encode_worker_busy_ns: Counter::new(),
-            log_encode_worker_idle_ns: Counter::new(),
-            log_encode_sealed_blocks_hwm: MaxGauge::new(),
-            log_encode_blocks_inflight_hwm: MaxGauge::new(),
-            log_stream_blocks: Counter::new(),
-            log_stream_stalls: Counter::new(),
-            log_stream_queue: LevelGauges::new(),
-            log_decode_total_records: MaxGauge::new(),
-            log_records_by_thread: SlotCounters::new(),
-            detector_records_routed: Counter::new(),
-            detector_shard_events: SlotCounters::new(),
-            detector_shard_queue: LevelGauges::new(),
-            detector_stream_stalls: Counter::new(),
-            detector_worker_busy_ns: Counter::new(),
-            detector_worker_idle_ns: Counter::new(),
-            detector_frontier_scan: Histogram::new(),
-            detector_compact_runs: Counter::new(),
-            detector_compact_dropped: Counter::new(),
-            detector_frontier_tracked_hwm: MaxGauge::new(),
-            detector_epoch_escalations: Counter::new(),
-            detector_epoch_deescalations: Counter::new(),
-            detector_epoch_memo_hits: Counter::new(),
-            detector_epoch_resident_shared: MaxGauge::new(),
-            detector_checkpoint_bytes: Counter::new(),
-            detector_checkpoint_save_ns: Counter::new(),
-            detector_checkpoint_load_ns: Counter::new(),
-            detector_checkpoint_resumes: Counter::new(),
-            detector_races_static: Counter::new(),
-            detector_races_dynamic: Counter::new(),
-            detector_races_suppressed: Counter::new(),
-            phase_execute: PhaseStats::new(),
-            phase_detect: PhaseStats::new(),
-            phase_shard_replay: PhaseStats::new(),
-            phase_merge: PhaseStats::new(),
-        }
-    }
-
-    /// Name↔field table for plain counters (the canonical metric names).
-    pub(crate) fn counters(&self) -> [(&'static str, &Counter); 53] {
-        [
-            ("instrument.dispatch.checks", &self.instrument_dispatch_checks),
-            ("instrument.dispatch.sampled", &self.instrument_dispatch_sampled),
-            ("instrument.mem.executed", &self.instrument_mem_executed),
-            ("instrument.mem.logged", &self.instrument_mem_logged),
-            ("instrument.sync.logged", &self.instrument_sync_logged),
-            (
-                "instrument.prefilter.skipped",
-                &self.instrument_prefilter_skipped,
-            ),
-            (
-                "instrument.prefilter.residual",
-                &self.instrument_prefilter_residual,
-            ),
-            (
-                "instrument.prefilter.table_bytes",
-                &self.instrument_prefilter_table_bytes,
-            ),
-            ("log.encode.v1.records", &self.log_encode_v1_records),
-            ("log.encode.v1.bytes", &self.log_encode_v1_bytes),
-            ("log.encode.v2.records", &self.log_encode_v2_records),
-            ("log.encode.v2.bytes", &self.log_encode_v2_bytes),
-            ("log.encode.v2.blocks", &self.log_encode_v2_blocks),
-            ("log.encode.v2.deltas", &self.log_encode_v2_deltas),
-            (
-                "log.encode.v2.deltas_multibyte",
-                &self.log_encode_v2_deltas_multibyte,
-            ),
-            ("log.decode.v1.records", &self.log_decode_v1_records),
-            ("log.decode.v1.ns", &self.log_decode_v1_ns),
-            ("log.decode.v2.records", &self.log_decode_v2_records),
-            ("log.decode.v2.bytes", &self.log_decode_v2_bytes),
-            ("log.decode.v2.blocks", &self.log_decode_v2_blocks),
-            ("log.decode.v2.ns", &self.log_decode_v2_ns),
-            ("log.errors.corrupt", &self.log_errors_corrupt),
-            ("log.errors.bad_magic", &self.log_errors_bad_magic),
-            (
-                "log.errors.unsupported_version",
-                &self.log_errors_unsupported_version,
-            ),
-            ("log.errors.io", &self.log_errors_io),
-            (
-                "log.errors.decoder_panicked",
-                &self.log_errors_decoder_panicked,
-            ),
-            ("log.salvage.runs", &self.log_salvage_runs),
-            ("log.salvage.blocks_skipped", &self.log_salvage_blocks_skipped),
-            (
-                "log.salvage.records_dropped",
-                &self.log_salvage_records_dropped,
-            ),
-            ("log.salvage.bytes_dropped", &self.log_salvage_bytes_dropped),
-            ("log.retry.attempts", &self.log_retry_attempts),
-            ("log.retry.exhausted", &self.log_retry_exhausted),
-            (
-                "log.decode.worker_busy_ns",
-                &self.log_decode_worker_busy_ns,
-            ),
-            (
-                "log.decode.worker_idle_ns",
-                &self.log_decode_worker_idle_ns,
-            ),
-            (
-                "log.encode.worker_busy_ns",
-                &self.log_encode_worker_busy_ns,
-            ),
-            (
-                "log.encode.worker_idle_ns",
-                &self.log_encode_worker_idle_ns,
-            ),
-            ("log.stream.blocks", &self.log_stream_blocks),
-            ("log.stream.stalls", &self.log_stream_stalls),
-            ("detector.records.routed", &self.detector_records_routed),
-            ("detector.stream.stalls", &self.detector_stream_stalls),
-            ("detector.worker.busy_ns", &self.detector_worker_busy_ns),
-            ("detector.worker.idle_ns", &self.detector_worker_idle_ns),
-            ("detector.compact.runs", &self.detector_compact_runs),
-            ("detector.compact.dropped", &self.detector_compact_dropped),
-            ("detector.epoch.escalations", &self.detector_epoch_escalations),
-            (
-                "detector.epoch.deescalations",
-                &self.detector_epoch_deescalations,
-            ),
-            ("detector.epoch.memo_hits", &self.detector_epoch_memo_hits),
-            (
-                "detector.checkpoint.bytes",
-                &self.detector_checkpoint_bytes,
-            ),
-            (
-                "detector.checkpoint.save_ns",
-                &self.detector_checkpoint_save_ns,
-            ),
-            (
-                "detector.checkpoint.load_ns",
-                &self.detector_checkpoint_load_ns,
-            ),
-            (
-                "detector.checkpoint.resumes",
-                &self.detector_checkpoint_resumes,
-            ),
-            ("detector.races.static", &self.detector_races_static),
-            ("detector.races.dynamic", &self.detector_races_dynamic),
-        ]
-    }
-
-    /// Name↔field table for slot-attributed counter families.
-    pub(crate) fn slot_families(&self) -> [(&'static str, Vec<u64>); 7] {
-        [
-            (
-                "instrument.dispatch.checks_by_thread",
-                self.instrument_dispatch_checks_by_thread.values(),
-            ),
-            (
-                "instrument.dispatch.sampled_by_thread",
-                self.instrument_dispatch_sampled_by_thread.values(),
-            ),
-            (
-                "sampler.burst.transitions",
-                self.sampler_burst_transitions.values(),
-            ),
-            ("log.records_by_thread", self.log_records_by_thread.values()),
-            ("detector.shard.events", self.detector_shard_events.values()),
-            (
-                "detector.shard.queue_depth_hwm",
-                self.detector_shard_queue.hwm_values(),
-            ),
-            (
-                "log.stream.queue_depth_hwm",
-                self.log_stream_queue.hwm_values(),
-            ),
-        ]
-    }
-
-    /// Name↔field table for monotonic gauges. `detector.races.suppressed`
-    /// lives here because suppression happens after snapshot-producing
-    /// detection in some flows and must not look like detector throughput.
-    pub(crate) fn gauges(&self) -> [(&'static str, u64); 8] {
-        [
-            (
-                "log.decode.blocks_inflight_hwm",
-                self.log_decode_blocks_inflight_hwm.get(),
-            ),
-            (
-                "log.decode.total_records",
-                self.log_decode_total_records.get(),
-            ),
-            (
-                "log.decode.ooo_reorder_depth",
-                self.log_decode_ooo_reorder_depth.get(),
-            ),
-            (
-                "log.encode.sealed_blocks_hwm",
-                self.log_encode_sealed_blocks_hwm.get(),
-            ),
-            (
-                "log.encode.blocks_inflight_hwm",
-                self.log_encode_blocks_inflight_hwm.get(),
-            ),
-            (
-                "detector.frontier.tracked_hwm",
-                self.detector_frontier_tracked_hwm.get(),
-            ),
-            (
-                "detector.epoch.resident_shared",
-                self.detector_epoch_resident_shared.get(),
-            ),
-            (
-                "detector.races.suppressed",
-                self.detector_races_suppressed.get(),
-            ),
-        ]
-    }
-
-    /// Name↔field table for histograms.
-    pub(crate) fn histograms(&self) -> [(&'static str, &Histogram); 1] {
-        [("detector.frontier.scan_len", &self.detector_frontier_scan)]
-    }
-
-    /// Name↔field table for phases.
-    pub(crate) fn phases(&self) -> [(&'static str, &PhaseStats); 4] {
-        [
-            ("phase.execute", &self.phase_execute),
-            ("phase.detect", &self.phase_detect),
-            ("phase.shard_replay", &self.phase_shard_replay),
-            ("phase.merge", &self.phase_merge),
-        ]
-    }
-
     /// Captures a point-in-time [`Snapshot`] of every metric.
     pub fn snapshot(&self) -> Snapshot {
         Snapshot::capture(self)
     }
+}
 
-    /// Zeroes every metric (for benches and tests; not atomic as a whole).
-    pub fn reset(&self) {
-        for (_, c) in self.counters() {
-            c.reset();
+/// A metric's value as its snapshot section holds it.
+trait Export {
+    type Value;
+    fn export(&self) -> Self::Value;
+    /// Makes every part of the metric non-zero.
+    #[cfg(test)]
+    fn touch(&self);
+}
+
+impl Export for Counter {
+    type Value = u64;
+    fn export(&self) -> u64 {
+        self.get()
+    }
+    #[cfg(test)]
+    fn touch(&self) {
+        self.add(1);
+    }
+}
+
+impl Export for MaxGauge {
+    type Value = u64;
+    fn export(&self) -> u64 {
+        self.get()
+    }
+    #[cfg(test)]
+    fn touch(&self) {
+        self.record(1);
+    }
+}
+
+impl<const N: usize> Export for SlotCounters<N> {
+    type Value = Vec<u64>;
+    fn export(&self) -> Vec<u64> {
+        self.values()
+    }
+    #[cfg(test)]
+    fn touch(&self) {
+        (0..N).for_each(|slot| self.add(slot, 1));
+    }
+}
+
+impl<const N: usize> Export for LevelGauges<N> {
+    type Value = Vec<u64>;
+    fn export(&self) -> Vec<u64> {
+        self.hwm_values()
+    }
+    #[cfg(test)]
+    fn touch(&self) {
+        (0..N).for_each(|slot| self.inc(slot));
+    }
+}
+
+impl Export for Histogram {
+    type Value = HistogramSnapshot;
+    fn export(&self) -> HistogramSnapshot {
+        HistogramSnapshot {
+            count: self.count(),
+            sum: self.sum(),
+            buckets: self.bucket_values(),
         }
-        self.instrument_dispatch_checks_by_thread.reset();
-        self.instrument_dispatch_sampled_by_thread.reset();
-        self.sampler_burst_transitions.reset();
-        self.log_records_by_thread.reset();
-        self.detector_shard_events.reset();
-        self.detector_shard_queue.reset();
-        self.log_stream_queue.reset();
-        self.log_decode_blocks_inflight_hwm.reset();
-        self.log_decode_total_records.reset();
-        self.log_decode_ooo_reorder_depth.reset();
-        self.log_encode_sealed_blocks_hwm.reset();
-        self.log_encode_blocks_inflight_hwm.reset();
-        self.detector_frontier_tracked_hwm.reset();
-        self.detector_epoch_resident_shared.reset();
-        self.detector_races_suppressed.reset();
-        self.detector_frontier_scan.reset();
-        for (_, p) in self.phases() {
-            p.reset();
+    }
+    #[cfg(test)]
+    fn touch(&self) {
+        // Bucket b's upper bound falls in bucket b.
+        (0..crate::HIST_BUCKETS).for_each(|b| self.record(crate::metrics::bucket_bound(b)));
+    }
+}
+
+impl Export for PhaseStats {
+    type Value = PhaseSnapshot;
+    fn export(&self) -> PhaseSnapshot {
+        PhaseSnapshot {
+            count: self.count(),
+            total_ns: self.total_ns(),
+            max_ns: self.max_ns(),
+            by_thread: self.by_thread(),
         }
+    }
+    #[cfg(test)]
+    fn touch(&self) {
+        self.record_ns(1);
     }
 }
 
@@ -507,32 +373,47 @@ pub fn metrics() -> &'static Metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// Every metric of `snap` rendered by canonical name, across sections.
+    fn by_name(snap: &Snapshot) -> BTreeMap<String, String> {
+        let mut out = BTreeMap::new();
+        for (n, v) in snap.counters.iter().chain(&snap.gauges) {
+            out.insert(n.clone(), v.to_string());
+        }
+        for (n, v) in &snap.slots {
+            out.insert(n.clone(), format!("{v:?}"));
+        }
+        for (n, v) in &snap.histograms {
+            out.insert(n.clone(), format!("{v:?}"));
+        }
+        for (n, v) in &snap.phases {
+            out.insert(n.clone(), format!("{v:?}"));
+        }
+        out
+    }
 
     #[test]
     fn tables_cover_distinct_names() {
-        let m = Metrics::new();
-        let mut names: Vec<&str> = m.counters().iter().map(|(n, _)| *n).collect();
-        names.extend(m.slot_families().iter().map(|(n, _)| *n));
-        names.extend(m.gauges().iter().map(|(n, _)| *n));
-        names.extend(m.histograms().iter().map(|(n, _)| *n));
-        names.extend(m.phases().iter().map(|(n, _)| *n));
-        let total = names.len();
+        let mut names = Metrics::NAMES.to_vec();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), total, "duplicate metric name");
+        assert_eq!(names.len(), Metrics::NAMES.len(), "duplicate metric name");
+        let exported: Vec<String> = by_name(&Metrics::new().snapshot()).into_keys().collect();
+        assert_eq!(exported, names);
     }
 
     #[test]
     fn reset_zeroes_everything() {
         let m = Metrics::new();
-        m.instrument_dispatch_checks.add(5);
-        m.detector_shard_events.add(3, 7);
-        m.detector_frontier_scan.record(9);
-        m.phase_merge.record_ns(11);
+        let fresh = m.snapshot();
+        m.touch_all();
+        let touched = m.snapshot();
+        let (zero, touched) = (by_name(&fresh), by_name(&touched));
+        for (name, value) in &zero {
+            assert_ne!(&touched[name], value, "{name} was not touched");
+        }
         m.reset();
-        assert_eq!(m.instrument_dispatch_checks.get(), 0);
-        assert_eq!(m.detector_shard_events.total(), 0);
-        assert_eq!(m.detector_frontier_scan.count(), 0);
-        assert_eq!(m.phase_merge.count(), 0);
+        assert_eq!(by_name(&m.snapshot()), zero, "reset left a metric non-zero");
     }
 }

@@ -78,36 +78,7 @@ impl Snapshot {
     /// Captures the current state of `metrics`.
     pub fn capture(metrics: &Metrics) -> Snapshot {
         let mut snap = Snapshot::default();
-        for (name, c) in metrics.counters() {
-            snap.counters.insert(name.to_owned(), c.get());
-        }
-        for (name, v) in metrics.gauges() {
-            snap.gauges.insert(name.to_owned(), v);
-        }
-        for (name, values) in metrics.slot_families() {
-            snap.slots.insert(name.to_owned(), values);
-        }
-        for (name, h) in metrics.histograms() {
-            snap.histograms.insert(
-                name.to_owned(),
-                HistogramSnapshot {
-                    count: h.count(),
-                    sum: h.sum(),
-                    buckets: h.bucket_values(),
-                },
-            );
-        }
-        for (name, p) in metrics.phases() {
-            snap.phases.insert(
-                name.to_owned(),
-                PhaseSnapshot {
-                    count: p.count(),
-                    total_ns: p.total_ns(),
-                    max_ns: p.max_ns(),
-                    by_thread: p.by_thread(),
-                },
-            );
-        }
+        metrics.capture_into(&mut snap);
         snap.compute_derived();
         snap
     }
@@ -169,62 +140,39 @@ impl Snapshot {
     /// Serializes the snapshot as pretty-printed, deterministic JSON.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"schema_version\": {},", SCHEMA_VERSION);
-
-        write_u64_section(&mut out, "counters", &self.counters, false);
-        write_u64_section(&mut out, "gauges", &self.gauges, false);
-
-        out.push_str("  \"slots\": {");
-        write_map(&mut out, &self.slots, |out, values| {
-            out.push('[');
-            for (i, v) in values.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push(']');
-        });
-        out.push_str("},\n");
-
-        out.push_str("  \"histograms\": {");
-        write_map(&mut out, &self.histograms, |out, h| {
-            let _ = write!(out, "{{\"count\": {}, \"sum\": {}, \"buckets\": [", h.count, h.sum);
-            for (i, b) in h.buckets.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{b}");
-            }
-            out.push_str("]}");
-        });
-        out.push_str("},\n");
-
-        out.push_str("  \"phases\": {");
-        write_map(&mut out, &self.phases, |out, p| {
+        let _ = writeln!(out, "{{\n  \"schema_version\": {SCHEMA_VERSION},");
+        let int = |out: &mut String, v: &u64| {
+            let _ = write!(out, "{v}");
+        };
+        write_section(&mut out, "counters", &self.counters, int);
+        write_section(&mut out, "gauges", &self.gauges, int);
+        write_section(&mut out, "slots", &self.slots, |out, v| write_list(out, v));
+        write_section(&mut out, "histograms", &self.histograms, |out, h| {
             let _ = write!(
                 out,
-                "{{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}, \"by_thread\": [",
+                "{{\"count\": {}, \"sum\": {}, \"buckets\": ",
+                h.count, h.sum
+            );
+            write_list(out, &h.buckets);
+            out.push('}');
+        });
+        write_section(&mut out, "phases", &self.phases, |out, p| {
+            let _ = write!(
+                out,
+                "{{\"count\": {}, \"total_ns\": {}, \"max_ns\": {}, \"by_thread\": ",
                 p.count, p.total_ns, p.max_ns
             );
-            for (i, v) in p.by_thread.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                let _ = write!(out, "{v}");
-            }
-            out.push_str("]}");
+            write_list(out, &p.by_thread);
+            out.push('}');
         });
-        out.push_str("},\n");
-
-        out.push_str("  \"derived\": {");
-        write_map(&mut out, &self.derived, |out, v| {
+        write_section(&mut out, "derived", &self.derived, |out, v| {
             // `{}` on f64 is the shortest representation that parses back
             // to the same value, so serialization round-trips exactly.
             let _ = write!(out, "{v}");
         });
-        out.push_str("}\n}\n");
+        // The last section closes the object instead of taking a comma.
+        out.truncate(out.len() - ",\n".len());
+        out.push_str("\n}\n");
         out
     }
 
@@ -294,44 +242,14 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Checks that the snapshot carries the core metrics the pipeline is
-    /// expected to export, returning the missing names.
+    /// Checks that the snapshot carries every metric the registry marks
+    /// required, plus the v2 decode rate whenever decode time was
+    /// recorded, returning the missing names in registry order.
     ///
     /// Used by `literace metrics --validate` (and CI) as a schema-level
     /// sanity check on freshly produced snapshots.
     pub fn missing_required(&self) -> Vec<&'static str> {
-        const REQUIRED_COUNTERS: &[&str] = &[
-            "instrument.dispatch.checks",
-            "instrument.dispatch.sampled",
-            "instrument.mem.logged",
-            "instrument.sync.logged",
-            "log.decode.v2.bytes",
-            "log.decode.v2.ns",
-            "log.stream.stalls",
-            "detector.records.routed",
-            "detector.stream.stalls",
-            "detector.races.static",
-            "detector.races.dynamic",
-        ];
-        const REQUIRED_SLOTS: &[&str] = &[
-            "sampler.burst.transitions",
-            "detector.shard.events",
-            "detector.shard.queue_depth_hwm",
-        ];
-        let mut missing = Vec::new();
-        for &name in REQUIRED_COUNTERS {
-            if !self.counters.contains_key(name) {
-                missing.push(name);
-            }
-        }
-        for &name in REQUIRED_SLOTS {
-            if !self.slots.contains_key(name) {
-                missing.push(name);
-            }
-        }
-        if !self.gauges.contains_key("detector.races.suppressed") {
-            missing.push("detector.races.suppressed");
-        }
+        let mut missing = Metrics::missing_required(self);
         if !self.derived.contains_key("log.decode.v2.mb_per_s")
             && self.counters.get("log.decode.v2.ns").copied().unwrap_or(0) > 0
         {
@@ -416,42 +334,40 @@ fn prom_name(name: &str) -> String {
     out
 }
 
-/// Writes one `"name": value` map body with sorted keys, `value` rendered
-/// by `render`, as the inner part of an already-opened object.
-fn write_map<V>(
+/// Writes one `"title": {...},` section: the map's entries in key order,
+/// one per line, each value rendered by `render`.
+fn write_section<V>(
     out: &mut String,
+    title: &str,
     map: &BTreeMap<String, V>,
     render: impl Fn(&mut String, &V),
 ) {
-    let mut first = true;
-    for (name, v) in map {
-        if !first {
+    let _ = write!(out, "  \"{title}\": {{");
+    for (i, (name, v)) in map.iter().enumerate() {
+        if i > 0 {
             out.push(',');
         }
-        first = false;
         out.push_str("\n    \"");
         escape_into(name, out);
         out.push_str("\": ");
         render(out, v);
     }
     if !map.is_empty() {
-        out.push('\n');
-        out.push_str("  ");
+        out.push_str("\n  ");
     }
+    out.push_str("},\n");
 }
 
-fn write_u64_section(
-    out: &mut String,
-    title: &str,
-    map: &BTreeMap<String, u64>,
-    last: bool,
-) {
-    let _ = write!(out, "  \"{title}\": {{");
-    write_map(out, map, |out, v| {
+/// Writes `values` as a one-line JSON array, `[1, 2, 3]`.
+fn write_list(out: &mut String, values: &[u64]) {
+    out.push('[');
+    for (i, v) in values.iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
         let _ = write!(out, "{v}");
-    });
-    out.push('}');
-    out.push_str(if last { "\n" } else { ",\n" });
+    }
+    out.push(']');
 }
 
 /// Reads a named object section. An absent section parses as empty, and
@@ -597,6 +513,23 @@ mod tests {
         // Zero-valued decode ns means the MB/s derived metric is allowed
         // to be absent; everything else must exist even when zero.
         assert_eq!(snap.missing_required(), Vec::<&str>::new());
+    }
+
+    #[test]
+    fn missing_required_names_what_a_snapshot_lacks() {
+        let mut snap = Metrics::new().snapshot();
+        snap.counters.remove("detector.records.routed");
+        snap.counters.remove("instrument.mem.executed"); // not required
+        snap.gauges.remove("detector.races.suppressed");
+        snap.counters.insert("log.decode.v2.ns".into(), 5);
+        assert_eq!(
+            snap.missing_required(),
+            [
+                "detector.records.routed",
+                "detector.races.suppressed",
+                "log.decode.v2.mb_per_s"
+            ]
+        );
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! shard replay, merge, …). Calling [`span`](PhaseStats::span) returns a drop
 //! guard; when the guard drops, the elapsed nanoseconds are folded into the
 //! phase's totals, its maximum, and a per-thread-slot attribution row.
-//! When telemetry is disabled the guard is inert and records nothing.
+//! The guard also opens and closes the trace span of the phase's name, so
+//! a phase is timed and traced by one guard under one name. Each half is
+//! inert while its own runtime gate is off.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -14,6 +16,7 @@ use crate::metrics::{thread_slot, MaxGauge, SlotCounters, SLOTS};
 /// Aggregated timings for one named pipeline phase.
 #[derive(Debug)]
 pub struct PhaseStats {
+    name: &'static str,
     count: AtomicU64,
     total_ns: AtomicU64,
     max_ns: MaxGauge,
@@ -21,9 +24,11 @@ pub struct PhaseStats {
 }
 
 impl PhaseStats {
-    /// A zeroed phase.
-    pub const fn new() -> PhaseStats {
+    /// A zeroed phase with its canonical name, which its trace span
+    /// shares.
+    pub const fn new(name: &'static str) -> PhaseStats {
         PhaseStats {
+            name,
             count: AtomicU64::new(0),
             total_ns: AtomicU64::new(0),
             max_ns: MaxGauge::new(),
@@ -31,10 +36,12 @@ impl PhaseStats {
         }
     }
 
-    /// Starts a span of this phase on the calling thread. Inert (and
-    /// effectively free) when telemetry is disabled.
+    /// Starts a span of this phase on the calling thread, timed while
+    /// telemetry is enabled and traced while tracing is. Inert (and
+    /// effectively free) when both are off.
     #[inline]
     pub fn span(&'static self) -> SpanGuard {
+        crate::trace_begin(self.name);
         SpanGuard {
             stats: self,
             start: crate::enabled().then(Instant::now),
@@ -78,13 +85,8 @@ impl PhaseStats {
     }
 }
 
-impl Default for PhaseStats {
-    fn default() -> PhaseStats {
-        PhaseStats::new()
-    }
-}
-
-/// Drop guard returned by [`PhaseStats::span`]; records on drop.
+/// Drop guard returned by [`PhaseStats::span`]; records and closes the
+/// trace span on drop.
 #[derive(Debug)]
 pub struct SpanGuard {
     stats: &'static PhaseStats,
@@ -97,6 +99,7 @@ impl Drop for SpanGuard {
             self.stats
                 .record_ns(u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX));
         }
+        crate::trace_end(self.stats.name);
     }
 }
 
@@ -106,7 +109,7 @@ mod tests {
 
     #[test]
     fn record_ns_accumulates_and_attributes() {
-        let p = PhaseStats::new();
+        let p = PhaseStats::new("test.phase");
         p.record_ns(10);
         p.record_ns(30);
         assert_eq!(p.count(), 2);
@@ -121,7 +124,8 @@ mod tests {
     fn inert_guard_records_nothing() {
         // A guard with no start time (what `span()` returns while
         // telemetry is disabled) must not touch the stats on drop.
-        static P: PhaseStats = PhaseStats::new();
+        let _g = crate::tests::serial();
+        static P: PhaseStats = PhaseStats::new("test.phase");
         drop(SpanGuard {
             stats: &P,
             start: None,
@@ -131,11 +135,37 @@ mod tests {
 
     #[test]
     fn live_guard_records_on_drop() {
-        static P: PhaseStats = PhaseStats::new();
+        let _g = crate::tests::serial();
+        static P: PhaseStats = PhaseStats::new("test.phase");
         drop(SpanGuard {
             stats: &P,
             start: Some(Instant::now()),
         });
         assert_eq!(P.count(), 1);
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn guard_traces_a_span_of_the_phase_name() {
+        use crate::trace::TraceKind;
+        let _g = crate::tests::serial();
+        static P: PhaseStats = PhaseStats::new("test.traced_phase");
+        crate::set_trace_enabled(true);
+        crate::reset_trace();
+        drop(P.span());
+        crate::set_trace_enabled(false);
+        let events: Vec<(TraceKind, &str)> = crate::drain_tracks()
+            .iter()
+            .flat_map(|t| &t.events)
+            .map(|e| (e.kind, e.name))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                (TraceKind::Begin, "test.traced_phase"),
+                (TraceKind::End, "test.traced_phase")
+            ]
+        );
+        crate::reset_trace();
     }
 }

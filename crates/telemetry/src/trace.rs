@@ -369,13 +369,7 @@ pub fn reset_trace() {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Trace tests share the process-global runtime flag and collector, so
-    // they serialize on one lock rather than fight the parallel runner.
-    fn serial() -> std::sync::MutexGuard<'static, ()> {
-        static LOCK: Mutex<()> = Mutex::new(());
-        LOCK.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::tests::serial;
 
     #[cfg(feature = "enabled")]
     #[test]

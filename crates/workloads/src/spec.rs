@@ -82,6 +82,45 @@ impl WorkloadId {
             WorkloadId::LfList => "LFList",
         }
     }
+
+    /// The short name the command line uses (`dryad-stdlib`, `apache-1`,
+    /// `ff-render`, …).
+    pub fn short_name(self) -> &'static str {
+        match self {
+            WorkloadId::DryadStdlib => "dryad-stdlib",
+            WorkloadId::Dryad => "dryad",
+            WorkloadId::ConcrtMessaging => "messaging",
+            WorkloadId::ConcrtScheduling => "scheduling",
+            WorkloadId::Apache1 => "apache-1",
+            WorkloadId::Apache2 => "apache-2",
+            WorkloadId::FirefoxStart => "ff-start",
+            WorkloadId::FirefoxRender => "ff-render",
+            WorkloadId::LkrHash => "lkrhash",
+            WorkloadId::LfList => "lflist",
+        }
+    }
+
+    /// Resolves a workload name, ignoring ASCII case: the
+    /// [`short_name`](WorkloadId::short_name), the paper's
+    /// [`name`](WorkloadId::name), or one of the aliases `dryadstdlib`,
+    /// `concrt-messaging`, `concrt-scheduling`, `apache1`, `apache2`,
+    /// `firefox-start` and `firefox-render`.
+    pub fn from_name(name: &str) -> Option<WorkloadId> {
+        let key = name.to_ascii_lowercase();
+        let short = match key.as_str() {
+            "dryadstdlib" => "dryad-stdlib",
+            "concrt-messaging" => "messaging",
+            "concrt-scheduling" => "scheduling",
+            "apache1" => "apache-1",
+            "apache2" => "apache-2",
+            "firefox-start" => "ff-start",
+            "firefox-render" => "ff-render",
+            other => other,
+        };
+        WorkloadId::all()
+            .into_iter()
+            .find(|id| id.short_name() == short || id.name().eq_ignore_ascii_case(name))
+    }
 }
 
 impl fmt::Display for WorkloadId {
@@ -324,6 +363,36 @@ mod tests {
         assert_eq!(p.total(), 11);
         assert_eq!(p.rare(), 6);
         assert_eq!(p.frequent(), 5);
+    }
+
+    #[test]
+    fn every_workload_name_resolves() {
+        use WorkloadId::*;
+        for id in WorkloadId::all() {
+            assert_eq!(WorkloadId::from_name(id.short_name()), Some(id));
+            assert_eq!(WorkloadId::from_name(id.name()), Some(id));
+            assert_eq!(
+                WorkloadId::from_name(&id.name().to_ascii_uppercase()),
+                Some(id)
+            );
+        }
+        // The aliases the CLI and the bench harness each accepted.
+        for (name, id) in [
+            ("dryadstdlib", DryadStdlib),
+            ("concrt-messaging", ConcrtMessaging),
+            ("concrt-scheduling", ConcrtScheduling),
+            ("apache1", Apache1),
+            ("Apache2", Apache2),
+            ("firefox-start", FirefoxStart),
+            ("firefox-render", FirefoxRender),
+            ("FF-RENDER", FirefoxRender),
+            ("Dryad Channel", Dryad),
+        ] {
+            assert_eq!(WorkloadId::from_name(name), Some(id), "{name}");
+        }
+        for unknown in ["nope", "", "dryad channel + std", "apache-3"] {
+            assert_eq!(WorkloadId::from_name(unknown), None, "{unknown}");
+        }
     }
 
     #[test]

@@ -163,6 +163,48 @@ fn tracing_reports_and_log_bytes_are_byte_identical_on_vs_off() {
             id.name(),
             on_tracks.iter().map(|t| &t.track).collect::<Vec<_>>()
         );
+        // A phase's trace span carries its metric's name: the merge span
+        // is `phase.merge`, and each shard track opens `phase.shard_replay`.
+        let begins = |t: &telemetry::TrackData, name: &str| {
+            t.events
+                .iter()
+                .any(|e| e.kind == telemetry::TraceKind::Begin && e.name == name)
+        };
+        assert!(on_tracks.iter().any(|t| begins(t, "phase.merge")));
+        assert!(on_tracks.iter().all(|t| !begins(t, "merge")));
+        for t in on_tracks
+            .iter()
+            .filter(|t| t.track.starts_with("literace-shard-"))
+        {
+            assert!(begins(t, "phase.shard_replay"), "{}", t.track);
+        }
+    }
+}
+
+/// `detector.records.routed` counts every record the engine replays
+/// once, at every shard count, in memory and streamed: the `--progress`
+/// heartbeat reads its rate and its share of the log's record total.
+#[test]
+fn every_shard_count_routes_each_record_once() {
+    let _guard = serialized();
+    let w = build(WorkloadId::LfList, Scale::Smoke);
+    let (log, non_stack) = full_log(&w.program, 2);
+    let routed = |detect: &dyn Fn()| {
+        let before = telemetry::metrics().detector_records_routed.get();
+        with_flag(true, detect);
+        telemetry::metrics().detector_records_routed.get() - before
+    };
+    for threads in [1usize, 2, 4] {
+        let cfg = DetectConfig::with_threads(threads);
+        let in_memory = routed(&|| {
+            detect_sharded(&log, non_stack, &cfg);
+        });
+        assert_eq!(in_memory, log.len() as u64, "in memory, threads={threads}");
+        let streamed = routed(&|| {
+            let blocks = log.records().chunks(1000).map(|c| Ok(c.to_vec()));
+            detect_stream(blocks, non_stack, &cfg).expect("in-memory blocks decode");
+        });
+        assert_eq!(streamed, log.len() as u64, "streamed, threads={threads}");
     }
 }
 
