@@ -38,8 +38,18 @@ impl Default for Options {
 ///
 /// Panics with a usage message on malformed arguments.
 pub fn parse_args() -> Options {
-    let mut opts = Options::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    parse_args_from(&args)
+}
+
+/// Parses options from an explicit argument list (without the program
+/// name), for binaries that take flags of their own first.
+///
+/// # Panics
+///
+/// Panics with a usage message on malformed arguments.
+pub fn parse_args_from(args: &[String]) -> Options {
+    let mut opts = Options::default();
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -110,6 +120,38 @@ mod tests {
             Some(WorkloadId::FirefoxRender)
         );
         assert_eq!(WorkloadId::from_name("nope"), None);
+    }
+
+    fn args(parts: &[&str]) -> Vec<String> {
+        parts.iter().map(|s| (*s).to_string()).collect()
+    }
+
+    #[test]
+    fn parse_args_from_reads_every_flag() {
+        let opts = parse_args_from(&args(&[
+            "--scale",
+            "smoke",
+            "--seeds",
+            "2",
+            "--workloads",
+            "apache-1,Dryad Channel",
+        ]));
+        assert_eq!(opts.scale, Scale::Smoke);
+        assert_eq!(opts.seeds, vec![1, 2]);
+        assert_eq!(
+            opts.workloads,
+            Some(vec![WorkloadId::Apache1, WorkloadId::Dryad])
+        );
+        let opts = parse_args_from(&[]);
+        assert_eq!(opts.scale, Scale::Paper);
+        assert_eq!(opts.seeds, vec![1, 2, 3]);
+        assert_eq!(opts.workloads, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seeds expects a number")]
+    fn parse_args_from_rejects_a_flag_without_its_value() {
+        parse_args_from(&args(&["--seeds"]));
     }
 
     #[test]

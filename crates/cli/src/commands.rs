@@ -7,8 +7,8 @@ use std::process::ExitCode;
 use literace::detector::detect_stream;
 use literace::eval::{evaluate_program, EvalConfig};
 use literace::log::{
-    auto_stream_depth, AtomicFile, DecodeOpts, EncodeOpts, LogFormat, LogStats, LogWriter,
-    LogWriterV2, RecordStream, SalvageHandle,
+    auto_stream_depth, AtomicFile, DecodeOpts, EncodeOpts, LogStats, LogWriterV2, RecordStream,
+    SalvageHandle,
 };
 use literace::overhead::measure_overhead;
 use literace::pipeline::detect_phase;
@@ -29,24 +29,24 @@ USAGE:
       List the benchmark workloads.
 
   literace run --workload <name> [--sampler tl-ad] [--seed 1]
-               [--scale smoke|paper] [--log <file>] [--format v1|v2]
+               [--scale smoke|paper] [--log <file>]
                [--threads N] [--decode-threads N|auto]
                [--encode-threads N|auto] [--suppress pat1,pat2]
                [--prefilter] [--prefilter-stats]
                [--metrics-out <file>] [--trace-out <file>] [--progress]
       Instrument, execute, and detect. Optionally write the event log
-      (compact v2 blocks by default; --format v1 for the legacy
-      fixed-width format) and suppress races in functions matching the
-      given name patterns. With --log, records stream to disk as the
-      program runs (the log is never materialized in memory) and
-      detection streams the file back through the decode pool
-      (--decode-threads as under `detect`); without --log, detection
-      runs over the run's in-memory log. --threads N shards detection
-      across N workers as under `detect`.
+      (compact v2 blocks, the one format written; `detect` also reads
+      the seed's fixed-width v1 logs) and suppress races in functions
+      matching the given name patterns. With --log, records stream to
+      disk as the program runs (the log is never materialized in
+      memory) and detection streams the file back through the decode
+      pool (--decode-threads as under `detect`); without --log,
+      detection runs over the run's in-memory log. --threads N shards
+      detection across N workers as under `detect`.
       --encode-threads N moves v2 encoding off the run's hot path: the
       run only appends raw records and N background workers encode the
-      blocks (4096 records each). It needs --log and v2; the file's
-      bytes never depend on it. A stale <file>.partial left by a
+      blocks (4096 records each). It needs --log; the file's bytes
+      never depend on it. A stale <file>.partial left by a
       crashed run is swept before writing. --metrics-out writes a JSON
       telemetry snapshot; --trace-out records pipeline event tracing and
       writes a Chrome trace-event JSON file loadable in Perfetto
@@ -232,14 +232,6 @@ fn resolve_sampler(name: Option<&str>) -> Result<SamplerKind, CliError> {
     }
 }
 
-fn parse_format(flags: &Flags) -> Result<LogFormat, String> {
-    match flags.get("format") {
-        None => Ok(LogFormat::V2),
-        Some(name) => LogFormat::from_name(name)
-            .ok_or_else(|| format!("--format expects v1|v2, got `{name}`")),
-    }
-}
-
 /// Parses `--decode-threads` (default `auto`: one worker per available
 /// core) into the [`DecodeOpts`] handed to the log readers, with the
 /// channel depth auto-sized from the decode and detect thread counts.
@@ -343,7 +335,7 @@ pub fn workloads(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 const RUN: Spec = Spec {
     values: &[
-        "workload", "sampler", "seed", "scale", "log", "format", "threads", "decode-threads",
+        "workload", "sampler", "seed", "scale", "log", "threads", "decode-threads",
         "encode-threads", "suppress", "metrics-out", "trace-out",
     ],
     switches: &["progress", "prefilter", "prefilter-stats"],
@@ -360,15 +352,9 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         return Err("--threads must be at least 1".into());
     }
     let decode_opts = parse_decode_opts(&flags, threads)?;
-    let format = parse_format(&flags)?;
     let encode_opts = parse_encode_opts(&flags)?;
-    if flags.get("encode-threads").is_some() {
-        if flags.get("log").is_none() {
-            return Err("--encode-threads requires --log".into());
-        }
-        if matches!(format, LogFormat::V1) {
-            return Err("--encode-threads shapes v2 logs only (drop --format v1)".into());
-        }
+    if flags.get("encode-threads").is_some() && flags.get("log").is_none() {
+        return Err("--encode-threads requires --log".into());
     }
     if let Some(path) = flags.get("log") {
         if AtomicFile::sweep_stale(path).map_err(CliError::io("cannot sweep", path))? {
@@ -404,24 +390,11 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         // after a clean finish.
         let file = AtomicFile::create(path).map_err(CliError::io("cannot create", path))?;
         let write_err = |e| format!("write {path}: {e}");
-        let (summary, stats, overhead, written, file) = match format {
-            LogFormat::V2 => {
-                let sink = LogWriterV2::with_opts(file, encode_opts).map_err(write_err)?;
-                let (summary, out) = run_literace_with_sink(&w.program, sampler, &cfg, sink)
-                    .map_err(|e| e.to_string())?;
-                let written = out.log.records_written();
-                let file = out.log.finish().map_err(write_err)?;
-                (summary, out.stats, out.overhead, written, file)
-            }
-            LogFormat::V1 => {
-                let sink = LogWriter::new(file);
-                let (summary, out) = run_literace_with_sink(&w.program, sampler, &cfg, sink)
-                    .map_err(|e| e.to_string())?;
-                let written = out.log.records_written();
-                let file = out.log.finish().map_err(write_err)?;
-                (summary, out.stats, out.overhead, written, file)
-            }
-        };
+        let sink = LogWriterV2::with_opts(file, encode_opts).map_err(write_err)?;
+        let (summary, out) =
+            run_literace_with_sink(&w.program, sampler, &cfg, sink).map_err(|e| e.to_string())?;
+        let written = out.log.records_written();
+        let file = out.log.finish().map_err(write_err)?;
         file.commit().map_err(CliError::io("cannot finalize", path))?;
         let non_stack = summary.non_stack_accesses;
         let report = detect_phase(|| -> Result<_, CliError> {
@@ -429,8 +402,14 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             Ok(detect_stream(blocks, non_stack, &cfg.detect_config())
                 .map_err(|e| format!("read {path}: {e}"))?)
         })?;
-        let note = format!("wrote {written} records to {path} ({format} format)");
-        (summary, stats, overhead, report, Some((note, non_stack, path)))
+        let note = format!("wrote {written} records to {path} (v2 format)");
+        (
+            summary,
+            out.stats,
+            out.overhead,
+            report,
+            Some((note, non_stack, path)),
+        )
     } else {
         let outcome = run_literace(&w.program, sampler, &cfg).map_err(|e| e.to_string())?;
         (
@@ -1242,15 +1221,18 @@ mod tests {
         };
         let no_log = sv(&["--workload", "lflist", "--encode-threads", "2"]);
         assert!(run(&no_log, &mut sink()).is_err());
+        // v2 is the one format `run` writes: `--format` is no flag of it.
         let dir = std::env::temp_dir();
         let path = dir.join("literace_cli_pipelined_v1_reject.lrlog");
         let path_s = path.to_str().unwrap().to_string();
+        let _ = std::fs::remove_file(&path);
         let v1 = sv(&[
             "--workload", "lflist", "--log", &path_s,
             "--format", "v1", "--encode-threads", "2",
         ]);
-        assert!(run(&v1, &mut sink()).is_err());
-        let _ = std::fs::remove_file(&path);
+        let err = run(&v1, &mut sink()).unwrap_err().to_string();
+        assert!(err.starts_with("unknown flag --format (accepted: "), "{err}");
+        assert!(!path.exists(), "a rejected run must not write its log");
     }
 
     #[test]
@@ -1285,9 +1267,10 @@ mod tests {
 
     #[test]
     fn v1_format_and_streaming_round_trip() {
-        // run --log streams either format to disk without materializing;
-        // detect streams both back, with either detector (formats are
-        // auto-detected).
+        // run --log streams a v2 log to disk without materializing it;
+        // detect and log-stats stream it back, and the same records as a
+        // v1 log (the seed format, which only `encode_all` still makes),
+        // with either detector (formats are auto-detected).
         let dir = std::env::temp_dir();
         let v1 = dir.join("literace_cli_v1_test.lrlog");
         let v2 = dir.join("literace_cli_v2_stream_test.lrlog");
@@ -1296,14 +1279,12 @@ mod tests {
         let sv = |parts: &[&str]| -> Vec<String> {
             parts.iter().map(|s| (*s).to_string()).collect()
         };
-        let run_v1 = sv(&[
-            "--workload", "lflist", "--seed", "2", "--format", "v1", "--log", &v1_s,
-        ]);
-        run(&run_v1, &mut sink()).unwrap();
         let run_v2 = sv(&[
             "--workload", "lflist", "--seed", "2", "--threads", "2", "--log", &v2_s,
         ]);
         run(&run_v2, &mut sink()).unwrap();
+        let log = literace::log::read_log_auto(File::open(&v2).unwrap()).unwrap();
+        std::fs::write(&v1, literace::log::encode_all(&log)).unwrap();
         // v2 must be the smaller encoding of the identical record stream.
         let (v1_len, v2_len) = (
             std::fs::metadata(&v1).unwrap().len(),

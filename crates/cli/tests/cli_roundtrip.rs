@@ -122,6 +122,37 @@ fn run_then_detect_round_trips_through_a_log_file() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// `run` writes only v2; v1 is the seed format the tool still reads. A
+/// run's v2 log and the same records as v1 bytes (`encode_all`) must
+/// detect the same race lines and static/dynamic counts, at one and two
+/// shards and under the lockset detector.
+#[test]
+fn a_v1_copy_of_a_run_detects_like_its_v2_log() {
+    let dir = std::env::temp_dir().join(format!("literace_cli_v1_v2_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let v2 = dir.join("run.lrlog");
+    let v1 = dir.join("run.v1.lrlog");
+    let (v2, v1) = (v2.to_str().unwrap(), v1.to_str().unwrap());
+    write_full_lflist_log(v2);
+    let log = read_log_auto(std::fs::File::open(v2).unwrap()).unwrap();
+    std::fs::write(v1, encode_all(&log)).unwrap();
+    let detect = |path: &str, extra: &[&str]| {
+        let mut c = literace();
+        c.args(["detect", "--log", path]).args(extra);
+        race_lines(&stdout_of(c))
+    };
+    for extra in [
+        &["--threads", "1"][..],
+        &["--threads", "2"],
+        &["--detector", "lockset"],
+    ] {
+        let from_v2 = detect(v2, extra);
+        assert!(from_v2.len() > 1, "{extra:?}: no race lines {from_v2:?}");
+        assert_eq!(detect(v1, extra), from_v2, "{extra:?}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn trace_out_emits_a_valid_chrome_trace_and_summarizes() {
     let dir = std::env::temp_dir().join("literace_cli_traceout");

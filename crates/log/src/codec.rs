@@ -1,8 +1,11 @@
-//! Compact binary encoding of log records.
+//! The v1 codec: the seed's fixed-width record encoding.
 //!
 //! The paper reports log volume in MB/s (Table 5); this codec defines the
-//! bytes-per-record figures that the overhead model uses, and provides the
-//! on-disk format for offline detection. Encoding is little-endian,
+//! bytes-per-record figures that the overhead model uses
+//! ([`encoded_len`], summed by [`LogStats`](crate::LogStats)). The tool
+//! writes v2 files; v1 stays as the format it reads back (through
+//! `ChunkedRecords` under the one log reader) and as the bytes
+//! [`encode_all`] makes for fixtures. Encoding is little-endian,
 //! fixed-width per record kind, with a one-byte tag.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
@@ -73,7 +76,7 @@ pub(crate) fn sync_kind_from_u8(v: u8) -> LogResult<SyncOpKind> {
 }
 
 /// Appends the encoding of `record` to `buf`.
-pub fn encode(record: &Record, buf: &mut BytesMut) {
+pub(crate) fn encode(record: &Record, buf: &mut BytesMut) {
     match *record {
         Record::Sync {
             tid,
@@ -126,7 +129,7 @@ pub fn encoded_len(record: &Record) -> usize {
 /// The encoded size (including the tag byte) of a record starting with the
 /// given tag, or `None` for an unknown tag. Lets chunked readers know how
 /// many bytes to buffer before decoding.
-pub fn tag_len(tag: u8) -> Option<usize> {
+pub(crate) fn tag_len(tag: u8) -> Option<usize> {
     match tag {
         TAG_SYNC => Some(SYNC_RECORD_BYTES),
         TAG_MEM => Some(MEM_RECORD_BYTES),
@@ -141,7 +144,7 @@ pub fn tag_len(tag: u8) -> Option<usize> {
 ///
 /// Returns [`LogError::Corrupt`] on an unknown tag, a truncated record, or
 /// an invalid field value.
-pub fn decode<B: Buf>(buf: &mut B) -> LogResult<Record> {
+pub(crate) fn decode<B: Buf>(buf: &mut B) -> LogResult<Record> {
     if buf.remaining() < 1 {
         return Err(LogError::corrupt("empty buffer"));
     }
@@ -203,7 +206,8 @@ pub fn decode<B: Buf>(buf: &mut B) -> LogResult<Record> {
     })
 }
 
-/// Encodes a whole sequence of records into one buffer.
+/// Encodes a whole sequence of records as one v1 log: how fixtures and
+/// tests make v1 bytes, since the tool itself writes v2.
 pub fn encode_all<'a>(records: impl IntoIterator<Item = &'a Record>) -> Bytes {
     let mut buf = BytesMut::new();
     for r in records {
@@ -212,23 +216,17 @@ pub fn encode_all<'a>(records: impl IntoIterator<Item = &'a Record>) -> Bytes {
     buf.freeze()
 }
 
-/// Decodes an entire buffer into records.
-///
-/// # Errors
-///
-/// Returns the first decoding error encountered.
-pub fn decode_all(mut buf: Bytes) -> LogResult<Vec<Record>> {
-    let mut out = Vec::new();
-    while buf.has_remaining() {
-        out.push(decode(&mut buf)?);
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use literace_sim::FuncId;
+
+    use crate::stream::read_log_auto;
+
+    /// Every record of a v1 buffer, through the one log reader.
+    fn read_v1(bytes: &[u8]) -> LogResult<Vec<Record>> {
+        read_log_auto(bytes).map(|log| log.records().to_vec())
+    }
 
     fn sample_records() -> Vec<Record> {
         vec![
@@ -259,7 +257,7 @@ mod tests {
     fn round_trip_preserves_records() {
         let records = sample_records();
         let bytes = encode_all(&records);
-        let decoded = decode_all(bytes).unwrap();
+        let decoded = read_v1(&bytes).unwrap();
         assert_eq!(records, decoded);
     }
 
@@ -298,8 +296,7 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_corrupt() {
-        let buf = Bytes::from_static(&[0xFF]);
-        let err = decode_all(buf).unwrap_err();
+        let err = read_v1(&[0xFF]).unwrap_err();
         assert!(err.to_string().contains("unknown record tag"), "{err}");
     }
 
@@ -307,8 +304,7 @@ mod tests {
     fn truncated_record_is_corrupt() {
         let records = sample_records();
         let bytes = encode_all(&records);
-        let truncated = bytes.slice(0..bytes.len() - 1);
-        let err = decode_all(truncated).unwrap_err();
+        let err = read_v1(&bytes[..bytes.len() - 1]).unwrap_err();
         assert!(err.to_string().contains("truncated"), "{err}");
     }
 
@@ -327,7 +323,7 @@ mod tests {
         );
         // Corrupt the is_write byte (offset: tag1+tid4+pc8+addr8 = 21).
         buf[21] = 7;
-        let err = decode_all(buf.freeze()).unwrap_err();
+        let err = read_v1(&buf).unwrap_err();
         assert!(err.to_string().contains("is_write"), "{err}");
     }
 }

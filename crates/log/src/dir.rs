@@ -12,16 +12,16 @@ use std::path::{Path, PathBuf};
 use literace_sim::ThreadId;
 
 use crate::error::{LogError, LogResult};
-use crate::io::LogWriter;
 use crate::record::EventLog;
 use crate::stream::read_log_auto;
+use crate::writer::LogWriterV2;
 
 /// File name for one thread's log.
 fn thread_file_name(tid: ThreadId) -> String {
     format!("thread{}.lrlog", tid.index())
 }
 
-/// Writes per-thread logs into `dir` (created if missing), one
+/// Writes per-thread logs into `dir` (created if missing), one v2
 /// `thread<N>.lrlog` per entry. Returns the paths written.
 ///
 /// # Errors
@@ -36,7 +36,7 @@ pub fn write_thread_logs(
     let mut paths = Vec::with_capacity(logs.len());
     for (tid, log) in logs {
         let path = dir.join(thread_file_name(*tid));
-        let mut w = LogWriter::new(File::create(&path).map_err(LogError::Io)?);
+        let mut w = LogWriterV2::new(File::create(&path).map_err(LogError::Io)?);
         for r in log {
             w.write_record(r)?;
         }

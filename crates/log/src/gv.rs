@@ -61,11 +61,6 @@ pub struct GvEncoder {
 }
 
 impl GvEncoder {
-    /// A fresh encoder.
-    pub fn new() -> GvEncoder {
-        GvEncoder::default()
-    }
-
     /// Appends one value to the stream.
     #[inline]
     pub fn put(&mut self, v: u64) {
@@ -219,7 +214,7 @@ mod tests {
     use super::*;
 
     fn round_trip(values: &[u64]) {
-        let mut enc = GvEncoder::new();
+        let mut enc = GvEncoder::default();
         for &v in values {
             enc.put(v);
         }
@@ -276,7 +271,7 @@ mod tests {
 
     #[test]
     fn truncated_region_is_corrupt_not_panic() {
-        let mut enc = GvEncoder::new();
+        let mut enc = GvEncoder::default();
         for v in [1u64, 2, 3, 4, 5, 6, 7, 8] {
             enc.put(v);
         }
@@ -300,7 +295,7 @@ mod tests {
 
     #[test]
     fn empty_stream_is_exhausted_immediately() {
-        let mut enc = GvEncoder::new();
+        let mut enc = GvEncoder::default();
         let bytes = enc.seal();
         assert!(bytes.is_empty());
         let mut cur = GvCursor::new(bytes);
@@ -310,7 +305,7 @@ mod tests {
 
     #[test]
     fn encoder_reuse_after_finish_starts_clean() {
-        let mut enc = GvEncoder::new();
+        let mut enc = GvEncoder::default();
         enc.put(7);
         assert!(!enc.seal().is_empty());
         enc.clear();

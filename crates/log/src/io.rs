@@ -1,137 +1,23 @@
-//! The v1 log writer and record decoder over `std::io`.
+//! The v1 record reader over `std::io`.
 //!
 //! The paper writes its event stream to disk and detects offline (§4.4).
-//! [`LogWriter`] writes the fixed-width v1 format; [`ChunkedRecords`]
-//! decodes it for the one log reader,
-//! [`RecordBlocks`](crate::RecordBlocks). Both also work over in-memory
-//! buffers, which is what the test suite uses.
+//! v1 is the seed's fixed-width format. The tool no longer writes it to
+//! a file (v2's [`LogWriterV2`](crate::LogWriterV2) is the one log
+//! writer), but it still reads v1 logs back, and
+//! [`encode_all`](crate::encode_all) makes v1 bytes for fixtures.
+//! [`ChunkedRecords`] decodes them for the one log reader,
+//! [`RecordBlocks`](crate::RecordBlocks), over files and in-memory
+//! buffers alike.
 
-use std::io::{Read, Write};
+use std::io::Read;
 
-use bytes::BytesMut;
-
-use crate::codec::{decode, encode, tag_len};
+use crate::codec::{decode, tag_len};
 use crate::error::{LogError, LogResult};
 use crate::record::Record;
+use crate::salvage::drain_bytes;
 
 /// Bytes a v1 read pulls from its source per refill.
 const DEFAULT_CHUNK_BYTES: usize = 256 * 1024;
-
-/// Writes records to an underlying byte sink.
-///
-/// Pass a `&mut` reference if you need the writer back (readers and writers
-/// are taken by value per the standard-library convention).
-///
-/// Records are encoded into a buffer that flushes every 48 KiB. The
-/// first sink error wins: the writer keeps it, writes nothing after it
-/// (not even on drop), and [`finish`](LogWriter::finish) returns it —
-/// the rule of the v2 writer. A writer dropped without `finish` flushes
-/// its buffer best-effort, so going out of scope early cannot silently
-/// truncate the log.
-#[derive(Debug)]
-pub struct LogWriter<W: Write> {
-    /// Taken by `finish`.
-    sink: Option<W>,
-    buf: BytesMut,
-    records_written: u64,
-    bytes_written: u64,
-    /// Records already reported to telemetry (counted per flush, so the
-    /// per-record path stays untouched).
-    records_reported: u64,
-    /// The first sink error; once set, nothing more reaches the sink.
-    error: Option<LogError>,
-}
-
-impl<W: Write> LogWriter<W> {
-    /// Creates a writer over `sink`.
-    pub fn new(sink: W) -> LogWriter<W> {
-        LogWriter {
-            sink: Some(sink),
-            buf: BytesMut::with_capacity(64 * 1024),
-            records_written: 0,
-            bytes_written: 0,
-            records_reported: 0,
-            error: None,
-        }
-    }
-
-    /// Appends one record.
-    ///
-    /// # Errors
-    ///
-    /// None are raised here: a failed sink write is kept, nothing is
-    /// written after it, and [`finish`](LogWriter::finish) returns it. The
-    /// `Result` matches [`LogWriterV2`](crate::LogWriterV2), so callers
-    /// drive both formats alike.
-    pub fn write_record(&mut self, record: &Record) -> LogResult<()> {
-        self.records_written += 1;
-        if self.error.is_none() {
-            encode(record, &mut self.buf);
-            if self.buf.len() >= 48 * 1024 {
-                self.flush_buf();
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes the buffer to the sink unless an earlier write failed.
-    fn flush_buf(&mut self) {
-        let Some(sink) = self.sink.as_mut().filter(|_| self.error.is_none()) else {
-            return;
-        };
-        match sink.write_all(&self.buf) {
-            Ok(()) => {
-                self.bytes_written += self.buf.len() as u64;
-                if literace_telemetry::enabled() {
-                    let m = literace_telemetry::metrics();
-                    m.log_encode_v1_bytes.add(self.buf.len() as u64);
-                    m.log_encode_v1_records
-                        .add(self.records_written - self.records_reported);
-                    self.records_reported = self.records_written;
-                }
-            }
-            Err(e) => self.error = Some(LogError::Io(e)),
-        }
-        self.buf.clear();
-    }
-
-    /// Flushes buffered bytes and returns the sink.
-    ///
-    /// # Errors
-    ///
-    /// The first sink I/O error, from any earlier flush or this one.
-    pub fn finish(mut self) -> LogResult<W> {
-        self.flush_buf();
-        let mut sink = self.sink.take().expect("the sink lives until finish");
-        if let Some(e) = self.error.take() {
-            return Err(e);
-        }
-        sink.flush()?;
-        Ok(sink)
-    }
-
-    /// Records written so far (including any after an error).
-    pub fn records_written(&self) -> u64 {
-        self.records_written
-    }
-
-    /// Bytes written so far, including still-buffered bytes.
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes_written + self.buf.len() as u64
-    }
-}
-
-impl<W: Write> Drop for LogWriter<W> {
-    /// Best-effort flush of buffered bytes, unless a write already failed.
-    /// Errors are swallowed here — call [`finish`](LogWriter::finish) to
-    /// observe them.
-    fn drop(&mut self) {
-        self.flush_buf();
-        if let Some(sink) = self.sink.as_mut().filter(|_| self.error.is_none()) {
-            let _ = sink.flush();
-        }
-    }
-}
 
 /// Streaming v1 record iterator over a byte source.
 ///
@@ -165,6 +51,16 @@ impl<R: Read> ChunkedRecords<R> {
             eof: false,
             done: false,
         }
+    }
+
+    /// Discards the rest of the input, from the first record not yet
+    /// decoded to the end of the source, and returns its length: what a
+    /// salvage read drops after the first error.
+    pub(crate) fn drop_rest(&mut self) -> u64 {
+        let buffered = (self.buf.len() - self.pos) as u64;
+        self.buf.clear();
+        self.pos = 0;
+        buffered + drain_bytes(&mut self.source)
     }
 
     /// Pulls one more chunk from the source, compacting consumed bytes
@@ -244,6 +140,9 @@ impl<R: Read> Iterator for ChunkedRecords<R> {
             self.pos += need;
             if let Err(e) = &record {
                 self.done = true;
+                // Leave the failed record unconsumed, as every other
+                // error does, so `drop_rest` counts its bytes.
+                self.pos -= need;
                 crate::error::count_error(e);
             }
             return Some(record);
@@ -279,54 +178,9 @@ mod tests {
 
     #[test]
     fn writer_reader_round_trip() {
+        // More records than one re-batched block holds.
         let records = some_records(10_000);
-        let mut w = LogWriter::new(Vec::new());
-        for r in &records {
-            w.write_record(r).unwrap();
-        }
-        assert_eq!(w.records_written(), 10_000);
-        let bytes = w.finish().unwrap();
-        let log = read_log_auto(&bytes[..]).unwrap();
-        assert_eq!(log.records(), &records[..]);
-    }
-
-    #[test]
-    fn bytes_written_counts_buffered_bytes() {
-        let mut w = LogWriter::new(Vec::new());
-        let r = some_records(1);
-        w.write_record(&r[0]).unwrap();
-        assert_eq!(w.bytes_written(), crate::codec::MEM_RECORD_BYTES as u64);
-    }
-
-    #[test]
-    fn writer_drop_flushes_buffered_records() {
-        use std::io::Write;
-        use std::sync::{Arc, Mutex};
-
-        /// A sink whose bytes outlive the writer that owns it.
-        #[derive(Clone)]
-        struct SharedSink(Arc<Mutex<Vec<u8>>>);
-        impl Write for SharedSink {
-            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-                self.0.lock().unwrap().extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-
-        let records = some_records(100);
-        let sink = SharedSink(Arc::new(Mutex::new(Vec::new())));
-        {
-            let mut w = LogWriter::new(sink.clone());
-            for r in &records {
-                w.write_record(r).unwrap();
-            }
-            // Dropped without finish(): 100 records fit well inside the
-            // 48 KiB buffer, so nothing has reached the sink yet.
-        }
-        let bytes = sink.0.lock().unwrap().clone();
+        let bytes = encode_all(&records);
         let log = read_log_auto(&bytes[..]).unwrap();
         assert_eq!(log.records(), &records[..]);
     }
@@ -342,11 +196,7 @@ mod tests {
     #[test]
     fn chunked_read_splits_records_across_chunk_boundaries() {
         let records = some_records(1_000);
-        let mut w = LogWriter::new(Vec::new());
-        for r in &records {
-            w.write_record(r).unwrap();
-        }
-        let bytes = w.finish().unwrap();
+        let bytes = encode_all(&records);
         // Chunk sizes that never align with the 26-byte Mem record force a
         // carried-over partial record on almost every refill.
         for chunk in [1, 7, 25, 26, 27, 1024] {

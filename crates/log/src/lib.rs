@@ -2,8 +2,10 @@
 //!
 //! The event-log substrate of the LiteRace reproduction: record types for
 //! synchronization operations and sampled memory accesses (§3.2 of the
-//! paper), a compact binary codec, streaming reader/writer, and log-volume
-//! statistics used by the Table 5 overhead model.
+//! paper), one log writer ([`LogWriterV2`], the compact blocked v2
+//! format), one streaming reader for v2 and the seed's fixed-width v1
+//! format, and log-volume statistics sized as v1, used by the Table 5
+//! overhead model. [`encode_all`] makes v1 bytes in memory for fixtures.
 //!
 //! ## Example
 //!
@@ -35,12 +37,12 @@ mod container;
 mod dir;
 mod error;
 pub mod fault;
-pub mod gv;
+mod gv;
 mod io;
 mod ordered;
 mod parallel;
 mod record;
-pub mod retry;
+mod retry;
 pub mod salvage;
 mod stats;
 mod stream;
@@ -52,16 +54,13 @@ pub use atomic::AtomicFile;
 pub use checksum::{checksum, checksum32, Checksum};
 pub use container::{read_container, ContainerSection, ContainerWriter};
 pub use codec::{
-    decode, decode_all, encode, encode_all, encoded_len, tag_len, MARKER_RECORD_BYTES,
-    MEM_RECORD_BYTES, SYNC_RECORD_BYTES,
+    encode_all, encoded_len, MARKER_RECORD_BYTES, MEM_RECORD_BYTES, SYNC_RECORD_BYTES,
 };
 pub use dir::{read_thread_logs, write_thread_logs};
 pub use error::{LogError, LogResult};
 pub use fault::{FaultPlan, FaultyReader, FaultySink, SplitMix64};
-pub use io::LogWriter;
 pub use bytes::Bytes;
 pub use record::{EventLog, Record, RecordSink, SamplerMask};
-pub use retry::{RetryPolicy, RetryReader};
 pub use salvage::{read_log_salvage, SalvageHandle, SalvageReport};
 pub use stats::LogStats;
 pub use stream::{
@@ -70,7 +69,6 @@ pub use stream::{
 };
 pub use v2::{decode_block, peek_sealed_total, SealState, V2_MAGIC, V2_VERSION};
 pub use varint::{
-    get_delta_slice, get_varint, get_varint_slice, put_delta, put_varint, unzigzag,
-    zigzag, MAX_VARINT_BYTES,
+    get_delta_slice, get_varint, get_varint_slice, put_delta, put_varint, zigzag,
 };
 pub use writer::{encode_v2, EncodeOpts, LogWriterV2, DEFAULT_BLOCK_RECORDS};

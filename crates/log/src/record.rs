@@ -18,7 +18,6 @@ use serde::{Deserialize, Serialize};
 
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 
-use crate::io::LogWriter;
 use crate::writer::LogWriterV2;
 
 /// Bitmask of samplers that would have logged a memory access.
@@ -243,10 +242,10 @@ impl<'a> IntoIterator for &'a EventLog {
 }
 
 /// A destination for records as they are produced: a heap-resident
-/// [`EventLog`], a log writer streaming blocks to a file (or any
+/// [`EventLog`], the log writer streaming blocks to a file (or any
 /// `Write`), or a detector consuming them live. A producer's callbacks
-/// cannot be interrupted by a failed write, so both log writers keep the
-/// first write error, write nothing after it, and return it from
+/// cannot be interrupted by a failed write, so the log writer keeps the
+/// first write error, writes nothing after it, and returns it from
 /// `finish`.
 pub trait RecordSink {
     /// Appends one record.
@@ -261,13 +260,6 @@ impl RecordSink for EventLog {
 }
 
 impl<W: Write> RecordSink for LogWriterV2<W> {
-    #[inline]
-    fn push(&mut self, record: Record) {
-        let _ = self.write_record(&record);
-    }
-}
-
-impl<W: Write> RecordSink for LogWriter<W> {
     #[inline]
     fn push(&mut self, record: Record) {
         let _ = self.write_record(&record);

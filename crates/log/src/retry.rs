@@ -32,16 +32,6 @@ impl Default for RetryPolicy {
     }
 }
 
-impl RetryPolicy {
-    /// A policy that never sleeps (tests).
-    pub fn immediate(max_retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            base_delay: Duration::ZERO,
-        }
-    }
-}
-
 /// True for error kinds worth retrying after a short wait.
 fn is_transient(kind: ErrorKind) -> bool {
     matches!(kind, ErrorKind::WouldBlock | ErrorKind::TimedOut)
@@ -58,11 +48,6 @@ impl<R: Read> RetryReader<R> {
     /// Wraps `inner` with the given policy.
     pub fn new(inner: R, policy: RetryPolicy) -> RetryReader<R> {
         RetryReader { inner, policy }
-    }
-
-    /// The wrapped reader.
-    pub fn into_inner(self) -> R {
-        self.inner
     }
 }
 
@@ -100,6 +85,14 @@ mod tests {
     use super::*;
     use std::io::{Cursor, Error};
 
+    /// A policy that never sleeps.
+    fn immediate(max_retries: u32) -> RetryPolicy {
+        RetryPolicy {
+            max_retries,
+            base_delay: std::time::Duration::ZERO,
+        }
+    }
+
     /// Yields errors from a script before each successful read.
     struct Flaky {
         data: Cursor<Vec<u8>>,
@@ -126,7 +119,7 @@ mod tests {
                 ErrorKind::WouldBlock,
             ],
         };
-        let mut reader = RetryReader::new(flaky, RetryPolicy::immediate(3));
+        let mut reader = RetryReader::new(flaky, immediate(3));
         let mut out = Vec::new();
         reader.read_to_end(&mut out).unwrap();
         assert_eq!(out, vec![1, 2, 3]);
@@ -138,7 +131,7 @@ mod tests {
             data: Cursor::new(vec![1]),
             script: vec![ErrorKind::WouldBlock; 5],
         };
-        let mut reader = RetryReader::new(flaky, RetryPolicy::immediate(2));
+        let mut reader = RetryReader::new(flaky, immediate(2));
         let err = reader.read(&mut [0u8; 4]).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::WouldBlock);
     }
@@ -149,7 +142,7 @@ mod tests {
             data: Cursor::new(vec![7]),
             script: vec![ErrorKind::Interrupted; 50],
         };
-        let mut reader = RetryReader::new(flaky, RetryPolicy::immediate(0));
+        let mut reader = RetryReader::new(flaky, immediate(0));
         let mut out = Vec::new();
         reader.read_to_end(&mut out).unwrap();
         assert_eq!(out, vec![7]);
@@ -161,7 +154,7 @@ mod tests {
             data: Cursor::new(vec![1]),
             script: vec![ErrorKind::UnexpectedEof],
         };
-        let mut reader = RetryReader::new(flaky, RetryPolicy::immediate(9));
+        let mut reader = RetryReader::new(flaky, immediate(9));
         let err = reader.read(&mut [0u8; 4]).unwrap_err();
         assert_eq!(err.kind(), ErrorKind::UnexpectedEof);
     }

@@ -177,7 +177,7 @@ pub fn read_log_salvage(source: impl Read) -> (EventLog, SalvageReport) {
 mod tests {
     use super::*;
     use crate::checksum::Checksum;
-    use crate::codec::encode_all;
+    use crate::codec::{encode_all, MEM_RECORD_BYTES};
     use crate::record::Record;
     use crate::v2::FRAME_BYTES;
     use crate::record::SamplerMask;
@@ -298,16 +298,30 @@ mod tests {
     #[test]
     fn v1_salvage_keeps_the_clean_prefix() {
         let records: Vec<Record> = (0..100).map(mem).collect();
-        let mut bytes = encode_all(&records).to_vec();
-        let cut = bytes.len() - 3;
-        bytes.truncate(cut);
-        bytes.push(0xFF); // invalid tag after the truncated record
-        let (log, report) = read_log_salvage(&bytes[..]);
-        assert!(!log.is_empty());
-        assert!(log.records().iter().eq(records.iter().take(log.len())));
-        assert_eq!(report.format, Some(LogFormat::V1));
-        assert!(report.suffix_dropped, "{report}");
-        assert!(report.first_error.is_some());
+        let clean = encode_all(&records).to_vec();
+        // A cut record followed by an invalid tag, an unknown tag mid-log,
+        // and a bad is_write byte (offset 21 of a 26-byte Mem record)
+        // inside an otherwise whole record.
+        let mut torn = clean.clone();
+        torn.truncate(clean.len() - 3);
+        torn.push(0xFF);
+        let mut bad_tag = clean.clone();
+        bad_tag[40 * MEM_RECORD_BYTES] = 0x77;
+        let mut bad_field = clean.clone();
+        bad_field[60 * MEM_RECORD_BYTES + 21] = 7;
+        for (bytes, salvaged) in [(torn, 99), (bad_tag, 40), (bad_field, 60)] {
+            let (log, report) = read_log_salvage(&bytes[..]);
+            assert_eq!(log.records(), &records[..salvaged]);
+            assert_eq!(report.format, Some(LogFormat::V1));
+            assert!(report.suffix_dropped, "{report}");
+            assert!(report.first_error.is_some());
+            // Every byte after the clean prefix is counted as dropped.
+            assert_eq!(
+                report.bytes_dropped,
+                (bytes.len() - MEM_RECORD_BYTES * salvaged) as u64,
+                "{report}"
+            );
+        }
     }
 
     #[test]

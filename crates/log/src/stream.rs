@@ -28,7 +28,7 @@ use crate::io::ChunkedRecords;
 use crate::parallel::{spawn_pool, Inline, Mode};
 use crate::record::{EventLog, Record};
 use crate::retry::{RetryPolicy, RetryReader};
-use crate::salvage::{SalvageHandle, SalvageReport};
+use crate::salvage::{tally_skip, SalvageHandle, SalvageReport};
 use crate::v2::{SealState, V2_MAGIC, V2_VERSION};
 
 /// Number of records per re-batched block when streaming a v1 log.
@@ -109,24 +109,15 @@ impl Default for DecodeOpts {
     }
 }
 
-/// On-disk log format revision.
+/// On-disk log format revision, as the reader detects it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LogFormat {
-    /// Fixed-width tagged records, no header (the seed format).
+    /// Fixed-width tagged records, no header (the seed format, read but
+    /// no longer written).
     V1,
-    /// Blocked varint-delta records behind a magic+version header.
+    /// Blocked varint-delta records behind a magic+version header (the
+    /// format [`LogWriterV2`](crate::LogWriterV2) writes).
     V2,
-}
-
-impl LogFormat {
-    /// Parses a `--format` style name.
-    pub fn from_name(name: &str) -> Option<LogFormat> {
-        match name.to_ascii_lowercase().as_str() {
-            "v1" | "1" => Some(LogFormat::V1),
-            "v2" | "2" => Some(LogFormat::V2),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for LogFormat {
@@ -243,9 +234,13 @@ impl<R: Read> Iterator for V1Blocks<R> {
             Mode::Salvage(report) => {
                 let mut r = report.lock().expect("salvage report poisoned");
                 if let Some(e) = error {
+                    // The failed record and everything after it go.
+                    let dropped = self.records.drop_rest();
+                    r.bytes_dropped += dropped;
                     r.note_error(e.to_string());
                     r.suffix_dropped = true;
                     r.sync_tainted = true;
+                    tally_skip(0, 0, dropped);
                 }
                 if !block.is_empty() {
                     r.blocks_decoded += 1;
@@ -373,8 +368,8 @@ impl<R: Read> Iterator for RecordBlocks<R> {
 /// A panic inside the decoder is contained and surfaced as a final
 /// [`LogError::DecoderPanicked`] stream item instead of a hung channel.
 /// Transient I/O errors (`WouldBlock`, `TimedOut`) on the underlying
-/// source are retried with bounded exponential backoff (see
-/// [`RetryPolicy`]).
+/// source are retried with bounded exponential backoff (the crate's
+/// default `RetryPolicy`: four retries from 200 µs).
 #[derive(Debug)]
 pub struct RecordStream {
     receiver: Option<Receiver<LogResult<Vec<Record>>>>,

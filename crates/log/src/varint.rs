@@ -14,7 +14,7 @@ use bytes::{Buf, BufMut};
 use crate::error::{LogError, LogResult};
 
 /// Maximum encoded length of a u64 varint (⌈64/7⌉ bytes).
-pub const MAX_VARINT_BYTES: usize = 10;
+pub(crate) const MAX_VARINT_BYTES: usize = 10;
 
 /// Appends `v` as an LEB128 varint.
 #[inline]
@@ -109,7 +109,7 @@ pub fn zigzag(v: i64) -> u64 {
 
 /// Inverse of [`zigzag`].
 #[inline]
-pub fn unzigzag(v: u64) -> i64 {
+pub(crate) fn unzigzag(v: u64) -> i64 {
     ((v >> 1) as i64) ^ -((v & 1) as i64)
 }
 

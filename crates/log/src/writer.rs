@@ -322,9 +322,7 @@ impl<W: Write> LogWriterV2<W> {
     ///
     /// None are raised here, at any worker count: a failed sink write is
     /// kept by the committer, which writes nothing after it, and
-    /// [`finish`](LogWriterV2::finish) returns it. The `Result` matches
-    /// the v1 [`LogWriter`](crate::LogWriter), so callers drive both
-    /// formats alike.
+    /// [`finish`](LogWriterV2::finish) returns it.
     #[inline]
     pub fn write_record(&mut self, record: &Record) -> LogResult<()> {
         self.records += 1;

@@ -16,9 +16,9 @@ use std::io::Write;
 use std::sync::{Arc, Mutex};
 
 use literace_log::{
-    encode_all, encode_v2, peek_sealed_total, read_log_auto, salvage::SalvageReport, DecodeOpts,
-    EncodeOpts, EventLog, FaultPlan, FaultyReader, FaultySink, LogWriter, LogWriterV2,
-    Record, RecordBlocks, RecordStream, SamplerMask, SealState,
+    encode_v2, peek_sealed_total, read_log_auto, salvage::SalvageReport, DecodeOpts,
+    EncodeOpts, FaultPlan, FaultyReader, FaultySink, LogWriterV2, Record, RecordBlocks,
+    RecordStream, SamplerMask, SealState,
 };
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 use proptest::prelude::*;
@@ -222,12 +222,9 @@ impl Write for FailOnce {
 /// what landed salvages as an unsealed subsequence of the input. The
 /// same at 0 and 2 encode workers, and used as `V2Sink` is (the
 /// instrument crate's alias of this writer): pushed past the error,
-/// then dropped. The v1 writer keeps the same rule (`v1_leg`).
+/// then dropped.
 #[test]
 fn first_sink_error_wins_and_nothing_is_written_after_it() {
-    for finish in [true, false] {
-        v1_leg(finish);
-    }
     let records = sample_records(200);
     for (threads, finish) in [(0, true), (2, true), (0, false)] {
         let out = SharedVec::default();
@@ -271,52 +268,6 @@ fn first_sink_error_wins_and_nothing_is_written_after_it() {
         assert!(!salvaged.is_empty(), "{leg}: {report}");
         assert!(is_subsequence(&salvaged, &records), "{leg}: {report}");
     }
-}
-
-/// The v1 leg of the first-error rule: a log long enough for at least
-/// three 48 KiB flushes, a sink failing its 2nd write call, and either
-/// `finish` or pushes past the error (ignoring each result, as
-/// `RecordSink::push` does) and a drop. Only the first flush may land,
-/// and it decodes as a prefix of the input.
-fn v1_leg(finish: bool) {
-    let records = sample_records(8_000);
-    let log: EventLog = records.iter().copied().collect();
-    assert!(encode_all(&log).len() >= 3 * 48 * 1024);
-    let out = SharedVec::default();
-    let landed_at_failure = Arc::new(Mutex::new(None));
-    let sink = FailOnce {
-        out: out.clone(),
-        calls: 0,
-        fail_call: 2,
-        landed_at_failure: landed_at_failure.clone(),
-    };
-    let mut w = LogWriter::new(sink);
-    let leg = format!("v1, finish {finish}");
-    if finish {
-        for r in &records {
-            w.write_record(r).unwrap();
-        }
-        let err = w.finish().expect_err("finish must return the sink error");
-        assert!(err.to_string().contains("injected one-shot"), "{leg}: {err}");
-    } else {
-        for r in &records {
-            let _ = w.write_record(r);
-        }
-        drop(w);
-    }
-    let landed = landed_at_failure
-        .lock()
-        .unwrap()
-        .expect("the sink failed once");
-    let bytes = out.bytes();
-    assert_eq!(
-        bytes.len(),
-        landed,
-        "{leg}: bytes reached the sink after its error"
-    );
-    let decoded = read_log_auto(&bytes[..]).unwrap();
-    assert!(!decoded.is_empty(), "{leg}");
-    assert!(records.starts_with(decoded.records()), "{leg}");
 }
 
 #[test]

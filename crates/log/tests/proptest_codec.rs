@@ -1,9 +1,15 @@
-//! Property tests for the binary log codec: arbitrary records round-trip,
-//! and arbitrary corruption never panics (it decodes or errors cleanly).
+//! Property tests for the v1 log codec: arbitrary records round-trip
+//! through `encode_all` and the one log reader, and arbitrary corruption
+//! never panics (it decodes or errors cleanly).
 
-use literace_log::{decode_all, encode_all, encoded_len, Record, SamplerMask};
+use literace_log::{encode_all, encoded_len, read_log_auto, LogResult, Record, SamplerMask};
 use literace_sim::{Addr, Pc, SyncOpKind, SyncVar, ThreadId};
 use proptest::prelude::*;
+
+/// Every record of a v1 buffer, read strictly.
+fn read_v1(bytes: &[u8]) -> LogResult<Vec<Record>> {
+    read_log_auto(bytes).map(|log| log.records().to_vec())
+}
 
 fn arb_kind() -> impl Strategy<Value = SyncOpKind> {
     use SyncOpKind::*;
@@ -61,7 +67,7 @@ proptest! {
     #[test]
     fn round_trip(records in prop::collection::vec(arb_record(), 0..64)) {
         let bytes = encode_all(&records);
-        let decoded = decode_all(bytes).unwrap();
+        let decoded = read_v1(&bytes).unwrap();
         prop_assert_eq!(records, decoded);
     }
 
@@ -76,7 +82,7 @@ proptest! {
     /// a clean error.
     #[test]
     fn decoding_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..256)) {
-        let _ = decode_all(bytes::Bytes::from(bytes));
+        let _ = read_v1(&bytes);
     }
 
     /// Flipping one byte of a valid stream never panics either, and any
@@ -92,7 +98,7 @@ proptest! {
         let mut corrupted = bytes.to_vec();
         let pos = pos_seed % corrupted.len();
         corrupted[pos] ^= flip | 1; // guarantee a real change
-        let _ = decode_all(bytes::Bytes::from(corrupted));
+        let _ = read_v1(&corrupted);
     }
 
     /// A truncated valid stream reports corruption rather than inventing
@@ -105,8 +111,7 @@ proptest! {
     ) {
         let bytes = encode_all(&records);
         let cut = cut_seed % bytes.len();
-        let truncated = bytes.slice(0..cut);
-        if let Ok(decoded) = decode_all(truncated) {
+        if let Ok(decoded) = read_v1(&bytes[..cut]) {
             prop_assert!(decoded.len() <= records.len());
             prop_assert_eq!(&records[..decoded.len()], &decoded[..]);
         }

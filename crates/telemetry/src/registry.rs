@@ -117,10 +117,6 @@ registry! {
         => slots["sampler.burst.transitions"], required;
 
     // ── log side ───────────────────────────────────────────────────────
-    /// Records encoded to the fixed-width v1 format.
-    log_encode_v1_records: Counter => counters["log.encode.v1.records"];
-    /// v1 bytes flushed to the sink.
-    log_encode_v1_bytes: Counter => counters["log.encode.v1.bytes"];
     /// Records encoded to the compact v2 format.
     log_encode_v2_records: Counter => counters["log.encode.v2.records"];
     /// v2 bytes flushed to the sink (headers + block frames).
