@@ -22,7 +22,7 @@
 //!   encode pool exists to shrink;
 //! * **end-to-end detection** — events/s for materialize-then-detect
 //!   (`read_log_auto` + `detect_sharded`) vs streaming ingest (the decode
-//!   pool + `detect_stream`, decode overlapping shard routing and
+//!   pool + `detect_stream`, decode overlapping the shard workers'
 //!   replay), both over the v2 encoding at 4 worker threads, with the
 //!   reports asserted byte-identical.
 //!
@@ -500,7 +500,7 @@ fn main() {
          the out-of-order worker pool at v2_decode_threads. End-to-end \
          rows feed the v2 encoding to the hb detector: 'materialized' \
          decodes the whole log then runs detect_sharded; 'streaming' \
-         overlaps the decode pool, shard routing and replay via \
+         overlaps the decode pool and the shard workers' replay via \
          detect_stream (byte-identical reports, asserted during the run). \
          Encode rows push the identical record stream through LogWriterV2 \
          at 0 encode workers vs the same writer (block builders, background \

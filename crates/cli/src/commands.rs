@@ -42,7 +42,7 @@ USAGE:
       memory) and detection streams the file back through the decode
       pool (--decode-threads as under `detect`); without --log,
       detection runs over the run's in-memory log. --threads N shards
-      detection across N workers as under `detect`.
+      detection across up to N workers as under `detect`.
       --encode-threads N moves v2 encoding off the run's hot path: the
       run only appends raw records and N background workers encode the
       blocks (4096 records each). It needs --log; the file's bytes
@@ -79,11 +79,13 @@ USAGE:
       v2; the format is auto-detected). Every detector streams: decoded
       blocks flow straight from the decode pool into the detector and
       the log is never materialized. With --threads N ≥ 2, the hb
-      detector shards accesses across N workers (byte-identical output;
-      N above 64 runs 64 shards). --decode-threads sizes the
-      block-decode pool (auto: one worker per core; ≥ 2 decodes v2
-      blocks out of order and reassembles in sequence, byte-identical
-      output).
+      detector runs up to N workers, at most one per core: each replays
+      every sync record and checks the accesses it owns, and blocks
+      mostly of sync records are replayed once, inline. Output is
+      byte-identical at every N; sync replay and clock memory grow with
+      the worker count. --decode-threads sizes the block-decode pool
+      (auto: one worker per core; ≥ 2 decodes v2 blocks out of order and
+      reassembles in sequence, byte-identical output).
       With --salvage, a torn or corrupted log is decoded best-effort:
       corrupt blocks are skipped where provably safe (no sync records
       lost), the rest is dropped, and the damage tally is printed — a
@@ -254,6 +256,15 @@ fn parse_decode_opts(flags: &Flags, detect_threads: usize) -> Result<DecodeOpts,
     Ok(opts.depth(auto_stream_depth(opts.threads, detect_threads)))
 }
 
+/// The hb detector's shard workers for `--threads N`: N, at most one
+/// per available core. Every shard worker replays every sync record and
+/// holds every thread's clock, so workers past the core count only share
+/// the CPUs and multiply clock memory; reports do not depend on the
+/// count.
+fn detect_workers(threads: usize) -> usize {
+    threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
 /// Parses `--encode-threads` (N or `auto`) into the v2 writer's
 /// [`EncodeOpts`]. Without it the writer encodes on the producing thread
 /// (0 workers).
@@ -351,6 +362,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
+    let threads = detect_workers(threads);
     let decode_opts = parse_decode_opts(&flags, threads)?;
     let encode_opts = parse_encode_opts(&flags)?;
     if flags.get("encode-threads").is_some() && flags.get("log").is_none() {
@@ -588,7 +600,6 @@ pub fn detect(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if threads == 0 {
         return Err("--threads must be at least 1".into());
     }
-    let decode_opts = parse_decode_opts(&flags, threads)?;
     let lockset = match flags.get("detector") {
         None | Some("hb") => false,
         Some("lockset") => true,
@@ -597,6 +608,8 @@ pub fn detect(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     if lockset && threads > 1 {
         return Err("--threads only applies to the hb detector, not `lockset`".into());
     }
+    let threads = detect_workers(threads);
+    let decode_opts = parse_decode_opts(&flags, threads)?;
     // Checkpoint/resume only make sense for the hb detector (the lockset
     // detector carries no resumable state). A checkpoint is loaded and
     // fully validated up front so a torn file fails before any decoding
@@ -1060,7 +1073,7 @@ pub fn metrics_cmd(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
             literace::telemetry::set_enabled(true);
             let w = build(id, scale);
             let mut cfg = RunConfig::seeded(seed);
-            cfg.detect_threads = threads;
+            cfg.detect_threads = detect_workers(threads);
             run_literace(&w.program, SamplerKind::TlAdaptive, &cfg)
                 .map_err(|e| e.to_string())?;
             literace::telemetry::metrics().snapshot()

@@ -2,9 +2,9 @@
 //! §4.2 timestamp monitor, written once for every detection path.
 //!
 //! The replay stage (see `crate::hb`) owns one [`ClockState`] and
-//! replays every synchronization record through it, whether it feeds an
-//! inline shard or the sharded engine's router. It keeps one record per
-//! fact:
+//! replays every synchronization record through it, whether it feeds the
+//! inline shard or one of the sharded engine's replicas, each of which
+//! keeps its own copy. It keeps one record per fact:
 //!
 //! * each thread `t` has one [`ThreadClock`]: its clock `C(t)`,
 //!   materialized on first sight — together with every lower thread id —
@@ -25,9 +25,9 @@
 //! clock value changes: on every release, and on an acquire only when the
 //! join raised a component. Equal `(thread, generation)` therefore
 //! implies an equal clock value. That is the token the frontier's
-//! same-epoch memo keys on (see `crate::epoch`), and the key under which
-//! the router shares one frozen snapshot of a clock across every access
-//! made under it.
+//! same-epoch memo keys on (see `crate::epoch`). Every replica replays
+//! the same records, so a `(thread, generation)` names the same clock
+//! value in every replica.
 //!
 //! **Timestamp order (§4.2).** Operations on one variable must be logged
 //! in timestamp order; a sync record whose timestamp is below its

@@ -6,29 +6,29 @@
 //!   clocks (see [`clocks`](crate::clocks)), the record position, the
 //!   compaction cadence and the §4.2 timestamp monitor. Its one
 //!   [`step`](Replay::step) replays a record's clock algebra and hands
-//!   the rest on to a [`Downstream`]: each access with its thread's
-//!   present clock, and each compaction point;
+//!   the rest to a shard: each access the shard owns, with its thread's
+//!   present clock in place, and each compaction point;
 //! * the **shard stage** ([`Shard`](crate::sharded::Shard)) keeps a
 //!   per-address frontier of accesses not yet ordered before a later
 //!   write (an antichain), so every racing static pair that manifests
 //!   against it is counted in one mergeable per-pair aggregate.
 //!
 //! [`HbDetector`] is the one-shard case, run inline: its replay stage
-//! feeds its one shard directly. The sharded engine (see
-//! [`streaming`](crate::streaming)) runs the same replay stage as its
-//! router, which routes each access to one of N shard workers instead.
-//! An [`HbDetector`] is also a [`RecordSink`]: §4.4's online detection is
-//! the instrumenter writing its records straight into one.
+//! feeds its one shard, which owns every address. The sharded engine (see
+//! [`streaming`](crate::streaming)) runs N replicas of the pair, one per
+//! worker: each replays every record and checks only the accesses its
+//! shard owns. It replays blocks mostly of sync records once, in one
+//! inline [`HbDetector`], and moves its state between the two through a
+//! checkpoint. An [`HbDetector`] is also a [`RecordSink`]: §4.4's online
+//! detection is the instrumenter writing its records straight into one.
 
 use literace_log::{EventLog, Record, RecordSink};
-use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
 use crate::clocks::ClockState;
 use crate::provenance::{ProvenanceReport, SyncEdge};
 use crate::report::{report, RaceReport, DEFAULT_PAIR_ADDR_CAP};
-use crate::sharded::{Shard, ShardState};
-use crate::vector_clock::VectorClock;
+use crate::sharded::Shard;
 
 /// Tuning knobs for the happens-before detector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,35 +57,6 @@ impl Default for HbConfig {
 /// stage reads it, so every path compacts at the same stream positions.
 pub(crate) const COMPACT_INTERVAL: u64 = 1 << 18;
 
-/// What the replay stage hands on: the shard stage's side of a record.
-/// Implemented by the inline shard of an [`HbDetector`] and by the
-/// sharded engine's router.
-pub(crate) trait Downstream {
-    /// An access by `tid` at global record position `pos`; `clocks` holds
-    /// the thread's present clock, already materialized.
-    fn on_access(
-        &mut self,
-        clocks: &ClockState,
-        pos: u64,
-        tid: ThreadId,
-        pc: Pc,
-        addr: Addr,
-        is_write: bool,
-    );
-
-    /// A compaction point: the live threads' clocks in `clocks` bound what
-    /// may be reclaimed.
-    fn on_compact(&mut self, clocks: &ClockState);
-
-    /// A release-like operation by `tid`: provenance's failed-edge
-    /// candidate. Ignored unless provenance capture is on.
-    fn on_release(&mut self, _tid: ThreadId, _edge: SyncEdge) {}
-
-    /// A seal point: every shard's state after every record handed on so
-    /// far, in shard order, or `None` if a shard died before answering.
-    fn seal(&mut self) -> Option<Vec<ShardState>>;
-}
-
 /// The replay stage: clock state (with the §4.2 timestamp monitor),
 /// record position and compaction cadence. A checkpoint stores it as it
 /// is.
@@ -100,28 +71,17 @@ pub(crate) struct Replay {
 }
 
 impl Replay {
-    /// A fresh replay stage, or the one a checkpoint stopped with.
-    pub(crate) fn resume(cp: Option<&Checkpoint>) -> Replay {
-        let Some(cp) = cp else {
-            return Replay::default();
-        };
-        if literace_telemetry::enabled() {
-            literace_telemetry::metrics()
-                .detector_checkpoint_resumes
-                .add(1);
-        }
-        cp.replay.clone()
-    }
-
-    /// Replays one record: sync records update the clocks, accesses go
-    /// downstream with their thread's clock, and a thread exit or every
-    /// [`COMPACT_INTERVAL`]th record is a compaction point.
+    /// Replays one record: sync records update the clocks, an access
+    /// `shard` owns is checked there with its thread's clock, and a
+    /// thread exit or every [`COMPACT_INTERVAL`]th record is a compaction
+    /// point. Every access materializes its thread, owned or not, so every
+    /// replica of a sharded run keeps the same clock state.
     ///
     /// `inline(always)`: called once per record from every detection
     /// loop; without the hint LLVM leaves a per-record call boundary,
     /// forcing detector state back to memory every record.
     #[inline(always)]
-    pub(crate) fn step<D: Downstream>(&mut self, record: &Record, down: &mut D) {
+    pub(crate) fn step(&mut self, record: &Record, shard: &mut Shard) {
         match *record {
             Record::Sync {
                 tid,
@@ -130,13 +90,15 @@ impl Replay {
                 timestamp,
                 ..
             } => {
-                if let Some(release_epoch) = self.clocks.sync(tid, kind, var, timestamp) {
+                let released = self.clocks.sync(tid, kind, var, timestamp);
+                if let (Some(release_epoch), Some(p)) = (released, shard.provenance.as_deref_mut())
+                {
                     let edge = SyncEdge {
                         var,
                         kind,
                         release_epoch,
                     };
-                    down.on_release(tid, edge);
+                    p.record_release(tid.index(), edge);
                 }
             }
             Record::Mem {
@@ -146,56 +108,33 @@ impl Replay {
                 is_write,
                 ..
             } => {
-                self.clocks.ensure_thread(tid);
-                down.on_access(&self.clocks, self.pos, tid, pc, addr, is_write);
+                let i = self.clocks.ensure_thread(tid);
+                if shard.owns(addr) {
+                    let thread = self.clocks.thread(i);
+                    shard.access(
+                        self.pos,
+                        tid,
+                        pc,
+                        addr,
+                        is_write,
+                        &thread.clock,
+                        thread.generation,
+                    );
+                }
             }
             Record::ThreadBegin { .. } => {}
             Record::ThreadEnd { tid } => {
                 self.clocks.retire(tid);
                 self.since_compact = 0;
-                down.on_compact(&self.clocks);
+                shard.compact(&self.clocks);
             }
         }
         self.pos += 1;
         self.since_compact += 1;
         if self.since_compact >= COMPACT_INTERVAL {
             self.since_compact = 0;
-            down.on_compact(&self.clocks);
+            shard.compact(&self.clocks);
         }
-    }
-}
-
-/// The inline shard: accesses check against its frontier with the
-/// thread's clock in place, no copy.
-impl Downstream for Shard {
-    #[inline(always)]
-    fn on_access(
-        &mut self,
-        clocks: &ClockState,
-        pos: u64,
-        tid: ThreadId,
-        pc: Pc,
-        addr: Addr,
-        is_write: bool,
-    ) {
-        let thread = clocks.thread(tid.index());
-        self.access(pos, tid, pc, addr, is_write, &thread.clock, thread.generation);
-    }
-
-    fn on_compact(&mut self, clocks: &ClockState) {
-        let live: Vec<&VectorClock> = clocks.live().map(|i| &clocks.thread(i).clock).collect();
-        self.compact(&live);
-    }
-
-    #[inline]
-    fn on_release(&mut self, tid: ThreadId, edge: SyncEdge) {
-        if let Some(p) = self.provenance.as_deref_mut() {
-            p.record_release(tid.index(), edge);
-        }
-    }
-
-    fn seal(&mut self) -> Option<Vec<ShardState>> {
-        Some(vec![self.state()])
     }
 }
 
@@ -243,18 +182,27 @@ impl HbDetector {
     /// Rebuilds a detector from a checkpoint. Feeding it the records that
     /// followed the checkpointed position yields a report byte-identical
     /// to one-shot detection over the whole stream.
+    ///
+    /// Each call is one resumed detection, counted into
+    /// `detector.checkpoint.resumes`.
     pub fn resume(cp: &Checkpoint) -> HbDetector {
+        if literace_telemetry::enabled() {
+            literace_telemetry::metrics()
+                .detector_checkpoint_resumes
+                .add(1);
+        }
         HbDetector::start(cp.cfg, Some(cp))
     }
 
-    /// The one-shard case of the engine's start: a replay stage and one
-    /// shard, fresh or resumed.
+    /// A replay stage and one shard, fresh or as `resume` stopped them.
+    /// The sharded engine also starts here when it moves its state inline,
+    /// which counts no resume.
     pub(crate) fn start(cfg: HbConfig, resume: Option<&Checkpoint>) -> HbDetector {
         let shard = Shard::seeded(1, cfg, resume)
             .pop()
             .expect("one shard was asked for");
         HbDetector {
-            replay: Replay::resume(resume),
+            replay: resume.map_or_else(Replay::default, |cp| cp.replay.clone()),
             shard,
         }
     }
@@ -279,8 +227,14 @@ impl HbDetector {
 
     /// Processes an entire log.
     pub fn process_log(&mut self, log: &EventLog) {
-        for r in log {
-            self.process(r);
+        self.process_block(log.records());
+    }
+
+    /// Processes a block of records: the one per-record loop of every
+    /// path that hands the detector records in bulk.
+    pub(crate) fn process_block(&mut self, records: &[Record]) {
+        for record in records {
+            self.process(record);
         }
     }
 
@@ -348,7 +302,7 @@ mod tests {
     use super::*;
     use crate::testkit::{pc, t};
     use literace_log::SamplerMask;
-    use literace_sim::{SyncOpKind, SyncVar};
+    use literace_sim::{Addr, SyncOpKind, SyncVar, ThreadId};
 
     fn a(i: u64) -> Addr {
         Addr::global(i)

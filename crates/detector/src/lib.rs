@@ -12,8 +12,10 @@
 //!   race into one per-pair aggregate and build their [`RaceReport`] from
 //!   it the same way;
 //! * [`detect_stream_from`] — the sharded engine: address-sharded parallel
-//!   offline detection over record blocks, byte-identical to [`detect`]
-//!   at any shard count, optionally resuming from a [`Checkpoint`] (see
+//!   offline detection over record blocks, in which every shard worker
+//!   replays the sync records itself (blocks mostly of sync records run
+//!   once, inline), byte-identical to [`detect`] at any
+//!   shard count, optionally resuming from a [`Checkpoint`] (see
 //!   [`sharded`]); its one-shard case is an inline [`HbDetector`].
 //!   [`detect_stream`] feeds it from a decoding log stream,
 //!   [`detect_sharded`] from an in-memory log, and

@@ -1,20 +1,22 @@
 //! The shard stage and the address partition.
 //!
-//! LiteRace logs are asymmetric: synchronization records are a tiny
-//! fraction of the stream (the paper's whole premise — sync is never
-//! sampled away, data accesses are), while memory-access records dominate.
-//! The sharded engine ([`detect_stream_from`]) exploits that split. One
-//! router runs the replay stage over every record, and an address hash
-//! routes each memory access to exactly one of N shards, stamped with the
-//! clock its thread held at that point. Since all accesses to a given
-//! address land in one shard with the very clock values the inline
-//! detector would see, that shard's frontier for the address is
-//! bit-for-bit the inline frontier, and every dynamic race is detected in
-//! exactly one shard. Compaction points, with the live-clock set at each,
-//! reach every shard, so frontier reclamation — which interacts with the
+//! Synchronization records are a complete part of every LiteRace log
+//! (the paper's whole premise — sync is never sampled away, data accesses
+//! are). In a full log memory accesses dominate; in a sampled log sync
+//! records can. The sharded engine ([`detect_stream_from`]) splits the
+//! accesses with replicas. Each of N shard workers replays every record's
+//! clock algebra itself, and an address hash assigns each memory access to
+//! exactly one shard, which checks it against the clock its own replay
+//! holds at that point. Every replica replays the same records in the
+//! same order, so that clock is the one the inline detector would use; a
+//! shard's frontier for an address it owns is bit-for-bit the inline
+//! frontier, and every dynamic race is detected in exactly one shard.
+//! Every replica reaches the same compaction points with the same
+//! live-clock set, so frontier reclamation — which interacts with the
 //! history cap — happens at identical stream positions with identical
-//! clock bounds. [`HbDetector`](crate::HbDetector) is the one-shard case,
-//! run inline.
+//! clock bounds. Blocks mostly of sync records skip the replicas: the
+//! engine replays them once, inline. [`HbDetector`](crate::HbDetector) is
+//! the one-shard case, run inline: one shard owns every address.
 //!
 //! Each shard counts its races into one per-pair aggregate, the same one
 //! the lockset detector builds, and the engine merges the shards'
@@ -32,6 +34,7 @@ use literace_log::EventLog;
 use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
+use crate::clocks::ClockState;
 use crate::frontier::{Access, Frontier};
 use crate::hb::HbConfig;
 use crate::provenance::{AccessEvidence, ProvenanceState};
@@ -39,18 +42,25 @@ use crate::report::{count_race, PairMap, RaceReport};
 use crate::streaming::detect_stream_from;
 use crate::vector_clock::VectorClock;
 
-/// Most shards the engine runs. Each shard is one OS thread holding up to
-/// six 4096-event batches in flight (about 1 MB), so a larger
-/// [`DetectConfig::threads`] is clamped to this. Reports do not depend on
-/// the shard count, so the clamp is unobservable in the output.
+/// Most shards the engine runs; a larger [`DetectConfig::threads`] is
+/// clamped to this. Reports do not depend on the shard count, so the
+/// clamp is unobservable in the output. Each shard is one OS thread with
+/// its own replay stage, which holds every thread's and sync variable's
+/// clock, so N shards hold N times the inline detector's clock memory.
+/// That memory is quadratic in the highest thread id: a one-record log
+/// naming thread 4,000 peaks at about 63 MB RSS inline, 111 MB at 2
+/// shards, 242 MB at 4 and 462 MB at 8: about 55 MB more per shard.
+/// The CLI asks for at most one shard per core.
 pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Configuration for offline detection, inline or sharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectConfig {
     /// Worker threads. `0` and `1` both mean one shard, run inline;
-    /// `N ≥ 2` shards accesses across N workers, at most 64: each shard is
-    /// an OS thread, so larger values run 64 shards (`MAX_SHARDS`).
+    /// `N ≥ 2` runs N workers that each replay the sync records and check
+    /// the accesses they own, at most 64: each shard is an OS thread, so
+    /// larger values run 64 shards (`MAX_SHARDS`). Blocks mostly of sync
+    /// records are replayed once, inline, at any N.
     pub threads: usize,
     /// Happens-before tuning, applied identically to every shard.
     pub hb: HbConfig,
@@ -107,6 +117,12 @@ pub(crate) struct ShardState {
 #[derive(Debug)]
 pub(crate) struct Shard {
     pub(crate) cfg: HbConfig,
+    /// This shard's index among `shards`: it checks only the accesses
+    /// [`shard_of`] assigns it.
+    index: usize,
+    shards: usize,
+    /// Accesses checked here, flushed into `detector.shard.events`.
+    owned: u64,
     pub(crate) frontier: Frontier,
     pub(crate) pairs: PairMap,
     /// Frontier scan lengths, systematically sampled (1 in
@@ -128,6 +144,9 @@ impl Shard {
         (0..shards)
             .map(|shard| Shard {
                 cfg,
+                index: shard,
+                shards,
+                owned: 0,
                 frontier: match resume {
                     None => Frontier::new(max_history),
                     Some(cp) => Frontier::restore(
@@ -146,6 +165,13 @@ impl Shard {
                 provenance: None,
             })
             .collect()
+    }
+
+    /// Whether accesses to `addr` are this shard's to check. One shard
+    /// owns every address.
+    #[inline(always)]
+    pub(crate) fn owns(&self, addr: Addr) -> bool {
+        self.shards == 1 || shard_of(addr, self.shards) == self.index
     }
 
     /// Checks one access at global position `pos` against the frontier,
@@ -170,11 +196,14 @@ impl Shard {
     ) {
         let Shard {
             cfg,
+            owned,
             frontier,
             pairs,
             scan_hist,
             provenance,
+            ..
         } = self;
+        *owned += 1;
         let cap = cfg.max_dynamic_per_pair;
         let mut provenance = provenance.as_deref_mut();
         let scanned = frontier.access(
@@ -223,13 +252,16 @@ impl Shard {
     }
 
     /// Reclaims frontier state that can never race again: an access is
-    /// dead once **every live thread's clock** in `live` already covers it
-    /// (all future accesses inherit those clocks, so they would be ordered
-    /// after it). This bounds detector memory on long runs; correctness is
-    /// untouched (property-tested in the crate's integration tests).
-    pub(crate) fn compact(&mut self, live: &[&VectorClock]) {
+    /// dead once **every live thread's clock** in `clocks` already covers
+    /// it (all future accesses inherit those clocks, so they would be
+    /// ordered after it). This bounds detector memory on long runs;
+    /// correctness is untouched (property-tested in the crate's
+    /// integration tests).
+    pub(crate) fn compact(&mut self, clocks: &ClockState) {
+        literace_telemetry::trace_instant("shard.compact");
+        let live: Vec<&VectorClock> = clocks.live().map(|i| &clocks.thread(i).clock).collect();
         let tracked_before = self.frontier.tracked_locations();
-        let dropped = self.frontier.compact(live);
+        let dropped = self.frontier.compact(&live);
         if literace_telemetry::enabled() {
             let m = literace_telemetry::metrics();
             m.detector_compact_runs.add(1);
@@ -254,6 +286,7 @@ impl Shard {
         self.frontier.flush_telemetry();
         if literace_telemetry::enabled() {
             let m = literace_telemetry::metrics();
+            m.detector_shard_events.add(self.index, self.owned);
             self.scan_hist.flush_into(&m.detector_frontier_scan);
             m.detector_frontier_tracked_hwm
                 .record(self.frontier.tracked_locations() as u64);

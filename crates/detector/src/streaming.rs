@@ -1,310 +1,372 @@
-//! The sharded detection engine: routing, shard replay and merge,
-//! overlapped with whatever produces the records.
+//! The sharded detection engine: replicated replay, shard checks and
+//! merge, overlapped with whatever produces the records.
 //!
 //! [`detect_stream_from`] consumes *blocks* of records — decoded blocks
 //! from a [`RecordStream`](literace_log::RecordStream) whose decoder is
 //! still running, or borrowed chunks of an in-memory
 //! [`EventLog`](literace_log::EventLog) — and never materializes more than
-//! it is handed. A router on the calling thread runs the replay stage's
-//! one step (see [`hb`](crate::hb)) over every record, routes each access
-//! to its shard's bounded channel (see [`sharded`](crate::sharded) for the
-//! partition and the shard stage, and `crate::report` for the merge), and
-//! the shard workers replay concurrently with the routing and the decode.
-//! Peak memory is bounded by the channel depths, not the log size, and the
-//! shard count by [`MAX_SHARDS`](crate::sharded::MAX_SHARDS). At one shard
-//! the engine is an [`HbDetector`] run inline on the calling thread.
+//! it is handed. At one shard the engine is an [`HbDetector`] run inline
+//! on the calling thread. At N shards (at most
+//! [`MAX_SHARDS`](crate::sharded::MAX_SHARDS)) the caller wraps each block
+//! in one `Arc` and sends it down every worker's bounded channel. Each
+//! worker is a replica: an [`HbDetector`] whose replay stage (see
+//! [`hb`](crate::hb)) replays every record of every block, so it holds
+//! every thread's clock itself, and whose shard (see
+//! [`sharded`](crate::sharded) for the partition and the shard stage, and
+//! `crate::report` for the merge) checks only the accesses the address
+//! hash assigns it, with the clock in place. Workers replay concurrently
+//! with the decode and with each other; peak memory is bounded by the
+//! channel depth, not the log size.
 //!
-//! **Eager clock freezing.** Workers start before the log is fully read,
-//! so an access carries its clock with it: the first time a thread's
-//! clock is referenced at its current generation (an access stamp or a
-//! compaction pin), the value is cloned once into an `Arc<VectorClock>`,
-//! and that `Arc` is shared until the generation moves. Clocks change only
-//! at sync operations, and every change bumps the generation (see
-//! [`clocks`](crate::clocks)), so each access sees exactly the clock the
-//! inline detector would. Per access this costs one atomic refcount bump
-//! instead of a clock clone.
+//! **When replicas pay.** Replicas ship no clock across threads: nothing
+//! is frozen, cloned or shared per access, and the caller touches a block
+//! once, not once per record. In exchange every replica replays every
+//! sync record, so N replicas do N times the sync work to split the
+//! access work N ways. That pays where accesses are the bulk of the
+//! records, as in full logs (5–27% sync records on the paper-scale
+//! programs), and loses where sync is: TL-Ad keeps every sync record and
+//! a few percent of the accesses, so sync is 60–98% of a sampled log. The
+//! engine therefore looks at each block before it replays it. A block at
+//! least half of whose records are accesses goes to the replicas; any
+//! other block is replayed once, by one inline detector. A change of
+//! side moves the state through a seal and a resume, exactly as a
+//! checkpoint would. Clock memory grows with the replica count too:
+//! every replica holds every clock.
 //!
-//! Positions are carried as `u64` and a compaction point is its own
-//! stream item, so the engine has no log-length ceiling. A seal point
-//! (see [`detect_stream_checkpointed`]) is one too.
+//! Positions are carried as `u64` and every replica keeps its own, so the
+//! engine has no log-length ceiling. A seal point (see
+//! [`detect_stream_checkpointed`]) is one in-band item per worker.
 
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
 use std::sync::Arc;
+use std::thread::{Scope, ScopedJoinHandle};
 
 use literace_log::{LogResult, Record};
-use literace_sim::{Addr, Pc, ThreadId};
 
 use crate::checkpoint::Checkpoint;
-use crate::clocks::ClockState;
-use crate::hb::{Downstream, HbConfig, HbDetector, Replay};
+use crate::hb::{HbConfig, HbDetector, Replay};
 use crate::report::{merge, report, PairMap, RaceReport};
-use crate::sharded::{shard_of, DetectConfig, Shard, ShardState};
-use crate::vector_clock::VectorClock;
+use crate::sharded::{DetectConfig, Shard, ShardState};
 
-/// Stream items buffered per shard before a batch is sent. Large enough
-/// to amortize channel synchronization, small enough that in-flight
-/// batches stay a rounding error next to the frontier state.
-const BATCH_RECORDS: usize = 4096;
-
-/// Bound (in messages) of each shard channel. With the batch the router is
-/// filling and the one the worker is replaying, a shard holds at most six
-/// `BATCH_RECORDS`-sized batches: about 1 MB of 48-byte events.
+/// Bound (in blocks) of each worker's channel. Blocks are shared, so the
+/// replicas hold at most `CHANNEL_DEPTH + 2` distinct blocks between them:
+/// the slowest worker's queue, the block it is replaying, and the one the
+/// caller is sending.
 const CHANNEL_DEPTH: usize = 4;
 
-/// One routed access, self-contained: the clock is resolved at routing
-/// time (an `Arc` share of the eager freeze), not looked up by the worker.
-struct StreamEvent {
-    /// Global record index: a pair's first occurrence keeps it, so the
-    /// merge can take the earliest example address.
-    pos: u64,
-    tid: ThreadId,
-    is_write: bool,
-    pc: Pc,
-    addr: Addr,
-    clock: Arc<VectorClock>,
-    /// The thread's clock generation at routing time: the frontier memo
-    /// token (see [`clocks`](crate::clocks)). The `Arc`'s address would
-    /// be unsound there, as a recycled allocation could alias a dead
-    /// generation.
-    generation: u64,
+/// One entry of a worker's stream.
+enum Item<B> {
+    /// A block of records, shared by every replica.
+    Block(Arc<B>),
+    /// A seal point: the worker answers on the sender with its state after
+    /// every block before this one. Every reply sender travels inside a
+    /// `Seal`, so a worker that dies first drops its own and the caller's
+    /// wait ends.
+    Seal(Sender<Sealed>),
 }
 
-/// One entry of a shard's stream, which flows to the worker in batches.
-enum ShardItem {
-    /// An owned access.
-    Access(StreamEvent),
-    /// A frontier-compaction point with the live-clock set at that moment.
-    /// Broadcast into every shard's stream in order with the accesses, so
-    /// reclamation happens at the inline detector's stream positions.
-    /// Carried in-band, so a thread exit costs no channel message of its
-    /// own.
-    Compact(Arc<[Arc<VectorClock>]>),
-    /// A seal point: the shard answers on the sender with its index and
-    /// its state after every item before this one. Every reply sender
-    /// travels inside a `Seal`, so a shard that dies first drops its own
-    /// and the router's wait ends.
-    Seal(Sender<(usize, ShardState)>),
+/// One worker's answer to a seal.
+struct Sealed {
+    index: usize,
+    shard: ShardState,
+    /// Worker 0's replay stage; every replica's is the same.
+    replay: Option<Replay>,
 }
 
-/// The shared snapshots behind eager freezing: per thread, the
-/// generation a snapshot was taken at and the snapshot itself.
-#[derive(Default)]
-struct Pinned(Vec<Option<(u64, Arc<VectorClock>)>>);
+/// The caller's side of N replicas: one bounded channel per worker, and
+/// the workers' handles. Dropping the senders closes every channel.
+struct Replicas<'scope, B> {
+    hb: HbConfig,
+    senders: Vec<SyncSender<Item<B>>>,
+    workers: Vec<ScopedJoinHandle<'scope, PairMap>>,
+}
 
-impl Pinned {
-    /// Thread `i`'s present clock as a shared snapshot, with its
-    /// generation. Clones the clock at most once per generation.
-    fn pin(&mut self, clocks: &ClockState, i: usize) -> (Arc<VectorClock>, u64) {
-        let thread = clocks.thread(i);
-        let generation = thread.generation;
-        if self.0.len() <= i {
-            self.0.resize(i + 1, None);
+impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Replicas<'scope, B> {
+    /// Spawns `shards` replicas in `scope`, each starting from `from`: its
+    /// replay stage, and the checkpoint locations its shard owns.
+    fn spawn(
+        scope: &'scope Scope<'scope, '_>,
+        shards: usize,
+        from: &Checkpoint,
+    ) -> Replicas<'scope, B> {
+        let mut senders = Vec::with_capacity(shards);
+        let mut workers = Vec::with_capacity(shards);
+        let seeded = Shard::seeded(shards, from.cfg, Some(from));
+        for (index, shard) in seeded.into_iter().enumerate() {
+            let (tx, rx) = sync_channel(CHANNEL_DEPTH);
+            senders.push(tx);
+            let det = HbDetector {
+                replay: from.replay.clone(),
+                shard,
+            };
+            workers.push(
+                std::thread::Builder::new()
+                    .name(format!("literace-shard-{index}"))
+                    .spawn_scoped(scope, move || run_replica(index, rx, det))
+                    .expect("spawning shard worker"),
+            );
         }
-        match &self.0[i] {
-            Some((g, clock)) if *g == generation => (clock.clone(), generation),
-            _ => {
-                let clock = Arc::new(thread.clock.clone());
-                self.0[i] = Some((generation, clock.clone()));
-                (clock, generation)
+        Replicas {
+            hb: from.cfg,
+            senders,
+            workers,
+        }
+    }
+
+    /// Closes every channel and joins every worker, in shard order. A
+    /// worker's panic resurfaces here with its own payload, as it would
+    /// have on the caller at one shard.
+    fn join(self) -> Vec<PairMap> {
+        drop(self.senders);
+        self.workers
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    }
+
+    /// Sends one item to worker `index`, accounting backpressure: a full
+    /// channel counts as a stall before the blocking send, and a delivered
+    /// item raises the worker's queue-occupancy gauge (the matching
+    /// decrement is in [`run_replica`]). Returns whether the item was
+    /// delivered: a send fails only if the worker is gone, and a worker
+    /// ends early only by panicking, which resurfaces at join.
+    fn send(&self, index: usize, item: Item<B>) -> bool {
+        let sender = &self.senders[index];
+        if !literace_telemetry::enabled() {
+            return sender.send(item).is_ok();
+        }
+        let m = literace_telemetry::metrics();
+        let delivered = match sender.try_send(item) {
+            Ok(()) => true,
+            Err(TrySendError::Disconnected(_)) => false,
+            Err(TrySendError::Full(item)) => {
+                m.detector_stream_stalls.add(1);
+                literace_telemetry::trace_instant("shard.send.stall");
+                sender.send(item).is_ok()
+            }
+        };
+        if delivered {
+            m.detector_shard_queue.inc(index);
+        }
+        delivered
+    }
+
+    /// Shares `block` with every worker. A dead worker ends the stream
+    /// here, so the caller reads no further before joining it.
+    fn feed(&mut self, block: B) -> LogResult<()> {
+        let block = Arc::new(block);
+        for index in 0..self.senders.len() {
+            if !self.send(index, Item::Block(block.clone())) {
+                return Err(std::io::Error::other("a shard worker died").into());
             }
         }
-    }
-}
-
-/// The routing half of the engine, downstream of the replay stage:
-/// stamps and batches accesses, and broadcasts compaction points. Owns the
-/// shard senders; dropping it closes every channel.
-struct Router {
-    shards: usize,
-    pinned: Pinned,
-    buffers: Vec<Vec<ShardItem>>,
-    senders: Vec<SyncSender<Vec<ShardItem>>>,
-}
-
-impl Router {
-    fn new(senders: Vec<SyncSender<Vec<ShardItem>>>) -> Router {
-        Router {
-            shards: senders.len(),
-            pinned: Pinned::default(),
-            buffers: (0..senders.len())
-                .map(|_| Vec::with_capacity(BATCH_RECORDS))
-                .collect(),
-            senders,
-        }
+        Ok(())
     }
 
-    fn push(&mut self, shard: usize, item: ShardItem) {
-        self.buffers[shard].push(item);
-        if self.buffers[shard].len() >= BATCH_RECORDS {
-            self.flush(shard);
-        }
-    }
-
-    fn flush(&mut self, shard: usize) {
-        if self.buffers[shard].is_empty() {
-            return;
-        }
-        let batch = std::mem::replace(
-            &mut self.buffers[shard],
-            Vec::with_capacity(BATCH_RECORDS),
-        );
-        if literace_telemetry::enabled() {
-            let accesses = batch
-                .iter()
-                .filter(|item| matches!(item, ShardItem::Access(_)))
-                .count() as u64;
-            literace_telemetry::metrics()
-                .detector_shard_events
-                .add(shard, accesses);
-        }
-        send_batch(&self.senders[shard], shard, batch);
-    }
-
-    /// Flushes whatever is still buffered; call once at end of input.
-    fn finish(mut self) {
-        for shard in 0..self.shards {
-            self.flush(shard);
-        }
-        // Dropping `self` drops the senders, closing every channel.
-    }
-}
-
-impl Downstream for Router {
-    #[inline]
-    fn on_access(
-        &mut self,
-        clocks: &ClockState,
-        pos: u64,
-        tid: ThreadId,
-        pc: Pc,
-        addr: Addr,
-        is_write: bool,
-    ) {
-        let (clock, generation) = self.pinned.pin(clocks, tid.index());
-        let event = StreamEvent {
-            pos,
-            tid,
-            is_write,
-            pc,
-            addr,
-            clock,
-            generation,
-        };
-        self.push(shard_of(addr, self.shards), ShardItem::Access(event));
-    }
-
-    /// Appends a compaction point pinning the live-clock set to every
-    /// shard's stream — the same bound, at the same stream position, as
-    /// the inline detector's compaction.
-    fn on_compact(&mut self, clocks: &ClockState) {
-        let live: Arc<[Arc<VectorClock>]> = clocks
-            .live()
-            .map(|i| self.pinned.pin(clocks, i).0)
-            .collect();
-        for shard in 0..self.shards {
-            self.push(shard, ShardItem::Compact(live.clone()));
-        }
-    }
-
-    /// Sends every shard its buffered items with a `Seal` behind them,
-    /// each holding a clone of one fresh reply sender, drops the original,
-    /// and collects the answers in shard order.
-    fn seal(&mut self) -> Option<Vec<ShardState>> {
+    /// Sends every worker a `Seal`, each holding a clone of one fresh
+    /// reply sender, drops the original, and assembles the answers: every
+    /// worker's shard state, in shard order, and worker 0's replay stage.
+    fn seal(&mut self, non_stack_accesses: u64) -> LogResult<Checkpoint> {
         let (reply, replies) = channel();
-        for shard in 0..self.shards {
-            self.push(shard, ShardItem::Seal(reply.clone()));
-            self.flush(shard);
+        for index in 0..self.senders.len() {
+            self.send(index, Item::Seal(reply.clone()));
         }
         drop(reply);
-        let mut states: Vec<Option<ShardState>> = (0..self.shards).map(|_| None).collect();
-        for _ in 0..self.shards {
-            let (index, state) = replies.recv().ok()?;
-            states[index] = Some(state);
+        let mut shards: Vec<Option<ShardState>> = self.senders.iter().map(|_| None).collect();
+        let mut replay = None;
+        for sealed in replies {
+            shards[sealed.index] = Some(sealed.shard);
+            replay = replay.or(sealed.replay);
         }
-        states.into_iter().collect()
+        let died = || std::io::Error::other("a shard worker died before sealing");
+        let shards: Vec<ShardState> = shards.into_iter().collect::<Option<_>>().ok_or_else(died)?;
+        let replay = replay.ok_or_else(died)?;
+        Ok(Checkpoint::assemble(
+            &replay,
+            self.hb,
+            shards,
+            non_stack_accesses,
+        ))
     }
 }
 
-/// Sends one batch to a shard channel, accounting backpressure: a full
-/// channel counts as a stall before the blocking send, and a delivered
-/// batch raises the shard's queue-occupancy gauge (the matching decrement
-/// is in [`run_stream_shard`]). A send fails only if the worker panicked;
-/// the panic resurfaces at join, so losing the batch is moot.
-fn send_batch(sender: &SyncSender<Vec<ShardItem>>, shard: usize, batch: Vec<ShardItem>) {
-    if !literace_telemetry::enabled() {
-        let _ = sender.send(batch);
-        return;
-    }
-    let m = literace_telemetry::metrics();
-    let delivered = match sender.try_send(batch) {
-        Ok(()) => true,
-        Err(std::sync::mpsc::TrySendError::Disconnected(_)) => false,
-        Err(std::sync::mpsc::TrySendError::Full(batch)) => {
-            m.detector_stream_stalls.add(1);
-            literace_telemetry::trace_instant("shard.send.stall");
-            sender.send(batch).is_ok()
-        }
-    };
-    if delivered {
-        m.detector_shard_queue.inc(shard);
-    }
-}
-
-/// One shard worker: drains its channel, replaying batches against its
-/// shard stage. Pure frontier work — no sync replay, no clock mutation,
-/// no cloning.
-fn run_stream_shard(index: usize, rx: Receiver<Vec<ShardItem>>, mut shard: Shard) -> PairMap {
+/// One replica: drains its channel into its own [`HbDetector`], whose
+/// replay stage replays every record of every block and whose shard
+/// checks only the accesses it owns.
+fn run_replica<B: AsRef<[Record]>>(
+    index: usize,
+    rx: Receiver<Item<B>>,
+    mut det: HbDetector,
+) -> PairMap {
     let _span = literace_telemetry::metrics().phase_shard_replay.span();
     loop {
         let idle = literace_telemetry::enabled().then(std::time::Instant::now);
-        let batch = match rx.recv() {
-            Ok(batch) => batch,
-            Err(_) => break,
+        let Ok(item) = rx.recv() else {
+            break;
         };
         let busy = idle.map(|idle| {
             let now = std::time::Instant::now();
-            literace_telemetry::metrics()
-                .detector_worker_idle_ns
+            let m = literace_telemetry::metrics();
+            m.detector_worker_idle_ns
                 .add((now - idle).as_nanos() as u64);
+            m.detector_shard_queue.dec(index);
             now
         });
-        if literace_telemetry::enabled() {
-            literace_telemetry::metrics()
-                .detector_shard_queue
-                .dec(index);
-        }
-        literace_telemetry::trace_begin("shard.batch");
-        for item in &batch {
-            match item {
-                ShardItem::Access(ev) => shard.access(
-                    ev.pos,
-                    ev.tid,
-                    ev.pc,
-                    ev.addr,
-                    ev.is_write,
-                    &ev.clock,
-                    ev.generation,
-                ),
-                ShardItem::Compact(clocks) => {
-                    literace_telemetry::trace_instant("shard.compact");
-                    let live: Vec<&VectorClock> = clocks.iter().map(Arc::as_ref).collect();
-                    shard.compact(&live);
-                }
-                ShardItem::Seal(reply) => {
-                    // Fails only if the router is gone, which makes the
-                    // answer moot.
-                    let _ = reply.send((index, shard.state()));
-                }
+        match item {
+            Item::Block(block) => {
+                literace_telemetry::trace_begin("shard.block");
+                det.process_block((*block).as_ref());
+                literace_telemetry::trace_end("shard.block");
+            }
+            Item::Seal(reply) => {
+                // Fails only if the caller is gone, which makes the
+                // answer moot.
+                let _ = reply.send(Sealed {
+                    index,
+                    shard: det.shard.state(),
+                    replay: (index == 0).then(|| det.replay.clone()),
+                });
             }
         }
-        literace_telemetry::trace_end("shard.batch");
         if let Some(busy) = busy {
             literace_telemetry::metrics()
                 .detector_worker_busy_ns
                 .add(busy.elapsed().as_nanos() as u64);
         }
     }
-    shard.finish()
+    det.shard.finish()
+}
+
+/// The engine at every shard count: one inline detector, and at N ≥ 2
+/// shards N replicas. There a block at least half of whose records are
+/// accesses goes to the replicas and any other block to the inline
+/// detector (see the module docs). A change of side moves the detector's
+/// state through a seal and a resume, so the report and every seal are
+/// the same as at one shard.
+struct Engine<'scope, 'env, B> {
+    scope: &'scope Scope<'scope, 'env>,
+    shards: usize,
+    non_stack_accesses: u64,
+    form: Form<'scope, B>,
+}
+
+/// Where the engine's state is between two blocks.
+enum Form<'scope, B> {
+    Inline(Box<HbDetector>),
+    Replicas(Replicas<'scope, B>),
+}
+
+impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, '_, B> {
+    /// Feeds every block, counting its records into
+    /// `detector.records.routed`, sealing every `seal.every_blocks` blocks
+    /// and once more at end of stream, unless a periodic seal just landed
+    /// there. Stops at the first stream or seal error.
+    fn drive<I>(&mut self, blocks: I, mut seal: Option<Seal<'_>>) -> LogResult<()>
+    where
+        I: IntoIterator<Item = LogResult<B>>,
+    {
+        let mut blocks_seen = 0u64;
+        let mut sealed_at = None;
+        for block in blocks {
+            let block = block?;
+            let records = block.as_ref().len() as u64;
+            self.feed(block)?;
+            if literace_telemetry::enabled() {
+                literace_telemetry::metrics()
+                    .detector_records_routed
+                    .add(records);
+            }
+            blocks_seen += 1;
+            if let Some(seal) = seal.as_mut() {
+                if seal.every_blocks > 0 && blocks_seen.is_multiple_of(seal.every_blocks) {
+                    (seal.on_checkpoint)(&self.seal()?)?;
+                    sealed_at = Some(blocks_seen);
+                }
+            }
+        }
+        if let Some(seal) = seal {
+            if sealed_at != Some(blocks_seen) {
+                (seal.on_checkpoint)(&self.seal()?)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Replays one block on the side its make-up picks. Fails only if a
+    /// replica is gone.
+    fn feed(&mut self, block: B) -> LogResult<()> {
+        let records = block.as_ref();
+        if self.shards > 1 && !records.is_empty() {
+            let accesses = records
+                .iter()
+                .filter(|r| matches!(r, Record::Mem { .. }))
+                .count();
+            self.switch(2 * accesses >= records.len())?;
+        }
+        match &mut self.form {
+            Form::Inline(det) => {
+                det.process_block(block.as_ref());
+                Ok(())
+            }
+            Form::Replicas(replicas) => replicas.feed(block),
+        }
+    }
+
+    /// The detector's state after every block fed so far, as one
+    /// checkpoint.
+    fn seal(&mut self) -> LogResult<Checkpoint> {
+        match &mut self.form {
+            Form::Inline(det) => Ok(det.save_checkpoint(self.non_stack_accesses)),
+            Form::Replicas(replicas) => replicas.seal(self.non_stack_accesses),
+        }
+    }
+
+    /// Moves the state to the replicas if `replicate`, else to the inline
+    /// detector, unless it is there already. Fails only if a replica died
+    /// before sealing, which leaves the replicas in place to be joined.
+    fn switch(&mut self, replicate: bool) -> LogResult<()> {
+        let to = match &mut self.form {
+            Form::Inline(det) if replicate => {
+                let cp = det.save_checkpoint(self.non_stack_accesses);
+                Form::Replicas(Replicas::spawn(self.scope, self.shards, &cp))
+            }
+            Form::Replicas(replicas) if !replicate => {
+                let cp = replicas.seal(self.non_stack_accesses)?;
+                Form::Inline(Box::new(HbDetector::start(cp.cfg, Some(&cp))))
+            }
+            _ => return Ok(()),
+        };
+        // The old side's races are in the checkpoint the new side started
+        // from; it only flushes its telemetry.
+        match std::mem::replace(&mut self.form, to) {
+            Form::Inline(det) => {
+                det.shard.finish();
+            }
+            Form::Replicas(replicas) => {
+                replicas.join();
+            }
+        }
+        Ok(())
+    }
+
+    /// Joins whatever runs and, unless `driven` failed, merges the races
+    /// found. Replicas are joined before the error returns, so a worker's
+    /// panic outranks the error its death caused.
+    fn finish(self, driven: LogResult<()>) -> LogResult<RaceReport> {
+        match self.form {
+            Form::Inline(det) => {
+                driven?;
+                Ok(det.finish(self.non_stack_accesses))
+            }
+            Form::Replicas(replicas) => {
+                let cap = replicas.hb.max_dynamic_per_pair;
+                let parts = replicas.join();
+                driven?;
+                let _span = literace_telemetry::metrics().phase_merge.span();
+                Ok(report(merge(parts, cap), self.non_stack_accesses))
+            }
+        }
+    }
 }
 
 /// Detects races from a stream of record blocks without materializing an
@@ -346,12 +408,14 @@ where
 /// [`detect`](crate::detect) over the whole stream.
 ///
 /// `blocks` is any iterator of record blocks — most usefully a
-/// [`RecordStream`](literace_log::RecordStream), in which case decoding,
-/// routing, and shard replay all overlap, or borrowed slices of an
-/// in-memory log. With `cfg.threads <= 1` the engine is one shard, run
-/// inline: the records feed an [`HbDetector`] on the calling thread.
-/// Otherwise `cfg.threads` shard workers (at most 64, `MAX_SHARDS`)
-/// replay the accesses they own.
+/// [`RecordStream`](literace_log::RecordStream), in which case decoding
+/// and replay overlap, or borrowed slices of an in-memory log. With
+/// `cfg.threads <= 1` the engine is one shard, run inline: the records
+/// feed an [`HbDetector`] on the calling thread. Otherwise a block at
+/// least half of whose records are accesses is shared with `cfg.threads`
+/// shard workers (at most 64, `MAX_SHARDS`), each of which replays every
+/// record and checks the accesses it owns; any other block is replayed
+/// once, inline.
 ///
 /// With `resume`, `blocks` must carry the records *after* the
 /// checkpointed position. The replay stage restarts from the checkpoint's
@@ -371,7 +435,7 @@ pub fn detect_stream_from<I, B>(
 ) -> LogResult<RaceReport>
 where
     I: IntoIterator<Item = LogResult<B>>,
-    B: AsRef<[Record]>,
+    B: AsRef<[Record]> + Send + Sync,
 {
     engine(blocks, non_stack_accesses, cfg, resume, None)
 }
@@ -387,9 +451,11 @@ where
 /// from a previously saved checkpoint; pass `0` to checkpoint only at
 /// end of stream.
 ///
-/// Seals run at any `cfg.threads`: at N shards the router flushes every
-/// shard's stream with an in-band seal behind it and assembles one
-/// checkpoint from its replay state and the shards' answers. While no
+/// Seals run at any `cfg.threads`. While the replicas run, every
+/// worker's stream gets an in-band seal behind the blocks before it,
+/// every worker answers its shard's state and worker 0 its replay stage
+/// as well, and the caller assembles one checkpoint from the answers;
+/// while the engine runs inline, the inline detector is sealed. While no
 /// pair reaches `max_dynamic_per_pair` distinct addresses, every shard
 /// count seals the same bytes; past that cap the retained address subset
 /// may differ, and every checkpoint still resumes to the one-shot report.
@@ -408,7 +474,7 @@ pub fn detect_stream_checkpointed<I, B, F>(
 ) -> LogResult<RaceReport>
 where
     I: IntoIterator<Item = LogResult<B>>,
-    B: AsRef<[Record]>,
+    B: AsRef<[Record]> + Send + Sync,
     F: FnMut(&Checkpoint) -> std::io::Result<()>,
 {
     let seal = Seal {
@@ -424,27 +490,7 @@ struct Seal<'a> {
     on_checkpoint: &'a mut dyn FnMut(&Checkpoint) -> std::io::Result<()>,
 }
 
-impl Seal<'_> {
-    /// Seals the state behind `replay` and `down` into one checkpoint and
-    /// hands it on.
-    fn emit<D: Downstream>(
-        &mut self,
-        replay: &Replay,
-        down: &mut D,
-        hb: HbConfig,
-        non_stack_accesses: u64,
-    ) -> LogResult<()> {
-        let shards = down
-            .seal()
-            .ok_or_else(|| std::io::Error::other("a shard worker died before sealing"))?;
-        let checkpoint = Checkpoint::assemble(replay, hb, shards, non_stack_accesses);
-        (self.on_checkpoint)(&checkpoint)?;
-        Ok(())
-    }
-}
-
-/// The engine body, at every shard count and with or without seals: one
-/// inline shard, or N shard workers behind the router.
+/// The engine body, at every shard count and with or without seals.
 fn engine<I, B>(
     blocks: I,
     non_stack_accesses: u64,
@@ -454,99 +500,22 @@ fn engine<I, B>(
 ) -> LogResult<RaceReport>
 where
     I: IntoIterator<Item = LogResult<B>>,
-    B: AsRef<[Record]>,
+    B: AsRef<[Record]> + Send + Sync,
 {
-    let hb = resume.map_or(cfg.hb, |cp| cp.cfg);
-    let shards = cfg.shards();
-    if shards == 1 {
-        let mut detector = HbDetector::start(hb, resume);
-        let HbDetector { replay, shard } = &mut detector;
-        drive(blocks, replay, shard, seal, hb, non_stack_accesses)?;
-        return Ok(detector.finish(non_stack_accesses));
-    }
-
-    std::thread::scope(|s| {
-        let mut senders = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (index, shard) in Shard::seeded(shards, hb, resume).into_iter().enumerate() {
-            let (tx, rx) = sync_channel::<Vec<ShardItem>>(CHANNEL_DEPTH);
-            senders.push(tx);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("literace-shard-{index}"))
-                    .spawn_scoped(s, move || run_stream_shard(index, rx, shard))
-                    .expect("spawning shard worker"),
-            );
-        }
-
-        let mut replay = Replay::resume(resume);
-        let mut router = Router::new(senders);
-        let driven = drive(
-            blocks,
-            &mut replay,
-            &mut router,
-            seal,
-            hb,
+    let detector = match resume {
+        Some(cp) => HbDetector::resume(cp),
+        None => HbDetector::with_config(cfg.hb),
+    };
+    std::thread::scope(|scope| {
+        let mut engine = Engine {
+            scope,
+            shards: cfg.shards(),
             non_stack_accesses,
-        );
-        router.finish();
-
-        let parts: Vec<PairMap> = handles
-            .into_iter()
-            .map(|h| h.join().expect("stream shard worker panicked"))
-            .collect();
-        driven?;
-        let _span = literace_telemetry::metrics().phase_merge.span();
-        Ok(report(
-            merge(parts, hb.max_dynamic_per_pair),
-            non_stack_accesses,
-        ))
+            form: Form::Inline(Box::new(detector)),
+        };
+        let driven = engine.drive(blocks, seal);
+        engine.finish(driven)
     })
-}
-
-/// Replays every block into `down`, counting its records into
-/// `detector.records.routed`, sealing every `seal.every_blocks` blocks
-/// and once more at end of stream, unless a periodic seal just landed
-/// there. Stops at the first stream or seal error.
-fn drive<I, B, D>(
-    blocks: I,
-    replay: &mut Replay,
-    down: &mut D,
-    mut seal: Option<Seal<'_>>,
-    hb: HbConfig,
-    non_stack_accesses: u64,
-) -> LogResult<()>
-where
-    I: IntoIterator<Item = LogResult<B>>,
-    B: AsRef<[Record]>,
-    D: Downstream,
-{
-    let mut blocks_seen = 0u64;
-    let mut sealed_at = None;
-    for block in blocks {
-        let block = block?;
-        for record in block.as_ref() {
-            replay.step(record, down);
-        }
-        if literace_telemetry::enabled() {
-            literace_telemetry::metrics()
-                .detector_records_routed
-                .add(block.as_ref().len() as u64);
-        }
-        blocks_seen += 1;
-        if let Some(seal) = seal.as_mut() {
-            if seal.every_blocks > 0 && blocks_seen.is_multiple_of(seal.every_blocks) {
-                seal.emit(replay, down, hb, non_stack_accesses)?;
-                sealed_at = Some(blocks_seen);
-            }
-        }
-    }
-    match seal {
-        Some(mut seal) if sealed_at != Some(blocks_seen) => {
-            seal.emit(replay, down, hb, non_stack_accesses)
-        }
-        _ => Ok(()),
-    }
 }
 
 #[cfg(test)]
@@ -555,7 +524,7 @@ mod tests {
     use crate::testkit::{mem, sync, t};
     use crate::{detect, detect_sharded};
     use literace_log::{encode_v2, DecodeOpts, EventLog, RecordStream};
-    use literace_sim::{SyncOpKind, SyncVar};
+    use literace_sim::SyncOpKind;
 
     /// Races on many addresses plus lock edges and a thread retirement,
     /// so shards, HB edges, and compaction all get exercised.
@@ -752,49 +721,108 @@ mod tests {
         }
     }
 
-    #[test]
-    fn a_shard_that_dies_before_its_seal_cannot_hang_the_router() {
-        let (senders, receivers): (Vec<_>, Vec<_>) =
-            (0..4).map(|_| sync_channel(CHANNEL_DEPTH)).unzip();
-        let mut router = Router::new(senders);
-        let mut replay = Replay::default();
-        for record in mixed_log().records() {
-            replay.step(record, &mut router);
-        }
-        std::thread::scope(|s| {
-            for (index, rx) in receivers.into_iter().enumerate() {
-                if index == 2 {
-                    // Shard 2 is gone: its queued items, the seal among
-                    // them, are dropped with its receiver.
-                    drop(rx);
-                    continue;
-                }
-                let shard = Shard::seeded(1, crate::HbConfig::default(), None)
-                    .pop()
-                    .unwrap();
-                s.spawn(move || run_stream_shard(index, rx, shard));
+    /// `mixed_log` in 40-record blocks, each followed by a 40-record
+    /// block of lock handoffs on a variable of its own: the blocks
+    /// alternate between mostly accesses and only sync records.
+    fn alternating_log() -> EventLog {
+        let mut records = Vec::new();
+        let mut timestamp = 0;
+        for chunk in mixed_log().records().chunks(40) {
+            records.extend_from_slice(chunk);
+            for k in 0..40u64 {
+                let kind = if k % 2 == 0 {
+                    SyncOpKind::LockAcquire
+                } else {
+                    SyncOpKind::LockRelease
+                };
+                timestamp += 1;
+                records.push(sync(t((k / 2 % 3) as usize), kind, 9, timestamp));
             }
-            assert!(
-                router.seal().is_none(),
-                "three answers of four make no checkpoint"
-            );
-            router.finish();
-        });
+        }
+        records.into_iter().collect()
     }
 
     #[test]
-    fn eager_freeze_shares_one_arc_per_generation() {
-        let mut clocks = ClockState::default();
-        let mut pinned = Pinned::default();
-        let i = clocks.ensure_thread(t(0));
-        let (a, gen_a) = pinned.pin(&clocks, i);
-        let (b, gen_b) = pinned.pin(&clocks, i);
-        assert!(Arc::ptr_eq(&a, &b), "same generation must share one Arc");
-        assert_eq!(gen_a, gen_b);
-        clocks.sync(t(0), SyncOpKind::LockRelease, SyncVar(7), 1);
-        let (c, gen_c) = pinned.pin(&clocks, i);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_ne!(gen_a, gen_c);
-        assert!(c.get(t(0)) > a.get(t(0)));
+    fn sync_blocks_run_inline_and_access_blocks_on_the_replicas() {
+        let log = alternating_log();
+        let want = detect(&log, 1000);
+        assert!(want.static_count() > 0, "log should race");
+        std::thread::scope(|scope| {
+            let mut engine = Engine {
+                scope,
+                shards: 4,
+                non_stack_accesses: 1000,
+                form: Form::Inline(Box::default()),
+            };
+            for (i, block) in log.records().chunks(40).enumerate() {
+                engine.feed(block).unwrap();
+                let replicated = matches!(engine.form, Form::Replicas(_));
+                assert_eq!(replicated, i % 2 == 0, "block {i}");
+            }
+            assert_eq!(engine.finish(Ok(())).unwrap(), want);
+        });
+        // Moving the state at every block changes no seal: each one is
+        // the bytes one shard seals at that point.
+        let mut one_shard = Vec::new();
+        for threads in [1, 2, 4, 8] {
+            let mut saved = Vec::new();
+            let report = detect_stream_checkpointed(
+                blocks_of(&log, 40),
+                1000,
+                &DetectConfig::with_threads(threads),
+                None,
+                1,
+                |cp| {
+                    saved.push(cp.to_bytes());
+                    Ok(())
+                },
+            )
+            .unwrap();
+            assert_eq!(report, want, "threads={threads}");
+            if threads == 1 {
+                one_shard = saved;
+            } else {
+                assert!(saved == one_shard, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_replica_that_dies_before_its_seal_fails_the_seal_without_a_hang() {
+        let log = mixed_log();
+        let hb = crate::HbConfig::default();
+        for dead in [0, 2] {
+            let (senders, mut receivers): (Vec<_>, Vec<_>) =
+                (0..4).map(|_| sync_channel(CHANNEL_DEPTH)).unzip();
+            let mut replicas = Replicas {
+                hb,
+                senders,
+                workers: Vec::new(),
+            };
+            let gone = receivers.remove(dead);
+            std::thread::scope(|s| {
+                for (shard, (index, rx)) in Shard::seeded(4, hb, None)
+                    .into_iter()
+                    .zip((0..4).filter(|&index| index != dead).zip(receivers))
+                {
+                    let det = HbDetector {
+                        replay: Replay::default(),
+                        shard,
+                    };
+                    s.spawn(move || run_replica(index, rx, det));
+                }
+                replicas.feed(log.records()).unwrap();
+                // Worker `dead` never ran: its queued block is dropped with
+                // its receiver, and the seal sent after finds it gone.
+                drop(gone);
+                let err = replicas.seal(0).unwrap_err();
+                assert!(
+                    err.to_string()
+                        .contains("a shard worker died before sealing"),
+                    "dead={dead}: {err}"
+                );
+                drop(replicas);
+            });
+        }
     }
 }

@@ -317,11 +317,18 @@ fn transient_errors_are_absorbed_by_the_retrying_stream() {
 }
 
 /// Writes `bytes` to a throwaway file and runs [`peek_sealed_total`] on
-/// it (the peek reads from a path, not a reader).
+/// it (the peek reads from a path, not a reader). Each call writes its
+/// own file straight into the temp directory (pid, tag and a per-call
+/// number), so concurrent tests never share a path and nothing is left
+/// behind.
 fn peek_of(bytes: &[u8], tag: &str) -> Option<u64> {
-    let dir = std::env::temp_dir().join(format!("literace-peek-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join(format!("{tag}.lrlog"));
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static CALLS: AtomicU64 = AtomicU64::new(0);
+    let call = CALLS.fetch_add(1, Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!(
+        "literace-peek-{}-{tag}-{call}.lrlog",
+        std::process::id()
+    ));
     std::fs::write(&path, bytes).unwrap();
     let got = peek_sealed_total(&path);
     let _ = std::fs::remove_file(&path);

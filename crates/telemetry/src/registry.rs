@@ -203,15 +203,17 @@ registry! {
     /// Records the detection engine replayed, counted once per block at
     /// every shard count.
     detector_records_routed: Counter => counters["detector.records.routed"], required;
-    /// Events assigned to each address shard.
+    /// Accesses each address shard owned and checked; the slots sum to
+    /// the accesses detected.
     detector_shard_events: SlotCounters<SLOTS> => slots["detector.shard.events"], required;
-    /// Occupancy of each shard's streaming channel, with high-water marks.
+    /// Blocks queued on each shard worker's channel, with high-water
+    /// marks.
     detector_shard_queue: LevelGauges<SLOTS>
         => slots["detector.shard.queue_depth_hwm"], required;
-    /// Times the streaming router found a shard channel full and had to
-    /// block (backpressure stalls).
+    /// Times the engine found a shard worker's channel full and had to
+    /// block sending it a block (backpressure stalls).
     detector_stream_stalls: Counter => counters["detector.stream.stalls"], required;
-    /// Nanoseconds shard workers spent processing batches.
+    /// Nanoseconds shard workers spent processing blocks.
     detector_worker_busy_ns: Counter => counters["detector.worker.busy_ns"];
     /// Nanoseconds shard workers spent waiting for input.
     detector_worker_idle_ns: Counter => counters["detector.worker.idle_ns"];

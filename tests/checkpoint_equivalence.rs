@@ -57,7 +57,7 @@ const SEAL_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// `resume`, and every checkpoint the engine sealed on the way (every
 /// `every` blocks and at end of stream), each round-tripped through the
 /// wire format.
-fn seal_all<B: AsRef<[Record]>>(
+fn seal_all<B: AsRef<[Record]> + Send + Sync>(
     blocks: impl IntoIterator<Item = LogResult<B>>,
     non_stack: u64,
     threads: usize,
@@ -79,7 +79,7 @@ fn seal_all<B: AsRef<[Record]>>(
 /// Seals `blocks` as [`seal_all`] does at every shard count of
 /// [`SEAL_THREADS`], requires every shard count to report the same races
 /// and seal the same bytes, and returns the report and the checkpoints.
-fn seal_at_every_shard_count<B: AsRef<[Record]>>(
+fn seal_at_every_shard_count<B: AsRef<[Record]> + Send + Sync>(
     blocks: &[B],
     non_stack: u64,
     resume: Option<&Checkpoint>,

@@ -184,27 +184,184 @@ fn tracing_reports_and_log_bytes_are_byte_identical_on_vs_off() {
 /// `detector.records.routed` counts every record the engine replays
 /// once, at every shard count, in memory and streamed: the `--progress`
 /// heartbeat reads its rate and its share of the log's record total.
+/// `detector.shard.events` counts each access once, in the slot of the
+/// one shard that owns it, so its slots sum to the log's access count.
 #[test]
 fn every_shard_count_routes_each_record_once() {
     let _guard = serialized();
     let w = build(WorkloadId::LfList, Scale::Smoke);
     let (log, non_stack) = full_log(&w.program, 2);
-    let routed = |detect: &dyn Fn()| {
-        let before = telemetry::metrics().detector_records_routed.get();
+    let accesses = log
+        .records()
+        .iter()
+        .filter(|r| matches!(r, Record::Mem { .. }))
+        .count() as u64;
+    assert!(accesses > 0);
+    // The records routed and the accesses each shard owned, by slot.
+    let counted = |detect: &dyn Fn()| {
+        telemetry::metrics().reset();
         with_flag(true, detect);
-        telemetry::metrics().detector_records_routed.get() - before
+        let snap = telemetry::metrics().snapshot();
+        let routed = snap.counters["detector.records.routed"];
+        (routed, snap.slots["detector.shard.events"].clone())
     };
-    for threads in [1usize, 2, 4] {
+    for threads in [1usize, 2, 4, 8] {
         let cfg = DetectConfig::with_threads(threads);
-        let in_memory = routed(&|| {
+        let in_memory = counted(&|| {
             detect_sharded(&log, non_stack, &cfg);
         });
-        assert_eq!(in_memory, log.len() as u64, "in memory, threads={threads}");
-        let streamed = routed(&|| {
+        let streamed = counted(&|| {
             let blocks = log.records().chunks(1000).map(|c| Ok(c.to_vec()));
             detect_stream(blocks, non_stack, &cfg).expect("in-memory blocks decode");
         });
-        assert_eq!(streamed, log.len() as u64, "streamed, threads={threads}");
+        for (how, (routed, events)) in [("in memory", in_memory), ("streamed", streamed)] {
+            assert_eq!(routed, log.len() as u64, "{how}, threads={threads}");
+            assert_eq!(
+                events.iter().sum::<u64>(),
+                accesses,
+                "{how}, threads={threads}: {events:?}"
+            );
+            assert!(
+                events[threads..].iter().all(|&n| n == 0),
+                "{how}, threads={threads}: a slot past the last shard counted: {events:?}"
+            );
+        }
+    }
+}
+
+/// A resumed detection loads its replay stage once, whatever the shard
+/// count: `detector.checkpoint.resumes` reads 1 after each, also where
+/// every shard worker replays from its own copy of that stage. The
+/// suffix interleaves blocks of lock handoffs with the log's own blocks,
+/// so at N shards the state moves between the inline detector and the
+/// replicas at every block, and those moves count no resume.
+#[test]
+fn a_resumed_detection_counts_one_resume_at_every_shard_count() {
+    use literace::detector::{detect_stream_from, HbDetector};
+    use literace::sim::{FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
+
+    let _guard = serialized();
+    let w = build(WorkloadId::LfList, Scale::Smoke);
+    let (log, non_stack) = full_log(&w.program, 2);
+    let split = log.len() / 2;
+    let mut first = HbDetector::new();
+    for r in &log.records()[..split] {
+        first.process(r);
+    }
+    let cp = first.save_checkpoint(non_stack);
+    let mut timestamp = 0;
+    let suffix: Vec<Vec<Record>> = log.records()[split..]
+        .chunks(500)
+        .flat_map(|chunk| {
+            let handoffs = (0..100)
+                .map(|k| {
+                    timestamp += 1;
+                    Record::Sync {
+                        tid: ThreadId::from_index(k % 2),
+                        pc: Pc::new(FuncId::from_index(0), 0),
+                        kind: if k % 2 == 0 {
+                            SyncOpKind::LockAcquire
+                        } else {
+                            SyncOpKind::LockRelease
+                        },
+                        var: SyncVar(0x7fff_0000),
+                        timestamp,
+                    }
+                })
+                .collect();
+            [chunk.to_vec(), handoffs]
+        })
+        .collect();
+    let whole: EventLog = log.records()[..split]
+        .iter()
+        .chain(suffix.iter().flatten())
+        .copied()
+        .collect();
+    let want = detect(&whole, non_stack);
+    for threads in [1usize, 2, 4, 8] {
+        telemetry::metrics().reset();
+        let report = with_flag(true, || {
+            detect_stream_from(
+                suffix.iter().map(Ok),
+                non_stack,
+                &DetectConfig::with_threads(threads),
+                Some(&cp),
+            )
+            .expect("in-memory blocks decode")
+        });
+        assert_eq!(report, want, "threads={threads}");
+        assert_eq!(
+            telemetry::metrics().snapshot().counters["detector.checkpoint.resumes"],
+            1,
+            "threads={threads}"
+        );
+    }
+}
+
+/// Every replica's channel holds at most its depth (4 blocks) plus the
+/// one block the worker has taken and not yet counted off: over a long
+/// stream of small blocks, the queue high-water mark of each worker stays
+/// at or below 5, so blocks in flight are bounded by the channel depth,
+/// not by the log's length.
+#[test]
+fn replica_queues_hold_at_most_the_channel_depth_plus_one() {
+    use literace::detector::detect_stream_from;
+    use literace::sim::{Addr, FuncId, Pc, SyncOpKind, SyncVar, ThreadId};
+
+    const DEPTH_PLUS_ONE: u64 = 5;
+    let _guard = serialized();
+    let records: Vec<Record> = (0..200_000usize)
+        .map(|i| {
+            let tid = ThreadId::from_index(i % 4);
+            let pc = Pc::new(FuncId::from_index(i % 5), i % 97);
+            if i % 16 == 0 {
+                let kind = if i % 32 == 0 {
+                    SyncOpKind::LockRelease
+                } else {
+                    SyncOpKind::LockAcquire
+                };
+                Record::Sync {
+                    tid,
+                    pc,
+                    kind,
+                    var: SyncVar(0x2000_0000),
+                    timestamp: i as u64,
+                }
+            } else {
+                Record::Mem {
+                    tid,
+                    pc,
+                    addr: Addr::global((i % 251) as u64 * 8),
+                    is_write: i % 3 == 0,
+                    mask: SamplerMask::FULL,
+                }
+            }
+        })
+        .collect();
+    let log: EventLog = records.iter().copied().collect();
+    let want = detect(&log, 0);
+    for threads in [2usize, 4, 8] {
+        telemetry::metrics().reset();
+        let report = with_flag(true, || {
+            let blocks = records.chunks(64).map(Ok);
+            detect_stream_from(blocks, 0, &DetectConfig::with_threads(threads), None)
+        });
+        assert_eq!(
+            report.expect("in-memory blocks decode"),
+            want,
+            "threads={threads}"
+        );
+        let hwm = &telemetry::metrics().snapshot().slots["detector.shard.queue_depth_hwm"];
+        for (index, &held) in hwm.iter().enumerate() {
+            if index < threads {
+                assert!(
+                    (1..=DEPTH_PLUS_ONE).contains(&held),
+                    "threads={threads}: replica {index} held {held} blocks: {hwm:?}"
+                );
+            } else {
+                assert_eq!(held, 0, "threads={threads}: no replica {index}: {hwm:?}");
+            }
+        }
     }
 }
 
