@@ -17,9 +17,9 @@
 //!   in-order committer), both sealing every `--block-records` records;
 //! * **run overhead** — wall-clock delta of a fully-logged run
 //!   (`run_literace_with_sink`, always-on sampling) over the unlogged
-//!   baseline (`run_baseline`), for the default `V2Sink` (0 workers) and
-//!   the writer at the largest `--encode-threads` count — the number the
-//!   encode pool exists to shrink;
+//!   baseline (`run_baseline`), for a 0-worker `V2Sink` and the writer at
+//!   the largest `--encode-threads` count — the number the encode pool
+//!   exists to shrink;
 //! * **end-to-end detection** — events/s for materialize-then-detect
 //!   (`read_log_auto` + `detect_sharded`) vs streaming ingest (the decode
 //!   pool + `detect_stream`, decode overlapping the shard workers'
@@ -347,7 +347,7 @@ fn main() {
         // ratio, and interleaving makes host-wide slowdowns (shared CI
         // runners) hit both sides instead of whichever phase ran second.
         let time_inline_once = || {
-            let opts = EncodeOpts::default().block_records(block_records);
+            let opts = EncodeOpts::with_threads(0).block_records(block_records);
             let mut w = LogWriterV2::with_opts(Vec::with_capacity(encode_bytes), opts)
                 .expect("inline writer");
             let t0 = Instant::now();
@@ -419,7 +419,8 @@ fn main() {
                 &workload.program,
                 SamplerKind::Always,
                 &run_cfg,
-                V2Sink::new(Vec::new()),
+                V2Sink::with_opts(Vec::new(), EncodeOpts::with_threads(0))
+                    .expect("inline writer"),
             )
             .expect("inline run");
             out.log.finish().expect("vec sink");

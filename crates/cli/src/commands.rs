@@ -7,7 +7,7 @@ use std::process::ExitCode;
 use literace::detector::detect_stream;
 use literace::eval::{evaluate_program, EvalConfig};
 use literace::log::{
-    auto_stream_depth, AtomicFile, DecodeOpts, EncodeOpts, LogStats, LogWriterV2, RecordStream,
+    auto_stream_depth, AtomicFile, DecodeOpts, LogStats, LogWriterV2, RecordStream,
     SalvageHandle,
 };
 use literace::overhead::measure_overhead;
@@ -31,7 +31,7 @@ USAGE:
   literace run --workload <name> [--sampler tl-ad] [--seed 1]
                [--scale smoke|paper] [--log <file>]
                [--threads N] [--decode-threads N|auto]
-               [--encode-threads N|auto] [--suppress pat1,pat2]
+               [--suppress pat1,pat2]
                [--prefilter] [--prefilter-stats]
                [--metrics-out <file>] [--trace-out <file>] [--progress]
       Instrument, execute, and detect. Optionally write the event log
@@ -42,11 +42,11 @@ USAGE:
       memory) and detection streams the file back through the decode
       pool (--decode-threads as under `detect`); without --log,
       detection runs over the run's in-memory log. --threads N shards
-      detection across up to N workers as under `detect`.
-      --encode-threads N moves v2 encoding off the run's hot path: the
-      run only appends raw records and N background workers encode the
-      blocks (4096 records each). It needs --log; the file's bytes
-      never depend on it. A stale <file>.partial left by a
+      detection across up to N workers as under `detect`. With a
+      second CPU, one background worker encodes the log's blocks (4096
+      records each) while the run only appends raw records; on one CPU
+      the run encodes them itself. The file's bytes are the same either
+      way. A stale <file>.partial left by a
       crashed run is swept before writing. --metrics-out writes a JSON
       telemetry snapshot; --trace-out records pipeline event tracing and
       writes a Chrome trace-event JSON file loadable in Perfetto
@@ -265,25 +265,6 @@ fn detect_workers(threads: usize) -> usize {
     threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// Parses `--encode-threads` (N or `auto`) into the v2 writer's
-/// [`EncodeOpts`]. Without it the writer encodes on the producing thread
-/// (0 workers).
-fn parse_encode_opts(flags: &Flags) -> Result<EncodeOpts, String> {
-    match flags.get("encode-threads") {
-        None => Ok(EncodeOpts::default()),
-        Some("auto") => Ok(EncodeOpts::auto()),
-        Some(v) => {
-            let threads: usize = v
-                .parse()
-                .map_err(|_| format!("flag --encode-threads: cannot parse `{v}`"))?;
-            if threads == 0 {
-                return Err("--encode-threads must be at least 1 (or `auto`)".into());
-            }
-            Ok(EncodeOpts::with_threads(threads))
-        }
-    }
-}
-
 /// Opens the log at `path` as one [`RecordStream`], strict or (with
 /// `salvage`) best-effort. Either way the file is streamed, so a read
 /// holds one decode channel of blocks, never the whole file. The salvage
@@ -347,7 +328,7 @@ pub fn workloads(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 const RUN: Spec = Spec {
     values: &[
         "workload", "sampler", "seed", "scale", "log", "threads", "decode-threads",
-        "encode-threads", "suppress", "metrics-out", "trace-out",
+        "suppress", "metrics-out", "trace-out",
     ],
     switches: &["progress", "prefilter", "prefilter-stats"],
 };
@@ -364,10 +345,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     }
     let threads = detect_workers(threads);
     let decode_opts = parse_decode_opts(&flags, threads)?;
-    let encode_opts = parse_encode_opts(&flags)?;
-    if flags.get("encode-threads").is_some() && flags.get("log").is_none() {
-        return Err("--encode-threads requires --log".into());
-    }
     if let Some(path) = flags.get("log") {
         if AtomicFile::sweep_stale(path).map_err(CliError::io("cannot sweep", path))? {
             eprintln!("note: removed stale {path}.partial left by a crashed run");
@@ -401,12 +378,11 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         // log never sits in memory, and the file only appears at `path`
         // after a clean finish.
         let file = AtomicFile::create(path).map_err(CliError::io("cannot create", path))?;
-        let write_err = |e| format!("write {path}: {e}");
-        let sink = LogWriterV2::with_opts(file, encode_opts).map_err(write_err)?;
+        let sink = LogWriterV2::new(file);
         let (summary, out) =
             run_literace_with_sink(&w.program, sampler, &cfg, sink).map_err(|e| e.to_string())?;
         let written = out.log.records_written();
-        let file = out.log.finish().map_err(write_err)?;
+        let file = out.log.finish().map_err(|e| format!("write {path}: {e}"))?;
         file.commit().map_err(CliError::io("cannot finalize", path))?;
         let non_stack = summary.non_stack_accesses;
         let report = detect_phase(|| -> Result<_, CliError> {
@@ -1183,20 +1159,28 @@ mod tests {
 
     #[test]
     fn encode_opts_parse_and_validate() {
-        let f = Flags::parse(&[], &RUN).unwrap();
-        assert_eq!(parse_encode_opts(&f).unwrap(), EncodeOpts::default());
-        let f = Flags::parse(&["--encode-threads".into(), "3".into()], &RUN).unwrap();
-        let opts = parse_encode_opts(&f).unwrap();
-        assert_eq!(opts, EncodeOpts::with_threads(3));
-        let f = Flags::parse(&["--encode-threads".into(), "auto".into()], &RUN).unwrap();
-        assert!(parse_encode_opts(&f).unwrap().threads >= 1);
-        let f = Flags::parse(&["--encode-threads".into(), "0".into()], &RUN).unwrap();
-        assert!(parse_encode_opts(&f).is_err());
-        let f = Flags::parse(&["--encode-threads".into(), "x".into()], &RUN).unwrap();
-        assert!(parse_encode_opts(&f).is_err());
-        // The block size is not a flag: the writer's default is the one
-        // the reader's memory bound is sized for.
-        assert!(Flags::parse(&["--block-records".into(), "512".into()], &RUN).is_err());
+        // `run` parses no encode options: its writer takes
+        // `EncodeOpts::default()`, at most one encode worker and the
+        // default block size.
+        assert!(Flags::parse(&[], &RUN).is_ok());
+        let opts = literace::log::EncodeOpts::default();
+        assert!(opts.threads <= 1, "{opts:?}");
+        assert_eq!(opts, literace::log::EncodeOpts::with_threads(opts.threads));
+        // Neither the worker count nor the block size is a flag, whatever
+        // its value: the block size is the one the reader's memory bound
+        // is sized for.
+        let cases = [
+            ("encode-threads", "3"),
+            ("encode-threads", "auto"),
+            ("encode-threads", "0"),
+            ("encode-threads", "x"),
+            ("block-records", "512"),
+        ];
+        for (flag, value) in cases {
+            let args = [format!("--{flag}"), value.to_string()];
+            let err = Flags::parse(&args, &RUN).unwrap_err().to_string();
+            assert!(err.starts_with(&format!("unknown flag --{flag} (accepted: ")), "{err}");
+        }
     }
 
     #[test]
@@ -1210,20 +1194,23 @@ mod tests {
         // A stale partial from a "crashed" previous run must be swept.
         let stale = dir.join("literace_cli_pipelined_test.lrlog.partial");
         std::fs::write(&stale, b"torn").unwrap();
-        let run_args = sv(&[
-            "--workload", "lflist", "--seed", "2",
-            "--log", &path_s, "--encode-threads", "2",
-        ]);
-        run(&run_args, &mut sink()).unwrap();
-        assert!(!stale.exists(), "stale partial must be swept on run --log");
-        // The pipelined log re-detects like any other v2 log.
-        let detect_args = sv(&["--log", &path_s, "--non-stack", "100"]);
-        detect(&detect_args, &mut sink()).unwrap();
-        // Encoding on the run's own thread writes the same bytes.
-        let pooled = std::fs::read(&path).unwrap();
         let run_args = sv(&["--workload", "lflist", "--seed", "2", "--log", &path_s]);
         run(&run_args, &mut sink()).unwrap();
-        assert!(std::fs::read(&path).unwrap() == pooled, "bytes depend on --encode-threads");
+        assert!(!stale.exists(), "stale partial must be swept on run --log");
+        // The log re-detects like any other v2 log.
+        let detect_args = sv(&["--log", &path_s, "--non-stack", "100"]);
+        detect(&detect_args, &mut sink()).unwrap();
+        // Wherever the run placed its encoding, the file holds the bytes
+        // a writer with no encode worker makes of the same run.
+        let w = build(WorkloadId::LfList, Scale::Smoke);
+        let cfg = RunConfig::seeded(2);
+        let opts = literace::log::EncodeOpts::with_threads(0);
+        let inline = LogWriterV2::with_opts(Vec::new(), opts).unwrap();
+        let (_, out) =
+            run_literace_with_sink(&w.program, resolve_sampler(None).unwrap(), &cfg, inline)
+                .unwrap();
+        let inline = out.log.finish().unwrap();
+        assert!(std::fs::read(&path).unwrap() == inline, "run --log bytes differ from inline");
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1232,20 +1219,29 @@ mod tests {
         let sv = |parts: &[&str]| -> Vec<String> {
             parts.iter().map(|s| (*s).to_string()).collect()
         };
+        // The writer places its own encoding, so `--encode-threads` is no
+        // flag of `run`, with or without `--log`.
         let no_log = sv(&["--workload", "lflist", "--encode-threads", "2"]);
-        assert!(run(&no_log, &mut sink()).is_err());
-        // v2 is the one format `run` writes: `--format` is no flag of it.
+        let err = run(&no_log, &mut sink()).unwrap_err().to_string();
+        assert!(err.starts_with("unknown flag --encode-threads (accepted: "), "{err}");
+        // v2 is the one format `run` writes: `--format` is no flag of it
+        // either, and a run refused for either flag writes no log.
         let dir = std::env::temp_dir();
         let path = dir.join("literace_cli_pipelined_v1_reject.lrlog");
         let path_s = path.to_str().unwrap().to_string();
         let _ = std::fs::remove_file(&path);
-        let v1 = sv(&[
-            "--workload", "lflist", "--log", &path_s,
-            "--format", "v1", "--encode-threads", "2",
-        ]);
-        let err = run(&v1, &mut sink()).unwrap_err().to_string();
-        assert!(err.starts_with("unknown flag --format (accepted: "), "{err}");
-        assert!(!path.exists(), "a rejected run must not write its log");
+        let cases: [(&str, &[&str]); 3] = [
+            ("format", &["--format", "v1", "--encode-threads", "2"]),
+            ("format", &["--format", "v1"]),
+            ("encode-threads", &["--encode-threads", "2"]),
+        ];
+        for (flag, extra) in cases {
+            let mut args = sv(&["--workload", "lflist", "--log", &path_s]);
+            args.extend(sv(extra));
+            let err = run(&args, &mut sink()).unwrap_err().to_string();
+            assert!(err.starts_with(&format!("unknown flag --{flag} (accepted: ")), "{err}");
+            assert!(!path.exists(), "a rejected run must not write its log");
+        }
     }
 
     #[test]

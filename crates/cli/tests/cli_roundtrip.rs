@@ -396,7 +396,7 @@ fn a_huge_thread_id_costs_one_table_entry() {
     // a ThreadEnd and a LockAcquire. Per-thread tables keyed by thread
     // hold one entry for it instead of growing to four billion rows. (An
     // hb access or sync by such a thread hits the detector's thread
-    // ceiling, a typed panic; only markers go through hb here.)
+    // ceiling, a typed error; only markers go through hb here.)
     let dir = std::env::temp_dir().join(format!("literace_cli_tid_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let tid = 0xFFFF_FFF0u32.to_le_bytes();
@@ -439,6 +439,42 @@ fn a_huge_thread_id_costs_one_table_entry() {
                 "{name}: {out}"
             );
         }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_thread_past_the_ceiling_fails_detect_with_one_error_line() {
+    // A one-record v1 log: thread 2^31 writes a global. Every replica at
+    // --threads 2 meets the detector's tid ceiling; the command reports
+    // it once, as an error, at every thread count.
+    let dir = std::env::temp_dir().join(format!("literace_cli_ceiling_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("over.lrlog");
+    let access: Vec<u8> = [
+        &[2][..],
+        &(1u32 << 31).to_le_bytes(),
+        &0u64.to_le_bytes(),
+        &0x100u64.to_le_bytes(),
+        &[1],
+        &1u32.to_le_bytes(),
+    ]
+    .concat();
+    std::fs::write(&path, access).unwrap();
+    for threads in ["1", "2"] {
+        let out = literace()
+            .args(["detect", "--log", path.to_str().unwrap(), "--threads", threads])
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(1), "--threads {threads}");
+        assert!(out.stdout.is_empty(), "--threads {threads} printed a report");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(stderr.lines().count(), 1, "--threads {threads}: {stderr}");
+        assert!(
+            stderr.starts_with("error: ")
+                && stderr.contains("thread index 2147483648 exceeds the detector ceiling"),
+            "--threads {threads}: {stderr}"
+        );
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -726,12 +762,19 @@ fn unknown_flags_fail_and_list_the_accepted_ones() {
         (
             &["run", "--workload", "lflist", "--log", log, "--block-records", "512"][..],
             "block-records",
-            "--encode-threads",
+            "--decode-threads",
+        ),
+        // The writer places its own encoding (one worker with a second
+        // CPU, inline on one), so the pool size is no flag either.
+        (
+            &["run", "--workload", "lflist", "--log", log, "--encode-threads", "2"][..],
+            "encode-threads",
+            "--decode-threads",
         ),
         (&["workloads", "--all"][..], "all", "takes no flags"),
     ] {
         let out = literace().args(args).output().unwrap();
-        assert!(!out.status.success(), "{args:?} was accepted");
+        assert_eq!(out.status.code(), Some(1), "{args:?} was accepted");
         assert!(out.stdout.is_empty(), "{args:?} printed a report");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains(&format!("unknown flag --{name} (")), "{args:?}: {stderr}");

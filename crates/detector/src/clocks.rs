@@ -35,7 +35,7 @@
 
 use literace_sim::{SyncOpKind, SyncVar, ThreadId};
 
-use crate::epoch::check_thread_index;
+use crate::epoch::{check_thread_index, TidCeilingExceeded};
 use crate::fast_hash::{FastMap, FastSet};
 use crate::vector_clock::VectorClock;
 
@@ -75,30 +75,28 @@ impl ClockState {
     /// Makes sure `tid`'s clock (and those of all lower thread ids) is
     /// materialized, and returns its index.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with [`TidCeilingExceeded`](crate::TidCeilingExceeded)'s
-    /// message when the index exceeds
+    /// [`TidCeilingExceeded`] when the index exceeds
     /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX): beyond it the memo
     /// keys' access-kind bit packing would silently corrupt race
     /// classification (see `crate::epoch`), and materializing billions of
     /// backfilled clocks would exhaust memory long before that. Only a
-    /// corrupt or hostile log can reach this.
+    /// corrupt or hostile log can reach this. Nothing is materialized
+    /// then, and the caller stops replaying.
     #[inline]
-    pub(crate) fn ensure_thread(&mut self, tid: ThreadId) -> usize {
+    pub(crate) fn ensure_thread(&mut self, tid: ThreadId) -> Result<usize, TidCeilingExceeded> {
         let i = tid.index();
         if i >= self.threads.len() {
-            self.materialize(i);
+            self.materialize(i)?;
         }
-        i
+        Ok(i)
     }
 
     #[cold]
     #[inline(never)]
-    fn materialize(&mut self, i: usize) {
-        if let Err(e) = check_thread_index(i) {
-            panic!("{e}");
-        }
+    fn materialize(&mut self, i: usize) -> Result<(), TidCeilingExceeded> {
+        check_thread_index(i)?;
         for j in self.threads.len()..=i {
             let mut clock = VectorClock::new();
             clock.set(ThreadId::from_index(j), 1);
@@ -107,6 +105,7 @@ impl ClockState {
                 generation: 0,
             });
         }
+        Ok(())
     }
 
     /// Applies one synchronization operation by `tid`, logged at
@@ -114,6 +113,11 @@ impl ClockState {
     /// check and both joins. For a releasing operation, returns the
     /// thread's own clock component before the increment: the epoch a
     /// later acquire of `var` imports.
+    ///
+    /// # Errors
+    ///
+    /// [`TidCeilingExceeded`] from [`ensure_thread`](Self::ensure_thread),
+    /// for `tid` or a forked child; the operation is not applied.
     #[inline]
     pub(crate) fn sync(
         &mut self,
@@ -121,15 +125,15 @@ impl ClockState {
         kind: SyncOpKind,
         var: SyncVar,
         timestamp: u64,
-    ) -> Option<u64> {
+    ) -> Result<Option<u64>, TidCeilingExceeded> {
         if kind == SyncOpKind::Fork {
             // Until the child starts, its initial clock must pin the
             // compaction bound: the child will begin from the parent's
             // fork-time snapshot, which may be older than every live
             // thread's current clock.
-            self.ensure_thread(ThreadId::from_index(var.0 as usize));
+            self.ensure_thread(ThreadId::from_index(var.0 as usize))?;
         }
-        let i = self.ensure_thread(tid);
+        let i = self.ensure_thread(tid)?;
         let ThreadClock { clock, generation } = &mut self.threads[i];
         let sv = self.syncvars.entry(var).or_default();
         if timestamp < sv.last_ts {
@@ -147,7 +151,7 @@ impl ClockState {
         if changed {
             *generation += 1;
         }
-        released
+        Ok(released)
     }
 
     /// Marks `tid` as exited: it makes no further accesses, so its clock
@@ -189,10 +193,21 @@ mod tests {
         clocks.thread(i).generation
     }
 
+    /// `sync` on a state no test drives past the tid ceiling.
+    fn sync(
+        clocks: &mut ClockState,
+        tid: usize,
+        kind: SyncOpKind,
+        var: u64,
+        ts: u64,
+    ) -> Option<u64> {
+        clocks.sync(t(tid), kind, SyncVar(var), ts).unwrap()
+    }
+
     #[test]
     fn materializes_lower_threads_at_their_initial_clocks() {
         let mut clocks = ClockState::default();
-        assert_eq!(clocks.ensure_thread(t(2)), 2);
+        assert_eq!(clocks.ensure_thread(t(2)), Ok(2));
         for i in 0..3 {
             assert_eq!(clocks.thread(i).clock.get(t(i)), 1);
             assert_eq!(generation(&clocks, i), 0);
@@ -201,22 +216,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ceiling")]
     fn tid_ceiling_is_enforced_at_materialization() {
-        ClockState::default().ensure_thread(t(crate::MAX_THREAD_INDEX + 1));
+        let mut clocks = ClockState::default();
+        let over = crate::MAX_THREAD_INDEX + 1;
+        assert_eq!(clocks.ensure_thread(t(over)), Err(TidCeilingExceeded { index: over }));
+        let fork = clocks.sync(t(0), SyncOpKind::Fork, SyncVar(over as u64), 1);
+        assert_eq!(fork, Err(TidCeilingExceeded { index: over }));
+        assert_eq!(clocks, ClockState::default(), "a rejected thread materializes nothing");
     }
 
     #[test]
     fn acquire_before_any_release_leaves_the_generation() {
         let mut clocks = ClockState::default();
-        let lock = SyncVar(7);
-        assert_eq!(clocks.sync(t(0), SyncOpKind::LockAcquire, lock, 1), None);
+        assert_eq!(sync(&mut clocks, 0, SyncOpKind::LockAcquire, 7, 1), None);
         assert_eq!(generation(&clocks, 0), 0);
-        assert_eq!(clocks.sync(t(0), SyncOpKind::LockRelease, lock, 2), Some(1));
+        assert_eq!(sync(&mut clocks, 0, SyncOpKind::LockRelease, 7, 2), Some(1));
         assert_eq!(generation(&clocks, 0), 1);
         // Re-acquiring a lock whose clock the thread already covers
         // changes nothing either.
-        clocks.sync(t(0), SyncOpKind::LockAcquire, SyncVar(7), 3);
+        sync(&mut clocks, 0, SyncOpKind::LockAcquire, 7, 3);
         assert_eq!(generation(&clocks, 0), 1);
     }
 
@@ -224,9 +242,9 @@ mod tests {
     fn one_record_per_variable_keeps_its_clock_and_last_timestamp() {
         let mut clocks = ClockState::default();
         // An acquire-only variable gets its record too, with an empty clock.
-        clocks.sync(t(0), SyncOpKind::LockAcquire, SyncVar(3), 4);
-        clocks.sync(t(1), SyncOpKind::LockRelease, SyncVar(5), 9);
-        clocks.sync(t(0), SyncOpKind::LockAcquire, SyncVar(5), 7);
+        sync(&mut clocks, 0, SyncOpKind::LockAcquire, 3, 4);
+        sync(&mut clocks, 1, SyncOpKind::LockRelease, 5, 9);
+        sync(&mut clocks, 0, SyncOpKind::LockAcquire, 5, 7);
         assert_eq!(clocks.syncvars.len(), 2);
         let v3 = &clocks.syncvars[&SyncVar(3)];
         assert_eq!((v3.clock.len(), v3.last_ts), (0, 4));
@@ -239,9 +257,9 @@ mod tests {
     #[test]
     fn fork_materializes_the_child_and_retirement_drops_it_from_live() {
         let mut clocks = ClockState::default();
-        clocks.sync(t(0), SyncOpKind::Fork, SyncVar(3), 1);
+        sync(&mut clocks, 0, SyncOpKind::Fork, 3, 1);
         assert_eq!(clocks.live().count(), 4);
-        clocks.sync(t(3), SyncOpKind::ThreadStart, SyncVar(3), 2);
+        sync(&mut clocks, 3, SyncOpKind::ThreadStart, 3, 2);
         assert_eq!(clocks.thread(3).clock.get(t(0)), 1, "child inherits the fork");
         assert_eq!(generation(&clocks, 3), 1);
         clocks.retire(t(3));
@@ -249,7 +267,7 @@ mod tests {
         assert_eq!(clocks.live().collect::<Vec<_>>(), vec![0, 1, 2]);
         // A thread retired before it was materialized stays retired once
         // it is.
-        clocks.ensure_thread(t(9));
+        clocks.ensure_thread(t(9)).unwrap();
         assert_eq!(
             clocks.live().collect::<Vec<_>>(),
             vec![0, 1, 2, 4, 5, 6, 7, 8]
@@ -309,7 +327,7 @@ mod tests {
                 let before = clocks.threads.clone();
                 match op {
                     Op::Sync(tid, kind, var, ts) => {
-                        clocks.sync(t(tid), kind, SyncVar(var), ts);
+                        sync(&mut clocks, tid, kind, var, ts);
                     }
                     Op::Exit(tid) => clocks.retire(t(tid)),
                     Op::Checkpoint => {

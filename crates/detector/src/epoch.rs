@@ -43,6 +43,18 @@ impl std::fmt::Display for TidCeilingExceeded {
 
 impl std::error::Error for TidCeilingExceeded {}
 
+/// Detection over a log stops at its first thread past the ceiling: the
+/// log is corrupt (or hostile), so the detection engine reports it as a
+/// corrupt log.
+impl From<TidCeilingExceeded> for literace_log::LogError {
+    fn from(e: TidCeilingExceeded) -> literace_log::LogError {
+        literace_log::LogError::Corrupt {
+            file: "log",
+            reason: e.to_string(),
+        }
+    }
+}
+
 /// Validates a thread index against [`MAX_THREAD_INDEX`]. Every detection
 /// path calls this at thread-registration time (the first record naming a
 /// thread), so the memo-key bit packing above can never see an index it

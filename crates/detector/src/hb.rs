@@ -26,6 +26,7 @@ use literace_log::{EventLog, Record, RecordSink};
 
 use crate::checkpoint::Checkpoint;
 use crate::clocks::ClockState;
+use crate::epoch::TidCeilingExceeded;
 use crate::provenance::{ProvenanceReport, SyncEdge};
 use crate::report::{report, RaceReport, DEFAULT_PAIR_ADDR_CAP};
 use crate::sharded::Shard;
@@ -75,13 +76,18 @@ impl Replay {
     /// `shard` owns is checked there with its thread's clock, and a
     /// thread exit or every [`COMPACT_INTERVAL`]th record is a compaction
     /// point. Every access materializes its thread, owned or not, so every
-    /// replica of a sharded run keeps the same clock state.
+    /// replica of a sharded run keeps the same clock state, and every
+    /// replica stops at the same record past the tid ceiling.
     ///
     /// `inline(always)`: called once per record from every detection
     /// loop; without the hint LLVM leaves a per-record call boundary,
     /// forcing detector state back to memory every record.
     #[inline(always)]
-    pub(crate) fn step(&mut self, record: &Record, shard: &mut Shard) {
+    pub(crate) fn step(
+        &mut self,
+        record: &Record,
+        shard: &mut Shard,
+    ) -> Result<(), TidCeilingExceeded> {
         match *record {
             Record::Sync {
                 tid,
@@ -90,7 +96,7 @@ impl Replay {
                 timestamp,
                 ..
             } => {
-                let released = self.clocks.sync(tid, kind, var, timestamp);
+                let released = self.clocks.sync(tid, kind, var, timestamp)?;
                 if let (Some(release_epoch), Some(p)) = (released, shard.provenance.as_deref_mut())
                 {
                     let edge = SyncEdge {
@@ -108,7 +114,7 @@ impl Replay {
                 is_write,
                 ..
             } => {
-                let i = self.clocks.ensure_thread(tid);
+                let i = self.clocks.ensure_thread(tid)?;
                 if shard.owns(addr) {
                     let thread = self.clocks.thread(i);
                     shard.access(
@@ -135,6 +141,7 @@ impl Replay {
             self.since_compact = 0;
             shard.compact(&self.clocks);
         }
+        Ok(())
     }
 }
 
@@ -220,22 +227,39 @@ impl HbDetector {
     }
 
     /// Processes one log record.
+    ///
+    /// # Panics
+    ///
+    /// With [`TidCeilingExceeded`]'s message on a thread index above
+    /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX), which only a corrupt
+    /// log holds. The detection engine ([`detect_stream_from`](crate::detect_stream_from))
+    /// returns it as an error instead.
     #[inline(always)]
     pub fn process(&mut self, record: &Record) {
-        self.replay.step(record, &mut self.shard);
+        if let Err(e) = self.replay.step(record, &mut self.shard) {
+            panic!("{e}");
+        }
     }
 
     /// Processes an entire log.
+    ///
+    /// # Panics
+    ///
+    /// As [`process`](HbDetector::process), past the tid ceiling.
     pub fn process_log(&mut self, log: &EventLog) {
-        self.process_block(log.records());
+        if let Err(e) = self.process_block(log.records()) {
+            panic!("{e}");
+        }
     }
 
     /// Processes a block of records: the one per-record loop of every
-    /// path that hands the detector records in bulk.
-    pub(crate) fn process_block(&mut self, records: &[Record]) {
+    /// path that hands the detector records in bulk. Stops at the first
+    /// record past the tid ceiling.
+    pub(crate) fn process_block(&mut self, records: &[Record]) -> Result<(), TidCeilingExceeded> {
         for record in records {
-            self.process(record);
+            self.replay.step(record, &mut self.shard)?;
         }
+        Ok(())
     }
 
     /// Finishes, producing the report.
@@ -291,6 +315,11 @@ impl RecordSink for HbDetector {
 }
 
 /// One-shot convenience: detect races in a log.
+///
+/// # Panics
+///
+/// As [`HbDetector::process`], on a thread index above
+/// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX).
 pub fn detect(log: &EventLog, non_stack_accesses: u64) -> RaceReport {
     let mut d = HbDetector::new();
     d.process_log(log);

@@ -298,6 +298,11 @@ impl Shard {
 /// Detects races with the configured number of worker threads, producing
 /// a report byte-identical to the inline [`detect`](crate::detect).
 ///
+/// # Panics
+///
+/// As [`detect`](crate::detect), once, on a thread index above
+/// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX).
+///
 /// # Examples
 ///
 /// ```
@@ -310,8 +315,10 @@ impl Shard {
 /// assert_eq!(seq, par);
 /// ```
 pub fn detect_sharded(log: &EventLog, non_stack_accesses: u64, cfg: &DetectConfig) -> RaceReport {
+    // An in-memory block cannot fail to decode: the one error is the
+    // tid ceiling.
     detect_stream_from([Ok(log.records())], non_stack_accesses, cfg, None)
-        .expect("an in-memory block cannot fail to decode")
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
 #[cfg(test)]

@@ -44,6 +44,7 @@ use std::thread::{Scope, ScopedJoinHandle};
 use literace_log::{LogResult, Record};
 
 use crate::checkpoint::Checkpoint;
+use crate::epoch::TidCeilingExceeded;
 use crate::hb::{HbConfig, HbDetector, Replay};
 use crate::report::{merge, report, PairMap, RaceReport};
 use crate::sharded::{DetectConfig, Shard, ShardState};
@@ -78,8 +79,12 @@ struct Sealed {
 struct Replicas<'scope, B> {
     hb: HbConfig,
     senders: Vec<SyncSender<Item<B>>>,
-    workers: Vec<ScopedJoinHandle<'scope, PairMap>>,
+    workers: Vec<ScopedJoinHandle<'scope, Replicated>>,
 }
+
+/// What a replica ends with: its shard's races, or the first record past
+/// the tid ceiling, where it stopped.
+type Replicated = Result<PairMap, TidCeilingExceeded>;
 
 impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Replicas<'scope, B> {
     /// Spawns `shards` replicas in `scope`, each starting from `from`: its
@@ -115,13 +120,17 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Replicas<'scope, B> {
 
     /// Closes every channel and joins every worker, in shard order. A
     /// worker's panic resurfaces here with its own payload, as it would
-    /// have on the caller at one shard.
-    fn join(self) -> Vec<PairMap> {
+    /// have on the caller at one shard. Every replica replays the same
+    /// records, so all of them stop at the same tid ceiling, which comes
+    /// back once.
+    fn join(self) -> Result<Vec<PairMap>, TidCeilingExceeded> {
         drop(self.senders);
-        self.workers
+        let joined: Vec<Replicated> = self
+            .workers
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
-            .collect()
+            .collect();
+        joined.into_iter().collect()
     }
 
     /// Sends one item to worker `index`, accounting backpressure: a full
@@ -129,7 +138,8 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Replicas<'scope, B> {
     /// item raises the worker's queue-occupancy gauge (the matching
     /// decrement is in [`run_replica`]). Returns whether the item was
     /// delivered: a send fails only if the worker is gone, and a worker
-    /// ends early only by panicking, which resurfaces at join.
+    /// ends early only by panicking or at the tid ceiling, both of which
+    /// resurface at join.
     fn send(&self, index: usize, item: Item<B>) -> bool {
         let sender = &self.senders[index];
         if !literace_telemetry::enabled() {
@@ -192,12 +202,13 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Replicas<'scope, B> {
 
 /// One replica: drains its channel into its own [`HbDetector`], whose
 /// replay stage replays every record of every block and whose shard
-/// checks only the accesses it owns.
+/// checks only the accesses it owns. It stops at the first record past
+/// the tid ceiling, dropping its channel.
 fn run_replica<B: AsRef<[Record]>>(
     index: usize,
     rx: Receiver<Item<B>>,
     mut det: HbDetector,
-) -> PairMap {
+) -> Replicated {
     let _span = literace_telemetry::metrics().phase_shard_replay.span();
     loop {
         let idle = literace_telemetry::enabled().then(std::time::Instant::now);
@@ -215,8 +226,9 @@ fn run_replica<B: AsRef<[Record]>>(
         match item {
             Item::Block(block) => {
                 literace_telemetry::trace_begin("shard.block");
-                det.process_block((*block).as_ref());
+                let replayed = det.process_block((*block).as_ref());
                 literace_telemetry::trace_end("shard.block");
+                replayed?;
             }
             Item::Seal(reply) => {
                 // Fails only if the caller is gone, which makes the
@@ -234,7 +246,7 @@ fn run_replica<B: AsRef<[Record]>>(
                 .add(busy.elapsed().as_nanos() as u64);
         }
     }
-    det.shard.finish()
+    Ok(det.shard.finish())
 }
 
 /// The engine at every shard count: one inline detector, and at N ≥ 2
@@ -292,8 +304,8 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, '_, B> {
         Ok(())
     }
 
-    /// Replays one block on the side its make-up picks. Fails only if a
-    /// replica is gone.
+    /// Replays one block on the side its make-up picks. Fails if a
+    /// replica is gone, or inline at the tid ceiling.
     fn feed(&mut self, block: B) -> LogResult<()> {
         let records = block.as_ref();
         if self.shards > 1 && !records.is_empty() {
@@ -304,10 +316,7 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, '_, B> {
             self.switch(2 * accesses >= records.len())?;
         }
         match &mut self.form {
-            Form::Inline(det) => {
-                det.process_block(block.as_ref());
-                Ok(())
-            }
+            Form::Inline(det) => Ok(det.process_block(block.as_ref())?),
             Form::Replicas(replicas) => replicas.feed(block),
         }
     }
@@ -343,7 +352,7 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, '_, B> {
                 det.shard.finish();
             }
             Form::Replicas(replicas) => {
-                replicas.join();
+                replicas.join()?;
             }
         }
         Ok(())
@@ -351,7 +360,7 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, '_, B> {
 
     /// Joins whatever runs and, unless `driven` failed, merges the races
     /// found. Replicas are joined before the error returns, so a worker's
-    /// panic outranks the error its death caused.
+    /// panic or tid-ceiling stop outranks the error its death caused.
     fn finish(self, driven: LogResult<()>) -> LogResult<RaceReport> {
         match self.form {
             Form::Inline(det) => {
@@ -360,7 +369,7 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, '_, B> {
             }
             Form::Replicas(replicas) => {
                 let cap = replicas.hb.max_dynamic_per_pair;
-                let parts = replicas.join();
+                let parts = replicas.join()?;
                 driven?;
                 let _span = literace_telemetry::metrics().phase_merge.span();
                 Ok(report(merge(parts, cap), self.non_stack_accesses))
@@ -375,9 +384,12 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, '_, B> {
 ///
 /// # Errors
 ///
-/// Returns the first decode/I-O error the stream yields. Shard workers
-/// are joined (and their partial work discarded) before the error is
-/// returned, so no threads leak.
+/// Returns the first decode/I-O error the stream yields, or a corrupt-log
+/// error at the first record naming a thread above
+/// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX), where detection stops.
+/// Shard workers are joined (and their partial work discarded) before
+/// the error is returned, so no threads leak, and the ceiling is
+/// reported once at any shard count.
 ///
 /// # Examples
 ///
@@ -426,7 +438,8 @@ where
 ///
 /// # Errors
 ///
-/// As [`detect_stream`]: the first decode/I-O error the stream yields.
+/// As [`detect_stream`]: the first decode/I-O error the stream yields, or
+/// the tid ceiling.
 pub fn detect_stream_from<I, B>(
     blocks: I,
     non_stack_accesses: u64,
@@ -462,8 +475,9 @@ where
 ///
 /// # Errors
 ///
-/// The first decode/I-O error the stream yields, or the error returned by
-/// `on_checkpoint`; at N shards, after every worker is joined.
+/// The first decode/I-O error the stream yields, the tid ceiling, or the
+/// error returned by `on_checkpoint`; at N shards, after every worker is
+/// joined.
 pub fn detect_stream_checkpointed<I, B, F>(
     blocks: I,
     non_stack_accesses: u64,
@@ -783,6 +797,39 @@ mod tests {
                 one_shard = saved;
             } else {
                 assert!(saved == one_shard, "threads={threads}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_thread_past_the_ceiling_stops_detection_with_one_error_at_every_shard_count() {
+        let over = t(crate::MAX_THREAD_INDEX + 1);
+        let fork = sync(t(0), SyncOpKind::Fork, over.index() as u64, 1);
+        // The bad record lands in the last block, mostly accesses: the
+        // inline detector meets it at one shard, every replica at N ≥ 2.
+        for bad in [mem(over, 1, 5, true), sync(over, SyncOpKind::LockAcquire, 3, 1), fork] {
+            let mut records = mixed_log().records().to_vec();
+            records.insert(records.len() - 8, bad);
+            let log: EventLog = records.into_iter().collect();
+            for threads in [1, 2, 4] {
+                let cfg = DetectConfig::with_threads(threads);
+                let every_block = detect_stream_checkpointed(
+                    blocks_of(&log, 64),
+                    0,
+                    &cfg,
+                    None,
+                    1,
+                    |_| Ok(()),
+                );
+                for result in [detect_stream(blocks_of(&log, 64), 0, &cfg), every_block] {
+                    match result {
+                        Err(literace_log::LogError::Corrupt { file: "log", reason }) => assert!(
+                            reason.starts_with(&format!("thread index {} exceeds", over.index())),
+                            "threads={threads}: {reason}"
+                        ),
+                        other => panic!("threads={threads} {bad:?}: {other:?}"),
+                    }
+                }
             }
         }
     }

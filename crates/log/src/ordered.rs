@@ -171,15 +171,16 @@ impl<K: Send + 'static, J: Send + 'static, D: Send + 'static> Stage<K, J, D> {
     ///
     /// # Errors
     ///
-    /// Surfaces thread-spawn failures.
+    /// A thread-spawn failure, with the deliverer handed back: the
+    /// threads already started are stopped and joined first.
     pub(crate) fn spawn<S: Default, R: Send + 'static>(
         pool: Pool,
         threads: usize,
         depth: usize,
         work: impl Fn(&mut S, &K, J) -> LogResult<R> + Send + Sync + 'static,
-        mut deliverer: D,
+        deliverer: D,
         deliver: fn(&mut D, K, LogResult<R>) -> bool,
-    ) -> LogResult<Stage<K, J, D>> {
+    ) -> Result<Stage<K, J, D>, (LogError, D)> {
         let [worker_name, delivery_name, _] = pool.names();
         let (jobs, job_rx) = sync_channel(depth);
         let job_rx = Arc::new(Mutex::new(job_rx));
@@ -192,30 +193,38 @@ impl<K: Send + 'static, J: Send + 'static, D: Send + 'static> Stage<K, J, D> {
             halted: AtomicBool::new(false),
         });
         let work = Arc::new(work);
-        let workers = (0..threads)
-            .map(|i| {
-                let (jobs, results) = (job_rx.clone(), res_tx.clone());
-                let (shared, work) = (shared.clone(), work.clone());
-                std::thread::Builder::new()
-                    .name(format!("{worker_name}-{i}"))
-                    .spawn(move || {
-                        let run = || run_jobs(pool, &jobs, &results, &shared, &*work);
-                        let ran = std::panic::catch_unwind(AssertUnwindSafe(run)).is_ok();
-                        if !ran {
-                            // Its job never arrives: nobody may wait on it.
-                            shared.halt();
-                        }
-                        ran
-                    })
-                    .map_err(LogError::Io)
-            })
-            .collect::<LogResult<_>>()?;
+        let mut workers = Vec::with_capacity(threads);
+        for i in 0..threads {
+            let (job_rx, results) = (job_rx.clone(), res_tx.clone());
+            let (shared, work) = (shared.clone(), work.clone());
+            let spawned = std::thread::Builder::new()
+                .name(format!("{worker_name}-{i}"))
+                .spawn(move || {
+                    let run = || run_jobs(pool, &job_rx, &results, &shared, &*work);
+                    let ran = std::panic::catch_unwind(AssertUnwindSafe(run)).is_ok();
+                    if !ran {
+                        // Its job never arrives: nobody may wait on it.
+                        shared.halt();
+                    }
+                    ran
+                });
+            match spawned {
+                Ok(worker) => workers.push(worker),
+                Err(e) => return Err((stop(jobs, workers, e), deliverer)),
+            }
+        }
         // The delivery loop ends when the workers do.
         drop(res_tx);
+        // The deliverer crosses over only once every thread is up, so a
+        // failed spawn can still hand it back.
+        let (handoff, deliverer_rx) = sync_channel::<D>(1);
         let halt = shared.clone();
-        let delivery = std::thread::Builder::new()
+        let spawned = std::thread::Builder::new()
             .name(delivery_name.to_owned())
             .spawn(move || {
+                let mut deliverer = deliverer_rx
+                    .recv()
+                    .map_err(|_| String::from("the stage never started"))?;
                 let run = || deliver_in_order(pool, &res_rx, &halt, &mut deliverer, deliver);
                 match std::panic::catch_unwind(AssertUnwindSafe(run)) {
                     Ok(delivered) => Ok((deliverer, delivered)),
@@ -224,8 +233,13 @@ impl<K: Send + 'static, J: Send + 'static, D: Send + 'static> Stage<K, J, D> {
                         Err(panic_message(payload.as_ref()))
                     }
                 }
-            })
-            .map_err(LogError::Io)?;
+            });
+        let delivery = match spawned {
+            Ok(delivery) => delivery,
+            Err(e) => return Err((stop(jobs, workers, e), deliverer)),
+        };
+        // One slot and a waiting receiver: the send cannot block or fail.
+        let _ = handoff.send(deliverer);
         Ok(Stage { pool, jobs, submitted: 0, shared, workers, delivery })
     }
 }
@@ -274,6 +288,16 @@ impl<K, J, D> Stage<K, J, D> {
             .unwrap_or_else(|payload| Err(panic_message(payload.as_ref())))?;
         Ok((deliverer, complete && delivered == self.submitted))
     }
+}
+
+/// Unwinds a stage whose spawn failed with `e`: closes the queue, joins
+/// the workers already started, and returns `e`.
+fn stop<T>(jobs: SyncSender<T>, workers: Vec<JoinHandle<bool>>, e: std::io::Error) -> LogError {
+    drop(jobs);
+    for worker in workers {
+        let _ = worker.join();
+    }
+    LogError::Io(e)
 }
 
 /// One worker: runs jobs until the queue closes or delivery is gone.

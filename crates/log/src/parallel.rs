@@ -638,8 +638,8 @@ pub(crate) fn spawn_pool<R: Read + Send + 'static>(
             }
         })
         .map_err(LogError::Io)?;
-    let stage =
-        Stage::spawn(Pool::Decode, opts.threads, depth, decode, delivery, Delivery::deliver)?;
+    let stage = Stage::spawn(Pool::Decode, opts.threads, depth, decode, delivery, Delivery::deliver)
+        .map_err(|(e, _)| e)?;
     let _ = stage_tx.send(stage);
     Ok(RecordStream::from_parts(out_rx, handle, LogFormat::V2, seal))
 }

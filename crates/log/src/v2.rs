@@ -636,6 +636,34 @@ mod tests {
     use crate::writer::{encode_v2, EncodeOpts, LogWriterV2};
     use crate::RecordBlocks;
     use literace_sim::{FuncId, SyncOpKind};
+    use std::sync::{Arc, Mutex};
+
+    /// An owned sink whose bytes outlive the writer that drops it.
+    #[derive(Debug, Clone, Default)]
+    struct Shared(Arc<Mutex<Vec<u8>>>);
+
+    impl std::io::Write for Shared {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The bytes a writer leaves in an owned sink when it is dropped
+    /// without `finish`.
+    fn dropped_writer_bytes(records: &[Record]) -> Vec<u8> {
+        let sink = Shared::default();
+        let mut w = LogWriterV2::new(sink.clone());
+        for r in records {
+            w.write_record(r).unwrap();
+        }
+        drop(w);
+        let bytes = sink.0.lock().unwrap().clone();
+        bytes
+    }
 
     fn sample_records() -> Vec<Record> {
         let mut out = Vec::new();
@@ -751,13 +779,7 @@ mod tests {
     #[test]
     fn dropped_writer_reads_back_unsealed() {
         let records = sample_records();
-        let mut sink = Vec::new();
-        {
-            let mut w = LogWriterV2::new(&mut sink);
-            for r in &records {
-                w.write_record(r).unwrap();
-            }
-        }
+        let sink = dropped_writer_bytes(&records);
         let mut blocks = RecordBlocks::open(&sink[..]).unwrap();
         let mut decoded = Vec::new();
         for b in blocks.by_ref() {
@@ -876,14 +898,8 @@ mod tests {
     #[test]
     fn writer_drop_flushes_open_block() {
         let records = sample_records();
-        let mut sink = Vec::new();
-        {
-            let mut w = LogWriterV2::new(&mut sink);
-            for r in &records {
-                w.write_record(r).unwrap();
-            }
-            // Dropped without finish(): the open block must still land.
-        }
+        // Dropped without finish(): the open block must still land.
+        let sink = dropped_writer_bytes(&records);
         assert_eq!(decode_stream(&sink).unwrap(), records);
     }
 }

@@ -8,20 +8,27 @@
 //!             per-thread deltas, group   at finish, first error wins,
 //!             varint, checksums, frame   drop leaves the log unsealed
 //!
-//! 0 workers = the same stages inline on the caller (the default)
+//! 0 workers = the same stages inline on the caller
 //! N workers = raw Vec<Record> append ─submit─▶ ordered stage:
 //!             BlockEnc × N ─▶ Committer on the delivery thread
 //! ```
 //!
 //! [`EncodeOpts::threads`] decides only *where* the stages run. At **0
-//! workers** ([`LogWriterV2::new`]) the caller encodes each record into
-//! the open block and commits each sealed block on the spot. At **N ≥ 1
-//! workers**, which take encoding off the monitored program's hot path,
-//! the caller only appends each record to a raw block builder and submits
-//! every full builder to the ordered stage of `crate::ordered`. It waits
-//! while `depth + threads` blocks are not yet committed, so a stalled
-//! worker bounds the blocks held, not the log, and spent builders recycle
-//! back to it, so steady state reuses warm pages.
+//! workers** the caller encodes each record into the open block and
+//! commits each sealed block on the spot. At **N ≥ 1 workers**, which
+//! take encoding off the monitored program's hot path, the caller only
+//! appends each record to a raw block builder and submits every full
+//! builder to the ordered stage of `crate::ordered`. It waits while
+//! `depth + threads` blocks are not yet committed, so a stalled worker
+//! bounds the blocks held, not the log, and spent builders recycle back
+//! to it, so steady state reuses warm pages.
+//!
+//! **Placement.** [`EncodeOpts::default`], which [`LogWriterV2::new`]
+//! uses, is one encode worker when the host has a second CPU and inline
+//! on one CPU, where a worker could only take turns with the producer.
+//! One worker is enough: the producer, not the encoder, sets the pace of
+//! a pooled run (DESIGN §8). If the worker cannot be spawned, `new`
+//! writes inline instead.
 //!
 //! Blocks seal at the same record counts either way, and the delta state
 //! restarts at every block, so a log's bytes are identical at every
@@ -72,11 +79,6 @@ impl EncodeOpts {
         }
     }
 
-    /// One encode worker per available core.
-    pub fn auto() -> EncodeOpts {
-        EncodeOpts::with_threads(std::thread::available_parallelism().map_or(1, |n| n.get()))
-    }
-
     /// Overrides the records-per-block seal point (clamped to at least 1).
     pub fn block_records(self, block_records: usize) -> EncodeOpts {
         EncodeOpts {
@@ -87,10 +89,19 @@ impl EncodeOpts {
 }
 
 impl Default for EncodeOpts {
-    /// Inline (0 workers), [`DEFAULT_BLOCK_RECORDS`] per block.
+    /// The placement rule: one encode worker when a second CPU is
+    /// available, inline (0 workers) on one; [`DEFAULT_BLOCK_RECORDS`]
+    /// per block.
     fn default() -> EncodeOpts {
-        EncodeOpts::with_threads(0)
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        EncodeOpts::with_threads(default_workers(cpus))
     }
+}
+
+/// Encode workers on a host with `cpus` CPUs: one from two CPUs up, none
+/// on one.
+fn default_workers(cpus: usize) -> usize {
+    usize::from(cpus >= 2)
 }
 
 /// Owns the sink: commits sealed blocks in sequence order and seals the
@@ -216,7 +227,8 @@ enum Stages<W> {
 }
 
 impl<W: Write + Send + 'static> Stages<W> {
-    fn pool(sink: W, threads: usize, block_records: usize) -> LogResult<Stages<W>> {
+    /// The encode pool, or the spawn error with the sink handed back.
+    fn pool(sink: W, threads: usize, block_records: usize) -> Result<Stages<W>, (LogError, W)> {
         let depth = auto_stream_depth(threads, 0);
         let (recycle_tx, recycle) = sync_channel(depth.max(threads) + 1);
         let encode = move |enc: &mut BlockEnc, _: &u64, mut records: Vec<Record>| {
@@ -230,7 +242,8 @@ impl<W: Write + Send + 'static> Stages<W> {
             Ok(block)
         };
         let (pool, committer) = (ordered::Pool::Encode, Committer::new(sink));
-        let stage = Stage::spawn(pool, threads, depth, encode, committer, Committer::deliver)?;
+        let stage = Stage::spawn(pool, threads, depth, encode, committer, Committer::deliver)
+            .map_err(|(e, committer)| (e, committer.sink))?;
         let builder = Vec::with_capacity(block_records);
         Ok(Stages::Pool { builder, recycle, stage })
     }
@@ -298,12 +311,6 @@ pub struct LogWriterV2<W: Write> {
 }
 
 impl<W: Write> LogWriterV2<W> {
-    /// A writer that encodes and commits on the caller (0 workers) with
-    /// [`DEFAULT_BLOCK_RECORDS`] per block. Any sink will do.
-    pub fn new(sink: W) -> LogWriterV2<W> {
-        LogWriterV2::inline(sink, DEFAULT_BLOCK_RECORDS)
-    }
-
     fn inline(sink: W, block_records: usize) -> LogWriterV2<W> {
         LogWriterV2 {
             block_records: block_records.max(1),
@@ -363,6 +370,16 @@ impl<W: Write> LogWriterV2<W> {
 }
 
 impl<W: Write + Send + 'static> LogWriterV2<W> {
+    /// A writer placed by [`EncodeOpts::default`]: one encode worker and
+    /// a committer thread when a second CPU is available, inline on one.
+    /// If the worker cannot be spawned, the writer runs inline; the bytes
+    /// are the same either way.
+    pub fn new(sink: W) -> LogWriterV2<W> {
+        LogWriterV2::placed(sink, EncodeOpts::default()).unwrap_or_else(|(_, sink)| {
+            LogWriterV2::inline(sink, DEFAULT_BLOCK_RECORDS)
+        })
+    }
+
     /// A writer running its stages where `opts` says: inline at 0
     /// workers, on an encode pool and a committer thread at N ≥ 1.
     ///
@@ -370,6 +387,12 @@ impl<W: Write + Send + 'static> LogWriterV2<W> {
     ///
     /// Surfaces thread-spawn failures.
     pub fn with_opts(sink: W, opts: EncodeOpts) -> LogResult<LogWriterV2<W>> {
+        LogWriterV2::placed(sink, opts).map_err(|(e, _)| e)
+    }
+
+    /// [`with_opts`](LogWriterV2::with_opts), handing the sink back with
+    /// a spawn error.
+    fn placed(sink: W, opts: EncodeOpts) -> Result<LogWriterV2<W>, (LogError, W)> {
         let block_records = opts.block_records.max(1);
         if opts.threads == 0 {
             return Ok(LogWriterV2::inline(sink, block_records));
@@ -490,11 +513,7 @@ mod tests {
     #[test]
     fn decoded_log_matches_the_inline_writer_record_for_record() {
         let records = mixed_records(4000);
-        let mut inline = LogWriterV2::new(Vec::new());
-        for r in &records {
-            inline.write_record(r).unwrap();
-        }
-        let inline_bytes = inline.finish().unwrap();
+        let inline_bytes = pipelined_bytes(&records, EncodeOpts::with_threads(0));
         let inline_log = read_log_auto(&inline_bytes[..]).unwrap();
         for threads in [1, 2, 4] {
             let bytes = pipelined_bytes(&records, EncodeOpts::with_threads(threads));
@@ -512,23 +531,9 @@ mod tests {
         assert!(log.is_empty());
     }
 
-    /// A shared Vec sink so the written bytes survive the sink's drop.
-    #[derive(Debug, Clone, Default)]
-    struct SharedVec(Arc<Mutex<Vec<u8>>>);
-
-    impl Write for SharedVec {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
     #[test]
     fn dropped_sink_flushes_blocks_but_never_seals() {
-        let shared = SharedVec::default();
+        let shared = Recording::default();
         let records = mixed_records(1000);
         {
             let mut sink =
@@ -538,8 +543,7 @@ mod tests {
             }
             // dropped without finish
         }
-        let bytes = shared.0.lock().unwrap().clone();
-        let (salvaged, report) = read_log_salvage(&bytes[..]);
+        let (salvaged, report) = read_log_salvage(&shared.bytes()[..]);
         assert_eq!(salvaged.records(), &records[..], "blocks flushed on drop");
         assert_eq!(report.seal, SealState::Unsealed, "drop must not seal");
     }
@@ -575,6 +579,106 @@ mod tests {
         }
         let err = sink.finish().unwrap_err();
         assert!(err.to_string().contains("disk full"), "{err}");
+    }
+
+    /// What reached a [`Recording`] sink, its byte budget, and its
+    /// failed writes.
+    #[derive(Debug, Default)]
+    struct Tape {
+        bytes: Vec<u8>,
+        budget: Option<usize>,
+        failures: usize,
+    }
+
+    /// A sink whose bytes survive the writer's drop. With a budget it
+    /// fails every write past it, numbering its failures.
+    #[derive(Debug, Clone, Default)]
+    struct Recording(Arc<Mutex<Tape>>);
+
+    impl Recording {
+        fn failing_after(budget: usize) -> Recording {
+            let tape = Tape { budget: Some(budget), ..Tape::default() };
+            Recording(Arc::new(Mutex::new(tape)))
+        }
+
+        fn bytes(&self) -> Vec<u8> {
+            self.0.lock().unwrap().bytes.clone()
+        }
+
+        fn failures(&self) -> usize {
+            self.0.lock().unwrap().failures
+        }
+    }
+
+    impl Write for Recording {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            let Tape { bytes, budget, failures } = &mut *self.0.lock().unwrap();
+            let room = budget.map_or(buf.len(), |b| b.saturating_sub(bytes.len()));
+            if room == 0 {
+                *failures += 1;
+                return Err(std::io::Error::other(format!("disk full #{failures}")));
+            }
+            let n = buf.len().min(room);
+            bytes.extend_from_slice(&buf[..n]);
+            Ok(n)
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Writes `records` through `writer`, then finishes or drops it;
+    /// returns `finish`'s error, if any.
+    fn write_through(
+        mut writer: LogWriterV2<Recording>,
+        records: &[Record],
+        finish: bool,
+    ) -> Option<String> {
+        for r in records {
+            writer.write_record(r).unwrap();
+        }
+        if finish {
+            writer.finish().err().map(|e| e.to_string())
+        } else {
+            drop(writer);
+            None
+        }
+    }
+
+    #[test]
+    fn the_default_placement_writes_the_inline_bytes() {
+        // One encode worker from two CPUs up, none on one CPU.
+        assert_eq!([1, 2, 3, 64].map(default_workers), [0, 1, 1, 1]);
+        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(EncodeOpts::default(), EncodeOpts::with_threads(default_workers(cpus)));
+        assert_eq!(EncodeOpts::default().block_records, DEFAULT_BLOCK_RECORDS);
+
+        // `new` writes what a 0-worker writer writes: sealed, dropped
+        // without `finish`, and into a sink that dies mid-log.
+        let records = mixed_records(3 * DEFAULT_BLOCK_RECORDS + 100);
+        let inline = |sink| LogWriterV2::with_opts(sink, EncodeOpts::with_threads(0)).unwrap();
+        let mut sealed_len = 0;
+        for finish in [true, false] {
+            let (placed, zero) = (Recording::default(), Recording::default());
+            assert_eq!(write_through(LogWriterV2::new(placed.clone()), &records, finish), None);
+            assert_eq!(write_through(inline(zero.clone()), &records, finish), None);
+            assert!(placed.bytes() == zero.bytes(), "finish {finish}: bytes differ");
+            let (salvaged, report) = read_log_salvage(&placed.bytes()[..]);
+            assert_eq!(salvaged.records(), &records[..], "finish {finish}");
+            let seal = if finish { SealState::Sealed } else { SealState::Unsealed };
+            assert_eq!(report.seal, seal, "finish {finish}");
+            sealed_len = sealed_len.max(placed.bytes().len());
+        }
+        // The sink dies halfway through the second of four blocks.
+        let budget = sealed_len * 3 / 8;
+        let (placed, zero) = (Recording::failing_after(budget), Recording::failing_after(budget));
+        let placed_err = write_through(LogWriterV2::new(placed.clone()), &records, true);
+        let zero_err = write_through(inline(zero.clone()), &records, true);
+        assert_eq!(placed_err.as_deref(), Some("log i/o error: disk full #1"));
+        assert_eq!(placed_err, zero_err);
+        assert!(placed.bytes() == zero.bytes(), "bytes before the failure differ");
+        assert_eq!(placed.bytes().len(), budget);
+        assert_eq!((placed.failures(), zero.failures()), (1, 1), "written after the error");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Encode-worker equivalence: the v2 writer emits the same file bytes at
-//! every encode-worker count — 0 (encode and commit on the caller, what
-//! `V2Sink` does by default) or N (raw block builders → background encode
-//! pool → in-order committer) — for every block size. The log decodes to
+//! every encode-worker count — 0 (encode and commit on the caller) or N
+//! (raw block builders → background encode pool → in-order committer;
+//! `V2Sink::new` runs one worker when a second CPU exists) — for every
+//! block size. The log decodes to
 //! the source [`EventLog`], and detection reports over it are identical
 //! on every detection path. The chaos half pins soundness: a run killed
 //! mid-write (the committer's device dies, via `fault.rs` injection)
@@ -56,7 +57,7 @@ fn pipelined_bytes(log: &EventLog, opts: EncodeOpts) -> Vec<u8> {
 fn assert_pipelined_identical(log: &EventLog, non_stack: u64, context: &str) {
     let sequential = detect(log, non_stack);
     for block_records in BLOCK_RECORDS {
-        let inline = pipelined_bytes(log, EncodeOpts::default().block_records(block_records));
+        let inline = pipelined_bytes(log, EncodeOpts::with_threads(0).block_records(block_records));
         for threads in ENCODE_THREADS {
             let opts = EncodeOpts::with_threads(threads).block_records(block_records);
             let bytes = pipelined_bytes(log, opts);
@@ -115,16 +116,17 @@ fn pipelined_sink_is_identical_on_every_workload() {
 
 /// End to end through the run pipeline: `run_literace_with_sink` with a
 /// pooled writer produces the same file bytes — and so the same reports —
-/// as a `V2Sink` run at the same block size (both runs share one seed, so
-/// one interleaving).
+/// as a 0-worker `V2Sink` run at the same block size (both runs share one
+/// seed, so one interleaving).
 #[test]
 fn pipelined_run_matches_inline_sink_run() {
     for id in [WorkloadId::LfList, WorkloadId::LkrHash, WorkloadId::Apache1] {
         let w = build(id, Scale::Smoke);
         let cfg = RunConfig::seeded(3);
         // Small blocks, so the pooled leg reorders many blocks per run.
-        let inline_sink = V2Sink::with_opts(Vec::new(), EncodeOpts::default().block_records(256))
-            .expect("inline writer");
+        let inline_sink =
+            V2Sink::with_opts(Vec::new(), EncodeOpts::with_threads(0).block_records(256))
+                .expect("inline writer");
         let (summary, inline_out) =
             run_literace_with_sink(&w.program, SamplerKind::TlAdaptive, &cfg, inline_sink)
                 .expect("inline run");
@@ -283,14 +285,15 @@ fn single_record_blocks_round_trip() {
     assert_eq!(detect(&decoded, non_stack), detect(&log, non_stack));
 }
 
-/// `V2Sink` bytes equal pooled bytes at the same block size; a different
-/// block size moves the block boundaries, never the decoded records.
+/// 0-worker `V2Sink` bytes equal pooled bytes at the same block size; a
+/// different block size moves the block boundaries, never the decoded
+/// records.
 #[test]
 fn record_identity_survives_different_block_boundaries() {
     let w = build(WorkloadId::Apache1, Scale::Smoke);
     let (log, _) = full_log(&w.program, 1);
     let pipelined = pipelined_bytes(&log, EncodeOpts::with_threads(2));
-    let mut inline = V2Sink::new(Vec::new());
+    let mut inline = V2Sink::with_opts(Vec::new(), EncodeOpts::with_threads(0)).expect("inline");
     for r in &log {
         use literace::instrument::RecordSink;
         inline.push(*r);
