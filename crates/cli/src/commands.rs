@@ -7,7 +7,7 @@ use std::process::ExitCode;
 use literace::detector::detect_stream;
 use literace::eval::{evaluate_program, EvalConfig};
 use literace::log::{
-    auto_stream_depth, AtomicFile, DecodeOpts, LogStats, LogWriterV2, RecordStream,
+    auto_stream_depth, AtomicFile, DecodeOpts, LogError, LogStats, LogWriterV2, RecordStream,
     SalvageHandle,
 };
 use literace::overhead::measure_overhead;
@@ -30,7 +30,7 @@ USAGE:
 
   literace run --workload <name> [--sampler tl-ad] [--seed 1]
                [--scale smoke|paper] [--log <file>]
-               [--threads N] [--decode-threads N|auto]
+               [--decode-threads N|auto]
                [--suppress pat1,pat2]
                [--prefilter] [--prefilter-stats]
                [--metrics-out <file>] [--trace-out <file>] [--progress]
@@ -41,8 +41,7 @@ USAGE:
       disk as the program runs (the log is never materialized in
       memory) and detection streams the file back through the decode
       pool (--decode-threads as under `detect`); without --log,
-      detection runs over the run's in-memory log. --threads N shards
-      detection across up to N workers as under `detect`. With a
+      detection runs over the run's in-memory log. With a
       second CPU, one background worker encodes the log's blocks (4096
       records each) while the run only appends raw records; on one CPU
       the run encodes them itself. The file's bytes are the same either
@@ -69,7 +68,7 @@ USAGE:
       Print the workload's Table 5 row and Figure 6 decomposition.
 
   literace detect --log <file> [--detector hb|lockset]
-                  [--non-stack <count>] [--threads N]
+                  [--non-stack <count>]
                   [--decode-threads N|auto] [--salvage]
                   [--resume-from <state.lrcp>]
                   [--checkpoint-out <state.lrcp>] [--checkpoint-every N]
@@ -78,12 +77,9 @@ USAGE:
       Run offline detection over a previously written event log (v1 or
       v2; the format is auto-detected). Every detector streams: decoded
       blocks flow straight from the decode pool into the detector and
-      the log is never materialized. With --threads N ≥ 2, the hb
-      detector runs up to N workers, at most one per core: each replays
-      every sync record and checks the accesses it owns, and blocks
-      mostly of sync records are replayed once, inline. Output is
-      byte-identical at every N; sync replay and clock memory grow with
-      the worker count. --decode-threads sizes the block-decode pool
+      the log is never materialized. The hb detector is one
+      happens-before pass on one thread, as in the paper; the decode
+      pool runs beside it. --decode-threads sizes the block-decode pool
       (auto: one worker per core; ≥ 2 decodes v2 blocks out of order and
       reassembles in sequence, byte-identical output).
       With --salvage, a torn or corrupted log is decoded best-effort:
@@ -92,17 +88,14 @@ USAGE:
       salvaged log can never report a race the clean log would not.
       --checkpoint-out seals the hb detector's full state into a
       checkpoint file: every N input blocks with --checkpoint-every, and
-      always once at end of stream, at any --threads (every shard count
-      writes the same bytes unless one race pair passes 2^20 distinct
-      addresses; a stale <state>.partial left by a crashed save is swept
-      first).
+      always once at end of stream (a stale <state>.partial left by a
+      crashed save is swept first).
       --resume-from loads a checkpoint and continues detection over
       --log, which must hold only the records *after* the checkpointed
       position: an empty log for a checkpoint sealed at end of stream,
       or the next segment of a segmented log. The report is then
-      byte-identical to one-shot detection over the whole stream, at
-      any --threads. A --log that repeats the checkpointed records
-      counts them twice.
+      byte-identical to one-shot detection over the whole stream. A
+      --log that repeats the checkpointed records counts them twice.
       --metrics-out / --trace-out / --progress export telemetry as under
       `run`; with --progress, a sealed v2 log's footer total adds a
       percent-complete segment to the heartbeat line.
@@ -119,7 +112,7 @@ USAGE:
       --log streams the log as `detect` does.
 
   literace metrics [--in <metrics.json> | --workload <name> [--seed 1]
-                   [--scale smoke|paper] [--threads N]]
+                   [--scale smoke|paper]]
                    [--format json|prom] [--out <file>] [--validate]
       Export the telemetry registry. With --in, re-export a previously
       written snapshot; otherwise run the workload's pipeline with
@@ -236,11 +229,11 @@ fn resolve_sampler(name: Option<&str>) -> Result<SamplerKind, CliError> {
 
 /// Parses `--decode-threads` (default `auto`: one worker per available
 /// core) into the [`DecodeOpts`] handed to the log readers, with the
-/// channel depth auto-sized from the decode and detect thread counts.
-/// With 2+ decode threads, v2 block payloads decode on a parallel
-/// out-of-order worker pool; delivery order and every report stay
-/// byte-identical to one decode thread.
-fn parse_decode_opts(flags: &Flags, detect_threads: usize) -> Result<DecodeOpts, String> {
+/// channel depth auto-sized from the decode thread count and the one
+/// thread that consumes the blocks. With 2+ decode threads, v2 block
+/// payloads decode on a parallel out-of-order worker pool; delivery order
+/// and every report stay byte-identical to one decode thread.
+fn parse_decode_opts(flags: &Flags) -> Result<DecodeOpts, String> {
     let opts = match flags.get("decode-threads") {
         None | Some("auto") => DecodeOpts::auto(),
         Some(v) => {
@@ -253,16 +246,7 @@ fn parse_decode_opts(flags: &Flags, detect_threads: usize) -> Result<DecodeOpts,
             DecodeOpts::with_threads(threads)
         }
     };
-    Ok(opts.depth(auto_stream_depth(opts.threads, detect_threads)))
-}
-
-/// The hb detector's shard workers for `--threads N`: N, at most one
-/// per available core. Every shard worker replays every sync record and
-/// holds every thread's clock, so workers past the core count only share
-/// the CPUs and multiply clock memory; reports do not depend on the
-/// count.
-fn detect_workers(threads: usize) -> usize {
-    threads.min(std::thread::available_parallelism().map_or(1, |n| n.get()))
+    Ok(opts.depth(auto_stream_depth(opts.threads, 1)))
 }
 
 /// Opens the log at `path` as one [`RecordStream`], strict or (with
@@ -327,8 +311,8 @@ pub fn workloads(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 const RUN: Spec = Spec {
     values: &[
-        "workload", "sampler", "seed", "scale", "log", "threads", "decode-threads",
-        "suppress", "metrics-out", "trace-out",
+        "workload", "sampler", "seed", "scale", "log", "decode-threads", "suppress",
+        "metrics-out", "trace-out",
     ],
     switches: &["progress", "prefilter", "prefilter-stats"],
 };
@@ -339,12 +323,7 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let id = parse_workload(flags.require("workload")?)?;
     let scale = parse_scale(&flags)?;
     let seed: u64 = flags.get_parsed("seed", 1)?;
-    let threads: usize = flags.get_parsed("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
-    let threads = detect_workers(threads);
-    let decode_opts = parse_decode_opts(&flags, threads)?;
+    let decode_opts = parse_decode_opts(&flags)?;
     if let Some(path) = flags.get("log") {
         if AtomicFile::sweep_stale(path).map_err(CliError::io("cannot sweep", path))? {
             eprintln!("note: removed stale {path}.partial left by a crashed run");
@@ -355,7 +334,6 @@ pub fn run(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
     let w = build(id, scale);
     let mut cfg = RunConfig::seeded(seed);
-    cfg.detect_threads = threads;
 
     // --prefilter forces the static ordering skip table with any sampler;
     // --prefilter-stats implies it, since the runtime counters only move
@@ -556,8 +534,8 @@ pub fn overhead(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 
 const DETECT: Spec = Spec {
     values: &[
-        "log", "detector", "non-stack", "threads", "decode-threads", "resume-from",
-        "checkpoint-out", "checkpoint-every", "metrics-out", "trace-out",
+        "log", "detector", "non-stack", "decode-threads", "resume-from", "checkpoint-out",
+        "checkpoint-every", "metrics-out", "trace-out",
     ],
     switches: &["salvage", "progress"],
 };
@@ -572,20 +550,12 @@ pub fn detect(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, &DETECT)?;
     let path = flags.require("log")?;
     let non_stack: u64 = flags.get_parsed("non-stack", 0)?;
-    let threads: usize = flags.get_parsed("threads", 1)?;
-    if threads == 0 {
-        return Err("--threads must be at least 1".into());
-    }
     let lockset = match flags.get("detector") {
         None | Some("hb") => false,
         Some("lockset") => true,
         Some(other) => return Err(format!("unknown detector `{other}`").into()),
     };
-    if lockset && threads > 1 {
-        return Err("--threads only applies to the hb detector, not `lockset`".into());
-    }
-    let threads = detect_workers(threads);
-    let decode_opts = parse_decode_opts(&flags, threads)?;
+    let decode_opts = parse_decode_opts(&flags)?;
     // Checkpoint/resume only make sense for the hb detector (the lockset
     // detector carries no resumable state). A checkpoint is loaded and
     // fully validated up front so a torn file fails before any decoding
@@ -627,7 +597,7 @@ pub fn detect(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     // detector; the log is never materialized.
     let (mut blocks, salvage) = open_log(path, flags.is_set("salvage"), decode_opts)?;
     let format = blocks.format();
-    let cfg = DetectConfig::with_threads(threads);
+    let cfg = DetectConfig::default();
     let report = detect_phase(|| -> Result<_, CliError> {
         Ok(if lockset {
             let mut detector = LocksetDetector::new();
@@ -635,10 +605,10 @@ pub fn detect(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
             detector.finish(non_stack)
         } else {
             // With --checkpoint-out, state is sealed to `state` every
-            // --checkpoint-every blocks and once more at end of stream, at
-            // any --threads, each save atomic (written to <state>.partial,
-            // renamed only after fsync). A failed save is reported against
-            // `state`, not against the log being read.
+            // --checkpoint-every blocks and once more at end of stream,
+            // each save atomic (written to <state>.partial, renamed only
+            // after fsync). A failed save is reported against `state`, not
+            // against the log being read.
             let resume = resume_cp.as_ref();
             let mut write_err = None;
             let report = match checkpoint_out {
@@ -769,9 +739,15 @@ pub fn explain(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         (Some(_), Some(_)) => return Err("--log conflicts with --workload".into()),
         (Some(path), None) => {
             let non_stack: u64 = flags.get_parsed("non-stack", 0)?;
-            // `explain` takes no --decode-threads: the default pool.
-            let (mut blocks, _) = open_log(path, false, parse_decode_opts(&flags, 1)?)?;
-            for_each_record(&mut blocks, path, |r| det.process(r))?;
+            // `explain` takes no --decode-threads: the default pool. The
+            // blocks go through the detector's one bulk loop, so a record
+            // past the tid ceiling ends the command as it ends `detect`.
+            let (blocks, _) = open_log(path, false, parse_decode_opts(&flags)?)?;
+            for block in blocks {
+                let block = block.map_err(|e| format!("read {path}: {e}"))?;
+                det.process_block(&block)
+                    .map_err(|e| format!("read {path}: {}", LogError::from(e)))?;
+            }
             (non_stack, path.to_owned(), None)
         }
         (None, Some(name)) => {
@@ -966,7 +942,7 @@ const LOG_STATS: Spec = Spec {
 pub fn log_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let flags = Flags::parse(args, &LOG_STATS)?;
     let path = flags.require("log")?;
-    let decode_opts = parse_decode_opts(&flags, 0)?;
+    let decode_opts = parse_decode_opts(&flags)?;
     let telemetry = Telemetry::from_flags(&flags);
     let on_disk = std::fs::metadata(path)
         .map_err(CliError::io("cannot open", path))?
@@ -1022,7 +998,7 @@ pub fn log_stats(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
 }
 
 const METRICS: Spec = Spec {
-    values: &["in", "workload", "scale", "seed", "threads", "format", "out"],
+    values: &["in", "workload", "scale", "seed", "format", "out"],
     switches: &["validate"],
 };
 
@@ -1042,14 +1018,9 @@ pub fn metrics_cmd(args: &[String], out: &mut dyn Write) -> Result<(), CliError>
             let id = parse_workload(flags.get("workload").unwrap_or("lflist"))?;
             let scale = parse_scale(&flags)?;
             let seed: u64 = flags.get_parsed("seed", 1)?;
-            let threads: usize = flags.get_parsed("threads", 1)?;
-            if threads == 0 {
-                return Err("--threads must be at least 1".into());
-            }
             literace::telemetry::set_enabled(true);
             let w = build(id, scale);
-            let mut cfg = RunConfig::seeded(seed);
-            cfg.detect_threads = detect_workers(threads);
+            let cfg = RunConfig::seeded(seed);
             run_literace(&w.program, SamplerKind::TlAdaptive, &cfg)
                 .map_err(|e| e.to_string())?;
             literace::telemetry::metrics().snapshot()
@@ -1245,36 +1216,6 @@ mod tests {
     }
 
     #[test]
-    fn detect_command_round_trips_with_threads() {
-        // run --log writes an event log; detect --threads re-detects it
-        // with the sharded detector. Both must succeed.
-        let dir = std::env::temp_dir();
-        let path = dir.join("literace_cli_detect_test.lrlog");
-        let path_s = path.to_str().unwrap().to_string();
-        let run_args: Vec<String> =
-            ["--workload", "lflist", "--seed", "2", "--log", &path_s]
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect();
-        run(&run_args, &mut sink()).unwrap();
-        for threads in ["1", "4"] {
-            let detect_args: Vec<String> =
-                ["--log", &path_s, "--threads", threads, "--non-stack", "100"]
-                    .iter()
-                    .map(|s| (*s).to_string())
-                    .collect();
-            detect(&detect_args, &mut sink()).unwrap();
-        }
-        let bad_args: Vec<String> =
-            ["--log", &path_s, "--threads", "2", "--detector", "lockset"]
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect();
-        assert!(detect(&bad_args, &mut sink()).is_err());
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
     fn v1_format_and_streaming_round_trip() {
         // run --log streams a v2 log to disk without materializing it;
         // detect and log-stats stream it back, and the same records as a
@@ -1288,9 +1229,7 @@ mod tests {
         let sv = |parts: &[&str]| -> Vec<String> {
             parts.iter().map(|s| (*s).to_string()).collect()
         };
-        let run_v2 = sv(&[
-            "--workload", "lflist", "--seed", "2", "--threads", "2", "--log", &v2_s,
-        ]);
+        let run_v2 = sv(&["--workload", "lflist", "--seed", "2", "--log", &v2_s]);
         run(&run_v2, &mut sink()).unwrap();
         let log = literace::log::read_log_auto(File::open(&v2).unwrap()).unwrap();
         std::fs::write(&v1, literace::log::encode_all(&log)).unwrap();
@@ -1301,7 +1240,7 @@ mod tests {
         );
         assert!(v2_len < v1_len, "v2 {v2_len} bytes vs v1 {v1_len} bytes");
         for path in [&v1_s, &v2_s] {
-            detect(&sv(&["--log", path, "--threads", "2"]), &mut sink()).unwrap();
+            detect(&sv(&["--log", path]), &mut sink()).unwrap();
             detect(&sv(&["--log", path, "--detector", "lockset"]), &mut sink()).unwrap();
             log_stats(&sv(&["--log", path]), &mut sink()).unwrap();
         }
@@ -1315,11 +1254,10 @@ mod tests {
 
     #[test]
     fn run_without_log_detects_in_memory() {
-        let args: Vec<String> =
-            ["--workload", "lflist", "--seed", "2", "--threads", "2"]
-                .iter()
-                .map(|s| (*s).to_string())
-                .collect();
+        let args: Vec<String> = ["--workload", "lflist", "--seed", "2"]
+            .iter()
+            .map(|s| (*s).to_string())
+            .collect();
         run(&args, &mut sink()).unwrap();
     }
 
@@ -1331,10 +1269,7 @@ mod tests {
         let sv = |parts: &[&str]| -> Vec<String> {
             parts.iter().map(|s| (*s).to_string()).collect()
         };
-        let export = sv(&[
-            "--workload", "lflist", "--seed", "2", "--threads", "2", "--validate",
-            "--out", &path_s,
-        ]);
+        let export = sv(&["--workload", "lflist", "--seed", "2", "--validate", "--out", &path_s]);
         metrics_cmd(&export, &mut sink()).unwrap();
         // The written snapshot re-exports as Prometheus text and validates.
         let reexport = sv(&["--in", &path_s, "--format", "prom", "--validate"]);
@@ -1354,8 +1289,7 @@ mod tests {
         let log_s = log.to_str().unwrap().to_string();
         let json_s = json.to_str().unwrap().to_string();
         let args: Vec<String> = [
-            "--workload", "lflist", "--seed", "2", "--threads", "2",
-            "--log", &log_s, "--metrics-out", &json_s,
+            "--workload", "lflist", "--seed", "2", "--log", &log_s, "--metrics-out", &json_s,
         ]
         .iter()
         .map(|s| (*s).to_string())
@@ -1372,8 +1306,8 @@ mod tests {
     fn salvage_flag_recovers_a_truncated_log() {
         // Write a clean v2 log, truncate a copy mid-stream: plain detect
         // and log-stats must fail on the torn file, --salvage must
-        // succeed on it (at one and two shards), and the intact original
-        // must still detect cleanly.
+        // succeed on it, and the intact original must still detect
+        // cleanly.
         let dir = std::env::temp_dir();
         let clean = dir.join("literace_cli_salvage_clean.lrlog");
         let torn = dir.join("literace_cli_salvage_torn.lrlog");
@@ -1393,7 +1327,6 @@ mod tests {
         );
         assert!(log_stats(&sv(&["--log", &torn_s]), &mut sink()).is_err());
         detect(&sv(&["--log", &torn_s, "--salvage"]), &mut sink()).unwrap();
-        detect(&sv(&["--log", &torn_s, "--salvage", "--threads", "2"]), &mut sink()).unwrap();
         log_stats(&sv(&["--log", &torn_s, "--salvage"]), &mut sink()).unwrap();
         // The atomically committed original is sealed and clean.
         detect(&sv(&["--log", &clean_s, "--salvage"]), &mut sink()).unwrap();
@@ -1461,9 +1394,9 @@ mod tests {
     #[test]
     fn checkpoint_round_trip_through_the_cli() {
         // detect --checkpoint-out seals resumable state; checkpoint --in
-        // inspects it; detect --resume-from continues from it at one and
-        // four shards. A stale .partial from a crashed save is swept, and
-        // a torn checkpoint fails cleanly.
+        // inspects it; detect --resume-from continues from it. A stale
+        // .partial from a crashed save is swept, and a torn checkpoint
+        // fails cleanly.
         let dir = std::env::temp_dir();
         let log = dir.join("literace_cli_checkpoint_test.lrlog");
         let state = dir.join("literace_cli_checkpoint_test.lrcp");
@@ -1491,13 +1424,10 @@ mod tests {
         let empty = dir.join("literace_cli_checkpoint_test_empty.lrlog");
         std::fs::write(&empty, b"").unwrap();
         let empty_s = empty.to_str().unwrap().to_string();
-        for threads in ["1", "4"] {
-            let resume_args = sv(&[
-                "--log", &empty_s, "--non-stack", "100", "--threads", threads,
-                "--resume-from", &state_s,
-            ]);
-            detect(&resume_args, &mut sink()).unwrap();
-        }
+        let resume_args = sv(&[
+            "--log", &empty_s, "--non-stack", "100", "--resume-from", &state_s,
+        ]);
+        detect(&resume_args, &mut sink()).unwrap();
         let _ = std::fs::remove_file(&empty);
         // A torn checkpoint is a typed failure for both consumers.
         let bytes = std::fs::read(&state).unwrap();
@@ -1519,28 +1449,6 @@ mod tests {
             &mut sink()
         )
         .is_err());
-        // Checkpoints seal at any --threads, to the same bytes.
-        let dir = std::env::temp_dir().join(format!("literace_cli_threads_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = |name: &str| dir.join(name).to_str().unwrap().to_owned();
-        let log = path("x.lrlog");
-        let run_args = sv(&["--workload", "lflist", "--sampler", "Full", "--log", &log]);
-        run(&run_args, &mut sink()).unwrap();
-        let sealed: Vec<Vec<u8>> = ["1", "2"]
-            .iter()
-            .map(|threads| {
-                let out = path(&format!("x{threads}.lrcp"));
-                detect(&sv(&[
-                        "--log", &log, "--checkpoint-out", &out, "--threads", threads,
-                    ]), &mut sink()).unwrap();
-                std::fs::read(&out).unwrap()
-            })
-            .collect();
-        assert!(
-            sealed[0] == sealed[1],
-            "the checkpoint depends on --threads"
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
         // Only the hb detector has resumable state.
         assert!(detect(&sv(&[
                 "--log", "x.lrlog", "--detector", "lockset", "--resume-from", "x.lrcp",

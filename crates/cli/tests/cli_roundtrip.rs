@@ -124,8 +124,8 @@ fn run_then_detect_round_trips_through_a_log_file() {
 
 /// `run` writes only v2; v1 is the seed format the tool still reads. A
 /// run's v2 log and the same records as v1 bytes (`encode_all`) must
-/// detect the same race lines and static/dynamic counts, at one and two
-/// shards and under the lockset detector.
+/// detect the same race lines and static/dynamic counts, under either
+/// detector.
 #[test]
 fn a_v1_copy_of_a_run_detects_like_its_v2_log() {
     let dir = std::env::temp_dir().join(format!("literace_cli_v1_v2_{}", std::process::id()));
@@ -141,11 +141,7 @@ fn a_v1_copy_of_a_run_detects_like_its_v2_log() {
         c.args(["detect", "--log", path]).args(extra);
         race_lines(&stdout_of(c))
     };
-    for extra in [
-        &["--threads", "1"][..],
-        &["--threads", "2"],
-        &["--detector", "lockset"],
-    ] {
+    for extra in [&[][..], &["--detector", "lockset"]] {
         let from_v2 = detect(v2, extra);
         assert!(from_v2.len() > 1, "{extra:?}: no race lines {from_v2:?}");
         assert_eq!(detect(v1, extra), from_v2, "{extra:?}");
@@ -193,10 +189,11 @@ fn trace_out_emits_a_valid_chrome_trace_and_summarizes() {
         );
     }
 
-    // A traced sharded detect over the written log.
+    // A traced detect over the written log. (The shard workers' tracks
+    // of a sharded library detect are checked in telemetry_neutrality.)
     let baseline = stdout_of({
         let mut c = literace();
-        c.args(["detect", "--log", log.to_str().unwrap(), "--threads", "2"]);
+        c.args(["detect", "--log", log.to_str().unwrap()]);
         c
     });
     let out = literace()
@@ -204,8 +201,6 @@ fn trace_out_emits_a_valid_chrome_trace_and_summarizes() {
             "detect",
             "--log",
             log.to_str().unwrap(),
-            "--threads",
-            "2",
             "--trace-out",
             detect_trace.to_str().unwrap(),
         ])
@@ -220,11 +215,6 @@ fn trace_out_emits_a_valid_chrome_trace_and_summarizes() {
         summary.top_spans.iter().any(|s| s.name == "phase.detect"),
         "spans: {:?}",
         summary.top_spans.iter().map(|s| &s.name).collect::<Vec<_>>()
-    );
-    assert!(
-        summary.tracks.iter().any(|t| t.name.starts_with("literace-shard-")),
-        "tracks: {:?}",
-        summary.tracks.iter().map(|t| &t.name).collect::<Vec<_>>()
     );
 
     // The summary command validates and renders the same file.
@@ -363,34 +353,6 @@ fn suppressions_reduce_the_report() {
 }
 
 #[test]
-fn detect_clamps_a_huge_thread_count_instead_of_aborting() {
-    let dir = std::env::temp_dir().join(format!("literace_cli_threads_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let log = dir.join("smoke.lrlog");
-    let log = log.to_str().unwrap();
-    stdout_of({
-        let mut c = literace();
-        c.args(["run", "--workload", "lflist", "--scale", "smoke", "--log", log]);
-        c
-    });
-    let sequential = stdout_of({
-        let mut c = literace();
-        c.args(["detect", "--log", log]);
-        c
-    });
-    assert!(sequential.contains("static races"), "{sequential}");
-    // One OS thread per shard: 70000 shards would exhaust the process,
-    // so the engine runs at most 64 and the report is unchanged.
-    let sharded = stdout_of({
-        let mut c = literace();
-        c.args(["detect", "--log", log, "--threads", "70000"]);
-        c
-    });
-    assert_eq!(race_lines(&sharded), race_lines(&sequential));
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn a_huge_thread_id_costs_one_table_entry() {
     // Five- and 30-byte v1 logs naming thread 0xFFFF_FFF0: a ThreadBegin,
     // a ThreadEnd and a LockAcquire. Per-thread tables keyed by thread
@@ -429,9 +391,7 @@ fn a_huge_thread_id_costs_one_table_entry() {
         assert!(stats.contains("t4294967280  1 "), "{name}: {stats}");
         let mut detects = vec![run(&["detect", "--log", path, "--detector", "lockset"])];
         if hb {
-            for threads in ["1", "2"] {
-                detects.push(run(&["detect", "--log", path, "--threads", threads]));
-            }
+            detects.push(run(&["detect", "--log", path]));
         }
         for out in detects {
             assert!(
@@ -445,9 +405,9 @@ fn a_huge_thread_id_costs_one_table_entry() {
 
 #[test]
 fn a_thread_past_the_ceiling_fails_detect_with_one_error_line() {
-    // A one-record v1 log: thread 2^31 writes a global. Every replica at
-    // --threads 2 meets the detector's tid ceiling; the command reports
-    // it once, as an error, at every thread count.
+    // A one-record v1 log: thread 2^31 writes a global. The detector meets
+    // its tid ceiling there; `detect` and `explain --log` each report it
+    // once, as the same error.
     let dir = std::env::temp_dir().join(format!("literace_cli_ceiling_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("over.lrlog");
@@ -461,21 +421,24 @@ fn a_thread_past_the_ceiling_fails_detect_with_one_error_line() {
     ]
     .concat();
     std::fs::write(&path, access).unwrap();
-    for threads in ["1", "2"] {
+    let mut errors = Vec::new();
+    for command in ["detect", "explain"] {
         let out = literace()
-            .args(["detect", "--log", path.to_str().unwrap(), "--threads", threads])
+            .args([command, "--log", path.to_str().unwrap()])
             .output()
             .unwrap();
-        assert_eq!(out.status.code(), Some(1), "--threads {threads}");
-        assert!(out.stdout.is_empty(), "--threads {threads} printed a report");
-        let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(stderr.lines().count(), 1, "--threads {threads}: {stderr}");
+        assert_eq!(out.status.code(), Some(1), "{command}");
+        assert!(out.stdout.is_empty(), "{command} printed a report");
+        let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
         assert!(
-            stderr.starts_with("error: ")
+            stderr.starts_with(&format!("error: read {}: corrupt log: ", path.display()))
                 && stderr.contains("thread index 2147483648 exceeds the detector ceiling"),
-            "--threads {threads}: {stderr}"
+            "{command}: {stderr}"
         );
+        errors.push(stderr);
     }
+    assert_eq!(errors[0], errors[1]);
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -547,11 +510,9 @@ fn resume_on_the_suffix_reproduces_the_one_shot_report() {
     let one_shot = report(&detect(&full, &[]));
     assert!(one_shot.len() >= 3, "{one_shot:?}");
     detect(&prefix, &["--checkpoint-out", &state]);
-    for threads in ["1", "2", "4"] {
-        let resumed = detect(&suffix, &["--resume-from", &state, "--threads", threads]);
-        assert!(resumed.contains("resumed:"), "{resumed}");
-        assert_eq!(report(&resumed), one_shot, "--threads {threads}");
-    }
+    let resumed = detect(&suffix, &["--resume-from", &state]);
+    assert!(resumed.contains("resumed:"), "{resumed}");
+    assert_eq!(report(&resumed), one_shot);
     // Resuming over the whole log counts the prefix twice.
     let twice = detect(&full, &["--resume-from", &state]);
     assert_ne!(report(&twice), one_shot);
@@ -618,11 +579,8 @@ fn a_thread_that_ends_before_its_clock_exists_resumes_to_the_one_shot_report() {
         c
     });
     assert!(inspected.contains("  threads            : 1 (1 retired)"), "{inspected}");
-    for threads in ["1", "2", "4"] {
-        assert_eq!(detect(&full, &["--threads", threads]), detect(&full, &[]));
-        let resumed = detect(&suffix, &["--resume-from", &state, "--threads", threads]);
-        assert_eq!(race_lines(&resumed), one_shot, "--threads {threads}: {resumed}");
-    }
+    let resumed = detect(&suffix, &["--resume-from", &state]);
+    assert_eq!(race_lines(&resumed), one_shot, "{resumed}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -747,9 +705,13 @@ fn unknown_flags_fail_and_list_the_accepted_ones() {
         (
             &["detect", "--log", log, "--thread", "4", "--bogus-flag", "x"][..],
             "thread",
-            "--threads",
+            "--decode-threads",
         ),
         (&["run", "--workload", "lflist", "--sed", "5"][..], "sed", "--seed"),
+        // Detection runs one shard, so its worker count is no flag.
+        (&["run", "--workload", "lflist", "--threads", "2"][..], "threads", "--decode-threads"),
+        (&["detect", "--log", log, "--threads", "2"][..], "threads", "--decode-threads"),
+        (&["metrics", "--workload", "lflist", "--threads", "2"][..], "threads", "--validate"),
         // The retired tuning flags fail loudly instead of being ignored.
         (&["run", "--workload", "lflist", "--log", log, "--streaming"][..], "streaming", "--log"),
         (&["detect", "--log", log, "--no-streaming"][..], "no-streaming", "--salvage"),

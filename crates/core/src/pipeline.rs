@@ -23,7 +23,8 @@ pub struct RunConfig {
     /// Offline detector configuration.
     pub detector: HbConfig,
     /// Offline detection worker threads (1 = sequential; N ≥ 2 shards
-    /// accesses across N workers with byte-identical output).
+    /// accesses across N workers that each replay every record, with
+    /// byte-identical output).
     pub detect_threads: usize,
 }
 

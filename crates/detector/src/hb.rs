@@ -15,12 +15,12 @@
 //!
 //! [`HbDetector`] is the one-shard case, run inline: its replay stage
 //! feeds its one shard, which owns every address. The sharded engine (see
-//! [`streaming`](crate::streaming)) runs N replicas of the pair, one per
-//! worker: each replays every record and checks only the accesses its
-//! shard owns. It replays blocks mostly of sync records once, in one
-//! inline [`HbDetector`], and moves its state between the two through a
-//! checkpoint. An [`HbDetector`] is also a [`RecordSink`]: §4.4's online
-//! detection is the instrumenter writing its records straight into one.
+//! [`streaming`](crate::streaming)) is that inline detector at one shard,
+//! and at N ≥ 2 shards N replicas of the pair, one per worker, for the
+//! whole stream: each replays every record and checks only the accesses
+//! its shard owns. An [`HbDetector`] is also a [`RecordSink`]: §4.4's
+//! online detection is the instrumenter writing its records straight into
+//! one.
 
 use literace_log::{EventLog, Record, RecordSink};
 
@@ -183,7 +183,9 @@ impl HbDetector {
 
     /// Creates a detector with an explicit configuration.
     pub fn with_config(cfg: HbConfig) -> HbDetector {
-        HbDetector::start(cfg, None)
+        HbDetector::start(1, cfg, None)
+            .pop()
+            .expect("one shard was asked for")
     }
 
     /// Rebuilds a detector from a checkpoint. Feeding it the records that
@@ -193,25 +195,35 @@ impl HbDetector {
     /// Each call is one resumed detection, counted into
     /// `detector.checkpoint.resumes`.
     pub fn resume(cp: &Checkpoint) -> HbDetector {
-        if literace_telemetry::enabled() {
+        HbDetector::start(1, cp.cfg, Some(cp))
+            .pop()
+            .expect("one shard was asked for")
+    }
+
+    /// Every detector a run of `shards` shards starts with: detector `i` is
+    /// a replay stage and shard `i`, fresh under `cfg`, or as `resume`
+    /// stopped them under the checkpoint's configuration. One shard is the
+    /// inline detector, N the engine's N replicas. A resumed start is one
+    /// resumed detection at any shard count, counted once into
+    /// `detector.checkpoint.resumes`.
+    pub(crate) fn start(
+        shards: usize,
+        cfg: HbConfig,
+        resume: Option<&Checkpoint>,
+    ) -> Vec<HbDetector> {
+        if resume.is_some() && literace_telemetry::enabled() {
             literace_telemetry::metrics()
                 .detector_checkpoint_resumes
                 .add(1);
         }
-        HbDetector::start(cp.cfg, Some(cp))
-    }
-
-    /// A replay stage and one shard, fresh or as `resume` stopped them.
-    /// The sharded engine also starts here when it moves its state inline,
-    /// which counts no resume.
-    pub(crate) fn start(cfg: HbConfig, resume: Option<&Checkpoint>) -> HbDetector {
-        let shard = Shard::seeded(1, cfg, resume)
-            .pop()
-            .expect("one shard was asked for");
-        HbDetector {
-            replay: resume.map_or_else(Replay::default, |cp| cp.replay.clone()),
-            shard,
-        }
+        let cfg = resume.map_or(cfg, |cp| cp.cfg);
+        Shard::seeded(shards, cfg, resume)
+            .into_iter()
+            .map(|shard| HbDetector {
+                replay: resume.map_or_else(Replay::default, |cp| cp.replay.clone()),
+                shard,
+            })
+            .collect()
     }
 
     /// Total records processed so far (including any processed before the
@@ -253,9 +265,15 @@ impl HbDetector {
     }
 
     /// Processes a block of records: the one per-record loop of every
-    /// path that hands the detector records in bulk. Stops at the first
-    /// record past the tid ceiling.
-    pub(crate) fn process_block(&mut self, records: &[Record]) -> Result<(), TidCeilingExceeded> {
+    /// path that hands the detector records in bulk.
+    ///
+    /// # Errors
+    ///
+    /// [`TidCeilingExceeded`] at the first record naming a thread above
+    /// [`MAX_THREAD_INDEX`](crate::MAX_THREAD_INDEX), where processing
+    /// stops: the records before it are processed, it and the rest are
+    /// not.
+    pub fn process_block(&mut self, records: &[Record]) -> Result<(), TidCeilingExceeded> {
         for record in records {
             self.replay.step(record, &mut self.shard)?;
         }

@@ -13,10 +13,10 @@
 //!   it the same way;
 //! * [`detect_stream_from`] — the sharded engine: address-sharded parallel
 //!   offline detection over record blocks, in which every shard worker
-//!   replays the sync records itself (blocks mostly of sync records run
-//!   once, inline), byte-identical to [`detect`] at any
+//!   replays every record itself, byte-identical to [`detect`] at any
 //!   shard count, optionally resuming from a [`Checkpoint`] (see
-//!   [`sharded`]); its one-shard case is an inline [`HbDetector`].
+//!   [`sharded`]); its one-shard case is an inline [`HbDetector`], and the
+//!   shard count holds for the whole run.
 //!   [`detect_stream`] feeds it from a decoding log stream,
 //!   [`detect_sharded`] from an in-memory log, and
 //!   [`detect_stream_checkpointed`] seals checkpoints as it goes, at any

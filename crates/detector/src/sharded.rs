@@ -14,9 +14,9 @@
 //! Every replica reaches the same compaction points with the same
 //! live-clock set, so frontier reclamation — which interacts with the
 //! history cap — happens at identical stream positions with identical
-//! clock bounds. Blocks mostly of sync records skip the replicas: the
-//! engine replays them once, inline. [`HbDetector`](crate::HbDetector) is
-//! the one-shard case, run inline: one shard owns every address.
+//! clock bounds. The shard count is fixed for a whole run: at N ≥ 2 every
+//! block goes to every replica. [`HbDetector`](crate::HbDetector) is the
+//! one-shard case, run inline: one shard owns every address.
 //!
 //! Each shard counts its races into one per-pair aggregate, the same one
 //! the lockset detector builds, and the engine merges the shards'
@@ -50,17 +50,20 @@ use crate::vector_clock::VectorClock;
 /// That memory is quadratic in the highest thread id: a one-record log
 /// naming thread 4,000 peaks at about 63 MB RSS inline, 111 MB at 2
 /// shards, 242 MB at 4 and 462 MB at 8: about 55 MB more per shard.
-/// The CLI asks for at most one shard per core.
+/// The CLI runs one shard.
 pub(crate) const MAX_SHARDS: usize = 64;
 
 /// Configuration for offline detection, inline or sharded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectConfig {
     /// Worker threads. `0` and `1` both mean one shard, run inline;
-    /// `N ≥ 2` runs N workers that each replay the sync records and check
-    /// the accesses they own, at most 64: each shard is an OS thread, so
-    /// larger values run 64 shards (`MAX_SHARDS`). Blocks mostly of sync
-    /// records are replayed once, inline, at any N.
+    /// `N ≥ 2` runs N workers that each replay every record and check the
+    /// accesses they own, at most 64: each shard is an OS thread, so
+    /// larger values run 64 shards (`MAX_SHARDS`). The count holds for the
+    /// whole run. Every worker repeats all the sync work, so N ≥ 2 can pay
+    /// only on logs mostly of accesses, such as full logs; on a 2-CPU host
+    /// one shard matches or beats two even there, and hosts with more
+    /// cores are unmeasured.
     pub threads: usize,
     /// Happens-before tuning, applied identically to every shard.
     pub hb: HbConfig,

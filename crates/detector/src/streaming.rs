@@ -5,33 +5,31 @@
 //! from a [`RecordStream`](literace_log::RecordStream) whose decoder is
 //! still running, or borrowed chunks of an in-memory
 //! [`EventLog`](literace_log::EventLog) — and never materializes more than
-//! it is handed. At one shard the engine is an [`HbDetector`] run inline
-//! on the calling thread. At N shards (at most
-//! [`MAX_SHARDS`](crate::sharded::MAX_SHARDS)) the caller wraps each block
-//! in one `Arc` and sends it down every worker's bounded channel. Each
-//! worker is a replica: an [`HbDetector`] whose replay stage (see
-//! [`hb`](crate::hb)) replays every record of every block, so it holds
-//! every thread's clock itself, and whose shard (see
-//! [`sharded`](crate::sharded) for the partition and the shard stage, and
-//! `crate::report` for the merge) checks only the accesses the address
-//! hash assigns it, with the clock in place. Workers replay concurrently
-//! with the decode and with each other; peak memory is bounded by the
-//! channel depth, not the log size.
+//! it is handed. The engine picks its form once, when it starts, and
+//! keeps it for the whole stream. At one shard it is an [`HbDetector`]
+//! run inline on the calling thread. At N shards (at most
+//! [`MAX_SHARDS`](crate::sharded::MAX_SHARDS)) it is N replicas, and every
+//! block goes to all of them: the caller wraps each block in one `Arc` and
+//! sends it down every worker's bounded channel. Each replica is an
+//! [`HbDetector`] whose replay stage (see [`hb`](crate::hb)) replays every
+//! record of every block, so it holds every thread's clock itself, and
+//! whose shard (see [`sharded`](crate::sharded) for the partition and the
+//! shard stage, and `crate::report` for the merge) checks only the
+//! accesses the address hash assigns it, with the clock in place. Workers
+//! replay concurrently with the decode and with each other; peak memory is
+//! bounded by the channel depth, not the log size.
 //!
 //! **When replicas pay.** Replicas ship no clock across threads: nothing
 //! is frozen, cloned or shared per access, and the caller touches a block
 //! once, not once per record. In exchange every replica replays every
 //! sync record, so N replicas do N times the sync work to split the
-//! access work N ways. That pays where accesses are the bulk of the
-//! records, as in full logs (5–27% sync records on the paper-scale
-//! programs), and loses where sync is: TL-Ad keeps every sync record and
-//! a few percent of the accesses, so sync is 60–98% of a sampled log. The
-//! engine therefore looks at each block before it replays it. A block at
-//! least half of whose records are accesses goes to the replicas; any
-//! other block is replayed once, by one inline detector. A change of
-//! side moves the state through a seal and a resume, exactly as a
-//! checkpoint would. Clock memory grows with the replica count too:
-//! every replica holds every clock.
+//! access work N ways, and hold N copies of every clock. That can pay
+//! only where accesses are the bulk of the records, as in full logs (5–27%
+//! sync records on the paper-scale programs); it loses where sync is:
+//! TL-Ad keeps every sync record and a few percent of the accesses, so
+//! sync is 60–98% of a sampled log. The engine does not look at the
+//! blocks to choose: the caller's shard count does, which is why the CLI
+//! runs one shard.
 //!
 //! Positions are carried as `u64` and every replica keeps its own, so the
 //! engine has no log-length ceiling. A seal point (see
@@ -47,7 +45,7 @@ use crate::checkpoint::Checkpoint;
 use crate::epoch::TidCeilingExceeded;
 use crate::hb::{HbConfig, HbDetector, Replay};
 use crate::report::{merge, report, PairMap, RaceReport};
-use crate::sharded::{DetectConfig, Shard, ShardState};
+use crate::sharded::{DetectConfig, ShardState};
 
 /// Bound (in blocks) of each worker's channel. Blocks are shared, so the
 /// replicas hold at most `CHANNEL_DEPTH + 2` distinct blocks between them:
@@ -87,23 +85,16 @@ struct Replicas<'scope, B> {
 type Replicated = Result<PairMap, TidCeilingExceeded>;
 
 impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Replicas<'scope, B> {
-    /// Spawns `shards` replicas in `scope`, each starting from `from`: its
-    /// replay stage, and the checkpoint locations its shard owns.
-    fn spawn(
-        scope: &'scope Scope<'scope, '_>,
-        shards: usize,
-        from: &Checkpoint,
-    ) -> Replicas<'scope, B> {
-        let mut senders = Vec::with_capacity(shards);
-        let mut workers = Vec::with_capacity(shards);
-        let seeded = Shard::seeded(shards, from.cfg, Some(from));
-        for (index, shard) in seeded.into_iter().enumerate() {
+    /// Spawns one replica per detector in `scope`: replica `i` runs
+    /// `detectors[i]`, whose shard is shard `i`. Every detector runs under
+    /// one configuration, and there is at least one.
+    fn spawn(scope: &'scope Scope<'scope, '_>, detectors: Vec<HbDetector>) -> Replicas<'scope, B> {
+        let hb = detectors[0].shard.cfg;
+        let mut senders = Vec::with_capacity(detectors.len());
+        let mut workers = Vec::with_capacity(detectors.len());
+        for (index, det) in detectors.into_iter().enumerate() {
             let (tx, rx) = sync_channel(CHANNEL_DEPTH);
             senders.push(tx);
-            let det = HbDetector {
-                replay: from.replay.clone(),
-                shard,
-            };
             workers.push(
                 std::thread::Builder::new()
                     .name(format!("literace-shard-{index}"))
@@ -112,7 +103,7 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Replicas<'scope, B> {
             );
         }
         Replicas {
-            hb: from.cfg,
+            hb,
             senders,
             workers,
         }
@@ -249,31 +240,40 @@ fn run_replica<B: AsRef<[Record]>>(
     Ok(det.shard.finish())
 }
 
-/// The engine at every shard count: one inline detector, and at N ≥ 2
-/// shards N replicas. There a block at least half of whose records are
-/// accesses goes to the replicas and any other block to the inline
-/// detector (see the module docs). A change of side moves the detector's
-/// state through a seal and a resume, so the report and every seal are
-/// the same as at one shard.
-struct Engine<'scope, 'env, B> {
-    scope: &'scope Scope<'scope, 'env>,
-    shards: usize,
-    non_stack_accesses: u64,
-    form: Form<'scope, B>,
-}
-
-/// Where the engine's state is between two blocks.
-enum Form<'scope, B> {
+/// The engine, in the form it started as: one inline detector at one
+/// shard, N replicas that take every block at N ≥ 2 (see the module
+/// docs). Either form reports and seals what the other would.
+enum Engine<'scope, B> {
     Inline(Box<HbDetector>),
     Replicas(Replicas<'scope, B>),
 }
 
-impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, '_, B> {
+impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, B> {
+    /// Starts `cfg`'s shard count in `scope`, fresh under `cfg.hb` or
+    /// resumed from `resume` (one resume at any shard count).
+    fn start(
+        scope: &'scope Scope<'scope, '_>,
+        cfg: &DetectConfig,
+        resume: Option<&Checkpoint>,
+    ) -> Engine<'scope, B> {
+        let mut detectors = HbDetector::start(cfg.shards(), cfg.hb, resume);
+        if detectors.len() == 1 {
+            Engine::Inline(Box::new(detectors.pop().expect("one shard was asked for")))
+        } else {
+            Engine::Replicas(Replicas::spawn(scope, detectors))
+        }
+    }
+
     /// Feeds every block, counting its records into
     /// `detector.records.routed`, sealing every `seal.every_blocks` blocks
     /// and once more at end of stream, unless a periodic seal just landed
     /// there. Stops at the first stream or seal error.
-    fn drive<I>(&mut self, blocks: I, mut seal: Option<Seal<'_>>) -> LogResult<()>
+    fn drive<I>(
+        &mut self,
+        blocks: I,
+        non_stack_accesses: u64,
+        mut seal: Option<Seal<'_>>,
+    ) -> LogResult<()>
     where
         I: IntoIterator<Item = LogResult<B>>,
     {
@@ -291,88 +291,52 @@ impl<'scope, B: AsRef<[Record]> + Send + Sync + 'scope> Engine<'scope, '_, B> {
             blocks_seen += 1;
             if let Some(seal) = seal.as_mut() {
                 if seal.every_blocks > 0 && blocks_seen.is_multiple_of(seal.every_blocks) {
-                    (seal.on_checkpoint)(&self.seal()?)?;
+                    (seal.on_checkpoint)(&self.seal(non_stack_accesses)?)?;
                     sealed_at = Some(blocks_seen);
                 }
             }
         }
         if let Some(seal) = seal {
             if sealed_at != Some(blocks_seen) {
-                (seal.on_checkpoint)(&self.seal()?)?;
+                (seal.on_checkpoint)(&self.seal(non_stack_accesses)?)?;
             }
         }
         Ok(())
     }
 
-    /// Replays one block on the side its make-up picks. Fails if a
-    /// replica is gone, or inline at the tid ceiling.
+    /// Replays one block. Fails if a replica is gone, or inline at the tid
+    /// ceiling.
     fn feed(&mut self, block: B) -> LogResult<()> {
-        let records = block.as_ref();
-        if self.shards > 1 && !records.is_empty() {
-            let accesses = records
-                .iter()
-                .filter(|r| matches!(r, Record::Mem { .. }))
-                .count();
-            self.switch(2 * accesses >= records.len())?;
-        }
-        match &mut self.form {
-            Form::Inline(det) => Ok(det.process_block(block.as_ref())?),
-            Form::Replicas(replicas) => replicas.feed(block),
+        match self {
+            Engine::Inline(det) => Ok(det.process_block(block.as_ref())?),
+            Engine::Replicas(replicas) => replicas.feed(block),
         }
     }
 
     /// The detector's state after every block fed so far, as one
     /// checkpoint.
-    fn seal(&mut self) -> LogResult<Checkpoint> {
-        match &mut self.form {
-            Form::Inline(det) => Ok(det.save_checkpoint(self.non_stack_accesses)),
-            Form::Replicas(replicas) => replicas.seal(self.non_stack_accesses),
+    fn seal(&mut self, non_stack_accesses: u64) -> LogResult<Checkpoint> {
+        match self {
+            Engine::Inline(det) => Ok(det.save_checkpoint(non_stack_accesses)),
+            Engine::Replicas(replicas) => replicas.seal(non_stack_accesses),
         }
-    }
-
-    /// Moves the state to the replicas if `replicate`, else to the inline
-    /// detector, unless it is there already. Fails only if a replica died
-    /// before sealing, which leaves the replicas in place to be joined.
-    fn switch(&mut self, replicate: bool) -> LogResult<()> {
-        let to = match &mut self.form {
-            Form::Inline(det) if replicate => {
-                let cp = det.save_checkpoint(self.non_stack_accesses);
-                Form::Replicas(Replicas::spawn(self.scope, self.shards, &cp))
-            }
-            Form::Replicas(replicas) if !replicate => {
-                let cp = replicas.seal(self.non_stack_accesses)?;
-                Form::Inline(Box::new(HbDetector::start(cp.cfg, Some(&cp))))
-            }
-            _ => return Ok(()),
-        };
-        // The old side's races are in the checkpoint the new side started
-        // from; it only flushes its telemetry.
-        match std::mem::replace(&mut self.form, to) {
-            Form::Inline(det) => {
-                det.shard.finish();
-            }
-            Form::Replicas(replicas) => {
-                replicas.join()?;
-            }
-        }
-        Ok(())
     }
 
     /// Joins whatever runs and, unless `driven` failed, merges the races
     /// found. Replicas are joined before the error returns, so a worker's
     /// panic or tid-ceiling stop outranks the error its death caused.
-    fn finish(self, driven: LogResult<()>) -> LogResult<RaceReport> {
-        match self.form {
-            Form::Inline(det) => {
+    fn finish(self, non_stack_accesses: u64, driven: LogResult<()>) -> LogResult<RaceReport> {
+        match self {
+            Engine::Inline(det) => {
                 driven?;
-                Ok(det.finish(self.non_stack_accesses))
+                Ok(det.finish(non_stack_accesses))
             }
-            Form::Replicas(replicas) => {
+            Engine::Replicas(replicas) => {
                 let cap = replicas.hb.max_dynamic_per_pair;
                 let parts = replicas.join()?;
                 driven?;
                 let _span = literace_telemetry::metrics().phase_merge.span();
-                Ok(report(merge(parts, cap), self.non_stack_accesses))
+                Ok(report(merge(parts, cap), non_stack_accesses))
             }
         }
     }
@@ -423,18 +387,20 @@ where
 /// [`RecordStream`](literace_log::RecordStream), in which case decoding
 /// and replay overlap, or borrowed slices of an in-memory log. With
 /// `cfg.threads <= 1` the engine is one shard, run inline: the records
-/// feed an [`HbDetector`] on the calling thread. Otherwise a block at
-/// least half of whose records are accesses is shared with `cfg.threads`
-/// shard workers (at most 64, `MAX_SHARDS`), each of which replays every
-/// record and checks the accesses it owns; any other block is replayed
-/// once, inline.
+/// feed an [`HbDetector`] on the calling thread. Otherwise every block is
+/// shared with `cfg.threads` shard workers (at most 64, `MAX_SHARDS`),
+/// each of which replays every record and checks the accesses it owns.
+/// The form is chosen once, from `cfg` alone: N replicas replay every
+/// sync record N times, so on a log mostly of sync records, as a sampled
+/// one is, one shard is the faster choice.
 ///
 /// With `resume`, `blocks` must carry the records *after* the
 /// checkpointed position. The replay stage restarts from the checkpoint's
 /// state, each shard's frontier is seeded with the checkpoint locations
 /// it owns, and the checkpoint's pairs are carried as a prefix into the
-/// merge, at any shard count. The happens-before tuning then comes from
-/// the checkpoint; `cfg` contributes only the worker count.
+/// merge, at any shard count; the run counts one resume into
+/// `detector.checkpoint.resumes`. The happens-before tuning then comes
+/// from the checkpoint; `cfg` contributes only the worker count.
 ///
 /// # Errors
 ///
@@ -464,11 +430,11 @@ where
 /// from a previously saved checkpoint; pass `0` to checkpoint only at
 /// end of stream.
 ///
-/// Seals run at any `cfg.threads`. While the replicas run, every
-/// worker's stream gets an in-band seal behind the blocks before it,
-/// every worker answers its shard's state and worker 0 its replay stage
-/// as well, and the caller assembles one checkpoint from the answers;
-/// while the engine runs inline, the inline detector is sealed. While no
+/// Seals run at any `cfg.threads`. At N ≥ 2 shards every worker's
+/// stream gets an in-band seal behind the blocks before it, every worker
+/// answers its shard's state and worker 0 its replay stage as well, and
+/// the caller assembles one checkpoint from the answers; at one shard the
+/// inline detector is sealed. While no
 /// pair reaches `max_dynamic_per_pair` distinct addresses, every shard
 /// count seals the same bytes; past that cap the retained address subset
 /// may differ, and every checkpoint still resumes to the one-shot report.
@@ -516,19 +482,10 @@ where
     I: IntoIterator<Item = LogResult<B>>,
     B: AsRef<[Record]> + Send + Sync,
 {
-    let detector = match resume {
-        Some(cp) => HbDetector::resume(cp),
-        None => HbDetector::with_config(cfg.hb),
-    };
     std::thread::scope(|scope| {
-        let mut engine = Engine {
-            scope,
-            shards: cfg.shards(),
-            non_stack_accesses,
-            form: Form::Inline(Box::new(detector)),
-        };
-        let driven = engine.drive(blocks, seal);
-        engine.finish(driven)
+        let mut engine = Engine::start(scope, cfg, resume);
+        let driven = engine.drive(blocks, non_stack_accesses, seal);
+        engine.finish(non_stack_accesses, driven)
     })
 }
 
@@ -756,32 +713,44 @@ mod tests {
         records.into_iter().collect()
     }
 
+    /// At N ≥ 2 shards every block goes to every replica, whatever its
+    /// make-up: in 60-record blocks of `alternating_log`, every other
+    /// block is mostly sync records yet holds accesses, and each replica
+    /// checks exactly the accesses `shard_of` gives it, in its own slot of
+    /// `detector.shard.events`. The report and every per-block seal are
+    /// one shard's.
     #[test]
-    fn sync_blocks_run_inline_and_access_blocks_on_the_replicas() {
+    fn every_replica_takes_every_block() {
+        // The registry is process-wide and this binary's other tests run
+        // concurrently, so the counting runs in a child process that runs
+        // this test alone.
+        const CHILD: &str = "LITERACE_DETECTOR_TEST_ALONE";
+        if std::env::var_os(CHILD).is_none() {
+            let name = module_path!().split_once("::").expect("crate::module").1;
+            let name = format!("{name}::every_replica_takes_every_block");
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args([name.as_str(), "--exact", "--test-threads", "1"])
+                .env(CHILD, "1")
+                .output()
+                .unwrap();
+            let text = format!(
+                "{}{}",
+                String::from_utf8_lossy(&out.stdout),
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(out.status.success() && text.contains("1 passed"), "{text}");
+            return;
+        }
         let log = alternating_log();
         let want = detect(&log, 1000);
         assert!(want.static_count() > 0, "log should race");
-        std::thread::scope(|scope| {
-            let mut engine = Engine {
-                scope,
-                shards: 4,
-                non_stack_accesses: 1000,
-                form: Form::Inline(Box::default()),
-            };
-            for (i, block) in log.records().chunks(40).enumerate() {
-                engine.feed(block).unwrap();
-                let replicated = matches!(engine.form, Form::Replicas(_));
-                assert_eq!(replicated, i % 2 == 0, "block {i}");
-            }
-            assert_eq!(engine.finish(Ok(())).unwrap(), want);
-        });
-        // Moving the state at every block changes no seal: each one is
-        // the bytes one shard seals at that point.
         let mut one_shard = Vec::new();
         for threads in [1, 2, 4, 8] {
+            literace_telemetry::metrics().reset();
+            literace_telemetry::set_enabled(true);
             let mut saved = Vec::new();
             let report = detect_stream_checkpointed(
-                blocks_of(&log, 40),
+                blocks_of(&log, 60),
                 1000,
                 &DetectConfig::with_threads(threads),
                 None,
@@ -790,9 +759,17 @@ mod tests {
                     saved.push(cp.to_bytes());
                     Ok(())
                 },
-            )
-            .unwrap();
-            assert_eq!(report, want, "threads={threads}");
+            );
+            literace_telemetry::set_enabled(false);
+            assert_eq!(report.unwrap(), want, "threads={threads}");
+            let events = &literace_telemetry::metrics().snapshot().slots["detector.shard.events"];
+            let mut owned = vec![0; events.len()];
+            for record in log.records() {
+                if let Record::Mem { addr, .. } = record {
+                    owned[crate::sharded::shard_of(*addr, threads)] += 1;
+                }
+            }
+            assert_eq!(events, &owned, "threads={threads}");
             if threads == 1 {
                 one_shard = saved;
             } else {
@@ -805,8 +782,8 @@ mod tests {
     fn a_thread_past_the_ceiling_stops_detection_with_one_error_at_every_shard_count() {
         let over = t(crate::MAX_THREAD_INDEX + 1);
         let fork = sync(t(0), SyncOpKind::Fork, over.index() as u64, 1);
-        // The bad record lands in the last block, mostly accesses: the
-        // inline detector meets it at one shard, every replica at N ≥ 2.
+        // The bad record lands in the last block: the inline detector
+        // meets it at one shard, every replica at N ≥ 2.
         for bad in [mem(over, 1, 5, true), sync(over, SyncOpKind::LockAcquire, 3, 1), fork] {
             let mut records = mixed_log().records().to_vec();
             records.insert(records.len() - 8, bad);
@@ -848,14 +825,10 @@ mod tests {
             };
             let gone = receivers.remove(dead);
             std::thread::scope(|s| {
-                for (shard, (index, rx)) in Shard::seeded(4, hb, None)
+                for (det, (index, rx)) in HbDetector::start(4, hb, None)
                     .into_iter()
                     .zip((0..4).filter(|&index| index != dead).zip(receivers))
                 {
-                    let det = HbDetector {
-                        replay: Replay::default(),
-                        shard,
-                    };
                     s.spawn(move || run_replica(index, rx, det));
                 }
                 replicas.feed(log.records()).unwrap();

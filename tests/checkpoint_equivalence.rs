@@ -271,6 +271,27 @@ fn a_thread_that_ends_before_its_clock_exists_resumes_identically_at_every_split
     }
 }
 
+/// ConcRT Scheduling's full log at paper scale, the one `literace run
+/// --workload scheduling --sampler Full --scale paper` writes, in the
+/// writer's 4,096-record blocks: sealed every 3 blocks and at the end, at
+/// 1, 2, 4 and 8 shards, every report and every seal is one shard's.
+/// Slow in a debug build; CI runs it in release.
+#[test]
+#[ignore = "paper scale: run with --release -- --include-ignored"]
+fn scheduling_at_paper_scale_seals_alike_at_every_shard_count() {
+    let w = build(WorkloadId::ConcrtScheduling, Scale::Paper);
+    let run =
+        run_literace(&w.program, SamplerKind::Always, &RunConfig::seeded(1)).expect("program runs");
+    let (log, non_stack) = (run.instrumented.log, run.summary.non_stack_accesses);
+    let blocks: Vec<&[Record]> = log.records().chunks(BLOCK_RECORDS).collect();
+    assert!(blocks.len() > 6, "{} blocks", blocks.len());
+    let (report, sealed) =
+        seal_at_every_shard_count(&blocks, non_stack, None, 3, "scheduling at paper scale");
+    assert_eq!(report, detect(&log, non_stack));
+    assert_eq!(report, run.report);
+    assert_eq!(sealed.len(), blocks.len().div_ceil(3));
+}
+
 fn arb_config() -> impl Strategy<Value = SyntheticConfig> {
     (2u32..6, 2u32..6, 5u32..20, 3u32..8, any::<u64>()).prop_map(
         |(threads, globals, iterations, actions, seed)| SyntheticConfig {

@@ -181,6 +181,37 @@ fn tracing_reports_and_log_bytes_are_byte_identical_on_vs_off() {
     }
 }
 
+/// A traced 2-shard detection of a decoding v2 log exports a Chrome
+/// trace that the strict validator behind `literace trace --in` accepts,
+/// with a track for each shard worker, and the report is the untraced
+/// one. (The CLI detects on one shard, so its traces carry no shard
+/// tracks.)
+#[test]
+fn a_two_shard_trace_passes_the_strict_validator() {
+    use literace::log::{DecodeOpts, RecordStream};
+
+    let _guard = serialized();
+    let w = build(WorkloadId::LfList, Scale::Smoke);
+    let (log, non_stack) = full_log(&w.program, 2);
+    let bytes = v2_bytes(&log);
+    let (report, tracks) = with_trace(true, || {
+        let file = std::io::Cursor::new(bytes);
+        let stream =
+            RecordStream::spawn_with(file, DecodeOpts::with_threads(2)).expect("pool spawns");
+        detect_stream(stream, non_stack, &DetectConfig::with_threads(2)).expect("clean log decodes")
+    });
+    assert_eq!(report, detect(&log, non_stack));
+    let summary = telemetry::validate_chrome_trace(&telemetry::chrome_trace_json(&tracks))
+        .expect("the exported trace validates");
+    let names: Vec<&str> = summary.tracks.iter().map(|t| t.name.as_str()).collect();
+    for shard in ["literace-shard-0", "literace-shard-1"] {
+        assert!(
+            names.contains(&shard),
+            "{shard} missing from tracks: {names:?}"
+        );
+    }
+}
+
 /// `detector.records.routed` counts every record the engine replays
 /// once, at every shard count, in memory and streamed: the `--progress`
 /// heartbeat reads its rate and its share of the log's record total.
@@ -231,10 +262,9 @@ fn every_shard_count_routes_each_record_once() {
 
 /// A resumed detection loads its replay stage once, whatever the shard
 /// count: `detector.checkpoint.resumes` reads 1 after each, also where
-/// every shard worker replays from its own copy of that stage. The
-/// suffix interleaves blocks of lock handoffs with the log's own blocks,
-/// so at N shards the state moves between the inline detector and the
-/// replicas at every block, and those moves count no resume.
+/// every shard worker starts from its own copy of that stage. The suffix
+/// interleaves blocks of lock handoffs with the log's own blocks, so at
+/// N shards the replicas take blocks of both make-ups.
 #[test]
 fn a_resumed_detection_counts_one_resume_at_every_shard_count() {
     use literace::detector::{detect_stream_from, HbDetector};
